@@ -20,14 +20,11 @@ from .algebra import (
 )
 from .chenruan import (
     CRClass,
-    PairingMatrix,
-    pairing_matrix,
     coefficient,
     dual_basis,
     expand,
     gram_matrix,
     pairing,
-    pairing_direct,
     pairing_fixed,
     t_weight,
 )

@@ -6,13 +6,8 @@ from .charpoly import char_poly, char_poly_gaussian, char_poly_squarefree, is_sq
 from .gaussian import GaussRational, I
 from .poly import Poly1, Poly2, poly2_divexact, poly2_from_text, poly2_gcd, poly2_to_text
 from .qexpr import Q, QExpr, T1, T2, expand_q_closed_form, s_atom
-from .ratfunc import (
-    RatFunc2,
-    ratfunc_from_text,
-    ratfunc_normalize,
-    ratfunc_to_text,
-)
-from .series import TruncSeries, series_arith, series_d_du, series_s_scale_d
+from .ratfunc import RatFunc2, ratfunc_from_text, ratfunc_to_text
+from .series import TruncSeries
 
 __all__ = [
     "GaussRational",
@@ -35,10 +30,6 @@ __all__ = [
     "poly2_gcd",
     "poly2_to_text",
     "ratfunc_from_text",
-    "ratfunc_normalize",
     "ratfunc_to_text",
     "s_atom",
-    "series_arith",
-    "series_d_du",
-    "series_s_scale_d",
 ]

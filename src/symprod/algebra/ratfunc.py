@@ -160,11 +160,6 @@ _RF_ZERO = RatFunc2(Poly2.zero())
 _RF_ONE = RatFunc2(Poly2.one())
 
 
-def ratfunc_normalize(f: RatFunc2) -> RatFunc2:
-    """Return the canonical representative (idempotent; RatFunc2 stores one)."""
-    return RatFunc2(f.num, f.den)
-
-
 def ratfunc_to_text(f: RatFunc2) -> str:
     """Canonical string: "num" when den = 1, else "(num)/(den)"."""
     if f.den == Poly2.one():

@@ -225,21 +225,3 @@ class TruncSeries:
     def __repr__(self) -> str:
         return f"TruncSeries(u_order={self.u_order}, s_orders={self.s_orders}, {self})"
 
-
-def series_arith(a: TruncSeries, b: TruncSeries, op: str) -> TruncSeries:
-    """Ring operation with explicit symbol; op is one of '+', '-', '*'."""
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op in ("*", "x", "\u00d7"):
-        return a * b
-    raise ValueError(f"unknown series operation {op!r}")
-
-
-def series_d_du(f: TruncSeries) -> TruncSeries:
-    return f.d_du()
-
-
-def series_s_scale_d(f: TruncSeries, ell: int) -> TruncSeries:
-    return f.s_scale_d(ell)

@@ -30,7 +30,7 @@ from .partitions import (
     underlying,
     wp_size,
 )
-from .surface import TangentWeights, beta_as_chain, e_chain, e_dot
+from .surface import TangentWeights, beta_as_chain, check_label, e_chain, e_dot
 from .textforms import useries_from_json, useries_to_json, wp_to_text
 
 _THETA = Poly2.linear(1, 1)  # t1 + t2
@@ -189,6 +189,8 @@ def two_point_series(
     r = w.r
     if len(s_orders) != r:
         raise ValueError(f"need {r} s-orders, got {len(s_orders)}")
+    for _, label in mu1_w + mu2_w:
+        check_label(label, r)
     out = TruncSeries.zero(u_order, s_orders)
     coeffs: dict = {}
     for i in range(1, r + 1):
@@ -315,6 +317,8 @@ def three_point_divisor_series(
         return ThreePointResult(base + _embed_useries(derived, u_order, s_orders))
     if divisor.startswith("D"):
         ell = int(divisor[1:])
+        if not 1 <= ell <= w.r:
+            raise ValueError(f"divisor {divisor!r} out of range D1..D{w.r}")
         base = two_point_series(alpha1_w, alpha2_w, u_order, s_orders, w).s_scale_d(ell)
         pairs = table.get(alpha1_w, divisor, alpha2_w) if table else None
         if pairs is None:

@@ -44,7 +44,7 @@ from .partitions import (
     weighted_partition,
     wp_size,
 )
-from .surface import TangentWeights, tangent_weights
+from .surface import TangentWeights, check_label, tangent_weights
 from .textforms import series_from_json, series_to_json, wp_to_text, parse_wp
 
 
@@ -86,6 +86,9 @@ def divisor_operator(
         raise ValueError("empty basis")
     if any(wp_size(b) != n for b in basis):
         raise ValueError(f"basis elements must have size {n}")
+    for b in basis:
+        for _, label in b:
+            check_label(label, w.r)
     s_orders = tuple(s_orders)
     size = len(basis)
     ginv = gram_inverse(basis, w)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import UnsupportedWeightError
+from .errors import MalformedInputError, UnsupportedWeightError
 from .partitions import Label
 from .algebra import Poly2, RatFunc2
 
@@ -115,8 +115,29 @@ def omega_coefficients(r: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(tuple(row[size:]) for row in aug)
 
 
+# label kind -> (name of its index, largest index minus r)
+_LABEL_INDEX = {
+    "x": ("fixed point", 1),
+    "E": ("exceptional curve", 0),
+    "w": ("dual divisor", 0),
+}
+
+
+def check_label(label: Label, r: int) -> None:
+    """Reject a fixed-point, curve or dual-divisor index out of range for A_r."""
+    spec = _LABEL_INDEX.get(label[0])
+    if spec is None:
+        return
+    name, extra = spec
+    if not 1 <= label[1] <= r + extra:
+        raise MalformedInputError(
+            f"{name} index {label[1]} out of range 1..{r + extra} for r = {r}"
+        )
+
+
 @lru_cache(maxsize=None)
 def _class_of_cached(label: Label, r: int) -> SurfaceClass:
+    check_label(label, r)
     w = tangent_weights(r)
     zero = RatFunc2.zero()
     kind = label[0]
@@ -124,24 +145,17 @@ def _class_of_cached(label: Label, r: int) -> SurfaceClass:
         return SurfaceClass([RatFunc2.one()] * (r + 1))
     if kind == "x":
         k = label[1]
-        if not 1 <= k <= r + 1:
-            raise IndexError(f"fixed point index {k} out of range 1..{r + 1}")
         coords = [zero] * (r + 1)
         coords[k - 1] = w.LR(k)
         return SurfaceClass(coords)
     if kind == "E":
         i = label[1]
-        if not 1 <= i <= r:
-            raise IndexError(f"exceptional curve index {i} out of range 1..{r}")
         coords = [zero] * (r + 1)
         coords[i - 1] = RatFunc2(w.L(i))
         coords[i] = RatFunc2(w.R(i + 1))
         return SurfaceClass(coords)
     if kind == "w":
-        k = label[1]
-        if not 1 <= k <= r:
-            raise IndexError(f"dual divisor index {k} out of range 1..{r}")
-        coeffs = omega_coefficients(r)[k - 1]
+        coeffs = omega_coefficients(r)[label[1] - 1]
         out = SurfaceClass([zero] * (r + 1))
         for m, c in enumerate(coeffs, start=1):
             if c:

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 from symprod.algebra import Poly2, RatFunc2, TruncSeries
+from symprod.chenruan import expand, pairing_fixed
 from symprod.hurwitz import hurwitz
 from symprod.partitions import (
     ONE,
@@ -14,6 +15,7 @@ from symprod.partitions import (
     partition,
     partitions_of,
     weighted_partition,
+    wp_size,
 )
 
 
@@ -25,6 +27,20 @@ def brute_one_part(sigma, b: int) -> Fraction:
         return hurwitz([sigma, [1] * k], k) if b == 0 else Fraction(0)
     transposition = [2] + [1] * (k - 2)
     return hurwitz([sigma] + [transposition] * b + [[k]], k)
+
+
+def fixed_basis_pairing(wp1, wp2, w) -> RatFunc2:
+    """Reference pairing: expand both classes in the fixed-point basis,
+    where the pairing is diagonal with entries pairing_fixed."""
+    if wp_size(wp1) != wp_size(wp2):
+        raise ValueError("weighted partitions of different sizes")
+    a, b = expand(wp1, w), expand(wp2, w)
+    total = RatFunc2.zero()
+    for mp, ca in a.terms.items():
+        cb = b.terms.get(mp)
+        if cb is not None:
+            total = total + ca * cb * pairing_fixed(mp, mp, w)
+    return total
 
 
 def random_fraction(rng: random.Random, span: int = 6) -> Fraction:

@@ -18,7 +18,7 @@ from helpers import (
 from symprod.algebra import Poly2, RatFunc2, char_poly_squarefree
 from symprod.chenruan import (
     expand,
-    pairing_direct,
+    pairing,
     pairing_fixed,
 )
 from symprod.hurwitz import hurwitz, hurwitz_refined, one_part_double_hurwitz
@@ -147,7 +147,7 @@ def test_criterion_5_pairing_consistency():
 
             for idx, a in enumerate(wps):
                 for b in wps[idx:]:
-                    if fixed_path(a, b) != pairing_direct(a, b, w):
+                    if fixed_path(a, b) != pairing(a, b, w):
                         ok = False
             # diagonal values on fixed-point classes are H(sigma~) t(sigma~)
             for mp_wp in wps:
@@ -157,7 +157,7 @@ def test_criterion_5_pairing_consistency():
                 for part, label in mp_wp:
                     comps[label[1] - 1].append(part)
                 mp = multipartition(comps)
-                if pairing_direct(mp_wp, mp_wp, w) != pairing_fixed(mp, mp, w):
+                if pairing(mp_wp, mp_wp, w) != pairing_fixed(mp, mp, w):
                     ok = False
     _report(
         5,

@@ -4,21 +4,27 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import all_labels, divisor_labels, random_weighted_partition
+from helpers import (
+    all_labels,
+    divisor_labels,
+    fixed_basis_pairing,
+    random_weighted_partition,
+)
 from symprod.algebra import RatFunc2
 from symprod.chenruan import (
+    clear_caches,
     coefficient,
     dual_basis,
     expand,
     gram_inverse,
     gram_matrix,
     pairing,
-    pairing_direct,
     pairing_fixed,
     t_weight,
 )
-from symprod.errors import DegenerateBasisError
+from symprod.errors import DegenerateBasisError, MalformedInputError
 from symprod.partitions import (
     ONE,
     ecurve,
@@ -27,6 +33,7 @@ from symprod.partitions import (
     mp_contains,
     mp_diff,
     multipartition,
+    omega,
     partitions_of,
     underlying,
     weighted_partition,
@@ -130,7 +137,7 @@ def test_pairing_matches_direct_formula():
             wps = all_weighted_partitions(n, labels)
             for a in wps:
                 for b in wps:
-                    assert pairing(a, b, w) == pairing_direct(a, b, w), (a, b, r)
+                    assert pairing(a, b, w) == fixed_basis_pairing(a, b, w), (a, b, r)
 
 
 def test_pairing_symmetry_and_block_vanishing():
@@ -155,7 +162,7 @@ def test_fixed_class_self_pairing_via_direct():
                 as_wp = weighted_partition(
                     [(part, fixedpt(k + 1)) for k, comp in enumerate(mp) for part in comp]
                 )
-                assert pairing_direct(as_wp, as_wp, w) == pairing_fixed(mp, mp, w)
+                assert pairing(as_wp, as_wp, w) == pairing_fixed(mp, mp, w)
 
 
 def _multipartitions_of(n, p):
@@ -237,17 +244,15 @@ def test_degenerate_basis_rejected():
 
 
 def test_pairing_matrix_type():
-    from symprod.chenruan import pairing_matrix
-
     w = tangent_weights(1)
     basis = [wp((2, ecurve(1))), wp((2, ONE)), wp((1, ONE), (1, ONE))]
-    pm = pairing_matrix(basis, w)
-    assert pm.basis == tuple(basis)
+    gram = gram_matrix(basis, w)
+    assert [len(row) for row in gram] == [3, 3, 3]
     for i in range(3):
         for j in range(3):
-            assert pm.gram[i][j] == pm.gram[j][i]
+            assert gram[i][j] == gram[j][i]
             if underlying(basis[i]) != underlying(basis[j]):
-                assert pm.gram[i][j].is_zero()
+                assert gram[i][j].is_zero()
 
 
 def test_gram_block_structure():
@@ -266,3 +271,84 @@ def test_gram_block_structure():
             if shapes[i] != shapes[j]:
                 assert gram[i][j].is_zero()
             assert gram[i][j] == gram[j][i]
+
+
+def test_pairing_rejects_label_out_of_range():
+    # the cycle types differ, so the matching sum alone would return 0
+    w = tangent_weights(1)
+    with pytest.raises(MalformedInputError):
+        pairing(wp((2, ecurve(5))), wp((1, ONE), (1, ONE)), w)
+    with pytest.raises(MalformedInputError):
+        pairing(wp((1, ONE), (1, ONE)), wp((2, fixedpt(3))), w)
+
+
+# ---------------------------------------------------------------------------
+# property tests: the matching-sum pairing against the fixed-basis oracle
+# ---------------------------------------------------------------------------
+
+_PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def _labels_and_rank(draw):
+    r = draw(st.integers(1, 3))
+    labels = st.one_of(
+        st.just(ONE),
+        st.integers(1, r).map(ecurve),
+        st.integers(1, r).map(omega),
+        st.integers(1, r + 1).map(fixedpt),
+    )
+    return r, labels
+
+
+@st.composite
+def _weighted_partition(draw, n, labels):
+    lam = draw(st.sampled_from(partitions_of(n)))
+    return weighted_partition((part, draw(labels)) for part in lam)
+
+
+@st.composite
+def _pairing_case(draw):
+    r, labels = draw(_labels_and_rank())
+    n = draw(st.integers(1, 5))
+    a = draw(_weighted_partition(n, labels))
+    # half the cases share a's cycle type, so the pairing is rarely forced to 0
+    if draw(st.booleans()):
+        b = weighted_partition((part, draw(labels)) for part, _ in a)
+    else:
+        b = draw(_weighted_partition(n, labels))
+    return r, a, b
+
+
+@_PROPERTY_SETTINGS
+@given(_pairing_case())
+def test_pairing_matches_fixed_basis_oracle_property(case):
+    r, a, b = case
+    w = tangent_weights(r)
+    assert pairing(a, b, w) == fixed_basis_pairing(a, b, w)
+
+
+@_PROPERTY_SETTINGS
+@given(_pairing_case())
+def test_pairing_symmetric_property(case):
+    r, a, b = case
+    w = tangent_weights(r)
+    ab = pairing(a, b, w)
+    clear_caches()  # the cache stores both orders; recompute b, a from scratch
+    assert pairing(b, a, w) == ab
+
+
+@st.composite
+def _unequal_sizes_case(draw):
+    r, labels = draw(_labels_and_rank())
+    n1, n2 = draw(st.lists(st.integers(1, 4), min_size=2, max_size=2, unique=True))
+    return r, draw(_weighted_partition(n1, labels)), draw(_weighted_partition(n2, labels))
+
+
+@_PROPERTY_SETTINGS
+@given(_unequal_sizes_case())
+def test_pairing_unequal_sizes_rejected_property(case):
+    r, a, b = case
+    w = tangent_weights(r)
+    with pytest.raises(ValueError, match="different sizes"):
+        pairing(a, b, w)

@@ -70,6 +70,17 @@ def test_two_point_disjoint_support_empty(capsys):
     assert json.loads(out)["terms"] == []
 
 
+def test_two_point_label_out_of_range(capsys):
+    code, out, err = run(
+        capsys,
+        "two-point", "--n", "2", "--r", "1",
+        "--left", "2(E5)", "--right", "2(E1)",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "out of range" in err
+
+
 def test_verify_cli_pass(capsys):
     code, out, _ = run(capsys, "verify-a1n2", "--u-order", "1", "--s-order", "2")
     assert code == 0
@@ -130,6 +141,17 @@ def test_op_matrix_latex_and_csv(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text().startswith("row,col,u,s1,coefficient")
+
+
+def test_op_matrix_divisor_out_of_range(capsys):
+    code, out, err = run(
+        capsys,
+        "op-matrix", "--n", "2", "--r", "1", "--divisor", "D3",
+        "--u-order", "1", "--s-orders", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "D3" in err and "Traceback" not in err
 
 
 def test_eigencheck_default(capsys):

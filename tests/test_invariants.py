@@ -8,7 +8,7 @@ import pytest
 from helpers import divisor_labels, random_weighted_partition
 from symprod.algebra import Poly2, RatFunc2
 from symprod.chenruan import pairing
-from symprod.errors import OutOfScopeError, UnsupportedWeightError
+from symprod.errors import MalformedInputError, OutOfScopeError, UnsupportedWeightError
 from symprod.invariants import (
     ZeroDegreeTable,
     connected_two_point,
@@ -252,3 +252,16 @@ def test_mismatched_sizes_rejected():
         connected_two_point(TWO_E1, wp((3, ecurve(1))), 0, (1,), W1)
     with pytest.raises(ValueError):
         disconnected_two_point(TWO_E1, wp((1, ONE)), 0, (1,), W1)
+
+
+def test_two_point_series_rejects_label_out_of_range():
+    with pytest.raises(MalformedInputError):
+        two_point_series(wp((2, ecurve(5))), TWO_E1, 0, (3,), W1)
+    with pytest.raises(MalformedInputError):
+        two_point_series(TWO_E1, wp((1, ONE), (1, ecurve(2))), 0, (3,), W1)
+
+
+def test_three_point_rejects_divisor_out_of_range():
+    for divisor in ("D0", "D2", "D3"):
+        with pytest.raises(ValueError, match="out of range"):
+            three_point_divisor_series(TWO_E1, divisor, TWO_E1, 1, (1,), W1, None)

@@ -27,6 +27,7 @@ from symprod.operators import (
     verify_a1n2,
     zero_degree_table_a1n2,
 )
+from symprod.errors import MalformedInputError
 from symprod.partitions import ONE, ecurve, fixedpt, weighted_partition
 from symprod.surface import tangent_weights
 from symprod.textforms import wp_to_text
@@ -248,3 +249,9 @@ def test_matrix_text_emitters():
     csv_text = op_matrix_to_csv(op)
     assert csv_text.splitlines()[0] == "row,col,u,s1,coefficient"
     assert any("4*t1" in line for line in csv_text.splitlines())
+
+
+def test_divisor_operator_rejects_label_out_of_range():
+    basis = [weighted_partition([(2, ecurve(1))]), weighted_partition([(2, ecurve(2))])]
+    with pytest.raises(MalformedInputError):
+        divisor_operator(2, 1, "D1", basis, 0, (1,))

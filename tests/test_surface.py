@@ -5,10 +5,11 @@ from fractions import Fraction
 import pytest
 
 from symprod.algebra import Poly2, RatFunc2
-from symprod.errors import UnsupportedWeightError
+from symprod.errors import MalformedInputError, UnsupportedWeightError
 from symprod.partitions import ONE, ecurve, fixedpt, omega
 from symprod.surface import (
     beta_as_chain,
+    check_label,
     class_of,
     curve_exponents,
     e_chain,
@@ -117,3 +118,14 @@ def test_e_dot_examples():
 def test_e_dot_rejects_nondivisors():
     with pytest.raises(UnsupportedWeightError):
         e_dot(fixedpt(1), 1, 1)
+
+
+def test_label_index_checked_against_r():
+    w = tangent_weights(1)
+    for label in (ecurve(0), ecurve(2), omega(2), fixedpt(0), fixedpt(3)):
+        with pytest.raises(MalformedInputError):
+            check_label(label, 1)
+        with pytest.raises(MalformedInputError):
+            class_of(label, w)
+    for label in (ONE, ecurve(1), omega(1), fixedpt(1), fixedpt(2)):
+        check_label(label, 1)
