@@ -6,14 +6,16 @@ import random
 from fractions import Fraction
 
 from symprod.algebra import Poly2, RatFunc2, TruncSeries
-from symprod.chenruan import expand, pairing_fixed
+from symprod.chenruan import expand, pairing, pairing_fixed
 from symprod.hurwitz import hurwitz
+from symprod.invariants import connected_two_point
 from symprod.partitions import (
     ONE,
     ecurve,
     fixedpt,
     partition,
     partitions_of,
+    underlying,
     weighted_partition,
     wp_size,
 )
@@ -40,6 +42,34 @@ def fixed_basis_pairing(wp1, wp2, w) -> RatFunc2:
         cb = b.terms.get(mp)
         if cb is not None:
             total = total + ca * cb * pairing_fixed(mp, mp, w)
+    return total
+
+
+def _bitmask_splittings(wp) -> set:
+    """Every (theta, nu) split of wp, one slot subset per bitmask."""
+    slots = list(wp)
+    seen = set()
+    for mask in range(1 << len(slots)):
+        theta = weighted_partition(s for b, s in enumerate(slots) if mask >> b & 1)
+        nu = weighted_partition(s for b, s in enumerate(slots) if not mask >> b & 1)
+        seen.add((theta, nu))
+    return seen
+
+
+def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
+    """Reference disconnected two-point invariant: the splitting sum over
+    slot bitmasks, pairing(theta1, theta2) times the connected leftovers."""
+    total = RatFunc2.zero()
+    for theta1, nu1 in _bitmask_splittings(mu1):
+        for theta2, nu2 in _bitmask_splittings(mu2):
+            if underlying(theta1) != underlying(theta2):
+                continue
+            if not nu1 or not nu2:
+                continue
+            conn = connected_two_point(nu1, nu2, a, beta, w)
+            if conn.is_zero():
+                continue
+            total = total + pairing(theta1, theta2, w) * RatFunc2(conn)
     return total
 
 

@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import divisor_labels, random_weighted_partition
+from helpers import bitmask_disconnected, divisor_labels, random_weighted_partition
 from symprod.algebra import Poly2, RatFunc2
-from symprod.chenruan import pairing
 from symprod.errors import MalformedInputError, OutOfScopeError, UnsupportedWeightError
 from symprod.invariants import (
     ZeroDegreeTable,
@@ -16,7 +17,7 @@ from symprod.invariants import (
     three_point_divisor_series,
     two_point_series,
 )
-from symprod.partitions import ONE, ecurve, fixedpt, underlying, weighted_partition
+from symprod.partitions import ONE, ecurve, fixedpt, omega, partitions_of, weighted_partition
 from symprod.surface import e_chain, tangent_weights
 from symprod.textforms import wp_to_text
 
@@ -150,32 +151,9 @@ def test_disconnected_bitmask_oracle():
         mu2 = random_weighted_partition(rng, n, labels)
         a = rng.randint(0, 2)
         beta = e_chain(1, 1, rng.randint(1, 2), r)
-
-        def splittings(wp_val):
-            seen = set()
-            slots = list(wp_val)
-            for mask in range(1 << len(slots)):
-                theta = weighted_partition(
-                    s for b, s in enumerate(slots) if mask >> b & 1
-                )
-                nu = weighted_partition(
-                    s for b, s in enumerate(slots) if not mask >> b & 1
-                )
-                seen.add((theta, nu))
-            return seen
-
-        total = RatFunc2.zero()
-        for theta1, nu1 in splittings(mu1):
-            for theta2, nu2 in splittings(mu2):
-                if underlying(theta1) != underlying(theta2):
-                    continue
-                if not nu1 or not nu2:
-                    continue
-                conn = connected_two_point(nu1, nu2, a, beta, w)
-                if conn.is_zero():
-                    continue
-                total = total + pairing(theta1, theta2, w) * RatFunc2(conn)
-        assert total == disconnected_two_point(mu1, mu2, a, beta, w)
+        assert bitmask_disconnected(mu1, mu2, a, beta, w) == disconnected_two_point(
+            mu1, mu2, a, beta, w
+        )
 
 
 def test_two_point_series_layers():
@@ -186,6 +164,40 @@ def test_two_point_series_layers():
         # cosine layer: u^2 coefficient is -theta*d
         assert series.coefficient(2, (d,)) == RatFunc2(THETA.scale(-d))
     assert series.coefficient(0, (0,)).is_zero()  # no degree-zero column
+
+
+@st.composite
+def _series_case(draw):
+    r = draw(st.integers(1, 2))
+    labels = st.one_of(
+        st.just(ONE), st.integers(1, r).map(ecurve), st.integers(1, r).map(omega)
+    )
+    n = draw(st.integers(1, 3))
+    mu1 = weighted_partition((p, draw(labels)) for p in draw(st.sampled_from(partitions_of(n))))
+    # half the cases share mu1's cycle type, so whole-partition splittings match
+    lam = [p for p, _ in mu1] if draw(st.booleans()) else draw(st.sampled_from(partitions_of(n)))
+    mu2 = weighted_partition((p, draw(labels)) for p in lam)
+    u_order = draw(st.integers(0, 2))
+    s_orders = tuple(draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)))
+    return r, mu1, mu2, u_order, s_orders
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_series_case())
+def test_two_point_series_matches_bitmask_oracle_property(case):
+    r, mu1, mu2, u_order, s_orders = case
+    w = tangent_weights(r)
+    series = two_point_series(mu1, mu2, u_order, s_orders, w)
+    expected = {}
+    # the whole box: off-chain degrees must come out zero, beta = 0 absent
+    for exps in product(*(range(d + 1) for d in s_orders)):
+        if not any(exps):
+            continue
+        for a in range(u_order + 1):
+            val = bitmask_disconnected(mu1, mu2, a, exps, w)
+            if not val.is_zero():
+                expected[(a, exps)] = val
+    assert series.coeffs == expected
 
 
 def test_two_point_series_r2_support():
