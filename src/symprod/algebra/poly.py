@@ -477,7 +477,7 @@ def poly2_to_text(p: Poly2) -> str:
 
 
 _TERM_RE = re.compile(
-    r"^(?P<coef>[+-]?\d+(?:/\d+)?)?"
+    r"^(?P<coef>[+-]?\d+(?:/0*[1-9]\d*)?)?"
     r"(?P<v1>\*?t1(?:\^(?P<e1>\d+))?)?"
     r"(?P<v2>\*?t2(?:\^(?P<e2>\d+))?)?$"
 )

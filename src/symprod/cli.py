@@ -137,16 +137,16 @@ def _cmd_eigencheck(args) -> int:
             return 1
         print("derogatory verdict (as expected for the identity)")
         return 0
-    values = {
-        "t1": Fraction(args.t1),
-        "t2": Fraction(args.t2),
-        "s1": Fraction(args.s),
-        "q": Fraction(args.q),
-    }
     try:
+        values = {
+            "t1": Fraction(args.t1),
+            "t2": Fraction(args.t2),
+            "s1": Fraction(args.s),
+            "q": Fraction(args.q),
+        }
         report = eigen_certify(closed_form_matrix_a1n2(), values)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"evaluation pole: {exc}") from None
+    except ZeroDivisionError as exc:  # a zero denominator in a value, or a pole
+        raise ValueError(f"evaluation pole or zero denominator: {exc}") from None
     print(report.summary())
     return 0 if report.squarefree else 1
 
@@ -242,14 +242,19 @@ def main(argv=None) -> int:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 config = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+            if not isinstance(config, dict):
+                raise ValueError(f"expected a JSON object, got {type(config).__name__}")
+        except (OSError, ValueError) as exc:  # ValueError includes JSONDecodeError
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
         sp = subparsers[args.command]
-        unknown = [k for k in config if not hasattr(args, k.replace("-", "_"))]
+        flags = set(vars(args)) - {"command", "func"}
+        unknown = [k for k in config if k.replace("-", "_") not in flags]
         if unknown:
             parser.error(f"unknown config keys: {unknown}")
-        sp.set_defaults(**{k.replace("-", "_"): v for k, v in config.items()})
+        # string defaults pass each flag's type check; null leaves a flag unset
+        sp.set_defaults(**{k.replace("-", "_"): v if isinstance(v, bool) else str(v)
+                           for k, v in config.items() if v is not None})
         args = parser.parse_args(argv)
     try:
         return args.func(args)

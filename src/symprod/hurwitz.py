@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from .errors import ResourceBudgetError
+from .errors import MalformedInputError, ResourceBudgetError
 from .partitions import Partition, aut_order, partition
 
 DEFAULT_BUDGET = 8
@@ -42,7 +42,7 @@ def enumeration_budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        return DEFAULT_BUDGET
+        raise MalformedInputError(f"{_BUDGET_ENV}={raw!r} is not an integer") from None
 
 
 def _compose(p: Perm, q: Perm) -> Perm:
@@ -118,7 +118,8 @@ def clear_caches() -> None:
     _GJV_MEMO.clear()
 
 
-def _check_budget(n: int) -> None:
+def _group(n: int) -> _GroupData:
+    """The tables for S_n, after checking n against the enumeration budget."""
     budget = enumeration_budget()
     if n > budget:
         raise ResourceBudgetError(
@@ -126,10 +127,6 @@ def _check_budget(n: int) -> None:
             f"(override with {_BUDGET_ENV})",
             budget,
         )
-
-
-def _group(n: int) -> _GroupData:
-    _check_budget(n)
     gd = _GROUPS.get(n)
     if gd is None:
         gd = _GroupData(n)
@@ -155,12 +152,11 @@ def hurwitz(profiles, n: int | None = None) -> Fraction:
     n, ps = _normalize_profiles(profiles, n)
     if n == 0:
         return Fraction(1)
-    _check_budget(n)
+    gd = _group(n)
     key = (n, tuple(sorted(ps)))
     cached = _BRUTE_MEMO.get(key)
     if cached is not None:
         return cached
-    gd = _group(n)
     # order by class size: fix the largest, let the second largest be the
     # factor determined by the product condition, enumerate the rest
     ordered = sorted(ps, key=lambda c: gd.sizes[c], reverse=True)
@@ -219,12 +215,11 @@ def hurwitz_fast(profiles, n: int | None = None) -> Fraction:
     n, ps = _normalize_profiles(profiles, n)
     if n == 0:
         return Fraction(1)
-    _check_budget(n)
+    gd = _group(n)
     key = (n, tuple(sorted(ps)))
     cached = _FAST_MEMO.get(key)
     if cached is not None:
         return cached
-    gd = _group(n)
     vec = _distribution(gd, ps)
     result = Fraction(vec[gd.index[gd.identity_class]], factorial(n))
     _FAST_MEMO[key] = result

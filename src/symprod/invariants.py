@@ -4,23 +4,25 @@ The connected two-point invariant of twisted degree (a, d*E_{ij}) is the
 closed product of automorphism factors, chain intersection numbers, a
 sign/degree factor and a convolution of one-part double Hurwitz numbers;
 it is a polynomial divisible by t1 + t2. Disconnected invariants are
-splitting sums of pairings against connected pieces. Three-point series
+splitting sums of pairings against connected pieces, enumerated once per
+insertion pair for all degrees of a two-point series. Three-point series
 with one divisor insertion come from the divisor equations: d/du for the
 twisted divisor, s_l d/ds_l plus an s=0 boundary term for the untwisted
 ones. Degree-zero data is never computed here; it enters through a
-pluggable table and missing entries are reported as gaps.
+pluggable table with canonical keys, and missing entries are reported as gaps.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
 from .algebra import Poly2, RatFunc2, TruncSeries
 from .chenruan import pairing
-from .errors import OutOfScopeError, UnsupportedWeightError
+from .errors import MalformedInputError, OutOfScopeError, UnsupportedWeightError
 from .hurwitz import one_part_double_hurwitz
 from .partitions import (
     WeightedPartition,
@@ -31,21 +33,24 @@ from .partitions import (
     wp_size,
 )
 from .surface import TangentWeights, beta_as_chain, check_label, e_chain, e_dot
-from .textforms import useries_from_json, useries_to_json, wp_to_text
+from .textforms import parse_wp, useries_from_json, useries_to_json, wp_to_text
 
 _THETA = Poly2.linear(1, 1)  # t1 + t2
 
 DIVISOR_TWO = "(2)"
 TWO_POINT_MARKER = "1"  # table key marker for the beta=0 two-point series
+_TABLE_DIVISOR_RE = re.compile(r"1|D[1-9]\d*")  # the marker or an untwisted divisor
 
 
-def _check_divisor_weights(wp: WeightedPartition) -> None:
-    for _, label in wp:
+def _check_pair(mu_w: WeightedPartition, nu_w: WeightedPartition) -> None:
+    for _, label in mu_w + nu_w:
         if label[0] not in ("1", "E", "w"):
             raise UnsupportedWeightError(
                 f"weight {label!r} unsupported: connected invariants take "
                 "weights 1 or divisors only"
             )
+    if wp_size(mu_w) != wp_size(nu_w):
+        raise ValueError("the two insertions must have equal size")
 
 
 def connected_two_point(
@@ -66,11 +71,8 @@ def connected_two_point(
 
     with g = (a - l(mu) - l(nu) + 2)/2; parity failures vanish.
     """
-    _check_divisor_weights(mu_w)
-    _check_divisor_weights(nu_w)
+    _check_pair(mu_w, nu_w)
     k = wp_size(mu_w)
-    if wp_size(nu_w) != k:
-        raise ValueError("the two insertions must have equal size")
     if a < 0:
         return Poly2.zero()
     chain = beta_as_chain(tuple(beta))
@@ -121,6 +123,42 @@ def connected_two_point(
     return _THETA.scale(scalar)
 
 
+def _splitting_sums(
+    mu1_w: WeightedPartition,
+    mu2_w: WeightedPartition,
+    degrees,
+    w: TangentWeights,
+) -> dict:
+    """Disconnected invariants at every (a, beta) in degrees; zeros omitted.
+
+    The splittings of both insertions are enumerated and paired once;
+    only the connected pieces depend on the degree.
+    """
+    for _, label in mu1_w + mu2_w:
+        check_label(label, w.r)
+    _check_pair(mu1_w, mu2_w)
+    by_theta1: dict = {}
+    for theta, nu in enumerate_sub_splittings(mu1_w):
+        if nu:  # an empty connected piece contributes nothing
+            by_theta1.setdefault(underlying(theta), []).append((theta, nu))
+    pieces = []  # an empty nu2 finds no partner: its theta1 would leave nu1 empty
+    for theta2, nu2 in enumerate_sub_splittings(mu2_w):
+        for theta1, nu1 in by_theta1.get(underlying(theta2), ()):
+            pair = pairing(theta1, theta2, w)
+            if not pair.is_zero():
+                pieces.append((pair, nu1, nu2))
+    out = {}
+    for a, beta in degrees:
+        total = RatFunc2.zero()
+        for pair, nu1, nu2 in pieces:
+            conn = connected_two_point(nu1, nu2, a, beta, w)
+            if not conn.is_zero():
+                total = total + pair * RatFunc2(conn)
+        if not total.is_zero():
+            out[(a, beta)] = total
+    return out
+
+
 def disconnected_two_point(
     mu1_w: WeightedPartition,
     mu2_w: WeightedPartition,
@@ -135,41 +173,10 @@ def disconnected_two_point(
     contributes pairing(theta_1, theta_2) times the connected invariant
     of the leftovers.
     """
-    _check_divisor_weights(mu1_w)
-    _check_divisor_weights(mu2_w)
-    n = wp_size(mu1_w)
-    if wp_size(mu2_w) != n:
-        raise ValueError("the two insertions must have equal size")
-    if a < 0:
-        return RatFunc2.zero()
-    chain = beta_as_chain(tuple(beta))
-    if chain is None:
-        if not any(beta):
-            raise OutOfScopeError(
-                "degree-zero extended invariants are external table data"
-            )
-        return RatFunc2.zero()
-    by_theta1: dict = {}
-    for theta, nu in enumerate_sub_splittings(mu1_w):
-        by_theta1.setdefault(underlying(theta), []).append((theta, nu))
-    total = RatFunc2.zero()
-    for theta2, nu2 in enumerate_sub_splittings(mu2_w):
-        if not nu2:
-            continue  # empty connected piece contributes nothing
-        partners = by_theta1.get(underlying(theta2))
-        if not partners:
-            continue
-        for theta1, nu1 in partners:
-            if not nu1:
-                continue
-            conn = connected_two_point(nu1, nu2, a, beta, w)
-            if conn.is_zero():
-                continue
-            pair = pairing(theta1, theta2, w)
-            if pair.is_zero():
-                continue
-            total = total + pair * RatFunc2(conn)
-    return total
+    beta = tuple(beta)
+    if not any(beta):
+        raise OutOfScopeError("degree-zero extended invariants are external table data")
+    return _splitting_sums(mu1_w, mu2_w, [(a, beta)], w).get((a, beta), RatFunc2.zero())
 
 
 def two_point_series(
@@ -189,22 +196,14 @@ def two_point_series(
     r = w.r
     if len(s_orders) != r:
         raise ValueError(f"need {r} s-orders, got {len(s_orders)}")
-    for _, label in mu1_w + mu2_w:
-        check_label(label, r)
-    out = TruncSeries.zero(u_order, s_orders)
-    coeffs: dict = {}
-    for i in range(1, r + 1):
-        for j in range(i, r + 1):
-            dmax = min(s_orders[i - 1 : j])
-            for d in range(1, dmax + 1):
-                beta = e_chain(i, j, d, r)
-                exps = tuple(beta)
-                for a in range(u_order + 1):
-                    val = disconnected_two_point(mu1_w, mu2_w, a, beta, w)
-                    if not val.is_zero():
-                        key = (a, exps)
-                        coeffs[key] = coeffs.get(key, RatFunc2.zero()) + val
-    return out + TruncSeries(u_order, s_orders, coeffs)
+    degrees = [
+        (a, e_chain(i, j, d, r))
+        for i in range(1, r + 1)
+        for j in range(i, r + 1)
+        for d in range(1, min(s_orders[i - 1 : j]) + 1)
+        for a in range(u_order + 1)
+    ]
+    return TruncSeries(u_order, s_orders, _splitting_sums(mu1_w, mu2_w, degrees, w))
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +227,14 @@ class ZeroDegreeTable:
                 self.set(key[0], key[1], key[2], pairs)
 
     def set(self, left: str, divisor: str, right: str, pairs) -> None:
-        self.entries[(left, divisor, right)] = tuple(
-            (int(a), RatFunc2.lift(v)) for a, v in pairs
-        )
+        """Store an entry under its canonical key; a bad key raises MalformedInputError."""
+        if not (isinstance(divisor, str) and _TABLE_DIVISOR_RE.fullmatch(divisor)):
+            raise MalformedInputError(f'table divisor {divisor!r} is neither "1" nor D<l>')
+        try:
+            key = (wp_to_text(parse_wp(left)), divisor, wp_to_text(parse_wp(right)))
+        except (AttributeError, ValueError) as exc:  # AttributeError: not a string
+            raise MalformedInputError(f"table key: {exc}") from None
+        self.entries[key] = tuple((int(a), RatFunc2.lift(v)) for a, v in pairs)
 
     def get(self, left_wp: WeightedPartition, divisor: str, right_wp: WeightedPartition):
         """Coefficient list for a key, trying both outer orders; None if absent."""
@@ -254,12 +258,17 @@ class ZeroDegreeTable:
         }
 
     @classmethod
-    def from_json(cls, payload: dict) -> ZeroDegreeTable:
+    def from_json(cls, payload) -> ZeroDegreeTable:
+        """Table from its JSON form; a schema violation raises MalformedInputError."""
         table = cls()
-        for item in payload["entries"]:
-            table.entries[(item["left"], item["divisor"], item["right"])] = (
-                useries_from_json(item["series"])
-            )
+        try:
+            for item in payload["entries"]:
+                pairs = useries_from_json(item["series"])
+                table.set(item["left"], item["divisor"], item["right"], pairs)
+        except KeyError as exc:
+            raise MalformedInputError(f"degree-zero table lacks the field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise MalformedInputError(f"malformed degree-zero table: {exc}") from None
         return table
 
     def save(self, path) -> None:

@@ -7,7 +7,6 @@ Conventions:
         ("E", i)      the i-th exceptional curve
         ("w", k)      the k-th dual divisor
         ("x", k)      the k-th fixed-point class
-        ("gen", obj)  an arbitrary localized surface class
   * a WeightedPartition is a tuple of (part, label) pairs in canonical order;
   * a MultiPartition is a tuple of partitions, one per fixed point.
 """
@@ -40,11 +39,7 @@ def fixedpt(k: int) -> Label:
     return ("x", int(k))
 
 
-def general(surface_class) -> Label:
-    return ("gen", surface_class)
-
-
-_KIND_RANK = {"1": 0, "E": 1, "w": 2, "x": 3, "gen": 4}
+_KIND_RANK = {"1": 0, "E": 1, "w": 2, "x": 3}
 
 
 def label_key(label: Label):
@@ -52,8 +47,6 @@ def label_key(label: Label):
     rank = _KIND_RANK[kind]
     if kind == "1":
         return (rank, 0)
-    if kind == "gen":
-        return (rank, repr(label[1]))
     return (rank, label[1])
 
 

@@ -166,11 +166,6 @@ def _class_of_cached(label: Label, r: int) -> SurfaceClass:
 
 def class_of(label: Label, w: TangentWeights) -> SurfaceClass:
     """Localized class of a weight label (identity, E_i, omega_k, [x_k])."""
-    if label[0] == "gen":
-        sc = label[1]
-        if len(sc.coords) != w.r + 1:
-            raise ValueError("general class has wrong number of restrictions")
-        return sc
     return _class_of_cached(label, w.r)
 
 
@@ -222,8 +217,8 @@ def beta_as_chain(beta: CurveClass) -> tuple[int, int, int] | None:
 def e_dot(label: Label, i: int, j: int) -> Fraction:
     """Intersection of the chain E_i + ... + E_j with a divisor weight.
 
-    The identity weight pairs to zero; fixed-point or general weights are
-    not divisors and are rejected.
+    The identity weight pairs to zero; fixed-point weights are not
+    divisors and are rejected.
     """
     if i > j:
         raise ValueError("need i <= j")

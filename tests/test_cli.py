@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symprod.cli import main
 from symprod.operators import op_matrix_from_json
@@ -81,6 +82,17 @@ def test_two_point_label_out_of_range(capsys):
     assert len(err.splitlines()) == 1 and "out of range" in err
 
 
+def test_two_point_unsupported_weight_without_chains(capsys):
+    code, out, err = run(
+        capsys,
+        "two-point", "--n", "2", "--r", "1",
+        "--left", "2(x1)", "--right", "2(x1)", "--s-orders", "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "unsupported" in err
+
+
 def test_verify_cli_pass(capsys):
     code, out, _ = run(capsys, "verify-a1n2", "--u-order", "1", "--s-order", "2")
     assert code == 0
@@ -99,6 +111,40 @@ def test_verify_cli_corrupt_table(tmp_path, capsys):
     )
     assert code == 1
     assert "entry" in out
+
+
+@pytest.mark.parametrize("drop", ["series", "entries"])
+def test_table_schema_error_is_usage_error(tmp_path, capsys, drop):
+    code, _, _ = run(capsys, "make-table", "--case", "a1n2", "--out", str(tmp_path / "t.json"))
+    assert code == 0
+    payload = json.loads((tmp_path / "t.json").read_text())
+    if drop == "series":
+        del payload["entries"][0]["series"]
+    else:
+        del payload["entries"]
+    (tmp_path / "bad.json").write_text(json.dumps(payload))
+    for argv in (
+        ["verify-a1n2", "--u-order", "1", "--s-order", "1"],
+        ["op-matrix", "--n", "2", "--r", "1", "--u-order", "0", "--s-orders", "1"],
+    ):
+        code, out, err = run(capsys, *argv, "--table", str(tmp_path / "bad.json"))
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and drop in err and "Traceback" not in err
+
+
+def test_table_noncanonical_key_matches(tmp_path, capsys):
+    argv = ["op-matrix", "--n", "2", "--r", "1", "--divisor", "D1",
+            "--u-order", "0", "--s-orders", "1"]
+    gaps = {}
+    for left in ("1(1)+1(E1)", "1(E1)+1(1)"):
+        entry = {"left": left, "divisor": "D1", "right": "1(1)+1(E1)", "series": [[0, "1"]]}
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps({"entries": [entry]}))
+        code, out, _ = run(capsys, *argv, "--table", str(path))
+        assert code == 0
+        gaps[left] = len(json.loads(out)["gaps"])
+    assert gaps == {"1(1)+1(E1)": 24, "1(E1)+1(1)": 24}
 
 
 def test_op_matrix_json(capsys):
@@ -166,6 +212,13 @@ def test_eigencheck_pole_is_usage_error(capsys):
     assert "pole" in err
 
 
+def test_eigencheck_zero_denominator_is_usage_error(capsys):
+    code, out, err = run(capsys, "eigencheck", "--t2", "1/0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_eigencheck_identity_self_test(capsys):
     code, out, _ = run(capsys, "eigencheck", "--identity-self-test")
     assert code == 0
@@ -185,6 +238,14 @@ def test_budget_exit_code(monkeypatch, capsys):
     code, _, err = run(capsys, "hurwitz", "--n", "4", "--profiles", "2+1+1;2+1+1")
     assert code == 3
     assert "budget" in err
+
+
+def test_budget_variable_unparsable(monkeypatch, capsys):
+    monkeypatch.setenv("SYMPROD_HURWITZ_BUDGET", "abc")
+    code, out, err = run(capsys, "hurwitz", "--n", "2", "--profiles", "2;2")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "SYMPROD_HURWITZ_BUDGET" in err
 
 
 def test_config_file_defaults(tmp_path, capsys):
@@ -207,3 +268,151 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     with pytest.raises(SystemExit) as err:
         main(["hurwitz", "--config", str(config)])
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["func", "command"])
+def test_config_rejects_internal_keys(tmp_path, capsys, key):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({key: "x"}))
+    with pytest.raises(SystemExit) as err:
+        main(["hurwitz", "--config", str(config)])
+    assert err.value.code == 2
+
+
+def test_config_values_type_checked(tmp_path, capsys):
+    config = tmp_path / "job.json"
+    config.write_text(json.dumps({"u_order": 7.5}))
+    with pytest.raises(SystemExit) as err:
+        main(["verify-a1n2", "--config", str(config)])
+    assert err.value.code == 2
+    assert "invalid int value: '7.5'" in capsys.readouterr().err
+
+
+def test_config_not_an_object(tmp_path, capsys):
+    config = tmp_path / "job.json"
+    config.write_text("[1, 2]")
+    code, out, err = run(capsys, "hurwitz", "--config", str(config))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read config:") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: any argv over the six subcommands ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+def _values(valid, invalid):
+    """Mostly valid values; an invalid one about one time in five."""
+    return st.integers(0, 4).flatmap(
+        lambda k: st.sampled_from(invalid if k == 0 else valid)
+    )
+
+
+# TMP stands for the example's temporary directory
+_INVALID_INT = ["-1", "x", ""]
+_ORDER = _values(["0", "1", "2"], _INVALID_INT)
+_R = _values(["1", "2"], ["0", "3"] + _INVALID_INT)
+_WP = _values(
+    ["2(E1)", "1(1)+1(E1)", "2(w1)", "1(E2)+1(1)", "2(1)", "1(E1)+1(E1)"],
+    ["3(E1)", "1(1)", "2(x1)", "2(E5)", "2(", "", "2(Q1)"],
+)
+_S_ORDERS = _values(["0", "1", "2", "1,2", "2,0"], ["1,2,3", "a", "-1"])
+_RATIONAL = _values(["1", "2", "1/3", "1/5", "-1"], ["0", "x", "1/0", ""])
+_TABLE = _values(["TMP/table.json", "a1n2"], ["TMP/missing.json", "a1n3"])
+_OUT = _values(["TMP/out.txt"], ["TMP/missing/out.txt", "TMP"])
+
+# subcommand -> {flag: (values or None for a switch, required)}
+_FLAGS = {
+    "hurwitz": {
+        "--n": (_values(["2", "3"], ["0"] + _INVALID_INT), False),
+        "--profiles": (_values(["2;2", "2+1;3", "2;2;2", "1+1;2", "3;3;3", "2+1;2+1;3"],
+                               ["", ";", "x", "0;0", "2;3"]), False),
+        "--backend": (_values(["brute", "fast", "gjv"], ["other"]), False),
+        "--gjv": (None, False),
+        "--sigma": (_values(["1+1", "2", "2+1"], ["x", "", "0"]), False),
+        "--k": (_values(["2", "3"], ["0"] + _INVALID_INT), False),
+        "--b": (_values(["0", "1", "2", "3"], _INVALID_INT), False),
+    },
+    "two-point": {
+        "--n": (_values(["2"], ["0", "3"] + _INVALID_INT), True),
+        "--r": (_R, True),
+        "--left": (_WP, True),
+        "--right": (_WP, True),
+        "--u-order": (_ORDER, False),
+        "--s-orders": (_S_ORDERS, False),
+    },
+    "op-matrix": {
+        "--n": (_values(["1", "2", "3"], ["0"] + _INVALID_INT), True),
+        "--r": (_R, True),
+        "--divisor": (_values(["(2)", "D1", "D2"], ["D3", "D0", "X"]), False),
+        "--u-order": (_ORDER, False),
+        "--s-orders": (_S_ORDERS, False),
+        "--table": (_TABLE, False),
+        "--format": (_values(["json", "latex", "csv"], ["pdf"]), False),
+        "--out": (_OUT, False),
+    },
+    "verify-a1n2": {
+        "--u-order": (_ORDER, False),
+        "--s-order": (_ORDER, False),
+        "--table": (_TABLE, False),
+    },
+    "eigencheck": {
+        "--t1": (_RATIONAL, False),
+        "--t2": (_RATIONAL, False),
+        "--s": (_RATIONAL, False),
+        "--q": (_RATIONAL, False),
+        "--identity-self-test": (None, False),
+    },
+    "make-table": {
+        "--case": (_values(["a1n2"], ["a2n2"]), False),
+        "--out": (_OUT, True),
+    },
+}
+
+_ENTRY = '{"left": "2(E1)", "divisor": "D1", "right": "2(E1)", "series": [[0, "1"]]}'
+_TABLE_TEXT = _values(
+    ['{"entries": [%s]}' % _ENTRY,
+     '{"entries": [%s]}' % _ENTRY.replace('"2(E1)"', '"1(E1)+1(E1)"', 1)],
+    ["not json", "[1, 2]", "{}", '{"entries": 5}', '{"entries": [[1]]}',
+     '{"entries": [{"left": "2(E1)"}]}',
+     '{"entries": [%s]}' % _ENTRY.replace('"1"', '"1/0"'),
+     '{"entries": [%s]}' % _ENTRY.replace('"1"', "7"),
+     '{"entries": [%s]}' % _ENTRY.replace("D1", "D0"),
+     '{"entries": [%s]}' % _ENTRY.replace("2(E1)", "2(Q1)", 1)],
+)
+_CONFIG_TEXT = st.none() | _values(
+    ["{}", '{"u-order": 1}', '{"s_orders": "2"}'],
+    ["nope", "[1, 2]", '"text"', "null", '{"bogus": 1}', '{"n": "x"}', '{"u_order": 7.5}'],
+)
+
+
+@st.composite
+def _cli_case(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, (values, required) in _FLAGS[command].items():
+        # required flags are left out one time in ten, optional ones half the time
+        if draw(st.integers(0, 9)) < (9 if required else 5):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv, draw(_TABLE_TEXT), draw(_CONFIG_TEXT)
+
+
+@settings(
+    max_examples=150, derandomize=True, database=None, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_cli_case())
+def test_cli_fuzz_exit_codes(tmp_path, capsys, case):
+    argv, table_text, config_text = case
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+    (tmp_path / "table.json").write_text(table_text)
+    if config_text is not None:
+        (tmp_path / "job.json").write_text(config_text)
+        argv += ["--config", str(tmp_path / "job.json")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err, argv

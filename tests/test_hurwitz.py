@@ -7,7 +7,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 from helpers import brute_one_part
-from symprod.errors import ResourceBudgetError
+from symprod.errors import MalformedInputError, ResourceBudgetError
 from symprod.hurwitz import (
     hurwitz,
     hurwitz_fast,
@@ -114,6 +114,22 @@ def test_budget_default_allows_small(monkeypatch):
     monkeypatch.delenv("SYMPROD_HURWITZ_BUDGET", raising=False)
     with pytest.raises(ResourceBudgetError):
         hurwitz([partition([9]), partition([9])], 9)
+
+
+def test_budget_checked_before_memo(monkeypatch):
+    monkeypatch.delenv("SYMPROD_HURWITZ_BUDGET", raising=False)
+    for backend in (hurwitz, hurwitz_fast):
+        backend([[2], [2]], 2)  # memoised under the default budget
+    monkeypatch.setenv("SYMPROD_HURWITZ_BUDGET", "1")
+    for backend in (hurwitz, hurwitz_fast):
+        with pytest.raises(ResourceBudgetError):
+            backend([[2], [2]], 2)
+
+
+def test_budget_unparsable_rejected(monkeypatch):
+    monkeypatch.setenv("SYMPROD_HURWITZ_BUDGET", "abc")
+    with pytest.raises(MalformedInputError, match="SYMPROD_HURWITZ_BUDGET"):
+        hurwitz([[2], [2]], 2)
 
 
 def test_backends_agree_at_n6_spot_checks():

@@ -259,11 +259,77 @@ def test_table_json_roundtrip(tmp_path):
     assert (tmp_path / "table.json").read_text() == (tmp_path / "again.json").read_text()
 
 
+def test_table_keys_canonical():
+    table = ZeroDegreeTable()
+    table.set("1(E1)+1(1)", "D1", " 2(E1) ", [(0, RatFunc2.one())])
+    assert set(table.entries) == {("1(1)+1(E1)", "D1", "2(E1)")}
+    assert table.get(wp((1, ONE), (1, ecurve(1))), "D1", TWO_E1) is not None
+
+
+@pytest.mark.parametrize(
+    "left, divisor, right",
+    [
+        ("2(Q1)", "D1", "2(E1)"),  # unparsable key
+        ("2(E1)", "D1", "2+E1"),
+        ("2(E1)", "D0", "2(E1)"),  # unknown divisors
+        ("2(E1)", "(2)", "2(E1)"),
+        ("2(E1)", "E1", "2(E1)"),
+        (2, "D1", "2(E1)"),  # not a string
+    ],
+)
+def test_table_set_rejects_bad_keys(left, divisor, right):
+    with pytest.raises(MalformedInputError):
+        ZeroDegreeTable().set(left, divisor, right, [(0, RatFunc2.one())])
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {},
+        {"entries": {"left": "2(E1)"}},
+        {"entries": [[1, 2]]},
+        {"entries": [{"left": "2(E1)", "divisor": "D1", "right": "2(E1)"}]},
+        {"entries": [{"left": "2(E1)", "divisor": "D1", "right": "2(E1)", "series": 5}]},
+        {"entries": [{"left": "2(E1)", "divisor": "D1", "right": "2(E1)",
+                      "series": [[0, "1/0"]]}]},
+        {"entries": [{"left": "2(E1)", "divisor": "D1", "right": "2(E1)",
+                      "series": [[0, 7]]}]},
+        {"entries": [{"left": "2(E1)", "divisor": "D9x", "right": "2(E1)",
+                      "series": [[0, "1"]]}]},
+    ],
+)
+def test_table_from_json_rejects_bad_schema(payload):
+    with pytest.raises(MalformedInputError):
+        ZeroDegreeTable.from_json(payload)
+
+
+def test_table_from_json_canonicalises_keys():
+    payload = {"entries": [
+        {"left": "1(E1)+1(1)", "divisor": "1", "right": "2(E1)", "series": [[0, "3"]]}
+    ]}
+    table = ZeroDegreeTable.from_json(payload)
+    assert table.entries == {("1(1)+1(E1)", "1", "2(E1)"): ((0, RatFunc2.const(3)),)}
+
+
 def test_mismatched_sizes_rejected():
     with pytest.raises(ValueError):
         connected_two_point(TWO_E1, wp((3, ecurve(1))), 0, (1,), W1)
     with pytest.raises(ValueError):
         disconnected_two_point(TWO_E1, wp((1, ONE)), 0, (1,), W1)
+
+
+def test_two_point_series_checks_inputs_without_chains():
+    # an s-box with no chain still rejects what no box could accept
+    with pytest.raises(UnsupportedWeightError):
+        two_point_series(wp((2, fixedpt(1))), wp((2, fixedpt(1))), 1, (0,), W1)
+    with pytest.raises(ValueError, match="equal size"):
+        two_point_series(TWO_E1, wp((1, ONE)), 1, (0,), W1)
+
+
+def test_disconnected_rejects_label_out_of_range():
+    with pytest.raises(MalformedInputError):
+        disconnected_two_point(wp((2, ecurve(5))), TWO_E1, 0, (1,), W1)
 
 
 def test_two_point_series_rejects_label_out_of_range():
