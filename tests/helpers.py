@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 from symprod.algebra import Poly2, RatFunc2, TruncSeries
 from symprod.chenruan import expand, pairing, pairing_fixed
-from symprod.hurwitz import hurwitz
-from symprod.invariants import connected_two_point
+from symprod.errors import OutOfScopeError
+from symprod.hurwitz import hurwitz, one_part_double_hurwitz
+from symprod.invariants import _check_pair
 from symprod.partitions import (
     ONE,
+    aut_order,
+    aut_order_weighted,
     ecurve,
     fixedpt,
     partition,
@@ -19,6 +23,9 @@ from symprod.partitions import (
     weighted_partition,
     wp_size,
 )
+from symprod.surface import beta_as_chain, e_dot
+
+_THETA = Poly2.linear(1, 1)  # t1 + t2
 
 
 def brute_one_part(sigma, b: int) -> Fraction:
@@ -45,6 +52,66 @@ def fixed_basis_pairing(wp1, wp2, w) -> RatFunc2:
     return total
 
 
+def reference_connected_two_point(mu_w, nu_w, a: int, beta, w) -> Poly2:
+    """Reference connected two-point invariant: the closed product evaluated
+    term by term for one degree (a, beta), with its own Hurwitz convolution.
+
+        |Aut(mu)| |Aut(nu)| prod(E_ij . gamma) prod(E_ij . delta)
+        * (t1+t2) (-1)^g d^(a-1) / (k^(a-2) |Aut(mu_w)| |Aut(nu_w)|)
+        * sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!)
+    """
+    _check_pair(mu_w, nu_w)
+    k = wp_size(mu_w)
+    if a < 0:
+        return Poly2.zero()
+    chain = beta_as_chain(tuple(beta))
+    if chain is None:
+        if not any(beta):
+            raise OutOfScopeError(
+                "degree-zero extended invariants are external table data"
+            )
+        return Poly2.zero()
+    if k == 0:
+        # the empty connected invariant at nonzero degree
+        return Poly2.zero()
+    i, j, d = chain
+    mu, nu = underlying(mu_w), underlying(nu_w)
+    if (a - len(mu) - len(nu)) % 2:
+        return Poly2.zero()
+    cross = Fraction(1)
+    for _, label in mu_w:
+        cross *= e_dot(label, i, j)
+        if not cross:
+            return Poly2.zero()
+    for _, label in nu_w:
+        cross *= e_dot(label, i, j)
+        if not cross:
+            return Poly2.zero()
+    hsum = Fraction(0)
+    for a1 in range(a + 1):
+        a2 = a - a1
+        h1 = one_part_double_hurwitz(mu, a1)
+        if not h1:
+            continue
+        h2 = one_part_double_hurwitz(nu, a2)
+        if not h2:
+            continue
+        hsum += h1 * h2 / (factorial(a1) * factorial(a2))
+    if not hsum:
+        return Poly2.zero()
+    g = (a - len(mu) - len(nu) + 2) // 2
+    scalar = (
+        Fraction(aut_order(mu) * aut_order(nu))
+        * cross
+        * Fraction(-1) ** g
+        * Fraction(d) ** (a - 1)
+        / Fraction(k) ** (a - 2)
+        / (aut_order_weighted(mu_w) * aut_order_weighted(nu_w))
+        * hsum
+    )
+    return _THETA.scale(scalar)
+
+
 def _bitmask_splittings(wp) -> set:
     """Every (theta, nu) split of wp, one slot subset per bitmask."""
     slots = list(wp)
@@ -58,7 +125,8 @@ def _bitmask_splittings(wp) -> set:
 
 def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
     """Reference disconnected two-point invariant: the splitting sum over
-    slot bitmasks, pairing(theta1, theta2) times the connected leftovers."""
+    slot bitmasks, pairing(theta1, theta2) times the reference connected
+    invariant of the leftovers."""
     total = RatFunc2.zero()
     for theta1, nu1 in _bitmask_splittings(mu1):
         for theta2, nu2 in _bitmask_splittings(mu2):
@@ -66,7 +134,7 @@ def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
                 continue
             if not nu1 or not nu2:
                 continue
-            conn = connected_two_point(nu1, nu2, a, beta, w)
+            conn = reference_connected_two_point(nu1, nu2, a, beta, w)
             if conn.is_zero():
                 continue
             total = total + pairing(theta1, theta2, w) * RatFunc2(conn)

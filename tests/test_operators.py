@@ -1,5 +1,6 @@
 """Operator assembly, the closed-form benchmark, bookkeeping map, eigenchecks."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from symprod.operators import (
     eigen_certify_series,
     grading,
     l_map,
+    op_matrix_dumps,
     op_matrix_from_json,
     op_matrix_to_csv,
     op_matrix_to_json,
@@ -255,3 +257,26 @@ def test_divisor_operator_rejects_label_out_of_range():
     basis = [weighted_partition([(2, ecurve(1))]), weighted_partition([(2, ecurve(2))])]
     with pytest.raises(MalformedInputError):
         divisor_operator(2, 1, "D1", basis, 0, (1,))
+
+
+# sha256 of op_matrix_dumps: the JSON output is byte-stable by contract
+PINNED_OP_MATRICES = [
+    ((2, 2, "(2)", 2, (2, 2), False),
+     "79bab28c2bfbf9cb9dac379bbebd50f60ed8dafa0a0e727fcc1632a109e564e5"),
+    ((2, 2, "D1", 2, (2, 2), False),
+     "d582357e24b9522fc0a8560bb2e492348c91012a0d9fe4e9ff483c20c3ad431d"),
+    ((2, 2, "D2", 2, (2, 2), False),
+     "123ff7119fdefecee1f6a0310487e5c450846107a5d9a1932f3a52719d187045"),
+    ((2, 1, "D1", 3, (3,), True),
+     "b1e3a9571e8a04bc5d27c057245e36f5335a951a6805d65f32e5248214c7cf15"),
+]
+
+
+def test_op_matrix_json_pinned():
+    for (n, r, divisor, u_order, s_orders, with_table), digest in PINNED_OP_MATRICES:
+        table = zero_degree_table_a1n2() if with_table else None
+        op = divisor_operator(
+            n, r, divisor, default_divisor_basis(n, r), u_order, s_orders, None, table
+        )
+        text = op_matrix_dumps(op)
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, divisor
