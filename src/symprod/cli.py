@@ -252,9 +252,16 @@ def main(argv=None) -> int:
         unknown = [k for k in config if k.replace("-", "_") not in flags]
         if unknown:
             parser.error(f"unknown config keys: {unknown}")
-        # string defaults pass each flag's type check; null leaves a flag unset
-        sp.set_defaults(**{k.replace("-", "_"): v if isinstance(v, bool) else str(v)
-                           for k, v in config.items() if v is not None})
+        config = {k.replace("-", "_"): v for k, v in config.items() if v is not None}
+        # null leaves a flag unset; a switch takes only true/false, a valued flag no boolean
+        switches = {a.dest for a in sp._actions if a.nargs == 0}
+        for key, value in config.items():
+            if isinstance(value, bool) != (key in switches):
+                kind = "a switch takes true or false" if key in switches else \
+                    "a valued flag takes no boolean"
+                parser.error(f"config key {key!r} has the value {value!r}: {kind}")
+        # string defaults pass each flag's type check
+        sp.set_defaults(**{k: v if isinstance(v, bool) else str(v) for k, v in config.items()})
         args = parser.parse_args(argv)
     try:
         return args.func(args)

@@ -53,6 +53,54 @@ def _check_pair(mu_w: WeightedPartition, nu_w: WeightedPartition) -> None:
         raise ValueError("the two insertions must have equal size")
 
 
+def _piece(nu1: WeightedPartition, nu2: WeightedPartition) -> tuple:
+    """Degree-free data of the connected piece <nu1, nu2>.
+
+    (mu, nu, k, |Aut mu| |Aut nu| / (|Aut nu1| |Aut nu2|), labels of both).
+    """
+    mu, nu = underlying(nu1), underlying(nu2)
+    weight = Fraction(
+        aut_order(mu) * aut_order(nu), aut_order_weighted(nu1) * aut_order_weighted(nu2)
+    )
+    return mu, nu, wp_size(nu1), weight, tuple(label for _, label in nu1 + nu2)
+
+
+def _chain_factor(piece: tuple, i: int, j: int) -> Fraction:
+    """The piece's weight times prod(E_ij . gamma) over all its labels."""
+    cross = piece[3]
+    for label in piece[4]:
+        cross *= e_dot(label, i, j)
+        if not cross:
+            break
+    return cross
+
+
+def _degree_factor(piece: tuple, a: int, hsums: dict) -> Fraction:
+    """(-1)^g k^(2-a) sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!).
+
+    hsums memoises the Hurwitz convolution by (mu, nu, a).
+    """
+    mu, nu, k, _, labels = piece
+    if (a - len(labels)) % 2:
+        return Fraction(0)
+    key = (mu, nu, a)
+    hsum = hsums.get(key)
+    if hsum is None:
+        hsum = Fraction(0)
+        for a1 in range(a + 1):
+            h1 = one_part_double_hurwitz(mu, a1)
+            if not h1:
+                continue
+            h2 = one_part_double_hurwitz(nu, a - a1)
+            if h2:
+                hsum += h1 * h2 / (factorial(a1) * factorial(a - a1))
+        hsums[key] = hsum
+    if not hsum:
+        return hsum
+    g = (a - len(labels) + 2) // 2
+    return (-1) ** g * Fraction(k) ** (2 - a) * hsum
+
+
 def connected_two_point(
     mu_w: WeightedPartition,
     nu_w: WeightedPartition,
@@ -69,10 +117,11 @@ def connected_two_point(
         * (t1+t2) (-1)^g d^(a-1) / (k^(a-2) |Aut(mu_w)| |Aut(nu_w)|)
         * sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!)
 
-    with g = (a - l(mu) - l(nu) + 2)/2; parity failures vanish.
+    with g = (a - l(mu) - l(nu) + 2)/2; parity failures vanish. So it is
+    (t1+t2) d^(a-1) C, where the scalar C depends only on the underlying
+    partitions, the chain i..j and a, never on d.
     """
     _check_pair(mu_w, nu_w)
-    k = wp_size(mu_w)
     if a < 0:
         return Poly2.zero()
     chain = beta_as_chain(tuple(beta))
@@ -82,57 +131,31 @@ def connected_two_point(
                 "degree-zero extended invariants are external table data"
             )
         return Poly2.zero()
-    if k == 0:
+    if not mu_w:
         # the empty connected invariant at nonzero degree
         return Poly2.zero()
     i, j, d = chain
-    mu, nu = underlying(mu_w), underlying(nu_w)
-    if (a - len(mu) - len(nu)) % 2:
-        return Poly2.zero()
-    cross = Fraction(1)
-    for _, label in mu_w:
-        cross *= e_dot(label, i, j)
-        if not cross:
-            return Poly2.zero()
-    for _, label in nu_w:
-        cross *= e_dot(label, i, j)
-        if not cross:
-            return Poly2.zero()
-    hsum = Fraction(0)
-    for a1 in range(a + 1):
-        a2 = a - a1
-        h1 = one_part_double_hurwitz(mu, a1)
-        if not h1:
-            continue
-        h2 = one_part_double_hurwitz(nu, a2)
-        if not h2:
-            continue
-        hsum += h1 * h2 / (factorial(a1) * factorial(a2))
-    if not hsum:
-        return Poly2.zero()
-    g = (a - len(mu) - len(nu) + 2) // 2
-    scalar = (
-        Fraction(aut_order(mu) * aut_order(nu))
-        * cross
-        * Fraction(-1) ** g
-        * Fraction(d) ** (a - 1)
-        / Fraction(k) ** (a - 2)
-        / (aut_order_weighted(mu_w) * aut_order_weighted(nu_w))
-        * hsum
-    )
-    return _THETA.scale(scalar)
+    piece = _piece(mu_w, nu_w)
+    scalar = _chain_factor(piece, i, j)
+    if scalar:
+        scalar *= _degree_factor(piece, a, {})
+    return _THETA.scale(scalar * Fraction(d) ** (a - 1))
 
 
 def _splitting_sums(
     mu1_w: WeightedPartition,
     mu2_w: WeightedPartition,
-    degrees,
+    a_values,
+    chains,
     w: TangentWeights,
 ) -> dict:
-    """Disconnected invariants at every (a, beta) in degrees; zeros omitted.
+    """Disconnected invariants keyed (a, i, j, d) for every a in a_values
+    and every (i, j, ds) in chains, d in ds; zeros omitted.
 
-    The splittings of both insertions are enumerated and paired once;
-    only the connected pieces depend on the degree.
+    The splittings of both insertions are enumerated and paired once.
+    Each connected piece is (t1+t2) d^(a-1) times chain and degree
+    factors, so per (a, i, j) the pieces of each pairing value P sum to
+    one scalar C_P, and R = sum_P P (t1+t2) C_P gives R d^(a-1) at every d.
     """
     for _, label in mu1_w + mu2_w:
         check_label(label, w.r)
@@ -141,21 +164,33 @@ def _splitting_sums(
     for theta, nu in enumerate_sub_splittings(mu1_w):
         if nu:  # an empty connected piece contributes nothing
             by_theta1.setdefault(underlying(theta), []).append((theta, nu))
-    pieces = []  # an empty nu2 finds no partner: its theta1 would leave nu1 empty
+    hsums: dict = {}
+    terms: dict = {}  # pairing value -> (chain factors, degree factors) of its pieces
+    # an empty nu2 finds no partner: its theta1 would leave nu1 empty
     for theta2, nu2 in enumerate_sub_splittings(mu2_w):
         for theta1, nu1 in by_theta1.get(underlying(theta2), ()):
+            piece = _piece(nu1, nu2)
+            crosses = [_chain_factor(piece, i, j) for i, j, _ in chains]
+            if not any(crosses):
+                continue
             pair = pairing(theta1, theta2, w)
-            if not pair.is_zero():
-                pieces.append((pair, nu1, nu2))
+            if pair.is_zero():
+                continue
+            degs = [_degree_factor(piece, a, hsums) for a in a_values]
+            if any(degs):
+                terms.setdefault(pair, []).append((crosses, degs))
     out = {}
-    for a, beta in degrees:
-        total = RatFunc2.zero()
-        for pair, nu1, nu2 in pieces:
-            conn = connected_two_point(nu1, nu2, a, beta, w)
-            if not conn.is_zero():
-                total = total + pair * RatFunc2(conn)
-        if not total.is_zero():
-            out[(a, beta)] = total
+    for ci, (i, j, ds) in enumerate(chains):
+        for ai, a in enumerate(a_values):
+            total = RatFunc2.zero()
+            for pair, members in terms.items():
+                c = sum(crosses[ci] * degs[ai] for crosses, degs in members)
+                if c:
+                    total = total + pair * RatFunc2(_THETA.scale(c))
+            if total.is_zero():
+                continue
+            for d in ds:
+                out[(a, i, j, d)] = total if d == 1 else total * Fraction(d) ** (a - 1)
     return out
 
 
@@ -176,7 +211,10 @@ def disconnected_two_point(
     beta = tuple(beta)
     if not any(beta):
         raise OutOfScopeError("degree-zero extended invariants are external table data")
-    return _splitting_sums(mu1_w, mu2_w, [(a, beta)], w).get((a, beta), RatFunc2.zero())
+    chain = beta_as_chain(beta)  # a beta that is not a chain still has its inputs checked
+    chains = [] if chain is None else [(chain[0], chain[1], (chain[2],))]
+    sums = _splitting_sums(mu1_w, mu2_w, (a,), chains, w)
+    return next(iter(sums.values()), RatFunc2.zero())
 
 
 def two_point_series(
@@ -196,14 +234,15 @@ def two_point_series(
     r = w.r
     if len(s_orders) != r:
         raise ValueError(f"need {r} s-orders, got {len(s_orders)}")
-    degrees = [
-        (a, e_chain(i, j, d, r))
+    chains = [
+        (i, j, range(1, min(s_orders[i - 1 : j]) + 1))
         for i in range(1, r + 1)
         for j in range(i, r + 1)
-        for d in range(1, min(s_orders[i - 1 : j]) + 1)
-        for a in range(u_order + 1)
+        if min(s_orders[i - 1 : j])
     ]
-    return TruncSeries(u_order, s_orders, _splitting_sums(mu1_w, mu2_w, degrees, w))
+    sums = _splitting_sums(mu1_w, mu2_w, range(u_order + 1), chains, w)
+    coeffs = {(a, e_chain(i, j, d, r)): v for (a, i, j, d), v in sums.items()}
+    return TruncSeries(u_order, s_orders, coeffs)
 
 
 # ---------------------------------------------------------------------------

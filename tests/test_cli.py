@@ -147,6 +147,31 @@ def test_table_noncanonical_key_matches(tmp_path, capsys):
     assert gaps == {"1(1)+1(E1)": 24, "1(E1)+1(1)": 24}
 
 
+@pytest.mark.parametrize(
+    "series", [[[0.5, "1"]], [[True, "1"]], [["2", "1"]], [[-1, "1"]], [[0, "1"], [0, "2"]]]
+)
+def test_table_bad_exponent_is_usage_error(tmp_path, capsys, series):
+    entry = {"left": "1(1)+1(E1)", "divisor": "D1", "right": "1(1)+1(E1)", "series": series}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"entries": [entry]}))
+    code, out, err = run(
+        capsys, "op-matrix", "--n", "2", "--r", "1", "--u-order", "0", "--s-orders", "1",
+        "--table", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "exponent" in err and "Traceback" not in err
+
+
+def test_make_table_output_loads_unchanged(tmp_path, capsys):
+    from symprod.invariants import ZeroDegreeTable
+    from symprod.operators import zero_degree_table_a1n2
+
+    code, _, _ = run(capsys, "make-table", "--case", "a1n2", "--out", str(tmp_path / "t.json"))
+    assert code == 0
+    assert ZeroDegreeTable.load(tmp_path / "t.json").entries == zero_degree_table_a1n2().entries
+
+
 def test_op_matrix_json(capsys):
     code, out, _ = run(
         capsys,
@@ -288,6 +313,39 @@ def test_config_values_type_checked(tmp_path, capsys):
     assert "invalid int value: '7.5'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        # a string is not a switch value: "false" used to turn --gjv on
+        ("hurwitz", {"gjv": "false", "sigma": "1+1", "k": 2, "b": 1}),
+        ("eigencheck", {"identity-self-test": 1}),
+        # a boolean is not a valued flag's value: true used to read as --n 1
+        ("hurwitz", {"n": True, "profiles": "1;1"}),
+        ("verify-a1n2", {"u_order": False}),
+    ],
+)
+def test_config_value_must_fit_flag_kind(tmp_path, capsys, command, config):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(SystemExit) as err:
+        main([command, "--config", str(path)])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].startswith("symprod: error: config key")
+
+
+def test_config_switch_takes_json_booleans(tmp_path, capsys):
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps({"gjv": True, "sigma": "1+1", "k": 2, "b": 1}))
+    code, out, _ = run(capsys, "hurwitz", "--config", str(path))
+    assert code == 0 and out.strip() == "1/2"
+    path.write_text(json.dumps({"gjv": False, "n": 2, "profiles": "2;2;2"}))
+    code, out, _ = run(capsys, "hurwitz", "--config", str(path))
+    assert code == 0 and out.strip() == "0"
+
+
 def test_config_not_an_object(tmp_path, capsys):
     config = tmp_path / "job.json"
     config.write_text("[1, 2]")
@@ -378,11 +436,21 @@ _TABLE_TEXT = _values(
      '{"entries": [%s]}' % _ENTRY.replace('"1"', '"1/0"'),
      '{"entries": [%s]}' % _ENTRY.replace('"1"', "7"),
      '{"entries": [%s]}' % _ENTRY.replace("D1", "D0"),
+     '{"entries": [%s]}' % _ENTRY.replace("[0,", "[0.5,"),
+     '{"entries": [%s]}' % _ENTRY.replace("[0,", "[true,"),
+     '{"entries": [%s]}' % _ENTRY.replace("[0,", "[-1,"),
+     '{"entries": [%s]}' % _ENTRY.replace('[[0, "1"]]', '[[0, "1"], [0, "2"]]'),
      '{"entries": [%s]}' % _ENTRY.replace("2(E1)", "2(Q1)", 1)],
 )
 _CONFIG_TEXT = st.none() | _values(
     ["{}", '{"u-order": 1}', '{"s_orders": "2"}'],
     ["nope", "[1, 2]", '"text"', "null", '{"bogus": 1}', '{"n": "x"}', '{"u_order": 7.5}'],
+)
+
+
+# a JSON value of any kind, for a switch or a valued flag alike
+_CONFIG_VALUE = st.one_of(
+    st.booleans(), st.sampled_from(["true", "false", "1", "x", ""]), st.integers(-1, 2), st.none()
 )
 
 
@@ -394,7 +462,12 @@ def _cli_case(draw):
         # required flags are left out one time in ten, optional ones half the time
         if draw(st.integers(0, 9)) < (9 if required else 5):
             argv += [flag] if values is None else [flag, draw(values)]
-    return argv, draw(_TABLE_TEXT), draw(_CONFIG_TEXT)
+    if draw(st.booleans()):
+        config = draw(_CONFIG_TEXT)
+    else:  # one of this command's flags, switch or valued, with any kind of value
+        flag = draw(st.sampled_from(sorted(_FLAGS[command])))
+        config = json.dumps({flag.lstrip("-"): draw(_CONFIG_VALUE)})
+    return argv, draw(_TABLE_TEXT), config
 
 
 @settings(

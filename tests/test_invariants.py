@@ -348,6 +348,37 @@ def test_table_from_json_rejects_bad_schema(payload):
         ZeroDegreeTable.from_json(payload)
 
 
+@pytest.mark.parametrize(
+    "series",
+    [
+        [[0.5, "1"]],  # not an integer
+        [[1.0, "1"]],
+        [[True, "1"]],  # a boolean is not an exponent
+        [["2", "1"]],  # nor is a string
+        [[None, "1"]],
+        [[-1, "1"]],  # negative
+        [[0, "1"], [0, "2"]],  # repeated
+        [[2, "1"], [0, "3"], [2, "1"]],
+    ],
+)
+def test_table_from_json_rejects_bad_exponents(series):
+    payload = {"entries": [
+        {"left": "2(E1)", "divisor": "D1", "right": "2(E1)", "series": series}
+    ]}
+    with pytest.raises(MalformedInputError, match="exponent"):
+        ZeroDegreeTable.from_json(payload)
+
+
+def test_table_from_json_keeps_integer_exponents():
+    payload = {"entries": [
+        {"left": "2(E1)", "divisor": "D1", "right": "2(E1)", "series": [[2, "1"], [0, "3"]]}
+    ]}
+    table = ZeroDegreeTable.from_json(payload)
+    assert table.entries == {
+        ("2(E1)", "D1", "2(E1)"): ((2, RatFunc2.one()), (0, RatFunc2.const(3)))
+    }
+
+
 def test_table_from_json_canonicalises_keys():
     payload = {"entries": [
         {"left": "1(E1)+1(1)", "divisor": "1", "right": "2(E1)", "series": [[0, "3"]]}
