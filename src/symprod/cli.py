@@ -257,9 +257,9 @@ def main(argv=None) -> int:
         switches = {a.dest for a in sp._actions if a.nargs == 0}
         for key, value in config.items():
             if isinstance(value, bool) != (key in switches):
-                kind = "a switch takes true or false" if key in switches else \
-                    "a valued flag takes no boolean"
-                parser.error(f"config key {key!r} has the value {value!r}: {kind}")
+                rule = ("a switch takes true or false" if key in switches
+                        else "a valued flag takes no boolean")
+                parser.error(f"config key {key!r} has the value {value!r}: {rule}")
         # string defaults pass each flag's type check
         sp.set_defaults(**{k: v if isinstance(v, bool) else str(v) for k, v in config.items()})
         args = parser.parse_args(argv)

@@ -2,14 +2,20 @@
 
 The connected two-point invariant of twisted degree (a, d*E_{ij}) is the
 closed product of automorphism factors, chain intersection numbers, a
-sign/degree factor and a convolution of one-part double Hurwitz numbers;
-it is a polynomial divisible by t1 + t2. Disconnected invariants are
-splitting sums of pairings against connected pieces, enumerated once per
-insertion pair for all degrees of a two-point series. Three-point series
-with one divisor insertion come from the divisor equations: d/du for the
-twisted divisor, s_l d/ds_l plus an s=0 boundary term for the untwisted
-ones. Degree-zero data is never computed here; it enters through a
-pluggable table with canonical keys, and missing entries are reported as gaps.
+sign/degree factor and a convolution of one-part double Hurwitz numbers.
+It factors as (t1+t2) d^(a-1) C, with a rational scalar C that depends on
+the underlying partitions, the chain i..j and a, but not on d.
+Disconnected invariants are splitting sums of pairings against connected
+pieces, enumerated once per insertion pair for all degrees of a two-point
+series: per (a, i, j) the scalars of the pieces with a common pairing
+value P sum to C_P, R = sum_P P (t1+t2) C_P, and each degree d gets
+R d^(a-1).
+
+Three-point series with one divisor insertion come from the divisor
+equations: d/du for the twisted divisor, s_l d/ds_l plus an s=0 boundary
+term for the untwisted ones. Degree-zero data is never computed here; it
+enters through a pluggable table with canonical keys, and missing entries
+are reported as gaps.
 """
 
 from __future__ import annotations
@@ -119,7 +125,8 @@ def connected_two_point(
 
     with g = (a - l(mu) - l(nu) + 2)/2; parity failures vanish. So it is
     (t1+t2) d^(a-1) C, where the scalar C depends only on the underlying
-    partitions, the chain i..j and a, never on d.
+    partitions, the chain i..j and a, never on d; the splitting sum adds
+    these scalars per pairing value before building any rational function.
     """
     _check_pair(mu_w, nu_w)
     if a < 0:

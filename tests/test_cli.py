@@ -6,7 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from symprod.cli import main
-from symprod.operators import op_matrix_from_json
+from symprod.invariants import ZeroDegreeTable
+from symprod.operators import op_matrix_from_json, zero_degree_table_a1n2
 from symprod.textforms import series_from_json
 
 
@@ -164,9 +165,6 @@ def test_table_bad_exponent_is_usage_error(tmp_path, capsys, series):
 
 
 def test_make_table_output_loads_unchanged(tmp_path, capsys):
-    from symprod.invariants import ZeroDegreeTable
-    from symprod.operators import zero_degree_table_a1n2
-
     code, _, _ = run(capsys, "make-table", "--case", "a1n2", "--out", str(tmp_path / "t.json"))
     assert code == 0
     assert ZeroDegreeTable.load(tmp_path / "t.json").entries == zero_degree_table_a1n2().entries
