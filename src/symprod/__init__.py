@@ -41,6 +41,7 @@ from .invariants import (
     three_point_divisor_series,
     two_point_series,
 )
+from .memo import clear_caches
 from .operators import (
     OperatorMatrix,
     a1n2_basis,

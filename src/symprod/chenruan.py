@@ -18,6 +18,7 @@ from itertools import permutations
 
 from .algebra import RatFunc2
 from .errors import DegenerateBasisError
+from .memo import memo
 from .partitions import (
     Label,
     MultiPartition,
@@ -30,7 +31,7 @@ from .partitions import (
     underlying,
     wp_size,
 )
-from .surface import TangentWeights, check_label, class_of, integrate
+from .surface import TangentWeights, check_label, class_of, integrate, tangent_weights
 
 
 class CRClass:
@@ -91,9 +92,6 @@ def t_weight(mp: MultiPartition, w: TangentWeights) -> RatFunc2:
     return out
 
 
-_EXPAND_CACHE: dict[tuple, CRClass] = {}
-
-
 def expand(wp: WeightedPartition, w: TangentWeights) -> CRClass:
     """Fixed-point expansion of a cohomology-weighted partition.
 
@@ -102,11 +100,12 @@ def expand(wp: WeightedPartition, w: TangentWeights) -> CRClass:
     are merged, with the automorphism-ratio normalization that makes the
     coefficients exactly the components in the fixed-point basis.
     """
-    cache_key = (w.r, wp)
-    cached = _EXPAND_CACHE.get(cache_key)
-    if cached is not None:
-        return cached
-    r = w.r
+    return _expand(wp, w.r)
+
+
+@memo
+def _expand(wp: WeightedPartition, r: int) -> CRClass:
+    w = tangent_weights(r)
     n = wp_size(wp)
     slots = list(wp)
     rows = []
@@ -139,9 +138,7 @@ def expand(wp: WeightedPartition, w: TangentWeights) -> CRClass:
         for mp, v in acc.items()
         if not v.is_zero()
     }
-    result = CRClass(n, terms)
-    _EXPAND_CACHE[cache_key] = result
-    return result
+    return CRClass(n, terms)
 
 
 def coefficient(wp: WeightedPartition, mp: MultiPartition, w: TangentWeights) -> RatFunc2:
@@ -162,20 +159,34 @@ def pairing_fixed(mp1: MultiPartition, mp2: MultiPartition, w: TangentWeights) -
     return t_weight(mp1, w) * h
 
 
-_INT_CACHE: dict[tuple, RatFunc2] = {}
+def _integral(l1: Label, l2: Label, r: int) -> RatFunc2:
+    """Surface integral of two label classes; symmetric, so one entry per pair."""
+    return _ordered_integral(l1, l2, r) if l1 <= l2 else _ordered_integral(l2, l1, r)
 
 
-def _integral(l1: Label, l2: Label, w: TangentWeights) -> RatFunc2:
-    key = (w.r, l1, l2)
-    cached = _INT_CACHE.get(key)
-    if cached is None:
-        cached = integrate(class_of(l1, w), class_of(l2, w), w)
-        _INT_CACHE[key] = cached
-        _INT_CACHE[(w.r, l2, l1)] = cached
-    return cached
+@memo
+def _ordered_integral(l1: Label, l2: Label, r: int) -> RatFunc2:
+    w = tangent_weights(r)
+    return integrate(class_of(l1, w), class_of(l2, w), w)
 
 
-def _matching_sum(wp1: WeightedPartition, wp2: WeightedPartition, w: TangentWeights) -> RatFunc2:
+def pairing(wp1: WeightedPartition, wp2: WeightedPartition, w: TangentWeights) -> RatFunc2:
+    """Orbifold Poincare pairing by the matching-sum formula.
+
+    Vanishes unless the cycle-type multiplicities agree; otherwise sums
+    surface integrals over length-preserving matchings of cycles,
+    normalized by the part product and both automorphism orders.
+    """
+    if wp_size(wp1) != wp_size(wp2):
+        raise ValueError("weighted partitions of different sizes")
+    # the pairing is symmetric, so one entry serves both orders
+    return _matching_sum(wp1, wp2, w.r) if wp1 <= wp2 else _matching_sum(wp2, wp1, w.r)
+
+
+@memo
+def _matching_sum(wp1: WeightedPartition, wp2: WeightedPartition, r: int) -> RatFunc2:
+    for _, label in wp1 + wp2:
+        check_label(label, r)
     by_size1: dict[int, list[Label]] = defaultdict(list)
     by_size2: dict[int, list[Label]] = defaultdict(list)
     for p, label in wp1:
@@ -191,7 +202,7 @@ def _matching_sum(wp1: WeightedPartition, wp2: WeightedPartition, w: TangentWeig
         for perm in permutations(range(len(labels2))):
             term = RatFunc2.one()
             for j, l1 in enumerate(labels1):
-                term = term * _integral(l1, labels2[perm[j]], w)
+                term = term * _integral(l1, labels2[perm[j]], r)
                 if term.is_zero():
                     break
             block = block + term
@@ -205,30 +216,6 @@ def _matching_sum(wp1: WeightedPartition, wp2: WeightedPartition, w: TangentWeig
         1, parts_product * aut_order_weighted(wp1) * aut_order_weighted(wp2)
     )
     return total * norm
-
-
-_PAIRING_CACHE: dict[tuple, RatFunc2] = {}
-
-
-def pairing(wp1: WeightedPartition, wp2: WeightedPartition, w: TangentWeights) -> RatFunc2:
-    """Orbifold Poincare pairing by the matching-sum formula.
-
-    Vanishes unless the cycle-type multiplicities agree; otherwise sums
-    surface integrals over length-preserving matchings of cycles,
-    normalized by the part product and both automorphism orders.
-    """
-    if wp_size(wp1) != wp_size(wp2):
-        raise ValueError("weighted partitions of different sizes")
-    key = (w.r, wp1, wp2)
-    cached = _PAIRING_CACHE.get(key)
-    if cached is not None:
-        return cached
-    for _, label in wp1 + wp2:
-        check_label(label, w.r)
-    total = _matching_sum(wp1, wp2, w)
-    _PAIRING_CACHE[key] = total
-    _PAIRING_CACHE[(w.r, wp2, wp1)] = total
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +299,3 @@ def dual_basis(basis, w: TangentWeights) -> list[CRClass]:
                 acc = acc + expansions[c].scale(inv[c][j])
         duals.append(acc)
     return duals
-
-
-def clear_caches() -> None:
-    _PAIRING_CACHE.clear()
-    _INT_CACHE.clear()
-    _EXPAND_CACHE.clear()

@@ -50,7 +50,7 @@ def _load_table(source: str | None) -> ZeroDegreeTable | None:
 
 
 def _cmd_hurwitz(args) -> int:
-    if args.gjv or args.backend == "gjv":
+    if args.gjv:
         if args.sigma is None or args.k is None or args.b is None:
             raise ValueError("--gjv needs --sigma, --k and --b")
         sigma = parse_partition(args.sigma)
@@ -172,7 +172,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        "convolution, or the sinh closed form)")
     p.add_argument("--n", type=int, default=None, help="cover degree")
     p.add_argument("--profiles", help='ramification profiles, e.g. "2;2" or "2+1;3"')
-    p.add_argument("--backend", choices=["brute", "fast", "gjv"], default="brute")
+    p.add_argument("--backend", choices=["brute", "fast"], default="brute")
     p.add_argument("--gjv", action="store_true",
                    help="one-part double Hurwitz number from the closed form")
     p.add_argument("--sigma", help='partition for --gjv, e.g. "1+1"')

@@ -27,6 +27,7 @@ from itertools import permutations
 from math import factorial
 
 from .errors import MalformedInputError, ResourceBudgetError
+from .memo import memo
 from .partitions import Partition, aut_order, partition
 
 DEFAULT_BUDGET = 8
@@ -105,19 +106,6 @@ class _GroupData:
         return self._structure
 
 
-_GROUPS: dict[int, _GroupData] = {}
-_BRUTE_MEMO: dict[tuple, Fraction] = {}
-_FAST_MEMO: dict[tuple, Fraction] = {}
-_GJV_MEMO: dict[tuple, Fraction] = {}
-
-
-def clear_caches() -> None:
-    _GROUPS.clear()
-    _BRUTE_MEMO.clear()
-    _FAST_MEMO.clear()
-    _GJV_MEMO.clear()
-
-
 def _group(n: int) -> _GroupData:
     """The tables for S_n, after checking n against the enumeration budget."""
     budget = enumeration_budget()
@@ -127,11 +115,12 @@ def _group(n: int) -> _GroupData:
             f"(override with {_BUDGET_ENV})",
             budget,
         )
-    gd = _GROUPS.get(n)
-    if gd is None:
-        gd = _GroupData(n)
-        _GROUPS[n] = gd
-    return gd
+    return _group_data(n)
+
+
+@memo
+def _group_data(n: int) -> _GroupData:
+    return _GroupData(n)
 
 
 def _normalize_profiles(profiles, n: int | None) -> tuple[int, tuple[Partition, ...]]:
@@ -152,11 +141,13 @@ def hurwitz(profiles, n: int | None = None) -> Fraction:
     n, ps = _normalize_profiles(profiles, n)
     if n == 0:
         return Fraction(1)
-    gd = _group(n)
-    key = (n, tuple(sorted(ps)))
-    cached = _BRUTE_MEMO.get(key)
-    if cached is not None:
-        return cached
+    _group(n)
+    return _enumerated_count(n, tuple(sorted(ps)))
+
+
+@memo
+def _enumerated_count(n: int, ps: tuple[Partition, ...]) -> Fraction:
+    gd = _group_data(n)
     # order by class size: fix the largest, let the second largest be the
     # factor determined by the product condition, enumerate the rest
     ordered = sorted(ps, key=lambda c: gd.sizes[c], reverse=True)
@@ -185,9 +176,7 @@ def hurwitz(profiles, n: int | None = None) -> Fraction:
 
         rec(0, start)
         count = gd.sizes[fixed] * total
-    result = Fraction(count, factorial(n))
-    _BRUTE_MEMO[key] = result
-    return result
+    return Fraction(count, factorial(n))
 
 
 def _distribution(gd: _GroupData, profiles: tuple[Partition, ...]) -> list[int]:
@@ -215,15 +204,15 @@ def hurwitz_fast(profiles, n: int | None = None) -> Fraction:
     n, ps = _normalize_profiles(profiles, n)
     if n == 0:
         return Fraction(1)
-    gd = _group(n)
-    key = (n, tuple(sorted(ps)))
-    cached = _FAST_MEMO.get(key)
-    if cached is not None:
-        return cached
+    _group(n)
+    return _convolved_count(n, tuple(sorted(ps)))
+
+
+@memo
+def _convolved_count(n: int, ps: tuple[Partition, ...]) -> Fraction:
+    gd = _group_data(n)
     vec = _distribution(gd, ps)
-    result = Fraction(vec[gd.index[gd.identity_class]], factorial(n))
-    _FAST_MEMO[key] = result
-    return result
+    return Fraction(vec[gd.index[gd.identity_class]], factorial(n))
 
 
 def hurwitz_refined(sigma, left, right) -> Fraction:
@@ -304,19 +293,18 @@ def one_part_double_hurwitz(sigma, b: int) -> Fraction:
         raise ValueError("sigma must be a nonempty partition")
     if b < 0:
         return Fraction(0)
-    key = (sigma, b)
-    cached = _GJV_MEMO.get(key)
-    if cached is not None:
-        return cached
+    return _one_part_closed_form(sigma, b)
+
+
+@memo
+def _one_part_closed_form(sigma: Partition, b: int) -> Fraction:
+    k = sum(sigma)
     top = b - len(sigma) + 1
     if top < 0 or top % 2 == 1:
         # the generating series is even in t
-        _GJV_MEMO[key] = Fraction(0)
         return Fraction(0)
     rhs = _series_inv(_sinh_quotient(1, top), top)
     for part in sigma:
         rhs = _series_mul(rhs, _sinh_quotient(part, top), top)
     coeff = rhs[top]
-    result = coeff * factorial(b) * Fraction(k) ** (b - 1) / aut_order(sigma)
-    _GJV_MEMO[key] = result
-    return result
+    return coeff * factorial(b) * Fraction(k) ** (b - 1) / aut_order(sigma)

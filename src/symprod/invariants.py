@@ -30,7 +30,9 @@ from .algebra import Poly2, RatFunc2, TruncSeries
 from .chenruan import pairing
 from .errors import MalformedInputError, OutOfScopeError, UnsupportedWeightError
 from .hurwitz import one_part_double_hurwitz
+from .memo import memo
 from .partitions import (
+    Partition,
     WeightedPartition,
     aut_order,
     aut_order_weighted,
@@ -81,30 +83,30 @@ def _chain_factor(piece: tuple, i: int, j: int) -> Fraction:
     return cross
 
 
-def _degree_factor(piece: tuple, a: int, hsums: dict) -> Fraction:
-    """(-1)^g k^(2-a) sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!).
-
-    hsums memoises the Hurwitz convolution by (mu, nu, a).
-    """
+def _degree_factor(piece: tuple, a: int) -> Fraction:
+    """(-1)^g k^(2-a) times the Hurwitz convolution of the piece's partitions."""
     mu, nu, k, _, labels = piece
     if (a - len(labels)) % 2:
         return Fraction(0)
-    key = (mu, nu, a)
-    hsum = hsums.get(key)
-    if hsum is None:
-        hsum = Fraction(0)
-        for a1 in range(a + 1):
-            h1 = one_part_double_hurwitz(mu, a1)
-            if not h1:
-                continue
-            h2 = one_part_double_hurwitz(nu, a - a1)
-            if h2:
-                hsum += h1 * h2 / (factorial(a1) * factorial(a - a1))
-        hsums[key] = hsum
+    hsum = _hurwitz_convolution(mu, nu, a)
     if not hsum:
         return hsum
     g = (a - len(labels) + 2) // 2
     return (-1) ** g * Fraction(k) ** (2 - a) * hsum
+
+
+@memo
+def _hurwitz_convolution(mu: Partition, nu: Partition, a: int) -> Fraction:
+    """sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!)."""
+    hsum = Fraction(0)
+    for a1 in range(a + 1):
+        h1 = one_part_double_hurwitz(mu, a1)
+        if not h1:
+            continue
+        h2 = one_part_double_hurwitz(nu, a - a1)
+        if h2:
+            hsum += h1 * h2 / (factorial(a1) * factorial(a - a1))
+    return hsum
 
 
 def connected_two_point(
@@ -145,7 +147,7 @@ def connected_two_point(
     piece = _piece(mu_w, nu_w)
     scalar = _chain_factor(piece, i, j)
     if scalar:
-        scalar *= _degree_factor(piece, a, {})
+        scalar *= _degree_factor(piece, a)
     return _THETA.scale(scalar * Fraction(d) ** (a - 1))
 
 
@@ -171,7 +173,6 @@ def _splitting_sums(
     for theta, nu in enumerate_sub_splittings(mu1_w):
         if nu:  # an empty connected piece contributes nothing
             by_theta1.setdefault(underlying(theta), []).append((theta, nu))
-    hsums: dict = {}
     terms: dict = {}  # pairing value -> (chain factors, degree factors) of its pieces
     # an empty nu2 finds no partner: its theta1 would leave nu1 empty
     for theta2, nu2 in enumerate_sub_splittings(mu2_w):
@@ -183,7 +184,7 @@ def _splitting_sums(
             pair = pairing(theta1, theta2, w)
             if pair.is_zero():
                 continue
-            degs = [_degree_factor(piece, a, hsums) for a in a_values]
+            degs = [_degree_factor(piece, a) for a in a_values]
             if any(degs):
                 terms.setdefault(pair, []).append((crosses, degs))
     out = {}
@@ -273,14 +274,26 @@ class ZeroDegreeTable:
                 self.set(key[0], key[1], key[2], pairs)
 
     def set(self, left: str, divisor: str, right: str, pairs) -> None:
-        """Store an entry under its canonical key; a bad key raises MalformedInputError."""
+        """Store an entry under its canonical key.
+
+        A bad key raises MalformedInputError, as does a u-exponent that is
+        not an integer (booleans excluded), is negative or appears twice.
+        """
         if not (isinstance(divisor, str) and _TABLE_DIVISOR_RE.fullmatch(divisor)):
             raise MalformedInputError(f'table divisor {divisor!r} is neither "1" nor D<l>')
         try:
             key = (wp_to_text(parse_wp(left)), divisor, wp_to_text(parse_wp(right)))
         except (AttributeError, ValueError) as exc:  # AttributeError: not a string
             raise MalformedInputError(f"table key: {exc}") from None
-        self.entries[key] = tuple((int(a), RatFunc2.lift(v)) for a, v in pairs)
+        series, seen = [], set()
+        for a, v in pairs:
+            if isinstance(a, bool) or not isinstance(a, int) or a < 0:
+                raise MalformedInputError(f"series exponent {a!r} is not an integer >= 0")
+            if a in seen:
+                raise MalformedInputError(f"series exponent {a} appears twice")
+            seen.add(a)
+            series.append((a, RatFunc2.lift(v)))
+        self.entries[key] = tuple(series)
 
     def get(self, left_wp: WeightedPartition, divisor: str, right_wp: WeightedPartition):
         """Coefficient list for a key, trying both outer orders; None if absent."""

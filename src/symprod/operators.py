@@ -81,6 +81,8 @@ def divisor_operator(
     """Assemble the divisor-operator matrix in the given basis."""
     if w is None:
         w = tangent_weights(r)
+    elif w.r != r:
+        raise ValueError(f"tangent weights are for r = {w.r}, not r = {r}")
     basis = tuple(weighted_partition(wp) for wp in basis)
     if not basis:
         raise ValueError("empty basis")

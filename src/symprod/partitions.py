@@ -170,10 +170,6 @@ def mp_size(mp: MultiPartition) -> int:
     return sum(sum(c) for c in mp)
 
 
-def mp_length(mp: MultiPartition) -> int:
-    return sum(len(c) for c in mp)
-
-
 def mp_aut_order(mp: MultiPartition) -> int:
     out = 1
     for c in mp:

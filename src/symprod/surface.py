@@ -9,9 +9,9 @@ integration is the localization sum over fixed points.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import MalformedInputError, UnsupportedWeightError
+from .memo import memo
 from .partitions import Label
 from .algebra import Poly2, RatFunc2
 
@@ -55,7 +55,7 @@ class TangentWeights:
         return range(1, self.r + 2)
 
 
-@lru_cache(maxsize=None)
+@memo
 def tangent_weights(r: int) -> TangentWeights:
     return TangentWeights(r)
 
@@ -94,25 +94,18 @@ def intersection_number(i: int, j: int) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)
 def omega_coefficients(r: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Rows of the inverse intersection matrix: omega_k = sum_m c_m E_m."""
-    size = r
-    aug = [
-        [Fraction(intersection_number(i + 1, j + 1)) for j in range(size)]
-        + [Fraction(1) if c == i else Fraction(0) for c in range(size)]
-        for i in range(size)
-    ]
-    for col in range(size):
-        pivot = next(row for row in range(col, size) if aug[row][col] != 0)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for row in range(size):
-            if row != col and aug[row][col] != 0:
-                f = aug[row][col]
-                aug[row] = [x - f * y for x, y in zip(aug[row], aug[col])]
-    return tuple(tuple(row[size:]) for row in aug)
+    """Rows of the inverse intersection matrix: omega_k = sum_m c_m E_m.
+
+    The A_r intersection matrix (the negated Cartan matrix) has the closed
+    inverse c(k, m) = -min(k, m) (r + 1 - max(k, m)) / (r + 1).
+    """
+    return tuple(
+        tuple(
+            Fraction(-min(k, m) * (r + 1 - max(k, m)), r + 1) for m in range(1, r + 1)
+        )
+        for k in range(1, r + 1)
+    )
 
 
 # label kind -> (name of its index, largest index minus r)
@@ -135,7 +128,7 @@ def check_label(label: Label, r: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@memo
 def _class_of_cached(label: Label, r: int) -> SurfaceClass:
     check_label(label, r)
     w = tangent_weights(r)

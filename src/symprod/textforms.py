@@ -11,7 +11,6 @@ from __future__ import annotations
 import re
 
 from .algebra import RatFunc2, TruncSeries, ratfunc_from_text, ratfunc_to_text
-from .errors import MalformedInputError
 from .partitions import (
     Label,
     ONE,
@@ -118,17 +117,5 @@ def useries_to_json(pairs) -> list:
 
 
 def useries_from_json(payload) -> tuple:
-    """A u-only coefficient list from JSON.
-
-    Each exponent must be a JSON integer (not a boolean), at least 0, and
-    appear once; anything else raises MalformedInputError.
-    """
-    pairs, seen = [], set()
-    for a, v in payload:
-        if isinstance(a, bool) or not isinstance(a, int) or a < 0:
-            raise MalformedInputError(f"series exponent {a!r} is not an integer >= 0")
-        if a in seen:
-            raise MalformedInputError(f"series exponent {a} appears twice")
-        seen.add(a)
-        pairs.append((a, ratfunc_from_text(v)))
-    return tuple(pairs)
+    """A u-only coefficient list from JSON; ``ZeroDegreeTable.set`` checks the exponents."""
+    return tuple((a, ratfunc_from_text(v)) for a, v in payload)

@@ -13,8 +13,9 @@ from helpers import (
     random_weighted_partition,
 )
 from symprod.algebra import RatFunc2
+from symprod import clear_caches
 from symprod.chenruan import (
-    clear_caches,
+    _matching_sum,
     coefficient,
     dual_basis,
     expand,
@@ -334,8 +335,21 @@ def test_pairing_symmetric_property(case):
     r, a, b = case
     w = tangent_weights(r)
     ab = pairing(a, b, w)
-    clear_caches()  # the cache stores both orders; recompute b, a from scratch
+    clear_caches()
     assert pairing(b, a, w) == ab
+    # the memo keeps one entry per unordered pair, so check the uncached sum both ways
+    assert _matching_sum.__wrapped__(b, a, r) == _matching_sum.__wrapped__(a, b, r) == ab
+
+
+def test_pairing_reversed_adds_no_cache_entry():
+    w = tangent_weights(2)
+    a = weighted_partition([(2, ecurve(1)), (1, ONE)])
+    b = weighted_partition([(2, ONE), (1, ecurve(2))])
+    clear_caches()
+    ab = pairing(a, b, w)
+    size = _matching_sum.cache_info().currsize
+    assert pairing(b, a, w) == ab
+    assert _matching_sum.cache_info().currsize == size == 1
 
 
 @st.composite

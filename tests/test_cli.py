@@ -38,6 +38,13 @@ def test_hurwitz_gjv(capsys):
     assert code == 0 and out.strip() == "1/2"
 
 
+def test_hurwitz_backend_gjv_rejected():
+    # --gjv is the one selector for the closed form
+    with pytest.raises(SystemExit) as err:
+        main(["hurwitz", "--backend", "gjv", "--sigma", "1+1", "--k", "2", "--b", "1"])
+    assert err.value.code == 2
+
+
 def test_hurwitz_parity_zero(capsys):
     code, out, _ = run(capsys, "hurwitz", "--n", "2", "--profiles", "2;2;2")
     assert code == 0 and out.strip() == "0"
@@ -383,7 +390,7 @@ _FLAGS = {
         "--n": (_values(["2", "3"], ["0"] + _INVALID_INT), False),
         "--profiles": (_values(["2;2", "2+1;3", "2;2;2", "1+1;2", "3;3;3", "2+1;2+1;3"],
                                ["", ";", "x", "0;0", "2;3"]), False),
-        "--backend": (_values(["brute", "fast", "gjv"], ["other"]), False),
+        "--backend": (_values(["brute", "fast"], ["gjv", "other"]), False),
         "--gjv": (None, False),
         "--sigma": (_values(["1+1", "2", "2+1"], ["x", "", "0"]), False),
         "--k": (_values(["2", "3"], ["0"] + _INVALID_INT), False),

@@ -142,7 +142,7 @@ def test_backends_agree_at_n6_spot_checks():
 
 
 def test_cache_hits_equal_recomputation():
-    from symprod.hurwitz import clear_caches
+    from symprod import clear_caches
 
     profiles = [[2, 1], [2, 1], [3]]
     first = hurwitz(profiles, 3)

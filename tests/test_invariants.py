@@ -379,6 +379,30 @@ def test_table_from_json_keeps_integer_exponents():
     }
 
 
+@pytest.mark.parametrize(
+    "pairs",
+    [
+        [(-1, 1), (0.5, 2), (0, 3)],  # int() used to store -1, 0, 0
+        [(0.5, 1)],
+        [(True, 1)],
+        [("2", 1)],
+        [(0, 1), (0, 2)],
+    ],
+)
+def test_table_set_rejects_bad_exponents(pairs):
+    with pytest.raises(MalformedInputError, match="exponent"):
+        ZeroDegreeTable().set("2(E1)", "D1", "2(E1)", pairs)
+    with pytest.raises(MalformedInputError, match="exponent"):
+        ZeroDegreeTable({("2(E1)", "D1", "2(E1)"): pairs})
+
+
+def test_table_set_keeps_integer_exponents():
+    table = ZeroDegreeTable({("2(E1)", "D1", "2(E1)"): [(2, 1), (0, Fraction(1, 3))]})
+    assert table.entries == {
+        ("2(E1)", "D1", "2(E1)"): ((2, RatFunc2.one()), (0, RatFunc2.const(Fraction(1, 3))))
+    }
+
+
 def test_table_from_json_canonicalises_keys():
     payload = {"entries": [
         {"left": "1(E1)+1(1)", "divisor": "1", "right": "2(E1)", "series": [[0, "3"]]}

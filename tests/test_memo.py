@@ -1,0 +1,29 @@
+"""The package's one memo registry and its clear."""
+
+from symprod import clear_caches
+from symprod.chenruan import expand
+from symprod.hurwitz import hurwitz, hurwitz_fast
+from symprod.memo import _registry
+from symprod.operators import default_divisor_basis, divisor_operator, op_matrix_dumps
+from symprod.partitions import ONE, ecurve, weighted_partition
+from symprod.surface import tangent_weights
+
+
+def _compute():
+    op = divisor_operator(2, 2, "D1", default_divisor_basis(2, 2), 1, (1, 1))
+    profiles = [[2, 1], [2, 1], [3]]
+    counts = (hurwitz(profiles, 3), hurwitz_fast(profiles, 3))
+    cls = expand(weighted_partition([(1, ecurve(1)), (1, ONE)]), tangent_weights(2))
+    return op_matrix_dumps(op), counts, cls
+
+
+def test_clear_caches_empties_every_memo():
+    clear_caches()
+    first = _compute()
+    # the computation reaches every memo, so the clear below is checked on each
+    assert all(cached.cache_info().currsize for cached in _registry), [
+        cached.__name__ for cached in _registry if not cached.cache_info().currsize
+    ]
+    clear_caches()
+    assert [cached.cache_info().currsize for cached in _registry] == [0] * len(_registry)
+    assert _compute() == first

@@ -259,6 +259,12 @@ def test_divisor_operator_rejects_label_out_of_range():
         divisor_operator(2, 1, "D1", basis, 0, (1,))
 
 
+def test_divisor_operator_rejects_weights_for_another_r():
+    basis = default_divisor_basis(2, 1)
+    with pytest.raises(ValueError, match="r = 2, not r = 1"):
+        divisor_operator(2, 1, "D1", basis, 1, (1,), w=tangent_weights(2))
+
+
 # sha256 of op_matrix_dumps: the JSON output is byte-stable by contract
 PINNED_OP_MATRICES = [
     ((2, 2, "(2)", 2, (2, 2), False),

@@ -59,7 +59,7 @@ def test_localized_gram_is_intersection_matrix():
 
 
 def test_omega_duality():
-    for r in range(1, 7):
+    for r in range(1, 9):
         w = tangent_weights(r)
         for k in range(1, r + 1):
             om = class_of(omega(k), w)
