@@ -20,17 +20,12 @@ from .algebra import (
 )
 from .chenruan import (
     CRClass,
-    coefficient,
-    dual_basis,
     expand,
     gram_matrix,
     pairing,
-    pairing_fixed,
-    t_weight,
 )
 from .hurwitz import (
     hurwitz,
-    hurwitz_fast,
     hurwitz_refined,
     one_part_double_hurwitz,
 )
@@ -49,10 +44,7 @@ from .operators import (
     default_divisor_basis,
     divisor_operator,
     eigen_certify,
-    eigen_certify_series,
     grading,
-    l_map,
-    pairing_sign,
     verify_a1n2,
     zero_degree_table_a1n2,
 )
@@ -62,7 +54,6 @@ from .partitions import (
     aut_order_weighted,
     age,
     centralizer_order,
-    cycle_order,
     ecurve,
     enumerate_sub_splittings,
     fixedpt,
@@ -75,7 +66,6 @@ from .surface import (
     SurfaceClass,
     TangentWeights,
     class_of,
-    curve_exponents,
     e_chain,
     e_dot,
     integrate,

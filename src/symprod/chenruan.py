@@ -2,12 +2,12 @@
 
 The orbifold Poincare pairing is the matching sum: it vanishes unless
 the cycle-type multiplicities agree, and otherwise sums products of
-surface integrals over length-preserving matchings of cycles. Weighted
+surface integrals over length-preserving matchings of cycles. Gram
+matrices and their blockwise inverses are built from it. Weighted
 partitions also expand into the fixed-point class basis by distributing
-every cycle over the fixed points with localized coefficients; dual
-bases are built there, where the pairing is diagonal with entries
-H(sigma_k, sigma_k)-products times tangent weights. The expand-based
-pairing serves only as the test suite's reference oracle.
+every cycle over the fixed points with localized coefficients; the
+pairing there is diagonal, and the test suite uses that expansion as the
+pairing's reference oracle and for the dual classes.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .partitions import (
     MultiPartition,
     WeightedPartition,
     aut_order_weighted,
-    centralizer_order,
     mp_aut_order,
     mp_size,
     multipartition,
@@ -83,15 +82,6 @@ class CRClass:
         return f"CRClass(n={self.n}, {len(self.terms)} fixed-point terms)"
 
 
-def t_weight(mp: MultiPartition, w: TangentWeights) -> RatFunc2:
-    """Product of tangent weights (L_k R_k)^(length of sigma_k)."""
-    out = RatFunc2.one()
-    for k, comp in enumerate(mp, start=1):
-        if comp:
-            out = out * w.LR(k) ** len(comp)
-    return out
-
-
 def expand(wp: WeightedPartition, w: TangentWeights) -> CRClass:
     """Fixed-point expansion of a cohomology-weighted partition.
 
@@ -139,24 +129,6 @@ def _expand(wp: WeightedPartition, r: int) -> CRClass:
         if not v.is_zero()
     }
     return CRClass(n, terms)
-
-
-def coefficient(wp: WeightedPartition, mp: MultiPartition, w: TangentWeights) -> RatFunc2:
-    """Component of the weighted partition on one fixed-point class."""
-    return expand(wp, w).coefficient(mp)
-
-
-def pairing_fixed(mp1: MultiPartition, mp2: MultiPartition, w: TangentWeights) -> RatFunc2:
-    """Orbifold pairing of fixed-point classes: diagonal, H(sigma)t(sigma)."""
-    if mp_size(mp1) != mp_size(mp2):
-        raise ValueError("fixed-point classes of different total size")
-    if mp1 != mp2:
-        return RatFunc2.zero()
-    h = Fraction(1)
-    for comp in mp1:
-        if comp:
-            h /= centralizer_order(comp)
-    return t_weight(mp1, w) * h
 
 
 def _integral(l1: Label, l2: Label, r: int) -> RatFunc2:
@@ -219,7 +191,7 @@ def _matching_sum(wp1: WeightedPartition, wp2: WeightedPartition, r: int) -> Rat
 
 
 # ---------------------------------------------------------------------------
-# Gram matrices and dual bases
+# Gram matrices
 # ---------------------------------------------------------------------------
 
 def _blocks(basis: list[WeightedPartition]) -> list[list[int]]:
@@ -281,21 +253,3 @@ def gram_inverse(basis, w: TangentWeights) -> list[list[RatFunc2]]:
             for b, j in enumerate(block):
                 out[i][j] = inv[a][b]
     return out
-
-
-def dual_basis(basis, w: TangentWeights) -> list[CRClass]:
-    """Classes dual to the basis under the orbifold pairing."""
-    basis = list(basis)
-    if not basis:
-        raise ValueError("empty basis")
-    n = wp_size(basis[0])
-    inv = gram_inverse(basis, w)
-    expansions = [expand(wp, w) for wp in basis]
-    duals = []
-    for j in range(len(basis)):
-        acc = CRClass(n)
-        for c in range(len(basis)):
-            if not inv[c][j].is_zero():
-                acc = acc + expansions[c].scale(inv[c][j])
-        duals.append(acc)
-    return duals

@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Subcommands: hurwitz, two-point, op-matrix, verify-a1n2, eigencheck,
-make-table. Output is machine-readable (JSON by default; LaTeX and CSV
-emitters for matrices). Exit codes: 0 success, 1 verification mismatch,
-2 usage error, 3 enumeration budget exceeded.
+Subcommands: hurwitz, one-part-hurwitz, two-point, op-matrix,
+verify-a1n2, eigencheck, make-table. Output is machine-readable (JSON by
+default; LaTeX and CSV emitters for matrices). Exit codes: 0 success,
+1 verification mismatch, 2 usage error, 3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .errors import PoleAtOriginError, ResourceBudgetError
 from .algebra import char_poly_squarefree
-from .hurwitz import hurwitz, hurwitz_fast, one_part_double_hurwitz
+from .hurwitz import hurwitz, one_part_double_hurwitz
 from .invariants import ZeroDegreeTable, two_point_series
 from .operators import (
     closed_form_matrix_a1n2,
@@ -50,19 +50,20 @@ def _load_table(source: str | None) -> ZeroDegreeTable | None:
 
 
 def _cmd_hurwitz(args) -> int:
-    if args.gjv:
-        if args.sigma is None or args.k is None or args.b is None:
-            raise ValueError("--gjv needs --sigma, --k and --b")
-        sigma = parse_partition(args.sigma)
-        if sum(sigma) != args.k:
-            raise ValueError(f"sigma is a partition of {sum(sigma)}, not {args.k}")
-        print(one_part_double_hurwitz(sigma, args.b))
-        return 0
     if args.profiles is None:
-        raise ValueError("--profiles is required without --gjv")
+        raise ValueError("--profiles is required")
     profiles = [parse_partition(p) for p in args.profiles.split(";") if p.strip()]
-    backend = hurwitz_fast if args.backend == "fast" else hurwitz
-    print(backend(profiles, args.n))
+    print(hurwitz(profiles, args.n))
+    return 0
+
+
+def _cmd_one_part_hurwitz(args) -> int:
+    sigma = parse_partition(args.sigma)
+    if sum(sigma) != args.k:
+        raise ValueError(f"sigma is a partition of {sum(sigma)}, not {args.k}")
+    if args.b < 0:
+        raise ValueError(f"--b must be at least 0, got {args.b}")
+    print(one_part_double_hurwitz(sigma, args.b))
     return 0
 
 
@@ -168,18 +169,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    p = sub.add_parser("hurwitz", help="Hurwitz numbers (enumeration, class "
-                       "convolution, or the sinh closed form)")
+    p = sub.add_parser("hurwitz", help="Hurwitz numbers by class-algebra convolution")
     p.add_argument("--n", type=int, default=None, help="cover degree")
     p.add_argument("--profiles", help='ramification profiles, e.g. "2;2" or "2+1;3"')
-    p.add_argument("--backend", choices=["brute", "fast"], default="brute")
-    p.add_argument("--gjv", action="store_true",
-                   help="one-part double Hurwitz number from the closed form")
-    p.add_argument("--sigma", help='partition for --gjv, e.g. "1+1"')
-    p.add_argument("--k", type=int, help="size of sigma for --gjv")
-    p.add_argument("--b", type=int, help="number of simple branch points for --gjv")
     p.set_defaults(func=_cmd_hurwitz)
     subparsers["hurwitz"] = p
+
+    p = sub.add_parser("one-part-hurwitz", help="one-part double Hurwitz number "
+                       "H(sigma, (2)^b, (k)) from the sinh closed form")
+    p.add_argument("--sigma", required=True, help='a partition of k, e.g. "1+1"')
+    p.add_argument("--k", type=int, required=True, help="size of sigma")
+    p.add_argument("--b", type=int, required=True, help="number of simple branch points")
+    p.set_defaults(func=_cmd_one_part_hurwitz)
+    subparsers["one-part-hurwitz"] = p
 
     p = sub.add_parser("two-point", help="two-point extended series (nonzero degrees)")
     p.add_argument("--n", type=int, required=True)

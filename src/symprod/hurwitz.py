@@ -1,22 +1,20 @@
 """Hurwitz-type counts in symmetric groups.
 
 H(eta_1, ..., eta_s) is 1/n! times the number of tuples (g_1, ..., g_s)
-with prescribed cycle types multiplying to the identity. Three backends:
+with prescribed cycle types multiplying to the identity. Two routes, one
+per quantity:
 
-  * hurwitz       -- the trusted oracle: direct enumeration of tuples
-                     (one factor fixed to a class representative, one
-                     determined by the product condition);
-  * hurwitz_fast  -- class-algebra convolution; the multiplication table
-                     is built once per n by running one fixed target
-                     representative against the whole group;
-  * one_part_double_hurwitz -- the sinh closed form for H(sigma, (2)^b, (k)),
-                     cross-validated against the oracle in the test suite.
+  * hurwitz  -- class-algebra convolution: one column of class-product
+                counts per profile class, applied to a vector over the
+                conjugacy classes of S_n;
+  * one_part_double_hurwitz -- the sinh closed form for H(sigma, (2)^b, (k)).
 
 The refined count H_sigma(left | right) constrains the partial product of
-the left factors to lie in the class sigma.
+the left factors to lie in the class sigma. The test suite checks both
+routes against a dynamic program over the permutations themselves.
 
-Enumeration is guarded by a budget on n (default 8), overridable through
-the SYMPROD_HURWITZ_BUDGET environment variable.
+The group tables are guarded by a budget on n (default 8), overridable
+through the SYMPROD_HURWITZ_BUDGET environment variable.
 """
 
 from __future__ import annotations
@@ -68,7 +66,7 @@ def _cycle_type(p: Perm) -> Partition:
 
 
 class _GroupData:
-    """Per-n symmetric group tables: class members, sizes, convolution."""
+    """Per-n symmetric group tables: class members, sizes and indices."""
 
     def __init__(self, n: int):
         self.n = n
@@ -78,32 +76,7 @@ class _GroupData:
         self.classes: list[Partition] = sorted(self.members, reverse=True)
         self.index = {c: i for i, c in enumerate(self.classes)}
         self.sizes = {c: len(self.members[c]) for c in self.classes}
-        self.identity_class = (1,) * n if n else ()
-        self._structure: list[list[list[int]]] | None = None
-
-    def structure(self) -> list[list[list[int]]]:
-        """S[c][a][b] = #{(x, y) in C_a x C_b : x*y = rep_c} for a fixed rep."""
-        if self._structure is None:
-            k = len(self.classes)
-            table = [[[0] * k for _ in range(k)] for _ in range(k)]
-            inverses = {}
-            for c_idx, c in enumerate(self.classes):
-                rep = self.members[c][0]
-                row = table[c_idx]
-                for cls, elems in self.members.items():
-                    a_idx = self.index[cls]
-                    for x in elems:
-                        inv = inverses.get(x)
-                        if inv is None:
-                            inv = [0] * self.n
-                            for i, xi in enumerate(x):
-                                inv[xi] = i
-                            inv = tuple(inv)
-                            inverses[x] = inv
-                        y = _compose(inv, rep)
-                        row[a_idx][self.index[_cycle_type(y)]] += 1
-            self._structure = table
-        return self._structure
+        self.identity_class = (1,) * n
 
 
 def _group(n: int) -> _GroupData:
@@ -123,6 +96,35 @@ def _group_data(n: int) -> _GroupData:
     return _GroupData(n)
 
 
+@memo
+def _column(n: int, b: Partition) -> tuple[tuple[int, ...], ...]:
+    """S_b[c][a] = #{(x, y) : x in C_a, y in C_b, x*y = rep_c}.
+
+    y determines x = rep_c * y^-1, and C_b is closed under inverses, so a
+    row is the cycle types of rep_c * z over z in C_b: p(n) * |C_b| steps.
+    """
+    gd = _group_data(n)
+    column = []
+    for c in gd.classes:
+        rep = gd.members[c][0]
+        row = [0] * len(gd.classes)
+        for z in gd.members[b]:
+            row[gd.index[_cycle_type(_compose(rep, z))]] += 1
+        column.append(tuple(row))
+    return tuple(column)
+
+
+def _distribution(gd: _GroupData, start: Partition, profiles) -> list[int]:
+    """T[c] = #{(x, g_1, ..., g_s) : x in C_start, g_i of the given types,
+    x g_1 ... g_s = rep_c}, one column per profile."""
+    vec = [0] * len(gd.classes)
+    vec[gd.index[start]] = 1
+    for b in profiles:
+        column = _column(gd.n, b)
+        vec = [sum(t * s for t, s in zip(vec, row) if t) for row in column]
+    return vec
+
+
 def _normalize_profiles(profiles, n: int | None) -> tuple[int, tuple[Partition, ...]]:
     ps = tuple(partition(p) for p in profiles)
     if not ps:
@@ -137,82 +139,26 @@ def _normalize_profiles(profiles, n: int | None) -> tuple[int, tuple[Partition, 
 
 
 def hurwitz(profiles, n: int | None = None) -> Fraction:
-    """Disconnected Hurwitz number by direct enumeration (the oracle)."""
+    """Disconnected Hurwitz number through class-algebra convolution."""
     n, ps = _normalize_profiles(profiles, n)
     if n == 0:
         return Fraction(1)
     _group(n)
-    return _enumerated_count(n, tuple(sorted(ps)))
+    return _count(n, tuple(sorted(ps)))
 
 
 @memo
-def _enumerated_count(n: int, ps: tuple[Partition, ...]) -> Fraction:
+def _count(n: int, ps: tuple[Partition, ...]) -> Fraction:
     gd = _group_data(n)
-    # order by class size: fix the largest, let the second largest be the
-    # factor determined by the product condition, enumerate the rest
-    ordered = sorted(ps, key=lambda c: gd.sizes[c], reverse=True)
-    fixed = ordered[0]
-    count = 0
+    # largest class first: the first factor is one member of its class, the
+    # product condition determines the factor of the second largest class, and
+    # only the smaller classes are convolved
+    ordered = sorted(ps, key=gd.sizes.__getitem__, reverse=True)
     if len(ordered) == 1:
-        count = 1 if fixed == gd.identity_class else 0
-    elif len(ordered) == 2:
-        count = gd.sizes[fixed] if ordered[0] == ordered[1] else 0
-    else:
-        det = ordered[1]
-        enum = sorted(ordered[2:], key=lambda c: gd.sizes[c])
-        members = [gd.members[c] for c in enum]
-        start = gd.members[fixed][0]
-        total = 0
-
-        def rec(level: int, current: Perm):
-            nonlocal total
-            if level == len(members):
-                # inverse has the same cycle type as the product itself
-                if _cycle_type(current) == det:
-                    total += 1
-                return
-            for g in members[level]:
-                rec(level + 1, _compose(current, g))
-
-        rec(0, start)
-        count = gd.sizes[fixed] * total
-    return Fraction(count, factorial(n))
-
-
-def _distribution(gd: _GroupData, profiles: tuple[Partition, ...]) -> list[int]:
-    """T[c] = number of tuples with the given types multiplying to rep_c."""
-    k = len(gd.classes)
-    vec = [0] * k
-    vec[gd.index[gd.identity_class]] = 1
-    table = gd.structure()
-    for profile in profiles:
-        b_idx = gd.index[profile]
-        new = [0] * k
-        for c_idx in range(k):
-            row = table[c_idx]
-            total = 0
-            for a_idx, t in enumerate(vec):
-                if t:
-                    total += t * row[a_idx][b_idx]
-            new[c_idx] = total
-        vec = new
-    return vec
-
-
-def hurwitz_fast(profiles, n: int | None = None) -> Fraction:
-    """Same count as hurwitz, through class-algebra convolution."""
-    n, ps = _normalize_profiles(profiles, n)
-    if n == 0:
-        return Fraction(1)
-    _group(n)
-    return _convolved_count(n, tuple(sorted(ps)))
-
-
-@memo
-def _convolved_count(n: int, ps: tuple[Partition, ...]) -> Fraction:
-    gd = _group_data(n)
-    vec = _distribution(gd, ps)
-    return Fraction(vec[gd.index[gd.identity_class]], factorial(n))
+        ordered.append(gd.identity_class)  # H(eta) = H(eta, 1^n)
+    second = ordered[1]
+    vec = _distribution(gd, ordered[0], ordered[2:])
+    return Fraction(vec[gd.index[second]] * gd.sizes[second], factorial(n))
 
 
 def hurwitz_refined(sigma, left, right) -> Fraction:
@@ -234,8 +180,8 @@ def hurwitz_refined(sigma, left, right) -> Fraction:
         if sum(p) != n:
             raise ValueError(f"profile {p} is not a partition of {n}")
     gd = _group(n)
-    dist_l = _distribution(gd, lefts)
-    dist_r = _distribution(gd, rights)
+    dist_l = _distribution(gd, gd.identity_class, lefts)
+    dist_r = _distribution(gd, gd.identity_class, rights)
     c = gd.index[sigma]
     count = gd.sizes[sigma] * dist_l[c] * dist_r[c]
     return Fraction(count, factorial(n))

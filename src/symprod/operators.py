@@ -1,5 +1,5 @@
-"""Divisor-operator matrices, the n=2 r=1 closed-form benchmark, the
-Nakajima-side bookkeeping map and eigenvalue certification.
+"""Divisor-operator matrices, the n=2 r=1 closed-form benchmark and
+eigenvalue certification.
 
 The operator of quantum multiplication by a divisor D in an ordered
 weighted-partition basis has columns D * b_j expanded through dual
@@ -27,7 +27,6 @@ from .algebra import (
     T2,
     TruncSeries,
     char_poly_gaussian,
-    char_poly_squarefree,
     expand_q_closed_form,
     is_squarefree,
     s_atom,
@@ -45,7 +44,7 @@ from .partitions import (
     wp_size,
 )
 from .surface import TangentWeights, check_label, tangent_weights
-from .textforms import series_from_json, series_to_json, wp_to_text, parse_wp
+from .textforms import series_to_json, wp_to_text
 
 
 @dataclass
@@ -337,26 +336,10 @@ def verify_a1n2(
 
 
 # ---------------------------------------------------------------------------
-# basis bookkeeping for the Hilbert-scheme side
+# orbifold grading
 # ---------------------------------------------------------------------------
 
 _LABEL_DEGREE = {"1": 0, "E": 1, "w": 1, "x": 2}
-
-
-@dataclass(frozen=True)
-class NakajimaSymbol:
-    """A weighted partition together with the (-i)^age power carried by
-    the correspondence to the Nakajima basis."""
-
-    wp: WeightedPartition
-    i_power: int  # exponent of i mod 4
-
-
-def l_map(wp: WeightedPartition, n: int) -> NakajimaSymbol:
-    """Bookkeeping map to the Nakajima side: attaches (-i)^age(wp)."""
-    lam = underlying(wp)
-    a = age(lam, n)
-    return NakajimaSymbol(wp=weighted_partition(wp), i_power=(-a) % 4)
 
 
 def grading(wp: WeightedPartition, n: int) -> int:
@@ -370,11 +353,6 @@ def grading(wp: WeightedPartition, n: int) -> int:
     return total
 
 
-def pairing_sign(wp: WeightedPartition, n: int) -> int:
-    """(-1)^age: the sign relating orbifold and Nakajima-side pairings."""
-    return (-1) ** age(underlying(wp), n)
-
-
 # ---------------------------------------------------------------------------
 # eigenvalue certification
 # ---------------------------------------------------------------------------
@@ -383,7 +361,6 @@ def pairing_sign(wp: WeightedPartition, n: int) -> int:
 class EigenReport:
     char_poly: Poly1
     squarefree: bool
-    approximate: bool
     values: dict
 
     @property
@@ -391,13 +368,12 @@ class EigenReport:
         return self.squarefree
 
     def summary(self) -> str:
-        kind = "truncated-series (approximate)" if self.approximate else "exact"
         verdict = (
             "squarefree: distinct eigenvalues certified"
             if self.squarefree
             else "NOT squarefree: repeated eigenvalue (derogatory at this point)"
         )
-        return f"{kind} characteristic polynomial {self.char_poly}\n{verdict}"
+        return f"exact characteristic polynomial {self.char_poly}\n{verdict}"
 
 
 def eigen_certify(matrix: list[list[QExpr]], values: dict) -> EigenReport:
@@ -416,40 +392,7 @@ def eigen_certify(matrix: list[list[QExpr]], values: dict) -> EigenReport:
                 "characteristic polynomial has a nonreal coefficient"
             )
     p = Poly1([c.re for c in coeffs])
-    return EigenReport(
-        char_poly=p, squarefree=is_squarefree(p), approximate=False, values=dict(values)
-    )
-
-
-def eigen_certify_series(op: OperatorMatrix, values: dict) -> EigenReport:
-    """Certify on a series-valued operator by exact evaluation of the
-    truncation; flagged approximate since the series is cut off.
-
-    values needs t1, t2, u and s1..sr.
-    """
-    if op.gaps:
-        raise ValueError("operator has degree-zero gaps; load a table first")
-    t1 = Fraction(values["t1"])
-    t2 = Fraction(values["t2"])
-    u = Fraction(values["u"])
-    svals = [Fraction(values[f"s{k}"]) for k in range(1, op.r + 1)]
-    size = op.size()
-    numeric = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            total = Fraction(0)
-            for a, ds, c in op.entries[i][j].monomials():
-                term = c.evaluate(t1, t2) * u**a
-                for v, d in zip(svals, ds):
-                    term *= v**d
-                total += term
-            row.append(total)
-        numeric.append(row)
-    p, sqfree = char_poly_squarefree(numeric)
-    return EigenReport(
-        char_poly=p, squarefree=sqfree, approximate=True, values=dict(values)
-    )
+    return EigenReport(char_poly=p, squarefree=is_squarefree(p), values=dict(values))
 
 
 # ---------------------------------------------------------------------------
@@ -471,28 +414,6 @@ def op_matrix_to_json(op: OperatorMatrix) -> dict:
         ],
         "gaps": sorted([i + 1, j + 1] for i, j in op.gaps),
     }
-
-
-def op_matrix_from_json(payload: dict) -> OperatorMatrix:
-    basis = tuple(parse_wp(b) for b in payload["basis"])
-    size = len(basis)
-    u_order = payload["u_order"]
-    s_orders = tuple(payload["s_orders"])
-    entries = [
-        [TruncSeries.zero(u_order, s_orders) for _ in range(size)] for _ in range(size)
-    ]
-    for item in payload["entries"]:
-        entries[item["row"] - 1][item["col"] - 1] = series_from_json(item)
-    return OperatorMatrix(
-        n=payload["n"],
-        r=payload["r"],
-        divisor=payload["divisor"],
-        basis=basis,
-        u_order=u_order,
-        s_orders=s_orders,
-        entries=entries,
-        gaps={(i - 1, j - 1) for i, j in payload["gaps"]},
-    )
 
 
 def op_matrix_to_latex(op: OperatorMatrix) -> str:

@@ -14,9 +14,8 @@ Conventions:
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from itertools import product
-from math import factorial, lcm
+from math import factorial
 
 Partition = tuple[int, ...]
 Label = tuple
@@ -90,13 +89,6 @@ def centralizer_order(lam: Partition) -> int:
     for part, m in Counter(lam).items():
         out *= part**m * factorial(m)
     return out
-
-
-def cycle_order(lam: Partition) -> int:
-    """lcm of the parts: the order of any permutation of this cycle type."""
-    if not lam:
-        return 1
-    return lcm(*lam)
 
 
 def age(lam: Partition, n: int) -> int:
@@ -175,37 +167,3 @@ def mp_aut_order(mp: MultiPartition) -> int:
     for c in mp:
         out *= aut_order(c)
     return out
-
-
-def is_subpartition(small: Partition, big: Partition) -> bool:
-    cs, cb = Counter(small), Counter(big)
-    return all(cb[p] >= m for p, m in cs.items())
-
-
-def partition_diff(big: Partition, small: Partition) -> Partition:
-    cb = Counter(big)
-    cb.subtract(Counter(small))
-    if any(m < 0 for m in cb.values()):
-        raise ValueError("not a subpartition")
-    parts = []
-    for p, m in cb.items():
-        parts.extend([p] * m)
-    return partition(parts)
-
-
-def mp_contains(big: MultiPartition, small: MultiPartition) -> bool:
-    return len(big) == len(small) and all(
-        is_subpartition(s, b) for s, b in zip(small, big)
-    )
-
-
-def mp_diff(big: MultiPartition, small: MultiPartition) -> MultiPartition:
-    return tuple(partition_diff(b, s) for b, s in zip(big, small))
-
-
-def class_equation_check(n: int) -> Fraction:
-    """sum over partitions of n of n!/z_lambda (equals n! iff consistent)."""
-    total = Fraction(0)
-    for lam in partitions_of(n):
-        total += Fraction(factorial(n), centralizer_order(lam))
-    return total

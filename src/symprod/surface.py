@@ -188,11 +188,6 @@ def e_chain(i: int, j: int, d: int, r: int) -> CurveClass:
     return tuple(d if i <= k <= j else 0 for k in range(1, r + 1))
 
 
-def curve_exponents(beta: CurveClass) -> tuple[int, ...]:
-    """Exponents of s_1..s_r attached to beta (its E-coefficient vector)."""
-    return tuple(int(b) for b in beta)
-
-
 def beta_as_chain(beta: CurveClass) -> tuple[int, int, int] | None:
     """Decompose beta as d(E_i + ... + E_j) with d > 0, or None."""
     support = [k for k, b in enumerate(beta, start=1) if b]

@@ -24,12 +24,6 @@ from .partitions import (
 )
 
 
-def partition_to_text(lam: Partition) -> str:
-    if not lam:
-        return ""
-    return "+".join(str(p) for p in lam)
-
-
 def parse_partition(text: str) -> Partition:
     s = text.strip()
     if not s:
@@ -101,14 +95,6 @@ def series_to_json(series: TruncSeries) -> dict:
             for a, ds, c in series.monomials()
         ],
     }
-
-
-def series_from_json(payload: dict) -> TruncSeries:
-    coeffs = {
-        (term["u"], tuple(term["s"])): ratfunc_from_text(term["coeff"])
-        for term in payload["terms"]
-    }
-    return TruncSeries(payload["u_order"], tuple(payload["s_orders"]), coeffs)
 
 
 def useries_to_json(pairs) -> list:

@@ -3,20 +3,26 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from functools import lru_cache
 from fractions import Fraction
+from itertools import permutations
 from math import factorial
 
-from symprod.algebra import Poly2, RatFunc2, TruncSeries
-from symprod.chenruan import expand, pairing, pairing_fixed
+from symprod.algebra import Poly2, RatFunc2, TruncSeries, ratfunc_from_text
+from symprod.chenruan import CRClass, expand, gram_inverse, pairing
 from symprod.errors import OutOfScopeError
-from symprod.hurwitz import hurwitz, one_part_double_hurwitz
+from symprod.hurwitz import one_part_double_hurwitz
 from symprod.invariants import _check_pair
+from symprod.operators import OperatorMatrix
 from symprod.partitions import (
     ONE,
     aut_order,
     aut_order_weighted,
+    centralizer_order,
     ecurve,
     fixedpt,
+    mp_size,
     partition,
     partitions_of,
     underlying,
@@ -24,8 +30,65 @@ from symprod.partitions import (
     wp_size,
 )
 from symprod.surface import beta_as_chain, e_dot
+from symprod.textforms import parse_wp
 
 _THETA = Poly2.linear(1, 1)  # t1 + t2
+
+
+# ---------------------------------------------------------------------------
+# the Hurwitz oracle: a dynamic program over the permutations themselves
+# ---------------------------------------------------------------------------
+
+def _compose(p: tuple, q: tuple) -> tuple:
+    """p after q."""
+    return tuple(map(p.__getitem__, q))
+
+
+def _cycle_type(p: tuple) -> tuple:
+    seen = [False] * len(p)
+    parts = []
+    for start in range(len(p)):
+        length, j = 0, start
+        while not seen[j]:
+            seen[j] = True
+            j = p[j]
+            length += 1
+        if length:
+            parts.append(length)
+    return tuple(sorted(parts, reverse=True))
+
+
+@lru_cache(maxsize=None)
+def _conjugacy_classes(n: int) -> dict:
+    """Cycle type -> every permutation of range(n) with that type."""
+    classes: dict = {}
+    for p in permutations(range(n)):
+        classes.setdefault(_cycle_type(p), []).append(p)
+    return classes
+
+
+@lru_cache(maxsize=None)
+def _product_counts(n: int, profiles: tuple) -> dict:
+    """g -> number of tuples (g_1, ..., g_s) of the given types with g_1...g_s = g."""
+    if not profiles:
+        return {tuple(range(n)): 1}
+    out: Counter = Counter()
+    members = _conjugacy_classes(n)[profiles[-1]]
+    for g, count in _product_counts(n, profiles[:-1]).items():
+        for h in members:
+            out[_compose(g, h)] += count
+    return dict(out)
+
+
+def oracle_hurwitz(profiles, n: int | None = None) -> Fraction:
+    """1/n! times the number of tuples of the given cycle types whose product is
+    the identity, read off a vector over all n! permutations."""
+    ps = tuple(sorted(partition(p) for p in profiles))
+    sizes = {sum(p) for p in ps}
+    if len(sizes) != 1 or (n is not None and sizes != {n}):
+        raise ValueError(f"profiles {ps} are not partitions of one n = {n}")
+    n = sizes.pop()
+    return Fraction(_product_counts(n, ps).get(tuple(range(n)), 0), factorial(n))
 
 
 def brute_one_part(sigma, b: int) -> Fraction:
@@ -33,9 +96,76 @@ def brute_one_part(sigma, b: int) -> Fraction:
     sigma = partition(sigma)
     k = sum(sigma)
     if k < 2:
-        return hurwitz([sigma, [1] * k], k) if b == 0 else Fraction(0)
+        return oracle_hurwitz([sigma, [1] * k], k) if b == 0 else Fraction(0)
     transposition = [2] + [1] * (k - 2)
-    return hurwitz([sigma] + [transposition] * b + [[k]], k)
+    return oracle_hurwitz([sigma] + [transposition] * b + [[k]], k)
+
+
+# ---------------------------------------------------------------------------
+# fixed-point basis: the pairing oracle and the dual classes
+# ---------------------------------------------------------------------------
+
+def is_subpartition(small, big) -> bool:
+    cs, cb = Counter(small), Counter(big)
+    return all(cb[p] >= m for p, m in cs.items())
+
+
+def partition_diff(big, small):
+    cb = Counter(big)
+    cb.subtract(Counter(small))
+    if any(m < 0 for m in cb.values()):
+        raise ValueError("not a subpartition")
+    return partition(cb.elements())
+
+
+def mp_contains(big, small) -> bool:
+    return len(big) == len(small) and all(
+        is_subpartition(s, b) for s, b in zip(small, big)
+    )
+
+
+def mp_diff(big, small):
+    return tuple(partition_diff(b, s) for b, s in zip(big, small))
+
+
+def t_weight(mp, w) -> RatFunc2:
+    """Product of tangent weights (L_k R_k)^(length of sigma_k)."""
+    out = RatFunc2.one()
+    for k, comp in enumerate(mp, start=1):
+        if comp:
+            out = out * w.LR(k) ** len(comp)
+    return out
+
+
+def pairing_fixed(mp1, mp2, w) -> RatFunc2:
+    """Orbifold pairing of fixed-point classes: diagonal, H(sigma)t(sigma)."""
+    if mp_size(mp1) != mp_size(mp2):
+        raise ValueError("fixed-point classes of different total size")
+    if mp1 != mp2:
+        return RatFunc2.zero()
+    h = Fraction(1)
+    for comp in mp1:
+        if comp:
+            h /= centralizer_order(comp)
+    return t_weight(mp1, w) * h
+
+
+def dual_basis(basis, w) -> list:
+    """Classes dual to the basis under the orbifold pairing."""
+    basis = list(basis)
+    if not basis:
+        raise ValueError("empty basis")
+    n = wp_size(basis[0])
+    inv = gram_inverse(basis, w)
+    expansions = [expand(wp, w) for wp in basis]
+    duals = []
+    for j in range(len(basis)):
+        acc = CRClass(n)
+        for c in range(len(basis)):
+            if not inv[c][j].is_zero():
+                acc = acc + expansions[c].scale(inv[c][j])
+        duals.append(acc)
+    return duals
 
 
 def fixed_basis_pairing(wp1, wp2, w) -> RatFunc2:
@@ -139,6 +269,40 @@ def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
                 continue
             total = total + pairing(theta1, theta2, w) * RatFunc2(conn)
     return total
+
+
+# ---------------------------------------------------------------------------
+# JSON readers for the round-trip checks of the library's writers
+# ---------------------------------------------------------------------------
+
+def series_from_json(payload: dict) -> TruncSeries:
+    coeffs = {
+        (term["u"], tuple(term["s"])): ratfunc_from_text(term["coeff"])
+        for term in payload["terms"]
+    }
+    return TruncSeries(payload["u_order"], tuple(payload["s_orders"]), coeffs)
+
+
+def op_matrix_from_json(payload: dict) -> OperatorMatrix:
+    basis = tuple(parse_wp(b) for b in payload["basis"])
+    size = len(basis)
+    u_order = payload["u_order"]
+    s_orders = tuple(payload["s_orders"])
+    entries = [
+        [TruncSeries.zero(u_order, s_orders) for _ in range(size)] for _ in range(size)
+    ]
+    for item in payload["entries"]:
+        entries[item["row"] - 1][item["col"] - 1] = series_from_json(item)
+    return OperatorMatrix(
+        n=payload["n"],
+        r=payload["r"],
+        divisor=payload["divisor"],
+        basis=basis,
+        u_order=u_order,
+        s_orders=s_orders,
+        entries=entries,
+        gaps={(i - 1, j - 1) for i, j in payload["gaps"]},
+    )
 
 
 def random_fraction(rng: random.Random, span: int = 6) -> Fraction:

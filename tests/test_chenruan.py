@@ -9,30 +9,23 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     all_labels,
     divisor_labels,
+    dual_basis,
     fixed_basis_pairing,
+    mp_contains,
+    mp_diff,
+    pairing_fixed,
     random_weighted_partition,
+    t_weight,
 )
 from symprod.algebra import RatFunc2
 from symprod import clear_caches
-from symprod.chenruan import (
-    _matching_sum,
-    coefficient,
-    dual_basis,
-    expand,
-    gram_inverse,
-    gram_matrix,
-    pairing,
-    pairing_fixed,
-    t_weight,
-)
+from symprod.chenruan import _matching_sum, expand, gram_inverse, gram_matrix, pairing
 from symprod.errors import DegenerateBasisError, MalformedInputError
 from symprod.partitions import (
     ONE,
     ecurve,
     enumerate_sub_splittings,
     fixedpt,
-    mp_contains,
-    mp_diff,
     multipartition,
     omega,
     partitions_of,
@@ -201,12 +194,12 @@ def test_splitting_identity_random():
             continue
         sigma = rng.choice(subs)
         rest = mp_diff(delta, sigma)
-        lhs = coefficient(lam, delta, w)
+        lhs = expand(lam, w).coefficient(delta)
         rhs = RatFunc2.zero()
         for theta, nu in enumerate_sub_splittings(lam):
             if wp_size(theta) != m:
                 continue
-            rhs = rhs + coefficient(theta, sigma, w) * coefficient(nu, rest, w)
+            rhs = rhs + expand(theta, w).coefficient(sigma) * expand(nu, w).coefficient(rest)
         assert lhs == rhs, (lam, delta, sigma)
         checked += 1
 

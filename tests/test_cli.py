@@ -5,10 +5,10 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import op_matrix_from_json, oracle_hurwitz, series_from_json
 from symprod.cli import main
 from symprod.invariants import ZeroDegreeTable
-from symprod.operators import op_matrix_from_json, zero_degree_table_a1n2
-from symprod.textforms import series_from_json
+from symprod.operators import zero_degree_table_a1n2
 
 
 def run(capsys, *argv):
@@ -23,26 +23,53 @@ def test_hurwitz_brute(capsys):
 
 
 def test_hurwitz_fast_backend(capsys):
-    code, out, _ = run(
-        capsys, "hurwitz", "--n", "4", "--profiles", "2+1+1;2+1+1;3+1", "--backend", "fast"
-    )
+    # the class-algebra count is the one backend, and it agrees with the oracle
+    code, out, _ = run(capsys, "hurwitz", "--n", "4", "--profiles", "2+1+1;2+1+1;3+1")
     assert code == 0
-    brute_code, brute_out, _ = run(
-        capsys, "hurwitz", "--n", "4", "--profiles", "2+1+1;2+1+1;3+1"
-    )
-    assert brute_code == 0 and out == brute_out
+    assert out.strip() == str(oracle_hurwitz([[2, 1, 1], [2, 1, 1], [3, 1]], 4))
+    with pytest.raises(SystemExit) as err:
+        main(["hurwitz", "--n", "4", "--profiles", "2+1+1;2+1+1;3+1", "--backend", "fast"])
+    assert err.value.code == 2
 
 
 def test_hurwitz_gjv(capsys):
-    code, out, _ = run(capsys, "hurwitz", "--gjv", "--sigma", "1+1", "--k", "2", "--b", "1")
+    code, out, _ = run(capsys, "one-part-hurwitz", "--sigma", "1+1", "--k", "2", "--b", "1")
     assert code == 0 and out.strip() == "1/2"
 
 
 def test_hurwitz_backend_gjv_rejected():
-    # --gjv is the one selector for the closed form
-    with pytest.raises(SystemExit) as err:
-        main(["hurwitz", "--backend", "gjv", "--sigma", "1+1", "--k", "2", "--b", "1"])
-    assert err.value.code == 2
+    # the closed form has its own subcommand and no selector flag
+    for argv in (
+        ["hurwitz", "--backend", "gjv", "--sigma", "1+1", "--k", "2", "--b", "1"],
+        ["one-part-hurwitz", "--backend", "gjv", "--sigma", "1+1", "--k", "2", "--b", "1"],
+        ["one-part-hurwitz", "--gjv", "--sigma", "1+1", "--k", "2", "--b", "1"],
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # flags of the other subcommand are rejected, not silently dropped
+        ["hurwitz", "--gjv", "--n", "3", "--profiles", "2+1;3", "--backend", "fast",
+         "--sigma", "1+1", "--k", "2", "--b", "1"],
+        ["hurwitz", "--profiles", "2;2", "--sigma", "1+1", "--b", "3"],
+        ["one-part-hurwitz", "--sigma", "1+1", "--k", "2", "--b", "1", "--profiles", "2;2"],
+        ["one-part-hurwitz", "--sigma", "1+1", "--k", "2"],
+        ["one-part-hurwitz", "--sigma", "1+1", "--k", "2", "--b", "-1"],
+        ["one-part-hurwitz", "--sigma", "2+1", "--k", "2", "--b", "1"],
+    ],
+)
+def test_hurwitz_subcommands_reject_stray_flags(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "Traceback" not in captured.err
 
 
 def test_hurwitz_parity_zero(capsys):
@@ -321,8 +348,8 @@ def test_config_values_type_checked(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, config",
     [
-        # a string is not a switch value: "false" used to turn --gjv on
-        ("hurwitz", {"gjv": "false", "sigma": "1+1", "k": 2, "b": 1}),
+        # a string is not a switch value: "false" would turn the switch on
+        ("eigencheck", {"identity-self-test": "false"}),
         ("eigencheck", {"identity-self-test": 1}),
         # a boolean is not a valued flag's value: true used to read as --n 1
         ("hurwitz", {"n": True, "profiles": "1;1"}),
@@ -343,12 +370,12 @@ def test_config_value_must_fit_flag_kind(tmp_path, capsys, command, config):
 
 def test_config_switch_takes_json_booleans(tmp_path, capsys):
     path = tmp_path / "job.json"
-    path.write_text(json.dumps({"gjv": True, "sigma": "1+1", "k": 2, "b": 1}))
-    code, out, _ = run(capsys, "hurwitz", "--config", str(path))
-    assert code == 0 and out.strip() == "1/2"
-    path.write_text(json.dumps({"gjv": False, "n": 2, "profiles": "2;2;2"}))
-    code, out, _ = run(capsys, "hurwitz", "--config", str(path))
-    assert code == 0 and out.strip() == "0"
+    path.write_text(json.dumps({"identity-self-test": True}))
+    code, out, _ = run(capsys, "eigencheck", "--config", str(path))
+    assert code == 0 and "derogatory" in out
+    path.write_text(json.dumps({"identity-self-test": False, "s": "1/3"}))
+    code, out, _ = run(capsys, "eigencheck", "--config", str(path))
+    assert code == 0 and "distinct eigenvalues certified" in out
 
 
 def test_config_not_an_object(tmp_path, capsys):
@@ -361,7 +388,7 @@ def test_config_not_an_object(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# fuzz: any argv over the six subcommands ends in a documented exit code
+# fuzz: any argv over the seven subcommands ends in a documented exit code
 # ---------------------------------------------------------------------------
 
 def _values(valid, invalid):
@@ -390,11 +417,11 @@ _FLAGS = {
         "--n": (_values(["2", "3"], ["0"] + _INVALID_INT), False),
         "--profiles": (_values(["2;2", "2+1;3", "2;2;2", "1+1;2", "3;3;3", "2+1;2+1;3"],
                                ["", ";", "x", "0;0", "2;3"]), False),
-        "--backend": (_values(["brute", "fast"], ["gjv", "other"]), False),
-        "--gjv": (None, False),
-        "--sigma": (_values(["1+1", "2", "2+1"], ["x", "", "0"]), False),
-        "--k": (_values(["2", "3"], ["0"] + _INVALID_INT), False),
-        "--b": (_values(["0", "1", "2", "3"], _INVALID_INT), False),
+    },
+    "one-part-hurwitz": {
+        "--sigma": (_values(["1+1", "2", "2+1"], ["x", "", "0"]), True),
+        "--k": (_values(["2", "3"], ["0"] + _INVALID_INT), True),
+        "--b": (_values(["0", "1", "2", "3"], _INVALID_INT), True),
     },
     "two-point": {
         "--n": (_values(["2"], ["0", "3"] + _INVALID_INT), True),
@@ -459,6 +486,10 @@ _CONFIG_VALUE = st.one_of(
 )
 
 
+_STRAY_FLAGS = [["--gjv"], ["--backend", "fast"], ["--sigma", "1+1"], ["--n", "2"],
+                ["--profiles", "2;2"], ["--table", "a1n2"], ["--identity-self-test"]]
+
+
 @st.composite
 def _cli_case(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
@@ -467,6 +498,8 @@ def _cli_case(draw):
         # required flags are left out one time in ten, optional ones half the time
         if draw(st.integers(0, 9)) < (9 if required else 5):
             argv += [flag] if values is None else [flag, draw(values)]
+    if draw(st.integers(0, 9)) == 0:  # a flag of another subcommand, or a removed one
+        argv += draw(st.sampled_from(_STRAY_FLAGS))
     if draw(st.booleans()):
         config = draw(_CONFIG_TEXT)
     else:  # one of this command's flags, switch or valued, with any kind of value

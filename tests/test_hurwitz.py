@@ -1,32 +1,30 @@
-"""Hurwitz counts: oracle values, backend agreement, closed-form gate."""
+"""Hurwitz counts: values, agreement with the enumeration oracle, closed-form gate."""
 
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from helpers import brute_one_part
+from helpers import brute_one_part, oracle_hurwitz
 from symprod.errors import MalformedInputError, ResourceBudgetError
-from symprod.hurwitz import (
-    hurwitz,
-    hurwitz_fast,
-    hurwitz_refined,
-    one_part_double_hurwitz,
-)
+from symprod.hurwitz import hurwitz, hurwitz_refined, one_part_double_hurwitz
 from symprod.partitions import centralizer_order, partition, partitions_of
 
 
 def test_oracle_examples():
-    assert hurwitz([[2], [2]]) == Fraction(1, 2)
-    assert hurwitz([[2], [2], [2]]) == 0
-    assert hurwitz([[3], [3]]) == Fraction(1, 3)
+    for count in (hurwitz, oracle_hurwitz):
+        assert count([[2], [2]]) == Fraction(1, 2)
+        assert count([[2], [2], [2]]) == 0
+        assert count([[3], [3]]) == Fraction(1, 3)
 
 
 def test_identity_profiles():
-    assert hurwitz([[1], [1]]) == 1
-    assert hurwitz([[1, 1], [1, 1]]) == Fraction(1, 2)
-    assert hurwitz([[1, 1, 1]]) == Fraction(1, 6)
+    for count in (hurwitz, oracle_hurwitz):
+        assert count([[1], [1]]) == 1
+        assert count([[1, 1], [1, 1]]) == Fraction(1, 2)
+        assert count([[1, 1, 1]]) == Fraction(1, 6)
 
 
 def test_refined_examples():
@@ -58,7 +56,7 @@ def test_fast_equals_oracle_exhaustive():
         parts = partitions_of(n)
         for s in range(1, 5):
             for profiles in combinations_with_replacement(parts, s):
-                assert hurwitz_fast(profiles, n) == hurwitz(profiles, n), profiles
+                assert hurwitz(profiles, n) == oracle_hurwitz(profiles, n), profiles
 
 
 def test_profile_permutation_invariance():
@@ -94,12 +92,12 @@ def test_refined_product_and_sum_identities():
                         refined = hurwitz_refined(sigma, lefts, rights)
                         product = (
                             centralizer_order(sigma)
-                            * hurwitz(list(lefts) + [sigma], n)
-                            * hurwitz([sigma] + list(rights), n)
+                            * oracle_hurwitz(list(lefts) + [sigma], n)
+                            * oracle_hurwitz([sigma] + list(rights), n)
                         )
                         assert refined == product, (sigma, lefts, rights)
                         total += refined
-                    assert total == hurwitz(list(lefts) + list(rights), n)
+                    assert total == oracle_hurwitz(list(lefts) + list(rights), n)
 
 
 def test_budget_error_names_bound(monkeypatch):
@@ -118,12 +116,10 @@ def test_budget_default_allows_small(monkeypatch):
 
 def test_budget_checked_before_memo(monkeypatch):
     monkeypatch.delenv("SYMPROD_HURWITZ_BUDGET", raising=False)
-    for backend in (hurwitz, hurwitz_fast):
-        backend([[2], [2]], 2)  # memoised under the default budget
+    hurwitz([[2], [2]], 2)  # memoised under the default budget
     monkeypatch.setenv("SYMPROD_HURWITZ_BUDGET", "1")
-    for backend in (hurwitz, hurwitz_fast):
-        with pytest.raises(ResourceBudgetError):
-            backend([[2], [2]], 2)
+    with pytest.raises(ResourceBudgetError):
+        hurwitz([[2], [2]], 2)
 
 
 def test_budget_unparsable_rejected(monkeypatch):
@@ -138,7 +134,7 @@ def test_backends_agree_at_n6_spot_checks():
         [[3, 3], [2, 2, 2], [6]],
         [[6], [6]],
     ):
-        assert hurwitz_fast(profiles, 6) == hurwitz(profiles, 6)
+        assert hurwitz(profiles, 6) == oracle_hurwitz(profiles, 6)
 
 
 def test_cache_hits_equal_recomputation():
@@ -150,9 +146,23 @@ def test_cache_hits_equal_recomputation():
     clear_caches()
     fresh = hurwitz(profiles, 3)
     assert first == again == fresh
-    assert hurwitz_fast(profiles, 3) == fresh
+    assert oracle_hurwitz(profiles, 3) == fresh
 
 
 def test_vacuous_sigma_size_guard():
     with pytest.raises(ValueError):
         hurwitz_refined([], [[2]], [])
+
+
+@st.composite
+def _profile_lists(draw):
+    n = draw(st.integers(1, 6))
+    profiles = draw(st.lists(st.sampled_from(partitions_of(n)), min_size=1, max_size=5))
+    return n, profiles
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_profile_lists())
+def test_hurwitz_matches_oracle_property(case):
+    n, profiles = case
+    assert hurwitz(profiles, n) == oracle_hurwitz(profiles, n), profiles

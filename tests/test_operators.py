@@ -1,4 +1,4 @@
-"""Operator assembly, the closed-form benchmark, bookkeeping map, eigenchecks."""
+"""Operator assembly, the closed-form benchmark, grading, eigenchecks."""
 
 import hashlib
 import random
@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import op_matrix_from_json, random_weighted_partition
 from symprod.algebra import (
     Poly2,
     RatFunc2,
@@ -17,15 +18,11 @@ from symprod.operators import (
     default_divisor_basis,
     divisor_operator,
     eigen_certify,
-    eigen_certify_series,
     grading,
-    l_map,
     op_matrix_dumps,
-    op_matrix_from_json,
     op_matrix_to_csv,
     op_matrix_to_json,
     op_matrix_to_latex,
-    pairing_sign,
     verify_a1n2,
     zero_degree_table_a1n2,
 )
@@ -142,28 +139,13 @@ def test_default_basis_matches_benchmark_order():
     assert default_divisor_basis(2, 1) == a1n2_basis()
 
 
-def test_l_map_examples():
-    untwisted = weighted_partition([(1, ONE)] * 3)
-    assert l_map(untwisted, 3).i_power == 0
-    divisor = weighted_partition([(1, ONE), (2, ONE)])
-    assert l_map(divisor, 3).i_power == 3  # (-i)^1 = i^3
-    deep = weighted_partition([(4, fixedpt(1))])
-    assert l_map(deep, 4).i_power == (-3) % 4
-
-
 def test_grading_preserved_and_signs():
     rng = random.Random(91)
     labels = [ONE, ecurve(1), fixedpt(1), fixedpt(2)]
-    from helpers import random_weighted_partition
-
     for _ in range(20):
         n = rng.randint(1, 4)
         wp = random_weighted_partition(rng, n, labels)
-        sym = l_map(wp, n)
-        assert sym.wp == wp
         age = n - len(wp)
-        assert sym.i_power == (-age) % 4
-        assert pairing_sign(wp, n) == (-1) ** age
         got = grading(wp, n)
         want = age + sum(
             {"1": 0, "E": 1, "x": 2}[label[0]] for _, label in wp
@@ -176,7 +158,6 @@ def test_eigen_certify_reference_point():
         closed_form_matrix_a1n2(),
         {"t1": 1, "t2": 2, "s1": Fraction(1, 3), "q": Fraction(1, 5)},
     )
-    assert not report.approximate
     assert report.squarefree
     assert report.char_poly.degree() == 5
 
@@ -187,19 +168,6 @@ def test_eigen_certify_pole():
             closed_form_matrix_a1n2(),
             {"t1": 1, "t2": 2, "s1": 1, "q": Fraction(1, 5)},
         )
-
-
-def test_eigen_certify_series_flagged_approximate():
-    w = tangent_weights(1)
-    op = divisor_operator(
-        2, 1, "D1", a1n2_basis(), 4, (4,), w, zero_degree_table_a1n2()
-    )
-    report = eigen_certify_series(
-        op,
-        {"t1": 1, "t2": 2, "u": Fraction(1, 7), "s1": Fraction(1, 5)},
-    )
-    assert report.approximate
-    assert report.char_poly.degree() == 5
 
 
 def test_contraction_closes_against_three_point_values():

@@ -11,7 +11,6 @@ from symprod.surface import (
     beta_as_chain,
     check_label,
     class_of,
-    curve_exponents,
     e_chain,
     e_dot,
     integrate,
@@ -92,9 +91,11 @@ def test_tangent_product_mod_theta():
 
 
 def test_curve_exponents():
-    assert curve_exponents(e_chain(1, 2, 3, 3)) == (3, 3, 0)
-    assert curve_exponents(e_chain(2, 2, 1, 3)) == (0, 1, 0)
-    assert curve_exponents((0, 0, 0)) == (0, 0, 0)
+    # a curve class is its vector of s_1..s_r exponents
+    assert e_chain(1, 2, 3, 3) == (3, 3, 0)
+    assert e_chain(2, 2, 1, 3) == (0, 1, 0)
+    with pytest.raises(ValueError):
+        e_chain(2, 1, 1, 3)
 
 
 def test_beta_as_chain():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import series_from_json
 from symprod.algebra import RatFunc2
 from symprod.partitions import ONE, ecurve, fixedpt, omega, weighted_partition
 from symprod.textforms import (
@@ -9,15 +10,12 @@ from symprod.textforms import (
     parse_label,
     parse_partition,
     parse_wp,
-    partition_to_text,
-    series_from_json,
     series_to_json,
     wp_to_text,
 )
 
 
 def test_partition_text():
-    assert partition_to_text((2, 1, 1)) == "2+1+1"
     assert parse_partition("2+1+1") == (2, 1, 1)
     assert parse_partition("1+2+1") == (2, 1, 1)
     assert parse_partition("") == ()
