@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import (
     random_fraction,
@@ -131,6 +132,98 @@ def test_ratfunc_text_roundtrip():
         f = random_ratfunc(rng)
         assert ratfunc_from_text(ratfunc_to_text(f)) == f
     assert poly2_from_text(poly2_to_text(Poly2.zero())) == Poly2.zero()
+
+
+# differential check of RatFunc2 * and + against the general constructors
+
+_DIFF_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _fractions, max_size=3
+).map(Poly2)
+# canonical linear factors and their products: denominators that can cancel
+_LINEAR = [T1P, T2P, T1P - T2P, T1P + T2P, T1P + T2P.scale(Fraction(2))]
+_dens = st.lists(st.sampled_from(_LINEAR), max_size=2).map(
+    lambda fs: _product(fs, Poly2.one())
+)
+_ratfuncs = st.builds(RatFunc2, _polys, _dens)
+_constants = st.one_of(
+    st.integers(-6, 6),
+    _fractions,
+    _fractions.map(RatFunc2.const),
+)
+
+
+def _product(factors, start):
+    for f in factors:
+        start = start * f
+    return start
+
+
+def _general_mul(a, b) -> RatFunc2:
+    a, b = RatFunc2.lift(a), RatFunc2.lift(b)
+    return RatFunc2(a.num * b.num, a.den * b.den)
+
+
+def _general_add(a, b) -> RatFunc2:
+    a, b = RatFunc2.lift(a), RatFunc2.lift(b)
+    return RatFunc2(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+def _same_canonical(got, want):
+    assert isinstance(got, RatFunc2)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert ratfunc_to_text(got) == ratfunc_to_text(want)
+
+
+@st.composite
+def _equal_den_pairs(draw):
+    """Addends over one denominator whose sum may cancel against it or vanish."""
+    factors = draw(st.lists(st.sampled_from(_LINEAR), min_size=1, max_size=2))
+    den = _product(factors, Poly2.one())
+    p = draw(_polys.filter(lambda p: not p.is_zero()))
+    kind = draw(st.sampled_from(["free", "cancel", "zero"]))
+    if kind == "zero":
+        q = -p
+    elif kind == "cancel":
+        # p + q = h * f for a factor f of den
+        q = draw(_polys) * draw(st.sampled_from(factors)) - p
+    else:
+        q = draw(_polys)
+    return RatFunc2(p, den), RatFunc2(q, den)
+
+
+@_DIFF_SETTINGS
+@given(_ratfuncs, st.one_of(_constants, _ratfuncs))
+def test_ratfunc_mul_matches_general(a, b):
+    want = _general_mul(a, b)
+    _same_canonical(a * b, want)
+    _same_canonical(b * a, want)
+
+
+@_DIFF_SETTINGS
+@given(_ratfuncs, _constants)
+def test_ratfunc_add_constant_matches_general(a, c):
+    want = _general_add(a, c)
+    _same_canonical(a + c, want)
+    _same_canonical(c + a, want)
+
+
+@_DIFF_SETTINGS
+@given(_equal_den_pairs())
+def test_ratfunc_add_equal_den_matches_general(pair):
+    a, b = pair
+    _same_canonical(a + b, _general_add(a, b))
+    _same_canonical(b + a, _general_add(b, a))
+
+
+def test_ratfunc_equal_den_sum_cancels():
+    d = T1P - T2P
+    total = RatFunc2(T1P, d) + RatFunc2(-T2P, d)
+    assert (total.num, total.den) == (Poly2.one(), Poly2.one())
+    assert (RatFunc2(T1P, d) + RatFunc2(-T1P, d)).is_zero()
+    assert (RatFunc2(T1P, d) * 0).den == Poly2.one()
 
 
 # ---------------------------------------------------------------------------
