@@ -3,6 +3,14 @@
 Canonical form: gcd(num, den) = 1, den integer-primitive with positive
 lexicographically-leading coefficient (t1-major). Equality is then
 structural.
+
+Two shapes skip the general route (multiply the denominators, then a
+bivariate gcd). A constant factor (int, Fraction or constant RatFunc2, on
+either side) scales the numerator and keeps the denominator: a nonzero
+rational keeps gcd(num, den) = 1 and leaves the primitive, positive-leading
+denominator as it is, so no gcd is run. Addends over one denominator add
+their numerators over it, then canonicalise: the sum may share a factor
+with that denominator.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ class RatFunc2:
 
     @classmethod
     def const(cls, c) -> RatFunc2:
-        return cls(Poly2.const(Fraction(c)))
+        return _RF_ONE._scaled(Fraction(c))
 
     @classmethod
     def from_poly(cls, p: Poly2) -> RatFunc2:
@@ -83,6 +91,8 @@ class RatFunc2:
 
     def __add__(self, other) -> RatFunc2:
         other = RatFunc2.lift(other)
+        if self.den == other.den:
+            return RatFunc2(self.num + other.num, self.den)
         return RatFunc2(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -97,10 +107,24 @@ class RatFunc2:
         return RatFunc2.lift(other) + (-self)
 
     def __mul__(self, other) -> RatFunc2:
+        if isinstance(other, (int, Fraction)):
+            return self._scaled(other)
         other = RatFunc2.lift(other)
+        if other.is_const():
+            return self._scaled(other.num.const_value())
+        if self.is_const():
+            return other._scaled(self.num.const_value())
         return RatFunc2(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, c) -> RatFunc2:
+        """self * c for a rational c, already canonical, so __init__ is skipped."""
+        if not c:
+            return _RF_ZERO
+        out = object.__new__(RatFunc2)
+        out.num, out.den, out._hash = self.num.scale(c), self.den, None
+        return out
 
     def inverse(self) -> RatFunc2:
         if self.is_zero():

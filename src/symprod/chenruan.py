@@ -49,29 +49,6 @@ class CRClass:
                     clean[mp] = c
         self.terms = clean
 
-    def __add__(self, other: CRClass) -> CRClass:
-        if self.n != other.n:
-            raise ValueError("cannot add classes of different symmetric products")
-        out = dict(self.terms)
-        for mp, c in other.terms.items():
-            s = out.get(mp)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(mp, None)
-            else:
-                out[mp] = s
-        res = CRClass.__new__(CRClass)
-        res.n = self.n
-        res.terms = out
-        return res
-
-    def scale(self, c) -> CRClass:
-        c = RatFunc2.lift(c)
-        res = CRClass.__new__(CRClass)
-        res.n = self.n
-        res.terms = {} if c.is_zero() else {mp: v * c for mp, v in self.terms.items()}
-        return res
-
     def coefficient(self, mp: MultiPartition) -> RatFunc2:
         return self.terms.get(mp, RatFunc2.zero())
 

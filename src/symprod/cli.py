@@ -61,8 +61,6 @@ def _cmd_one_part_hurwitz(args) -> int:
     sigma = parse_partition(args.sigma)
     if sum(sigma) != args.k:
         raise ValueError(f"sigma is a partition of {sum(sigma)}, not {args.k}")
-    if args.b < 0:
-        raise ValueError(f"--b must be at least 0, got {args.b}")
     print(one_part_double_hurwitz(sigma, args.b))
     return 0
 

@@ -238,7 +238,7 @@ def one_part_double_hurwitz(sigma, b: int) -> Fraction:
     if k == 0:
         raise ValueError("sigma must be a nonempty partition")
     if b < 0:
-        return Fraction(0)
+        raise ValueError(f"b must be at least 0, got {b}")
     return _one_part_closed_form(sigma, b)
 
 

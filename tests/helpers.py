@@ -160,11 +160,12 @@ def dual_basis(basis, w) -> list:
     expansions = [expand(wp, w) for wp in basis]
     duals = []
     for j in range(len(basis)):
-        acc = CRClass(n)
+        terms: dict = {}
         for c in range(len(basis)):
             if not inv[c][j].is_zero():
-                acc = acc + expansions[c].scale(inv[c][j])
-        duals.append(acc)
+                for mp, v in expansions[c].terms.items():
+                    terms[mp] = terms.get(mp, RatFunc2.zero()) + v * inv[c][j]
+        duals.append(CRClass(n, terms))
     return duals
 
 

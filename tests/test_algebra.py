@@ -218,6 +218,32 @@ def test_ratfunc_add_equal_den_matches_general(pair):
     _same_canonical(b + a, _general_add(b, a))
 
 
+def test_constant_factor_makes_no_gcd(monkeypatch):
+    import symprod.algebra.ratfunc as ratfunc
+
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly2_gcd(a, b)
+
+    monkeypatch.setattr(ratfunc, "poly2_gcd", counting_gcd)
+    f = RatFunc2(T1P * T1P + T2P, T1P - T2P)
+    series = TruncSeries(2, (1,), {(0, (0,)): f, (1, (1,)): f * f})
+    calls.clear()
+    products = [
+        f * 3,
+        f * RatFunc2.const(Fraction(2, 3)),
+        RatFunc2.const(-5) * f,
+        series.scale(RatFunc2.const(Fraction(-1, 2))),
+        series.scale(7),
+    ]
+    assert calls == []
+    assert products[0] == RatFunc2(T1P * T1P * 3 + T2P * 3, T1P - T2P)
+    # the counter sees the general route
+    assert f * f == RatFunc2(f.num * f.num, f.den * f.den) and calls
+
+
 def test_ratfunc_equal_den_sum_cancels():
     d = T1P - T2P
     total = RatFunc2(T1P, d) + RatFunc2(-T2P, d)

@@ -72,6 +72,12 @@ def test_hurwitz_subcommands_reject_stray_flags(capsys, argv):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+def test_one_part_hurwitz_negative_b_error_line(capsys):
+    code, out, err = run(capsys, "one-part-hurwitz", "--sigma", "1+1", "--k", "2", "--b", "-1")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: b must be at least 0, got -1"]
+
+
 def test_hurwitz_parity_zero(capsys):
     code, out, _ = run(capsys, "hurwitz", "--n", "2", "--profiles", "2;2;2")
     assert code == 0 and out.strip() == "0"

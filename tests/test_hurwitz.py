@@ -39,6 +39,13 @@ def test_gjv_examples():
     assert one_part_double_hurwitz([2], 1) == 0
 
 
+@pytest.mark.parametrize("sigma, b", [([1, 1], -1), ([2], -3)])
+def test_gjv_negative_b_rejected(sigma, b):
+    # no value, not a silent zero, for a count with a negative b
+    with pytest.raises(ValueError, match="b must be at least 0"):
+        one_part_double_hurwitz(sigma, b)
+
+
 def test_gjv_matches_oracle_small():
     # the normalization gate: closed form against enumeration, k <= 4, b <= 4
     for k in range(1, 5):
