@@ -138,27 +138,27 @@ def test_ratfunc_text_roundtrip():
 
 _DIFF_SETTINGS = settings(max_examples=150, derandomize=True, database=None, deadline=None)
 
+
+def _product(factors) -> Poly2:
+    out = Poly2.one()
+    for f in factors:
+        out = out * f
+    return out
+
+
 _fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 _polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), _fractions, max_size=3
 ).map(Poly2)
 # canonical linear factors and their products: denominators that can cancel
 _LINEAR = [T1P, T2P, T1P - T2P, T1P + T2P, T1P + T2P.scale(Fraction(2))]
-_dens = st.lists(st.sampled_from(_LINEAR), max_size=2).map(
-    lambda fs: _product(fs, Poly2.one())
-)
+_dens = st.lists(st.sampled_from(_LINEAR), max_size=2).map(_product)
 _ratfuncs = st.builds(RatFunc2, _polys, _dens)
 _constants = st.one_of(
     st.integers(-6, 6),
     _fractions,
     _fractions.map(RatFunc2.const),
 )
-
-
-def _product(factors, start):
-    for f in factors:
-        start = start * f
-    return start
 
 
 def _general_mul(a, b) -> RatFunc2:
@@ -181,8 +181,8 @@ def _same_canonical(got, want):
 def _equal_den_pairs(draw):
     """Addends over one denominator whose sum may cancel against it or vanish."""
     factors = draw(st.lists(st.sampled_from(_LINEAR), min_size=1, max_size=2))
-    den = _product(factors, Poly2.one())
-    p = draw(_polys.filter(lambda p: not p.is_zero()))
+    den = _product(factors)
+    p = draw(_polys.filter(lambda poly: not poly.is_zero()))
     kind = draw(st.sampled_from(["free", "cancel", "zero"]))
     if kind == "zero":
         q = -p
