@@ -200,6 +200,7 @@ def test_ratfunc_mul_matches_general(a, b):
     want = _general_mul(a, b)
     _same_canonical(a * b, want)
     _same_canonical(b * a, want)
+    _same_canonical(-a, RatFunc2(-a.num, a.den))
 
 
 @_DIFF_SETTINGS
@@ -250,6 +251,42 @@ def test_ratfunc_equal_den_sum_cancels():
     assert (total.num, total.den) == (Poly2.one(), Poly2.one())
     assert (RatFunc2(T1P, d) + RatFunc2(-T1P, d)).is_zero()
     assert (RatFunc2(T1P, d) * 0).den == Poly2.one()
+
+
+# poly2_divexact over every divisor shape the canonical form meets
+
+_nonzero_fractions = _fractions.filter(bool)
+_divisors = st.one_of(
+    _nonzero_fractions.map(lambda c: Poly2.monomial(0, 0, c)),
+    st.builds(Poly2.monomial, st.integers(0, 3), st.integers(0, 3), _nonzero_fractions),
+    st.lists(st.sampled_from(_LINEAR), min_size=1, max_size=3).map(_product),
+    _polys.filter(lambda p: not p.is_zero()),
+)
+
+
+@_DIFF_SETTINGS
+@given(_polys, _divisors)
+def test_divexact_inverts_multiplication(a, b):
+    assert poly2_divexact(a * b, b) == a
+    assert poly2_divexact(Poly2.zero(), b) == Poly2.zero()
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (T1P, T2P),
+        (T1P + Poly2.one(), T1P - Poly2.one()),
+        (T1P * T1P + T2P, T1P),
+    ],
+)
+def test_divexact_rejects_remainder(a, b):
+    with pytest.raises(ValueError):
+        poly2_divexact(a, b)
+
+
+def test_divexact_zero_divisor():
+    with pytest.raises(ZeroDivisionError):
+        poly2_divexact(T1P, Poly2.zero())
 
 
 # ---------------------------------------------------------------------------
