@@ -67,18 +67,6 @@ class GaussRational:
     def __rtruediv__(self, other) -> GaussRational:
         return GaussRational.lift(other) * self.inverse()
 
-    def __pow__(self, k: int) -> GaussRational:
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = GaussRational(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = GaussRational(other)

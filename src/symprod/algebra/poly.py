@@ -2,8 +2,10 @@
 
 Poly2 is the coefficient workhorse for everything equivariant: exact
 polynomials in the torus weights t1, t2 with Fraction coefficients.
-Gcds are computed by content/primitive-part recursion so that rational
-functions built on top of Poly2 admit a canonical form.
+Gcds are computed by content/primitive-part recursion in (Q[t2])[t1], so
+that rational functions built on top of Poly2 admit a canonical form.
+Exact division works on the term dict directly: each step cancels the
+remainder's lex-leading term with a monomial multiple of the divisor.
 """
 
 from __future__ import annotations
@@ -85,10 +87,6 @@ def _u_gcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     return a
 
 
-def _u_is_unit(p: list[Fraction]) -> bool:
-    return len(p) == 1
-
-
 # ---------------------------------------------------------------------------
 # Poly2
 # ---------------------------------------------------------------------------
@@ -120,10 +118,6 @@ class Poly2:
     @classmethod
     def one(cls) -> Poly2:
         return _P2_ONE
-
-    @classmethod
-    def const(cls, c) -> Poly2:
-        return cls({(0, 0): Fraction(c)})
 
     @classmethod
     def t1(cls) -> Poly2:
@@ -166,11 +160,6 @@ class Poly2:
 
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_monomial()]
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(e1 + e2 for e1, e2 in self.terms)
 
     # -- ring operations -----------------------------------------------------
 
@@ -223,18 +212,6 @@ class Poly2:
         p._hash = None
         return p
 
-    def __pow__(self, k: int) -> Poly2:
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        out = _P2_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly2) and self.terms == other.terms
 
@@ -274,14 +251,22 @@ class Poly2:
             den = den * c.denominator // _int_gcd(den, c.denominator)
         return Fraction(num, den)
 
+    def signed_content(self) -> Fraction:
+        """Content with the lex-leading coefficient's sign (0 for zero).
+
+        self divided by it is integer-primitive with a positive lex-leading
+        coefficient: the canonical form of a denominator.
+        """
+        if not self.terms:
+            return _ZERO
+        c = self.content()
+        return -c if self.leading_coefficient() < 0 else c
+
     def primitive(self) -> Poly2:
         """Integer-primitive multiple with positive lex-leading coefficient."""
         if not self.terms:
             return _P2_ZERO
-        c = self.content()
-        if self.leading_coefficient() < 0:
-            c = -c
-        return self.scale(1 / c)
+        return self.scale(1 / self.signed_content())
 
     # -- string form -------------------------------------------------------------
 
@@ -299,7 +284,7 @@ _P2_T2 = Poly2({(0, 1): _ONE})
 
 
 # ---------------------------------------------------------------------------
-# gcd and exact division (content/primitive-part recursion)
+# gcd (content/primitive-part recursion) and exact division
 # ---------------------------------------------------------------------------
 
 def _to_recursive(p: Poly2) -> dict[int, list[Fraction]]:
@@ -330,13 +315,13 @@ def _rec_content(rec: dict[int, list[Fraction]]) -> list[Fraction]:
     g: list[Fraction] = []
     for coeff in rec.values():
         g = _u_gcd(g, coeff)
-        if _u_is_unit(g):
+        if len(g) == 1:
             return [_ONE]
     return g
 
 
 def _rec_div_content(rec: dict[int, list[Fraction]], cont: list[Fraction]) -> dict[int, list[Fraction]]:
-    if _u_is_unit(cont):
+    if len(cont) == 1:
         c = cont[0]
         return {d: _u_scale(p, 1 / c) for d, p in rec.items()}
     out = {}
@@ -397,40 +382,37 @@ def poly2_gcd(a: Poly2, b: Poly2) -> Poly2:
 
 
 def poly2_divexact(a: Poly2, b: Poly2) -> Poly2:
-    """Exact quotient a/b; raises if the division leaves a remainder."""
+    """Exact quotient a/b; raises if the division leaves a remainder.
+
+    Each step cancels the remainder's lex-leading term with a monomial
+    multiple of b. The leading term of a nonzero multiple of b is divisible
+    by b's leading term, so a remainder whose leading term is not proves
+    that b does not divide a.
+    """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    if a.is_zero():
-        return _P2_ZERO
-    if b.is_const():
-        return a.scale(1 / b.const_value())
-    if len(b.terms) == 1:
-        (b1, b2), bc = next(iter(b.terms.items()))
-        terms = {}
-        for (e1, e2), c in a.terms.items():
-            if e1 < b1 or e2 < b2:
-                raise ValueError("division not exact")
-            terms[(e1 - b1, e2 - b2)] = c / bc
-        return Poly2(terms)
-
-    ra, rb = _to_recursive(a), _to_recursive(b)
-    db = _rec_degree(rb)
-    lb = rb[db]
-    quo: dict[int, list[Fraction]] = {}
-    while ra:
-        da = _rec_degree(ra)
-        if da < db:
+    (b1, b2), bc = max(b.terms.items())
+    rest = [(mono, c) for mono, c in b.terms.items() if mono != (b1, b2)]
+    rem = dict(a.terms)
+    quo: dict[Monomial, Fraction] = {}
+    while rem:
+        lead = max(rem)
+        e1, e2 = lead[0] - b1, lead[1] - b2
+        if e1 < 0 or e2 < 0:
             raise ValueError("division not exact")
-        q, r = _u_divmod(ra[da], lb)
-        if r:
-            raise ValueError("division not exact")
-        quo[da - db] = q
-        new: dict[int, list[Fraction]] = {d: list(p) for d, p in ra.items()}
-        for d, p in rb.items():
-            shifted = d + da - db
-            new[shifted] = _u_add(new.get(shifted, []), _u_scale(_u_mul(p, q), Fraction(-1)))
-        ra = {d: p for d, p in new.items() if p}
-    return _from_recursive(quo)
+        q = rem.pop(lead) / bc
+        quo[(e1, e2)] = q
+        for (d1, d2), c in rest:
+            mono = (d1 + e1, d2 + e2)
+            s = rem.get(mono, _ZERO) - q * c
+            if s:
+                rem[mono] = s
+            else:
+                del rem[mono]
+    p = Poly2.__new__(Poly2)
+    p.terms = quo
+    p._hash = None
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +535,6 @@ class Poly1:
 
     def derivative(self) -> Poly1:
         return Poly1([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def evaluate(self, x: Fraction) -> Fraction:
-        total = _ZERO
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
 
     def gcd(self, other: Poly1) -> Poly1:
         return Poly1(_u_gcd(list(self.coeffs), list(other.coeffs)))

@@ -1,6 +1,8 @@
 """Closed-form expressions over q, s_1..s_r, t1, t2 and their expansion.
 
-A QExpr is a finite expression tree with Gaussian-rational constants.
+A QExpr is a finite expression tree with Gaussian-rational constants:
+closed forms are built from constants, atoms, +, -, * and /, with no
+powers.
 expand_q_closed_form substitutes q = -e^{iu} (with e^{iu} expanded
 eagerly as a truncated exponential), expands the tree in the truncated
 series ring, and insists that the result be real: a leftover imaginary
@@ -72,19 +74,7 @@ class QExpr:
     def __rtruediv__(self, other) -> QExpr:
         return QExpr("div", (QExpr.lift(other), self))
 
-    def __pow__(self, k: int) -> QExpr:
-        return QExpr("pow", (self, int(k)))
-
     # -- inspection ------------------------------------------------------------------
-
-    def atoms(self) -> set[str]:
-        if self.kind == "atom":
-            return {self.args[0]}
-        if self.kind == "const":
-            return set()
-        if self.kind == "pow":
-            return self.args[0].atoms()
-        return self.args[0].atoms() | self.args[1].atoms()
 
     def evaluate(self, values: dict[str, GaussRational]) -> GaussRational:
         """Exact evaluation at Gaussian-rational atom values."""
@@ -95,8 +85,6 @@ class QExpr:
             if name not in values:
                 raise KeyError(f"no value supplied for atom {name!r}")
             return GaussRational.lift(values[name])
-        if self.kind == "pow":
-            return self.args[0].evaluate(values) ** self.args[1]
         a = self.args[0].evaluate(values)
         b = self.args[1].evaluate(values)
         if self.kind == "add":
@@ -114,8 +102,6 @@ class QExpr:
             return f"({self.args[0]})"
         if self.kind == "atom":
             return self.args[0]
-        if self.kind == "pow":
-            return f"({self.args[0]!r})^{self.args[1]}"
         sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[self.kind]
         return f"({self.args[0]!r} {sym} {self.args[1]!r})"
 
@@ -163,22 +149,6 @@ class _CSeries:
         inv_norm = norm.inverse()
         return _CSeries(self.re * inv_norm, -self.im * inv_norm)
 
-    def __pow__(self, k: int) -> _CSeries:
-        if k < 0:
-            return self.inverse() ** (-k)
-        shape = (self.re.u_order, self.re.s_orders)
-        out = _CSeries.real(TruncSeries.one(*shape))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __neg__(self) -> _CSeries:
-        return _CSeries(-self.re, -self.im)
-
 
 def _minus_exp_iu(u_order: int, s_orders) -> _CSeries:
     """-e^{iu} as a truncated complex series (the substitution target of q)."""
@@ -217,8 +187,6 @@ def _expand(e: QExpr, env: dict[str, _CSeries]) -> _CSeries:
         if name not in env:
             raise ValueError(f"unknown atom {name!r} in closed form")
         return env[name]
-    if e.kind == "pow":
-        return _expand(e.args[0], env) ** e.args[1]
     a = _expand(e.args[0], env)
     b = _expand(e.args[1], env)
     if e.kind == "add":

@@ -10,7 +10,8 @@ either side) scales the numerator and keeps the denominator: a nonzero
 rational keeps gcd(num, den) = 1 and leaves the primitive, positive-leading
 denominator as it is, so no gcd is run. Addends over one denominator add
 their numerators over it, then canonicalise: the sum may share a factor
-with that denominator.
+with that denominator. Negation takes the constant route too: the
+negative of a canonical value is canonical.
 """
 
 from __future__ import annotations
@@ -38,9 +39,7 @@ class RatFunc2:
             if not g.is_const():
                 num = poly2_divexact(num, g)
                 den = poly2_divexact(den, g)
-            c = den.content()
-            if den.leading_coefficient() < 0:
-                c = -c
+            c = den.signed_content()
             if c != 1:
                 num = num.scale(1 / c)
                 den = den.scale(1 / c)
@@ -62,10 +61,6 @@ class RatFunc2:
     def const(cls, c) -> RatFunc2:
         return _RF_ONE._scaled(Fraction(c))
 
-    @classmethod
-    def from_poly(cls, p: Poly2) -> RatFunc2:
-        return cls(p)
-
     @staticmethod
     def lift(x) -> RatFunc2:
         if isinstance(x, RatFunc2):
@@ -84,9 +79,6 @@ class RatFunc2:
     def is_const(self) -> bool:
         return self.num.is_const() and self.den.is_const()
 
-    def const_value(self) -> Fraction:
-        return self.num.const_value() / self.den.const_value()
-
     # -- field operations --------------------------------------------------------
 
     def __add__(self, other) -> RatFunc2:
@@ -98,7 +90,7 @@ class RatFunc2:
     __radd__ = __add__
 
     def __neg__(self) -> RatFunc2:
-        return RatFunc2(-self.num, self.den)
+        return self._scaled(-1)
 
     def __sub__(self, other) -> RatFunc2:
         return self + (-RatFunc2.lift(other))

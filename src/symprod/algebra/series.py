@@ -127,18 +127,6 @@ class TruncSeries:
             return TruncSeries(self.u_order, self.s_orders)
         return self._wrap({k: v * c for k, v in self.coeffs.items()})
 
-    def __pow__(self, k: int) -> TruncSeries:
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = TruncSeries.one(self.u_order, self.s_orders)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def inverse(self) -> TruncSeries:
         """Multiplicative inverse; requires an invertible constant term."""
         c0 = self.constant_term()
@@ -190,15 +178,6 @@ class TruncSeries:
             if d:
                 out[(a, ds)] = c * d
         return self._wrap(out)
-
-    # -- reshaping ----------------------------------------------------------------------
-
-    def truncate(self, u_order: int, s_orders) -> TruncSeries:
-        """Restriction to smaller (or equal) truncation orders."""
-        s_orders = tuple(s_orders)
-        if u_order > self.u_order or any(d > dmax for d, dmax in zip(s_orders, self.s_orders)):
-            raise ShapeError("cannot truncate to larger orders")
-        return TruncSeries(u_order, s_orders, self.coeffs)
 
     def _wrap(self, coeffs: dict[Key, RatFunc2]) -> TruncSeries:
         out = TruncSeries.__new__(TruncSeries)

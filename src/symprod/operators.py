@@ -363,10 +363,6 @@ class EigenReport:
     squarefree: bool
     values: dict
 
-    @property
-    def distinct_eigenvalues(self) -> bool:
-        return self.squarefree
-
     def summary(self) -> str:
         verdict = (
             "squarefree: distinct eigenvalues certified"

@@ -236,6 +236,7 @@ def test_constant_factor_makes_no_gcd(monkeypatch):
         f * 3,
         f * RatFunc2.const(Fraction(2, 3)),
         RatFunc2.const(-5) * f,
+        -f,
         series.scale(RatFunc2.const(Fraction(-1, 2))),
         series.scale(7),
     ]
