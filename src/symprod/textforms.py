@@ -43,7 +43,7 @@ def label_to_text(label: Label) -> str:
     raise ValueError(f"label {label!r} has no text form")
 
 
-_LABEL_RE = re.compile(r"^(1|[Ewx]\d+)$")
+_LABEL_RE = re.compile(r"^(1|[Ewx]0*[1-9]\d*)$")  # indices start at 1
 
 
 def parse_label(text: str) -> Label:

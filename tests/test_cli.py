@@ -204,6 +204,19 @@ def test_table_bad_exponent_is_usage_error(tmp_path, capsys, series):
     assert len(err.splitlines()) == 1 and "exponent" in err and "Traceback" not in err
 
 
+def test_table_index_zero_label_is_usage_error(tmp_path, capsys):
+    entry = {"left": "2(E0)", "divisor": "D1", "right": "1(1)+1(E1)", "series": [[0, "1"]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"entries": [entry]}))
+    code, out, err = run(
+        capsys, "op-matrix", "--n", "2", "--r", "1", "--u-order", "0", "--s-orders", "1",
+        "--table", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "E0" in err and "Traceback" not in err
+
+
 def test_make_table_output_loads_unchanged(tmp_path, capsys):
     code, _, _ = run(capsys, "make-table", "--case", "a1n2", "--out", str(tmp_path / "t.json"))
     assert code == 0

@@ -314,6 +314,9 @@ def test_table_keys_canonical():
     "left, divisor, right",
     [
         ("2(Q1)", "D1", "2(E1)"),  # unparsable key
+        ("2(E0)", "D1", "2(E1)"),  # index 0 is out of range for every r
+        ("1(x0)+1(1)", "D1", "2(E1)"),
+        ("2(E1)", "D1", "2(w0)"),
         ("2(E1)", "D1", "2+E1"),
         ("2(E1)", "D0", "2(E1)"),  # unknown divisors
         ("2(E1)", "(2)", "2(E1)"),

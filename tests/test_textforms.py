@@ -30,6 +30,10 @@ def test_label_text():
         parse_label("E")
     with pytest.raises(ValueError):
         parse_label("y2")
+    for text in ("E0", "w0", "x00"):
+        with pytest.raises(ValueError):
+            parse_label(text)
+    assert parse_label("E01") == ecurve(1)
 
 
 def test_weighted_partition_text():
