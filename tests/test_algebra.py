@@ -273,21 +273,17 @@ def test_divexact_inverts_multiplication(a, b):
 
 
 @pytest.mark.parametrize(
-    "a, b",
+    "a, b, error",
     [
-        (T1P, T2P),
-        (T1P + Poly2.one(), T1P - Poly2.one()),
-        (T1P * T1P + T2P, T1P),
+        (T1P, T2P, ValueError),
+        (T1P + Poly2.one(), T1P - Poly2.one(), ValueError),
+        (T1P * T1P + T2P, T1P, ValueError),
+        (T1P, Poly2.zero(), ZeroDivisionError),
     ],
 )
-def test_divexact_rejects_remainder(a, b):
-    with pytest.raises(ValueError):
+def test_divexact_rejects_remainder(a, b, error):
+    with pytest.raises(error):
         poly2_divexact(a, b)
-
-
-def test_divexact_zero_divisor():
-    with pytest.raises(ZeroDivisionError):
-        poly2_divexact(T1P, Poly2.zero())
 
 
 # ---------------------------------------------------------------------------
