@@ -12,7 +12,6 @@ from .algebra import (
     GaussRational,
     Poly1,
     Poly2,
-    QExpr,
     RatFunc2,
     TruncSeries,
     char_poly_squarefree,
@@ -39,7 +38,6 @@ from .invariants import (
 from .memo import clear_caches
 from .operators import (
     OperatorMatrix,
-    a1n2_basis,
     closed_form_matrix_a1n2,
     default_divisor_basis,
     divisor_operator,

@@ -5,7 +5,7 @@ characteristic polynomials."""
 from .charpoly import char_poly, char_poly_gaussian, char_poly_squarefree, is_squarefree
 from .gaussian import GaussRational, I
 from .poly import Poly1, Poly2, poly2_divexact, poly2_from_text, poly2_gcd, poly2_to_text
-from .qexpr import Q, QExpr, T1, T2, expand_q_closed_form, s_atom
+from .qexpr import expand_q_closed_form
 from .ratfunc import RatFunc2, ratfunc_from_text, ratfunc_to_text
 from .series import TruncSeries
 
@@ -14,11 +14,7 @@ __all__ = [
     "I",
     "Poly1",
     "Poly2",
-    "Q",
-    "QExpr",
     "RatFunc2",
-    "T1",
-    "T2",
     "TruncSeries",
     "char_poly",
     "char_poly_gaussian",
@@ -31,5 +27,4 @@ __all__ = [
     "poly2_to_text",
     "ratfunc_from_text",
     "ratfunc_to_text",
-    "s_atom",
 ]

@@ -5,6 +5,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+def _coerced(op):
+    """A binary GaussRational operator whose other operand may be an int or
+    a Fraction; any other operand is left to its own reflected operator."""
+
+    def method(self: GaussRational, other):
+        if isinstance(other, (int, Fraction)):
+            other = GaussRational(other)
+        elif not isinstance(other, GaussRational):
+            return NotImplemented
+        return op(self, other)
+
+    return method
+
+
 class GaussRational:
     __slots__ = ("re", "im")
 
@@ -24,15 +38,12 @@ class GaussRational:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def conjugate(self) -> GaussRational:
-        return GaussRational(self.re, -self.im)
-
     def norm(self) -> Fraction:
         """|z|^2 as a rational number."""
         return self.re * self.re + self.im * self.im
 
-    def __add__(self, other) -> GaussRational:
-        other = GaussRational.lift(other)
+    @_coerced
+    def __add__(self, other: GaussRational) -> GaussRational:
         return GaussRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -40,14 +51,16 @@ class GaussRational:
     def __neg__(self) -> GaussRational:
         return GaussRational(-self.re, -self.im)
 
-    def __sub__(self, other) -> GaussRational:
-        return self + (-GaussRational.lift(other))
+    @_coerced
+    def __sub__(self, other: GaussRational) -> GaussRational:
+        return self + (-other)
 
-    def __rsub__(self, other) -> GaussRational:
-        return GaussRational.lift(other) + (-self)
+    @_coerced
+    def __rsub__(self, other: GaussRational) -> GaussRational:
+        return other + (-self)
 
-    def __mul__(self, other) -> GaussRational:
-        other = GaussRational.lift(other)
+    @_coerced
+    def __mul__(self, other: GaussRational) -> GaussRational:
         return GaussRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -61,11 +74,13 @@ class GaussRational:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
         return GaussRational(self.re / n, -self.im / n)
 
-    def __truediv__(self, other) -> GaussRational:
-        return self * GaussRational.lift(other).inverse()
+    @_coerced
+    def __truediv__(self, other: GaussRational) -> GaussRational:
+        return self * other.inverse()
 
-    def __rtruediv__(self, other) -> GaussRational:
-        return GaussRational.lift(other) * self.inverse()
+    @_coerced
+    def __rtruediv__(self, other: GaussRational) -> GaussRational:
+        return other * self.inverse()
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

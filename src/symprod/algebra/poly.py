@@ -220,24 +220,6 @@ class Poly2:
             self._hash = hash(tuple(sorted(self.terms.items())))
         return self._hash
 
-    # -- evaluation and substitution ------------------------------------------
-
-    def evaluate(self, v1: Fraction, v2: Fraction) -> Fraction:
-        total = _ZERO
-        for (e1, e2), c in self.terms.items():
-            total += c * v1**e1 * v2**e2
-        return total
-
-    def subs_t2_minus_t1(self) -> list[Fraction]:
-        """Substitute t2 = -t1; returns a dense univariate poly in t1."""
-        out: list[Fraction] = []
-        for (e1, e2), c in self.terms.items():
-            d = e1 + e2
-            if len(out) <= d:
-                out.extend([_ZERO] * (d + 1 - len(out)))
-            out[d] += c * (-1) ** e2
-        return _u_trim(out)
-
     # -- normalization helpers -------------------------------------------------
 
     def content(self) -> Fraction:

@@ -1,12 +1,14 @@
-"""Closed-form expressions over q, s_1..s_r, t1, t2 and their expansion.
+"""Closed forms over q, s_1..s_r, t1, t2 and their expansion.
 
-A QExpr is a finite expression tree with Gaussian-rational constants:
-closed forms are built from constants, atoms, +, -, * and /, with no
-powers.
-expand_q_closed_form substitutes q = -e^{iu} (with e^{iu} expanded
-eagerly as a truncated exponential), expands the tree in the truncated
-series ring, and insists that the result be real: a leftover imaginary
-part signals a mis-transcribed closed form.
+A closed form is a plain Python function of its atoms, called with the
+keywords q, t1, t2 and s1..sr. It builds its value from the atoms and
+constants (int, Fraction, GaussRational) with +, -, * and /, and
+returns one value or nested lists of values, such as a matrix. Called
+on GaussRational atoms it evaluates at an exact point. On the atoms of
+expand_q_closed_form it expands under q = -e^{iu} (e^{iu} expanded
+eagerly as a truncated exponential) in the truncated series ring, and
+the result must be real: a leftover imaginary part signals a
+mis-transcribed closed form.
 """
 
 from __future__ import annotations
@@ -20,104 +22,31 @@ from .ratfunc import RatFunc2
 from .series import TruncSeries
 
 
-class QExpr:
-    """Immutable expression tree; build with the module constructors."""
-
-    __slots__ = ("kind", "args")
-
-    def __init__(self, kind: str, args: tuple):
-        self.kind = kind
-        self.args = args
-
-    # -- constructors -----------------------------------------------------------
-
-    @staticmethod
-    def const(value) -> QExpr:
-        return QExpr("const", (GaussRational.lift(value),))
-
-    @staticmethod
-    def atom(name: str) -> QExpr:
-        return QExpr("atom", (name,))
-
-    @staticmethod
-    def lift(x) -> QExpr:
-        if isinstance(x, QExpr):
-            return x
-        return QExpr.const(x)
-
-    # -- operators ----------------------------------------------------------------
-
-    def __add__(self, other) -> QExpr:
-        return QExpr("add", (self, QExpr.lift(other)))
-
-    def __radd__(self, other) -> QExpr:
-        return QExpr("add", (QExpr.lift(other), self))
-
-    def __sub__(self, other) -> QExpr:
-        return QExpr("sub", (self, QExpr.lift(other)))
-
-    def __rsub__(self, other) -> QExpr:
-        return QExpr("sub", (QExpr.lift(other), self))
-
-    def __neg__(self) -> QExpr:
-        return QExpr("sub", (QExpr.const(0), self))
-
-    def __mul__(self, other) -> QExpr:
-        return QExpr("mul", (self, QExpr.lift(other)))
-
-    def __rmul__(self, other) -> QExpr:
-        return QExpr("mul", (QExpr.lift(other), self))
-
-    def __truediv__(self, other) -> QExpr:
-        return QExpr("div", (self, QExpr.lift(other)))
-
-    def __rtruediv__(self, other) -> QExpr:
-        return QExpr("div", (QExpr.lift(other), self))
-
-    # -- inspection ------------------------------------------------------------------
-
-    def evaluate(self, values: dict[str, GaussRational]) -> GaussRational:
-        """Exact evaluation at Gaussian-rational atom values."""
-        if self.kind == "const":
-            return self.args[0]
-        if self.kind == "atom":
-            name = self.args[0]
-            if name not in values:
-                raise KeyError(f"no value supplied for atom {name!r}")
-            return GaussRational.lift(values[name])
-        a = self.args[0].evaluate(values)
-        b = self.args[1].evaluate(values)
-        if self.kind == "add":
-            return a + b
-        if self.kind == "sub":
-            return a - b
-        if self.kind == "mul":
-            return a * b
-        if self.kind == "div":
-            return a / b
-        raise ValueError(f"unknown expression kind {self.kind!r}")
-
-    def __repr__(self) -> str:
-        if self.kind == "const":
-            return f"({self.args[0]})"
-        if self.kind == "atom":
-            return self.args[0]
-        sym = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[self.kind]
-        return f"({self.args[0]!r} {sym} {self.args[1]!r})"
-
-
-Q = QExpr.atom("q")
-T1 = QExpr.atom("t1")
-T2 = QExpr.atom("t2")
-
-
-def s_atom(k: int) -> QExpr:
-    return QExpr.atom(f"s{k}")
-
-
 # ---------------------------------------------------------------------------
 # complex truncated series: a pair (re, im) of TruncSeries
 # ---------------------------------------------------------------------------
+
+def _const(value, u_order: int, s_orders) -> _CSeries:
+    """An int, Fraction or GaussRational as a constant complex series."""
+    z = GaussRational.lift(value)
+    return _CSeries(
+        TruncSeries.const(z.re, u_order, s_orders),
+        TruncSeries.const(z.im, u_order, s_orders),
+    )
+
+
+def _lifted(op):
+    """A binary _CSeries operator whose other operand may be a constant."""
+
+    def method(self: _CSeries, other):
+        if isinstance(other, (int, Fraction, GaussRational)):
+            other = _const(other, self.re.u_order, self.re.s_orders)
+        elif not isinstance(other, _CSeries):
+            return NotImplemented
+        return op(self, other)
+
+    return method
+
 
 class _CSeries:
     __slots__ = ("re", "im")
@@ -130,17 +59,36 @@ class _CSeries:
     def real(series: TruncSeries) -> _CSeries:
         return _CSeries(series, TruncSeries.zero(series.u_order, series.s_orders))
 
+    @_lifted
     def __add__(self, other: _CSeries) -> _CSeries:
         return _CSeries(self.re + other.re, self.im + other.im)
 
+    __radd__ = __add__
+
+    @_lifted
     def __sub__(self, other: _CSeries) -> _CSeries:
         return _CSeries(self.re - other.re, self.im - other.im)
 
+    @_lifted
+    def __rsub__(self, other: _CSeries) -> _CSeries:
+        return other - self
+
+    @_lifted
     def __mul__(self, other: _CSeries) -> _CSeries:
         return _CSeries(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
+
+    __rmul__ = __mul__
+
+    @_lifted
+    def __truediv__(self, other: _CSeries) -> _CSeries:
+        return self * other.inverse()
+
+    @_lifted
+    def __rtruediv__(self, other: _CSeries) -> _CSeries:
+        return other * self.inverse()
 
     def inverse(self) -> _CSeries:
         norm = self.re * self.re + self.im * self.im
@@ -173,59 +121,44 @@ def _minus_exp_iu(u_order: int, s_orders) -> _CSeries:
     )
 
 
-def _expand(e: QExpr, env: dict[str, _CSeries]) -> _CSeries:
-    if e.kind == "const":
-        z: GaussRational = e.args[0]
-        shape = next(iter(env.values())).re
-        u_order, s_orders = shape.u_order, shape.s_orders
-        return _CSeries(
-            TruncSeries.const(RatFunc2.const(z.re), u_order, s_orders),
-            TruncSeries.const(RatFunc2.const(z.im), u_order, s_orders),
+def _atoms(u_order: int, s_orders: tuple[int, ...]) -> dict[str, _CSeries]:
+    """The atoms q, t1, t2, s1..sr as complex series, with q = -e^{iu}."""
+    atoms = {
+        "q": _minus_exp_iu(u_order, s_orders),
+        "t1": _CSeries.real(TruncSeries.const(Poly2.t1(), u_order, s_orders)),
+        "t2": _CSeries.real(TruncSeries.const(Poly2.t2(), u_order, s_orders)),
+    }
+    for k in range(1, len(s_orders) + 1):
+        ds = tuple(1 if j == k - 1 else 0 for j in range(len(s_orders)))
+        atoms[f"s{k}"] = _CSeries.real(
+            TruncSeries.monomial(0, ds, RatFunc2.one(), u_order, s_orders)
         )
-    if e.kind == "atom":
-        name = e.args[0]
-        if name not in env:
-            raise ValueError(f"unknown atom {name!r} in closed form")
-        return env[name]
-    a = _expand(e.args[0], env)
-    b = _expand(e.args[1], env)
-    if e.kind == "add":
-        return a + b
-    if e.kind == "sub":
-        return a - b
-    if e.kind == "mul":
-        return a * b
-    if e.kind == "div":
-        return a * b.inverse()
-    raise ValueError(f"unknown expression kind {e.kind!r}")
+    return atoms
 
 
-def expand_q_closed_form(e: QExpr, u_order: int, s_orders) -> TruncSeries:
-    """Expand a closed form under q = -e^{iu} into a real truncated series.
+def _real_part(value, u_order: int, s_orders):
+    if isinstance(value, list):
+        return [_real_part(v, u_order, s_orders) for v in value]
+    if not isinstance(value, _CSeries):
+        value = _const(value, u_order, s_orders)
+    if not value.im.is_zero():
+        a, ds, c = next(value.im.monomials())
+        raise RealnessViolationError(
+            f"imaginary part survives at u^{a} s^{ds}: {c}"
+        )
+    return value.re
+
+
+def expand_q_closed_form(form, u_order: int, s_orders):
+    """Expand a closed form under q = -e^{iu} into real truncated series.
+
+    Calls form once with the atoms q, t1, t2, s1..sr (r = len(s_orders))
+    as truncated complex series, and returns a TruncSeries for each value
+    it returns, in the same nesting of lists.
 
     Raises PoleAtOriginError when a denominator is not invertible around
     u = s = 0, and RealnessViolationError when the expansion keeps a
     nonzero imaginary coefficient.
     """
     s_orders = tuple(s_orders)
-    env: dict[str, _CSeries] = {
-        "q": _minus_exp_iu(u_order, s_orders),
-        "t1": _CSeries.real(
-            TruncSeries.const(RatFunc2(Poly2.t1()), u_order, s_orders)
-        ),
-        "t2": _CSeries.real(
-            TruncSeries.const(RatFunc2(Poly2.t2()), u_order, s_orders)
-        ),
-    }
-    for k in range(1, len(s_orders) + 1):
-        ds = tuple(1 if j == k - 1 else 0 for j in range(len(s_orders)))
-        env[f"s{k}"] = _CSeries.real(
-            TruncSeries.monomial(0, ds, RatFunc2.one(), u_order, s_orders)
-        )
-    result = _expand(e, env)
-    if not result.im.is_zero():
-        a, ds, c = next(result.im.monomials())
-        raise RealnessViolationError(
-            f"imaginary part survives at u^{a} s^{ds}: {c}"
-        )
-    return result.re
+    return _real_part(form(**_atoms(u_order, s_orders)), u_order, s_orders)

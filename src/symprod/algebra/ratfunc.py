@@ -151,18 +151,6 @@ class RatFunc2:
             self._hash = hash((self.num, self.den))
         return self._hash
 
-    # -- evaluation ---------------------------------------------------------------
-
-    def evaluate(self, v1: Fraction, v2: Fraction) -> Fraction:
-        d = self.den.evaluate(v1, v2)
-        if d == 0:
-            raise ZeroDivisionError("pole of rational function at evaluation point")
-        return self.num.evaluate(v1, v2) / d
-
-    def subs_t2_minus_t1(self) -> tuple[list[Fraction], list[Fraction]]:
-        """Numerator and denominator after t2 = -t1, as univariate polys."""
-        return self.num.subs_t2_minus_t1(), self.den.subs_t2_minus_t1()
-
     # -- text form -------------------------------------------------------------------
 
     def __str__(self) -> str:

@@ -143,7 +143,7 @@ def _cmd_eigencheck(args) -> int:
             "s1": Fraction(args.s),
             "q": Fraction(args.q),
         }
-        report = eigen_certify(closed_form_matrix_a1n2(), values)
+        report = eigen_certify(closed_form_matrix_a1n2, values)
     except ZeroDivisionError as exc:  # a zero denominator in a value, or a pole
         raise ValueError(f"evaluation pole or zero denominator: {exc}") from None
     print(report.summary())

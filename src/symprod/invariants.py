@@ -41,7 +41,13 @@ from .partitions import (
     wp_size,
 )
 from .surface import TangentWeights, beta_as_chain, check_label, e_chain, e_dot
-from .textforms import parse_wp, useries_from_json, useries_to_json, wp_to_text
+from .textforms import (
+    label_to_text,
+    parse_wp,
+    useries_from_json,
+    useries_to_json,
+    wp_to_text,
+)
 
 _THETA = Poly2.linear(1, 1)  # t1 + t2
 
@@ -54,8 +60,8 @@ def _check_pair(mu_w: WeightedPartition, nu_w: WeightedPartition) -> None:
     for _, label in mu_w + nu_w:
         if label[0] not in ("1", "E", "w"):
             raise UnsupportedWeightError(
-                f"weight {label!r} unsupported: connected invariants take "
-                "weights 1 or divisors only"
+                f"weight {label_to_text(label)} unsupported: connected "
+                "invariants take weights 1 or divisors only"
             )
     if wp_size(mu_w) != wp_size(nu_w):
         raise ValueError("the two insertions must have equal size")

@@ -19,17 +19,13 @@ from fractions import Fraction
 
 from .algebra import (
     GaussRational,
+    I,
     Poly1,
-    QExpr,
-    Q,
     RatFunc2,
-    T1,
-    T2,
     TruncSeries,
     char_poly_gaussian,
     expand_q_closed_form,
     is_squarefree,
-    s_atom,
 )
 from .chenruan import gram_inverse, gram_matrix
 from .errors import RealnessViolationError
@@ -165,60 +161,42 @@ def default_divisor_basis(n: int, r: int) -> list[WeightedPartition]:
     return out
 
 
-def a1n2_basis() -> list[WeightedPartition]:
-    """The ordered degree basis {1(E1)1(E1), 2(E1), 1(1)1(E1), 2(1), 1(1)1(1)}."""
-    e1 = ecurve(1)
-    return [
-        weighted_partition([(1, e1), (1, e1)]),
-        weighted_partition([(2, e1)]),
-        weighted_partition([(1, ONE), (1, e1)]),
-        weighted_partition([(2, ONE)]),
-        weighted_partition([(1, ONE), (1, ONE)]),
-    ]
-
-
-def closed_form_matrix_a1n2() -> list[list[QExpr]]:
+def closed_form_matrix_a1n2(q, s1, t1, t2) -> list[list]:
     """The known 5x5 closed-form matrix of the first divisor operator on
-    [Sym^2(A_1)], in the a1n2_basis ordering, over atoms q, s1, t1, t2."""
-    s = s_atom(1)
-    theta = T1 + T2
-    one = QExpr.const(1)
-    two = QExpr.const(2)
-    i_unit = QExpr.const(GaussRational(0, 1))
-    f_plus = one / (one + s * Q)      # 1/(1+sq)
-    f_minus = one / (one + s / Q)     # 1/(1+s/q)
-    g_inv = one / (one - s)           # 1/(1-s)
-    zero = QExpr.const(0)
+    [Sym^2(A_1)], in the default_divisor_basis(2, 1) ordering
+    {1(E1)1(E1), 2(E1), 1(1)1(E1), 2(1), 1(1)1(1)}.
+
+    A closed form in the sense of algebra.qexpr: pass it to
+    expand_q_closed_form, or call it on exact values of its atoms.
+    """
+    theta = t1 + t2
+    f_plus = 1 / (1 + s1 * q)      # 1/(1+sq)
+    f_minus = 1 / (1 + s1 / q)     # 1/(1+s/q)
+    g_inv = 1 / (1 - s1)           # 1/(1-s)
     return [
         [
-            two * theta * (one - f_plus - f_minus),
-            i_unit * theta * (f_plus - f_minus),
-            QExpr.const(-1),
-            zero,
-            zero,
+            2 * theta * (1 - f_plus - f_minus),
+            I * theta * (f_plus - f_minus),
+            -1,
+            0,
+            0,
         ],
         [
-            QExpr.const(-2) * i_unit * theta * (f_plus - f_minus),
-            theta * (two - f_plus - f_minus - two * g_inv),
-            zero,
-            QExpr.const(-1),
-            zero,
+            -2 * I * theta * (f_plus - f_minus),
+            theta * (2 - f_plus - f_minus - 2 * g_inv),
+            0,
+            -1,
+            0,
         ],
         [
-            two * T1 * T2,
-            zero,
-            QExpr.const(-1) * theta * (one + s) * g_inv,
-            zero,
-            QExpr.const(Fraction(-1, 2)),
+            2 * t1 * t2,
+            0,
+            -1 * theta * (1 + s1) * g_inv,
+            0,
+            Fraction(-1, 2),
         ],
-        [zero, QExpr.const(4) * T1 * T2, zero, zero, zero],
-        [zero, zero, QExpr.const(4) * T1 * T2, zero, zero],
-    ]
-
-
-def _expand_matrix(matrix, u_order: int, s_orders) -> list[list[TruncSeries]]:
-    return [
-        [expand_q_closed_form(e, u_order, s_orders) for e in row] for row in matrix
+        [0, 4 * t1 * t2, 0, 0, 0],
+        [0, 0, 4 * t1 * t2, 0, 0],
     ]
 
 
@@ -229,10 +207,10 @@ def zero_degree_table_a1n2() -> ZeroDegreeTable:
     through the exact Gram matrix gives the beta = 0 three-point values
     T = G * M|_{s=0}, which is all the table has to hold.
     """
-    basis = a1n2_basis()
+    basis = default_divisor_basis(2, 1)
     w = tangent_weights(1)
     gram = gram_matrix(basis, w)
-    m0 = _expand_matrix(closed_form_matrix_a1n2(), 2, (0,))
+    m0 = expand_q_closed_form(closed_form_matrix_a1n2, 2, (0,))
     size = len(basis)
     consts: list[list[RatFunc2]] = [[None] * size for _ in range(size)]
     for i in range(size):
@@ -262,10 +240,6 @@ class VerifyReport:
     entries_total: int
     mismatches: list  # (i, j, a, ds, got, want) with 1-based i, j
     gaps: set
-
-    @property
-    def nonzero_degree_ok(self) -> bool:
-        return not [m for m in self.mismatches if any(m[3])]
 
     @property
     def full_ok(self) -> bool:
@@ -303,9 +277,9 @@ def verify_a1n2(
     Every beta != 0 coefficient is computed independently of the table;
     with the degree-zero table loaded the full matrices must agree.
     """
-    basis = a1n2_basis()
+    basis = default_divisor_basis(2, 1)
     w = tangent_weights(1)
-    expected = _expand_matrix(closed_form_matrix_a1n2(), u_order, (s_order,))
+    expected = expand_q_closed_form(closed_form_matrix_a1n2, u_order, (s_order,))
     if table is None:
         table = zero_degree_table_a1n2()
     built = divisor_operator(
@@ -372,15 +346,17 @@ class EigenReport:
         return f"exact characteristic polynomial {self.char_poly}\n{verdict}"
 
 
-def eigen_certify(matrix: list[list[QExpr]], values: dict) -> EigenReport:
+def eigen_certify(form, values: dict) -> EigenReport:
     """Evaluate a closed-form matrix at exact rational values and certify
     distinct eigenvalues through a squarefree characteristic polynomial.
 
-    values maps atom names (t1, t2, s1..sr, q) to rationals; evaluation at
-    a pole raises ZeroDivisionError.
+    form is a closed form returning a square matrix (see algebra.qexpr);
+    it is called once with values lifted to GaussRational. values must
+    name exactly the atoms of form (t1, t2, s1..sr, q): a missing or extra
+    name raises TypeError, and evaluation at a pole ZeroDivisionError.
     """
-    env = {k: GaussRational.lift(v) for k, v in values.items()}
-    evaluated = [[e.evaluate(env) for e in row] for row in matrix]
+    matrix = form(**{k: GaussRational.lift(v) for k, v in values.items()})
+    evaluated = [[GaussRational.lift(e) for e in row] for row in matrix]
     coeffs = char_poly_gaussian(evaluated)
     for c in coeffs:
         if not c.is_real():

@@ -9,12 +9,12 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial
 
-from symprod.algebra import Poly2, RatFunc2, TruncSeries, ratfunc_from_text
+from symprod.algebra import GaussRational, Poly2, RatFunc2, TruncSeries, ratfunc_from_text
 from symprod.chenruan import CRClass, expand, gram_inverse, pairing
 from symprod.errors import OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
 from symprod.invariants import _check_pair
-from symprod.operators import OperatorMatrix
+from symprod.operators import OperatorMatrix, VerifyReport
 from symprod.partitions import (
     ONE,
     aut_order,
@@ -270,6 +270,48 @@ def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
                 continue
             total = total + pairing(theta1, theta2, w) * RatFunc2(conn)
     return total
+
+
+# ---------------------------------------------------------------------------
+# exact evaluation and the t2 = -t1 substitution, for checks on library values
+# ---------------------------------------------------------------------------
+
+def conjugate(z: GaussRational) -> GaussRational:
+    return GaussRational(z.re, -z.im)
+
+
+def evaluate_poly2(p: Poly2, v1: Fraction, v2: Fraction) -> Fraction:
+    return sum((c * v1**e1 * v2**e2 for (e1, e2), c in p.terms.items()), Fraction(0))
+
+
+def evaluate_ratfunc(f: RatFunc2, v1: Fraction, v2: Fraction) -> Fraction:
+    d = evaluate_poly2(f.den, v1, v2)
+    if d == 0:
+        raise ZeroDivisionError("pole of rational function at evaluation point")
+    return evaluate_poly2(f.num, v1, v2) / d
+
+
+def poly2_subs_t2_minus_t1(p: Poly2) -> list[Fraction]:
+    """Substitute t2 = -t1; returns a dense univariate poly in t1."""
+    out: list[Fraction] = []
+    for (e1, e2), c in p.terms.items():
+        d = e1 + e2
+        if len(out) <= d:
+            out.extend([Fraction(0)] * (d + 1 - len(out)))
+        out[d] += c * (-1) ** e2
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ratfunc_subs_t2_minus_t1(f: RatFunc2) -> tuple[list[Fraction], list[Fraction]]:
+    """Numerator and denominator after t2 = -t1, as univariate polys."""
+    return poly2_subs_t2_minus_t1(f.num), poly2_subs_t2_minus_t1(f.den)
+
+
+def nonzero_degree_ok(report: VerifyReport) -> bool:
+    """No verify mismatch at a nonzero s-degree, the beta != 0 layers."""
+    return not [m for m in report.mismatches if any(m[3])]
 
 
 # ---------------------------------------------------------------------------

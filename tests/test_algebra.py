@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import (
+    conjugate,
+    evaluate_ratfunc,
     random_fraction,
     random_nonzero_poly2,
     random_poly2,
@@ -16,13 +18,10 @@ from helpers import (
 )
 from symprod.algebra import (
     GaussRational,
+    I,
     Poly1,
     Poly2,
-    QExpr,
-    Q,
     RatFunc2,
-    T1,
-    T2,
     TruncSeries,
     char_poly_squarefree,
     expand_q_closed_form,
@@ -32,7 +31,6 @@ from symprod.algebra import (
     poly2_to_text,
     ratfunc_from_text,
     ratfunc_to_text,
-    s_atom,
 )
 from symprod.errors import (
     EmptyOrderError,
@@ -390,16 +388,21 @@ def test_series_ring_axioms():
 # ---------------------------------------------------------------------------
 
 def test_expand_single_factor_is_not_real():
-    s = s_atom(1)
     with pytest.raises(RealnessViolationError):
-        expand_q_closed_form(1 / (1 + s * Q), 2, (2,))
+        expand_q_closed_form(lambda q, s1, **_: 1 / (1 + s1 * q), 2, (2,))
 
 
-def test_expand_paired_entry_sine_slope():
-    s = s_atom(1)
-    theta = T1 + T2
-    i_unit = QExpr.const(GaussRational(0, 1))
-    entry = i_unit * theta * (1 / (1 + s * Q) - 1 / (1 + s / Q))
+def _paired_entry_theta_i(q, s1, t1, t2):
+    return (t1 + t2) * I * (1 / (1 + s1 * q) - 1 / (1 + s1 / q))
+
+
+def _paired_entry_i_theta(q, s1, t1, t2):
+    # a GaussRational on the left defers to the series' reflected operator
+    return I * (t1 + t2) * (1 / (1 + s1 * q) - 1 / (1 + s1 / q))
+
+
+@pytest.mark.parametrize("entry", [_paired_entry_theta_i, _paired_entry_i_theta])
+def test_expand_paired_entry_sine_slope(entry):
     series = expand_q_closed_form(entry, 3, (3,))
     minus_two_theta = RatFunc2(Poly2.linear(-2, -2))
     assert series.coefficient(1, (1,)) == minus_two_theta
@@ -412,8 +415,7 @@ def test_expand_paired_entry_sine_slope():
 
 
 def test_expand_u_independent_geometric():
-    s = s_atom(1)
-    series = expand_q_closed_form(QExpr.const(2) / (1 - s), 2, (4,))
+    series = expand_q_closed_form(lambda s1, **_: 2 / (1 - s1), 2, (4,))
     for d in range(5):
         assert series.coefficient(0, (d,)) == RatFunc2.const(2)
         assert series.coefficient(1, (d,)).is_zero()
@@ -421,81 +423,97 @@ def test_expand_u_independent_geometric():
 
 
 def test_expand_cosine_layer():
-    s = s_atom(1)
-    entry = 1 / (1 + s * Q) + 1 / (1 + s / Q)
+    def entry(q, s1, **_):
+        return 1 / (1 + s1 * q) + 1 / (1 + s1 / q)
+
     series = expand_q_closed_form(entry, 2, (4,))
     for d in range(1, 5):
         assert series.coefficient(2, (d,)) == RatFunc2.const(-d * d)
 
 
 def test_expand_pole_at_origin():
-    s = s_atom(1)
     with pytest.raises(PoleAtOriginError):
-        expand_q_closed_form(1 / s, 1, (2,))
+        expand_q_closed_form(lambda s1, **_: 1 / s1, 1, (2,))
     with pytest.raises(PoleAtOriginError):
-        expand_q_closed_form(1 / (1 + Q), 1, (2,))
+        expand_q_closed_form(lambda q, **_: 1 / (1 + q), 1, (2,))
+
+
+def test_expand_keeps_nesting_and_lifts_constants():
+    def form(q, s1, t1, t2):
+        return [[0, Fraction(-1, 2)], [t1 * t2, 2 - s1]]
+
+    got = expand_q_closed_form(form, 1, (1,))
+    one = TruncSeries.one(1, (1,))
+    s = TruncSeries.monomial(0, (1,), 1, 1, (1,))
+    assert got == [
+        [TruncSeries.zero(1, (1,)), one.scale(Fraction(-1, 2))],
+        [TruncSeries.const(T1P * T2P, 1, (1,)), one.scale(2) - s],
+    ]
+    with pytest.raises(RealnessViolationError):
+        expand_q_closed_form(lambda **_: [[1, I]], 1, (1,))
 
 
 def test_expand_without_q_matches_pointwise_evaluation():
     # division-free closed forms without q are polynomials: the expansion,
     # summed at rational points, must equal direct evaluation
     rng = random.Random(31)
-    s1, s2 = s_atom(1), s_atom(2)
-    atoms = [s1, s2, T1, T2]
     for _ in range(20):
-        expr = QExpr.const(random_fraction(rng))
-        for _ in range(rng.randint(1, 4)):
-            pick = rng.choice(atoms)
-            op = rng.choice(["add", "mul", "sub"])
-            if op == "add":
-                expr = expr + pick
-            elif op == "sub":
-                expr = expr - pick
-            else:
-                expr = expr * pick
-        series = expand_q_closed_form(expr, 0, (4, 4))
+        start = random_fraction(rng)
+        steps = [
+            (rng.choice(["add", "mul", "sub"]), rng.choice(["s1", "s2", "t1", "t2"]))
+            for _ in range(rng.randint(1, 4))
+        ]
+
+        def form(steps=steps, start=start, **atoms):
+            value = start
+            for op, name in steps:
+                if op == "add":
+                    value = value + atoms[name]
+                elif op == "sub":
+                    value = value - atoms[name]
+                else:
+                    value = value * atoms[name]
+            return value
+
+        series = expand_q_closed_form(form, 0, (4, 4))
         t1v, t2v = Fraction(3), Fraction(5)
         s1v, s2v = Fraction(1, 2), Fraction(1, 3)
-        direct = expr.evaluate({
-            "t1": GaussRational(t1v), "t2": GaussRational(t2v),
-            "s1": GaussRational(s1v), "s2": GaussRational(s2v),
-        })
+        direct = GaussRational.lift(form(
+            t1=GaussRational(t1v), t2=GaussRational(t2v),
+            s1=GaussRational(s1v), s2=GaussRational(s2v),
+        ))
         summed = Fraction(0)
         for a, ds, c in series.monomials():
             assert a == 0  # no q, no u-dependence
-            summed += c.evaluate(t1v, t2v) * s1v ** ds[0] * s2v ** ds[1]
+            summed += evaluate_ratfunc(c, t1v, t2v) * s1v ** ds[0] * s2v ** ds[1]
         assert direct == GaussRational(summed)
 
 
 def test_expand_division_remultiplies():
     rng = random.Random(37)
-    s1 = s_atom(1)
     for _ in range(10):
-        num = QExpr.const(random_fraction(rng)) + s1 * QExpr.const(random_fraction(rng))
-        den = QExpr.const(1) + s1 * Q * QExpr.const(rng.randint(1, 3))
+        a, b, k = random_fraction(rng), random_fraction(rng), rng.randint(1, 3)
+
+        def num(s1, **_):
+            return a + s1 * b
+
+        def den(q, s1, **_):
+            return 1 + s1 * q * k
+
+        def ratio(**atoms):
+            return num(**atoms) / den(**atoms)
+
         orders = (3, (3,))
-        product = _expand_complex_ok(num / den, *orders) * _expand_complex_ok(den, *orders)
+        product = _expand_complex_ok(ratio, *orders) * _expand_complex_ok(den, *orders)
         want = _expand_complex_ok(num, *orders)
         assert product.re == want.re and product.im == want.im
 
 
-def _expand_complex_ok(expr, u_order, s_orders):
-    """Expansion that tolerates imaginary parts by pairing with conjugates."""
-    from symprod.algebra.qexpr import _expand, _CSeries, _minus_exp_iu
-    from symprod.algebra import TruncSeries as TS
+def _expand_complex_ok(form, u_order, s_orders):
+    """Expansion that keeps imaginary parts: the form on the complex atoms."""
+    from symprod.algebra.qexpr import _atoms
 
-    env = {
-        "q": _minus_exp_iu(u_order, s_orders),
-        "t1": _CSeries.real(TS.const(RatFunc2(Poly2.t1()), u_order, s_orders)),
-        "t2": _CSeries.real(TS.const(RatFunc2(Poly2.t2()), u_order, s_orders)),
-    }
-    for k in range(1, len(s_orders) + 1):
-        ds = tuple(1 if j == k - 1 else 0 for j in range(len(s_orders)))
-        env[f"s{k}"] = _CSeries.real(
-            TS.monomial(0, ds, RatFunc2.one(), u_order, s_orders)
-        )
-    out = _expand(expr, env)
-    return out
+    return form(**_atoms(u_order, tuple(s_orders)))
 
 
 # ---------------------------------------------------------------------------
@@ -556,8 +574,8 @@ def test_gaussian_arithmetic():
     i = GaussRational(0, 1)
     assert i * i == GaussRational(-1)
     z = GaussRational(Fraction(1, 2), Fraction(-3, 4))
-    assert z.conjugate().conjugate() == z
-    assert (z * z.conjugate()).is_real()
+    assert conjugate(conjugate(z)) == z
+    assert (z * conjugate(z)).is_real()
     assert z / z == GaussRational(1)
 
 

@@ -15,6 +15,7 @@ from helpers import (
     mp_diff,
     pairing_fixed,
     random_weighted_partition,
+    ratfunc_subs_t2_minus_t1,
     t_weight,
 )
 from symprod.algebra import RatFunc2
@@ -69,7 +70,7 @@ def test_t_weight_tau_power_mod_theta():
         w = tangent_weights(r)
         mp = multipartition([(2, 1)] + [(1,)] * r)
         tw = t_weight(mp, w)
-        num, den = tw.subs_t2_minus_t1()
+        num, den = ratfunc_subs_t2_minus_t1(tw)
         length = 2 + r
         tau_power = [Fraction(0)] * (2 * length) + [Fraction((-((r + 1) ** 2)) ** length)]
         assert den == [Fraction(1)]

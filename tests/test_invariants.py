@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from helpers import (
     bitmask_disconnected,
     divisor_labels,
+    poly2_subs_t2_minus_t1,
     random_weighted_partition,
     reference_connected_two_point,
 )
@@ -141,7 +142,7 @@ def test_connected_theta_divisible_polynomial():
         beta = e_chain(1, 1, rng.randint(1, 2), r)
         val = connected_two_point(mu, nu, a, beta, w)
         # polynomial output, and substituting t2 = -t1 kills it
-        assert val.subs_t2_minus_t1() == []
+        assert poly2_subs_t2_minus_t1(val) == []
 
 
 def test_disconnected_single_parts_equal_connected():

@@ -6,14 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import op_matrix_from_json, random_weighted_partition
+from helpers import (
+    nonzero_degree_ok,
+    op_matrix_from_json,
+    random_weighted_partition,
+    ratfunc_subs_t2_minus_t1,
+)
 from symprod.algebra import (
     Poly2,
     RatFunc2,
     expand_q_closed_form,
 )
 from symprod.operators import (
-    a1n2_basis,
     closed_form_matrix_a1n2,
     default_divisor_basis,
     divisor_operator,
@@ -35,18 +39,17 @@ THETA = Poly2.linear(1, 1)
 
 
 def test_closed_form_constant_entries():
-    m = closed_form_matrix_a1n2()
-    s13 = expand_q_closed_form(m[0][2], 2, (2,))
+    m = expand_q_closed_form(closed_form_matrix_a1n2, 2, (2,))
+    s13 = m[0][2]
     assert s13.coefficient(0, (0,)) == RatFunc2.const(-1)
     assert len(s13.coeffs) == 1
-    s53 = expand_q_closed_form(m[4][2], 2, (2,))
+    s53 = m[4][2]
     assert s53.coefficient(0, (0,)) == RatFunc2(Poly2.monomial(1, 1, 4))
     assert len(s53.coeffs) == 1
 
 
 def test_closed_form_diagonal_entry():
-    m = closed_form_matrix_a1n2()
-    s33 = expand_q_closed_form(m[2][2], 2, (3,))
+    s33 = expand_q_closed_form(closed_form_matrix_a1n2, 2, (3,))[2][2]
     assert s33.coefficient(0, (0,)) == RatFunc2(-THETA)
     for d in (1, 2, 3):
         assert s33.coefficient(0, (d,)) == RatFunc2(THETA.scale(-2))
@@ -57,7 +60,7 @@ def test_closed_form_diagonal_entry():
 def test_divisor_operator_contraction_sign():
     # the dual of 2(E1) is -2(E1): entry (2,2) flips the raw 3-point sign
     w = tangent_weights(1)
-    basis = a1n2_basis()
+    basis = default_divisor_basis(2, 1)
     op = divisor_operator(2, 1, "D1", basis, 0, (3,), w, zero_degree_table_a1n2())
     for d in (1, 2, 3):
         assert op.entry(1, 1).coefficient(0, (d,)) == RatFunc2(THETA.scale(-4))
@@ -68,7 +71,7 @@ def test_operator_entries_theta_divisible_divisor_block():
     # with pure divisor-weight basis elements, the u^0 nonzero-degree
     # layers inherit (t1+t2)-divisibility from the connected invariants
     w = tangent_weights(1)
-    basis = a1n2_basis()
+    basis = default_divisor_basis(2, 1)
     op = divisor_operator(2, 1, "D1", basis, 0, (2,), w, zero_degree_table_a1n2())
     divisor_only = [
         all(label[0] in ("E", "w") for _, label in b) for b in basis
@@ -80,14 +83,14 @@ def test_operator_entries_theta_divisible_divisor_block():
             for _, ds, c in op.entry(i, j).monomials():
                 if not any(ds):
                     continue
-                num, _ = c.subs_t2_minus_t1()
+                num, _ = ratfunc_subs_t2_minus_t1(c)
                 assert num == []
 
 
 def test_verify_small_orders():
     report = verify_a1n2(2, 3)
     assert report.full_ok
-    assert report.nonzero_degree_ok
+    assert nonzero_degree_ok(report)
     assert report.entries_matched == 25
     assert "25/25" in report.summary()
 
@@ -99,13 +102,13 @@ def test_verify_u_zero_subset():
 
 def test_verify_detects_corrupted_table():
     table = zero_degree_table_a1n2()
-    basis = a1n2_basis()
+    basis = default_divisor_basis(2, 1)
     key = wp_to_text(basis[1])  # the diagonal 2(E1) entry
     (a0, val), = table.entries[(key, "D1", key)]
     table.set(key, "D1", key, [(a0, val + RatFunc2.one())])
     report = verify_a1n2(1, 2, table)
     assert not report.full_ok
-    assert report.nonzero_degree_ok  # corruption only hits the beta = 0 layer
+    assert nonzero_degree_ok(report)  # corruption only hits the beta = 0 layer
     bad_entries = {(m[0], m[1]) for m in report.mismatches}
     assert bad_entries == {(2, 2)}
     assert report.entries_matched == 24
@@ -114,7 +117,7 @@ def test_verify_detects_corrupted_table():
 def test_verify_offdiagonal_corruption_hits_symmetric_pair():
     # one stored constant backs both outer orders of the 3-point function
     table = zero_degree_table_a1n2()
-    basis = a1n2_basis()
+    basis = default_divisor_basis(2, 1)
     key_left = wp_to_text(basis[1])   # 2(E1)
     key_right = wp_to_text(basis[3])  # 2(1)
     (a0, val), = table.entries[(key_left, "D1", key_right)]
@@ -126,17 +129,25 @@ def test_verify_offdiagonal_corruption_hits_symmetric_pair():
 
 def test_verify_missing_entry_reports_gap():
     table = zero_degree_table_a1n2()
-    basis = a1n2_basis()
+    basis = default_divisor_basis(2, 1)
     key = (wp_to_text(basis[0]), "D1", wp_to_text(basis[0]))
     del table.entries[key]
     report = verify_a1n2(1, 2, table)
     assert report.gaps
     assert not report.full_ok
-    assert report.nonzero_degree_ok
+    assert nonzero_degree_ok(report)
 
 
 def test_default_basis_matches_benchmark_order():
-    assert default_divisor_basis(2, 1) == a1n2_basis()
+    # the paper's ordered degree basis of [Sym^2(A_1)]
+    e1 = ecurve(1)
+    assert default_divisor_basis(2, 1) == [
+        weighted_partition([(1, e1), (1, e1)]),
+        weighted_partition([(2, e1)]),
+        weighted_partition([(1, ONE), (1, e1)]),
+        weighted_partition([(2, ONE)]),
+        weighted_partition([(1, ONE), (1, ONE)]),
+    ]
 
 
 def test_grading_preserved_and_signs():
@@ -155,7 +166,7 @@ def test_grading_preserved_and_signs():
 
 def test_eigen_certify_reference_point():
     report = eigen_certify(
-        closed_form_matrix_a1n2(),
+        closed_form_matrix_a1n2,
         {"t1": 1, "t2": 2, "s1": Fraction(1, 3), "q": Fraction(1, 5)},
     )
     assert report.squarefree
@@ -165,9 +176,21 @@ def test_eigen_certify_reference_point():
 def test_eigen_certify_pole():
     with pytest.raises(ZeroDivisionError):
         eigen_certify(
-            closed_form_matrix_a1n2(),
+            closed_form_matrix_a1n2,
             {"t1": 1, "t2": 2, "s1": 1, "q": Fraction(1, 5)},
         )
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"t1": 1, "t2": 2, "s1": Fraction(1, 3)},
+        {"t1": 1, "t2": 2, "s1": Fraction(1, 3), "q": Fraction(1, 5), "s2": 1},
+    ],
+)
+def test_eigen_certify_names_exactly_the_atoms(values):
+    with pytest.raises(TypeError):
+        eigen_certify(closed_form_matrix_a1n2, values)
 
 
 def test_contraction_closes_against_three_point_values():
@@ -178,7 +201,7 @@ def test_contraction_closes_against_three_point_values():
     from symprod.algebra import TruncSeries
 
     w = tangent_weights(1)
-    basis = a1n2_basis()
+    basis = default_divisor_basis(2, 1)
     table = zero_degree_table_a1n2()
     u_order, s_orders = 2, (2,)
     op = divisor_operator(2, 1, "D1", basis, u_order, s_orders, w, table)
@@ -198,7 +221,7 @@ def test_contraction_closes_against_three_point_values():
 def test_matrix_json_roundtrip():
     w = tangent_weights(1)
     op = divisor_operator(
-        2, 1, "D1", a1n2_basis(), 1, (2,), w, zero_degree_table_a1n2()
+        2, 1, "D1", default_divisor_basis(2, 1), 1, (2,), w, zero_degree_table_a1n2()
     )
     payload = op_matrix_to_json(op)
     back = op_matrix_from_json(payload)
@@ -211,7 +234,7 @@ def test_matrix_json_roundtrip():
 def test_matrix_text_emitters():
     w = tangent_weights(1)
     op = divisor_operator(
-        2, 1, "D1", a1n2_basis(), 0, (1,), w, zero_degree_table_a1n2()
+        2, 1, "D1", default_divisor_basis(2, 1), 0, (1,), w, zero_degree_table_a1n2()
     )
     latex = op_matrix_to_latex(op)
     assert latex.startswith("%")

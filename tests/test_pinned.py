@@ -21,15 +21,8 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _expanded_closed_form(u_order, s_orders):
-    return [
-        [expand_q_closed_form(e, u_order, s_orders) for e in row]
-        for row in closed_form_matrix_a1n2()
-    ]
-
-
 def test_closed_form_expansion_pinned():
-    matrix = _expanded_closed_form(4, (4,))
+    matrix = expand_q_closed_form(closed_form_matrix_a1n2, 4, (4,))
     assert len(matrix) == 5 and all(len(row) == 5 for row in matrix)
     text = json.dumps(
         [[series_to_json(e) for e in row] for row in matrix], sort_keys=True

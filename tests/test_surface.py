@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import ratfunc_subs_t2_minus_t1
 from symprod.algebra import Poly2, RatFunc2
 from symprod.errors import MalformedInputError, UnsupportedWeightError
 from symprod.partitions import ONE, ecurve, fixedpt, omega
@@ -84,7 +85,7 @@ def test_tangent_product_mod_theta():
     for r in range(1, 7):
         w = tangent_weights(r)
         for k in w.points():
-            num, den = w.LR(k).subs_t2_minus_t1()
+            num, den = ratfunc_subs_t2_minus_t1(w.LR(k))
             assert den == [Fraction(1)]
             tau = [Fraction(0), Fraction(0), Fraction(-((r + 1) ** 2))]
             assert num == tau, (r, k)
