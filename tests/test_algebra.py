@@ -401,17 +401,17 @@ def _paired_entry_i_theta(q, s1, t1, t2):
     return I * (t1 + t2) * (1 / (1 + s1 * q) - 1 / (1 + s1 / q))
 
 
-@pytest.mark.parametrize("entry", [_paired_entry_theta_i, _paired_entry_i_theta])
-def test_expand_paired_entry_sine_slope(entry):
-    series = expand_q_closed_form(entry, 3, (3,))
+def test_expand_paired_entry_sine_slope():
     minus_two_theta = RatFunc2(Poly2.linear(-2, -2))
-    assert series.coefficient(1, (1,)) == minus_two_theta
-    # full sine expansion: coefficient of u^a s^d is -2 theta (-1)^((a-1)/2) d^a / a!
-    for d in range(1, 4):
-        for a in (1, 3):
-            want = minus_two_theta * Fraction((-1) ** ((a - 1) // 2) * d**a, _fact(a))
-            assert series.coefficient(a, (d,)) == want
-        assert series.coefficient(2, (d,)).is_zero()
+    for entry in (_paired_entry_theta_i, _paired_entry_i_theta):
+        series = expand_q_closed_form(entry, 3, (3,))
+        assert series.coefficient(1, (1,)) == minus_two_theta
+        # full sine expansion: coefficient of u^a s^d is -2 theta (-1)^((a-1)/2) d^a / a!
+        for d in range(1, 4):
+            for a in (1, 3):
+                want = minus_two_theta * Fraction((-1) ** ((a - 1) // 2) * d**a, _fact(a))
+                assert series.coefficient(a, (d,)) == want
+            assert series.coefficient(2, (d,)).is_zero()
 
 
 def test_expand_u_independent_geometric():

@@ -123,22 +123,19 @@ def test_two_point_label_out_of_range(capsys):
     assert len(err.splitlines()) == 1 and "out of range" in err
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
+def test_two_point_unsupported_weight_without_chains(capsys):
+    for argv in (
         ["--n", "2", "--r", "1", "--left", "2(x1)", "--right", "2(x1)",
          "--s-orders", "0"],
         ["--n", "2", "--r", "2", "--left", "1(1)+1(E1)", "--right", "1(E2)+1(x1)",
          "--u-order", "3", "--s-orders", "2,2"],
-    ],
-)
-def test_two_point_unsupported_weight_without_chains(capsys, argv):
-    code, out, err = run(capsys, "two-point", *argv)
-    assert code == 2
-    assert out == ""
-    assert len(err.splitlines()) == 1 and "unsupported" in err
-    # the label is named as the user typed it, not as a Python tuple
-    assert "x1" in err and "('x'" not in err
+    ):
+        code, out, err = run(capsys, "two-point", *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "unsupported" in err
+        # the label is named as the user typed it, not as a Python tuple
+        assert "x1" in err and "('x'" not in err
 
 
 def test_verify_cli_pass(capsys):
