@@ -13,7 +13,7 @@ from symprod.algebra import GaussRational, Poly2, RatFunc2, TruncSeries, ratfunc
 from symprod.chenruan import CRClass, expand, gram_inverse, pairing
 from symprod.errors import OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
-from symprod.invariants import _check_pair
+from symprod.invariants import _check_pair, three_point_divisor_series
 from symprod.operators import OperatorMatrix, VerifyReport
 from symprod.partitions import (
     ONE,
@@ -29,7 +29,7 @@ from symprod.partitions import (
     weighted_partition,
     wp_size,
 )
-from symprod.surface import beta_as_chain, e_dot
+from symprod.surface import beta_as_chain, check_label, e_dot, tangent_weights
 from symprod.textforms import parse_wp
 
 _THETA = Poly2.linear(1, 1)  # t1 + t2
@@ -270,6 +270,75 @@ def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
                 continue
             total = total + pairing(theta1, theta2, w) * RatFunc2(conn)
     return total
+
+
+# ---------------------------------------------------------------------------
+# the reference divisor operator: one three-point series per basis pair
+# ---------------------------------------------------------------------------
+
+def reference_divisor_operator(
+    n: int,
+    r: int,
+    divisor: str,
+    basis,
+    u_order: int,
+    s_orders,
+    w=None,
+    table=None,
+) -> OperatorMatrix:
+    """Reference divisor-operator matrix M = G^{-1} T, with T the full
+    three-point series <<b_j, D, b_a>> of every basis pair (j <= a, used
+    for both orders) contracted entry by entry with the Gram inverse."""
+    if w is None:
+        w = tangent_weights(r)
+    elif w.r != r:
+        raise ValueError(f"tangent weights are for r = {w.r}, not r = {r}")
+    basis = tuple(weighted_partition(wp) for wp in basis)
+    if not basis:
+        raise ValueError("empty basis")
+    if any(wp_size(b) != n for b in basis):
+        raise ValueError(f"basis elements must have size {n}")
+    for b in basis:
+        for _, label in b:
+            check_label(label, w.r)
+    s_orders = tuple(s_orders)
+    size = len(basis)
+    ginv = gram_inverse(basis, w)
+    tmat = [[None] * size for _ in range(size)]
+    for j in range(size):
+        for a in range(j, size):
+            res = three_point_divisor_series(
+                basis[j], divisor, basis[a], u_order, s_orders, w, table
+            )
+            tmat[a][j] = res
+            if a != j:
+                tmat[j][a] = res
+    entries = []
+    gaps: set[tuple[int, int]] = set()
+    zero = TruncSeries.zero(u_order, s_orders)
+    for i in range(size):
+        row = []
+        for j in range(size):
+            acc = zero
+            for a in range(size):
+                c = ginv[i][a]
+                if c.is_zero():
+                    continue
+                acc = acc + tmat[a][j].series.scale(c)
+                if tmat[a][j].gap:
+                    gaps.add((i, j))
+            row.append(acc)
+        entries.append(row)
+    return OperatorMatrix(
+        n=n,
+        r=r,
+        divisor=divisor,
+        basis=basis,
+        u_order=u_order,
+        s_orders=s_orders,
+        entries=entries,
+        gaps=gaps,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     nonzero_degree_ok,
     op_matrix_from_json,
     random_weighted_partition,
     ratfunc_subs_t2_minus_t1,
+    reference_divisor_operator,
 )
 from symprod.algebra import (
     Poly2,
@@ -31,7 +33,8 @@ from symprod.operators import (
     zero_degree_table_a1n2,
 )
 from symprod.errors import MalformedInputError
-from symprod.partitions import ONE, ecurve, fixedpt, weighted_partition
+from symprod.invariants import ZeroDegreeTable
+from symprod.partitions import ONE, ecurve, fixedpt, underlying, weighted_partition
 from symprod.surface import tangent_weights
 from symprod.textforms import wp_to_text
 
@@ -277,3 +280,74 @@ def test_op_matrix_json_pinned():
         )
         text = op_matrix_dumps(op)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, divisor
+
+
+# ---------------------------------------------------------------------------
+# differential check against the per-pair reference assembly
+# ---------------------------------------------------------------------------
+
+def _synthetic_table(basis, r: int, rng: random.Random, holes: bool, asymmetric: bool):
+    """Degree-zero data for every basis pair and table divisor, one outer
+    order per pair; holes drops about a quarter of the keys, asymmetric
+    stores both orders of one off-diagonal pair with different values."""
+
+    def value():
+        coeffs = {(1, 0): rng.randint(-2, 2), (0, 1): rng.randint(-2, 2),
+                  (0, 0): rng.randint(-3, 3)}
+        return [(a, RatFunc2(Poly2(coeffs))) for a in sorted(rng.sample(range(4), 2))]
+
+    texts = [wp_to_text(b) for b in basis]
+    table = ZeroDegreeTable()
+    for key in ["1"] + [f"D{l}" for l in range(1, r + 1)]:
+        for j in range(len(basis)):
+            for a in range(j, len(basis)):
+                if holes and rng.random() < 0.25:
+                    continue
+                left, right = (texts[j], texts[a]) if rng.random() < 0.5 else (texts[a], texts[j])
+                table.set(left, key, right, value())
+        if asymmetric and len(basis) > 1:
+            j, a = sorted(rng.sample(range(len(basis)), 2))
+            table.set(texts[j], key, texts[a], value())
+            table.set(texts[a], key, texts[j], value())
+    return table
+
+
+@st.composite
+def _operator_case(draw):
+    n, r = draw(st.sampled_from([(n, r) for n in (1, 2, 3) for r in (1, 2, 3)]))
+    blocks: dict = {}
+    for b in default_divisor_basis(n, r):
+        blocks.setdefault(underlying(b), []).append(b)
+    # whole blocks keep the Gram matrix invertible; the size cap keeps it fast
+    chosen = draw(
+        st.lists(st.sampled_from(sorted(blocks)), min_size=1, unique=True).filter(
+            lambda keys: sum(len(blocks[k]) for k in keys) <= 14
+        )
+    )
+    basis = draw(st.permutations([b for k in chosen for b in blocks[k]]))
+    ell = draw(st.integers(0, r))
+    divisor = f"D{ell}" if ell else "(2)"
+    u_order = draw(st.integers(0, 2))
+    s_orders = tuple(draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)))
+    kind = draw(st.sampled_from(["none", "a1n2", "full", "holes", "asymmetric"]))
+    if kind == "none":
+        table = None
+    elif kind == "a1n2":
+        table = zero_degree_table_a1n2()
+    else:
+        rng = random.Random(draw(st.integers(0, 2**16)))
+        table = _synthetic_table(basis, r, rng, kind == "holes", kind == "asymmetric")
+    return n, r, divisor, basis, u_order, s_orders, table
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_operator_case())
+@example((2, 1, "D1", default_divisor_basis(2, 1), 2, (2,), zero_degree_table_a1n2()))
+@example((2, 1, "(2)", default_divisor_basis(2, 1)[::-1], 1, (3,), zero_degree_table_a1n2()))
+def test_divisor_operator_matches_per_pair_reference(case):
+    n, r, divisor, basis, u_order, s_orders, table = case
+    got = divisor_operator(n, r, divisor, basis, u_order, s_orders, None, table)
+    want = reference_divisor_operator(n, r, divisor, basis, u_order, s_orders, None, table)
+    assert got.basis == want.basis
+    assert got.entries == want.entries
+    assert got.gaps == want.gaps
