@@ -10,7 +10,9 @@ either side) scales the numerator and keeps the denominator: a nonzero
 rational keeps gcd(num, den) = 1 and leaves the primitive, positive-leading
 denominator as it is, so no gcd is run. Addends over one denominator add
 their numerators over it, then canonicalise: the sum may share a factor
-with that denominator. Negation takes the constant route too: the
+with that denominator, unless the denominator is 1 (the only canonical
+constant denominator), where the sum is canonical and no gcd is run.
+Negation takes the constant route too: the
 negative of a canonical value is canonical.
 """
 
@@ -84,7 +86,10 @@ class RatFunc2:
     def __add__(self, other) -> RatFunc2:
         other = RatFunc2.lift(other)
         if self.den == other.den:
-            return RatFunc2(self.num + other.num, self.den)
+            num = self.num + other.num
+            if self.den.is_const():  # den is 1: the sum is canonical as it stands
+                return _RF_ZERO if num.is_zero() else _canonical(num, self.den)
+            return RatFunc2(num, self.den)
         return RatFunc2(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -114,9 +119,7 @@ class RatFunc2:
         """self * c for a rational c, already canonical, so __init__ is skipped."""
         if not c:
             return _RF_ZERO
-        out = object.__new__(RatFunc2)
-        out.num, out.den, out._hash = self.num.scale(c), self.den, None
-        return out
+        return _canonical(self.num.scale(c), self.den)
 
     def inverse(self) -> RatFunc2:
         if self.is_zero():
@@ -158,6 +161,13 @@ class RatFunc2:
 
     def __repr__(self) -> str:
         return f"RatFunc2({ratfunc_to_text(self)})"
+
+
+def _canonical(num: Poly2, den: Poly2) -> RatFunc2:
+    """A RatFunc2 from parts already in canonical form, skipping __init__."""
+    out = object.__new__(RatFunc2)
+    out.num, out.den, out._hash = num, den, None
+    return out
 
 
 _RF_ZERO = RatFunc2(Poly2.zero())

@@ -175,6 +175,8 @@ def _splitting_sums(
     for _, label in mu1_w + mu2_w:
         check_label(label, w.r)
     _check_pair(mu1_w, mu2_w)
+    if not chains:  # no chain fits the box, so no splitting contributes
+        return {}
     by_theta1: dict = {}
     for theta, nu in enumerate_sub_splittings(mu1_w):
         if nu:  # an empty connected piece contributes nothing

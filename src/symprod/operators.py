@@ -3,11 +3,17 @@ eigenvalue certification.
 
 The operator of quantum multiplication by a divisor D in an ordered
 weighted-partition basis has columns D * b_j expanded through dual
-classes: M = G^{-1} T with G the pairing Gram matrix and T the matrix
-of three-point series <<b_j, D, b_a>>. The beta != 0 layers of T are
-computed from the splitting/connected machinery; beta = 0 layers come
-from a ZeroDegreeTable and propagate as gaps when absent.
-"""
+classes: M_D = G^{-1} T_D with G the pairing Gram matrix and T_D the
+matrix of three-point series <<b_j, D, b_a>>. By the divisor equations
+the beta != 0 part of T_D is d_D T_2, with T_2 the two-point series and
+d_D = d/du for "(2)" or s_l d/ds_l for "D<l>"; d_D commutes with G^{-1},
+which depends on t only, so
+
+    M_D = d_D(G^{-1} T_2) + G^{-1} T_D|_{s=0}.
+
+One product P = G^{-1} T_2 per basis serves every divisor. The beta = 0
+layers T_D|_{s=0} come from a ZeroDegreeTable and propagate as gaps
+when absent."""
 
 from __future__ import annotations
 
@@ -29,7 +35,14 @@ from .algebra import (
 )
 from .chenruan import gram_inverse, gram_matrix
 from .errors import RealnessViolationError
-from .invariants import ThreePointResult, ZeroDegreeTable, three_point_divisor_series
+from .invariants import (
+    DIVISOR_TWO,
+    ThreePointResult,
+    ZeroDegreeTable,
+    three_point_divisor_series,
+    two_point_series,
+)
+from .memo import memo
 from .partitions import (
     ONE,
     WeightedPartition,
@@ -39,7 +52,7 @@ from .partitions import (
     weighted_partition,
     wp_size,
 )
-from .surface import TangentWeights, check_label, tangent_weights
+from .surface import TangentWeights, beta_as_chain, check_label, e_chain, tangent_weights
 from .textforms import series_to_json, wp_to_text
 
 
@@ -63,6 +76,39 @@ class OperatorMatrix:
         return len(self.basis)
 
 
+@memo
+def _two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> tuple:
+    """The Gram inverse and P = G^{-1} T_2 of a basis, shared by every divisor.
+
+    T_2 holds the two-point series of each basis pair (computed once per
+    unordered pair) up to u^u_top in unit_box, where each s-order is cut
+    to at most 1: a chain E_i + ... + E_j then appears at d = 1 only, and
+    its coefficient at (a, d E_ij) is the d = 1 value times d^(a-1).
+    P[i][j] lists (a, i', j', value) for the chains i'..j' of P's entry.
+    """
+    w = tangent_weights(r)
+    ginv = gram_inverse(basis, w)
+    size = len(basis)
+    t2: list[list[TruncSeries]] = [[None] * size for _ in range(size)]
+    for j in range(size):
+        for a in range(j, size):
+            t2[a][j] = t2[j][a] = two_point_series(basis[j], basis[a], u_top, unit_box, w)
+    zero = TruncSeries.zero(u_top, unit_box)
+    product = []
+    for i in range(size):
+        row = []
+        for j in range(size):
+            acc = zero
+            for a in range(size):
+                if not ginv[i][a].is_zero():
+                    acc = acc + t2[a][j].scale(ginv[i][a])
+            row.append(
+                tuple((a, *beta_as_chain(ds)[:2], v) for (a, ds), v in acc.coeffs.items())
+            )
+        product.append(row)
+    return ginv, product
+
+
 def divisor_operator(
     n: int,
     r: int,
@@ -73,7 +119,14 @@ def divisor_operator(
     w: TangentWeights | None = None,
     table: ZeroDegreeTable | None = None,
 ) -> OperatorMatrix:
-    """Assemble the divisor-operator matrix in the given basis."""
+    """Assemble the divisor-operator matrix M_D in the given basis.
+
+    M_D = d_D(G^{-1} T_2) + G^{-1} T_D|_{s=0}: the beta != 0 part scales
+    the coefficients of the shared product P = G^{-1} T_2 by integers
+    (d/du for "(2)", s_l d/ds_l for "D<l>"), and the beta = 0 part
+    contracts the three-point series at the s^0 box, which carry the
+    table data and mark its gaps.
+    """
     if w is None:
         w = tangent_weights(r)
     elif w.r != r:
@@ -88,19 +141,25 @@ def divisor_operator(
             check_label(label, w.r)
     s_orders = tuple(s_orders)
     size = len(basis)
-    ginv = gram_inverse(basis, w)
-    tmat: list[list[ThreePointResult]] = [[None] * size for _ in range(size)]
+    zeros = (0,) * r
+    tzero: list[list[ThreePointResult]] = [[None] * size for _ in range(size)]
     for j in range(size):
         for a in range(j, size):
-            res = three_point_divisor_series(
-                basis[j], divisor, basis[a], u_order, s_orders, w, table
+            tzero[a][j] = tzero[j][a] = three_point_divisor_series(
+                basis[j], divisor, basis[a], u_order, zeros, w, table
             )
-            tmat[a][j] = res
-            if a != j:
-                tmat[j][a] = res
+    ginv, product = _two_point_product(
+        basis, r, u_order + 1, tuple(min(1, s) for s in s_orders)
+    )
+    ell = 0 if divisor == DIVISOR_TWO else int(divisor[1:])
+    spans = {  # chain -> (d, s-exponents of d E_ij) inside the box
+        (ci, cj): [(d, e_chain(ci, cj, d, r)) for d in range(1, min(s_orders[ci - 1 : cj]) + 1)]
+        for ci in range(1, r + 1)
+        for cj in range(ci, r + 1)
+    }
     entries = []
     gaps: set[tuple[int, int]] = set()
-    zero = TruncSeries.zero(u_order, s_orders)
+    zero = TruncSeries.zero(u_order, zeros)
     for i in range(size):
         row = []
         for j in range(size):
@@ -109,10 +168,19 @@ def divisor_operator(
                 c = ginv[i][a]
                 if c.is_zero():
                     continue
-                acc = acc + tmat[a][j].series.scale(c)
-                if tmat[a][j].gap:
+                acc = acc + tzero[a][j].series.scale(c)
+                if tzero[a][j].gap:
                     gaps.add((i, j))
-            row.append(acc)
+            coeffs = dict(acc.coeffs)
+            for a, ci, cj, v in product[i][j]:
+                if ell:
+                    if a <= u_order and ci <= ell <= cj:
+                        for d, ds in spans[ci, cj]:
+                            coeffs[(a, ds)] = v * d**a
+                elif a:
+                    for d, ds in spans[ci, cj]:
+                        coeffs[(a - 1, ds)] = v * (a * d ** (a - 1))
+            row.append(TruncSeries(u_order, s_orders, coeffs))
         entries.append(row)
     return OperatorMatrix(
         n=n,

@@ -43,7 +43,9 @@ _KIND_RANK = {"1": 0, "E": 1, "w": 2, "x": 3}
 
 def label_key(label: Label):
     kind = label[0]
-    rank = _KIND_RANK[kind]
+    rank = _KIND_RANK.get(kind)
+    if rank is None:
+        raise ValueError(f"unknown label kind {kind!r} in label {label!r}; expected 1, E, w or x")
     if kind == "1":
         return (rank, 0)
     return (rank, label[1])

@@ -229,6 +229,7 @@ def test_constant_factor_makes_no_gcd(monkeypatch):
     monkeypatch.setattr(ratfunc, "poly2_gcd", counting_gcd)
     f = RatFunc2(T1P * T1P + T2P, T1P - T2P)
     series = TruncSeries(2, (1,), {(0, (0,)): f, (1, (1,)): f * f})
+    p, q = RatFunc2(T1P * T1P), RatFunc2(T2P.scale(3))
     calls.clear()
     products = [
         f * 3,
@@ -237,8 +238,12 @@ def test_constant_factor_makes_no_gcd(monkeypatch):
         -f,
         series.scale(RatFunc2.const(Fraction(-1, 2))),
         series.scale(7),
+        p + q,  # a polynomial sum, over denominator 1
+        p - p,
     ]
     assert calls == []
+    assert products[-2] == RatFunc2(T1P * T1P + T2P.scale(3))
+    assert products[-1] is RatFunc2.zero()
     assert products[0] == RatFunc2(T1P * T1P * 3 + T2P * 3, T1P - T2P)
     # the counter sees the general route
     assert f * f == RatFunc2(f.num * f.num, f.den * f.den) and calls

@@ -1,6 +1,10 @@
 """Command-line behavior: outputs, formats, exit codes, config files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -15,6 +19,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_python_dash_m_runs_the_cli():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "symprod", "verify-a1n2", "--u-order", "2", "--s-order", "2"],
+        cwd=root, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "25/25" in proc.stdout
 
 
 def test_hurwitz_brute(capsys):

@@ -351,3 +351,32 @@ def test_divisor_operator_matches_per_pair_reference(case):
     assert got.basis == want.basis
     assert got.entries == want.entries
     assert got.gaps == want.gaps
+
+
+def test_two_point_product_is_shared_by_every_divisor(monkeypatch):
+    import symprod
+    import symprod.operators as operators
+
+    counts = {"gram_inverse": 0, "two_point_series": 0}
+    gram_inverse, two_point_series = operators.gram_inverse, operators.two_point_series
+
+    def counted_gram_inverse(basis, w):
+        counts["gram_inverse"] += 1
+        return gram_inverse(basis, w)
+
+    def counted_two_point_series(left, right, u_order, s_orders, w):
+        if any(s_orders):
+            counts["two_point_series"] += 1
+        return two_point_series(left, right, u_order, s_orders, w)
+
+    monkeypatch.setattr(operators, "gram_inverse", counted_gram_inverse)
+    monkeypatch.setattr(operators, "two_point_series", counted_two_point_series)
+    symprod.clear_caches()
+    basis = default_divisor_basis(2, 3)
+    assert len(basis) == 14  # 105 unordered pairs
+    for divisor in ("(2)", "D1", "D2", "D3"):
+        divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
+    assert counts == {"gram_inverse": 1, "two_point_series": 105}
+    symprod.clear_caches()
+    divisor_operator(2, 3, "D2", basis, 4, (3, 3, 3))
+    assert counts == {"gram_inverse": 2, "two_point_series": 210}

@@ -28,6 +28,13 @@ def test_partition_canonical_storage():
         partition([0, 1])
 
 
+def test_weighted_partition_rejects_unknown_label_kind():
+    with pytest.raises(ValueError, match="unknown label kind 'y'"):
+        weighted_partition([(2, ("y", 1))])
+    with pytest.raises(ValueError, match="unknown label kind 'y'"):
+        weighted_partition([(1, ONE), (1, ("y", 1))])
+
+
 def test_aut_order_examples():
     assert aut_order(partition([1, 1, 2])) == 2
     assert aut_order(partition([3])) == 1
