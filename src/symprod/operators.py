@@ -105,8 +105,9 @@ def _two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> tuple:
             row.append(
                 tuple((a, *beta_as_chain(ds)[:2], v) for (a, ds), v in acc.coeffs.items())
             )
-        product.append(row)
-    return ginv, product
+        product.append(tuple(row))
+    # every caller shares the memoised result, so hand out tuples only
+    return tuple(map(tuple, ginv)), tuple(product)
 
 
 def divisor_operator(
