@@ -152,7 +152,7 @@ def divisor_operator(
     ginv, product = _two_point_product(
         basis, r, u_order + 1, tuple(min(1, s) for s in s_orders)
     )
-    ell = 0 if divisor == DIVISOR_TWO else int(divisor[1:])
+    ell = 0 if divisor == DIVISOR_TWO else int(divisor[1:])  # validated by the s^0 calls
     spans = {  # chain -> (d, s-exponents of d E_ij) inside the box
         (ci, cj): [(d, e_chain(ci, cj, d, r)) for d in range(1, min(s_orders[ci - 1 : cj]) + 1)]
         for ci in range(1, r + 1)
