@@ -10,6 +10,15 @@ from itertools import permutations
 from math import factorial
 
 from symprod.algebra import GaussRational, Poly2, RatFunc2, TruncSeries, ratfunc_from_text
+from symprod.algebra.poly import (
+    _from_recursive,
+    _rec_content,
+    _rec_degree,
+    _rec_div_content,
+    _rec_prem,
+    _to_recursive,
+    _u_gcd,
+)
 from symprod.chenruan import CRClass, expand, gram_inverse, pairing
 from symprod.errors import OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
@@ -342,6 +351,72 @@ def reference_divisor_operator(
 
 
 # ---------------------------------------------------------------------------
+# algebra oracles: the general bivariate gcd and the term-by-term series loops
+# ---------------------------------------------------------------------------
+
+def reference_poly2_gcd(a: Poly2, b: Poly2) -> Poly2:
+    """Primitive gcd by content/primitive-part recursion in (Q[t2])[t1],
+    with shortcuts only for zero, constant and two single-term operands."""
+    if a.is_zero():
+        return b.primitive()
+    if b.is_zero():
+        return a.primitive()
+    if a.is_const() or b.is_const():
+        return Poly2.one()
+    if len(a.terms) == 1 and len(b.terms) == 1:
+        (a1, a2), = a.terms
+        (b1, b2), = b.terms
+        return Poly2.monomial(min(a1, b1), min(a2, b2))
+
+    ra, rb = _to_recursive(a), _to_recursive(b)
+    ca, cb = _rec_content(ra), _rec_content(rb)
+    pa, pb = _rec_div_content(ra, ca), _rec_div_content(rb, cb)
+    if _rec_degree(pa) < _rec_degree(pb):
+        pa, pb = pb, pa
+    while pb:
+        rem = _rec_prem(pa, pb)
+        pa = pb
+        if rem:
+            rem = _rec_div_content(rem, _rec_content(rem))
+        pb = rem
+    cont = _u_gcd(ca, cb)
+    g = _from_recursive(pa) * _from_recursive({0: cont})
+    return g.primitive()
+
+
+def reference_series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a * b by one RatFunc2 product and one RatFunc2 sum per pair of terms."""
+    if a.shape() != b.shape():
+        raise ValueError("truncation orders differ")
+    out: dict = {}
+    for (a1, d1), c1 in a.coeffs.items():
+        for (a2, d2), c2 in b.coeffs.items():
+            u = a1 + a2
+            if u > a.u_order:
+                continue
+            ds = tuple(x + y for x, y in zip(d1, d2))
+            if any(d > dmax for d, dmax in zip(ds, a.s_orders)):
+                continue
+            key = (u, ds)
+            prod = c1 * c2
+            s = out.get(key)
+            s = prod if s is None else s + prod
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return TruncSeries(a.u_order, a.s_orders, out)
+
+
+def reference_lincomb(pairs, u_order: int, s_orders) -> TruncSeries:
+    """sum c * s over (c, s) pairs, one scaled series added at a time."""
+    acc = TruncSeries.zero(u_order, s_orders)
+    for c, s in pairs:
+        acc = acc + s.scale(c)
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # exact evaluation and the t2 = -t1 substitution, for checks on library values
 # ---------------------------------------------------------------------------
 
@@ -440,15 +515,16 @@ def random_ratfunc(rng: random.Random) -> RatFunc2:
 
 
 def random_series(
-    rng: random.Random, u_order: int = 2, s_orders=(2,), terms: int = 4
+    rng: random.Random, u_order: int = 2, s_orders=(2,), terms: int = 4, ratfunc: bool = False
 ) -> TruncSeries:
+    """Up to `terms` random coefficients: constants, or random_ratfunc values."""
     coeffs = {}
     for _ in range(rng.randint(0, terms)):
         key = (
             rng.randint(0, u_order),
             tuple(rng.randint(0, d) for d in s_orders),
         )
-        coeffs[key] = RatFunc2.const(random_fraction(rng))
+        coeffs[key] = random_ratfunc(rng) if ratfunc else RatFunc2.const(random_fraction(rng))
     return TruncSeries(u_order, s_orders, coeffs)
 
 

@@ -15,6 +15,8 @@ from helpers import (
     random_poly2,
     random_ratfunc,
     random_series,
+    reference_poly2_gcd,
+    reference_series_mul,
 )
 from symprod.algebra import (
     GaussRational,
@@ -289,9 +291,72 @@ def test_divexact_rejects_remainder(a, b, error):
         poly2_divexact(a, b)
 
 
+# poly2_gcd against the general recursion when one operand is a single term
+
+_monomials = st.builds(Poly2.monomial, st.integers(0, 4), st.integers(0, 4), _nonzero_fractions)
+_gcd_partners = st.one_of(
+    _polys,
+    _monomials,
+    # every term carries t1 or t2: no constant term, or a monomial multiple
+    _polys.map(lambda p: Poly2({m: c for m, c in p.terms.items() if m != (0, 0)})),
+    st.builds(lambda p, m: p * m, _polys, _monomials),
+    st.builds(lambda fs, m: _product(fs) * m, st.lists(st.sampled_from(_LINEAR), max_size=3), _monomials),
+)
+
+
+@_DIFF_SETTINGS
+@given(_monomials, _gcd_partners)
+def test_poly2_gcd_with_a_monomial_matches_reference(m, f):
+    assert poly2_gcd(m, f) == reference_poly2_gcd(m, f)
+    assert poly2_gcd(f, m) == reference_poly2_gcd(f, m)
+
+
 # ---------------------------------------------------------------------------
 # truncated series
 # ---------------------------------------------------------------------------
+
+# differential check of the series product against one RatFunc2 sum per term pair
+
+_SHAPE = (2, (1, 1))
+_series_dens = st.one_of(_dens, st.builds(Poly2.monomial, st.integers(0, 3), st.integers(0, 3)))
+_series_coeffs = st.builds(RatFunc2, _polys, _series_dens)
+_series_keys = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 1), st.integers(0, 1)))
+_coeff_dicts = st.dictionaries(_series_keys, _series_coeffs, max_size=3)
+_SERIES_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
+
+
+@st.composite
+def _series_operands(draw):
+    """Two series of one shape; a planted f*h + g*h at u^1 may cancel or vanish.
+
+    f and g share a denominator and f + g may cancel against it or vanish
+    (see _equal_den_pairs); other terms add products over other denominators
+    at the same keys.
+    """
+    a, b = draw(_coeff_dicts), draw(_coeff_dicts)
+    if draw(st.booleans()):
+        f, g = draw(_equal_den_pairs())
+        h = draw(_series_coeffs.filter(lambda c: not c.is_zero()))
+        z = (0, 0)
+        a[(0, z)], a[(1, z)] = f, g
+        b[(1, z)], b[(0, z)] = h, h
+    return TruncSeries(*_SHAPE, a), TruncSeries(*_SHAPE, b)
+
+
+def _same_series(got, want):
+    assert got.shape() == want.shape()
+    assert got.coeffs == want.coeffs
+    assert not any(c.is_zero() for c in got.coeffs.values())
+    assert str(got) == str(want)
+
+
+@_SERIES_SETTINGS
+@given(_series_operands())
+def test_series_mul_matches_reference(operands):
+    a, b = operands
+    _same_series(a * b, reference_series_mul(a, b))
+    _same_series(b * a, reference_series_mul(b, a))
+
 
 def _u(a, coeff=1, u_order=2, s_orders=(2,)):
     return TruncSeries.monomial(a, (0,) * len(s_orders), RatFunc2.const(coeff), u_order, s_orders)
@@ -380,12 +445,11 @@ def test_derivatives_commute():
 
 def test_series_ring_axioms():
     rng = random.Random(29)
-    for _ in range(25):
-        a = random_series(rng)
-        b = random_series(rng)
-        c = random_series(rng)
-        assert (a + b) * c == a * c + b * c
-        assert (a * b) * c == a * (b * c)
+    for ratfunc in (False, True):
+        for _ in range(25):
+            a, b, c = (random_series(rng, ratfunc=ratfunc) for _ in range(3))
+            assert (a + b) * c == a * c + b * c
+            assert (a * b) * c == a * (b * c)
 
 
 # ---------------------------------------------------------------------------
