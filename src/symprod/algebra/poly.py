@@ -3,7 +3,10 @@
 Poly2 is the coefficient workhorse for everything equivariant: exact
 polynomials in the torus weights t1, t2 with Fraction coefficients.
 Gcds are computed by content/primitive-part recursion in (Q[t2])[t1], so
-that rational functions built on top of Poly2 admit a canonical form.
+that rational functions built on top of Poly2 admit a canonical form. When
+either operand is a single term c*t1^a*t2^b (a constant included) the gcd
+is read off the exponents, t1^min(a, ord_t1)*t2^min(b, ord_t2) with ord the
+smallest exponent in the other operand, and no recursion runs.
 Exact division works on the term dict directly: each step cancels the
 remainder's lex-leading term with a monomial multiple of the divisor.
 """
@@ -340,12 +343,12 @@ def poly2_gcd(a: Poly2, b: Poly2) -> Poly2:
         return b.primitive()
     if b.is_zero():
         return a.primitive()
-    if a.is_const() or b.is_const():
-        return _P2_ONE
-    if len(a.terms) == 1 and len(b.terms) == 1:
-        (a1, a2), = a.terms
-        (b1, b2), = b.terms
-        return Poly2.monomial(min(a1, b1), min(a2, b2))
+    if len(a.terms) == 1 or len(b.terms) == 1:
+        # a divisor of a single term is a monomial, and t1^e1*t2^e2 divides
+        # a polynomial iff it divides every term
+        e1 = min(m[0] for m in (*a.terms, *b.terms))
+        e2 = min(m[1] for m in (*a.terms, *b.terms))
+        return _P2_ONE if e1 == e2 == 0 else Poly2.monomial(e1, e2)
 
     ra, rb = _to_recursive(a), _to_recursive(b)
     ca, cb = _rec_content(ra), _rec_content(rb)

@@ -13,7 +13,14 @@ their numerators over it, then canonicalise: the sum may share a factor
 with that denominator, unless the denominator is 1 (the only canonical
 constant denominator), where the sum is canonical and no gcd is run.
 Negation takes the constant route too: the
-negative of a canonical value is canonical.
+negative of a canonical value is canonical, and a factor of 1 returns the
+value itself.
+
+Sums of many products (series products, linear combinations of series)
+accumulate first and canonicalise once, in _sum_products: numerator terms
+are summed per (series key, denominator product), and each group becomes
+one RatFunc2, so a key costs one gcd per distinct denominator instead of
+one per product and one per addition.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import MalformedInputError
-from .poly import Poly2, poly2_divexact, poly2_from_text, poly2_gcd, poly2_to_text
+from .poly import _ZERO, Poly2, poly2_divexact, poly2_from_text, poly2_gcd, poly2_to_text
 
 
 class RatFunc2:
@@ -117,6 +124,8 @@ class RatFunc2:
 
     def _scaled(self, c) -> RatFunc2:
         """self * c for a rational c, already canonical, so __init__ is skipped."""
+        if c == 1:
+            return self
         if not c:
             return _RF_ZERO
         return _canonical(self.num.scale(c), self.den)
@@ -172,6 +181,48 @@ def _canonical(num: Poly2, den: Poly2) -> RatFunc2:
 
 _RF_ZERO = RatFunc2(Poly2.zero())
 _RF_ONE = RatFunc2(Poly2.one())
+
+
+def _sum_products(triples) -> dict:
+    """key -> the sum of f * g over the (key, f, g) triples; zero sums are left out.
+
+    Products are accumulated before anything is canonicalised: numerator
+    terms are summed per (key, f.den * g.den), each distinct denominator
+    product is multiplied out once, and each group becomes one RatFunc2,
+    by _canonical over the denominator 1 and by the constructor otherwise.
+    Groups that share a key are then added.
+    """
+    den_products: dict = {}
+    groups: dict = {}
+    for key, f, g in triples:
+        dens = (f.den, g.den)
+        den = den_products.get(dens)
+        if den is None:
+            den = den_products[dens] = f.den * g.den
+        acc = groups.get((key, den))
+        if acc is None:
+            acc = groups[(key, den)] = {}
+        g_terms = g.num.terms.items()
+        for (a1, a2), x in f.num.terms.items():
+            for (b1, b2), y in g_terms:
+                mono = (a1 + b1, a2 + b2)
+                acc[mono] = acc.get(mono, _ZERO) + x * y
+    out: dict = {}
+    for (key, den), acc in groups.items():
+        num = Poly2.__new__(Poly2)
+        num.terms = {mono: c for mono, c in acc.items() if c}
+        num._hash = None
+        if not num.terms:
+            continue
+        f = _canonical(num, den) if den.is_const() else RatFunc2(num, den)
+        prev = out.get(key)
+        if prev is not None:
+            f = prev + f
+            if f.is_zero():
+                del out[key]
+                continue
+        out[key] = f
+    return out
 
 
 def ratfunc_to_text(f: RatFunc2) -> str:

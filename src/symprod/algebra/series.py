@@ -4,12 +4,17 @@ Truncation is a per-variable box: coefficients are kept for u-exponent
 a <= u_order and s_k-exponent d_k <= s_orders[k]. Box truncation commutes
 with ring operations, so products of truncations agree with truncations
 of full products.
+
+Products and linear combinations accumulate first and canonicalise once:
+the terms that land on one key are summed as numerators over their common
+denominator (ratfunc._sum_products), and only those sums become RatFunc2
+values, rather than one canonical RatFunc2 per term product.
 """
 
 from __future__ import annotations
 
 from ..errors import EmptyOrderError, ShapeError
-from .ratfunc import RatFunc2
+from .ratfunc import RatFunc2, _sum_products
 
 Key = tuple[int, tuple[int, ...]]
 
@@ -101,25 +106,33 @@ class TruncSeries:
 
     def __mul__(self, other: TruncSeries) -> TruncSeries:
         self._check_shape(other)
-        out: dict[Key, RatFunc2] = {}
-        smax = self.s_orders
+        return self._wrap(_sum_products(self._product_terms(other)))
+
+    def _product_terms(self, other: TruncSeries):
+        """(key, c1, c2) for every pair of terms whose product is inside the box."""
+        umax, smax = self.u_order, self.s_orders
         for (a1, d1), c1 in self.coeffs.items():
             for (a2, d2), c2 in other.coeffs.items():
                 a = a1 + a2
-                if a > self.u_order:
+                if a > umax:
                     continue
                 ds = tuple(x + y for x, y in zip(d1, d2))
                 if any(d > dmax for d, dmax in zip(ds, smax)):
                     continue
-                key = (a, ds)
-                prod = c1 * c2
-                s = out.get(key)
-                s = prod if s is None else s + prod
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return self._wrap(out)
+                yield (a, ds), c1, c2
+
+    @classmethod
+    def lincomb(cls, pairs, u_order: int, s_orders) -> TruncSeries:
+        """The sum of c * s over (c, s) pairs: RatFunc2 c, series s of the given shape."""
+        out = cls.zero(u_order, s_orders)
+        shape = out.shape()
+        terms = []
+        for c, s in pairs:
+            if s.shape() != shape:
+                raise ShapeError(f"truncation orders differ: {s.shape()} vs {shape}")
+            terms.extend((key, c, v) for key, v in s.coeffs.items())
+        out.coeffs = _sum_products(terms)
+        return out
 
     def scale(self, value) -> TruncSeries:
         c = RatFunc2.lift(value)

@@ -93,15 +93,12 @@ def _two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> tuple:
     for j in range(size):
         for a in range(j, size):
             t2[a][j] = t2[j][a] = two_point_series(basis[j], basis[a], u_top, unit_box, w)
-    zero = TruncSeries.zero(u_top, unit_box)
     product = []
     for i in range(size):
+        ginv_row = [(a, c) for a, c in enumerate(ginv[i]) if not c.is_zero()]
         row = []
         for j in range(size):
-            acc = zero
-            for a in range(size):
-                if not ginv[i][a].is_zero():
-                    acc = acc + t2[a][j].scale(ginv[i][a])
+            acc = TruncSeries.lincomb(((c, t2[a][j]) for a, c in ginv_row), u_top, unit_box)
             row.append(
                 tuple((a, *beta_as_chain(ds)[:2], v) for (a, ds), v in acc.coeffs.items())
             )
@@ -160,19 +157,15 @@ def divisor_operator(
     }
     entries = []
     gaps: set[tuple[int, int]] = set()
-    zero = TruncSeries.zero(u_order, zeros)
     for i in range(size):
+        ginv_row = [(a, c) for a, c in enumerate(ginv[i]) if not c.is_zero()]
         row = []
         for j in range(size):
-            acc = zero
-            for a in range(size):
-                c = ginv[i][a]
-                if c.is_zero():
-                    continue
-                acc = acc + tzero[a][j].series.scale(c)
-                if tzero[a][j].gap:
-                    gaps.add((i, j))
-            coeffs = dict(acc.coeffs)
+            if any(tzero[a][j].gap for a, _ in ginv_row):
+                gaps.add((i, j))
+            coeffs = TruncSeries.lincomb(
+                ((c, tzero[a][j].series) for a, c in ginv_row), u_order, zeros
+            ).coeffs
             for a, ci, cj, v in product[i][j]:
                 if ell:
                     if a <= u_order and ci <= ell <= cj:

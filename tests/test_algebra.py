@@ -15,6 +15,7 @@ from helpers import (
     random_poly2,
     random_ratfunc,
     random_series,
+    reference_lincomb,
     reference_poly2_gcd,
     reference_series_mul,
 )
@@ -244,6 +245,7 @@ def test_constant_factor_makes_no_gcd(monkeypatch):
         p - p,
     ]
     assert calls == []
+    assert f * 1 is f and f * RatFunc2.one() is f and RatFunc2.one() * f is f
     assert products[-2] == RatFunc2(T1P * T1P + T2P.scale(3))
     assert products[-1] is RatFunc2.zero()
     assert products[0] == RatFunc2(T1P * T1P * 3 + T2P * 3, T1P - T2P)
@@ -311,6 +313,20 @@ def test_poly2_gcd_with_a_monomial_matches_reference(m, f):
     assert poly2_gcd(f, m) == reference_poly2_gcd(f, m)
 
 
+@_DIFF_SETTINGS
+@given(_monomials, _gcd_partners)
+def test_poly2_gcd_with_a_monomial_runs_no_recursion(m, f):
+    import symprod.algebra.poly as poly
+
+    def no_prem(a, b):
+        raise AssertionError("single-term gcd entered the recursion")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poly, "_rec_prem", no_prem)
+        poly2_gcd(m, f)
+        poly2_gcd(f, m)
+
+
 # ---------------------------------------------------------------------------
 # truncated series
 # ---------------------------------------------------------------------------
@@ -325,21 +341,40 @@ _coeff_dicts = st.dictionaries(_series_keys, _series_coeffs, max_size=3)
 _SERIES_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
 
+_nonzero_series_coeffs = _series_coeffs.filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def _cross_den_pair(draw):
+    """(h, f/h, f) with f/h over another denominator than f, unless it cancels.
+
+    h*(f/h) - f vanishes although its two products have different
+    denominators.
+    """
+    h = RatFunc2(draw(_monomials))
+    f = draw(_nonzero_series_coeffs)
+    return h, f / h, f
+
+
 @st.composite
 def _series_operands(draw):
-    """Two series of one shape; a planted f*h + g*h at u^1 may cancel or vanish.
+    """Two series of one shape, with a planted sum at u^1.
 
-    f and g share a denominator and f + g may cancel against it or vanish
-    (see _equal_den_pairs); other terms add products over other denominators
-    at the same keys.
+    "equal": f*h + g*h, where f and g share a denominator and f + g may
+    cancel against it or vanish (see _equal_den_pairs); "cross": (f/h)*h
+    - f, which vanishes across two denominators. Other terms add products
+    over other denominators at the same keys.
     """
     a, b = draw(_coeff_dicts), draw(_coeff_dicts)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["plain", "equal", "cross"]))
+    k0, k1 = (0, (0, 0)), (1, (0, 0))
+    if kind == "equal":
         f, g = draw(_equal_den_pairs())
-        h = draw(_series_coeffs.filter(lambda c: not c.is_zero()))
-        z = (0, 0)
-        a[(0, z)], a[(1, z)] = f, g
-        b[(1, z)], b[(0, z)] = h, h
+        h = draw(_nonzero_series_coeffs)
+        a[k0], a[k1], b[k1], b[k0] = f, g, h, h
+    elif kind == "cross":
+        h, f_h, f = draw(_cross_den_pair())
+        a[k0], a[k1], b[k1], b[k0] = f_h, f, h, RatFunc2.const(-1)
     return TruncSeries(*_SHAPE, a), TruncSeries(*_SHAPE, b)
 
 
@@ -356,6 +391,56 @@ def test_series_mul_matches_reference(operands):
     a, b = operands
     _same_series(a * b, reference_series_mul(a, b))
     _same_series(b * a, reference_series_mul(b, a))
+
+
+# Gram-inverse entries are 0, constants and c*(t1*t2)^k; any coefficient may occur
+_lincomb_factors = st.one_of(
+    st.just(RatFunc2.zero()),
+    _fractions.map(RatFunc2.const),
+    st.builds(lambda c, k: RatFunc2(Poly2.monomial(k, k, c)), _nonzero_fractions, st.integers(1, 3)),
+    _series_coeffs,
+)
+
+
+@st.composite
+def _lincomb_pairs(draw):
+    """(c, s) pairs, with a planted sum at one key as in _series_operands:
+    h*f + h*g with f + g over one denominator, or h*(f/h) - f."""
+    pairs = draw(st.lists(
+        st.tuples(_lincomb_factors, _coeff_dicts.map(lambda d: TruncSeries(*_SHAPE, d))),
+        max_size=4,
+    ))
+    kind = draw(st.sampled_from(["plain", "equal", "cross"]))
+    if kind == "equal":
+        f, g = draw(_equal_den_pairs())
+        h = draw(_lincomb_factors.filter(lambda c: not c.is_zero()))
+        planted = [(h, f), (h, g)]
+    elif kind == "cross":
+        h, f_h, f = draw(_cross_den_pair())
+        planted = [(h, f_h), (RatFunc2.const(-1), f)]
+    else:
+        planted = []
+    key = draw(_series_keys)
+    for c, coeff in planted:
+        terms = draw(_coeff_dicts)
+        terms[key] = coeff
+        pairs.insert(draw(st.integers(0, len(pairs))), (c, TruncSeries(*_SHAPE, terms)))
+    return pairs
+
+
+@_SERIES_SETTINGS
+@given(_lincomb_pairs())
+def test_series_lincomb_matches_reference(pairs):
+    _same_series(TruncSeries.lincomb(pairs, *_SHAPE), reference_lincomb(pairs, *_SHAPE))
+    _same_series(TruncSeries.lincomb(iter(pairs[::-1]), *_SHAPE), reference_lincomb(pairs, *_SHAPE))
+
+
+def test_series_lincomb_checks_shapes():
+    one = TruncSeries.one(*_SHAPE)
+    assert TruncSeries.lincomb([], *_SHAPE) == TruncSeries.zero(*_SHAPE)
+    assert TruncSeries.lincomb([(RatFunc2.const(2), one)], *_SHAPE) == one.scale(2)
+    with pytest.raises(ShapeError):
+        TruncSeries.lincomb([(RatFunc2.one(), TruncSeries.one(2, (1,)))], *_SHAPE)
 
 
 def _u(a, coeff=1, u_order=2, s_orders=(2,)):
