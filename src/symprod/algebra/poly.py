@@ -346,8 +346,8 @@ def poly2_gcd(a: Poly2, b: Poly2) -> Poly2:
     if len(a.terms) == 1 or len(b.terms) == 1:
         # a divisor of a single term is a monomial, and t1^e1*t2^e2 divides
         # a polynomial iff it divides every term
-        e1 = min(m[0] for m in (*a.terms, *b.terms))
-        e2 = min(m[1] for m in (*a.terms, *b.terms))
+        monos = (*a.terms, *b.terms)
+        e1, e2 = min(m[0] for m in monos), min(m[1] for m in monos)
         return _P2_ONE if e1 == e2 == 0 else Poly2.monomial(e1, e2)
 
     ra, rb = _to_recursive(a), _to_recursive(b)

@@ -125,11 +125,9 @@ class TruncSeries:
     def lincomb(cls, pairs, u_order: int, s_orders) -> TruncSeries:
         """The sum of c * s over (c, s) pairs: RatFunc2 c, series s of the given shape."""
         out = cls.zero(u_order, s_orders)
-        shape = out.shape()
         terms = []
         for c, s in pairs:
-            if s.shape() != shape:
-                raise ShapeError(f"truncation orders differ: {s.shape()} vs {shape}")
+            out._check_shape(s)
             terms.extend((key, c, v) for key, v in s.coeffs.items())
         out.coeffs = _sum_products(terms)
         return out
