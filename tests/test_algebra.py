@@ -339,8 +339,6 @@ _series_coeffs = st.builds(RatFunc2, _polys, _series_dens)
 _series_keys = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 1), st.integers(0, 1)))
 _coeff_dicts = st.dictionaries(_series_keys, _series_coeffs, max_size=3)
 _SERIES_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
-
-
 _nonzero_series_coeffs = _series_coeffs.filter(lambda c: not c.is_zero())
 
 
