@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from functools import lru_cache
@@ -39,7 +40,7 @@ from symprod.partitions import (
     wp_size,
 )
 from symprod.surface import beta_as_chain, check_label, e_dot, tangent_weights
-from symprod.textforms import parse_wp
+from symprod.textforms import parse_wp, series_to_json, wp_to_text
 
 _THETA = Poly2.linear(1, 1)  # t1 + t2
 
@@ -351,7 +352,8 @@ def reference_divisor_operator(
 
 
 # ---------------------------------------------------------------------------
-# algebra oracles: the general bivariate gcd and the term-by-term series loops
+# algebra oracles: the general bivariate gcd, the term-by-term series loops and
+# the polynomial text form with Fraction comparisons
 # ---------------------------------------------------------------------------
 
 def reference_poly2_gcd(a: Poly2, b: Poly2) -> Poly2:
@@ -382,6 +384,41 @@ def reference_poly2_gcd(a: Poly2, b: Poly2) -> Poly2:
     cont = _u_gcd(ca, cb)
     g = _from_recursive(pa) * _from_recursive({0: cont})
     return g.primitive()
+
+
+def _reference_format_term(mono, c: Fraction) -> str:
+    e1, e2 = mono
+    parts = []
+    if e1:
+        parts.append("t1" if e1 == 1 else f"t1^{e1}")
+    if e2:
+        parts.append("t2" if e2 == 1 else f"t2^{e2}")
+    coefficient = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    if not parts:
+        return coefficient
+    body = "*".join(parts)
+    if c == 1:
+        return body
+    if c == -1:
+        return "-" + body
+    return coefficient + "*" + body
+
+
+def reference_poly2_to_text(p: Poly2) -> str:
+    """Monomials in descending lex order, a unit coefficient found by comparing
+    the Fraction with 1 and -1."""
+    if p.is_zero():
+        return "0"
+    chunks = []
+    for mono in sorted(p.terms, reverse=True):
+        term = _reference_format_term(mono, p.terms[mono])
+        if not chunks:
+            chunks.append(term)
+        elif term.startswith("-"):
+            chunks.append("- " + term[1:])
+        else:
+            chunks.append("+ " + term)
+    return " ".join(chunks)
 
 
 def reference_series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
@@ -459,8 +496,30 @@ def nonzero_degree_ok(report: VerifyReport) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# JSON readers for the round-trip checks of the library's writers
+# the op-matrix JSON oracle, and readers for the round-trip checks
 # ---------------------------------------------------------------------------
+
+def op_matrix_to_json(op: OperatorMatrix) -> dict:
+    return {
+        "n": op.n,
+        "r": op.r,
+        "divisor": op.divisor,
+        "basis": [wp_to_text(b) for b in op.basis],
+        "u_order": op.u_order,
+        "s_orders": list(op.s_orders),
+        "entries": [
+            {"row": i + 1, "col": j + 1, **series_to_json(op.entries[i][j])}
+            for i in range(op.size())
+            for j in range(op.size())
+        ],
+        "gaps": sorted([i + 1, j + 1] for i, j in op.gaps),
+    }
+
+
+def reference_op_matrix_dumps(op: OperatorMatrix) -> str:
+    """The op-matrix JSON text by the json module's (pure-Python) indent encoder."""
+    return json.dumps(op_matrix_to_json(op), indent=1, sort_keys=True)
+
 
 def series_from_json(payload: dict) -> TruncSeries:
     coeffs = {

@@ -17,6 +17,7 @@ from helpers import (
     random_series,
     reference_lincomb,
     reference_poly2_gcd,
+    reference_poly2_to_text,
     reference_series_mul,
 )
 from symprod.algebra import (
@@ -133,6 +134,26 @@ def test_ratfunc_text_roundtrip():
         f = random_ratfunc(rng)
         assert ratfunc_from_text(ratfunc_to_text(f)) == f
     assert poly2_from_text(poly2_to_text(Poly2.zero())) == Poly2.zero()
+
+
+# coefficients with a special text form: units (no "1*"), unit fractions, large
+# integers, and any of them alone as a constant term
+_text_coefficients = st.one_of(
+    st.sampled_from([Fraction(1), Fraction(-1)]),
+    st.builds(Fraction, st.sampled_from([1, -1]), st.integers(2, 9)),
+    st.integers(-(10**30), 10**30).map(Fraction),
+    st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)), _text_coefficients, max_size=4
+    ).map(Poly2)
+)
+def test_poly2_to_text_matches_reference(p):
+    assert poly2_to_text(p) == reference_poly2_to_text(p)
 
 
 # differential check of RatFunc2 * and + against the general constructors

@@ -10,16 +10,21 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     nonzero_degree_ok,
     op_matrix_from_json,
+    op_matrix_to_json,
+    random_series,
     random_weighted_partition,
     ratfunc_subs_t2_minus_t1,
     reference_divisor_operator,
+    reference_op_matrix_dumps,
 )
 from symprod.algebra import (
     Poly2,
     RatFunc2,
+    TruncSeries,
     expand_q_closed_form,
 )
 from symprod.operators import (
+    OperatorMatrix,
     closed_form_matrix_a1n2,
     default_divisor_basis,
     divisor_operator,
@@ -27,7 +32,6 @@ from symprod.operators import (
     grading,
     op_matrix_dumps,
     op_matrix_to_csv,
-    op_matrix_to_json,
     op_matrix_to_latex,
     verify_a1n2,
     zero_degree_table_a1n2,
@@ -280,6 +284,45 @@ def test_op_matrix_json_pinned():
         )
         text = op_matrix_dumps(op)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, divisor
+
+
+_ESCAPED_DIVISOR = 'D"\\\u00e9'  # a quote, a backslash and a non-ASCII character
+
+
+@st.composite
+def _op_matrices(draw):
+    """OperatorMatrix values built directly: any basis prefix, random rational
+    entries (some empty, some of another shape) and any gap set."""
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    full = default_divisor_basis(n, r)
+    basis = tuple(draw(st.permutations(full))[: draw(st.integers(1, min(6, len(full))))])
+    u_order = draw(st.integers(0, 2))
+    s_orders = tuple(draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)))
+    rng = random.Random(draw(st.integers(0, 2**16)))
+    cells = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+    entries = [[None] * len(basis) for _ in basis]
+    for i, j in cells:
+        kind = rng.choice(["empty", "series", "series", "series", "other shape"])
+        if kind == "empty":
+            entries[i][j] = TruncSeries.zero(u_order, s_orders)
+        elif kind == "series":
+            entries[i][j] = random_series(rng, u_order, s_orders, ratfunc=True)
+        else:
+            shape = (rng.randint(0, 2), tuple(rng.randint(0, 2) for _ in range(r)))
+            entries[i][j] = random_series(rng, *shape, ratfunc=True)
+    gaps = draw(st.sampled_from(["empty", "partial", "full"]))
+    if gaps == "full":
+        gap_set = set(cells)
+    else:
+        gap_set = {cell for cell in cells if gaps == "partial" and rng.random() < 0.3}
+    divisor = draw(st.sampled_from(["(2)", "D1", _ESCAPED_DIVISOR]))
+    return OperatorMatrix(n, r, divisor, basis, u_order, s_orders, entries, gap_set)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_op_matrices())
+def test_op_matrix_dumps_matches_reference(op):
+    assert op_matrix_dumps(op) == reference_op_matrix_dumps(op)
 
 
 # ---------------------------------------------------------------------------
