@@ -420,10 +420,11 @@ def _format_term(mono: Monomial, c: Fraction) -> str:
     if not parts:
         return _format_coefficient(c)
     body = "*".join(parts)
-    if c == 1:
-        return body
-    if c == -1:
-        return "-" + body
+    if c.denominator == 1:  # integer tests: Fraction == int is a slow Python call
+        if c.numerator == 1:
+            return body
+        if c.numerator == -1:
+            return "-" + body
     return _format_coefficient(c) + "*" + body
 
 

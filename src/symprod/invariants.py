@@ -53,7 +53,8 @@ _THETA = Poly2.linear(1, 1)  # t1 + t2
 
 DIVISOR_TWO = "(2)"
 TWO_POINT_MARKER = "1"  # table key marker for the beta=0 two-point series
-_TABLE_DIVISOR_RE = re.compile(r"1|D[1-9]\d*")  # the marker or an untwisted divisor
+_DIVISOR_RE = re.compile(r"D[1-9]\d*")  # an untwisted divisor, no leading zero
+_TABLE_DIVISOR_RE = re.compile("1|" + _DIVISOR_RE.pattern)  # the marker or an untwisted divisor
 
 
 def _check_pair(mu_w: WeightedPartition, nu_w: WeightedPartition) -> None:
@@ -392,9 +393,12 @@ def three_point_divisor_series(
         derived = tuple((a - 1, v * a) for a, v in pairs if 1 <= a <= u_order + 1)
         return ThreePointResult(base + _embed_useries(derived, u_order, s_orders))
     if divisor.startswith("D"):
-        ell = int(divisor[1:])
+        # the table is keyed on the canonical spelling, so D01 or "D 1" must not parse
+        ell = int(divisor[1:]) if _DIVISOR_RE.fullmatch(divisor) else 0
         if not 1 <= ell <= w.r:
-            raise ValueError(f"divisor {divisor!r} out of range D1..D{w.r}")
+            raise ValueError(
+                f'divisor {divisor!r} out of range: the divisors are "(2)" and D1..D{w.r}'
+            )
         base = two_point_series(alpha1_w, alpha2_w, u_order, s_orders, w).s_scale_d(ell)
         pairs = table.get(alpha1_w, divisor, alpha2_w) if table else None
         if pairs is None:

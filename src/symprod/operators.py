@@ -13,15 +13,20 @@ which depends on t only, so
 
 One product P = G^{-1} T_2 per basis serves every divisor. The beta = 0
 layers T_D|_{s=0} come from a ZeroDegreeTable and propagate as gaps
-when absent."""
+when absent.
+
+op_matrix_dumps writes the op-matrix JSON text directly from the
+OperatorMatrix. Its bytes are those of json.dumps(indent=1,
+sort_keys=True) over the nested-dict oracle in tests/helpers.py, without
+running the json module's pure-Python indent encoder."""
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .algebra import (
     GaussRational,
@@ -32,6 +37,7 @@ from .algebra import (
     char_poly_gaussian,
     expand_q_closed_form,
     is_squarefree,
+    ratfunc_to_text,
 )
 from .chenruan import gram_inverse, gram_matrix
 from .errors import RealnessViolationError
@@ -53,7 +59,7 @@ from .partitions import (
     wp_size,
 )
 from .surface import TangentWeights, beta_as_chain, check_label, e_chain, tangent_weights
-from .textforms import series_to_json, wp_to_text
+from .textforms import wp_to_text
 
 
 @dataclass
@@ -433,23 +439,6 @@ def eigen_certify(form, values: dict) -> EigenReport:
 # serialization
 # ---------------------------------------------------------------------------
 
-def op_matrix_to_json(op: OperatorMatrix) -> dict:
-    return {
-        "n": op.n,
-        "r": op.r,
-        "divisor": op.divisor,
-        "basis": [wp_to_text(b) for b in op.basis],
-        "u_order": op.u_order,
-        "s_orders": list(op.s_orders),
-        "entries": [
-            {"row": i + 1, "col": j + 1, **series_to_json(op.entries[i][j])}
-            for i in range(op.size())
-            for j in range(op.size())
-        ],
-        "gaps": sorted([i + 1, j + 1] for i, j in op.gaps),
-    }
-
-
 def op_matrix_to_latex(op: OperatorMatrix) -> str:
     lines = [
         "% operator of quantum multiplication by " + op.divisor,
@@ -483,5 +472,47 @@ def op_matrix_to_csv(op: OperatorMatrix) -> str:
     return buf.getvalue()
 
 
+def _json_list(texts, depth: int) -> str:
+    """A JSON list of already-encoded items, as json.dumps(indent=1) writes it
+    with the list's opening line at the given depth."""
+    if not texts:
+        return "[]"
+    inner = "\n" + " " * (depth + 1)
+    return "[" + inner + ("," + inner).join(texts) + "\n" + " " * depth + "]"
+
+
 def op_matrix_dumps(op: OperatorMatrix) -> str:
-    return json.dumps(op_matrix_to_json(op), indent=1, sort_keys=True)
+    """The op-matrix JSON text, written directly.
+
+    Byte-identical to json.dumps(payload, indent=1, sort_keys=True) of the
+    nested dict that the tests' oracle builds: keys in sorted order, one
+    space of indent per depth, strings escaped by the json module's ASCII
+    escaper and integers by %d. Each entry's truncation orders come from its
+    own series.
+    """
+    size = op.size()
+    entries = []
+    for i in range(size):
+        for j in range(size):
+            series = op.entries[i][j]
+            coeffs = series.coeffs
+            terms = [
+                '{\n     "coeff": %s,\n     "s": %s,\n     "u": %d\n    }'
+                % (encode_basestring_ascii(ratfunc_to_text(coeffs[key])),
+                   _json_list(["%d" % d for d in key[1]], 5), key[0])
+                for key in sorted(coeffs)
+            ]
+            entries.append(
+                '{\n   "col": %d,\n   "row": %d,\n   "s_orders": %s,\n   "terms": %s,'
+                '\n   "u_order": %d\n  }'
+                % (j + 1, i + 1, _json_list(["%d" % d for d in series.s_orders], 3),
+                   _json_list(terms, 3), series.u_order)
+            )
+    gaps = [_json_list(["%d" % (i + 1), "%d" % (j + 1)], 2) for i, j in sorted(op.gaps)]
+    return (
+        '{\n "basis": %s,\n "divisor": %s,\n "entries": %s,\n "gaps": %s,'
+        '\n "n": %d,\n "r": %d,\n "s_orders": %s,\n "u_order": %d\n}'
+        % (_json_list([encode_basestring_ascii(wp_to_text(b)) for b in op.basis], 1),
+           encode_basestring_ascii(op.divisor), _json_list(entries, 1), _json_list(gaps, 1),
+           op.n, op.r, _json_list(["%d" % d for d in op.s_orders], 1), op.u_order)
+    )

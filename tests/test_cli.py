@@ -295,6 +295,20 @@ def test_op_matrix_divisor_out_of_range(capsys):
     assert len(err.splitlines()) == 1 and "D3" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("divisor", ["D01", "D 1", "D+1"])
+def test_op_matrix_noncanonical_divisor_is_usage_error(capsys, divisor):
+    code, out, err = run(
+        capsys,
+        "op-matrix", "--n", "2", "--r", "1", "--divisor", divisor,
+        "--u-order", "1", "--s-orders", "1", "--table", "a1n2",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [
+        f'error: divisor {divisor!r} out of range: the divisors are "(2)" and D1..D1'
+    ]
+
+
 def test_eigencheck_default(capsys):
     code, out, _ = run(capsys, "eigencheck")
     assert code == 0

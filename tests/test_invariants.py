@@ -23,6 +23,7 @@ from symprod.invariants import (
     three_point_divisor_series,
     two_point_series,
 )
+from symprod.operators import zero_degree_table_a1n2
 from symprod.partitions import ONE, ecurve, fixedpt, omega, partitions_of, weighted_partition
 from symprod.surface import e_chain, tangent_weights
 from symprod.textforms import wp_to_text
@@ -446,3 +447,11 @@ def test_three_point_rejects_divisor_out_of_range():
     for divisor in ("D0", "D2", "D3"):
         with pytest.raises(ValueError, match="out of range"):
             three_point_divisor_series(TWO_E1, divisor, TWO_E1, 1, (1,), W1, None)
+
+
+@pytest.mark.parametrize("divisor", ["D01", "D 1", "D+1"])
+def test_three_point_rejects_noncanonical_divisor(divisor):
+    # int() would read each as D1, and the table lookup would then miss
+    table = zero_degree_table_a1n2()
+    with pytest.raises(ValueError, match=r'the divisors are "\(2\)" and D1\.\.D1'):
+        three_point_divisor_series(TWO_E1, divisor, TWO_E1, 1, (1,), W1, table)

@@ -1,6 +1,7 @@
 """Operator assembly, the closed-form benchmark, grading, eigenchecks."""
 
 import hashlib
+import json.encoder
 import random
 from fractions import Fraction
 
@@ -323,6 +324,17 @@ def _op_matrices(draw):
 @given(_op_matrices())
 def test_op_matrix_dumps_matches_reference(op):
     assert op_matrix_dumps(op) == reference_op_matrix_dumps(op)
+
+
+def test_op_matrix_dumps_runs_no_pure_python_encoder(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the pure-Python JSON encoder ran")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    op = divisor_operator(
+        2, 1, "D1", default_divisor_basis(2, 1), 1, (1,), None, zero_degree_table_a1n2()
+    )
+    assert json.loads(op_matrix_dumps(op)) == op_matrix_to_json(op)
 
 
 # ---------------------------------------------------------------------------
