@@ -311,17 +311,20 @@ def _op_matrices(draw):
         else:
             shape = (rng.randint(0, 2), tuple(rng.randint(0, 2) for _ in range(r)))
             entries[i][j] = random_series(rng, *shape, ratfunc=True)
-    gaps = draw(st.sampled_from(["empty", "partial", "full"]))
-    if gaps == "full":
-        gap_set = set(cells)
-    else:
-        gap_set = {cell for cell in cells if gaps == "partial" and rng.random() < 0.3}
+    share = draw(st.sampled_from([0.0, 0.3, 1.0]))  # no gaps, some or all
+    gaps = {cell for cell in cells if rng.random() < share}
     divisor = draw(st.sampled_from(["(2)", "D1", _ESCAPED_DIVISOR]))
-    return OperatorMatrix(n, r, divisor, basis, u_order, s_orders, entries, gap_set)
+    return OperatorMatrix(n, r, divisor, basis, u_order, s_orders, entries, gaps)
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(_op_matrices())
+@example(
+    OperatorMatrix(
+        1, 1, _ESCAPED_DIVISOR, tuple(default_divisor_basis(1, 1)[:1]), 0, (0,),
+        [[TruncSeries.zero(0, (0,))]], {(0, 0)},
+    )
+)
 def test_op_matrix_dumps_matches_reference(op):
     assert op_matrix_dumps(op) == reference_op_matrix_dumps(op)
 
