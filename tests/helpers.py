@@ -11,15 +11,7 @@ from itertools import permutations
 from math import factorial
 
 from symprod.algebra import GaussRational, Poly2, RatFunc2, TruncSeries, ratfunc_from_text
-from symprod.algebra.poly import (
-    _from_recursive,
-    _rec_content,
-    _rec_degree,
-    _rec_div_content,
-    _rec_prem,
-    _to_recursive,
-    _u_gcd,
-)
+from symprod.algebra.poly import _u_add, _u_divmod, _u_gcd, _u_mul
 from symprod.chenruan import CRClass, expand, gram_inverse, pairing
 from symprod.errors import OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
@@ -355,6 +347,57 @@ def reference_divisor_operator(
 # algebra oracles: the general bivariate gcd, the term-by-term series loops and
 # the polynomial text form with Fraction comparisons
 # ---------------------------------------------------------------------------
+
+def _to_recursive(p: Poly2) -> dict:
+    """View in (Q[t2])[t1]: map t1-degree -> dense list of t2 coefficients."""
+    rec: dict = {}
+    for (e1, e2), c in p.terms.items():
+        coeff = rec.setdefault(e1, [])
+        coeff.extend([Fraction(0)] * (e2 + 1 - len(coeff)))
+        coeff[e2] += c
+    return {d: c for d, c in rec.items() if any(c)}
+
+
+def _from_recursive(rec: dict) -> Poly2:
+    return Poly2({(e1, e2): c for e1, coeff in rec.items() for e2, c in enumerate(coeff)})
+
+
+def _rec_degree(rec: dict) -> int:
+    return max(rec) if rec else -1
+
+
+def _rec_content(rec: dict) -> list:
+    g: list = []
+    for coeff in rec.values():
+        g = _u_gcd(g, coeff)
+    return g
+
+
+def _rec_div_content(rec: dict, cont: list) -> dict:
+    out = {}
+    for d, p in rec.items():
+        q, r = _u_divmod(p, cont)
+        assert not r, "content division not exact"
+        out[d] = q
+    return out
+
+
+def _rec_prem(a: dict, b: dict) -> dict:
+    """Pseudo-remainder of a by b in (Q[t2])[t1]."""
+    db = _rec_degree(b)
+    lb = b[db]
+    rem = {d: list(p) for d, p in a.items()}
+    while rem and _rec_degree(rem) >= db:
+        da = _rec_degree(rem)
+        minus_la = [-c for c in rem[da]]
+        # rem <- lb*rem - la*t1^(da-db)*b
+        new = {d: _u_mul(p, lb) for d, p in rem.items()}
+        for d, p in b.items():
+            shifted = d + da - db
+            new[shifted] = _u_add(new.get(shifted, []), _u_mul(p, minus_la))
+        rem = {d: p for d, p in new.items() if p}
+    return rem
+
 
 def reference_poly2_gcd(a: Poly2, b: Poly2) -> Poly2:
     """Primitive gcd by content/primitive-part recursion in (Q[t2])[t1],

@@ -348,6 +348,47 @@ def test_poly2_gcd_with_a_monomial_runs_no_recursion(m, f):
         poly2_gcd(f, m)
 
 
+# poly2_gcd against the general recursion when one operand is homogeneous: the
+# weight forms of the tangent spaces, up to r = 4, with planted common factors
+
+_WEIGHT_FORMS = [
+    T1P, T2P, T1P + T2P, T1P - T2P,
+    T1P.scale(2) - T2P, T1P - T2P.scale(2), T1P.scale(2) - T2P.scale(3), T1P.scale(4) - T2P,
+]
+_weight_products = st.lists(st.sampled_from(_WEIGHT_FORMS), max_size=3).map(_product)
+
+
+@st.composite
+def _homogeneous_polys(draw, max_degree=3):
+    d = draw(st.integers(0, max_degree))
+    coeffs = draw(st.lists(_fractions, min_size=d + 1, max_size=d + 1))
+    return Poly2({(i, d - i): c for i, c in enumerate(coeffs)})
+
+
+_nonzero_homogeneous = _homogeneous_polys().filter(lambda p: not p.is_zero())
+
+
+@st.composite
+def _homogeneous_gcd_operands(draw):
+    """(h, f, common): h homogeneous and nonzero, f general or homogeneous,
+    both multiples of the planted product of weight forms `common`."""
+    common = draw(_weight_products)
+    h = draw(_weight_products) * draw(_nonzero_homogeneous) * common
+    f = draw(st.one_of(_polys, _homogeneous_polys(), _weight_products))
+    f = f * draw(_weight_products) * common
+    return h, f, common
+
+
+@_DIFF_SETTINGS
+@given(_homogeneous_gcd_operands())
+def test_poly2_gcd_with_a_homogeneous_operand_matches_reference(operands):
+    h, f, common = operands
+    want = reference_poly2_gcd(h, f)
+    assert poly2_gcd(h, f) == want
+    assert poly2_gcd(f, h) == want
+    poly2_divexact(want, common.primitive())  # exact: the planted factor divides
+
+
 # ---------------------------------------------------------------------------
 # truncated series
 # ---------------------------------------------------------------------------

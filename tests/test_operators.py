@@ -274,6 +274,8 @@ PINNED_OP_MATRICES = [
      "123ff7119fdefecee1f6a0310487e5c450846107a5d9a1932f3a52719d187045"),
     ((2, 1, "D1", 3, (3,), True),
      "b1e3a9571e8a04bc5d27c057245e36f5335a951a6805d65f32e5248214c7cf15"),
+    ((2, 4, "D1", 3, (2, 2, 2, 2), False),
+     "8e527b40337d431b584b1c875fc0b1a15807d6baedec830aceb48f0f714c1aca"),
 ]
 
 
