@@ -2,11 +2,12 @@
 
 Poly2 is the coefficient workhorse for everything equivariant: exact
 polynomials in the torus weights t1, t2 with Fraction coefficients.
-Gcds are computed by content/primitive-part recursion in (Q[t2])[t1], so
-that rational functions built on top of Poly2 admit a canonical form. When
-either operand is a single term c*t1^a*t2^b (a constant included) the gcd
-is read off the exponents, t1^min(a, ord_t1)*t2^min(b, ord_t2) with ord the
-smallest exponent in the other operand, and no recursion runs.
+poly2_gcd has one route. Its monomial part t1^e1*t2^e2 takes the smallest
+exponents over the terms of both operands, and is the gcd when either
+operand is a single term. Otherwise one operand must be homogeneous: the
+univariate Euclid of Poly1 is folded over it and over each homogeneous
+part of the other, all at t1 = x, t2 = 1 less their power of x, and the
+result is homogenised.
 Exact division works on the term dict directly: each step cancels the
 remainder's lex-leading term with a monomial multiple of the divisor.
 """
@@ -41,12 +42,6 @@ def _u_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     for i, c in enumerate(q):
         out[i] += c
     return _u_trim(out)
-
-
-def _u_scale(p: list[Fraction], c: Fraction) -> list[Fraction]:
-    if c == 0:
-        return []
-    return [ci * c for ci in p]
 
 
 def _u_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -269,101 +264,46 @@ _P2_T2 = Poly2({(0, 1): _ONE})
 
 
 # ---------------------------------------------------------------------------
-# gcd (content/primitive-part recursion) and exact division
+# gcd (monomial part, then one univariate Euclid) and exact division
 # ---------------------------------------------------------------------------
 
-def _to_recursive(p: Poly2) -> dict[int, list[Fraction]]:
-    """View in (Q[t2])[t1]: map t1-degree -> dense poly in t2."""
-    rec: dict[int, list[Fraction]] = {}
+def _dehomogenised_parts(p: Poly2) -> list[list[Fraction]]:
+    """Each homogeneous part of p at t1 = x, t2 = 1, divided by its power of x."""
+    parts: dict[int, dict[int, Fraction]] = {}
     for (e1, e2), c in p.terms.items():
-        coeff = rec.setdefault(e1, [])
-        if len(coeff) <= e2:
-            coeff.extend([_ZERO] * (e2 + 1 - len(coeff)))
-        coeff[e2] += c
-    return {d: _u_trim(c) for d, c in rec.items() if _u_trim(list(c))}
-
-
-def _from_recursive(rec: dict[int, list[Fraction]]) -> Poly2:
-    terms: dict[Monomial, Fraction] = {}
-    for e1, coeff in rec.items():
-        for e2, c in enumerate(coeff):
-            if c:
-                terms[(e1, e2)] = c
-    return Poly2(terms)
-
-
-def _rec_degree(rec: dict[int, list[Fraction]]) -> int:
-    return max(rec) if rec else -1
-
-
-def _rec_content(rec: dict[int, list[Fraction]]) -> list[Fraction]:
-    g: list[Fraction] = []
-    for coeff in rec.values():
-        g = _u_gcd(g, coeff)
-        if len(g) == 1:
-            return [_ONE]
-    return g
-
-
-def _rec_div_content(rec: dict[int, list[Fraction]], cont: list[Fraction]) -> dict[int, list[Fraction]]:
-    if len(cont) == 1:
-        c = cont[0]
-        return {d: _u_scale(p, 1 / c) for d, p in rec.items()}
-    out = {}
-    for d, p in rec.items():
-        q, r = _u_divmod(p, cont)
-        if r:
-            raise ValueError("content division not exact")
-        out[d] = q
-    return out
-
-
-def _rec_prem(a: dict[int, list[Fraction]], b: dict[int, list[Fraction]]) -> dict[int, list[Fraction]]:
-    """Pseudo-remainder of a by b in (Q[t2])[t1]."""
-    db = _rec_degree(b)
-    lb = b[db]
-    rem = {d: list(p) for d, p in a.items()}
-    while rem and _rec_degree(rem) >= db:
-        da = _rec_degree(rem)
-        la = rem[da]
-        # rem <- lb*rem - la*x^(da-db)*b
-        new: dict[int, list[Fraction]] = {}
-        for d, p in rem.items():
-            new[d] = _u_mul(p, lb)
-        for d, p in b.items():
-            shifted = d + da - db
-            new[shifted] = _u_add(new.get(shifted, []), _u_scale(_u_mul(p, la), Fraction(-1)))
-        rem = {d: p for d, p in new.items() if p}
-    return rem
+        parts.setdefault(e1 + e2, {})[e1] = c
+    return [
+        [part.get(i, _ZERO) for i in range(min(part), max(part) + 1)] for part in parts.values()
+    ]
 
 
 def poly2_gcd(a: Poly2, b: Poly2) -> Poly2:
-    """Primitive gcd of two bivariate polynomials (positive lex-leading)."""
+    """Primitive gcd (positive lex-leading) of two polynomials, one of them
+    homogeneous or a single term; two others raise ValueError."""
     if a.is_zero():
         return b.primitive()
     if b.is_zero():
         return a.primitive()
+    # t1^e1*t2^e2 divides a polynomial iff it divides every term
+    monos = (*a.terms, *b.terms)
+    e1, e2 = min(m[0] for m in monos), min(m[1] for m in monos)
+    monomial = _P2_ONE if e1 == e2 == 0 else Poly2.monomial(e1, e2)
     if len(a.terms) == 1 or len(b.terms) == 1:
-        # a divisor of a single term is a monomial, and t1^e1*t2^e2 divides
-        # a polynomial iff it divides every term
-        monos = (*a.terms, *b.terms)
-        e1, e2 = min(m[0] for m in monos), min(m[1] for m in monos)
-        return _P2_ONE if e1 == e2 == 0 else Poly2.monomial(e1, e2)
-
-    ra, rb = _to_recursive(a), _to_recursive(b)
-    ca, cb = _rec_content(ra), _rec_content(rb)
-    pa, pb = _rec_div_content(ra, ca), _rec_div_content(rb, cb)
-    if _rec_degree(pa) < _rec_degree(pb):
-        pa, pb = pb, pa
-    while pb:
-        rem = _rec_prem(pa, pb)
-        pa = pb
-        if rem:
-            rem = _rec_div_content(rem, _rec_content(rem))
-        pb = rem
-    cont = _u_gcd(ca, cb)
-    g = _from_recursive(pa) * _from_recursive({0: cont})
-    return g.primitive()
+        return monomial
+    homogeneous, other = _dehomogenised_parts(a), _dehomogenised_parts(b)
+    if len(homogeneous) > 1:
+        homogeneous, other = other, homogeneous
+    if len(homogeneous) > 1:
+        raise ValueError(f"gcd of two polynomials that are not homogeneous: {a}, {b}")
+    # a factor of a homogeneous polynomial is homogeneous, and it divides a
+    # polynomial iff it divides each homogeneous part
+    g = homogeneous[0]
+    for part in other:
+        g = _u_gcd(g, part)
+        if len(g) == 1:
+            return monomial
+    k = len(g) - 1
+    return Poly2({(e1 + i, e2 + k - i): c for i, c in enumerate(g)}).primitive()
 
 
 def poly2_divexact(a: Poly2, b: Poly2) -> Poly2:

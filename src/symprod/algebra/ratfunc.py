@@ -1,4 +1,11 @@
-"""Rational functions in t1, t2 with a canonical form.
+"""Fractions in t1, t2 with a homogeneous denominator, in a canonical form.
+
+This localisation of Q[t1, t2] holds every equivariant value: the
+fixed-point formulas divide only by products of tangent weights. The
+constructor rejects a denominator that is not homogeneous with
+MalformedInputError. That is the one check: sums and products only
+multiply existing denominators, and the inverse passes the numerator back
+through the constructor. A numerator may be any polynomial.
 
 Canonical form: gcd(num, den) = 1, den integer-primitive with positive
 lexicographically-leading coefficient (t1-major). Equality is then
@@ -32,7 +39,7 @@ from .poly import _ZERO, Poly2, poly2_divexact, poly2_from_text, poly2_gcd, poly
 
 
 class RatFunc2:
-    """Element of Q(t1, t2), always stored in canonical form."""
+    """Fraction in t1, t2 over a homogeneous denominator, in canonical form."""
 
     __slots__ = ("num", "den", "_hash")
 
@@ -41,6 +48,8 @@ class RatFunc2:
             den = Poly2.one()
         if den.is_zero():
             raise MalformedInputError("rational function with zero denominator")
+        if len({e1 + e2 for e1, e2 in den.terms}) > 1:
+            raise MalformedInputError(f"denominator {poly2_to_text(den)} is not homogeneous")
         if num.is_zero():
             num, den = Poly2.zero(), Poly2.one()
         else:
@@ -227,7 +236,7 @@ def _sum_products(triples) -> dict:
 
 def ratfunc_to_text(f: RatFunc2) -> str:
     """Canonical string: "num" when den = 1, else "(num)/(den)"."""
-    if f.den == Poly2.one():
+    if f.den.is_const():  # a canonical constant denominator is 1
         return poly2_to_text(f.num)
     return f"({poly2_to_text(f.num)})/({poly2_to_text(f.den)})"
 

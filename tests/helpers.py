@@ -612,8 +612,20 @@ def random_nonzero_poly2(rng: random.Random, terms: int = 3, degree: int = 3) ->
             return p
 
 
+def random_homogeneous_poly2(rng: random.Random, degree: int = 2) -> Poly2:
+    """A nonzero homogeneous polynomial of degree at most `degree`."""
+    while True:
+        d = rng.randint(0, degree)
+        p = Poly2({(i, d - i): random_fraction(rng) for i in range(d + 1)})
+        if not p.is_zero():
+            return p
+
+
 def random_ratfunc(rng: random.Random) -> RatFunc2:
-    return RatFunc2(random_poly2(rng, 3, 2), random_nonzero_poly2(rng, 2, 2))
+    """A homogeneous numerator (zero in about one draw of four) over a
+    homogeneous denominator."""
+    num = random_homogeneous_poly2(rng) if rng.randint(0, 3) else Poly2.zero()
+    return RatFunc2(num, random_homogeneous_poly2(rng))
 
 
 def random_series(

@@ -11,6 +11,7 @@ from helpers import (
     conjugate,
     evaluate_ratfunc,
     random_fraction,
+    random_homogeneous_poly2,
     random_nonzero_poly2,
     random_poly2,
     random_ratfunc,
@@ -43,6 +44,7 @@ from symprod.errors import (
     RealnessViolationError,
     ShapeError,
 )
+from symprod.textforms import series_to_json
 
 T1P, T2P = Poly2.t1(), Poly2.t2()
 
@@ -75,6 +77,17 @@ def test_zero_denominator_rejected():
         RatFunc2(T1P, Poly2.zero())
 
 
+def test_nonhomogeneous_denominator_rejected():
+    with pytest.raises(MalformedInputError, match=r"t1 \+ 1"):
+        RatFunc2(Poly2.one(), T1P + Poly2.one())
+    with pytest.raises(MalformedInputError, match=r"t1 \+ 1"):
+        ratfunc_from_text("(1)/(t1 + 1)")
+    with pytest.raises(MalformedInputError):
+        RatFunc2(T1P + Poly2.one()).inverse()
+    # a numerator may be any polynomial
+    assert ratfunc_to_text(RatFunc2(T1P + Poly2.one(), T1P - T2P)) == "(t1 + 1)/(t1 - t2)"
+
+
 def test_normalize_idempotent():
     rng = random.Random(11)
     for _ in range(40):
@@ -88,8 +101,8 @@ def test_gcd_and_divexact_random():
     rng = random.Random(5)
     for _ in range(60):
         a = random_nonzero_poly2(rng)
-        b = random_nonzero_poly2(rng)
-        g = random_nonzero_poly2(rng, 2, 2)
+        b = random_homogeneous_poly2(rng, 3)
+        g = random_homogeneous_poly2(rng)
         assert poly2_divexact(a * g, g) == a
         joint = poly2_gcd(a * g, b * g)
         # the gcd divides both products and contains the planted factor
@@ -122,10 +135,25 @@ def test_ratfunc_equality_by_cross_multiplication():
     rng = random.Random(13)
     for _ in range(30):
         f = random_ratfunc(rng)
-        scale = random_nonzero_poly2(rng, 2, 2)
+        scale = random_homogeneous_poly2(rng)
         g = RatFunc2(f.num * scale, f.den * scale)
         assert f == g
         assert f.num * g.den == g.num * f.den
+
+
+def test_ratfunc_text_compares_no_polynomials(monkeypatch):
+    # the constant denominator of a canonical value is 1: no Poly2 comparison
+    def no_eq(self, other):
+        raise AssertionError("Poly2.__eq__ called")
+
+    series = TruncSeries(1, (1,), {
+        (0, (0,)): RatFunc2(T1P + Poly2.one()),
+        (1, (1,)): RatFunc2(T1P, T1P - T2P.scale(2)),
+    })
+    monkeypatch.setattr(Poly2, "__eq__", no_eq)
+    terms = series_to_json(series)["terms"]
+    assert [t["coeff"] for t in terms] == ["t1 + 1", "(t1)/(t1 - 2*t2)"]
+    assert str(series) == "(t1 + 1)*1 + ((t1)/(t1 - 2*t2))*u*s1"
 
 
 def test_ratfunc_text_roundtrip():
@@ -334,16 +362,23 @@ def test_poly2_gcd_with_a_monomial_matches_reference(m, f):
     assert poly2_gcd(f, m) == reference_poly2_gcd(f, m)
 
 
+def test_poly2_gcd_rejects_two_nonhomogeneous_operands():
+    with pytest.raises(ValueError, match="not homogeneous"):
+        poly2_gcd(T1P + Poly2.one(), T1P * T2P - Poly2.one())
+    # one homogeneous operand is enough
+    assert poly2_gcd(T1P * T1P - T2P * T2P, T1P * T1P - T2P * T2P + T1P - T2P) == T1P - T2P
+
+
 @_DIFF_SETTINGS
 @given(_monomials, _gcd_partners)
 def test_poly2_gcd_with_a_monomial_runs_no_recursion(m, f):
     import symprod.algebra.poly as poly
 
-    def no_prem(a, b):
-        raise AssertionError("single-term gcd entered the recursion")
+    def no_euclid(a, b):
+        raise AssertionError("single-term gcd entered the univariate Euclid")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(poly, "_rec_prem", no_prem)
+        patch.setattr(poly, "_u_gcd", no_euclid)
         poly2_gcd(m, f)
         poly2_gcd(f, m)
 
