@@ -406,10 +406,16 @@ _nonzero_homogeneous = _homogeneous_polys().filter(lambda p: not p.is_zero())
 @st.composite
 def _homogeneous_gcd_operands(draw):
     """(h, f, common): h homogeneous and nonzero, f general or homogeneous,
-    both multiples of the planted product of weight forms `common`."""
-    common = draw(_weight_products)
-    h = draw(_weight_products) * draw(_nonzero_homogeneous) * common
-    f = draw(st.one_of(_polys, _homogeneous_polys(), _weight_products))
+    both multiples of the planted product of weight forms `common`. A factor
+    `shared` of h may divide one homogeneous part of f and not the others."""
+    common, shared = draw(_weight_products), draw(_weight_products)
+    h = shared * draw(_nonzero_homogeneous) * common
+    f = draw(st.one_of(
+        _polys,
+        _homogeneous_polys(),
+        _weight_products,
+        st.builds(lambda a, b: shared * a + b, _homogeneous_polys(), _polys),
+    ))
     f = f * draw(_weight_products) * common
     return h, f, common
 
