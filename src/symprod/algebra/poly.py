@@ -278,8 +278,8 @@ def _dehomogenised_parts(p: Poly2) -> list[list[Fraction]]:
 
 
 def poly2_gcd(a: Poly2, b: Poly2) -> Poly2:
-    """Primitive gcd (positive lex-leading) of two polynomials, one of them
-    homogeneous or a single term; two others raise ValueError."""
+    """Primitive gcd (positive lex-leading) of two polynomials. Unless one is
+    a single term, one must be homogeneous, or ValueError is raised."""
     if a.is_zero():
         return b.primitive()
     if b.is_zero():
