@@ -496,6 +496,26 @@ def reference_lincomb(pairs, u_order: int, s_orders) -> TruncSeries:
     return acc
 
 
+def reference_series_inverse(s: TruncSeries) -> TruncSeries:
+    """1/s by the Neumann sum (1/c0) * sum_k (-N)^k, one full product per power."""
+    c0 = s.constant_term()
+    if c0.is_zero():
+        raise ZeroDivisionError("series has no invertible constant term")
+    # 1/(c0(1+N)) = (1/c0) * sum (-N)^k, N nilpotent in the truncated ring
+    n = s.scale(c0.inverse()) - TruncSeries.one(s.u_order, s.s_orders)
+    bound = s.u_order + sum(s.s_orders)
+    out = TruncSeries.one(s.u_order, s.s_orders)
+    power = TruncSeries.one(s.u_order, s.s_orders)
+    sign = 1
+    for _ in range(bound):
+        power = power * n
+        if power.is_zero():
+            break
+        sign = -sign
+        out = out + (power if sign > 0 else -power)
+    return out.scale(c0.inverse())
+
+
 # ---------------------------------------------------------------------------
 # exact evaluation and the t2 = -t1 substitution, for checks on library values
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@ closed-form expansion, characteristic polynomials."""
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     conjugate,
@@ -19,6 +20,7 @@ from helpers import (
     reference_lincomb,
     reference_poly2_gcd,
     reference_poly2_to_text,
+    reference_series_inverse,
     reference_series_mul,
 )
 from symprod.algebra import (
@@ -438,7 +440,17 @@ def test_poly2_gcd_with_a_homogeneous_operand_matches_reference(operands):
 
 _SHAPE = (2, (1, 1))
 _series_dens = st.one_of(_dens, st.builds(Poly2.monomial, st.integers(0, 3), st.integers(0, 3)))
-_series_coeffs = st.builds(RatFunc2, _polys, _series_dens)
+# the coefficient denominators the data has: k! from the exponential e^{iu}, up to 12!
+_series_fractions = st.builds(
+    Fraction,
+    st.one_of(st.integers(-6, 6), st.integers(-10**30, 10**30)),
+    st.sampled_from([1, 2, 3, 4, 6, 24, 120, 5040, factorial(12)]),
+)
+_nonzero_series_fractions = _series_fractions.filter(bool)
+_series_polys = st.dictionaries(
+    st.tuples(st.integers(0, 2), st.integers(0, 2)), _series_fractions, max_size=3
+).map(Poly2)
+_series_coeffs = st.builds(RatFunc2, _series_polys, _series_dens)
 _series_keys = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 1), st.integers(0, 1)))
 _coeff_dicts = st.dictionaries(_series_keys, _series_coeffs, max_size=3)
 _SERIES_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -458,16 +470,26 @@ def _cross_den_pair(draw):
 
 
 @st.composite
+def _scaled_pair(draw):
+    """(f, g, -c*f, g/c): f*g + (-c*f)*(g/c) vanishes, although the two
+    products have one denominator and different coefficient denominators."""
+    f, g = draw(_nonzero_series_coeffs), draw(_nonzero_series_coeffs)
+    c = draw(_nonzero_series_fractions)
+    return f, g, f * (-c), g / c
+
+
+@st.composite
 def _series_operands(draw):
     """Two series of one shape, with a planted sum at u^1.
 
     "equal": f*h + g*h, where f and g share a denominator and f + g may
     cancel against it or vanish (see _equal_den_pairs); "cross": (f/h)*h
-    - f, which vanishes across two denominators. Other terms add products
-    over other denominators at the same keys.
+    - f, which vanishes across two denominators; "scaled": f*g +
+    (-c*f)*(g/c), which vanishes over one denominator (see _scaled_pair).
+    Other terms add products over other denominators at the same keys.
     """
     a, b = draw(_coeff_dicts), draw(_coeff_dicts)
-    kind = draw(st.sampled_from(["plain", "equal", "cross"]))
+    kind = draw(st.sampled_from(["plain", "equal", "cross", "scaled"]))
     k0, k1 = (0, (0, 0)), (1, (0, 0))
     if kind == "equal":
         f, g = draw(_equal_den_pairs())
@@ -476,6 +498,9 @@ def _series_operands(draw):
     elif kind == "cross":
         h, f_h, f = draw(_cross_den_pair())
         a[k0], a[k1], b[k1], b[k0] = f_h, f, h, RatFunc2.const(-1)
+    elif kind == "scaled":
+        f, g, f_c, g_c = draw(_scaled_pair())
+        a[k0], b[k1], a[k1], b[k0] = f, g, f_c, g_c
     return TruncSeries(*_SHAPE, a), TruncSeries(*_SHAPE, b)
 
 
@@ -506,12 +531,13 @@ _lincomb_factors = st.one_of(
 @st.composite
 def _lincomb_pairs(draw):
     """(c, s) pairs, with a planted sum at one key as in _series_operands:
-    h*f + h*g with f + g over one denominator, or h*(f/h) - f."""
+    h*f + h*g with f + g over one denominator, h*(f/h) - f, or f*g +
+    (-c*f)*(g/c)."""
     pairs = draw(st.lists(
         st.tuples(_lincomb_factors, _coeff_dicts.map(lambda d: TruncSeries(*_SHAPE, d))),
         max_size=4,
     ))
-    kind = draw(st.sampled_from(["plain", "equal", "cross"]))
+    kind = draw(st.sampled_from(["plain", "equal", "cross", "scaled"]))
     if kind == "equal":
         f, g = draw(_equal_den_pairs())
         h = draw(_lincomb_factors.filter(lambda c: not c.is_zero()))
@@ -519,6 +545,9 @@ def _lincomb_pairs(draw):
     elif kind == "cross":
         h, f_h, f = draw(_cross_den_pair())
         planted = [(h, f_h), (RatFunc2.const(-1), f)]
+    elif kind == "scaled":
+        f, g, f_c, g_c = draw(_scaled_pair())
+        planted = [(f, g), (f_c, g_c)]
     else:
         planted = []
     key = draw(_series_keys)
@@ -542,6 +571,57 @@ def test_series_lincomb_checks_shapes():
     assert TruncSeries.lincomb([(RatFunc2.const(2), one)], *_SHAPE) == one.scale(2)
     with pytest.raises(ShapeError):
         TruncSeries.lincomb([(RatFunc2.one(), TruncSeries.one(2, (1,)))], *_SHAPE)
+
+
+@st.composite
+def _invertible_series(draw):
+    """A series of a random shape (s_orders of length 0-3, orders 0-3) with
+    an invertible constant term, a constant or a homogeneous form over a
+    product of weight forms, and one to three other terms. Half of the other
+    keys have exponents 0 and 1 only, so that many powers stay in the box."""
+    u_order = draw(st.integers(0, 3))
+    s_orders = tuple(draw(st.lists(st.integers(0, 3), max_size=3)))
+
+    def keys(cap):
+        exps = (st.integers(0, min(d, cap)) for d in s_orders)
+        return st.tuples(st.integers(0, min(u_order, cap)), st.tuples(*exps))
+
+    coeffs = draw(st.dictionaries(
+        st.one_of(keys(1), keys(3)), _nonzero_series_coeffs, min_size=1, max_size=3
+    ))
+    if draw(st.booleans()):
+        c0 = RatFunc2(draw(_nonzero_homogeneous), draw(_dens))
+    else:
+        c0 = RatFunc2.const(draw(_nonzero_series_fractions))
+    coeffs[(0, (0,) * len(s_orders))] = c0
+    return TruncSeries(u_order, s_orders, coeffs)
+
+
+# every key of the box (3, (3, 3, 3)) below total degree 4 is reached
+_DENSE_INVERTIBLE = TruncSeries(3, (3, 3, 3), {
+    (0, (0, 0, 0)): RatFunc2(T1P + T2P, T1P * T2P),
+    (1, (0, 0, 0)): RatFunc2.const(Fraction(1, 5040)),
+    (0, (1, 0, 0)): RatFunc2(T1P, T1P - T2P),
+    (0, (0, 1, 1)): RatFunc2(T2P * T2P + T1P, T1P),
+})
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_invertible_series())
+@example(_DENSE_INVERTIBLE)
+def test_series_inverse_matches_reference(s):
+    inv = s.inverse()
+    _same_series(inv, reference_series_inverse(s))
+    assert s * inv == TruncSeries.one(*s.shape())
+
+
+def test_series_inverse_needs_a_constant_term():
+    s = TruncSeries.monomial(1, (0,), RatFunc2.one(), 2, (1,))
+    for inverse in (TruncSeries.inverse, reference_series_inverse):
+        with pytest.raises(ZeroDivisionError):
+            inverse(s)
+        with pytest.raises(ZeroDivisionError):
+            inverse(TruncSeries.zero(0, ()))
 
 
 def _u(a, coeff=1, u_order=2, s_orders=(2,)):

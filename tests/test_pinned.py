@@ -32,6 +32,18 @@ def test_closed_form_expansion_pinned():
     )
 
 
+def test_closed_form_expansion_u12_s12_pinned():
+    """The verify-a1n2 depth, where each 1/(1 + s*q) is a series inverse."""
+    matrix = expand_q_closed_form(closed_form_matrix_a1n2, 12, (12,))
+    assert len(matrix) == 5 and all(len(row) == 5 for row in matrix)
+    text = json.dumps(
+        [[series_to_json(e) for e in row] for row in matrix], sort_keys=True
+    )
+    assert _sha256(text.encode()) == (
+        "609d33af4d97fe95324a9448a558735f44fe8bca8b382bdfc5349d723dd826cd"
+    )
+
+
 def test_make_table_file_pinned(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert main(["make-table", "--case", "a1n2", "--out", str(out)]) == 0
