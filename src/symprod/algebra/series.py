@@ -5,13 +5,24 @@ a <= u_order and s_k-exponent d_k <= s_orders[k]. Box truncation commutes
 with ring operations, so products of truncations agree with truncations
 of full products.
 
+Exponents are nonnegative: a key with a negative exponent raises
+ShapeError.
+
 Products and linear combinations accumulate first and canonicalise once:
 the terms that land on one key are summed as numerators over their common
 denominator (ratfunc._sum_products), and only those sums become RatFunc2
 values, rather than one canonical RatFunc2 per term product.
+
+The inverse is one triangular recursion over the box, not a sum of powers:
+with c0 the constant term, b_0 = 1/c0, and each other key k, taken in
+increasing total degree, is b_k = sum over j != 0, j <= k of (-a_j/c0) *
+b_(k-j), one _sum_products call per key. The box is a monomial quotient, so
+the inverse is unique and each key is canonicalised once.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from ..errors import EmptyOrderError, ShapeError
 from .ratfunc import RatFunc2, _sum_products
@@ -33,6 +44,8 @@ class TruncSeries:
                 ds = tuple(ds)
                 if len(ds) != len(self.s_orders):
                     raise ShapeError("s-exponent tuple has wrong length")
+                if a < 0 or any(d < 0 for d in ds):
+                    raise ShapeError(f"negative exponent in key {(a, ds)}")
                 if a > self.u_order or any(d > dmax for d, dmax in zip(ds, self.s_orders)):
                     continue
                 if not c.is_zero():
@@ -139,23 +152,31 @@ class TruncSeries:
         return self._wrap({k: v * c for k, v in self.coeffs.items()})
 
     def inverse(self) -> TruncSeries:
-        """Multiplicative inverse; requires an invertible constant term."""
+        """Multiplicative inverse; requires an invertible constant term.
+
+        One triangular recursion over the box: with c0 the constant term
+        and a_j the other coefficients, b_0 = 1/c0 and, in increasing total
+        degree u + sum(d), b_k = sum over j != 0, j <= k of (-a_j/c0) *
+        b_(k-j). Each key's sum is accumulated and canonicalised once.
+        """
         c0 = self.constant_term()
         if c0.is_zero():
             raise ZeroDivisionError("series has no invertible constant term")
-        # 1/(c0(1+N)) = (1/c0) * sum (-N)^k, N nilpotent in the truncated ring
-        n = self.scale(c0.inverse()) - TruncSeries.one(self.u_order, self.s_orders)
-        bound = self.u_order + sum(self.s_orders)
-        out = TruncSeries.one(self.u_order, self.s_orders)
-        power = TruncSeries.one(self.u_order, self.s_orders)
-        sign = 1
-        for _ in range(bound):
-            power = power * n
-            if power.is_zero():
-                break
-            sign = -sign
-            out = out + (power if sign > 0 else -power)
-        return out.scale(c0.inverse())
+        inv_c0 = c0.inverse()
+        minus_inv_c0 = -inv_c0
+        steps = [(a, ds, c * minus_inv_c0) for (a, ds), c in self.coeffs.items() if a or any(ds)]
+        out = {(0, (0,) * len(self.s_orders)): inv_c0}
+        ranges = [range(self.u_order + 1)] + [range(d + 1) for d in self.s_orders]
+        for a, *ds in sorted(product(*ranges), key=sum)[1:]:  # [0] is the constant key
+            key = (a, tuple(ds))
+            terms = []
+            for ja, jds, c in steps:
+                # no key has a negative exponent, so a step j not <= k finds nothing
+                b = out.get((a - ja, tuple(d - j for d, j in zip(ds, jds))))
+                if b is not None:
+                    terms.append((key, c, b))
+            out.update(_sum_products(terms))
+        return self._wrap(out)
 
     def __eq__(self, other) -> bool:
         return (

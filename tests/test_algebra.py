@@ -39,6 +39,7 @@ from symprod.algebra import (
     ratfunc_from_text,
     ratfunc_to_text,
 )
+from symprod.algebra.qexpr import _minus_exp_iu
 from symprod.errors import (
     EmptyOrderError,
     MalformedInputError,
@@ -563,6 +564,27 @@ def _lincomb_pairs(draw):
 def test_series_lincomb_matches_reference(pairs):
     _same_series(TruncSeries.lincomb(pairs, *_SHAPE), reference_lincomb(pairs, *_SHAPE))
     _same_series(TruncSeries.lincomb(iter(pairs[::-1]), *_SHAPE), reference_lincomb(pairs, *_SHAPE))
+
+
+def test_series_product_over_denominator_one_runs_no_fraction_arithmetic(monkeypatch):
+    q = _minus_exp_iu(12, (12,))
+    want = [reference_series_mul(a, b) for a, b in ((q.re, q.re), (q.re, q.im), (q.im, q.im))]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction arithmetic in a series product over denominator 1")
+
+    for name in ("__mul__", "__rmul__", "__add__", "__radd__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    got = [q.re * q.re, q.re * q.im, q.im * q.im]
+    monkeypatch.undo()
+    for g, w in zip(got, want):
+        _same_series(g, w)
+
+
+def test_series_rejects_negative_exponent():
+    for key in ((-1, (0,)), (0, (-1,))):
+        with pytest.raises(ShapeError):
+            TruncSeries(2, (1,), {key: RatFunc2.one()})
 
 
 def test_series_lincomb_checks_shapes():
