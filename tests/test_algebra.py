@@ -619,7 +619,7 @@ def _invertible_series(draw):
     return TruncSeries(u_order, s_orders, coeffs)
 
 
-# every key of the box (3, (3, 3, 3)) below total degree 4 is reached
+# a dense case: its inverse has 64 terms in the box (3, (3, 3, 3))
 _DENSE_INVERTIBLE = TruncSeries(3, (3, 3, 3), {
     (0, (0, 0, 0)): RatFunc2(T1P + T2P, T1P * T2P),
     (1, (0, 0, 0)): RatFunc2.const(Fraction(1, 5040)),
