@@ -1,8 +1,17 @@
-"""Exact Gaussian rationals a + b*i with a, b in Q."""
+"""Exact Gaussian rationals a + b*i, with Fraction or TruncSeries parts.
+
+Evaluating a closed form at an exact point runs this arithmetic on
+Fraction parts; expanding it (algebra.qexpr) runs the same formulas on
+series parts of one shape, which meet int and Fraction parts through the
+series ring's scalar operands. The inverse multiplies both parts by
+1 / norm, so a series norm is inverted once.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from .series import TruncSeries
 
 
 def _coerced(op):
@@ -23,8 +32,8 @@ class GaussRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if isinstance(re, TruncSeries) else Fraction(re)
+        self.im = im if isinstance(im, TruncSeries) else Fraction(im)
 
     @staticmethod
     def lift(x) -> GaussRational:
@@ -38,8 +47,8 @@ class GaussRational:
     def is_real(self) -> bool:
         return self.im == 0
 
-    def norm(self) -> Fraction:
-        """|z|^2 as a rational number."""
+    def norm(self):
+        """|z|^2: a Fraction, or a TruncSeries when a part is a series."""
         return self.re * self.re + self.im * self.im
 
     @_coerced
@@ -72,7 +81,8 @@ class GaussRational:
         n = self.norm()
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return GaussRational(self.re / n, -self.im / n)
+        inv_n = 1 / n  # a series norm raises ZeroDivisionError without a constant term
+        return GaussRational(self.re * inv_n, -self.im * inv_n)
 
     @_coerced
     def __truediv__(self, other: GaussRational) -> GaussRational:
@@ -95,8 +105,9 @@ class GaussRational:
             return str(self.re)
         if self.re == 0:
             return f"{self.im}*i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re} {sign} {abs(self.im)}*i"
+        if isinstance(self.im, Fraction) and self.im < 0:
+            return f"{self.re} - {-self.im}*i"
+        return f"{self.re} + {self.im}*i"
 
     def __repr__(self) -> str:
         return f"GaussRational({self.re!s}, {self.im!s})"

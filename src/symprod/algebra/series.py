@@ -6,7 +6,10 @@ with ring operations, so products of truncations agree with truncations
 of full products.
 
 Exponents are nonnegative: a key with a negative exponent raises
-ShapeError.
+ShapeError. An int or Fraction on either side of +, -, * and ==, or
+divided by a series, is the constant series of that series' shape (as
+RatFunc2.lift lifts rationals), so a GaussRational can hold series parts
+next to rational ones; a series of another shape raises ShapeError.
 
 Products and linear combinations accumulate first and canonicalise once:
 the terms that land on one key are summed as numerators over their common
@@ -22,6 +25,7 @@ the inverse is unique and each key is canonicalised once.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import product
 
 from ..errors import EmptyOrderError, ShapeError
@@ -91,6 +95,12 @@ class TruncSeries:
         for key in sorted(self.coeffs):
             yield key[0], key[1], self.coeffs[key]
 
+    def _lift(self, other):
+        """An int or Fraction as a constant series of this shape; anything else as is."""
+        if isinstance(other, (int, Fraction)):
+            return TruncSeries.const(other, self.u_order, self.s_orders)
+        return other
+
     def _check_shape(self, other: TruncSeries) -> None:
         if self.shape() != other.shape():
             raise ShapeError(
@@ -99,7 +109,8 @@ class TruncSeries:
 
     # -- ring operations -------------------------------------------------------------
 
-    def __add__(self, other: TruncSeries) -> TruncSeries:
+    def __add__(self, other) -> TruncSeries:
+        other = self._lift(other)
         self._check_shape(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
@@ -111,15 +122,27 @@ class TruncSeries:
                 out[key] = s
         return self._wrap(out)
 
+    __radd__ = __add__
+
     def __neg__(self) -> TruncSeries:
         return self._wrap({k: -c for k, c in self.coeffs.items()})
 
-    def __sub__(self, other: TruncSeries) -> TruncSeries:
+    def __sub__(self, other) -> TruncSeries:
         return self + (-other)
 
-    def __mul__(self, other: TruncSeries) -> TruncSeries:
+    def __rsub__(self, other) -> TruncSeries:
+        return -self + other
+
+    def __mul__(self, other) -> TruncSeries:
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         self._check_shape(other)
         return self._wrap(_sum_products(self._product_terms(other)))
+
+    __rmul__ = __mul__
+
+    def __rtruediv__(self, other) -> TruncSeries:
+        return self.inverse() * other
 
     def _product_terms(self, other: TruncSeries):
         """(key, c1, c2) for every pair of terms whose product is inside the box."""
@@ -179,6 +202,7 @@ class TruncSeries:
         return self._wrap(out)
 
     def __eq__(self, other) -> bool:
+        other = self._lift(other)
         return (
             isinstance(other, TruncSeries)
             and self.shape() == other.shape()

@@ -90,12 +90,12 @@ def _cmd_two_point(args) -> int:
 
 
 def _cmd_op_matrix(args) -> int:
-    w = tangent_weights(args.r)
+    tangent_weights(args.r)  # rejects r < 1 before the s-orders are read
     s_orders = _parse_s_orders(args.s_orders, args.r)
     table = _load_table(args.table)
     basis = default_divisor_basis(args.n, args.r)
     op = divisor_operator(
-        args.n, args.r, args.divisor, basis, args.u_order, s_orders, w, table
+        args.n, args.r, args.divisor, basis, args.u_order, s_orders, table=table
     )
     if args.format == "latex":
         text = op_matrix_to_latex(op)

@@ -57,7 +57,9 @@ _DIVISOR_RE = re.compile(r"D[1-9]\d*")  # an untwisted divisor, no leading zero
 _TABLE_DIVISOR_RE = re.compile("1|" + _DIVISOR_RE.pattern)  # the marker or an untwisted divisor
 
 
-def _check_pair(mu_w: WeightedPartition, nu_w: WeightedPartition) -> None:
+def _check_pair(mu_w: WeightedPartition, nu_w: WeightedPartition, r: int) -> None:
+    for _, label in mu_w + nu_w:
+        check_label(label, r)
     for _, label in mu_w + nu_w:
         if label[0] not in ("1", "E", "w"):
             raise UnsupportedWeightError(
@@ -66,6 +68,14 @@ def _check_pair(mu_w: WeightedPartition, nu_w: WeightedPartition) -> None:
             )
     if wp_size(mu_w) != wp_size(nu_w):
         raise ValueError("the two insertions must have equal size")
+
+
+def _check_beta(beta, r: int) -> tuple:
+    """beta as a tuple; a curve class on A_r has one entry per E_1..E_r."""
+    beta = tuple(beta)
+    if len(beta) != r:
+        raise ValueError(f"curve class {beta} has {len(beta)} entries, not r = {r}")
+    return beta
 
 
 def _piece(nu1: WeightedPartition, nu2: WeightedPartition) -> tuple:
@@ -137,10 +147,11 @@ def connected_two_point(
     partitions, the chain i..j and a, never on d; the splitting sum adds
     these scalars per pairing value before building any rational function.
     """
-    _check_pair(mu_w, nu_w)
+    _check_pair(mu_w, nu_w, w.r)
+    beta = _check_beta(beta, w.r)
     if a < 0:
         return Poly2.zero()
-    chain = beta_as_chain(tuple(beta))
+    chain = beta_as_chain(beta)
     if chain is None:
         if not any(beta):
             raise OutOfScopeError(
@@ -173,9 +184,7 @@ def _splitting_sums(
     factors, so per (a, i, j) the pieces of each pairing value P sum to
     one scalar C_P, and R = sum_P P (t1+t2) C_P gives R d^(a-1) at every d.
     """
-    for _, label in mu1_w + mu2_w:
-        check_label(label, w.r)
-    _check_pair(mu1_w, mu2_w)
+    _check_pair(mu1_w, mu2_w, w.r)
     if not chains:  # no chain fits the box, so no splitting contributes
         return {}
     by_theta1: dict = {}
@@ -225,7 +234,7 @@ def disconnected_two_point(
     contributes pairing(theta_1, theta_2) times the connected invariant
     of the leftovers.
     """
-    beta = tuple(beta)
+    beta = _check_beta(beta, w.r)
     if not any(beta):
         raise OutOfScopeError("degree-zero extended invariants are external table data")
     chain = beta_as_chain(beta)  # a beta that is not a chain still has its inputs checked

@@ -58,7 +58,7 @@ from .partitions import (
     weighted_partition,
     wp_size,
 )
-from .surface import TangentWeights, beta_as_chain, check_label, e_chain, tangent_weights
+from .surface import beta_as_chain, check_label, e_chain, tangent_weights
 from .textforms import wp_to_text
 
 
@@ -120,7 +120,6 @@ def divisor_operator(
     basis,
     u_order: int,
     s_orders,
-    w: TangentWeights | None = None,
     table: ZeroDegreeTable | None = None,
 ) -> OperatorMatrix:
     """Assemble the divisor-operator matrix M_D in the given basis.
@@ -131,10 +130,7 @@ def divisor_operator(
     contracts the three-point series at the s^0 box, which carry the
     table data and mark its gaps.
     """
-    if w is None:
-        w = tangent_weights(r)
-    elif w.r != r:
-        raise ValueError(f"tangent weights are for r = {w.r}, not r = {r}")
+    w = tangent_weights(r)
     basis = tuple(weighted_partition(wp) for wp in basis)
     if not basis:
         raise ValueError("empty basis")
@@ -142,7 +138,7 @@ def divisor_operator(
         raise ValueError(f"basis elements must have size {n}")
     for b in basis:
         for _, label in b:
-            check_label(label, w.r)
+            check_label(label, r)
     s_orders = tuple(s_orders)
     size = len(basis)
     zeros = (0,) * r
@@ -346,13 +342,10 @@ def verify_a1n2(
     with the degree-zero table loaded the full matrices must agree.
     """
     basis = default_divisor_basis(2, 1)
-    w = tangent_weights(1)
     expected = expand_q_closed_form(closed_form_matrix_a1n2, u_order, (s_order,))
     if table is None:
         table = zero_degree_table_a1n2()
-    built = divisor_operator(
-        2, 1, "D1", basis, u_order, (s_order,), w, table
-    )
+    built = divisor_operator(2, 1, "D1", basis, u_order, (s_order,), table=table)
     mismatches = []
     for i in range(5):
         for j in range(5):

@@ -193,7 +193,7 @@ def reference_connected_two_point(mu_w, nu_w, a: int, beta, w) -> Poly2:
         * (t1+t2) (-1)^g d^(a-1) / (k^(a-2) |Aut(mu_w)| |Aut(nu_w)|)
         * sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!)
     """
-    _check_pair(mu_w, nu_w)
+    _check_pair(mu_w, nu_w, w.r)
     k = wp_size(mu_w)
     if a < 0:
         return Poly2.zero()
@@ -285,16 +285,12 @@ def reference_divisor_operator(
     basis,
     u_order: int,
     s_orders,
-    w=None,
     table=None,
 ) -> OperatorMatrix:
     """Reference divisor-operator matrix M = G^{-1} T, with T the full
     three-point series <<b_j, D, b_a>> of every basis pair (j <= a, used
     for both orders) contracted entry by entry with the Gram inverse."""
-    if w is None:
-        w = tangent_weights(r)
-    elif w.r != r:
-        raise ValueError(f"tangent weights are for r = {w.r}, not r = {r}")
+    w = tangent_weights(r)
     basis = tuple(weighted_partition(wp) for wp in basis)
     if not basis:
         raise ValueError("empty basis")

@@ -675,6 +675,37 @@ def test_series_truncation_contract():
 def test_series_shape_error():
     with pytest.raises(ShapeError):
         TruncSeries.one(2, (1,)) + TruncSeries.one(2, (2,))
+    # a scalar takes the shape of its series; another series keeps its own
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        with pytest.raises(ShapeError):
+            op(2 + TruncSeries.one(2, (1,)), TruncSeries.one(2, (2,)))
+
+
+def test_series_scalar_operands():
+    # an int or Fraction on either side of +, - and *, and in scalar / series,
+    # is the constant series of the other operand's shape
+    s = TruncSeries(2, (1,), {
+        (0, (0,)): RatFunc2.const(3),
+        (1, (1,)): RatFunc2(Poly2.t1()),
+        (2, (0,)): RatFunc2.const(Fraction(-1, 6)),
+    })
+
+    def const(c):
+        return TruncSeries.const(c, 2, (1,))
+
+    assert s + 2 == s + const(2)
+    assert 2 + s == const(2) + s
+    assert 2 - s == const(2) - s
+    assert s - Fraction(1, 2) == s - const(Fraction(1, 2))
+    assert Fraction(3) * s == s.scale(3)
+    assert s * 3 == s.scale(3)
+    assert (s * 0).is_zero() and (0 * s).is_zero()
+    assert 1 / s == s.inverse()
+    assert Fraction(2, 3) / s == s.inverse().scale(Fraction(2, 3))
+    assert const(Fraction(5, 2)) == Fraction(5, 2) and const(0) == 0
+    assert s != 3 and TruncSeries.zero(2, (1,)) == 0
+    with pytest.raises(ZeroDivisionError):
+        1 / (s - 3)
 
 
 def test_derivative_examples():
@@ -754,7 +785,7 @@ def _paired_entry_theta_i(q, s1, t1, t2):
 
 
 def _paired_entry_i_theta(q, s1, t1, t2):
-    # a GaussRational on the left defers to the series' reflected operator
+    # a constant GaussRational on the left of one with series parts
     return I * (t1 + t2) * (1 / (1 + s1 * q) - 1 / (1 + s1 / q))
 
 
@@ -793,6 +824,8 @@ def test_expand_pole_at_origin():
         expand_q_closed_form(lambda s1, **_: 1 / s1, 1, (2,))
     with pytest.raises(PoleAtOriginError):
         expand_q_closed_form(lambda q, **_: 1 / (1 + q), 1, (2,))
+    with pytest.raises(PoleAtOriginError):  # a zero value, not just a zero constant term
+        expand_q_closed_form(lambda s1, **_: 1 / (s1 - s1), 1, (2,))
 
 
 def test_expand_keeps_nesting_and_lifts_constants():
@@ -943,3 +976,35 @@ def test_gaussian_inverse_random():
         if z.is_zero():
             continue
         assert z * z.inverse() == GaussRational(1)
+
+
+def test_gaussian_with_series_parts_zero_real_and_equal():
+    zero, one = TruncSeries.zero(1, (1,)), TruncSeries.one(1, (1,))
+    assert GaussRational(zero, zero).is_zero() and GaussRational(zero).is_zero()
+    assert GaussRational(one, zero).is_real() and not GaussRational(one, zero).is_zero()
+    assert not GaussRational(zero, one).is_real()
+    assert not GaussRational(zero, one).is_zero()
+    assert GaussRational(one, zero) == 1 == GaussRational(one)
+    assert GaussRational(zero, one) == I
+    assert GaussRational(zero, one) != GaussRational(zero, one.scale(2))
+    assert str(GaussRational(one, one.scale(-1))) == f"{one} + {one.scale(-1)}*i"
+
+
+def test_gaussian_series_inverse_inverts_the_norm_once(monkeypatch):
+    calls = []
+    inverse = TruncSeries.inverse
+
+    def counted(self):
+        calls.append(self)
+        return inverse(self)
+
+    monkeypatch.setattr(TruncSeries, "inverse", counted)
+    s1 = GaussRational(TruncSeries.monomial(0, (1,), 1, 3, (2,)))
+    z = 1 + s1 * _minus_exp_iu(3, (2,))  # 1 + s q, both parts nonzero
+    assert not z.is_real()
+    inv = z.inverse()
+    assert len(calls) == 1
+    assert calls[0] == z.norm()
+    assert z * inv == 1
+    assert len(calls) == 1
+    assert 1 / z == inv and len(calls) == 2

@@ -594,3 +594,13 @@ def test_cli_fuzz_exit_codes(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code in (0, 1, 2, 3), (argv, err)
     assert "Traceback" not in err, argv
+
+
+@pytest.mark.parametrize("command", ["op-matrix", "two-point"])
+def test_r_below_one_is_named_before_the_s_orders(capsys, command):
+    argv = [command, "--n", "2", "--r", "0", "--s-orders", "1 2"]
+    if command == "two-point":
+        argv += ["--left", "2(1)", "--right", "2(1)"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == "error: r must be at least 1"

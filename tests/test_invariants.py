@@ -436,6 +436,22 @@ def test_disconnected_rejects_label_out_of_range():
         disconnected_two_point(wp((2, ecurve(5))), TWO_E1, 0, (1,), W1)
 
 
+def test_connected_rejects_label_out_of_range():
+    # A_1 has no E2, E5 or w3
+    for label in (ecurve(2), ecurve(5), omega(3)):
+        with pytest.raises(MalformedInputError, match="for r = 1"):
+            connected_two_point(wp((2, label)), wp((2, label)), 0, (1,), W1)
+        with pytest.raises(MalformedInputError, match="for r = 1"):
+            connected_two_point(TWO_E1, wp((2, label)), 0, (1,), W1)
+
+
+@pytest.mark.parametrize("r, beta", [(1, (0, 1)), (1, (1, 0)), (2, (1,)), (1, ())])
+@pytest.mark.parametrize("invariant", [connected_two_point, disconnected_two_point])
+def test_two_point_rejects_curve_class_of_another_length(invariant, r, beta):
+    with pytest.raises(ValueError, match=f"not r = {r}"):
+        invariant(TWO_E1, TWO_E1, 0, beta, tangent_weights(r))
+
+
 def test_two_point_series_rejects_label_out_of_range():
     with pytest.raises(MalformedInputError):
         two_point_series(wp((2, ecurve(5))), TWO_E1, 0, (3,), W1)

@@ -67,9 +67,8 @@ def test_closed_form_diagonal_entry():
 
 def test_divisor_operator_contraction_sign():
     # the dual of 2(E1) is -2(E1): entry (2,2) flips the raw 3-point sign
-    w = tangent_weights(1)
     basis = default_divisor_basis(2, 1)
-    op = divisor_operator(2, 1, "D1", basis, 0, (3,), w, zero_degree_table_a1n2())
+    op = divisor_operator(2, 1, "D1", basis, 0, (3,), zero_degree_table_a1n2())
     for d in (1, 2, 3):
         assert op.entry(1, 1).coefficient(0, (d,)) == RatFunc2(THETA.scale(-4))
     assert not op.gaps
@@ -78,9 +77,8 @@ def test_divisor_operator_contraction_sign():
 def test_operator_entries_theta_divisible_divisor_block():
     # with pure divisor-weight basis elements, the u^0 nonzero-degree
     # layers inherit (t1+t2)-divisibility from the connected invariants
-    w = tangent_weights(1)
     basis = default_divisor_basis(2, 1)
-    op = divisor_operator(2, 1, "D1", basis, 0, (2,), w, zero_degree_table_a1n2())
+    op = divisor_operator(2, 1, "D1", basis, 0, (2,), zero_degree_table_a1n2())
     divisor_only = [
         all(label[0] in ("E", "w") for _, label in b) for b in basis
     ]
@@ -212,7 +210,7 @@ def test_contraction_closes_against_three_point_values():
     basis = default_divisor_basis(2, 1)
     table = zero_degree_table_a1n2()
     u_order, s_orders = 2, (2,)
-    op = divisor_operator(2, 1, "D1", basis, u_order, s_orders, w, table)
+    op = divisor_operator(2, 1, "D1", basis, u_order, s_orders, table)
     gram = gram_matrix(basis, w)
     for i in range(5):
         for j in range(5):
@@ -227,9 +225,8 @@ def test_contraction_closes_against_three_point_values():
 
 
 def test_matrix_json_roundtrip():
-    w = tangent_weights(1)
     op = divisor_operator(
-        2, 1, "D1", default_divisor_basis(2, 1), 1, (2,), w, zero_degree_table_a1n2()
+        2, 1, "D1", default_divisor_basis(2, 1), 1, (2,), zero_degree_table_a1n2()
     )
     payload = op_matrix_to_json(op)
     back = op_matrix_from_json(payload)
@@ -240,9 +237,8 @@ def test_matrix_json_roundtrip():
 
 
 def test_matrix_text_emitters():
-    w = tangent_weights(1)
     op = divisor_operator(
-        2, 1, "D1", default_divisor_basis(2, 1), 0, (1,), w, zero_degree_table_a1n2()
+        2, 1, "D1", default_divisor_basis(2, 1), 0, (1,), zero_degree_table_a1n2()
     )
     latex = op_matrix_to_latex(op)
     assert latex.startswith("%")
@@ -256,12 +252,6 @@ def test_divisor_operator_rejects_label_out_of_range():
     basis = [weighted_partition([(2, ecurve(1))]), weighted_partition([(2, ecurve(2))])]
     with pytest.raises(MalformedInputError):
         divisor_operator(2, 1, "D1", basis, 0, (1,))
-
-
-def test_divisor_operator_rejects_weights_for_another_r():
-    basis = default_divisor_basis(2, 1)
-    with pytest.raises(ValueError, match="r = 2, not r = 1"):
-        divisor_operator(2, 1, "D1", basis, 1, (1,), w=tangent_weights(2))
 
 
 # sha256 of op_matrix_dumps: the JSON output is byte-stable by contract
@@ -283,7 +273,7 @@ def test_op_matrix_json_pinned():
     for (n, r, divisor, u_order, s_orders, with_table), digest in PINNED_OP_MATRICES:
         table = zero_degree_table_a1n2() if with_table else None
         op = divisor_operator(
-            n, r, divisor, default_divisor_basis(n, r), u_order, s_orders, None, table
+            n, r, divisor, default_divisor_basis(n, r), u_order, s_orders, table
         )
         text = op_matrix_dumps(op)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest, divisor
@@ -337,7 +327,7 @@ def test_op_matrix_dumps_runs_no_pure_python_encoder(monkeypatch):
 
     monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
     op = divisor_operator(
-        2, 1, "D1", default_divisor_basis(2, 1), 1, (1,), None, zero_degree_table_a1n2()
+        2, 1, "D1", default_divisor_basis(2, 1), 1, (1,), zero_degree_table_a1n2()
     )
     assert json.loads(op_matrix_dumps(op)) == op_matrix_to_json(op)
 
@@ -406,8 +396,8 @@ def _operator_case(draw):
 @example((2, 1, "(2)", default_divisor_basis(2, 1)[::-1], 1, (3,), zero_degree_table_a1n2()))
 def test_divisor_operator_matches_per_pair_reference(case):
     n, r, divisor, basis, u_order, s_orders, table = case
-    got = divisor_operator(n, r, divisor, basis, u_order, s_orders, None, table)
-    want = reference_divisor_operator(n, r, divisor, basis, u_order, s_orders, None, table)
+    got = divisor_operator(n, r, divisor, basis, u_order, s_orders, table)
+    want = reference_divisor_operator(n, r, divisor, basis, u_order, s_orders, table)
     assert got.basis == want.basis
     assert got.entries == want.entries
     assert got.gaps == want.gaps
