@@ -25,7 +25,6 @@ from .chenruan import (
 )
 from .hurwitz import (
     hurwitz,
-    hurwitz_refined,
     one_part_double_hurwitz,
 )
 from .invariants import (
@@ -51,7 +50,6 @@ from .partitions import (
     aut_order,
     aut_order_weighted,
     age,
-    centralizer_order,
     ecurve,
     enumerate_sub_splittings,
     fixedpt,

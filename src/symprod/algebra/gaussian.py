@@ -98,7 +98,8 @@ class GaussRational:
         return isinstance(other, GaussRational) and self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value equals its real part, so it hashes as that part does
+        return hash(self.re) if self.im == 0 else hash((self.re, self.im))
 
     def __str__(self) -> str:
         if self.im == 0:

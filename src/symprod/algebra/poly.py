@@ -211,11 +211,15 @@ class Poly2:
         return p
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Poly2) and self.terms == other.terms
+        if not isinstance(other, Poly2):
+            return NotImplemented  # RatFunc2 compares itself with a polynomial
+        return self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self.terms.items())))
+            # a constant hashes as its value, like the equal constant RatFunc2
+            key = self.const_value() if self.is_const() else tuple(sorted(self.terms.items()))
+            self._hash = hash(key)
         return self._hash
 
     # -- normalization helpers -------------------------------------------------

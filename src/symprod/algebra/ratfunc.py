@@ -157,18 +157,6 @@ class RatFunc2:
     def __rtruediv__(self, other) -> RatFunc2:
         return RatFunc2.lift(other) * self.inverse()
 
-    def __pow__(self, k: int) -> RatFunc2:
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = _RF_ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction, Poly2)):
             other = RatFunc2.lift(other)
@@ -176,7 +164,9 @@ class RatFunc2:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash((self.num, self.den))
+            # over denominator 1 the value equals its numerator, and a constant
+            # equals its int or Fraction, so it hashes as they do
+            self._hash = hash(self.num) if self.den.is_const() else hash((self.num, self.den))
         return self._hash
 
     # -- text form -------------------------------------------------------------------

@@ -210,6 +210,9 @@ class TruncSeries:
         )
 
     def __hash__(self) -> int:
+        if self.coeffs.keys() <= {(0, (0,) * len(self.s_orders))}:
+            # a constant series equals its int or Fraction, so it hashes as that
+            return hash(self.constant_term())
         return hash((self.shape(), tuple(sorted(self.coeffs.items()))))
 
     # -- calculus ----------------------------------------------------------------------

@@ -2,24 +2,27 @@
 
 The orbifold Poincare pairing is the matching sum: it vanishes unless
 the cycle-type multiplicities agree, and otherwise sums products of
-surface integrals over length-preserving matchings of cycles. Gram
-matrices and their blockwise inverses are built from it. Weighted
-partitions also expand into the fixed-point class basis by distributing
-every cycle over the fixed points with localized coefficients; the
-pairing there is diagonal, and the test suite uses that expansion as the
-pairing's reference oracle and for the dual classes.
+surface integrals over length-preserving matchings of cycles, so it is a
+symmetric power of the surface pairing. Gram matrices are built from it;
+the Gram inverse is the same power of the dual pairing, in closed form.
+Weighted partitions also expand into the fixed-point class basis by
+distributing every cycle over the fixed points with localized
+coefficients; the pairing there is diagonal, and the test suite uses that
+expansion as the pairing's reference oracle and for the dual classes.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
+from math import comb, prod
 
-from .algebra import RatFunc2
+from .algebra import Poly2, RatFunc2
 from .errors import DegenerateBasisError
 from .memo import memo
 from .partitions import (
+    ONE,
     Label,
     MultiPartition,
     WeightedPartition,
@@ -28,9 +31,11 @@ from .partitions import (
     mp_size,
     multipartition,
     underlying,
+    weighted_partition,
     wp_size,
 )
 from .surface import TangentWeights, check_label, class_of, integrate, tangent_weights
+from .surface import omega_coefficients
 
 
 class CRClass:
@@ -193,40 +198,71 @@ def gram_matrix(basis, w: TangentWeights) -> list[list[RatFunc2]]:
     return gram
 
 
-def _invert(matrix: list[list[RatFunc2]]) -> list[list[RatFunc2]]:
-    size = len(matrix)
-    zero, one = RatFunc2.zero(), RatFunc2.one()
-    aug = [
-        list(row) + [one if i == j else zero for j in range(size)]
-        for i, row in enumerate(matrix)
-    ]
-    for col in range(size):
-        pivot = next(
-            (row for row in range(col, size) if not aug[row][col].is_zero()), None
-        )
-        if pivot is None:
-            raise DegenerateBasisError("singular Gram block")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for row in range(size):
-            if row != col and not aug[row][col].is_zero():
-                f = aug[row][col]
-                aug[row] = [x - f * y for x, y in zip(aug[row], aug[col])]
-    return [row[size:] for row in aug]
-
-
 def gram_inverse(basis, w: TangentWeights) -> list[list[RatFunc2]]:
-    """Inverse of the Gram matrix, computed blockwise."""
+    """Inverse of the Gram matrix in closed form, from the dual surface pairing.
+
+    The pairing is the symmetric power of g = diag(1/((r+1) t1 t2), -C) on
+    the labels 1, E_1..E_r, so G^{-1}[b, b'] is the part product of b times,
+    per part size, the permanent of g^{-1} = diag((r+1) t1 t2, -C^{-1})
+    between the labels of b and b' of that size. No 1 pairs with an E_i:
+    the entry is c (t1 t2)^k with k the number of 1-labels of b, and c is 0
+    unless b' has as many of each size. Each block of the basis must hold
+    every labelling of its partition by 1, E_1..E_r exactly once.
+    """
     basis = list(basis)
-    size = len(basis)
-    zero = RatFunc2.zero()
-    out = [[zero] * size for _ in range(size)]
-    gram = gram_matrix(basis, w)
+    out = [[RatFunc2.zero()] * len(basis) for _ in basis]
     for block in _blocks(basis):
-        sub = [[gram[i][j] for j in block] for i in block]
-        inv = _invert(sub)
-        for a, i in enumerate(block):
-            for b, j in enumerate(block):
-                out[i][j] = inv[a][b]
+        _check_whole_block([basis[i] for i in block], w.r)
+        labels = {i: _label_indices(basis[i]) for i in block}
+        parts_product = prod(p for p, _ in basis[block[0]])
+        for pos, i in enumerate(block):
+            k = sum(label == ONE for _, label in basis[i])
+            for j in block[pos:]:
+                c = parts_product * prod(map(_dual_permanent, labels[i], labels[j], repeat(w.r)))
+                if c:
+                    out[i][j] = out[j][i] = RatFunc2(Poly2.monomial(k, k, c))
     return out
+
+
+def _check_whole_block(elements: list[WeightedPartition], r: int) -> None:
+    lam = underlying(elements[0])
+    labellings = prod(comb(m + r, r) for m in Counter(lam).values())
+    valid = {
+        weighted_partition(wp)
+        for wp in elements
+        if all(label == ONE or (label[0] == "E" and 1 <= label[1] <= r) for _, label in wp)
+    }
+    if not len(elements) == len(valid) == labellings:
+        raise DegenerateBasisError(
+            f"the block of partition {lam} has {len(elements)} elements, {len(valid)} of them "
+            f"distinct labellings by 1, E1..E{r}; the Gram inverse needs all {labellings} once"
+        )
+
+
+def _label_indices(wp: WeightedPartition) -> tuple[tuple[int, ...], ...]:
+    """Per part size, descending: the sorted labels, 0 for 1 and i for E_i."""
+    by_size: dict[int, list[int]] = defaultdict(list)
+    for p, label in wp:
+        by_size[p].append(0 if label == ONE else label[1])
+    return tuple(tuple(sorted(v)) for _, v in sorted(by_size.items(), reverse=True))
+
+
+@memo
+def _dual_permanent(rows: tuple[int, ...], cols: tuple[int, ...], r: int) -> Fraction:
+    """Permanent of g^{-1} between two sorted label-index tuples, with the t1 t2
+    of each 1-1 entry taken out: r + 1 between two 1s, 0 between 1 and E_i,
+    and -C^{-1} (the inverse intersection matrix) between curves.
+
+    Expands along the first row; equal columns give equal minors, so each
+    distinct column is taken once, times its multiplicity.
+    """
+    if not rows:
+        return Fraction(1)
+    head, total = rows[0], Fraction(0)
+    for pos, col in enumerate(cols):
+        if (pos and cols[pos - 1] == col) or (head == 0) != (col == 0):
+            continue
+        entry = r + 1 if head == 0 else omega_coefficients(r)[head - 1][col - 1]
+        minor = _dual_permanent(rows[1:], cols[:pos] + cols[pos + 1 :], r)
+        total += cols.count(col) * entry * minor
+    return total

@@ -38,4 +38,4 @@ class ResourceBudgetError(RuntimeError):
 
 
 class DegenerateBasisError(ValueError):
-    """A Gram block of the supplied basis is singular."""
+    """A basis block is not every labelling of its partition by 1, E_1..E_r, once."""

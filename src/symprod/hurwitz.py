@@ -9,9 +9,9 @@ per quantity:
                 conjugacy classes of S_n;
   * one_part_double_hurwitz -- the sinh closed form for H(sigma, (2)^b, (k)).
 
-The refined count H_sigma(left | right) constrains the partial product of
-the left factors to lie in the class sigma. The test suite checks both
-routes against a dynamic program over the permutations themselves.
+The test suite checks both routes against a dynamic program over the
+permutations themselves, which also gives the refined counts
+H_sigma(left | right) of its product and sum identities.
 
 The group tables are guarded by a budget on n (default 8), overridable
 through the SYMPROD_HURWITZ_BUDGET environment variable.
@@ -159,32 +159,6 @@ def _count(n: int, ps: tuple[Partition, ...]) -> Fraction:
     second = ordered[1]
     vec = _distribution(gd, ordered[0], ordered[2:])
     return Fraction(vec[gd.index[second]] * gd.sizes[second], factorial(n))
-
-
-def hurwitz_refined(sigma, left, right) -> Fraction:
-    """Refined count: the left partial product is constrained to class sigma.
-
-    Satisfies the product identity
-        H_sigma(L | R) = z_sigma * H(L, sigma) * H(sigma, R)
-    and the sum rule over all sigma of n. A vacuous sigma (n = 0) gives 1.
-    """
-    sigma = partition(sigma)
-    n = sum(sigma)
-    if n == 0:
-        if any(sum(partition(p)) for p in tuple(left) + tuple(right)):
-            raise ValueError("profiles must be partitions of 0 for vacuous sigma")
-        return Fraction(1)
-    lefts = tuple(partition(p) for p in left)
-    rights = tuple(partition(p) for p in right)
-    for p in lefts + rights:
-        if sum(p) != n:
-            raise ValueError(f"profile {p} is not a partition of {n}")
-    gd = _group(n)
-    dist_l = _distribution(gd, gd.identity_class, lefts)
-    dist_r = _distribution(gd, gd.identity_class, rights)
-    c = gd.index[sigma]
-    count = gd.sizes[sigma] * dist_l[c] * dist_r[c]
-    return Fraction(count, factorial(n))
 
 
 # ---------------------------------------------------------------------------

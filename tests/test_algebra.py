@@ -1008,3 +1008,29 @@ def test_gaussian_series_inverse_inverts_the_norm_once(monkeypatch):
     assert z * inv == 1
     assert len(calls) == 1
     assert 1 / z == inv and len(calls) == 2
+
+
+def test_equal_values_hash_equal():
+    shape = (2, (1, 1))
+    poly = Poly2.linear(1, 1)
+    assert poly == RatFunc2(poly) and RatFunc2(poly) == poly
+    assert len({poly, RatFunc2(poly)}) == 1
+    assert len({RatFunc2.const(2), 2, Fraction(2)}) == 1
+    assert len({RatFunc2.const(2), Poly2.monomial(0, 0, 2)}) == 1
+    assert len({GaussRational(2), 2}) == 1
+    assert len({TruncSeries.one(*shape), 1}) == 1
+    assert len({GaussRational(TruncSeries.const(Fraction(1, 2), *shape)), Fraction(1, 2)}) == 1
+    series_parts = GaussRational(TruncSeries.const(1, *shape), TruncSeries.const(-3, *shape))
+    assert len({series_parts, GaussRational(1, -3)}) == 1
+    rng = random.Random(83)
+    values = [0, 1, -2, Fraction(3, 4), GaussRational(0, 1)]
+    for _ in range(20):
+        c = random_fraction(rng)
+        values += [c, RatFunc2.const(c), Poly2.monomial(0, 0, c), GaussRational(c)]
+        values.append(TruncSeries.const(c, *shape))
+        f = random_ratfunc(rng)
+        values += [f, f.num, RatFunc2(f.num), TruncSeries.const(f, *shape)]
+    for x in values:
+        for y in values:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)

@@ -11,6 +11,7 @@ from helpers import (
     divisor_labels,
     dual_basis,
     fixed_basis_pairing,
+    gauss_jordan_gram_inverse,
     mp_contains,
     mp_diff,
     pairing_fixed,
@@ -22,6 +23,7 @@ from symprod.algebra import RatFunc2
 from symprod import clear_caches
 from symprod.chenruan import CRClass, _matching_sum, expand, gram_inverse, gram_matrix, pairing
 from symprod.errors import DegenerateBasisError, MalformedInputError
+from symprod.operators import default_divisor_basis
 from symprod.partitions import (
     ONE,
     ecurve,
@@ -92,7 +94,7 @@ def test_expand_doubled_point_coefficient():
     w = tangent_weights(1)
     c = expand(wp((1, ONE), (1, ONE)), w)
     mp = multipartition([(1, 1), ()])
-    assert c.coefficient(mp) == (w.LR(1) ** 2).inverse()
+    assert c.coefficient(mp) == (w.LR(1) * w.LR(1)).inverse()
 
 
 def test_expand_fixed_point_class_is_idempotent():
@@ -105,7 +107,7 @@ def test_expand_fixed_point_class_is_idempotent():
 def test_pairing_fixed_examples():
     w = tangent_weights(1)
     mp_a = multipartition([(1, 1), ()])
-    assert pairing_fixed(mp_a, mp_a, w) == (w.LR(1) ** 2) / 2
+    assert pairing_fixed(mp_a, mp_a, w) == w.LR(1) * w.LR(1) / 2
     mp_b = multipartition([(2,), ()])
     assert pairing_fixed(mp_b, mp_b, w) == w.LR(1) / 2
     assert pairing_fixed(mp_a, mp_b, w).is_zero()
@@ -236,6 +238,90 @@ def test_degenerate_basis_rejected():
     basis = [wp((2, ecurve(1))), wp((2, ecurve(1)))]
     with pytest.raises(DegenerateBasisError):
         gram_inverse(basis, w)
+
+
+def _blocks_of(basis):
+    blocks: dict = {}
+    for b in basis:
+        blocks.setdefault(underlying(b), []).append(b)
+    return blocks
+
+
+def test_gram_inverse_inverts_the_gram_matrix():
+    for n, r in [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3), (3, 3)]:
+        w = tangent_weights(r)
+        basis = default_divisor_basis(n, r)
+        gram, inv = gram_matrix(basis, w), gram_inverse(basis, w)
+        index = {b: i for i, b in enumerate(basis)}
+        for block in _blocks_of(basis).values():
+            rows = [index[b] for b in block]
+            for i in rows:
+                for j in rows:
+                    entry = RatFunc2.zero()
+                    for c in rows:
+                        entry = entry + gram[i][c] * inv[c][j]
+                    assert entry == RatFunc2.const(int(i == j)), (n, r, i, j)
+
+
+def test_gram_inverse_runs_no_division_and_no_pairing(monkeypatch):
+    import symprod.chenruan as chenruan
+
+    def refuse(*args):
+        raise AssertionError("the closed-form Gram inverse paired or divided")
+
+    for name in ("gram_matrix", "pairing", "_matching_sum"):
+        monkeypatch.setattr(chenruan, name, refuse)
+    for name in ("__truediv__", "__rtruediv__", "inverse"):
+        monkeypatch.setattr(RatFunc2, name, refuse)
+    clear_caches()
+    inv = gram_inverse(default_divisor_basis(4, 2), tangent_weights(2))
+    assert len(inv) == 51
+
+
+@st.composite
+def _whole_blocks_case(draw):
+    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    blocks = _blocks_of(default_divisor_basis(n, r))
+    chosen = draw(st.lists(st.sampled_from(sorted(blocks)), min_size=1, unique=True))
+    return r, draw(st.permutations([b for k in chosen for b in blocks[k]]))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(_whole_blocks_case())
+def test_gram_inverse_matches_gauss_jordan_property(case):
+    r, basis = case
+    w = tangent_weights(r)
+    assert gram_inverse(basis, w) == gauss_jordan_gram_inverse(basis, w)
+
+
+# the blocks of (2) and of (1, 1) at r = 1
+_TWO = [wp((2, ONE)), wp((2, ecurve(1)))]
+_ONE_ONE = [
+    wp((1, ONE), (1, ONE)), wp((1, ONE), (1, ecurve(1))), wp((1, ecurve(1)), (1, ecurve(1)))
+]
+
+
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        (
+            _TWO[:1],
+            r"partition \(2,\) has 1 elements, 1 of them distinct labellings by 1, E1..E1; "
+            r"the Gram inverse needs all 2 once",
+        ),
+        (_TWO + _TWO[:1], r"partition \(2,\) has 3 elements, 2 of them"),
+        ([_TWO[0], wp((2, omega(1)))], r"partition \(2,\) has 2 elements, 1 of them"),
+        (
+            [_ONE_ONE[0], wp((1, ONE), (1, fixedpt(2))), _ONE_ONE[2]],
+            r"partition \(1, 1\) has 3 elements, 2 of them",
+        ),
+        # a whole block next to a partial one
+        (_TWO + _ONE_ONE[:2], r"partition \(1, 1\) has 2 elements, 2 of them .* all 3 once"),
+    ],
+)
+def test_gram_inverse_rejects_a_basis_that_is_not_whole_blocks(basis, message):
+    with pytest.raises(DegenerateBasisError, match=message):
+        gram_inverse(basis, tangent_weights(1))
 
 
 def test_pairing_matrix_type():

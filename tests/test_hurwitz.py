@@ -7,10 +7,10 @@ from itertools import combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import brute_one_part, oracle_hurwitz
+from helpers import brute_one_part, centralizer_order, hurwitz_refined, oracle_hurwitz
 from symprod.errors import MalformedInputError, ResourceBudgetError
-from symprod.hurwitz import hurwitz, hurwitz_refined, one_part_double_hurwitz
-from symprod.partitions import centralizer_order, partition, partitions_of
+from symprod.hurwitz import hurwitz, one_part_double_hurwitz
+from symprod.partitions import partition, partitions_of
 
 
 def test_oracle_examples():
@@ -99,12 +99,12 @@ def test_refined_product_and_sum_identities():
                         refined = hurwitz_refined(sigma, lefts, rights)
                         product = (
                             centralizer_order(sigma)
-                            * oracle_hurwitz(list(lefts) + [sigma], n)
-                            * oracle_hurwitz([sigma] + list(rights), n)
+                            * hurwitz(list(lefts) + [sigma], n)
+                            * hurwitz([sigma] + list(rights), n)
                         )
                         assert refined == product, (sigma, lefts, rights)
                         total += refined
-                    assert total == oracle_hurwitz(list(lefts) + list(rights), n)
+                    assert total == hurwitz(list(lefts) + list(rights), n)
 
 
 def test_budget_error_names_bound(monkeypatch):

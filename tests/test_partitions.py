@@ -6,13 +6,12 @@ from math import factorial
 
 import pytest
 
-from helpers import all_labels, random_weighted_partition
+from helpers import all_labels, centralizer_order, random_weighted_partition
 from symprod.partitions import (
     ONE,
     age,
     aut_order,
     aut_order_weighted,
-    centralizer_order,
     ecurve,
     enumerate_sub_splittings,
     partition,
