@@ -19,9 +19,9 @@ denominator as it is, so no gcd is run. Addends over one denominator add
 their numerators over it, then canonicalise: the sum may share a factor
 with that denominator, unless the denominator is 1 (the only canonical
 constant denominator), where the sum is canonical and no gcd is run.
-Negation takes the constant route too: the
-negative of a canonical value is canonical, and a factor of 1 returns the
-value itself.
+A constant factor of 1 returns the value itself. Negation negates the
+numerator's coefficients and keeps the denominator: the negative of a
+canonical value is canonical, and no Fraction product is run.
 
 Sums of many products (series products, linear combinations of series,
 the steps of a series inverse) accumulate first and canonicalise once, in
@@ -118,7 +118,7 @@ class RatFunc2:
     __radd__ = __add__
 
     def __neg__(self) -> RatFunc2:
-        return self._scaled(-1)
+        return _canonical(-self.num, self.den)
 
     def __sub__(self, other) -> RatFunc2:
         return self + (-RatFunc2.lift(other))

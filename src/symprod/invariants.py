@@ -6,10 +6,11 @@ sign/degree factor and a convolution of one-part double Hurwitz numbers.
 It factors as (t1+t2) d^(a-1) C, with a rational scalar C that depends on
 the underlying partitions, the chain i..j and a, but not on d.
 Disconnected invariants are splitting sums of pairings against connected
-pieces, enumerated once per insertion pair for all degrees of a two-point
-series: per (a, i, j) the scalars of the pieces with a common pairing
-value P sum to C_P, R = sum_P P (t1+t2) C_P, and each degree d gets
-R d^(a-1).
+pieces. The splittings are enumerated once per weighted partition and
+each piece's chain and degree factors are found once per piece, for all
+degrees of a two-point series: per (a, i, j) the scalars of the pieces
+with a common pairing value P sum to C_P, R = sum_P P (t1+t2) C_P, and
+each degree d gets R d^(a-1).
 
 Three-point series with one divisor insertion come from the divisor
 equations: d/du for the twisted divisor, s_l d/ds_l plus an s=0 boundary
@@ -169,6 +170,31 @@ def connected_two_point(
     return _THETA.scale(scalar * Fraction(d) ** (a - 1))
 
 
+@memo
+def _splittings(wp: WeightedPartition) -> dict:
+    """The splittings (theta, nu) of wp with a nonempty nu, grouped by
+    underlying(theta); an empty connected piece contributes nothing."""
+    out: dict = {}
+    for theta, nu in enumerate_sub_splittings(wp):
+        if nu:
+            out.setdefault(underlying(theta), []).append((theta, nu))
+    return out
+
+
+@memo
+def _piece_factors(
+    nu1: WeightedPartition, nu2: WeightedPartition, chains: tuple, a_values: tuple
+):
+    """(chain factors per (i, j) in chains, degree factors per a in a_values)
+    of the connected piece <nu1, nu2>, or None when either is all zero."""
+    piece = _piece(nu1, nu2)
+    crosses = tuple(_chain_factor(piece, i, j) for i, j in chains)
+    if not any(crosses):
+        return None
+    degs = tuple(_degree_factor(piece, a) for a in a_values)
+    return (crosses, degs) if any(degs) else None
+
+
 def _splitting_sums(
     mu1_w: WeightedPartition,
     mu2_w: WeightedPartition,
@@ -179,7 +205,9 @@ def _splitting_sums(
     """Disconnected invariants keyed (a, i, j, d) for every a in a_values
     and every (i, j, ds) in chains, d in ds; zeros omitted.
 
-    The splittings of both insertions are enumerated and paired once.
+    The splittings of each insertion are enumerated once per weighted
+    partition and the factors of each connected piece once per (nu1, nu2,
+    chains, a_values), both memoised; only the theta pairing is per pair.
     Each connected piece is (t1+t2) d^(a-1) times chain and degree
     factors, so per (a, i, j) the pieces of each pairing value P sum to
     one scalar C_P, and R = sum_P P (t1+t2) C_P gives R d^(a-1) at every d.
@@ -187,24 +215,19 @@ def _splitting_sums(
     _check_pair(mu1_w, mu2_w, w.r)
     if not chains:  # no chain fits the box, so no splitting contributes
         return {}
-    by_theta1: dict = {}
-    for theta, nu in enumerate_sub_splittings(mu1_w):
-        if nu:  # an empty connected piece contributes nothing
-            by_theta1.setdefault(underlying(theta), []).append((theta, nu))
+    by_theta1 = _splittings(mu1_w)
+    piece_key = (tuple((i, j) for i, j, _ in chains), tuple(a_values))
     terms: dict = {}  # pairing value -> (chain factors, degree factors) of its pieces
-    # an empty nu2 finds no partner: its theta1 would leave nu1 empty
-    for theta2, nu2 in enumerate_sub_splittings(mu2_w):
-        for theta1, nu1 in by_theta1.get(underlying(theta2), ()):
-            piece = _piece(nu1, nu2)
-            crosses = [_chain_factor(piece, i, j) for i, j, _ in chains]
-            if not any(crosses):
-                continue
-            pair = pairing(theta1, theta2, w)
-            if pair.is_zero():
-                continue
-            degs = [_degree_factor(piece, a) for a in a_values]
-            if any(degs):
-                terms.setdefault(pair, []).append((crosses, degs))
+    for key, pieces2 in _splittings(mu2_w).items():
+        pieces1 = by_theta1.get(key, ())
+        for theta2, nu2 in pieces2:
+            for theta1, nu1 in pieces1:
+                factors = _piece_factors(nu1, nu2, *piece_key)
+                if factors is None:
+                    continue
+                pair = pairing(theta1, theta2, w)
+                if not pair.is_zero():
+                    terms.setdefault(pair, []).append(factors)
     out = {}
     for ci, (i, j, ds) in enumerate(chains):
         for ai, a in enumerate(a_values):

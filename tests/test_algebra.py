@@ -305,6 +305,27 @@ def test_constant_factor_makes_no_gcd(monkeypatch):
     assert f * f == RatFunc2(f.num * f.num, f.den * f.den) and calls
 
 
+def test_negation_runs_no_fraction_product(monkeypatch):
+    values = [
+        RatFunc2(T1P.scale(Fraction(2, 3)) + T2P.scale(Fraction(-5, 7)), T1P * T2P),
+        RatFunc2(T1P * T1P + T2P, T1P - T2P),
+        RatFunc2.const(Fraction(-1, 2)),
+        RatFunc2.zero(),
+    ]
+    want = [v * Fraction(-1) for v in values]
+
+    def forbidden(*args):
+        raise AssertionError("Fraction product in a negation")
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    got = [-v for v in values]
+    monkeypatch.undo()
+    for g, w in zip(got, want):
+        _same_canonical(g, w)
+    assert [-g for g in got] == values
+
+
 def test_ratfunc_equal_den_sum_cancels():
     d = T1P - T2P
     total = RatFunc2(T1P, d) + RatFunc2(-T2P, d)

@@ -14,6 +14,8 @@ from helpers import (
     random_weighted_partition,
     reference_connected_two_point,
 )
+import symprod.invariants as invariants
+from symprod import clear_caches
 from symprod.algebra import Poly2, RatFunc2
 from symprod.errors import MalformedInputError, OutOfScopeError, UnsupportedWeightError
 from symprod.invariants import (
@@ -23,7 +25,7 @@ from symprod.invariants import (
     three_point_divisor_series,
     two_point_series,
 )
-from symprod.operators import zero_degree_table_a1n2
+from symprod.operators import default_divisor_basis, divisor_operator, zero_degree_table_a1n2
 from symprod.partitions import ONE, ecurve, fixedpt, omega, partitions_of, weighted_partition
 from symprod.surface import e_chain, tangent_weights
 from symprod.textforms import wp_to_text
@@ -214,6 +216,19 @@ def test_two_point_series_layers():
     assert series.coefficient(0, (0,)).is_zero()  # no degree-zero column
 
 
+def _bitmask_series(mu1, mu2, u_order, s_orders, w):
+    """The coefficients of two_point_series from the bitmask oracle."""
+    expected = {}
+    for exps in product(*(range(d + 1) for d in s_orders)):
+        if not any(exps):
+            continue
+        for a in range(u_order + 1):
+            val = bitmask_disconnected(mu1, mu2, a, exps, w)
+            if not val.is_zero():
+                expected[(a, exps)] = val
+    return expected
+
+
 @st.composite
 def _series_case(draw):
     r = draw(st.sampled_from((3, 2, 1)))  # r = 3 first: its long chains are the rare case
@@ -234,16 +249,49 @@ def test_two_point_series_matches_bitmask_oracle_property(case):
     r, mu1, mu2, u_order, s_orders = case
     w = tangent_weights(r)
     series = two_point_series(mu1, mu2, u_order, s_orders, w)
-    expected = {}
     # the whole box: off-chain degrees must come out zero, beta = 0 absent
-    for exps in product(*(range(d + 1) for d in s_orders)):
-        if not any(exps):
-            continue
-        for a in range(u_order + 1):
-            val = bitmask_disconnected(mu1, mu2, a, exps, w)
-            if not val.is_zero():
-                expected[(a, exps)] = val
-    assert series.coeffs == expected
+    assert series.coeffs == _bitmask_series(mu1, mu2, u_order, s_orders, w)
+
+
+def test_splitting_memos_key_on_chains_and_u_range():
+    # warm calls that differ only in the chains or the u-range must not
+    # share a connected piece's factors
+    w2 = tangent_weights(2)
+    mu1 = wp((1, ecurve(1)), (1, ecurve(2)), (2, ecurve(1)))
+    mu2 = wp((1, ecurve(2)), (1, ecurve(1)), (2, ecurve(2)))
+    calls = [
+        (two_point_series, (mu1, mu2, u_order, s_orders, w2))
+        for u_order in (1, 3)
+        for s_orders in ((1, 0), (1, 1), (0, 1))
+    ]
+    calls.append((disconnected_two_point, (mu1, mu2, 2, (1, 1), w2)))
+    clear_caches()
+    warm = [fn(*args) for fn, args in calls]
+    for (fn, args), got in zip(calls, warm):
+        clear_caches()
+        assert got == fn(*args)
+        if fn is two_point_series:
+            assert got.coeffs == _bitmask_series(*args)
+            assert got.coeffs  # the box is not all zero
+        else:
+            assert got == bitmask_disconnected(*args) and not got.is_zero()
+
+
+def test_splittings_enumerated_once_per_weighted_partition(monkeypatch):
+    enumerate_once = invariants.enumerate_sub_splittings
+    seen = []
+
+    def counted(wp):
+        seen.append(wp)
+        return enumerate_once(wp)
+
+    monkeypatch.setattr(invariants, "enumerate_sub_splittings", counted)
+    clear_caches()
+    basis = default_divisor_basis(4, 1)
+    divisor_operator(4, 1, "D1", basis, 4, (4,))
+    # one call per distinct basis element, not two per basis pair
+    assert len(seen) == len(basis) == 20
+    assert sorted(seen) == sorted(basis)
 
 
 def test_two_point_series_r2_support():
