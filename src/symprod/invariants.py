@@ -8,9 +8,18 @@ the underlying partitions, the chain i..j and a, but not on d.
 Disconnected invariants are splitting sums of pairings against connected
 pieces. The splittings are enumerated once per weighted partition and
 each piece's chain and degree factors are found once per piece, for all
-degrees of a two-point series: per (a, i, j) the scalars of the pieces
-with a common pairing value P sum to C_P, R = sum_P P (t1+t2) C_P, and
-each degree d gets R d^(a-1).
+degrees of a two-point series.
+
+Scalar form: a piece with a 1-label has chain factor 0, so the theta of
+every contributing term carries all k 1-labels of its insertion. The theta
+pairing is then c / (t1 t2)^k, since among the surface integrals of 1 and
+the divisors only the 1-1 integral 1/((r+1) t1 t2) depends on t, and a
+1 pairs with a divisor to 0. So every disconnected invariant of degree
+(a, d*E_{ij}) is (t1+t2) d^(a-1) C / (t1 t2)^k with one rational C per
+(a, i, j), and it is 0 when the two insertions have different numbers
+of 1-labels. two_point_scalars sums these C in Fractions; RatFunc2 values
+are built from them by one helper, for two_point_series and
+disconnected_two_point only.
 
 Three-point series with one divisor insertion come from the divisor
 equations: d/du for the twisted divisor, s_l d/ds_l plus an s=0 boundary
@@ -33,6 +42,7 @@ from .errors import MalformedInputError, OutOfScopeError, UnsupportedWeightError
 from .hurwitz import one_part_double_hurwitz
 from .memo import memo
 from .partitions import (
+    ONE,
     Partition,
     WeightedPartition,
     aut_order,
@@ -145,8 +155,8 @@ def connected_two_point(
 
     with g = (a - l(mu) - l(nu) + 2)/2; parity failures vanish. So it is
     (t1+t2) d^(a-1) C, where the scalar C depends only on the underlying
-    partitions, the chain i..j and a, never on d; the splitting sum adds
-    these scalars per pairing value before building any rational function.
+    partitions, the chain i..j and a, never on d; two_point_scalars sums
+    these scalars in Fractions before building any rational function.
     """
     _check_pair(mu_w, nu_w, w.r)
     beta = _check_beta(beta, w.r)
@@ -195,52 +205,50 @@ def _piece_factors(
     return (crosses, degs) if any(degs) else None
 
 
-def _splitting_sums(
+def two_point_scalars(
     mu1_w: WeightedPartition,
     mu2_w: WeightedPartition,
     a_values,
     chains,
     w: TangentWeights,
 ) -> dict:
-    """Disconnected invariants keyed (a, i, j, d) for every a in a_values
-    and every (i, j, ds) in chains, d in ds; zeros omitted.
+    """The scalars C of the module docstring's scalar form, keyed (a, i, j)
+    for every a in a_values and every chain (i, j) in chains; zeros omitted.
 
-    The splittings of each insertion are enumerated once per weighted
-    partition and the factors of each connected piece once per (nu1, nu2,
-    chains, a_values), both memoised; only the theta pairing is per pair.
-    Each connected piece is (t1+t2) d^(a-1) times chain and degree
-    factors, so per (a, i, j) the pieces of each pairing value P sum to
-    one scalar C_P, and R = sum_P P (t1+t2) C_P gives R d^(a-1) at every d.
+    Each matched pair of splittings adds the numerator of its theta pairing
+    times its piece's chain and degree factors, skipping zero factors.
     """
     _check_pair(mu1_w, mu2_w, w.r)
     if not chains:  # no chain fits the box, so no splitting contributes
         return {}
+    chains, a_values = tuple(chains), tuple(a_values)
     by_theta1 = _splittings(mu1_w)
-    piece_key = (tuple((i, j) for i, j, _ in chains), tuple(a_values))
-    terms: dict = {}  # pairing value -> (chain factors, degree factors) of its pieces
+    acc: dict = {}
     for key, pieces2 in _splittings(mu2_w).items():
         pieces1 = by_theta1.get(key, ())
         for theta2, nu2 in pieces2:
             for theta1, nu1 in pieces1:
-                factors = _piece_factors(nu1, nu2, *piece_key)
+                factors = _piece_factors(nu1, nu2, chains, a_values)
                 if factors is None:
                     continue
-                pair = pairing(theta1, theta2, w)
-                if not pair.is_zero():
-                    terms.setdefault(pair, []).append(factors)
-    out = {}
-    for ci, (i, j, ds) in enumerate(chains):
-        for ai, a in enumerate(a_values):
-            total = RatFunc2.zero()
-            for pair, members in terms.items():
-                c = sum(crosses[ci] * degs[ai] for crosses, degs in members)
-                if c:
-                    total = total + pair * RatFunc2(_THETA.scale(c))
-            if total.is_zero():
-                continue
-            for d in ds:
-                out[(a, i, j, d)] = total if d == 1 else total * Fraction(d) ** (a - 1)
-    return out
+                pair = pairing(theta1, theta2, w).num.const_value()
+                if not pair:
+                    continue
+                crosses, degs = factors
+                for (i, j), x in zip(chains, crosses):
+                    if x:
+                        x *= pair
+                        for a, y in zip(a_values, degs):
+                            if y:
+                                acc[(a, i, j)] = acc.get((a, i, j), 0) + x * y
+    return {key: c for key, c in acc.items() if c}
+
+
+def _scalar_invariant(c: Fraction, a: int, d: int, mu_w: WeightedPartition) -> RatFunc2:
+    """(t1+t2) d^(a-1) c / (t1 t2)^k, the invariant at degree (a, d*E_{ij})
+    of the scalar c of a pair of insertions with k 1-labels each."""
+    k = sum(label == ONE for _, label in mu_w)
+    return RatFunc2(_THETA.scale(c * Fraction(d) ** (a - 1)), Poly2.monomial(k, k))
 
 
 def disconnected_two_point(
@@ -261,9 +269,10 @@ def disconnected_two_point(
     if not any(beta):
         raise OutOfScopeError("degree-zero extended invariants are external table data")
     chain = beta_as_chain(beta)  # a beta that is not a chain still has its inputs checked
-    chains = [] if chain is None else [(chain[0], chain[1], (chain[2],))]
-    sums = _splitting_sums(mu1_w, mu2_w, (a,), chains, w)
-    return next(iter(sums.values()), RatFunc2.zero())
+    scalars = two_point_scalars(mu1_w, mu2_w, (a,), [] if chain is None else [chain[:2]], w)
+    if not scalars:
+        return RatFunc2.zero()
+    return _scalar_invariant(scalars[(a, *chain[:2])], a, chain[2], mu1_w)
 
 
 def two_point_series(
@@ -283,14 +292,18 @@ def two_point_series(
     r = w.r
     if len(s_orders) != r:
         raise ValueError(f"need {r} s-orders, got {len(s_orders)}")
-    chains = [
-        (i, j, range(1, min(s_orders[i - 1 : j]) + 1))
+    d_tops = {
+        (i, j): min(s_orders[i - 1 : j])
         for i in range(1, r + 1)
         for j in range(i, r + 1)
         if min(s_orders[i - 1 : j])
-    ]
-    sums = _splitting_sums(mu1_w, mu2_w, range(u_order + 1), chains, w)
-    coeffs = {(a, e_chain(i, j, d, r)): v for (a, i, j, d), v in sums.items()}
+    }
+    scalars = two_point_scalars(mu1_w, mu2_w, range(u_order + 1), tuple(d_tops), w)
+    coeffs = {
+        (a, e_chain(i, j, d, r)): _scalar_invariant(c, a, d, mu1_w)
+        for (a, i, j), c in scalars.items()
+        for d in range(1, d_tops[i, j] + 1)
+    }
     return TruncSeries(u_order, s_orders, coeffs)
 
 

@@ -11,9 +11,14 @@ which depends on t only, so
 
     M_D = d_D(G^{-1} T_2) + G^{-1} T_D|_{s=0}.
 
-One product P = G^{-1} T_2 per basis serves every divisor. The beta = 0
-layers T_D|_{s=0} come from a ZeroDegreeTable and propagate as gaps
-when absent.
+One product P = G^{-1} T_2 per basis serves every divisor. It is
+contracted in rationals: each nonzero G^{-1}[b, b'] is c (t1 t2)^k, with
+k the number of 1-labels of b, and is nonzero only when b' has as many
+1-labels of each part size. Each two-point invariant of b' with any b_j
+is (t1+t2) times a rational over (t1 t2)^k with the same k (see
+invariants), so the powers of t1 t2 cancel and every value of P is
+(t1+t2) times a rational. The beta = 0 layers T_D|_{s=0} come from a
+ZeroDegreeTable and propagate as gaps when absent.
 
 op_matrix_dumps writes the op-matrix JSON text directly from the
 OperatorMatrix. Its bytes are those of json.dumps(indent=1,
@@ -32,6 +37,7 @@ from .algebra import (
     GaussRational,
     I,
     Poly1,
+    Poly2,
     RatFunc2,
     TruncSeries,
     char_poly_gaussian,
@@ -46,7 +52,7 @@ from .invariants import (
     ThreePointResult,
     ZeroDegreeTable,
     three_point_divisor_series,
-    two_point_series,
+    two_point_scalars,
 )
 from .memo import memo
 from .partitions import (
@@ -58,8 +64,10 @@ from .partitions import (
     weighted_partition,
     wp_size,
 )
-from .surface import beta_as_chain, check_label, e_chain, tangent_weights
+from .surface import check_label, e_chain, tangent_weights
 from .textforms import wp_to_text
+
+_THETA = RatFunc2(Poly2.linear(1, 1))  # t1 + t2
 
 
 @dataclass
@@ -86,28 +94,39 @@ class OperatorMatrix:
 def _two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> tuple:
     """The Gram inverse and P = G^{-1} T_2 of a basis, shared by every divisor.
 
-    T_2 holds the two-point series of each basis pair (computed once per
-    unordered pair) up to u^u_top in unit_box, where each s-order is cut
-    to at most 1: a chain E_i + ... + E_j then appears at d = 1 only, and
-    its coefficient at (a, d E_ij) is the d = 1 value times d^(a-1).
-    P[i][j] lists (a, i', j', value) for the chains i'..j' of P's entry.
+    T_2 holds the two-point scalars of each basis pair (computed once per
+    unordered pair) up to u^u_top for the chains of unit_box, where each
+    s-order is cut to at most 1: a chain E_i + ... + E_j then appears at
+    d = 1 only, and its coefficient at (a, d E_ij) is the d = 1 value times
+    d^(a-1). P[i][j] lists (a, i', j', value) for the chains i'..j' of P's
+    entry; every value is (t1+t2) times a rational, as the module docstring
+    explains.
     """
     w = tangent_weights(r)
     ginv = gram_inverse(basis, w)
+    chains = tuple(
+        (i, j) for i in range(1, r + 1) for j in range(i, r + 1) if min(unit_box[i - 1 : j])
+    )
     size = len(basis)
-    t2: list[list[TruncSeries]] = [[None] * size for _ in range(size)]
+    t2: list[list[dict]] = [[None] * size for _ in range(size)]
     for j in range(size):
         for a in range(j, size):
-            t2[a][j] = t2[j][a] = two_point_series(basis[j], basis[a], u_top, unit_box, w)
+            t2[a][j] = t2[j][a] = two_point_scalars(
+                basis[j], basis[a], range(u_top + 1), chains, w
+            )
     product = []
     for i in range(size):
-        ginv_row = [(a, c) for a, c in enumerate(ginv[i]) if not c.is_zero()]
+        # each nonzero G^{-1} entry is c (t1 t2)^k: keep its c
+        ginv_row = [
+            (a, g.num.leading_coefficient()) for a, g in enumerate(ginv[i]) if not g.is_zero()
+        ]
         row = []
         for j in range(size):
-            acc = TruncSeries.lincomb(((c, t2[a][j]) for a, c in ginv_row), u_top, unit_box)
-            row.append(
-                tuple((a, *beta_as_chain(ds)[:2], v) for (a, ds), v in acc.coeffs.items())
-            )
+            acc: dict = {}
+            for a, c in ginv_row:
+                for key, v in t2[a][j].items():
+                    acc[key] = acc.get(key, 0) + c * v
+            row.append(tuple((*key, _THETA * v) for key, v in acc.items() if v))
         product.append(tuple(row))
     # every caller shares the memoised result, so hand out tuples only
     return tuple(map(tuple, ginv)), tuple(product)

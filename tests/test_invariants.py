@@ -5,7 +5,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     bitmask_disconnected,
@@ -251,6 +251,49 @@ def test_two_point_series_matches_bitmask_oracle_property(case):
     series = two_point_series(mu1, mu2, u_order, s_orders, w)
     # the whole box: off-chain degrees must come out zero, beta = 0 absent
     assert series.coeffs == _bitmask_series(mu1, mu2, u_order, s_orders, w)
+
+
+@st.composite
+def _scalar_form_case(draw):
+    r = draw(st.integers(1, 3))
+    labels = _divisor_label(r)
+    n = draw(st.integers(1, 4))
+    mu1 = weighted_partition((p, draw(labels)) for p in draw(st.sampled_from(partitions_of(n))))
+    if draw(st.booleans()):
+        # mu1's cycle type with its 1-labels kept and its divisors redrawn,
+        # so whole-partition splittings match and the 1-label counts agree
+        divisors = st.one_of(st.integers(1, r).map(ecurve), st.integers(1, r).map(omega))
+        mu2 = weighted_partition(
+            (p, label if label == ONE else draw(divisors)) for p, label in mu1
+        )
+    else:
+        mu2 = weighted_partition(
+            (p, draw(labels)) for p in draw(st.sampled_from(partitions_of(n)))
+        )
+    u_order = draw(st.integers(0, 2))
+    s_orders = tuple(draw(st.lists(st.sampled_from((2, 1, 0)), min_size=r, max_size=r)))
+    return r, mu1, mu2, u_order, s_orders
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(_scalar_form_case())
+@example((1, wp((1, ONE), (1, ONE), (2, ecurve(1))), wp((1, ONE), (1, ONE), (2, omega(1))), 2, (1,)))
+@example(
+    (2, wp((1, ONE), (1, ecurve(2)), (2, ecurve(1))), wp((1, ONE), (1, ecurve(1)), (2, ecurve(2))),
+     1, (1, 1))
+)
+def test_two_point_series_scalar_form_property(case):
+    """Every coefficient is (t1+t2) c / (t1 t2)^k with k the number of
+    1-labels, and the series is 0 when the two insertions' counts differ."""
+    r, mu1, mu2, u_order, s_orders = case
+    series = two_point_series(mu1, mu2, u_order, s_orders, tangent_weights(r))
+    k1, k2 = (sum(label == ONE for _, label in mu) for mu in (mu1, mu2))
+    if k1 != k2:
+        assert series.is_zero()
+    for v in series.coeffs.values():
+        assert v.den == Poly2.monomial(k1, k1)
+        c = v.num.terms[(1, 0)]
+        assert v.num == THETA.scale(c) and c
 
 
 def test_splitting_memos_key_on_chains_and_u_range():

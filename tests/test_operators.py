@@ -266,6 +266,11 @@ PINNED_OP_MATRICES = [
      "b1e3a9571e8a04bc5d27c057245e36f5335a951a6805d65f32e5248214c7cf15"),
     ((2, 4, "D1", 3, (2, 2, 2, 2), False),
      "8e527b40337d431b584b1c875fc0b1a15807d6baedec830aceb48f0f714c1aca"),
+    # bases with two or more 1-labels: the powers of t1 t2 in G^{-1} and T_2 cancel
+    ((3, 2, "(2)", 3, (2, 2), False),
+     "b80c4a024d04292371382780217cf0fa88243ae22a0840067d26406bbe3ba14c"),
+    ((4, 2, "D1", 2, (1, 1), False),
+     "ba5a4def9d7c124fe9a008c4b07876ccc9327631c04a7bb794f2a46a70ab84e7"),
 ]
 
 
@@ -407,26 +412,38 @@ def test_two_point_product_is_shared_by_every_divisor(monkeypatch):
     import symprod
     import symprod.operators as operators
 
-    counts = {"gram_inverse": 0, "two_point_series": 0}
-    gram_inverse, two_point_series = operators.gram_inverse, operators.two_point_series
+    counts = {"gram_inverse": 0, "two_point_scalars": 0}
+    gram_inverse, two_point_scalars = operators.gram_inverse, operators.two_point_scalars
 
     def counted_gram_inverse(basis, w):
         counts["gram_inverse"] += 1
         return gram_inverse(basis, w)
 
-    def counted_two_point_series(left, right, u_order, s_orders, w):
-        if any(s_orders):
-            counts["two_point_series"] += 1
-        return two_point_series(left, right, u_order, s_orders, w)
+    def counted_two_point_scalars(left, right, a_values, chains, w):
+        counts["two_point_scalars"] += 1
+        return two_point_scalars(left, right, a_values, chains, w)
 
     monkeypatch.setattr(operators, "gram_inverse", counted_gram_inverse)
-    monkeypatch.setattr(operators, "two_point_series", counted_two_point_series)
+    monkeypatch.setattr(operators, "two_point_scalars", counted_two_point_scalars)
     symprod.clear_caches()
     basis = default_divisor_basis(2, 3)
     assert len(basis) == 14  # 105 unordered pairs
     for divisor in ("(2)", "D1", "D2", "D3"):
         divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
-    assert counts == {"gram_inverse": 1, "two_point_series": 105}
+    assert counts == {"gram_inverse": 1, "two_point_scalars": 105}
     symprod.clear_caches()
     divisor_operator(2, 3, "D2", basis, 4, (3, 3, 3))
-    assert counts == {"gram_inverse": 2, "two_point_series": 210}
+    assert counts == {"gram_inverse": 2, "two_point_scalars": 210}
+
+
+@pytest.mark.parametrize("n, r", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
+def test_two_point_product_values_are_theta_times_rationals(n, r):
+    import symprod.operators as operators
+
+    basis = tuple(default_divisor_basis(n, r))
+    _, product = operators._two_point_product(basis, r, 3, (1,) * r)
+    values = [v for row in product for entry in row for *_, v in entry]
+    assert values  # the box holds nonzero entries
+    for v in values:
+        c = v.num.terms[(1, 0)]
+        assert v == RatFunc2(THETA.scale(c)) and c
