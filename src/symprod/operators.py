@@ -11,14 +11,15 @@ which depends on t only, so
 
     M_D = d_D(G^{-1} T_2) + G^{-1} T_D|_{s=0}.
 
-One product P = G^{-1} T_2 per basis serves every divisor. It is
-contracted in rationals: each nonzero G^{-1}[b, b'] is c (t1 t2)^k, with
-k the number of 1-labels of b, and is nonzero only when b' has as many
-1-labels of each part size. Each two-point invariant of b' with any b_j
-is (t1+t2) times a rational over (t1 t2)^k with the same k (see
-invariants), so the powers of t1 t2 cancel and every value of P is
-(t1+t2) times a rational. The beta = 0 layers T_D|_{s=0} come from a
-ZeroDegreeTable and propagate as gaps when absent.
+One product P = G^{-1} T_2 per basis serves every divisor. Each nonzero
+G^{-1}[b, b'] is c (t1 t2)^k, with k the number of 1-labels of b, and is
+nonzero only when b' has as many 1-labels of each part size. Each
+two-point invariant of b' with any b_j is (t1+t2) times a rational over
+(t1 t2)^k with the same k (see invariants), so the powers of t1 t2
+cancel: every value of P is (t1+t2) times a rational, and P holds that
+rational, contracted in integers over one lcm per G^{-1} row and one per
+T_2 column. The beta = 0 layers T_D|_{s=0} come from a ZeroDegreeTable
+and propagate as gaps when absent.
 
 op_matrix_dumps writes the op-matrix JSON text directly from the
 OperatorMatrix. Its bytes are those of json.dumps(indent=1,
@@ -32,6 +33,7 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import lcm
 
 from .algebra import (
     GaussRational,
@@ -98,9 +100,11 @@ def _two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> tuple:
     unordered pair) up to u^u_top for the chains of unit_box, where each
     s-order is cut to at most 1: a chain E_i + ... + E_j then appears at
     d = 1 only, and its coefficient at (a, d E_ij) is the d = 1 value times
-    d^(a-1). P[i][j] lists (a, i', j', value) for the chains i'..j' of P's
-    entry; every value is (t1+t2) times a rational, as the module docstring
-    explains.
+    d^(a-1). P[i][j] lists (a, i', j', c) for the chains i'..j' of P's
+    entry, whose value is (t1+t2) c for a nonzero Fraction c. The c's of a
+    G^{-1} row and the scalars of a T_2 column are integers over their lcm,
+    so the contraction multiplies and adds ints and makes one Fraction per
+    value of P.
     """
     w = tangent_weights(r)
     ginv = gram_inverse(basis, w)
@@ -114,22 +118,44 @@ def _two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> tuple:
             t2[a][j] = t2[j][a] = two_point_scalars(
                 basis[j], basis[a], range(u_top + 1), chains, w
             )
+    # column j of T_2, over every a, as integers over the column's lcm
+    columns = []
+    for j in range(size):
+        den = lcm(*(v.denominator for a in range(size) for v in t2[a][j].values()))
+        columns.append((den, [
+            [(key, v.numerator * (den // v.denominator)) for key, v in t2[a][j].items()]
+            for a in range(size)
+        ]))
     product = []
     for i in range(size):
-        # each nonzero G^{-1} entry is c (t1 t2)^k: keep its c
-        ginv_row = [
-            (a, g.num.leading_coefficient()) for a, g in enumerate(ginv[i]) if not g.is_zero()
-        ]
+        # each nonzero G^{-1} entry is c (t1 t2)^k: keep its c, over the row's lcm
+        cs = [(a, g.num.leading_coefficient()) for a, g in enumerate(ginv[i]) if not g.is_zero()]
+        row_den = lcm(*(c.denominator for _, c in cs))
+        ginv_row = [(a, c.numerator * (row_den // c.denominator)) for a, c in cs]
         row = []
-        for j in range(size):
+        for col_den, col in columns:
             acc: dict = {}
             for a, c in ginv_row:
-                for key, v in t2[a][j].items():
+                for key, v in col[a]:
                     acc[key] = acc.get(key, 0) + c * v
-            row.append(tuple((*key, _THETA * v) for key, v in acc.items() if v))
+            den = row_den * col_den
+            row.append(tuple((*key, Fraction(v, den)) for key, v in acc.items() if v))
         product.append(tuple(row))
     # every caller shares the memoised result, so hand out tuples only
     return tuple(map(tuple, ginv)), tuple(product)
+
+
+class _Once(dict):
+    """A dict that fills a missing key k with fn(k), so fn runs once per key."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def divisor_operator(
@@ -159,6 +185,8 @@ def divisor_operator(
         for _, label in b:
             check_label(label, r)
     s_orders = tuple(s_orders)
+    if len(s_orders) != r:
+        raise ValueError(f"need {r} s-orders, got {len(s_orders)}")
     size = len(basis)
     zeros = (0,) * r
     tzero: list[list[ThreePointResult]] = [[None] * size for _ in range(size)]
@@ -176,6 +204,11 @@ def divisor_operator(
         for ci in range(1, r + 1)
         for cj in range(ci, r + 1)
     }
+    # (t1+t2) c m, built once per distinct rational c m; looked up by
+    # (numerator of c times m, denominator of c), so no Fraction is made per
+    # coefficient
+    theta_times = _Once(_THETA.__mul__)
+    scaled = _Once(lambda nd: theta_times[Fraction(*nd)])
     entries = []
     gaps: set[tuple[int, int]] = set()
     for i in range(size):
@@ -187,14 +220,15 @@ def divisor_operator(
             coeffs = TruncSeries.lincomb(
                 ((c, tzero[a][j].series) for a, c in ginv_row), u_order, zeros
             ).coeffs
-            for a, ci, cj, v in product[i][j]:
+            for a, ci, cj, c in product[i][j]:
+                num, den = c.numerator, c.denominator
                 if ell:
                     if a <= u_order and ci <= ell <= cj:
                         for d, ds in spans[ci, cj]:
-                            coeffs[(a, ds)] = v * d**a
+                            coeffs[(a, ds)] = scaled[num * d**a, den]
                 elif a:
                     for d, ds in spans[ci, cj]:
-                        coeffs[(a - 1, ds)] = v * (a * d ** (a - 1))
+                        coeffs[(a - 1, ds)] = scaled[num * (a * d ** (a - 1)), den]
             row.append(TruncSeries(u_order, s_orders, coeffs))
         entries.append(row)
     return OperatorMatrix(
@@ -500,8 +534,9 @@ def op_matrix_dumps(op: OperatorMatrix) -> str:
     nested dict that the tests' oracle builds: keys in sorted order, one
     space of indent per depth, strings escaped by the json module's ASCII
     escaper and integers by %d. Each entry's truncation orders come from its
-    own series.
+    own series. Each distinct coefficient value is formatted once.
     """
+    texts = _Once(lambda f: encode_basestring_ascii(ratfunc_to_text(f)))
     size = op.size()
     entries = []
     for i in range(size):
@@ -510,7 +545,7 @@ def op_matrix_dumps(op: OperatorMatrix) -> str:
             coeffs = series.coeffs
             terms = [
                 '{\n     "coeff": %s,\n     "s": %s,\n     "u": %d\n    }'
-                % (encode_basestring_ascii(ratfunc_to_text(coeffs[key])),
+                % (texts[coeffs[key]],
                    _json_list(["%d" % d for d in key[1]], 5), key[0])
                 for key in sorted(coeffs)
             ]

@@ -12,10 +12,10 @@ from math import factorial
 
 from symprod.algebra import GaussRational, Poly2, RatFunc2, TruncSeries, ratfunc_from_text
 from symprod.algebra.poly import _u_add, _u_divmod, _u_gcd, _u_mul
-from symprod.chenruan import CRClass, expand, gram_matrix, pairing
+from symprod.chenruan import CRClass, expand, gram_inverse, gram_matrix, pairing
 from symprod.errors import DegenerateBasisError, OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
-from symprod.invariants import _check_pair, three_point_divisor_series
+from symprod.invariants import _check_pair, three_point_divisor_series, two_point_scalars
 from symprod.operators import OperatorMatrix, VerifyReport
 from symprod.partitions import (
     ONE,
@@ -353,6 +353,35 @@ def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
 # ---------------------------------------------------------------------------
 # the reference divisor operator: one three-point series per basis pair
 # ---------------------------------------------------------------------------
+
+def reference_two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> list:
+    """Reference P = G^{-1} T_2: the two-point scalars of every basis pair,
+    contracted with the c of each G^{-1} entry c (t1 t2)^k one Fraction
+    multiply-add at a time. P[i][j] lists (a, i', j', (t1+t2) value) for
+    the chains i'..j' inside unit_box, zeros omitted."""
+    w = tangent_weights(r)
+    ginv = gram_inverse(basis, w)
+    chains = [(i, j) for i in range(1, r + 1) for j in range(i, r + 1) if min(unit_box[i - 1 : j])]
+    size = len(basis)
+    t2 = [
+        [two_point_scalars(basis[j], basis[a], range(u_top + 1), chains, w) for j in range(size)]
+        for a in range(size)
+    ]
+    product = []
+    for i in range(size):
+        ginv_row = [
+            (a, g.num.leading_coefficient()) for a, g in enumerate(ginv[i]) if not g.is_zero()
+        ]
+        row = []
+        for j in range(size):
+            acc: dict = {}
+            for a, c in ginv_row:
+                for key, v in t2[a][j].items():
+                    acc[key] = acc.get(key, 0) + c * v
+            row.append([(*key, RatFunc2(_THETA.scale(v))) for key, v in acc.items() if v])
+        product.append(row)
+    return product
+
 
 def reference_divisor_operator(
     n: int,

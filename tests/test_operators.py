@@ -17,6 +17,7 @@ from helpers import (
     ratfunc_subs_t2_minus_t1,
     reference_divisor_operator,
     reference_op_matrix_dumps,
+    reference_two_point_product,
 )
 from symprod.algebra import (
     Poly2,
@@ -40,7 +41,7 @@ from symprod.operators import (
 from symprod.errors import MalformedInputError
 from symprod.invariants import ZeroDegreeTable
 from symprod.partitions import ONE, ecurve, fixedpt, underlying, weighted_partition
-from symprod.surface import tangent_weights
+from symprod.surface import e_chain, tangent_weights
 from symprod.textforms import wp_to_text
 
 THETA = Poly2.linear(1, 1)
@@ -271,6 +272,11 @@ PINNED_OP_MATRICES = [
      "b80c4a024d04292371382780217cf0fa88243ae22a0840067d26406bbe3ba14c"),
     ((4, 2, "D1", 2, (1, 1), False),
      "ba5a4def9d7c124fe9a008c4b07876ccc9327631c04a7bb794f2a46a70ab84e7"),
+    # r = 3: the a d^(a-1) multiplier of "(2)" and a partial s-box
+    ((3, 3, "(2)", 2, (1, 1, 1), False),
+     "ca6df90a0ced904d6f0e56de03f7faf8e3ff7e12371574d12bcdc6898f81d33a"),
+    ((3, 3, "D2", 2, (2, 1, 2), False),
+     "b6ce9758815f3d616479085fd71f0e1d33d04b29131e7871a40aa4d593438d1d"),
 ]
 
 
@@ -442,8 +448,80 @@ def test_two_point_product_values_are_theta_times_rationals(n, r):
 
     basis = tuple(default_divisor_basis(n, r))
     _, product = operators._two_point_product(basis, r, 3, (1,) * r)
-    values = [v for row in product for entry in row for *_, v in entry]
+    values = [c for row in product for entry in row for *_, c in entry]
     assert values  # the box holds nonzero entries
-    for v in values:
-        c = v.num.terms[(1, 0)]
-        assert v == RatFunc2(THETA.scale(c)) and c
+    for c in values:
+        assert isinstance(c, Fraction) and c
+    # every beta != 0 coefficient of M_D is (t1+t2) c m for its value c of P
+    # and its multiplier m: d^a for "D<l>", a d^(a-1) for "(2)"
+    u_order, s_orders = 2, (2,) * r
+    for ell in range(r + 1):
+        divisor = f"D{ell}" if ell else "(2)"
+        op = divisor_operator(n, r, divisor, basis, u_order, s_orders)
+        for i, row in enumerate(product):
+            for j, entry in enumerate(row):
+                want = {}
+                for a, ci, cj, c in entry:
+                    for d in range(1, 3):
+                        ds = e_chain(ci, cj, d, r)
+                        if ell and a <= u_order and ci <= ell <= cj:
+                            want[(a, ds)] = RatFunc2(THETA.scale(c * d**a))
+                        elif not ell and a:
+                            want[(a - 1, ds)] = RatFunc2(THETA.scale(c * a * d ** (a - 1)))
+                coeffs = op.entry(i, j).coeffs
+                assert {key: v for key, v in coeffs.items() if any(key[1])} == want
+
+
+@pytest.mark.parametrize(
+    "n, r, unit_box",
+    [(2, 1, (1,)), (3, 1, (1,)), (4, 1, (1,))]
+    + [(n, 2, box) for n in (2, 3) for box in [(1, 1), (1, 0), (0, 1)]]
+    + [(2, 3, box) for box in [(1, 1, 1), (1, 0, 1), (0, 1, 0), (1, 1, 0)]]
+    + [(3, 3, (1, 1, 1)), (3, 3, (1, 0, 1))],
+)
+def test_two_point_product_matches_fraction_contraction(n, r, unit_box):
+    import symprod.operators as operators
+
+    basis = tuple(default_divisor_basis(n, r))
+    _, product = operators._two_point_product(basis, r, 3, unit_box)
+    want = reference_two_point_product(basis, r, 3, unit_box)
+    assert any(want_entry for want_row in want for want_entry in want_row)
+    for row, want_row in zip(product, want, strict=True):
+        for entry, want_entry in zip(row, want_row, strict=True):
+            got = {(a, ci, cj): RatFunc2(THETA.scale(c)) for a, ci, cj, c in entry}
+            assert got == {(a, ci, cj): v for a, ci, cj, v in want_entry}
+
+
+def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
+    import symprod.operators as operators
+
+    theta, to_text = operators._THETA, operators.ratfunc_to_text
+    built, formatted = [], []
+
+    class CountedTheta:
+        def __mul__(self, x):
+            built.append(x)
+            return theta * x
+
+    def counted_to_text(f):
+        formatted.append(f)
+        return to_text(f)
+
+    monkeypatch.setattr(operators, "_THETA", CountedTheta())
+    monkeypatch.setattr(operators, "ratfunc_to_text", counted_to_text)
+    basis = default_divisor_basis(2, 3)
+    for divisor in ("(2)", "D1", "D2", "D3"):
+        built.clear()
+        op = divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
+        coeffs = [series.coeffs for row in op.entries for series in row]
+        beta = {v for c in coeffs for key, v in c.items() if any(key[1])}
+        assert len(built) == len(beta) > 1, divisor
+        formatted.clear()
+        op_matrix_dumps(op)
+        assert len(formatted) == len({v for c in coeffs for v in c.values()}), divisor
+
+
+@pytest.mark.parametrize("s_orders", [(1,), (1, 1, 1)])
+def test_divisor_operator_rejects_wrong_number_of_s_orders(s_orders):
+    with pytest.raises(ValueError, match=f"^need 2 s-orders, got {len(s_orders)}$"):
+        divisor_operator(2, 2, "D1", default_divisor_basis(2, 2), 2, s_orders)
