@@ -1,10 +1,11 @@
 """Chen-Ruan cohomology of the symmetric product stack of A_r.
 
-The orbifold Poincare pairing is the matching sum: it vanishes unless
-the cycle-type multiplicities agree, and otherwise sums products of
-surface integrals over length-preserving matchings of cycles, so it is a
-symmetric power of the surface pairing. Gram matrices are built from it;
-the Gram inverse is the same power of the dual pairing, in closed form.
+The orbifold Poincare pairing is a symmetric power of the surface
+pairing: it vanishes unless the cycle-type multiplicities agree, and
+otherwise is, per part size, the permanent of the surface integrals
+between the labels of the cycles of that length. Gram matrices are built
+from it; the Gram inverse is the same power of the dual pairing, in
+closed form, through the same permanent.
 Weighted partitions also expand into the fixed-point class basis by
 distributing every cycle over the fixed points with localized
 coefficients; the pairing there is diagonal, and the test suite uses that
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import permutations, repeat
 from math import comb, prod
 
 from .algebra import Poly2, RatFunc2
@@ -125,11 +125,12 @@ def _ordered_integral(l1: Label, l2: Label, r: int) -> RatFunc2:
 
 
 def pairing(wp1: WeightedPartition, wp2: WeightedPartition, w: TangentWeights) -> RatFunc2:
-    """Orbifold Poincare pairing by the matching-sum formula.
+    """Orbifold Poincare pairing, a symmetric power of the surface pairing.
 
-    Vanishes unless the cycle-type multiplicities agree; otherwise sums
-    surface integrals over length-preserving matchings of cycles,
-    normalized by the part product and both automorphism orders.
+    Vanishes unless the cycle-type multiplicities agree; otherwise the
+    product over part sizes of the permanent of surface integrals between
+    the labels of that size, normalized by the part product and both
+    automorphism orders.
     """
     if wp_size(wp1) != wp_size(wp2):
         raise ValueError("weighted partitions of different sizes")
@@ -141,35 +142,44 @@ def pairing(wp1: WeightedPartition, wp2: WeightedPartition, w: TangentWeights) -
 def _matching_sum(wp1: WeightedPartition, wp2: WeightedPartition, r: int) -> RatFunc2:
     for _, label in wp1 + wp2:
         check_label(label, r)
-    by_size1: dict[int, list[Label]] = defaultdict(list)
-    by_size2: dict[int, list[Label]] = defaultdict(list)
-    for p, label in wp1:
-        by_size1[p].append(label)
-    for p, label in wp2:
-        by_size2[p].append(label)
-    if {p: len(v) for p, v in by_size1.items()} != {p: len(v) for p, v in by_size2.items()}:
+    if underlying(wp1) != underlying(wp2):
         return RatFunc2.zero()
     total = RatFunc2.one()
-    for p, labels1 in by_size1.items():
-        labels2 = by_size2[p]
-        block = RatFunc2.zero()
-        for perm in permutations(range(len(labels2))):
-            term = RatFunc2.one()
-            for j, l1 in enumerate(labels1):
-                term = term * _integral(l1, labels2[perm[j]], r)
-                if term.is_zero():
-                    break
-            block = block + term
-        if block.is_zero():
+    for (_, labels1), (_, labels2) in zip(_labels_by_size(wp1), _labels_by_size(wp2)):
+        block = _permanent(labels1, labels2, r, _integral)
+        if block == 0:
             return RatFunc2.zero()
         total = total * block
-    parts_product = 1
-    for p, _ in wp1:
-        parts_product *= p
-    norm = Fraction(
-        1, parts_product * aut_order_weighted(wp1) * aut_order_weighted(wp2)
-    )
+    norm = Fraction(1, prod(p for p, _ in wp1) * aut_order_weighted(wp1) * aut_order_weighted(wp2))
     return total * norm
+
+
+def _labels_by_size(wp: WeightedPartition) -> tuple[tuple[int, tuple[Label, ...]], ...]:
+    """(part, sorted labels of the cycles of that length), by descending part."""
+    by_size: dict[int, list[Label]] = defaultdict(list)
+    for p, label in wp:
+        by_size[p].append(label)
+    return tuple((p, tuple(sorted(v))) for p, v in sorted(by_size.items(), reverse=True))
+
+
+@memo
+def _permanent(rows: tuple[Label, ...], cols: tuple[Label, ...], r: int, entry):
+    """Permanent of entry(row, col, r) between two sorted label tuples.
+
+    Expands along the first row; equal columns give equal minors, so each
+    distinct column is taken once, times its multiplicity.
+    """
+    if not rows:
+        return 1
+    head, total = rows[0], 0
+    for pos, col in enumerate(cols):
+        if pos and cols[pos - 1] == col:
+            continue
+        value = entry(head, col, r)
+        if value != 0:
+            minor = _permanent(rows[1:], cols[:pos] + cols[pos + 1 :], r, entry)
+            total += cols.count(col) * value * minor
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -213,12 +223,15 @@ def gram_inverse(basis, w: TangentWeights) -> list[list[RatFunc2]]:
     out = [[RatFunc2.zero()] * len(basis) for _ in basis]
     for block in _blocks(basis):
         _check_whole_block([basis[i] for i in block], w.r)
-        labels = {i: _label_indices(basis[i]) for i in block}
+        labels = {i: _labels_by_size(basis[i]) for i in block}
         parts_product = prod(p for p, _ in basis[block[0]])
         for pos, i in enumerate(block):
             k = sum(label == ONE for _, label in basis[i])
             for j in block[pos:]:
-                c = parts_product * prod(map(_dual_permanent, labels[i], labels[j], repeat(w.r)))
+                c = parts_product * prod(
+                    _permanent(rows, cols, w.r, _dual_entry)
+                    for (_, rows), (_, cols) in zip(labels[i], labels[j])
+                )
                 if c:
                     out[i][j] = out[j][i] = RatFunc2(Poly2.monomial(k, k, c))
     return out
@@ -239,30 +252,10 @@ def _check_whole_block(elements: list[WeightedPartition], r: int) -> None:
         )
 
 
-def _label_indices(wp: WeightedPartition) -> tuple[tuple[int, ...], ...]:
-    """Per part size, descending: the sorted labels, 0 for 1 and i for E_i."""
-    by_size: dict[int, list[int]] = defaultdict(list)
-    for p, label in wp:
-        by_size[p].append(0 if label == ONE else label[1])
-    return tuple(tuple(sorted(v)) for _, v in sorted(by_size.items(), reverse=True))
-
-
-@memo
-def _dual_permanent(rows: tuple[int, ...], cols: tuple[int, ...], r: int) -> Fraction:
-    """Permanent of g^{-1} between two sorted label-index tuples, with the t1 t2
-    of each 1-1 entry taken out: r + 1 between two 1s, 0 between 1 and E_i,
-    and -C^{-1} (the inverse intersection matrix) between curves.
-
-    Expands along the first row; equal columns give equal minors, so each
-    distinct column is taken once, times its multiplicity.
-    """
-    if not rows:
-        return Fraction(1)
-    head, total = rows[0], Fraction(0)
-    for pos, col in enumerate(cols):
-        if (pos and cols[pos - 1] == col) or (head == 0) != (col == 0):
-            continue
-        entry = r + 1 if head == 0 else omega_coefficients(r)[head - 1][col - 1]
-        minor = _dual_permanent(rows[1:], cols[:pos] + cols[pos + 1 :], r)
-        total += cols.count(col) * entry * minor
-    return total
+def _dual_entry(l1: Label, l2: Label, r: int) -> Fraction:
+    """g^{-1} between two of 1, E_1..E_r, with the t1 t2 of the 1-1 entry taken
+    out: r + 1 between two 1s, 0 between 1 and E_i, and -C^{-1} (the inverse
+    intersection matrix) between curves."""
+    if l1 == ONE or l2 == ONE:
+        return Fraction(r + 1 if l1 == l2 else 0)
+    return omega_coefficients(r)[l1[1] - 1][l2[1] - 1]

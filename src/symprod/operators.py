@@ -209,6 +209,9 @@ def divisor_operator(
     # coefficient
     theta_times = _Once(_THETA.__mul__)
     scaled = _Once(lambda nd: theta_times[Fraction(*nd)])
+    # every key below lies in the box and every value is nonzero, so each
+    # entry takes this shape without TruncSeries re-checking its keys
+    shape = TruncSeries.zero(u_order, s_orders)
     entries = []
     gaps: set[tuple[int, int]] = set()
     for i in range(size):
@@ -229,7 +232,7 @@ def divisor_operator(
                 elif a:
                     for d, ds in spans[ci, cj]:
                         coeffs[(a - 1, ds)] = scaled[num * (a * d ** (a - 1)), den]
-            row.append(TruncSeries(u_order, s_orders, coeffs))
+            row.append(shape._wrap(coeffs))
         entries.append(row)
     return OperatorMatrix(
         n=n,
@@ -534,9 +537,11 @@ def op_matrix_dumps(op: OperatorMatrix) -> str:
     nested dict that the tests' oracle builds: keys in sorted order, one
     space of indent per depth, strings escaped by the json module's ASCII
     escaper and integers by %d. Each entry's truncation orders come from its
-    own series. Each distinct coefficient value is formatted once.
+    own series. Each distinct coefficient value and s-exponent tuple is
+    formatted once.
     """
     texts = _Once(lambda f: encode_basestring_ascii(ratfunc_to_text(f)))
+    s_texts = _Once(lambda ds: _json_list(["%d" % d for d in ds], 5))
     size = op.size()
     entries = []
     for i in range(size):
@@ -545,8 +550,7 @@ def op_matrix_dumps(op: OperatorMatrix) -> str:
             coeffs = series.coeffs
             terms = [
                 '{\n     "coeff": %s,\n     "s": %s,\n     "u": %d\n    }'
-                % (texts[coeffs[key]],
-                   _json_list(["%d" % d for d in key[1]], 5), key[0])
+                % (texts[coeffs[key]], s_texts[key[1]], key[0])
                 for key in sorted(coeffs)
             ]
             entries.append(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from collections import Counter
+from collections import Counter, defaultdict
 from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations
@@ -12,7 +12,7 @@ from math import factorial
 
 from symprod.algebra import GaussRational, Poly2, RatFunc2, TruncSeries, ratfunc_from_text
 from symprod.algebra.poly import _u_add, _u_divmod, _u_gcd, _u_mul
-from symprod.chenruan import CRClass, expand, gram_inverse, gram_matrix, pairing
+from symprod.chenruan import CRClass, _integral, expand, gram_inverse, gram_matrix, pairing
 from symprod.errors import DegenerateBasisError, OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
 from symprod.invariants import _check_pair, three_point_divisor_series, two_point_scalars
@@ -191,6 +191,42 @@ def pairing_fixed(mp1, mp2, w) -> RatFunc2:
         if comp:
             h /= centralizer_order(comp)
     return t_weight(mp1, w) * h
+
+
+def permutation_pairing(wp1, wp2, w) -> RatFunc2:
+    """Reference pairing: per part size, the sum over all m! matchings of the
+    cycles of that length of the product of their surface integrals,
+    normalized by the part product and both automorphism orders."""
+    r = w.r
+    by_size1: dict = defaultdict(list)
+    by_size2: dict = defaultdict(list)
+    for p, label in wp1:
+        by_size1[p].append(label)
+    for p, label in wp2:
+        by_size2[p].append(label)
+    if {p: len(v) for p, v in by_size1.items()} != {p: len(v) for p, v in by_size2.items()}:
+        return RatFunc2.zero()
+    total = RatFunc2.one()
+    for p, labels1 in by_size1.items():
+        labels2 = by_size2[p]
+        block = RatFunc2.zero()
+        for perm in permutations(range(len(labels2))):
+            term = RatFunc2.one()
+            for j, l1 in enumerate(labels1):
+                term = term * _integral(l1, labels2[perm[j]], r)
+                if term.is_zero():
+                    break
+            block = block + term
+        if block.is_zero():
+            return RatFunc2.zero()
+        total = total * block
+    parts_product = 1
+    for p, _ in wp1:
+        parts_product *= p
+    norm = Fraction(
+        1, parts_product * aut_order_weighted(wp1) * aut_order_weighted(wp2)
+    )
+    return total * norm
 
 
 def gauss_jordan_gram_inverse(basis, w) -> list:

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
     all_labels,
@@ -15,6 +15,7 @@ from helpers import (
     mp_contains,
     mp_diff,
     pairing_fixed,
+    permutation_pairing,
     random_weighted_partition,
     ratfunc_subs_t2_minus_t1,
     t_weight,
@@ -269,7 +270,7 @@ def test_gram_inverse_runs_no_division_and_no_pairing(monkeypatch):
     def refuse(*args):
         raise AssertionError("the closed-form Gram inverse paired or divided")
 
-    for name in ("gram_matrix", "pairing", "_matching_sum"):
+    for name in ("gram_matrix", "pairing", "_matching_sum", "_integral"):
         monkeypatch.setattr(chenruan, name, refuse)
     for name in ("__truediv__", "__rtruediv__", "inverse"):
         monkeypatch.setattr(RatFunc2, name, refuse)
@@ -364,7 +365,8 @@ def test_pairing_rejects_label_out_of_range():
 
 
 # ---------------------------------------------------------------------------
-# property tests: the matching-sum pairing against the fixed-basis oracle
+# property tests: the permanent pairing against the fixed-basis and
+# permutation oracles
 # ---------------------------------------------------------------------------
 
 _PROPERTY_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
@@ -407,6 +409,54 @@ def test_pairing_matches_fixed_basis_oracle_property(case):
     r, a, b = case
     w = tangent_weights(r)
     assert pairing(a, b, w) == fixed_basis_pairing(a, b, w)
+
+
+@st.composite
+def _label_pool_case(draw):
+    # at least three parts, labelled from a pool of one or two labels, so that
+    # equal labels of one part size, and so repeated columns of the permanent,
+    # are common
+    r, labels = draw(_labels_and_rank())
+    pool = st.sampled_from(draw(st.lists(labels, min_size=1, max_size=2)))
+    n = draw(st.integers(3, 6))
+    lam = draw(st.sampled_from([lam for lam in partitions_of(n) if len(lam) >= 3]))
+    a = weighted_partition((part, draw(pool)) for part in lam)
+    return r, a, weighted_partition((part, draw(pool)) for part in lam)
+
+
+@_PROPERTY_SETTINGS
+@given(_label_pool_case())
+# 1 against E_i integrates to 0, so most matchings vanish
+@example((1, wp(*[(1, ONE)] * 6), wp(*[(1, ONE)] * 4, *[(1, ecurve(1))] * 2)))
+@example((2, wp(*[(1, ONE)] * 3, (1, ecurve(2))), wp((1, ONE), *[(1, ecurve(2))] * 3)))
+@example((
+    3, wp((2, ONE), (2, ecurve(1)), (1, ONE), (1, ONE)), wp((2, ecurve(1)), (2, ONE), (1, ONE), (1, ONE))
+))
+@example((1, wp(*[(1, omega(1))] * 3, (1, fixedpt(2))), wp((1, fixedpt(2)), *[(1, omega(1))] * 3)))
+@example((2, wp(*[(2, fixedpt(3))] * 3), wp(*[(2, fixedpt(3))] * 2, (2, ecurve(2)))))
+def test_pairing_matches_permutation_oracle_property(case):
+    r, a, b = case
+    w = tangent_weights(r)
+    assert pairing(a, b, w) == permutation_pairing(a, b, w)
+
+
+def test_pairing_takes_each_surface_integral_few_times(monkeypatch):
+    import symprod.chenruan as chenruan
+
+    integral, calls = chenruan._integral, []
+
+    def counting(*args):
+        calls.append(args)
+        return integral(*args)
+
+    monkeypatch.setattr(chenruan, "_integral", counting)
+    a = [ONE, ONE, ecurve(1), ecurve(1), ecurve(2), ecurve(2), omega(1), fixedpt(2)]
+    b = [ONE, ecurve(1), ecurve(1), ecurve(2), omega(1), omega(2), fixedpt(1), fixedpt(2)]
+    clear_caches()
+    value = pairing(wp(*[(1, l) for l in a]), wp(*[(1, l) for l in b]), tangent_weights(2))
+    # a sum over the 8! matchings makes 69,792 calls; the permanent makes 260
+    assert len(calls) < 500
+    assert str(value) == "(10/3*t1^2 + 39/2*t1*t2 - 67/3*t2^2)/(t1*t2)"
 
 
 @_PROPERTY_SETTINGS
