@@ -6,9 +6,12 @@ sign/degree factor and a convolution of one-part double Hurwitz numbers.
 It factors as (t1+t2) d^(a-1) C, with a rational scalar C that depends on
 the underlying partitions, the chain i..j and a, but not on d.
 Disconnected invariants are splitting sums of pairings against connected
-pieces. The splittings are enumerated once per weighted partition and
-each piece's chain and degree factors are found once per piece, for all
-degrees of a two-point series.
+pieces. The splittings are enumerated once per weighted partition. A
+piece <nu1, nu2> is X(nu1) X(nu2) D(underlying nu1, underlying nu2, a):
+X depends on one side and the chain, D on two partitions and a, and each
+is found once for all degrees. The same factors write the two-point
+function of one insertion as a vector over weighted partitions
+(two_point_column), which is its column of G^{-1} T_2.
 
 Scalar form: a piece with a 1-label has chain factor 0, so the theta of
 every contributing term carries all k 1-labels of its insertion. The theta
@@ -32,9 +35,11 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 from .algebra import Poly2, RatFunc2, TruncSeries
 from .chenruan import pairing
@@ -47,8 +52,11 @@ from .partitions import (
     WeightedPartition,
     aut_order,
     aut_order_weighted,
+    ecurve,
     enumerate_sub_splittings,
+    partitions_of,
     underlying,
+    weighted_partition,
     wp_size,
 )
 from .surface import TangentWeights, beta_as_chain, check_label, e_chain, e_dot
@@ -89,40 +97,6 @@ def _check_beta(beta, r: int) -> tuple:
     return beta
 
 
-def _piece(nu1: WeightedPartition, nu2: WeightedPartition) -> tuple:
-    """Degree-free data of the connected piece <nu1, nu2>.
-
-    (mu, nu, k, |Aut mu| |Aut nu| / (|Aut nu1| |Aut nu2|), labels of both).
-    """
-    mu, nu = underlying(nu1), underlying(nu2)
-    weight = Fraction(
-        aut_order(mu) * aut_order(nu), aut_order_weighted(nu1) * aut_order_weighted(nu2)
-    )
-    return mu, nu, wp_size(nu1), weight, tuple(label for _, label in nu1 + nu2)
-
-
-def _chain_factor(piece: tuple, i: int, j: int) -> Fraction:
-    """The piece's weight times prod(E_ij . gamma) over all its labels."""
-    cross = piece[3]
-    for label in piece[4]:
-        cross *= e_dot(label, i, j)
-        if not cross:
-            break
-    return cross
-
-
-def _degree_factor(piece: tuple, a: int) -> Fraction:
-    """(-1)^g k^(2-a) times the Hurwitz convolution of the piece's partitions."""
-    mu, nu, k, _, labels = piece
-    if (a - len(labels)) % 2:
-        return Fraction(0)
-    hsum = _hurwitz_convolution(mu, nu, a)
-    if not hsum:
-        return hsum
-    g = (a - len(labels) + 2) // 2
-    return (-1) ** g * Fraction(k) ** (2 - a) * hsum
-
-
 @memo
 def _hurwitz_convolution(mu: Partition, nu: Partition, a: int) -> Fraction:
     """sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!)."""
@@ -137,6 +111,29 @@ def _hurwitz_convolution(mu: Partition, nu: Partition, a: int) -> Fraction:
     return hsum
 
 
+@memo
+def _chain_factors(nu: WeightedPartition, chains: tuple) -> tuple:
+    """X of one side nu of a connected piece, per chain (i, j) in chains:
+    |Aut underlying(nu)| / |Aut nu| times prod(E_ij . gamma) over nu's labels."""
+    weight = Fraction(aut_order(underlying(nu)), aut_order_weighted(nu))
+    return tuple(weight * prod(e_dot(label, i, j) for _, label in nu) for i, j in chains)
+
+
+@memo
+def _degree_factors(mu: Partition, nu: Partition, a_values: tuple) -> tuple:
+    """D of a connected piece between the underlying partitions mu and nu of
+    k, per a in a_values: (-1)^g k^(2-a) times their Hurwitz convolution, with
+    g = (a - l(mu) - l(nu) + 2)/2, and 0 when a - l(mu) - l(nu) is odd."""
+    k, length = sum(mu), len(mu) + len(nu)
+    out = []
+    for a in a_values:
+        hsum = Fraction(0) if (a - length) % 2 else _hurwitz_convolution(mu, nu, a)
+        if hsum:  # then g >= 0, so (-1)^g is an int and not a float
+            hsum *= (-1) ** ((a - length + 2) // 2) * Fraction(k) ** (2 - a)
+        out.append(hsum)
+    return tuple(out)
+
+
 def connected_two_point(
     mu_w: WeightedPartition,
     nu_w: WeightedPartition,
@@ -149,14 +146,12 @@ def connected_two_point(
     Nonzero only for beta = d(E_i + ... + E_j) with d > 0 and weights that
     all pair nontrivially with the chain; then it equals
 
-        |Aut(mu)| |Aut(nu)| prod(E_ij . gamma) prod(E_ij . delta)
-        * (t1+t2) (-1)^g d^(a-1) / (k^(a-2) |Aut(mu_w)| |Aut(nu_w)|)
-        * sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!)
+        (t1+t2) d^(a-1) X_ij(mu_w) X_ij(nu_w) D(mu, nu, a)
 
-    with g = (a - l(mu) - l(nu) + 2)/2; parity failures vanish. So it is
-    (t1+t2) d^(a-1) C, where the scalar C depends only on the underlying
-    partitions, the chain i..j and a, never on d; two_point_scalars sums
-    these scalars in Fractions before building any rational function.
+    for the underlying partitions mu, nu, with X and D of _chain_factors
+    and _degree_factors. So it is (t1+t2) d^(a-1) C, where the scalar C
+    never depends on d; two_point_scalars sums these scalars in Fractions
+    before building any rational function.
     """
     _check_pair(mu_w, nu_w, w.r)
     beta = _check_beta(beta, w.r)
@@ -173,10 +168,9 @@ def connected_two_point(
         # the empty connected invariant at nonzero degree
         return Poly2.zero()
     i, j, d = chain
-    piece = _piece(mu_w, nu_w)
-    scalar = _chain_factor(piece, i, j)
+    scalar = _chain_factors(mu_w, ((i, j),))[0] * _chain_factors(nu_w, ((i, j),))[0]
     if scalar:
-        scalar *= _degree_factor(piece, a)
+        scalar *= _degree_factors(underlying(mu_w), underlying(nu_w), (a,))[0]
     return _THETA.scale(scalar * Fraction(d) ** (a - 1))
 
 
@@ -191,20 +185,6 @@ def _splittings(wp: WeightedPartition) -> dict:
     return out
 
 
-@memo
-def _piece_factors(
-    nu1: WeightedPartition, nu2: WeightedPartition, chains: tuple, a_values: tuple
-):
-    """(chain factors per (i, j) in chains, degree factors per a in a_values)
-    of the connected piece <nu1, nu2>, or None when either is all zero."""
-    piece = _piece(nu1, nu2)
-    crosses = tuple(_chain_factor(piece, i, j) for i, j in chains)
-    if not any(crosses):
-        return None
-    degs = tuple(_degree_factor(piece, a) for a in a_values)
-    return (crosses, degs) if any(degs) else None
-
-
 def two_point_scalars(
     mu1_w: WeightedPartition,
     mu2_w: WeightedPartition,
@@ -215,8 +195,9 @@ def two_point_scalars(
     """The scalars C of the module docstring's scalar form, keyed (a, i, j)
     for every a in a_values and every chain (i, j) in chains; zeros omitted.
 
-    Each matched pair of splittings adds the numerator of its theta pairing
-    times its piece's chain and degree factors, skipping zero factors.
+    Each matched pair of splittings (theta1, nu1), (theta2, nu2) adds the
+    numerator of its theta pairing times X(nu1) X(nu2) D(underlying nu1,
+    underlying nu2, a), skipping zero factors.
     """
     _check_pair(mu1_w, mu2_w, w.r)
     if not chains:  # no chain fits the box, so no splitting contributes
@@ -227,21 +208,81 @@ def two_point_scalars(
     for key, pieces2 in _splittings(mu2_w).items():
         pieces1 = by_theta1.get(key, ())
         for theta2, nu2 in pieces2:
+            xs2 = _chain_factors(nu2, chains)
+            if not any(xs2):
+                continue
+            lam2 = underlying(nu2)
             for theta1, nu1 in pieces1:
-                factors = _piece_factors(nu1, nu2, chains, a_values)
-                if factors is None:
+                xs1 = _chain_factors(nu1, chains)
+                if not any(xs1):
+                    continue
+                degs = _degree_factors(underlying(nu1), lam2, a_values)
+                if not any(degs):
                     continue
                 pair = pairing(theta1, theta2, w).num.const_value()
                 if not pair:
                     continue
-                crosses, degs = factors
-                for (i, j), x in zip(chains, crosses):
+                for (i, j), x1, x2 in zip(chains, xs1, xs2):
+                    x = x1 * x2
                     if x:
                         x *= pair
                         for a, y in zip(a_values, degs):
                             if y:
                                 acc[(a, i, j)] = acc.get((a, i, j), 0) + x * y
     return {key: c for key, c in acc.items() if c}
+
+
+@memo
+def _labellings(mu: Partition, i: int, j: int) -> tuple:
+    """The distinct labellings mu_f of the parts of mu by E_i..E_j, each with
+    the number of maps f from the parts to i..j that give it."""
+    labelled = Counter(
+        weighted_partition(zip(mu, map(ecurve, f)))
+        for f in product(range(i, j + 1), repeat=len(mu))
+    )
+    return tuple(labelled.items())
+
+
+def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
+    """The two-point function of wp as a vector V over weighted partitions,
+    {B: {(a, i, j): c}} for every a in a_values and chain (i, j) in chains,
+    zeros omitted. With mu_f the parts of mu labelled by f: parts -> i..j,
+
+        V = sum_{(theta, nu) splitting of wp, mu |- |nu|, f}
+            X_ij(nu) D(mu, underlying nu, a) prod(mu) |Aut B| / |Aut theta| [B]
+
+    for B = theta + mu_f. On the curves the surface pairing is the
+    intersection form, so the dual labels of a piece's other side collapse
+    to E_i + ... + E_j, and pairing b with V gives the scalars C of
+    two_point_scalars(b, wp): in a basis of whole blocks, V is wp's column
+    of G^{-1} T_2.
+    """
+    chains, a_values = tuple(chains), tuple(a_values)
+    out: dict = {}
+    for pieces in _splittings(wp).values():
+        for theta, nu in pieces:
+            xs = _chain_factors(nu, chains)
+            if not any(xs):
+                continue
+            lam, theta_aut = underlying(nu), aut_order_weighted(theta)
+            for mu in partitions_of(sum(lam)):
+                degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
+                if not any(degs):
+                    continue
+                scale = Fraction(prod(mu), theta_aut)
+                for (i, j), x in zip(chains, xs):
+                    if not x:
+                        continue
+                    x *= scale
+                    for labelled, count in _labellings(mu, i, j):
+                        b = weighted_partition(theta + labelled)
+                        c = x * (count * aut_order_weighted(b))
+                        values = out.setdefault(b, {})
+                        for a, y in zip(a_values, degs):
+                            if y:
+                                values[(a, i, j)] = values.get((a, i, j), 0) + c * y
+    out = {b: {key: c for key, c in values.items() if c} for b, values in out.items()}
+    return {b: values for b, values in out.items() if values}
 
 
 def _scalar_invariant(c: Fraction, a: int, d: int, mu_w: WeightedPartition) -> RatFunc2:

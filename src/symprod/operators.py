@@ -11,15 +11,14 @@ which depends on t only, so
 
     M_D = d_D(G^{-1} T_2) + G^{-1} T_D|_{s=0}.
 
-One product P = G^{-1} T_2 per basis serves every divisor. Each nonzero
-G^{-1}[b, b'] is c (t1 t2)^k, with k the number of 1-labels of b, and is
-nonzero only when b' has as many 1-labels of each part size. Each
-two-point invariant of b' with any b_j is (t1+t2) times a rational over
-(t1 t2)^k with the same k (see invariants), so the powers of t1 t2
-cancel: every value of P is (t1+t2) times a rational, and P holds that
-rational, contracted in integers over one lcm per G^{-1} row and one per
-T_2 column. The beta = 0 layers T_D|_{s=0} come from a ZeroDegreeTable
-and propagate as gaps when absent.
+One product P = G^{-1} T_2 per basis serves every divisor, and it needs
+neither G^{-1} nor the pairing: column j of P is the coordinate vector of
+the two-point function of b_j written as a vector V_j over weighted
+partitions (invariants.two_point_column), from a factor X of one side of
+each connected piece and a factor D of two underlying partitions. Every
+value of P is (t1+t2) times a rational, and P holds that rational. The
+beta = 0 layers T_D|_{s=0} come from a ZeroDegreeTable and propagate as
+gaps when absent.
 
 op_matrix_dumps writes the op-matrix JSON text directly from the
 OperatorMatrix. Its bytes are those of json.dumps(indent=1,
@@ -33,7 +32,6 @@ import io
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from math import lcm
 
 from .algebra import (
     GaussRational,
@@ -54,7 +52,7 @@ from .invariants import (
     ThreePointResult,
     ZeroDegreeTable,
     three_point_divisor_series,
-    two_point_scalars,
+    two_point_column,
 )
 from .memo import memo
 from .partitions import (
@@ -96,53 +94,30 @@ class OperatorMatrix:
 def _two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> tuple:
     """The Gram inverse and P = G^{-1} T_2 of a basis, shared by every divisor.
 
-    T_2 holds the two-point scalars of each basis pair (computed once per
-    unordered pair) up to u^u_top for the chains of unit_box, where each
-    s-order is cut to at most 1: a chain E_i + ... + E_j then appears at
-    d = 1 only, and its coefficient at (a, d E_ij) is the d = 1 value times
+    Column j of P is the coordinate vector of two_point_column(b_j): the
+    two-point scalars up to u^u_top for the chains of unit_box, where each
+    s-order is cut to at most 1, so a chain E_i + ... + E_j appears at d = 1
+    only and its coefficient at (a, d E_ij) is the d = 1 value times
     d^(a-1). P[i][j] lists (a, i', j', c) for the chains i'..j' of P's
-    entry, whose value is (t1+t2) c for a nonzero Fraction c. The c's of a
-    G^{-1} row and the scalars of a T_2 column are integers over their lcm,
-    so the contraction multiplies and adds ints and makes one Fraction per
-    value of P.
+    entry, whose value is (t1+t2) c for a nonzero Fraction c. Neither G^{-1}
+    nor the pairing enters P; the Gram inverse is for the beta = 0 layer.
     """
-    w = tangent_weights(r)
-    ginv = gram_inverse(basis, w)
+    ginv = gram_inverse(basis, tangent_weights(r))
     chains = tuple(
         (i, j) for i in range(1, r + 1) for j in range(i, r + 1) if min(unit_box[i - 1 : j])
     )
-    size = len(basis)
-    t2: list[list[dict]] = [[None] * size for _ in range(size)]
-    for j in range(size):
-        for a in range(j, size):
-            t2[a][j] = t2[j][a] = two_point_scalars(
-                basis[j], basis[a], range(u_top + 1), chains, w
-            )
-    # column j of T_2, over every a, as integers over the column's lcm
-    columns = []
-    for j in range(size):
-        den = lcm(*(v.denominator for a in range(size) for v in t2[a][j].values()))
-        columns.append((den, [
-            [(key, v.numerator * (den // v.denominator)) for key, v in t2[a][j].items()]
-            for a in range(size)
-        ]))
-    product = []
-    for i in range(size):
-        # each nonzero G^{-1} entry is c (t1 t2)^k: keep its c, over the row's lcm
-        cs = [(a, g.num.leading_coefficient()) for a, g in enumerate(ginv[i]) if not g.is_zero()]
-        row_den = lcm(*(c.denominator for _, c in cs))
-        ginv_row = [(a, c.numerator * (row_den // c.denominator)) for a, c in cs]
-        row = []
-        for col_den, col in columns:
-            acc: dict = {}
-            for a, c in ginv_row:
-                for key, v in col[a]:
-                    acc[key] = acc.get(key, 0) + c * v
-            den = row_den * col_den
-            row.append(tuple((*key, Fraction(v, den)) for key, v in acc.items() if v))
-        product.append(tuple(row))
+    index = {b: pos for pos, b in enumerate(basis)}
+    product = [[()] * len(basis) for _ in basis]
+    for j, b in enumerate(basis):
+        for term, values in two_point_column(b, range(u_top + 1), chains).items():
+            # gram_inverse has checked that the basis is whole blocks, so a term
+            # outside it lies in a block the basis leaves out, which the
+            # block-diagonal pairing keeps out of G^{-1} T_2
+            i = index.get(term)
+            if i is not None:
+                product[i][j] = tuple((*key, c) for key, c in values.items())
     # every caller shares the memoised result, so hand out tuples only
-    return tuple(map(tuple, ginv)), tuple(product)
+    return tuple(map(tuple, ginv)), tuple(map(tuple, product))
 
 
 class _Once(dict):

@@ -15,10 +15,16 @@ from symprod.algebra.poly import _u_add, _u_divmod, _u_gcd, _u_mul
 from symprod.chenruan import CRClass, _integral, expand, gram_inverse, gram_matrix, pairing
 from symprod.errors import DegenerateBasisError, OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
-from symprod.invariants import _check_pair, three_point_divisor_series, two_point_scalars
+from symprod.invariants import (
+    _check_pair,
+    _hurwitz_convolution,
+    three_point_divisor_series,
+    two_point_scalars,
+)
 from symprod.operators import OperatorMatrix, VerifyReport
 from symprod.partitions import (
     ONE,
+    WeightedPartition,
     aut_order,
     aut_order_weighted,
     ecurve,
@@ -355,6 +361,56 @@ def reference_connected_two_point(mu_w, nu_w, a: int, beta, w) -> Poly2:
         * hsum
     )
     return _THETA.scale(scalar)
+
+
+# the per-pair factors of a connected piece <nu1, nu2>, found together: the
+# oracle of the per-side factor X and the per-partition-pair factor D
+
+def _piece(nu1: WeightedPartition, nu2: WeightedPartition) -> tuple:
+    """Degree-free data of the connected piece <nu1, nu2>.
+
+    (mu, nu, k, |Aut mu| |Aut nu| / (|Aut nu1| |Aut nu2|), labels of both).
+    """
+    mu, nu = underlying(nu1), underlying(nu2)
+    weight = Fraction(
+        aut_order(mu) * aut_order(nu), aut_order_weighted(nu1) * aut_order_weighted(nu2)
+    )
+    return mu, nu, wp_size(nu1), weight, tuple(label for _, label in nu1 + nu2)
+
+
+def _chain_factor(piece: tuple, i: int, j: int) -> Fraction:
+    """The piece's weight times prod(E_ij . gamma) over all its labels."""
+    cross = piece[3]
+    for label in piece[4]:
+        cross *= e_dot(label, i, j)
+        if not cross:
+            break
+    return cross
+
+
+def _degree_factor(piece: tuple, a: int) -> Fraction:
+    """(-1)^g k^(2-a) times the Hurwitz convolution of the piece's partitions."""
+    mu, nu, k, _, labels = piece
+    if (a - len(labels)) % 2:
+        return Fraction(0)
+    hsum = _hurwitz_convolution(mu, nu, a)
+    if not hsum:
+        return hsum
+    g = (a - len(labels) + 2) // 2
+    return (-1) ** g * Fraction(k) ** (2 - a) * hsum
+
+
+def _piece_factors(
+    nu1: WeightedPartition, nu2: WeightedPartition, chains: tuple, a_values: tuple
+):
+    """(chain factors per (i, j) in chains, degree factors per a in a_values)
+    of the connected piece <nu1, nu2>, or None when either is all zero."""
+    piece = _piece(nu1, nu2)
+    crosses = tuple(_chain_factor(piece, i, j) for i, j in chains)
+    if not any(crosses):
+        return None
+    degs = tuple(_degree_factor(piece, a) for a in a_values)
+    return (crosses, degs) if any(degs) else None
 
 
 def _bitmask_splittings(wp) -> set:

@@ -8,6 +8,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    _chain_factor,
+    _degree_factor,
+    _piece,
+    _piece_factors,
     bitmask_disconnected,
     divisor_labels,
     poly2_subs_t2_minus_t1,
@@ -26,7 +30,15 @@ from symprod.invariants import (
     two_point_series,
 )
 from symprod.operators import default_divisor_basis, divisor_operator, zero_degree_table_a1n2
-from symprod.partitions import ONE, ecurve, fixedpt, omega, partitions_of, weighted_partition
+from symprod.partitions import (
+    ONE,
+    ecurve,
+    fixedpt,
+    omega,
+    partitions_of,
+    underlying,
+    weighted_partition,
+)
 from symprod.surface import e_chain, tangent_weights
 from symprod.textforms import wp_to_text
 
@@ -130,6 +142,47 @@ def test_connected_matches_reference_property(case):
     assert _outcome(connected_two_point, mu, nu, a, beta, w) == _outcome(
         reference_connected_two_point, mu, nu, a, beta, w
     )
+
+
+@st.composite
+def _piece_factor_case(draw):
+    r = draw(st.integers(1, 3))
+    # the identity weight kills X, so draw it less often
+    labels = st.one_of(_divisor_label(r), st.integers(1, r).map(ecurve), st.integers(1, r).map(omega))
+    k = draw(st.integers(1, 6))
+    nu1, nu2 = (
+        weighted_partition((p, draw(labels)) for p in draw(st.sampled_from(partitions_of(k))))
+        for _ in range(2)
+    )
+    every_chain = [(i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
+    chains = tuple(draw(st.lists(st.sampled_from(every_chain), min_size=1, unique=True)))
+    lowest = len(nu1) + len(nu2) - 2  # the least a with nonzero Hurwitz factors
+    a_values = tuple(draw(st.lists(st.integers(max(0, lowest - 2), lowest + 4), min_size=1)))
+    return nu1, nu2, chains, a_values
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_piece_factor_case())
+@example((wp((1, ONE), (2, omega(1))), wp((3, ecurve(1))), ((1, 1),), (0, 1, 2, 3)))
+@example((wp((1, omega(2)), (1, ecurve(3)), (2, ecurve(2))), wp((2, omega(2)), (2, ecurve(1))),
+          ((1, 3), (2, 2), (2, 3)), (2, 3, 4)))
+def test_piece_factors_separate_property(case):
+    """X(nu1) X(nu2) D(underlying nu1, underlying nu2, a) is the per-pair
+    chain factor times the per-pair degree factor of the piece <nu1, nu2>."""
+    nu1, nu2, chains, a_values = case
+    xs1, xs2 = (invariants._chain_factors(nu, chains) for nu in (nu1, nu2))
+    degs = invariants._degree_factors(underlying(nu1), underlying(nu2), a_values)
+    assert all(type(v) is Fraction for v in xs1 + xs2 + degs)  # exact, never a float
+    piece = _piece(nu1, nu2)
+    assert [x1 * x2 for x1, x2 in zip(xs1, xs2)] == [_chain_factor(piece, i, j) for i, j in chains]
+    assert list(degs) == [_degree_factor(piece, a) for a in a_values]
+    products = [x1 * x2 * y for x1, x2 in zip(xs1, xs2) for y in degs]
+    want = _piece_factors(nu1, nu2, chains, a_values)
+    if want is None:
+        assert not any(products)
+    else:
+        crosses, want_degs = want
+        assert products == [x * y for x in crosses for y in want_degs]
 
 
 def test_connected_theta_divisible_polynomial():

@@ -3,6 +3,7 @@
 from symprod import clear_caches
 from symprod.chenruan import expand
 from symprod.hurwitz import hurwitz
+from symprod.invariants import two_point_series
 from symprod.memo import _registry
 from symprod.operators import default_divisor_basis, divisor_operator, op_matrix_dumps
 from symprod.partitions import ONE, ecurve, weighted_partition
@@ -13,8 +14,11 @@ def _compute():
     op = divisor_operator(2, 2, "D1", default_divisor_basis(2, 2), 1, (1, 1))
     profiles = [[2, 1], [2, 1], [3]]
     count = hurwitz(profiles, 3)
-    cls = expand(weighted_partition([(1, ecurve(1)), (1, ONE)]), tangent_weights(2))
-    return op_matrix_dumps(op), count, cls
+    wp = weighted_partition([(1, ecurve(1)), (1, ONE)])
+    cls = expand(wp, tangent_weights(2))
+    # the operator pairs nothing; a two-point series at a nonzero box does
+    series = two_point_series(wp, wp, 1, (1, 1), tangent_weights(2))
+    return op_matrix_dumps(op), count, cls, series
 
 
 def test_clear_caches_empties_every_memo():

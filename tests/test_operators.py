@@ -405,6 +405,8 @@ def _operator_case(draw):
 @given(_operator_case())
 @example((2, 1, "D1", default_divisor_basis(2, 1), 2, (2,), zero_degree_table_a1n2()))
 @example((2, 1, "(2)", default_divisor_basis(2, 1)[::-1], 1, (3,), zero_degree_table_a1n2()))
+@example((3, 1, "D1", [b for b in default_divisor_basis(3, 1) if underlying(b) != (3,)], 2, (2,),
+          None))  # a column's terms in the left-out (3) block are dropped
 def test_divisor_operator_matches_per_pair_reference(case):
     n, r, divisor, basis, u_order, s_orders, table = case
     got = divisor_operator(n, r, divisor, basis, u_order, s_orders, table)
@@ -418,28 +420,51 @@ def test_two_point_product_is_shared_by_every_divisor(monkeypatch):
     import symprod
     import symprod.operators as operators
 
-    counts = {"gram_inverse": 0, "two_point_scalars": 0}
-    gram_inverse, two_point_scalars = operators.gram_inverse, operators.two_point_scalars
+    counts = {"gram_inverse": 0, "two_point_column": 0}
+    gram_inverse, two_point_column = operators.gram_inverse, operators.two_point_column
 
     def counted_gram_inverse(basis, w):
         counts["gram_inverse"] += 1
         return gram_inverse(basis, w)
 
-    def counted_two_point_scalars(left, right, a_values, chains, w):
-        counts["two_point_scalars"] += 1
-        return two_point_scalars(left, right, a_values, chains, w)
+    def counted_two_point_column(wp, a_values, chains):
+        counts["two_point_column"] += 1
+        return two_point_column(wp, a_values, chains)
 
     monkeypatch.setattr(operators, "gram_inverse", counted_gram_inverse)
-    monkeypatch.setattr(operators, "two_point_scalars", counted_two_point_scalars)
+    monkeypatch.setattr(operators, "two_point_column", counted_two_point_column)
     symprod.clear_caches()
     basis = default_divisor_basis(2, 3)
-    assert len(basis) == 14  # 105 unordered pairs
+    assert len(basis) == 14  # one column of P per basis element
     for divisor in ("(2)", "D1", "D2", "D3"):
         divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
-    assert counts == {"gram_inverse": 1, "two_point_scalars": 105}
+    assert counts == {"gram_inverse": 1, "two_point_column": 14}
     symprod.clear_caches()
     divisor_operator(2, 3, "D2", basis, 4, (3, 3, 3))
-    assert counts == {"gram_inverse": 2, "two_point_scalars": 210}
+    assert counts == {"gram_inverse": 2, "two_point_column": 28}
+
+
+@pytest.mark.parametrize("n, r, with_table", [(3, 2, False), (2, 1, True)])
+def test_divisor_operator_makes_no_pairing_call(monkeypatch, n, r, with_table):
+    import symprod
+    import symprod.invariants as invariants
+
+    table = zero_degree_table_a1n2() if with_table else None
+    want = [
+        reference_divisor_operator(n, r, f"D{ell}" if ell else "(2)", default_divisor_basis(n, r),
+                                   2, (2,) * r, table).entries
+        for ell in range(r + 1)
+    ]
+
+    def refuse(*args):
+        raise AssertionError("the operator paired two weighted partitions")
+
+    monkeypatch.setattr(invariants, "pairing", refuse)
+    symprod.clear_caches()
+    for ell in range(r + 1):
+        divisor = f"D{ell}" if ell else "(2)"
+        op = divisor_operator(n, r, divisor, default_divisor_basis(n, r), 2, (2,) * r, table)
+        assert op.entries == want[ell]
 
 
 @pytest.mark.parametrize("n, r", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
@@ -477,7 +502,8 @@ def test_two_point_product_values_are_theta_times_rationals(n, r):
     [(2, 1, (1,)), (3, 1, (1,)), (4, 1, (1,))]
     + [(n, 2, box) for n in (2, 3) for box in [(1, 1), (1, 0), (0, 1)]]
     + [(2, 3, box) for box in [(1, 1, 1), (1, 0, 1), (0, 1, 0), (1, 1, 0)]]
-    + [(3, 3, (1, 1, 1)), (3, 3, (1, 0, 1))],
+    + [(3, 3, (1, 1, 1)), (3, 3, (1, 0, 1))]
+    + [(5, 1, (1,)), (4, 2, (1, 1)), (4, 3, (1, 1, 1)), (4, 3, (1, 0, 1))],
 )
 def test_two_point_product_matches_fraction_contraction(n, r, unit_box):
     import symprod.operators as operators
