@@ -89,6 +89,24 @@ def _check_pair(mu_w: WeightedPartition, nu_w: WeightedPartition, r: int) -> Non
         raise ValueError("the two insertions must have equal size")
 
 
+def divisor_index(divisor: str, r: int) -> int:
+    """0 for the twisted divisor "(2)", l for the untwisted D<l> with 1 <= l <= r.
+
+    Any other symbol raises ValueError. The table is keyed on the canonical
+    spelling, so D01 or "D 1" is out of range, not another name for D1.
+    """
+    if divisor == DIVISOR_TWO:
+        return 0
+    if not divisor.startswith("D"):
+        raise ValueError(f"unknown divisor symbol {divisor!r}")
+    ell = int(divisor[1:]) if _DIVISOR_RE.fullmatch(divisor) else 0
+    if not 1 <= ell <= r:
+        raise ValueError(
+            f'divisor {divisor!r} out of range: the divisors are "(2)" and D1..D{r}'
+        )
+    return ell
+
+
 def _check_beta(beta, r: int) -> tuple:
     """beta as a tuple; a curve class on A_r has one entry per E_1..E_r."""
     beta = tuple(beta)
@@ -469,7 +487,8 @@ def three_point_divisor_series(
     flagged as a gap.
     """
     s_orders = tuple(s_orders)
-    if divisor == DIVISOR_TWO:
+    ell = divisor_index(divisor, w.r)
+    if not ell:
         # compute one u-order higher so the derivative is exact at u_order
         base = two_point_series(alpha1_w, alpha2_w, u_order + 1, s_orders, w).d_du()
         pairs = table.get(alpha1_w, TWO_POINT_MARKER, alpha2_w) if table else None
@@ -478,17 +497,9 @@ def three_point_divisor_series(
             return ThreePointResult(base, gap=True, missing_key=key)
         derived = tuple((a - 1, v * a) for a, v in pairs if 1 <= a <= u_order + 1)
         return ThreePointResult(base + _embed_useries(derived, u_order, s_orders))
-    if divisor.startswith("D"):
-        # the table is keyed on the canonical spelling, so D01 or "D 1" must not parse
-        ell = int(divisor[1:]) if _DIVISOR_RE.fullmatch(divisor) else 0
-        if not 1 <= ell <= w.r:
-            raise ValueError(
-                f'divisor {divisor!r} out of range: the divisors are "(2)" and D1..D{w.r}'
-            )
-        base = two_point_series(alpha1_w, alpha2_w, u_order, s_orders, w).s_scale_d(ell)
-        pairs = table.get(alpha1_w, divisor, alpha2_w) if table else None
-        if pairs is None:
-            key = (wp_to_text(alpha1_w), divisor, wp_to_text(alpha2_w))
-            return ThreePointResult(base, gap=True, missing_key=key)
-        return ThreePointResult(base + _embed_useries(pairs, u_order, s_orders))
-    raise ValueError(f"unknown divisor symbol {divisor!r}")
+    base = two_point_series(alpha1_w, alpha2_w, u_order, s_orders, w).s_scale_d(ell)
+    pairs = table.get(alpha1_w, divisor, alpha2_w) if table else None
+    if pairs is None:
+        key = (wp_to_text(alpha1_w), divisor, wp_to_text(alpha2_w))
+        return ThreePointResult(base, gap=True, missing_key=key)
+    return ThreePointResult(base + _embed_useries(pairs, u_order, s_orders))

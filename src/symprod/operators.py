@@ -17,8 +17,10 @@ the two-point function of b_j written as a vector V_j over weighted
 partitions (invariants.two_point_column), from a factor X of one side of
 each connected piece and a factor D of two underlying partitions. Every
 value of P is (t1+t2) times a rational, and P holds that rational. The
-beta = 0 layers T_D|_{s=0} come from a ZeroDegreeTable and propagate as
-gaps when absent.
+beta = 0 layers T_D|_{s=0} come from a ZeroDegreeTable, through the
+three-point series at the s^0 box, and propagate as gaps when absent.
+With no table no such series is built: every beta = 0 value is unknown,
+so the gaps follow the nonzero rows of G^{-1}.
 
 op_matrix_dumps writes the op-matrix JSON text directly from the
 OperatorMatrix. Its bytes are those of json.dumps(indent=1,
@@ -48,9 +50,10 @@ from .algebra import (
 from .chenruan import gram_inverse, gram_matrix
 from .errors import RealnessViolationError
 from .invariants import (
-    DIVISOR_TWO,
     ThreePointResult,
     ZeroDegreeTable,
+    _check_pair,
+    divisor_index,
     three_point_divisor_series,
     two_point_column,
 )
@@ -146,11 +149,12 @@ def divisor_operator(
 
     M_D = d_D(G^{-1} T_2) + G^{-1} T_D|_{s=0}: the beta != 0 part scales
     the coefficients of the shared product P = G^{-1} T_2 by integers
-    (d/du for "(2)", s_l d/ds_l for "D<l>"), and the beta = 0 part
-    contracts the three-point series at the s^0 box, which carry the
-    table data and mark its gaps.
+    (d/du for "(2)", s_l d/ds_l for "D<l>"). With a table, the beta = 0
+    part contracts the three-point series at the s^0 box, which carry the
+    table data and mark its gaps. With none, no such series is built:
+    every beta = 0 value is unknown, so entry (i, j) is a gap exactly when
+    row i of G^{-1} has a nonzero entry.
     """
-    w = tangent_weights(r)
     basis = tuple(weighted_partition(wp) for wp in basis)
     if not basis:
         raise ValueError("empty basis")
@@ -162,18 +166,21 @@ def divisor_operator(
     s_orders = tuple(s_orders)
     if len(s_orders) != r:
         raise ValueError(f"need {r} s-orders, got {len(s_orders)}")
+    ell = divisor_index(divisor, r)
+    for b in basis:  # the weight rule of every pair, checked once per element
+        _check_pair(b, b, r)
     size = len(basis)
-    zeros = (0,) * r
-    tzero: list[list[ThreePointResult]] = [[None] * size for _ in range(size)]
-    for j in range(size):
-        for a in range(j, size):
-            tzero[a][j] = tzero[j][a] = three_point_divisor_series(
-                basis[j], divisor, basis[a], u_order, zeros, w, table
-            )
+    if table is not None:
+        w, zeros = tangent_weights(r), (0,) * r
+        tzero: list[list[ThreePointResult]] = [[None] * size for _ in range(size)]
+        for j in range(size):
+            for a in range(j, size):
+                tzero[a][j] = tzero[j][a] = three_point_divisor_series(
+                    basis[j], divisor, basis[a], u_order, zeros, w, table
+                )
     ginv, product = _two_point_product(
         basis, r, u_order + 1, tuple(min(1, s) for s in s_orders)
     )
-    ell = 0 if divisor == DIVISOR_TWO else int(divisor[1:])  # validated by the s^0 calls
     spans = {  # chain -> (d, s-exponents of d E_ij) inside the box
         (ci, cj): [(d, e_chain(ci, cj, d, r)) for d in range(1, min(s_orders[ci - 1 : cj]) + 1)]
         for ci in range(1, r + 1)
@@ -193,11 +200,16 @@ def divisor_operator(
         ginv_row = [(a, c) for a, c in enumerate(ginv[i]) if not c.is_zero()]
         row = []
         for j in range(size):
-            if any(tzero[a][j].gap for a, _ in ginv_row):
-                gaps.add((i, j))
-            coeffs = TruncSeries.lincomb(
-                ((c, tzero[a][j].series) for a, c in ginv_row), u_order, zeros
-            ).coeffs
+            if table is None:
+                if ginv_row:  # every beta = 0 value is unknown
+                    gaps.add((i, j))
+                coeffs = {}
+            else:
+                if any(tzero[a][j].gap for a, _ in ginv_row):
+                    gaps.add((i, j))
+                coeffs = TruncSeries.lincomb(
+                    ((c, tzero[a][j].series) for a, c in ginv_row), u_order, zeros
+                ).coeffs
             for a, ci, cj, c in product[i][j]:
                 num, den = c.numerator, c.denominator
                 if ell:

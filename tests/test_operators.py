@@ -3,6 +3,7 @@
 import hashlib
 import json.encoder
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from symprod.operators import (
     verify_a1n2,
     zero_degree_table_a1n2,
 )
-from symprod.errors import MalformedInputError
+from symprod.errors import MalformedInputError, UnsupportedWeightError
 from symprod.invariants import ZeroDegreeTable
 from symprod.partitions import ONE, ecurve, fixedpt, underlying, weighted_partition
 from symprod.surface import e_chain, tangent_weights
@@ -277,6 +278,9 @@ PINNED_OP_MATRICES = [
      "ca6df90a0ced904d6f0e56de03f7faf8e3ff7e12371574d12bcdc6898f81d33a"),
     ((3, 3, "D2", 2, (2, 1, 2), False),
      "b6ce9758815f3d616479085fd71f0e1d33d04b29131e7871a40aa4d593438d1d"),
+    # a table without the "1" marker rows: every "(2)" cell is a gap, not a zero
+    ((2, 1, "(2)", 3, (3,), True),
+     "f0497e10bd5e0963232b2ed4ae2922dec437ba1789cf6544d44c77f76746872c"),
 ]
 
 
@@ -554,3 +558,57 @@ def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
 def test_divisor_operator_rejects_wrong_number_of_s_orders(s_orders):
     with pytest.raises(ValueError, match=f"^need 2 s-orders, got {len(s_orders)}$"):
         divisor_operator(2, 2, "D1", default_divisor_basis(2, 2), 2, s_orders)
+
+
+_OUT_OF_RANGE = 'divisor {!r} out of range: the divisors are "(2)" and D1..D3'
+_X1_BASIS = [weighted_partition([(2, ecurve(1))]), weighted_partition([(2, fixedpt(1))])]
+_X1_UNSUPPORTED = "weight x1 unsupported: connected invariants take weights 1 or divisors only"
+
+
+@pytest.mark.parametrize("table", [None, ZeroDegreeTable()], ids=["no-table", "table"])
+@pytest.mark.parametrize(
+    "divisor, basis, error, message",
+    [
+        pytest.param("D0", None, ValueError, _OUT_OF_RANGE.format("D0"), id="D0"),
+        pytest.param("D4", None, ValueError, _OUT_OF_RANGE.format("D4"), id="D4"),
+        pytest.param("D01", None, ValueError, _OUT_OF_RANGE.format("D01"), id="D01"),
+        pytest.param("(3)", None, ValueError, "unknown divisor symbol '(3)'", id="(3)"),
+        pytest.param("D1", _X1_BASIS, UnsupportedWeightError, _X1_UNSUPPORTED, id="x1-D1"),
+        pytest.param("(2)", _X1_BASIS, UnsupportedWeightError, _X1_UNSUPPORTED, id="x1-(2)"),
+        # the divisor is checked before the weights, and both before G^{-1}
+        pytest.param("D9", _X1_BASIS, ValueError, _OUT_OF_RANGE.format("D9"), id="x1-D9"),
+    ],
+)
+def test_divisor_operator_input_errors_do_not_depend_on_table(divisor, basis, error, message,
+                                                              table):
+    basis = default_divisor_basis(2, 3) if basis is None else basis
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as excinfo:
+        divisor_operator(2, 3, divisor, basis, 2, (1, 1, 1), table)
+    assert excinfo.type is error
+
+
+def test_divisor_operator_without_table_builds_no_degree_zero_series(monkeypatch):
+    import symprod.operators as operators
+
+    table = zero_degree_table_a1n2()
+    counts = {"three_point_divisor_series": 0, "lincomb": 0}
+    three_point, lincomb = operators.three_point_divisor_series, TruncSeries.lincomb
+
+    def counted_three_point(*args):
+        counts["three_point_divisor_series"] += 1
+        return three_point(*args)
+
+    def counted_lincomb(cls, *args):
+        counts["lincomb"] += 1
+        return lincomb(*args)
+
+    monkeypatch.setattr(operators, "three_point_divisor_series", counted_three_point)
+    monkeypatch.setattr(TruncSeries, "lincomb", classmethod(counted_lincomb))
+    basis = default_divisor_basis(2, 3)
+    for divisor in ("(2)", "D1", "D2", "D3"):
+        op = divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
+        assert op.gaps == {(i, j) for i in range(len(basis)) for j in range(len(basis))}
+    assert counts == {"three_point_divisor_series": 0, "lincomb": 0}
+    # with a table, one series per unordered pair of the 5 basis elements
+    divisor_operator(2, 1, "D1", default_divisor_basis(2, 1), 2, (2,), table)
+    assert counts == {"three_point_divisor_series": 15, "lincomb": 25}
