@@ -35,7 +35,6 @@ from .partitions import (
     wp_size,
 )
 from .surface import TangentWeights, check_label, class_of, integrate, tangent_weights
-from .surface import omega_coefficients
 
 
 class CRClass:
@@ -255,7 +254,9 @@ def _check_whole_block(elements: list[WeightedPartition], r: int) -> None:
 def _dual_entry(l1: Label, l2: Label, r: int) -> Fraction:
     """g^{-1} between two of 1, E_1..E_r, with the t1 t2 of the 1-1 entry taken
     out: r + 1 between two 1s, 0 between 1 and E_i, and -C^{-1} (the inverse
-    intersection matrix) between curves."""
+    intersection matrix) between curves: -min(k, m) (r + 1 - max(k, m)) / (r + 1)
+    between E_k and E_m, one entry of surface.omega_coefficients(r)."""
     if l1 == ONE or l2 == ONE:
         return Fraction(r + 1 if l1 == l2 else 0)
-    return omega_coefficients(r)[l1[1] - 1][l2[1] - 1]
+    k, m = l1[1], l2[1]
+    return Fraction(-min(k, m) * (r + 1 - max(k, m)), r + 1)

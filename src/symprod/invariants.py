@@ -11,7 +11,10 @@ piece <nu1, nu2> is X(nu1) X(nu2) D(underlying nu1, underlying nu2, a):
 X depends on one side and the chain, D on two partitions and a, and each
 is found once for all degrees. The same factors write the two-point
 function of one insertion as a vector over weighted partitions
-(two_point_column), which is its column of G^{-1} T_2.
+(two_point_column), which is its column of G^{-1} T_2. That vector is
+summed in integers, numerators over denominators, from terms that
+_column_terms lists once per (theta, mu, chain); each of its values
+becomes one Fraction at the end.
 
 Scalar form: a piece with a 1-label has chain factor 0, so the theta of
 every contributing term carries all k 1-labels of its insertion. The theta
@@ -39,7 +42,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .algebra import Poly2, RatFunc2, TruncSeries
 from .chenruan import pairing
@@ -261,6 +264,18 @@ def _labellings(mu: Partition, i: int, j: int) -> tuple:
     return tuple(labelled.items())
 
 
+@memo
+def _column_terms(theta: WeightedPartition, mu: Partition, i: int, j: int) -> tuple:
+    """The pairs (B, count |Aut B|) for B = theta + mu_f over the distinct
+    labellings mu_f of _labellings(mu, i, j), with count the number of maps f
+    that give mu_f."""
+    out = []
+    for labelled, count in _labellings(mu, i, j):
+        b = weighted_partition(theta + labelled)
+        out.append((b, count * aut_order_weighted(b)))
+    return tuple(out)
+
+
 def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
     """The two-point function of wp as a vector V over weighted partitions,
     {B: {(a, i, j): c}} for every a in a_values and chain (i, j) in chains,
@@ -274,9 +289,15 @@ def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
     to E_i + ... + E_j, and pairing b with V gives the scalars C of
     two_point_scalars(b, wp): in a basis of whole blocks, V is wp's column
     of G^{-1} T_2.
+
+    The sum runs in integers: X, D and prod(mu) / |Aut theta| enter as
+    numerator and denominator, _column_terms gives each B with its integer
+    weight once per (theta, mu, chain), and each value is a numerator over
+    a denominator, two addends over different denominators meeting over
+    their lcm. Each nonzero value becomes one Fraction at the end.
     """
     chains, a_values = tuple(chains), tuple(a_values)
-    out: dict = {}
+    acc: dict = {}
     for pieces in _splittings(wp).values():
         for theta, nu in pieces:
             xs = _chain_factors(nu, chains)
@@ -287,19 +308,30 @@ def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
                 degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
                 if not any(degs):
                     continue
-                scale = Fraction(prod(mu), theta_aut)
+                part_product = prod(mu)
                 for (i, j), x in zip(chains, xs):
                     if not x:
                         continue
-                    x *= scale
-                    for labelled, count in _labellings(mu, i, j):
-                        b = weighted_partition(theta + labelled)
-                        c = x * (count * aut_order_weighted(b))
-                        values = out.setdefault(b, {})
-                        for a, y in zip(a_values, degs):
-                            if y:
-                                values[(a, i, j)] = values.get((a, i, j), 0) + c * y
-    out = {b: {key: c for key, c in values.items() if c} for b, values in out.items()}
+                    xn, xd = x.numerator * part_product, x.denominator * theta_aut
+                    addends = [
+                        ((a, i, j), xn * y.numerator, xd * y.denominator)
+                        for a, y in zip(a_values, degs)
+                        if y
+                    ]
+                    for b, weight in _column_terms(theta, mu, i, j):
+                        values = acc.setdefault(b, {})
+                        for key, num, den in addends:
+                            num *= weight
+                            old_num, old_den = values.get(key, (0, den))
+                            if old_den != den:
+                                common = lcm(old_den, den)
+                                old_num, num = old_num * (common // old_den), num * (common // den)
+                                den = common
+                            values[key] = old_num + num, den
+    out = {
+        b: {key: Fraction(num, den) for key, (num, den) in values.items() if num}
+        for b, values in acc.items()
+    }
     return {b: values for b, values in out.items() if values}
 
 

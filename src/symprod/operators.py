@@ -524,29 +524,35 @@ def op_matrix_dumps(op: OperatorMatrix) -> str:
     nested dict that the tests' oracle builds: keys in sorted order, one
     space of indent per depth, strings escaped by the json module's ASCII
     escaper and integers by %d. Each entry's truncation orders come from its
-    own series. Each distinct coefficient value and s-exponent tuple is
-    formatted once.
+    own series, through one entry template per distinct (u_order, s_orders).
+    Each distinct coefficient value, s-exponent tuple and term is formatted
+    once; an entry's own text is one % format, and so is a gap's.
     """
     texts = _Once(lambda f: encode_basestring_ascii(ratfunc_to_text(f)))
     s_texts = _Once(lambda ds: _json_list(["%d" % d for d in ds], 5))
+    term_texts = _Once(  # keyed on ((u, s-exponents), coefficient)
+        lambda term: '{\n     "coeff": %s,\n     "s": %s,\n     "u": %d\n    }'
+        % (texts[term[1]], s_texts[term[0][1]], term[0][0])
+    )
+    templates = _Once(
+        lambda shape: '{\n   "col": %%d,\n   "row": %%d,\n   "s_orders": %s,\n   "terms": %%s,'
+        '\n   "u_order": %d\n  }' % (_json_list(["%d" % d for d in shape[1]], 3), shape[0])
+    )
     size = op.size()
     entries = []
     for i in range(size):
         for j in range(size):
             series = op.entries[i][j]
             coeffs = series.coeffs
-            terms = [
-                '{\n     "coeff": %s,\n     "s": %s,\n     "u": %d\n    }'
-                % (texts[coeffs[key]], s_texts[key[1]], key[0])
-                for key in sorted(coeffs)
-            ]
-            entries.append(
-                '{\n   "col": %d,\n   "row": %d,\n   "s_orders": %s,\n   "terms": %s,'
-                '\n   "u_order": %d\n  }'
-                % (j + 1, i + 1, _json_list(["%d" % d for d in series.s_orders], 3),
-                   _json_list(terms, 3), series.u_order)
+            terms = (
+                _json_list([term_texts[key, coeffs[key]] for key in sorted(coeffs)], 3)
+                if coeffs
+                else "[]"
             )
-    gaps = [_json_list(["%d" % (i + 1), "%d" % (j + 1)], 2) for i, j in sorted(op.gaps)]
+            entries.append(
+                templates[series.u_order, series.s_orders] % (j + 1, i + 1, terms)
+            )
+    gaps = ["[\n   %d,\n   %d\n  ]" % (i + 1, j + 1) for i, j in sorted(op.gaps)]
     return (
         '{\n "basis": %s,\n "divisor": %s,\n "entries": %s,\n "gaps": %s,'
         '\n "n": %d,\n "r": %d,\n "s_orders": %s,\n "u_order": %d\n}'

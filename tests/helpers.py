@@ -8,7 +8,7 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, prod
 
 from symprod.algebra import GaussRational, Poly2, RatFunc2, TruncSeries, ratfunc_from_text
 from symprod.algebra.poly import _u_add, _u_divmod, _u_gcd, _u_mul
@@ -16,8 +16,12 @@ from symprod.chenruan import CRClass, _integral, expand, gram_inverse, gram_matr
 from symprod.errors import DegenerateBasisError, OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
 from symprod.invariants import (
+    _chain_factors,
     _check_pair,
+    _degree_factors,
     _hurwitz_convolution,
+    _labellings,
+    _splittings,
     three_point_divisor_series,
     two_point_scalars,
 )
@@ -440,6 +444,37 @@ def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
                 continue
             total = total + pairing(theta1, theta2, w) * RatFunc2(conn)
     return total
+
+
+def fraction_two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
+    """Reference invariants.two_point_column: the same sum with every addend a
+    Fraction, {B: {(a, i, j): c}} with zeros omitted."""
+    chains, a_values = tuple(chains), tuple(a_values)
+    out: dict = {}
+    for pieces in _splittings(wp).values():
+        for theta, nu in pieces:
+            xs = _chain_factors(nu, chains)
+            if not any(xs):
+                continue
+            lam, theta_aut = underlying(nu), aut_order_weighted(theta)
+            for mu in partitions_of(sum(lam)):
+                degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
+                if not any(degs):
+                    continue
+                scale = Fraction(prod(mu), theta_aut)
+                for (i, j), x in zip(chains, xs):
+                    if not x:
+                        continue
+                    x *= scale
+                    for labelled, count in _labellings(mu, i, j):
+                        b = weighted_partition(theta + labelled)
+                        c = x * (count * aut_order_weighted(b))
+                        values = out.setdefault(b, {})
+                        for a, y in zip(a_values, degs):
+                            if y:
+                                values[(a, i, j)] = values.get((a, i, j), 0) + c * y
+    out = {b: {key: c for key, c in values.items() if c} for b, values in out.items()}
+    return {b: values for b, values in out.items() if values}
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,15 @@ from helpers import (
 )
 from symprod.algebra import RatFunc2
 from symprod import clear_caches
-from symprod.chenruan import CRClass, _matching_sum, expand, gram_inverse, gram_matrix, pairing
+from symprod.chenruan import (
+    CRClass,
+    _dual_entry,
+    _matching_sum,
+    expand,
+    gram_inverse,
+    gram_matrix,
+    pairing,
+)
 from symprod.errors import DegenerateBasisError, MalformedInputError
 from symprod.operators import default_divisor_basis
 from symprod.partitions import (
@@ -37,7 +45,7 @@ from symprod.partitions import (
     weighted_partition,
     wp_size,
 )
-from symprod.surface import tangent_weights
+from symprod.surface import omega_coefficients, tangent_weights
 
 
 def wp(*pairs):
@@ -496,3 +504,15 @@ def test_pairing_unequal_sizes_rejected_property(case):
     w = tangent_weights(r)
     with pytest.raises(ValueError, match="different sizes"):
         pairing(a, b, w)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_dual_entry_is_the_inverse_intersection_matrix(r):
+    """Each curve entry is one entry of the inverse intersection matrix, and
+    the 1 row is r + 1 on the diagonal and 0 against every curve."""
+    omega_rows = omega_coefficients(r)
+    for k in range(1, r + 1):
+        for m in range(1, r + 1):
+            assert _dual_entry(ecurve(k), ecurve(m), r) == omega_rows[k - 1][m - 1]
+        assert _dual_entry(ONE, ecurve(k), r) == _dual_entry(ecurve(k), ONE, r) == 0
+    assert _dual_entry(ONE, ONE, r) == r + 1

@@ -14,6 +14,7 @@ from helpers import (
     _piece_factors,
     bitmask_disconnected,
     divisor_labels,
+    fraction_two_point_column,
     poly2_subs_t2_minus_t1,
     random_weighted_partition,
     reference_connected_two_point,
@@ -183,6 +184,33 @@ def test_piece_factors_separate_property(case):
     else:
         crosses, want_degs = want
         assert products == [x * y for x in crosses for y in want_degs]
+
+
+@st.composite
+def _column_case(draw):
+    r = draw(st.integers(1, 3))
+    labels = _divisor_label(r)
+    n = draw(st.integers(1, 6))
+    wp = weighted_partition((p, draw(labels)) for p in draw(st.sampled_from(partitions_of(n))))
+    every_chain = [(i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
+    chains = tuple(draw(st.lists(st.sampled_from(every_chain), min_size=1, unique=True)))
+    # any subset of 0..6, gaps between the a values included
+    a_values = tuple(draw(st.lists(st.integers(0, 6), min_size=1, unique=True)))
+    return wp, a_values, chains
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_column_case())
+@example((wp((1, ecurve(1)), (2, omega(2)), (3, ecurve(3))), (0, 2, 5, 6),
+          ((1, 1), (1, 3), (2, 3))))
+@example((wp((1, ONE), (1, ecurve(2)), (2, ecurve(1)), (2, omega(1))), (1, 3, 4), ((1, 2), (2, 2))))
+def test_two_point_column_matches_fraction_oracle_property(case):
+    """The integer accumulation of the column builder gives the values of
+    the same sum taken one Fraction addend at a time."""
+    wp_, a_values, chains = case
+    got = invariants.two_point_column(wp_, a_values, chains)
+    assert got == fraction_two_point_column(wp_, a_values, chains)
+    assert all(type(c) is Fraction and c for values in got.values() for c in values.values())
 
 
 def test_connected_theta_divisible_polynomial():

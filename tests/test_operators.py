@@ -554,6 +554,30 @@ def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
         assert len(formatted) == len({v for c in coeffs for v in c.values()}), divisor
 
 
+def test_op_matrix_dumps_formats_lists_once_per_distinct_text(monkeypatch):
+    import symprod.operators as operators
+
+    json_list, calls = operators._json_list, []
+
+    def counted(texts, depth):
+        calls.append(depth)
+        return json_list(texts, depth)
+
+    monkeypatch.setattr(operators, "_json_list", counted)
+    op = divisor_operator(4, 1, "D1", default_divisor_basis(4, 1), 4, (4,))
+    text = op_matrix_dumps(op)
+    series = [s for row in op.entries for s in row]
+    nonempty = sum(1 for s in series if s.coeffs)
+    s_exponents = {key[1] for s in series for key in s.coeffs}
+    shapes = {(s.u_order, s.s_orders) for s in series}
+    # one list per nonempty entry's terms, per distinct s-exponent tuple and
+    # per distinct entry shape, and the few top-level lists; the 400 entries'
+    # s_orders lists and the gap pairs are not formatted one by one
+    assert len(series) == 400 and nonempty > 1
+    assert len(calls) <= nonempty + len(s_exponents) + len(shapes) + 5
+    assert text == reference_op_matrix_dumps(op)
+
+
 @pytest.mark.parametrize("s_orders", [(1,), (1, 1, 1)])
 def test_divisor_operator_rejects_wrong_number_of_s_orders(s_orders):
     with pytest.raises(ValueError, match=f"^need 2 s-orders, got {len(s_orders)}$"):
