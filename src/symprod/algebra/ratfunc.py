@@ -24,22 +24,15 @@ numerator's coefficients and keeps the denominator: the negative of a
 canonical value is canonical, and no Fraction product is run.
 
 Sums of many products (series products, linear combinations of series,
-the steps of a series inverse) accumulate first and canonicalise once, in
-_sum_products: numerator terms are summed per (series key, denominator
-product), and each group becomes one RatFunc2, so a key costs one gcd per
-distinct denominator instead of one per product and one per addition.
-The accumulator works in Python ints, not Fractions: each distinct
-numerator in a call is written once as integer terms over the lcm of its
-coefficient denominators, a group sums its integer products scaled to the
-lcm of its pairs' denominators, and one Fraction is built per output term.
-A product of two series over denominator 1 thus runs no Fraction
-arithmetic.
+the steps of a series inverse) do not run through these operators: the
+series kernel (algebra.series) sums their numerators in integers and
+builds each canonical value once, through _canonical over the
+denominator 1 and through the constructor otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from ..errors import MalformedInputError
 from .poly import Poly2, poly2_divexact, poly2_from_text, poly2_gcd, poly2_to_text
@@ -187,74 +180,6 @@ def _canonical(num: Poly2, den: Poly2) -> RatFunc2:
 
 _RF_ZERO = RatFunc2(Poly2.zero())
 _RF_ONE = RatFunc2(Poly2.one())
-
-
-def _int_numerator(num: Poly2) -> tuple:
-    """(num, lcd, [(mono, n)]) with num = sum n * mono / lcd, where lcd is
-    the lcm of the coefficient denominators."""
-    lcd = lcm(*(c.denominator for c in num.terms.values()))
-    return num, lcd, [(mono, c.numerator * (lcd // c.denominator)) for mono, c in num.terms.items()]
-
-
-def _sum_products(triples) -> dict:
-    """key -> the sum of f * g over the (key, f, g) triples; zero sums are left out.
-
-    Products are accumulated before anything is canonicalised: pairs are
-    grouped per (key, f.den * g.den), and each distinct denominator product
-    is multiplied out once. The numerators are summed in integers: each
-    distinct numerator is written once as integer terms over the lcm of its
-    coefficient denominators, and a group sums its integer products scaled
-    to the lcm of its pairs' denominators, so one Fraction is built per
-    output term. Each group becomes one RatFunc2, by _canonical over the
-    denominator 1 and by the constructor otherwise. Groups that share a key
-    are then added.
-    """
-    den_products: dict = {}
-    numerators: dict = {}  # id(num) -> _int_numerator(num), which keeps num alive
-    groups: dict = {}
-    for key, f, g in triples:
-        dens = (f.den, g.den)
-        den = den_products.get(dens)
-        if den is None:  # a canonical constant denominator is 1
-            den = g.den if f.den.is_const() else f.den if g.den.is_const() else f.den * g.den
-            den_products[dens] = den
-        f_ints = numerators.get(id(f.num))
-        if f_ints is None:
-            f_ints = numerators[id(f.num)] = _int_numerator(f.num)
-        g_ints = numerators.get(id(g.num))
-        if g_ints is None:
-            g_ints = numerators[id(g.num)] = _int_numerator(g.num)
-        pair = (f_ints[1] * g_ints[1], f_ints[2], g_ints[2])
-        pairs = groups.get((key, den))
-        if pairs is None:
-            groups[(key, den)] = [pair]
-        else:
-            pairs.append(pair)
-    out: dict = {}
-    for (key, den), pairs in groups.items():
-        lcd = lcm(*(pair[0] for pair in pairs))
-        acc: dict = {}
-        for pair_lcd, f_terms, g_terms in pairs:
-            up = lcd // pair_lcd
-            for (a1, a2), x in f_terms:
-                x *= up
-                for (b1, b2), y in g_terms:
-                    mono = (a1 + b1, a2 + b2)
-                    acc[mono] = acc.get(mono, 0) + x * y
-        num = Poly2.__new__(Poly2)
-        num.terms = {mono: Fraction(n, lcd) for mono, n in acc.items() if n}
-        num._hash = None
-        if not num.terms:
-            continue
-        f = _canonical(num, den) if den.is_const() else RatFunc2(num, den)
-        prev = out.get(key)
-        if prev is not None:
-            f = prev + f
-            if f.is_zero():
-                del out[key]
-                continue
-        out[key] = f
-    return out
 
 
 def ratfunc_to_text(f: RatFunc2) -> str:

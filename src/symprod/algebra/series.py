@@ -11,27 +11,124 @@ divided by a series, is the constant series of that series' shape (as
 RatFunc2.lift lifts rationals), so a GaussRational can hold series parts
 next to rational ones; a series of another shape raises ShapeError.
 
-Products and linear combinations accumulate first and canonicalise once:
-the terms that land on one key are summed as numerators over their common
-denominator (ratfunc._sum_products), and only those sums become RatFunc2
-values, rather than one canonical RatFunc2 per term product.
+Products, linear combinations and the inverse share one integer
+accumulator. A per-shape table packs each in-box key (a, ds) into one
+int, u most significant and each s_k field of radix 2*s_k + 1: the sum of
+two in-box keys then carries out of no field, and a difference with a
+negative field has no in-box packing, so one dict from packed int to key
+is both the box test and the unpacking. Each operand coefficient is
+written once per call as (packed key, denominator, lcd, integer
+numerator terms over lcd); products are summed in ints per (packed key,
+denominator product), a group rescaled by an lcm when it meets a new lcd.
+Each group makes one Fraction per output t-term and one RatFunc2, and the
+groups that share a key are then added. A product of two series over
+denominator 1 thus runs no Fraction arithmetic.
 
 The inverse is one triangular recursion over the box, not a sum of powers:
 with c0 the constant term, b_0 = 1/c0, and each other key k, taken in
 increasing total degree, is b_k = sum over j != 0, j <= k of (-a_j/c0) *
-b_(k-j), one _sum_products call per key. The box is a monomial quotient, so
-the inverse is unique and each key is canonicalised once.
+b_(k-j). The steps -a_j/c0 are written in integers once, and each b_k is
+canonicalised once and keeps its integer form for the keys after it. The
+box is a monomial quotient, so the inverse is unique.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from ..errors import EmptyOrderError, ShapeError
-from .ratfunc import RatFunc2, _sum_products
+from ..memo import memo
+from .poly import Poly2
+from .ratfunc import RatFunc2, _canonical
 
 Key = tuple[int, tuple[int, ...]]
+
+
+@memo
+def _box(u_order: int, s_orders: tuple[int, ...]) -> tuple:
+    """(packed -> key, key -> packed, the packed keys but 0 in increasing
+    total degree) of one shape; a key packs u-major, each s_k field of radix
+    2*s_k + 1."""
+    unpack, pack = {}, {}
+    ranges = [range(u_order + 1)] + [range(d + 1) for d in s_orders]
+    for a, *ds in sorted(product(*ranges), key=sum):
+        packed = a
+        for d, dmax in zip(ds, s_orders):
+            packed = packed * (2 * dmax + 1) + d
+        key = (a, tuple(ds))
+        unpack[packed] = key
+        pack[key] = packed
+    return unpack, pack, tuple(unpack)[1:]  # [0] is the constant key
+
+
+def _int_form(f: RatFunc2) -> tuple:
+    """(den, lcd, [(mono, n)]) with f = sum n * mono / (lcd * den), lcd the
+    lcm of the numerator's coefficient denominators; den is None for 1."""
+    den = None if f.den.is_const() else f.den
+    terms = f.num.terms
+    if len(terms) == 1:
+        ((mono, c),) = terms.items()
+        return den, c.denominator, [(mono, c.numerator)]
+    lcd = lcm(*(c.denominator for c in terms.values()))
+    return den, lcd, [(mono, c.numerator * (lcd // c.denominator)) for mono, c in terms.items()]
+
+
+def _accumulate(groups: dict, dens: dict, pairs) -> None:
+    """Add f * g into groups[(packed key, den)] = [lcd, {mono: n}] for each
+    (packed key, form of f, form of g) in pairs, in ints over the group's lcd."""
+    for packed, (df, lf, tf), (dg, lg, tg) in pairs:
+        if df is None:
+            den = dg
+        elif dg is None:
+            den = df
+        else:
+            den = dens.get((df, dg))
+            if den is None:
+                den = dens[(df, dg)] = df * dg
+        pair_lcd = lf * lg
+        group = groups.get((packed, den))
+        if group is None:
+            groups[(packed, den)] = group = [pair_lcd, {}]
+        elif group[0] % pair_lcd:
+            new = lcm(group[0], pair_lcd)
+            up = new // group[0]
+            acc = group[1]
+            for mono in acc:
+                acc[mono] *= up
+            group[0] = new
+        acc = group[1]
+        up = group[0] // pair_lcd
+        for (a1, a2), x in tf:
+            x *= up
+            for (b1, b2), y in tg:
+                mono = (a1 + b1, a2 + b2)
+                acc[mono] = acc.get(mono, 0) + x * y
+
+
+def _collect(groups: dict, unpack: dict) -> dict:
+    """key -> the sum of the values of its groups; zero sums are left out."""
+    out: dict = {}
+    for (packed, den), (lcd, acc) in groups.items():
+        if lcd == 1:
+            terms = {mono: Fraction(n) for mono, n in acc.items() if n}
+        else:
+            terms = {mono: Fraction(n, lcd) for mono, n in acc.items() if n}
+        if not terms:
+            continue
+        num = Poly2.__new__(Poly2)
+        num.terms, num._hash = terms, None
+        f = _canonical(num, Poly2.one()) if den is None else RatFunc2(num, den)
+        key = unpack[packed]
+        prev = out.get(key)
+        if prev is not None:
+            f = prev + f
+            if f.is_zero():
+                del out[key]
+                continue
+        out[key] = f
+    return out
 
 
 class TruncSeries:
@@ -137,35 +234,36 @@ class TruncSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_shape(other)
-        return self._wrap(_sum_products(self._product_terms(other)))
+        unpack, pack, _ = _box(self.u_order, self.s_orders)
+        mine = [(pack[key], _int_form(c)) for key, c in self.coeffs.items()]
+        theirs = [(pack[key], _int_form(c)) for key, c in other.coeffs.items()]
+        groups: dict = {}
+        _accumulate(groups, {}, (
+            (p + q, f, g) for p, f in mine for q, g in theirs if p + q in unpack
+        ))
+        return self._wrap(_collect(groups, unpack))
 
     __rmul__ = __mul__
 
     def __rtruediv__(self, other) -> TruncSeries:
         return self.inverse() * other
 
-    def _product_terms(self, other: TruncSeries):
-        """(key, c1, c2) for every pair of terms whose product is inside the box."""
-        umax, smax = self.u_order, self.s_orders
-        for (a1, d1), c1 in self.coeffs.items():
-            for (a2, d2), c2 in other.coeffs.items():
-                a = a1 + a2
-                if a > umax:
-                    continue
-                ds = tuple(x + y for x, y in zip(d1, d2))
-                if any(d > dmax for d, dmax in zip(ds, smax)):
-                    continue
-                yield (a, ds), c1, c2
-
     @classmethod
     def lincomb(cls, pairs, u_order: int, s_orders) -> TruncSeries:
         """The sum of c * s over (c, s) pairs: RatFunc2 c, series s of the given shape."""
         out = cls.zero(u_order, s_orders)
-        terms = []
+        unpack, pack, _ = _box(out.u_order, out.s_orders)
+        groups: dict = {}
+        dens: dict = {}
         for c, s in pairs:
             out._check_shape(s)
-            terms.extend((key, c, v) for key, v in s.coeffs.items())
-        out.coeffs = _sum_products(terms)
+            if c.is_zero():
+                continue
+            form = _int_form(c)
+            _accumulate(groups, dens, (
+                (pack[key], form, _int_form(v)) for key, v in s.coeffs.items()
+            ))
+        out.coeffs = _collect(groups, unpack)
         return out
 
     def scale(self, value) -> TruncSeries:
@@ -180,25 +278,29 @@ class TruncSeries:
         One triangular recursion over the box: with c0 the constant term
         and a_j the other coefficients, b_0 = 1/c0 and, in increasing total
         degree u + sum(d), b_k = sum over j != 0, j <= k of (-a_j/c0) *
-        b_(k-j). Each key's sum is accumulated and canonicalised once.
+        b_(k-j). Each key's sum is accumulated in ints and canonicalised once.
         """
         c0 = self.constant_term()
         if c0.is_zero():
             raise ZeroDivisionError("series has no invertible constant term")
+        unpack, pack, order = _box(self.u_order, self.s_orders)
         inv_c0 = c0.inverse()
         minus_inv_c0 = -inv_c0
-        steps = [(a, ds, c * minus_inv_c0) for (a, ds), c in self.coeffs.items() if a or any(ds)]
-        out = {(0, (0,) * len(self.s_orders)): inv_c0}
-        ranges = [range(self.u_order + 1)] + [range(d + 1) for d in self.s_orders]
-        for a, *ds in sorted(product(*ranges), key=sum)[1:]:  # [0] is the constant key
-            key = (a, tuple(ds))
-            terms = []
-            for ja, jds, c in steps:
-                # no key has a negative exponent, so a step j not <= k finds nothing
-                b = out.get((a - ja, tuple(d - j for d, j in zip(ds, jds))))
-                if b is not None:
-                    terms.append((key, c, b))
-            out.update(_sum_products(terms))
+        steps = [
+            (pack[key], _int_form(c * minus_inv_c0)) for key, c in self.coeffs.items() if pack[key]
+        ]
+        out = {unpack[0]: inv_c0}
+        forms = {0: _int_form(inv_c0)}  # packed k -> integer form of b_k
+        dens: dict = {}
+        for k in order:
+            groups: dict = {}
+            # k - j has a negative field, and so no integer form, unless j <= k
+            _accumulate(groups, dens, (
+                (k, f, forms[k - j]) for j, f in steps if k - j in forms
+            ))
+            for key, b in _collect(groups, unpack).items():  # key is unpack[k]
+                out[key] = b
+                forms[k] = _int_form(b)
         return self._wrap(out)
 
     def __eq__(self, other) -> bool:

@@ -18,6 +18,7 @@ from .algebra import char_poly_squarefree
 from .hurwitz import hurwitz, one_part_double_hurwitz
 from .invariants import ZeroDegreeTable, two_point_series
 from .operators import (
+    check_n,
     closed_form_matrix_a1n2,
     default_divisor_basis,
     divisor_operator,
@@ -69,6 +70,7 @@ def _cmd_two_point(args) -> int:
     from symprod.partitions import wp_size
 
     w = tangent_weights(args.r)
+    check_n(args.n)
     left = parse_wp(args.left)
     right = parse_wp(args.right)
     if wp_size(left) != args.n or wp_size(right) != args.n:

@@ -7,7 +7,10 @@ per quantity:
   * hurwitz  -- class-algebra convolution: one column of class-product
                 counts per profile class, applied to a vector over the
                 conjugacy classes of S_n;
-  * one_part_double_hurwitz -- the sinh closed form for H(sigma, (2)^b, (k)).
+  * one_part_double_hurwitz -- the sinh closed form for H(sigma, (2)^b, (k)),
+                whose t-coefficient is built one part of sigma at a time
+                (_sinh_coefficient), so partitions that share their larger
+                parts share the memoised entries of their common prefix.
 
 The test suite checks both routes against a dynamic program over the
 permutations themselves, which also gives the refined counts
@@ -165,40 +168,6 @@ def _count(n: int, ps: tuple[Partition, ...]) -> Fraction:
 # one-part double Hurwitz numbers via the sinh generating function
 # ---------------------------------------------------------------------------
 
-def _sinh_quotient(scale: int, order: int) -> list[Fraction]:
-    """Series of sinh(scale*t/2)/(scale*t/2) to the given t-degree."""
-    out = [Fraction(0)] * (order + 1)
-    m = 0
-    while 2 * m <= order:
-        out[2 * m] = Fraction(scale ** (2 * m), 4**m * factorial(2 * m + 1))
-        m += 1
-    return out
-
-
-def _series_mul(p: list[Fraction], q: list[Fraction], order: int) -> list[Fraction]:
-    out = [Fraction(0)] * (order + 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j in range(min(order - i, len(q) - 1) + 1):
-            if q[j]:
-                out[i + j] += a * q[j]
-    return out
-
-
-def _series_inv(p: list[Fraction], order: int) -> list[Fraction]:
-    if not p or p[0] == 0:
-        raise ZeroDivisionError("series inversion needs a unit constant term")
-    out = [Fraction(0)] * (order + 1)
-    out[0] = 1 / p[0]
-    for m in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, min(m, len(p) - 1) + 1):
-            acc += p[k] * out[m - k]
-        out[m] = -acc / p[0]
-    return out
-
-
 def one_part_double_hurwitz(sigma, b: int) -> Fraction:
     """H(sigma, (2)^b, (k)) for k = |sigma| from the closed generating form.
 
@@ -218,13 +187,33 @@ def one_part_double_hurwitz(sigma, b: int) -> Fraction:
 
 @memo
 def _one_part_closed_form(sigma: Partition, b: int) -> Fraction:
-    k = sum(sigma)
     top = b - len(sigma) + 1
     if top < 0 or top % 2 == 1:
         # the generating series is even in t
         return Fraction(0)
-    rhs = _series_inv(_sinh_quotient(1, top), top)
-    for part in sigma:
-        rhs = _series_mul(rhs, _sinh_quotient(part, top), top)
-    coeff = rhs[top]
-    return coeff * factorial(b) * Fraction(k) ** (b - 1) / aut_order(sigma)
+    coeff = _sinh_coefficient(sigma, top // 2)
+    return coeff * factorial(b) * Fraction(sum(sigma)) ** (b - 1) / aut_order(sigma)
+
+
+@memo
+def _sinh_coefficient(sigma: Partition, g: int) -> Fraction:
+    """c(sigma, g) = [t^(2g)] (t/2)/sinh(t/2) * prod_{p in sigma} sinh(pt/2)/(pt/2).
+
+    sinh(pt/2)/(pt/2) = sum_h (p/2)^(2h)/(2h+1)!, so taking off sigma's last
+    part p gives c(sigma, g) = sum_h c(sigma - p, g - h) (p/2)^(2h)/(2h+1)!.
+    The empty partition leaves (t/2)/sinh(t/2), whose coefficients follow
+    from its product with sinh(t/2)/(t/2) being 1. The sums run h downwards,
+    so the entries for g - h are made in increasing order and the recursion
+    is no deeper than l(sigma) + 2 for any g.
+    """
+    if sigma:
+        p, rest = sigma[-1], sigma[:-1]
+        return sum(_sinh_coefficient(rest, g - h) * _sinh_term(p, h) for h in range(g, -1, -1))
+    if g == 0:
+        return Fraction(1)
+    return -sum(_sinh_coefficient((), g - h) * _sinh_term(1, h) for h in range(g, 0, -1))
+
+
+def _sinh_term(p: int, h: int) -> Fraction:
+    """(p/2)^(2h)/(2h+1)!, the t^(2h) coefficient of sinh(pt/2)/(pt/2)."""
+    return Fraction(p ** (2 * h), 4**h * factorial(2 * h + 1))

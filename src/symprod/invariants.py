@@ -119,17 +119,10 @@ def _check_beta(beta, r: int) -> tuple:
 
 
 @memo
-def _hurwitz_convolution(mu: Partition, nu: Partition, a: int) -> Fraction:
-    """sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!)."""
-    hsum = Fraction(0)
-    for a1 in range(a + 1):
-        h1 = one_part_double_hurwitz(mu, a1)
-        if not h1:
-            continue
-        h2 = one_part_double_hurwitz(nu, a - a1)
-        if h2:
-            hsum += h1 * h2 / (factorial(a1) * factorial(a - a1))
-    return hsum
+def _hurwitz_term(sigma: Partition, b: int) -> Fraction:
+    """H(sigma, (2)^b, (k))/b!, one entry of sigma's row of one-part Hurwitz
+    numbers; the memo asks one_part_double_hurwitz once per (sigma, b)."""
+    return one_part_double_hurwitz(sigma, b) / factorial(b)
 
 
 @memo
@@ -143,12 +136,23 @@ def _chain_factors(nu: WeightedPartition, chains: tuple) -> tuple:
 @memo
 def _degree_factors(mu: Partition, nu: Partition, a_values: tuple) -> tuple:
     """D of a connected piece between the underlying partitions mu and nu of
-    k, per a in a_values: (-1)^g k^(2-a) times their Hurwitz convolution, with
-    g = (a - l(mu) - l(nu) + 2)/2, and 0 when a - l(mu) - l(nu) is odd."""
+    k, per a in a_values: (-1)^g k^(2-a) times their Hurwitz convolution
+    sum_{a1+a2=a} H(mu, (2)^a1, (k))/a1! H(nu, (2)^a2, (k))/a2!, with
+    g = (a - l(mu) - l(nu) + 2)/2, and 0 when a - l(mu) - l(nu) is odd. The
+    convolution reads the row of each partition, b <= max(a_values), from
+    the memo _hurwitz_term, so each one-part Hurwitz number is asked for
+    once for all pieces and all a."""
     k, length = sum(mu), len(mu) + len(nu)
+    top = max(a_values, default=0)
+    row_mu = [_hurwitz_term(mu, b) for b in range(top + 1)]
+    row_nu = [_hurwitz_term(nu, b) for b in range(top + 1)]
     out = []
     for a in a_values:
-        hsum = Fraction(0) if (a - length) % 2 else _hurwitz_convolution(mu, nu, a)
+        hsum = Fraction(0)
+        if (a - length) % 2 == 0:
+            for a1 in range(a + 1):
+                if row_mu[a1] and row_nu[a - a1]:
+                    hsum += row_mu[a1] * row_nu[a - a1]
         if hsum:  # then g >= 0, so (-1)^g is an int and not a float
             hsum *= (-1) ** ((a - length + 2) // 2) * Fraction(k) ** (2 - a)
         out.append(hsum)

@@ -136,6 +136,12 @@ class _Once(dict):
         return value
 
 
+def check_n(n: int) -> None:
+    """Sym^0 is a point with no divisor classes, so n starts at 1."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+
+
 def divisor_operator(
     n: int,
     r: int,
@@ -155,6 +161,7 @@ def divisor_operator(
     every beta = 0 value is unknown, so entry (i, j) is a gap exactly when
     row i of G^{-1} has a nonzero entry.
     """
+    check_n(n)
     basis = tuple(weighted_partition(wp) for wp in basis)
     if not basis:
         raise ValueError("empty basis")
@@ -244,6 +251,7 @@ def default_divisor_basis(n: int, r: int) -> list[WeightedPartition]:
 
     from .partitions import partitions_of
 
+    check_n(n)
     labels = [ONE] + [ecurve(i) for i in range(1, r + 1)]
     out = []
     for lam in partitions_of(n):

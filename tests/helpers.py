@@ -19,7 +19,6 @@ from symprod.invariants import (
     _chain_factors,
     _check_pair,
     _degree_factors,
-    _hurwitz_convolution,
     _labellings,
     _splittings,
     three_point_divisor_series,
@@ -390,6 +389,19 @@ def _chain_factor(piece: tuple, i: int, j: int) -> Fraction:
         if not cross:
             break
     return cross
+
+
+def _hurwitz_convolution(mu: tuple, nu: tuple, a: int) -> Fraction:
+    """sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!)."""
+    hsum = Fraction(0)
+    for a1 in range(a + 1):
+        h1 = one_part_double_hurwitz(mu, a1)
+        if not h1:
+            continue
+        h2 = one_part_double_hurwitz(nu, a - a1)
+        if h2:
+            hsum += h1 * h2 / (factorial(a1) * factorial(a - a1))
+    return hsum
 
 
 def _degree_factor(piece: tuple, a: int) -> Fraction:

@@ -3,6 +3,7 @@ closed-form expansion, characteristic polynomials."""
 
 import random
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -473,8 +474,20 @@ _series_polys = st.dictionaries(
     st.tuples(st.integers(0, 2), st.integers(0, 2)), _series_fractions, max_size=3
 ).map(Poly2)
 _series_coeffs = st.builds(RatFunc2, _series_polys, _series_dens)
-_series_keys = st.tuples(st.integers(0, 2), st.tuples(st.integers(0, 1), st.integers(0, 1)))
-_coeff_dicts = st.dictionaries(_series_keys, _series_coeffs, max_size=3)
+
+
+def _box_keys(shape):
+    """Keys inside the box of shape (u_order, s_orders)."""
+    u_order, s_orders = shape
+    return st.tuples(st.integers(0, u_order), st.tuples(*(st.integers(0, d) for d in s_orders)))
+
+
+def _coeff_dicts(shape, max_size=3):
+    return st.dictionaries(_box_keys(shape), _series_coeffs, max_size=max_size)
+
+
+# random shapes for the kernel tests: u <= 4, r in 0..3, each s-order 0..3
+_shapes = st.tuples(st.integers(0, 4), st.lists(st.integers(0, 3), max_size=3).map(tuple))
 _SERIES_SETTINGS = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 _nonzero_series_coeffs = _series_coeffs.filter(lambda c: not c.is_zero())
 
@@ -501,8 +514,8 @@ def _scaled_pair(draw):
 
 
 @st.composite
-def _series_operands(draw):
-    """Two series of one shape, with a planted sum at u^1.
+def _series_operands(draw, shape=_SHAPE, planted=(1, (0, 0)), max_size=3):
+    """Two series of one shape, with a planted sum at the key planted.
 
     "equal": f*h + g*h, where f and g share a denominator and f + g may
     cancel against it or vanish (see _equal_den_pairs); "cross": (f/h)*h
@@ -510,9 +523,9 @@ def _series_operands(draw):
     (-c*f)*(g/c), which vanishes over one denominator (see _scaled_pair).
     Other terms add products over other denominators at the same keys.
     """
-    a, b = draw(_coeff_dicts), draw(_coeff_dicts)
+    a, b = draw(_coeff_dicts(shape, max_size)), draw(_coeff_dicts(shape, max_size))
     kind = draw(st.sampled_from(["plain", "equal", "cross", "scaled"]))
-    k0, k1 = (0, (0, 0)), (1, (0, 0))
+    k0, k1 = (0, (0,) * len(shape[1])), planted
     if kind == "equal":
         f, g = draw(_equal_den_pairs())
         h = draw(_nonzero_series_coeffs)
@@ -523,7 +536,15 @@ def _series_operands(draw):
     elif kind == "scaled":
         f, g, f_c, g_c = draw(_scaled_pair())
         a[k0], b[k1], a[k1], b[k0] = f, g, f_c, g_c
-    return TruncSeries(*_SHAPE, a), TruncSeries(*_SHAPE, b)
+    return TruncSeries(*shape, a), TruncSeries(*shape, b)
+
+
+@st.composite
+def _shaped_series_operands(draw):
+    """_series_operands at a random shape, planted at a random key; a planted
+    key at the constant key is overwritten and leaves an unplanted case."""
+    shape = draw(_shapes)
+    return draw(_series_operands(shape, draw(_box_keys(shape)), max_size=6))
 
 
 def _same_series(got, want):
@@ -541,6 +562,29 @@ def test_series_mul_matches_reference(operands):
     _same_series(b * a, reference_series_mul(b, a))
 
 
+def _s_field_overflow(u_order, s_orders, ds):
+    """s^ds times itself in the box (u_order, s_orders), with a term at every
+    key: 2*ds overflows an s field, and so falls outside the box."""
+    exponents = product(range(u_order + 1), *(range(d + 1) for d in s_orders))
+    dense = {(a, tuple(es)): RatFunc2.const(i + 1) for i, (a, *es) in enumerate(exponents)}
+    square = TruncSeries.monomial(0, ds, Fraction(3, 2), u_order, s_orders)
+    return square, square + TruncSeries(u_order, s_orders, dense)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_shaped_series_operands())
+@example(_s_field_overflow(1, (1,), (1,)))  # 2 s^1 overflows the last field
+@example(_s_field_overflow(2, (2, 1, 3), (2, 0, 0)))  # and a field above another
+@example(_s_field_overflow(0, (3, 3), (0, 2)))
+def test_series_mul_matches_reference_at_random_shapes(operands):
+    """The packed-key product at any shape: the sum of two in-box keys may
+    overflow an s field, and must then leave the box, not alias a key."""
+    a, b = operands
+    _same_series(a * b, reference_series_mul(a, b))
+    _same_series(b * a, reference_series_mul(b, a))
+    _same_series(a * a, reference_series_mul(a, a))
+
+
 # Gram-inverse entries are 0, constants and c*(t1*t2)^k; any coefficient may occur
 _lincomb_factors = st.one_of(
     st.just(RatFunc2.zero()),
@@ -551,12 +595,12 @@ _lincomb_factors = st.one_of(
 
 
 @st.composite
-def _lincomb_pairs(draw):
+def _lincomb_pairs(draw, shape=_SHAPE):
     """(c, s) pairs, with a planted sum at one key as in _series_operands:
     h*f + h*g with f + g over one denominator, h*(f/h) - f, or f*g +
     (-c*f)*(g/c)."""
     pairs = draw(st.lists(
-        st.tuples(_lincomb_factors, _coeff_dicts.map(lambda d: TruncSeries(*_SHAPE, d))),
+        st.tuples(_lincomb_factors, _coeff_dicts(shape).map(lambda d: TruncSeries(*shape, d))),
         max_size=4,
     ))
     kind = draw(st.sampled_from(["plain", "equal", "cross", "scaled"]))
@@ -572,11 +616,11 @@ def _lincomb_pairs(draw):
         planted = [(f, g), (f_c, g_c)]
     else:
         planted = []
-    key = draw(_series_keys)
+    key = draw(_box_keys(shape))
     for c, coeff in planted:
-        terms = draw(_coeff_dicts)
+        terms = draw(_coeff_dicts(shape))
         terms[key] = coeff
-        pairs.insert(draw(st.integers(0, len(pairs))), (c, TruncSeries(*_SHAPE, terms)))
+        pairs.insert(draw(st.integers(0, len(pairs))), (c, TruncSeries(*shape, terms)))
     return pairs
 
 
@@ -585,6 +629,19 @@ def _lincomb_pairs(draw):
 def test_series_lincomb_matches_reference(pairs):
     _same_series(TruncSeries.lincomb(pairs, *_SHAPE), reference_lincomb(pairs, *_SHAPE))
     _same_series(TruncSeries.lincomb(iter(pairs[::-1]), *_SHAPE), reference_lincomb(pairs, *_SHAPE))
+
+
+@st.composite
+def _shaped_lincomb_pairs(draw):
+    shape = draw(_shapes)
+    return shape, draw(_lincomb_pairs(shape))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_shaped_lincomb_pairs())
+def test_series_lincomb_matches_reference_at_random_shapes(case):
+    shape, pairs = case
+    _same_series(TruncSeries.lincomb(pairs, *shape), reference_lincomb(pairs, *shape))
 
 
 def test_series_product_over_denominator_one_runs_no_fraction_arithmetic(monkeypatch):

@@ -310,6 +310,20 @@ def test_op_matrix_divisor_out_of_range(capsys):
     assert len(err.splitlines()) == 1 and "D3" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["op-matrix", "--n", "0", "--r", "1", "--divisor", "D1", "--u-order", "1", "--s-orders", "1"],
+    ["op-matrix", "--n", "-1", "--r", "2", "--divisor", "(2)", "--u-order", "1", "--s-orders", "1"],
+    ["two-point", "--n", "0", "--r", "1", "--left", "", "--right", ""],
+])
+def test_size_below_one_is_usage_error(capsys, argv):
+    """[Sym^0] is a point with no divisor classes: n = 0 prints no operator
+    on the empty basis element and no empty two-point series."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == ["error: n must be at least 1"]
+
+
 @pytest.mark.parametrize("divisor", ["D01", "D 1", "D+1"])
 def test_op_matrix_noncanonical_divisor_is_usage_error(capsys, divisor):
     code, out, err = run(

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     _chain_factor,
     _degree_factor,
+    _hurwitz_convolution,
     _piece,
     _piece_factors,
     bitmask_disconnected,
@@ -160,6 +161,48 @@ def _piece_factor_case(draw):
     lowest = len(nu1) + len(nu2) - 2  # the least a with nonzero Hurwitz factors
     a_values = tuple(draw(st.lists(st.integers(max(0, lowest - 2), lowest + 4), min_size=1)))
     return nu1, nu2, chains, a_values
+
+
+def test_degree_factors_match_hurwitz_convolution_oracle():
+    """D from the memoised Hurwitz rows equals (-1)^g k^(2-a) times the
+    convolution oracle for every |mu| = |nu| <= 6 and a <= 12 (2,717 cases);
+    rows grown one a at a time and read all at once agree."""
+    clear_caches()
+    a_values = tuple(range(13))
+    cases = nonzero = 0
+    for k in range(1, 7):
+        for mu in partitions_of(k):
+            for nu in partitions_of(k):
+                length = len(mu) + len(nu)
+                want = []
+                for a in a_values:
+                    hsum = Fraction(0) if (a - length) % 2 else _hurwitz_convolution(mu, nu, a)
+                    if hsum:
+                        hsum *= (-1) ** ((a - length + 2) // 2) * Fraction(k) ** (2 - a)
+                    want.append(hsum)
+                got = [invariants._degree_factors(mu, nu, (a,))[0] for a in a_values]
+                assert got == want, (mu, nu)
+                assert list(invariants._degree_factors(mu, nu, a_values)) == want
+                assert all(type(v) is Fraction for v in got)
+                cases += len(a_values)
+                nonzero += sum(1 for v in want if v)
+    assert (cases, nonzero) == (2717, 1005)
+
+
+def test_degree_factors_call_each_hurwitz_number_once(monkeypatch):
+    """The operator path asks one_part_double_hurwitz for each (sigma, b) once."""
+    calls = []
+    hurwitz = invariants.one_part_double_hurwitz
+
+    def counted(sigma, b):
+        calls.append((sigma, b))
+        return hurwitz(sigma, b)
+
+    monkeypatch.setattr(invariants, "one_part_double_hurwitz", counted)
+    clear_caches()
+    divisor_operator(4, 1, "D1", default_divisor_basis(4, 1), 4, (4,))
+    assert calls
+    assert len(calls) == len(set(calls))
 
 
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)

@@ -1,6 +1,7 @@
 """The package's one memo registry and its clear."""
 
 from symprod import clear_caches
+from symprod.algebra import TruncSeries
 from symprod.chenruan import expand
 from symprod.hurwitz import hurwitz
 from symprod.invariants import two_point_series
@@ -18,7 +19,9 @@ def _compute():
     cls = expand(wp, tangent_weights(2))
     # the operator pairs nothing; a two-point series at a nonzero box does
     series = two_point_series(wp, wp, 1, (1, 1), tangent_weights(2))
-    return op_matrix_dumps(op), count, cls, series
+    # products and inverses of series share the per-shape packed-key table
+    inverse = (TruncSeries.one(2, (1,)) + TruncSeries.monomial(1, (1,), 3, 2, (1,))).inverse()
+    return op_matrix_dumps(op), count, cls, series, inverse
 
 
 def test_clear_caches_empties_every_memo():

@@ -146,6 +146,15 @@ def test_verify_missing_entry_reports_gap():
     assert nonzero_degree_ok(report)
 
 
+def test_operator_rejects_size_below_one():
+    """Sym^0 is a point with no divisor classes."""
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            default_divisor_basis(n, 1)
+        with pytest.raises(ValueError, match="^n must be at least 1$"):
+            divisor_operator(n, 1, "D1", [()], 1, (1,))
+
+
 def test_default_basis_matches_benchmark_order():
     # the paper's ordered degree basis of [Sym^2(A_1)]
     e1 = ecurve(1)
