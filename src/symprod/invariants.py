@@ -5,27 +5,26 @@ closed product of automorphism factors, chain intersection numbers, a
 sign/degree factor and a convolution of one-part double Hurwitz numbers.
 It factors as (t1+t2) d^(a-1) C, with a rational scalar C that depends on
 the underlying partitions, the chain i..j and a, but not on d.
-Disconnected invariants are splitting sums of pairings against connected
-pieces. The splittings are enumerated once per weighted partition. A
-piece <nu1, nu2> is X(nu1) X(nu2) D(underlying nu1, underlying nu2, a):
-X depends on one side and the chain, D on two partitions and a, and each
-is found once for all degrees. The same factors write the two-point
-function of one insertion as a vector over weighted partitions
-(two_point_column), which is its column of G^{-1} T_2. That vector is
-summed in integers, numerators over denominators, from terms that
-_column_terms lists once per (theta, mu, chain); each of its values
-becomes one Fraction at the end.
+A connected piece <nu1, nu2> is X(nu1) X(nu2) D(underlying nu1,
+underlying nu2, a): X depends on one side and the chain, D on two
+partitions and a, and each is found once for all degrees. These factors
+write the two-point function of one insertion b as a vector V_b over
+weighted partitions (two_point_column), which is its column of
+G^{-1} T_2, and the disconnected invariant of two insertions b1, b2 is
+the pairing <b1, V_b2>. V is summed in integers, numerators over
+denominators, from terms that _column_terms lists once per (theta, mu,
+chain); each of its values becomes one Fraction at the end.
 
-Scalar form: a piece with a 1-label has chain factor 0, so the theta of
-every contributing term carries all k 1-labels of its insertion. The theta
-pairing is then c / (t1 t2)^k, since among the surface integrals of 1 and
+Scalar form: a piece with a 1-label has chain factor 0, so every term B
+of V_b carries all k 1-labels of b in its theta part. The pairing of b1
+with B is then c / (t1 t2)^k, since among the surface integrals of 1 and
 the divisors only the 1-1 integral 1/((r+1) t1 t2) depends on t, and a
 1 pairs with a divisor to 0. So every disconnected invariant of degree
 (a, d*E_{ij}) is (t1+t2) d^(a-1) C / (t1 t2)^k with one rational C per
 (a, i, j), and it is 0 when the two insertions have different numbers
-of 1-labels. two_point_scalars sums these C in Fractions; RatFunc2 values
-are built from them by one helper, for two_point_series and
-disconnected_two_point only.
+of 1-labels. two_point_scalars takes these C from <b1, V_b2> in
+Fractions; RatFunc2 values are built from them by one helper, for
+two_point_series and disconnected_two_point only.
 
 Three-point series with one divisor insertion come from the divisor
 equations: d/du for the twisted divisor, s_l d/ds_l plus an s=0 boundary
@@ -200,64 +199,6 @@ def connected_two_point(
 
 
 @memo
-def _splittings(wp: WeightedPartition) -> dict:
-    """The splittings (theta, nu) of wp with a nonempty nu, grouped by
-    underlying(theta); an empty connected piece contributes nothing."""
-    out: dict = {}
-    for theta, nu in enumerate_sub_splittings(wp):
-        if nu:
-            out.setdefault(underlying(theta), []).append((theta, nu))
-    return out
-
-
-def two_point_scalars(
-    mu1_w: WeightedPartition,
-    mu2_w: WeightedPartition,
-    a_values,
-    chains,
-    w: TangentWeights,
-) -> dict:
-    """The scalars C of the module docstring's scalar form, keyed (a, i, j)
-    for every a in a_values and every chain (i, j) in chains; zeros omitted.
-
-    Each matched pair of splittings (theta1, nu1), (theta2, nu2) adds the
-    numerator of its theta pairing times X(nu1) X(nu2) D(underlying nu1,
-    underlying nu2, a), skipping zero factors.
-    """
-    _check_pair(mu1_w, mu2_w, w.r)
-    if not chains:  # no chain fits the box, so no splitting contributes
-        return {}
-    chains, a_values = tuple(chains), tuple(a_values)
-    by_theta1 = _splittings(mu1_w)
-    acc: dict = {}
-    for key, pieces2 in _splittings(mu2_w).items():
-        pieces1 = by_theta1.get(key, ())
-        for theta2, nu2 in pieces2:
-            xs2 = _chain_factors(nu2, chains)
-            if not any(xs2):
-                continue
-            lam2 = underlying(nu2)
-            for theta1, nu1 in pieces1:
-                xs1 = _chain_factors(nu1, chains)
-                if not any(xs1):
-                    continue
-                degs = _degree_factors(underlying(nu1), lam2, a_values)
-                if not any(degs):
-                    continue
-                pair = pairing(theta1, theta2, w).num.const_value()
-                if not pair:
-                    continue
-                for (i, j), x1, x2 in zip(chains, xs1, xs2):
-                    x = x1 * x2
-                    if x:
-                        x *= pair
-                        for a, y in zip(a_values, degs):
-                            if y:
-                                acc[(a, i, j)] = acc.get((a, i, j), 0) + x * y
-    return {key: c for key, c in acc.items() if c}
-
-
-@memo
 def _labellings(mu: Partition, i: int, j: int) -> tuple:
     """The distinct labellings mu_f of the parts of mu by E_i..E_j, each with
     the number of maps f from the parts to i..j that give it."""
@@ -302,41 +243,72 @@ def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
     """
     chains, a_values = tuple(chains), tuple(a_values)
     acc: dict = {}
-    for pieces in _splittings(wp).values():
-        for theta, nu in pieces:
-            xs = _chain_factors(nu, chains)
-            if not any(xs):
+    for theta, nu in enumerate_sub_splittings(wp):
+        if not nu:  # an empty connected piece contributes nothing
+            continue
+        xs = _chain_factors(nu, chains)
+        if not any(xs):
+            continue
+        lam, theta_aut = underlying(nu), aut_order_weighted(theta)
+        for mu in partitions_of(sum(lam)):
+            degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
+            if not any(degs):
                 continue
-            lam, theta_aut = underlying(nu), aut_order_weighted(theta)
-            for mu in partitions_of(sum(lam)):
-                degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
-                if not any(degs):
+            part_product = prod(mu)
+            for (i, j), x in zip(chains, xs):
+                if not x:
                     continue
-                part_product = prod(mu)
-                for (i, j), x in zip(chains, xs):
-                    if not x:
-                        continue
-                    xn, xd = x.numerator * part_product, x.denominator * theta_aut
-                    addends = [
-                        ((a, i, j), xn * y.numerator, xd * y.denominator)
-                        for a, y in zip(a_values, degs)
-                        if y
-                    ]
-                    for b, weight in _column_terms(theta, mu, i, j):
-                        values = acc.setdefault(b, {})
-                        for key, num, den in addends:
-                            num *= weight
-                            old_num, old_den = values.get(key, (0, den))
-                            if old_den != den:
-                                common = lcm(old_den, den)
-                                old_num, num = old_num * (common // old_den), num * (common // den)
-                                den = common
-                            values[key] = old_num + num, den
+                xn, xd = x.numerator * part_product, x.denominator * theta_aut
+                addends = [
+                    ((a, i, j), xn * y.numerator, xd * y.denominator)
+                    for a, y in zip(a_values, degs)
+                    if y
+                ]
+                for b, weight in _column_terms(theta, mu, i, j):
+                    values = acc.setdefault(b, {})
+                    for key, num, den in addends:
+                        num *= weight
+                        old_num, old_den = values.get(key, (0, den))
+                        if old_den != den:
+                            common = lcm(old_den, den)
+                            old_num, num = old_num * (common // old_den), num * (common // den)
+                            den = common
+                        values[key] = old_num + num, den
     out = {
         b: {key: Fraction(num, den) for key, (num, den) in values.items() if num}
         for b, values in acc.items()
     }
     return {b: values for b, values in out.items() if values}
+
+
+def two_point_scalars(
+    mu1_w: WeightedPartition,
+    mu2_w: WeightedPartition,
+    a_values,
+    chains,
+    w: TangentWeights,
+) -> dict:
+    """The scalars C of the module docstring's scalar form, keyed (a, i, j)
+    for every a in a_values and every chain (i, j) in chains; zeros omitted.
+
+    C is the pairing of mu1_w with the vector V = two_point_column(mu2_w):
+    the sum over B of V[B] times the numerator of pairing(mu1_w, B). The
+    pairing is block-diagonal, so only the B with mu1_w's underlying
+    partition are paired.
+    """
+    _check_pair(mu1_w, mu2_w, w.r)
+    if not chains:  # no chain fits the box, so no splitting contributes
+        return {}
+    block = underlying(mu1_w)
+    acc: dict = {}
+    for b, values in two_point_column(mu2_w, a_values, chains).items():
+        if underlying(b) != block:
+            continue
+        pair = pairing(mu1_w, b, w).num.const_value()
+        if pair:
+            for key, c in values.items():
+                acc[key] = acc.get(key, 0) + pair * c
+    return {key: c for key, c in acc.items() if c}
 
 
 def _scalar_invariant(c: Fraction, a: int, d: int, mu_w: WeightedPartition) -> RatFunc2:
@@ -353,12 +325,11 @@ def disconnected_two_point(
     beta,
     w: TangentWeights,
 ) -> RatFunc2:
-    """Disconnected two-point invariant as a splitting sum.
+    """Disconnected two-point invariant of twisted degree (a, beta).
 
-    Both insertions are factored as theta(xi) nu(gamma) over all
-    sub-multiset splittings with a common underlying theta; each pair
-    contributes pairing(theta_1, theta_2) times the connected invariant
-    of the leftovers.
+    It is the pairing of mu1_w with the two-point column of mu2_w, in the
+    scalar form of the module docstring, and 0 unless beta is a chain
+    d*E_{ij}.
     """
     beta = _check_beta(beta, w.r)
     if not any(beta):

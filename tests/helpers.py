@@ -20,9 +20,7 @@ from symprod.invariants import (
     _check_pair,
     _degree_factors,
     _labellings,
-    _splittings,
     three_point_divisor_series,
-    two_point_scalars,
 )
 from symprod.operators import OperatorMatrix, VerifyReport
 from symprod.partitions import (
@@ -31,6 +29,7 @@ from symprod.partitions import (
     aut_order,
     aut_order_weighted,
     ecurve,
+    enumerate_sub_splittings,
     fixedpt,
     mp_size,
     partition,
@@ -458,33 +457,83 @@ def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
     return total
 
 
+@lru_cache(maxsize=None)
+def _splittings_by_theta(wp: WeightedPartition) -> dict:
+    """The splittings (theta, nu) of wp with a nonempty nu, grouped by
+    underlying(theta); an empty connected piece contributes nothing."""
+    out: dict = {}
+    for theta, nu in enumerate_sub_splittings(wp):
+        if nu:
+            out.setdefault(underlying(theta), []).append((theta, nu))
+    return out
+
+
+def matched_pair_two_point_scalars(mu1_w, mu2_w, a_values, chains, w) -> dict:
+    """Reference invariants.two_point_scalars: the splitting sum over matched
+    pairs. Each pair of splittings (theta1, nu1), (theta2, nu2) with a common
+    underlying theta adds the numerator of its theta pairing times X(nu1)
+    X(nu2) D(underlying nu1, underlying nu2, a), skipping zero factors."""
+    _check_pair(mu1_w, mu2_w, w.r)
+    if not chains:
+        return {}
+    chains, a_values = tuple(chains), tuple(a_values)
+    by_theta1 = _splittings_by_theta(mu1_w)
+    acc: dict = {}
+    for key, pieces2 in _splittings_by_theta(mu2_w).items():
+        pieces1 = by_theta1.get(key, ())
+        for theta2, nu2 in pieces2:
+            xs2 = _chain_factors(nu2, chains)
+            if not any(xs2):
+                continue
+            lam2 = underlying(nu2)
+            for theta1, nu1 in pieces1:
+                xs1 = _chain_factors(nu1, chains)
+                if not any(xs1):
+                    continue
+                degs = _degree_factors(underlying(nu1), lam2, a_values)
+                if not any(degs):
+                    continue
+                pair = pairing(theta1, theta2, w).num.const_value()
+                if not pair:
+                    continue
+                for (i, j), x1, x2 in zip(chains, xs1, xs2):
+                    x = x1 * x2
+                    if x:
+                        x *= pair
+                        for a, y in zip(a_values, degs):
+                            if y:
+                                acc[(a, i, j)] = acc.get((a, i, j), 0) + x * y
+    return {key: c for key, c in acc.items() if c}
+
+
 def fraction_two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
     """Reference invariants.two_point_column: the same sum with every addend a
     Fraction, {B: {(a, i, j): c}} with zeros omitted."""
     chains, a_values = tuple(chains), tuple(a_values)
     out: dict = {}
-    for pieces in _splittings(wp).values():
-        for theta, nu in pieces:
-            xs = _chain_factors(nu, chains)
-            if not any(xs):
+    for theta, nu in enumerate_sub_splittings(wp):
+        if not nu:
+            continue
+        xs = _chain_factors(nu, chains)
+        if not any(xs):
+            continue
+        lam, theta_aut = underlying(nu), aut_order_weighted(theta)
+        for mu in partitions_of(sum(lam)):
+            degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
+            if not any(degs):
                 continue
-            lam, theta_aut = underlying(nu), aut_order_weighted(theta)
-            for mu in partitions_of(sum(lam)):
-                degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
-                if not any(degs):
+            scale = Fraction(prod(mu), theta_aut)
+            for (i, j), x in zip(chains, xs):
+                if not x:
                     continue
-                scale = Fraction(prod(mu), theta_aut)
-                for (i, j), x in zip(chains, xs):
-                    if not x:
-                        continue
-                    x *= scale
-                    for labelled, count in _labellings(mu, i, j):
-                        b = weighted_partition(theta + labelled)
-                        c = x * (count * aut_order_weighted(b))
-                        values = out.setdefault(b, {})
-                        for a, y in zip(a_values, degs):
-                            if y:
-                                values[(a, i, j)] = values.get((a, i, j), 0) + c * y
+                x *= scale
+                for labelled, count in _labellings(mu, i, j):
+                    b = weighted_partition(theta + labelled)
+                    c = x * (count * aut_order_weighted(b))
+                    values = out.setdefault(b, {})
+                    for a, y in zip(a_values, degs):
+                        if y:
+                            values[(a, i, j)] = values.get((a, i, j), 0) + c * y
     out = {b: {key: c for key, c in values.items() if c} for b, values in out.items()}
     return {b: values for b, values in out.items() if values}
 
@@ -503,7 +552,10 @@ def reference_two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> l
     chains = [(i, j) for i in range(1, r + 1) for j in range(i, r + 1) if min(unit_box[i - 1 : j])]
     size = len(basis)
     t2 = [
-        [two_point_scalars(basis[j], basis[a], range(u_top + 1), chains, w) for j in range(size)]
+        [
+            matched_pair_two_point_scalars(basis[j], basis[a], range(u_top + 1), chains, w)
+            for j in range(size)
+        ]
         for a in range(size)
     ]
     product = []

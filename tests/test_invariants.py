@@ -16,6 +16,7 @@ from helpers import (
     bitmask_disconnected,
     divisor_labels,
     fraction_two_point_column,
+    matched_pair_two_point_scalars,
     poly2_subs_t2_minus_t1,
     random_weighted_partition,
     reference_connected_two_point,
@@ -418,6 +419,38 @@ def test_two_point_series_scalar_form_property(case):
         assert v.den == Poly2.monomial(k1, k1)
         c = v.num.terms[(1, 0)]
         assert v.num == THETA.scale(c) and c
+
+
+@st.composite
+def _scalars_case(draw):
+    r = draw(st.integers(1, 3))
+    labels = _divisor_label(r)
+    n = draw(st.integers(1, 5))
+    mu1 = weighted_partition((p, draw(labels)) for p in draw(st.sampled_from(partitions_of(n))))
+    # half the cases share mu1's cycle type, so both sides lie in one block
+    lam = [p for p, _ in mu1] if draw(st.booleans()) else draw(st.sampled_from(partitions_of(n)))
+    mu2 = weighted_partition((p, draw(labels)) for p in lam)
+    return r, mu1, mu2
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_scalars_case())
+@example((2, wp((1, ONE), (2, ecurve(1))), wp((1, ecurve(2)), (2, ecurve(1)))))
+@example((2, wp((1, ONE), (1, ONE), (2, ecurve(1))), wp((1, ONE), (1, ecurve(2)), (2, omega(2)))))
+@example((1, wp((3, ecurve(1))), wp((1, ecurve(1)), (2, omega(1)))))
+@example((3, wp((5, ecurve(2))), wp((1, ecurve(1)), (2, omega(3)), (2, ecurve(2)))))
+@example((3, wp((1, omega(1)), (4, ecurve(3))), wp((2, ecurve(2)), (3, omega(2)))))
+def test_two_point_scalars_match_matched_pair_oracle_property(case):
+    """<b1, V_b2>, the pairing of b1 with the column of b2, gives the
+    scalars of the splitting sum over theta-matched pairs; insertions with
+    different numbers of 1-labels give none."""
+    r, mu1, mu2 = case
+    w = tangent_weights(r)
+    chains = [(i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
+    got = invariants.two_point_scalars(mu1, mu2, range(4), chains, w)
+    assert got == matched_pair_two_point_scalars(mu1, mu2, range(4), chains, w)
+    if sum(label == ONE for _, label in mu1) != sum(label == ONE for _, label in mu2):
+        assert got == {}
 
 
 def test_splitting_memos_key_on_chains_and_u_range():

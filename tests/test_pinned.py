@@ -1,9 +1,11 @@
-"""Pinned hashes of the n = 2, r = 1 closed-form outputs.
+"""Pinned hashes of the n = 2, r = 1 closed-form outputs and of two-point series.
 
 The degree-zero table is derived from the same closed-form matrix that
 verify-a1n2 expects, so a slip in that matrix would move both sides of
 every comparison test. These hashes pin the matrix, the table file and
-the eigenvalue certificate to fixed bytes instead.
+the eigenvalue certificate to fixed bytes instead. The two-point rows pin
+the stdout of the two-point subcommand, with 1, E and w labels, across
+blocks and at r = 1, 2 and 3.
 """
 
 import hashlib
@@ -65,6 +67,33 @@ def test_make_table_file_pinned(tmp_path, capsys):
 )
 def test_eigencheck_stdout_pinned(capsys, point, digest):
     assert main(["eigencheck", *point]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert _sha256(captured.out.encode()) == digest
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["--n", "4", "--r", "3", "--left", "1(1)+1(E2)+2(E1)", "--right", "1(1)+1(w3)+2(E2)",
+             "--u-order", "4", "--s-orders", "1,1,1"],
+            "ebe6d4e26a4b8d12d15dc2222ba097d9281c2d11b53abc9725774d6b3ffd4bcf",
+        ),
+        (
+            ["--n", "5", "--r", "2", "--left", "1(E1)+2(w2)+2(E1)", "--right", "1(E2)+2(E1)+2(E2)",
+             "--u-order", "5", "--s-orders", "2,2"],
+            "4b31e3347fa8ed261686823d74e05e244aacbcb3204f096b0a0946f27c59310c",
+        ),
+        (
+            ["--n", "3", "--r", "1", "--left", "3(E1)", "--right", "1(E1)+2(w1)",
+             "--u-order", "6", "--s-orders", "3"],
+            "7efc832bc025c975b95e7426d6f8e18df60a47ae959bf55bbf03f9c7346e8295",
+        ),
+    ],
+)
+def test_two_point_stdout_pinned(capsys, args, digest):
+    assert main(["two-point", *args]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert _sha256(captured.out.encode()) == digest
