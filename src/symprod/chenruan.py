@@ -215,13 +215,12 @@ def gram_inverse(basis, w: TangentWeights) -> list[list[RatFunc2]]:
     per part size, the permanent of g^{-1} = diag((r+1) t1 t2, -C^{-1})
     between the labels of b and b' of that size. No 1 pairs with an E_i:
     the entry is c (t1 t2)^k with k the number of 1-labels of b, and c is 0
-    unless b' has as many of each size. Each block of the basis must hold
-    every labelling of its partition by 1, E_1..E_r exactly once.
+    unless b' has as many of each size. The basis must pass check_whole_blocks.
     """
     basis = list(basis)
+    check_whole_blocks(basis, w.r)
     out = [[RatFunc2.zero()] * len(basis) for _ in basis]
     for block in _blocks(basis):
-        _check_whole_block([basis[i] for i in block], w.r)
         labels = {i: _labels_by_size(basis[i]) for i in block}
         parts_product = prod(p for p, _ in basis[block[0]])
         for pos, i in enumerate(block):
@@ -236,19 +235,24 @@ def gram_inverse(basis, w: TangentWeights) -> list[list[RatFunc2]]:
     return out
 
 
-def _check_whole_block(elements: list[WeightedPartition], r: int) -> None:
-    lam = underlying(elements[0])
-    labellings = prod(comb(m + r, r) for m in Counter(lam).values())
-    valid = {
-        weighted_partition(wp)
-        for wp in elements
-        if all(label == ONE or (label[0] == "E" and 1 <= label[1] <= r) for _, label in wp)
-    }
-    if not len(elements) == len(valid) == labellings:
-        raise DegenerateBasisError(
-            f"the block of partition {lam} has {len(elements)} elements, {len(valid)} of them "
-            f"distinct labellings by 1, E1..E{r}; the Gram inverse needs all {labellings} once"
-        )
+def check_whole_blocks(basis, r: int) -> None:
+    """Raise DegenerateBasisError unless each block (the elements of one underlying
+    partition) holds every labelling of it by 1, E_1..E_r exactly once."""
+    basis = list(basis)
+    for block in _blocks(basis):
+        elements = [basis[i] for i in block]
+        lam = underlying(elements[0])
+        labellings = prod(comb(m + r, r) for m in Counter(lam).values())
+        valid = {
+            weighted_partition(wp)
+            for wp in elements
+            if all(label == ONE or (label[0] == "E" and 1 <= label[1] <= r) for _, label in wp)
+        }
+        if not len(elements) == len(valid) == labellings:
+            raise DegenerateBasisError(
+                f"the block of partition {lam} has {len(elements)} elements, {len(valid)} of them "
+                f"distinct labellings by 1, E1..E{r}; the Gram inverse needs all {labellings} once"
+            )
 
 
 def _dual_entry(l1: Label, l2: Label, r: int) -> Fraction:

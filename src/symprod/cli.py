@@ -29,6 +29,7 @@ from .operators import (
     verify_a1n2,
     zero_degree_table_a1n2,
 )
+from .partitions import wp_size
 from .surface import tangent_weights
 from .textforms import parse_partition, parse_wp, series_to_json
 
@@ -67,8 +68,6 @@ def _cmd_one_part_hurwitz(args) -> int:
 
 
 def _cmd_two_point(args) -> int:
-    from symprod.partitions import wp_size
-
     w = tangent_weights(args.r)
     check_n(args.n)
     left = parse_wp(args.left)

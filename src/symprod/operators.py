@@ -16,11 +16,12 @@ neither G^{-1} nor the pairing: column j of P is the coordinate vector of
 the two-point function of b_j written as a vector V_j over weighted
 partitions (invariants.two_point_column), from a factor X of one side of
 each connected piece and a factor D of two underlying partitions. Every
-value of P is (t1+t2) times a rational, and P holds that rational. The
-beta = 0 layers T_D|_{s=0} come from a ZeroDegreeTable, through the
-three-point series at the s^0 box, and propagate as gaps when absent.
-With no table no such series is built: every beta = 0 value is unknown,
-so the gaps follow the nonzero rows of G^{-1}.
+value of P is (t1+t2) times a rational, and P holds that rational for
+its nonzero cells only. The beta = 0 layers T_D|_{s=0} come from a
+ZeroDegreeTable, through the three-point series at the s^0 box, and
+propagate as gaps when absent. With no table no such series is built and
+no G^{-1} is taken: every beta = 0 value is unknown, so every entry is a
+gap. The matrix stores only the entries that hold a term.
 
 op_matrix_dumps writes the op-matrix JSON text directly from the
 OperatorMatrix. Its bytes are those of json.dumps(indent=1,
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -47,7 +49,7 @@ from .algebra import (
     is_squarefree,
     ratfunc_to_text,
 )
-from .chenruan import gram_inverse, gram_matrix
+from .chenruan import check_whole_blocks, gram_inverse, gram_matrix
 from .errors import RealnessViolationError
 from .invariants import (
     ThreePointResult,
@@ -63,6 +65,7 @@ from .partitions import (
     WeightedPartition,
     age,
     ecurve,
+    partitions_of,
     underlying,
     weighted_partition,
     wp_size,
@@ -75,7 +78,10 @@ _THETA = RatFunc2(Poly2.linear(1, 1))  # t1 + t2
 
 @dataclass
 class OperatorMatrix:
-    """Square matrix of truncated series for D * (-) in an ordered basis."""
+    """Square matrix of truncated series for D * (-) in an ordered basis.
+
+    cells holds the entries with a term, keyed (i, j), each of the matrix's
+    shape (u_order, s_orders); every other entry is zero."""
 
     n: int
     r: int
@@ -83,11 +89,12 @@ class OperatorMatrix:
     basis: tuple[WeightedPartition, ...]
     u_order: int
     s_orders: tuple[int, ...]
-    entries: list[list[TruncSeries]]
+    cells: dict[tuple[int, int], TruncSeries]
     gaps: set[tuple[int, int]] = field(default_factory=set)
 
     def entry(self, i: int, j: int) -> TruncSeries:
-        return self.entries[i][j]
+        cell = self.cells.get((i, j))
+        return TruncSeries.zero(self.u_order, self.s_orders) if cell is None else cell
 
     def size(self) -> int:
         return len(self.basis)
@@ -95,32 +102,33 @@ class OperatorMatrix:
 
 @memo
 def _two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> tuple:
-    """The Gram inverse and P = G^{-1} T_2 of a basis, shared by every divisor.
+    """P = G^{-1} T_2 of a basis, shared by every divisor, as its nonzero cells.
 
     Column j of P is the coordinate vector of two_point_column(b_j): the
     two-point scalars up to u^u_top for the chains of unit_box, where each
     s-order is cut to at most 1, so a chain E_i + ... + E_j appears at d = 1
     only and its coefficient at (a, d E_ij) is the d = 1 value times
-    d^(a-1). P[i][j] lists (a, i', j', c) for the chains i'..j' of P's
-    entry, whose value is (t1+t2) c for a nonzero Fraction c. Neither G^{-1}
-    nor the pairing enters P; the Gram inverse is for the beta = 0 layer.
+    d^(a-1). The result holds ((i, j), terms) for each nonzero cell of P,
+    where terms lists (a, i', j', c) for the chains i'..j' of the cell, whose
+    value is (t1+t2) c for a nonzero Fraction c. Neither G^{-1} nor the
+    pairing enters P; only the block check that makes G invertible runs.
     """
-    ginv = gram_inverse(basis, tangent_weights(r))
+    check_whole_blocks(basis, r)
     chains = tuple(
         (i, j) for i in range(1, r + 1) for j in range(i, r + 1) if min(unit_box[i - 1 : j])
     )
     index = {b: pos for pos, b in enumerate(basis)}
-    product = [[()] * len(basis) for _ in basis]
+    cells = []
     for j, b in enumerate(basis):
         for term, values in two_point_column(b, range(u_top + 1), chains).items():
-            # gram_inverse has checked that the basis is whole blocks, so a term
-            # outside it lies in a block the basis leaves out, which the
-            # block-diagonal pairing keeps out of G^{-1} T_2
+            # the basis is whole blocks, so a term outside it lies in a block the
+            # basis leaves out, which the block-diagonal pairing keeps out of
+            # G^{-1} T_2
             i = index.get(term)
             if i is not None:
-                product[i][j] = tuple((*key, c) for key, c in values.items())
+                cells.append(((i, j), tuple((*key, c) for key, c in values.items())))
     # every caller shares the memoised result, so hand out tuples only
-    return tuple(map(tuple, ginv)), tuple(map(tuple, product))
+    return tuple(cells)
 
 
 class _Once(dict):
@@ -157,9 +165,9 @@ def divisor_operator(
     the coefficients of the shared product P = G^{-1} T_2 by integers
     (d/du for "(2)", s_l d/ds_l for "D<l>"). With a table, the beta = 0
     part contracts the three-point series at the s^0 box, which carry the
-    table data and mark its gaps. With none, no such series is built:
-    every beta = 0 value is unknown, so entry (i, j) is a gap exactly when
-    row i of G^{-1} has a nonzero entry.
+    table data and mark its gaps. With none, no such series is built and no
+    G^{-1} is taken: every beta = 0 value is unknown, so every entry is a
+    gap. Only the entries with a term are stored.
     """
     check_n(n)
     basis = tuple(weighted_partition(wp) for wp in basis)
@@ -177,17 +185,28 @@ def divisor_operator(
     for b in basis:  # the weight rule of every pair, checked once per element
         _check_pair(b, b, r)
     size = len(basis)
-    if table is not None:
+    cells: dict[tuple[int, int], dict] = {}
+    if table is None:  # every beta = 0 value is unknown
+        gaps = set(itertools.product(range(size), repeat=2))
+    else:
         w, zeros = tangent_weights(r), (0,) * r
+        ginv = gram_inverse(basis, w)
         tzero: list[list[ThreePointResult]] = [[None] * size for _ in range(size)]
         for j in range(size):
             for a in range(j, size):
                 tzero[a][j] = tzero[j][a] = three_point_divisor_series(
                     basis[j], divisor, basis[a], u_order, zeros, w, table
                 )
-    ginv, product = _two_point_product(
-        basis, r, u_order + 1, tuple(min(1, s) for s in s_orders)
-    )
+        gaps = set()
+        for i in range(size):
+            ginv_row = [(a, c) for a, c in enumerate(ginv[i]) if not c.is_zero()]
+            for j in range(size):
+                if any(tzero[a][j].gap for a, _ in ginv_row):
+                    gaps.add((i, j))
+                cells[i, j] = TruncSeries.lincomb(
+                    ((c, tzero[a][j].series) for a, c in ginv_row), u_order, zeros
+                ).coeffs
+    product = _two_point_product(basis, r, u_order + 1, tuple(min(1, s) for s in s_orders))
     spans = {  # chain -> (d, s-exponents of d E_ij) inside the box
         (ci, cj): [(d, e_chain(ci, cj, d, r)) for d in range(1, min(s_orders[ci - 1 : cj]) + 1)]
         for ci in range(1, r + 1)
@@ -198,36 +217,20 @@ def divisor_operator(
     # coefficient
     theta_times = _Once(_THETA.__mul__)
     scaled = _Once(lambda nd: theta_times[Fraction(*nd)])
-    # every key below lies in the box and every value is nonzero, so each
+    for cell, terms in product:
+        coeffs = cells.setdefault(cell, {})
+        for a, ci, cj, c in terms:
+            num, den = c.numerator, c.denominator
+            if ell:
+                if a <= u_order and ci <= ell <= cj:
+                    for d, ds in spans[ci, cj]:
+                        coeffs[(a, ds)] = scaled[num * d**a, den]
+            elif a:
+                for d, ds in spans[ci, cj]:
+                    coeffs[(a - 1, ds)] = scaled[num * (a * d ** (a - 1)), den]
+    # every key above lies in the box and every value is nonzero, so each
     # entry takes this shape without TruncSeries re-checking its keys
     shape = TruncSeries.zero(u_order, s_orders)
-    entries = []
-    gaps: set[tuple[int, int]] = set()
-    for i in range(size):
-        ginv_row = [(a, c) for a, c in enumerate(ginv[i]) if not c.is_zero()]
-        row = []
-        for j in range(size):
-            if table is None:
-                if ginv_row:  # every beta = 0 value is unknown
-                    gaps.add((i, j))
-                coeffs = {}
-            else:
-                if any(tzero[a][j].gap for a, _ in ginv_row):
-                    gaps.add((i, j))
-                coeffs = TruncSeries.lincomb(
-                    ((c, tzero[a][j].series) for a, c in ginv_row), u_order, zeros
-                ).coeffs
-            for a, ci, cj, c in product[i][j]:
-                num, den = c.numerator, c.denominator
-                if ell:
-                    if a <= u_order and ci <= ell <= cj:
-                        for d, ds in spans[ci, cj]:
-                            coeffs[(a, ds)] = scaled[num * d**a, den]
-                elif a:
-                    for d, ds in spans[ci, cj]:
-                        coeffs[(a - 1, ds)] = scaled[num * (a * d ** (a - 1)), den]
-            row.append(shape._wrap(coeffs))
-        entries.append(row)
     return OperatorMatrix(
         n=n,
         r=r,
@@ -235,7 +238,7 @@ def divisor_operator(
         basis=basis,
         u_order=u_order,
         s_orders=s_orders,
-        entries=entries,
+        cells={cell: shape._wrap(coeffs) for cell, coeffs in cells.items() if coeffs},
         gaps=gaps,
     )
 
@@ -247,10 +250,6 @@ def divisor_operator(
 def default_divisor_basis(n: int, r: int) -> list[WeightedPartition]:
     """All weighted partitions of n with weights in {1, E_1..E_r}, ordered by
     descending orbifold degree (longer partitions first within a degree)."""
-    from itertools import combinations_with_replacement
-
-    from .partitions import partitions_of
-
     check_n(n)
     labels = [ONE] + [ecurve(i) for i in range(1, r + 1)]
     out = []
@@ -260,7 +259,7 @@ def default_divisor_basis(n: int, r: int) -> list[WeightedPartition]:
         for part in slots:
             mult = lam.count(part)
             per_part.append(
-                [list(combo) for combo in combinations_with_replacement(labels, mult)]
+                [list(combo) for combo in itertools.combinations_with_replacement(labels, mult)]
             )
 
         def assemble(level: int, acc: list):
@@ -400,15 +399,15 @@ def verify_a1n2(
     mismatches = []
     for i in range(5):
         for j in range(5):
-            diff = expected[i][j] - built.entries[i][j]
-            for a, ds, _ in diff.monomials():
+            got = built.entry(i, j)
+            for a, ds, _ in (expected[i][j] - got).monomials():
                 mismatches.append(
                     (
                         i + 1,
                         j + 1,
                         a,
                         ds,
-                        str(built.entries[i][j].coefficient(a, ds)),
+                        str(got.coefficient(a, ds)),
                         str(expected[i][j].coefficient(a, ds)),
                     )
                 )
@@ -491,7 +490,7 @@ def op_matrix_to_latex(op: OperatorMatrix) -> str:
     for i in range(op.size()):
         cells = []
         for j in range(op.size()):
-            s = str(op.entries[i][j])
+            s = str(op.entry(i, j))
             if (i, j) in op.gaps:
                 s += " + [\\text{gap}]"
             cells.append(s)
@@ -509,10 +508,9 @@ def op_matrix_to_csv(op: OperatorMatrix) -> str:
         + [f"s{k}" for k in range(1, op.r + 1)]
         + ["coefficient"]
     )
-    for i in range(op.size()):
-        for j in range(op.size()):
-            for a, ds, c in op.entries[i][j].monomials():
-                writer.writerow([i + 1, j + 1, a, *ds, str(c)])
+    for i, j in sorted(op.cells):
+        for a, ds, c in op.cells[i, j].monomials():
+            writer.writerow([i + 1, j + 1, a, *ds, str(c)])
     return buf.getvalue()
 
 
@@ -531,8 +529,8 @@ def op_matrix_dumps(op: OperatorMatrix) -> str:
     Byte-identical to json.dumps(payload, indent=1, sort_keys=True) of the
     nested dict that the tests' oracle builds: keys in sorted order, one
     space of indent per depth, strings escaped by the json module's ASCII
-    escaper and integers by %d. Each entry's truncation orders come from its
-    own series, through one entry template per distinct (u_order, s_orders).
+    escaper and integers by %d. Every entry takes the matrix's truncation
+    orders, through one entry template, and an absent cell has no terms.
     Each distinct coefficient value, s-exponent tuple and term is formatted
     once; an entry's own text is one % format, and so is a gap's.
     """
@@ -542,24 +540,20 @@ def op_matrix_dumps(op: OperatorMatrix) -> str:
         lambda term: '{\n     "coeff": %s,\n     "s": %s,\n     "u": %d\n    }'
         % (texts[term[1]], s_texts[term[0][1]], term[0][0])
     )
-    templates = _Once(
-        lambda shape: '{\n   "col": %%d,\n   "row": %%d,\n   "s_orders": %s,\n   "terms": %%s,'
-        '\n   "u_order": %d\n  }' % (_json_list(["%d" % d for d in shape[1]], 3), shape[0])
+    template = (
+        '{\n   "col": %%d,\n   "row": %%d,\n   "s_orders": %s,\n   "terms": %%s,'
+        '\n   "u_order": %d\n  }' % (_json_list(["%d" % d for d in op.s_orders], 3), op.u_order)
     )
-    size = op.size()
+    size, cells = op.size(), op.cells
     entries = []
     for i in range(size):
         for j in range(size):
-            series = op.entries[i][j]
-            coeffs = series.coeffs
-            terms = (
-                _json_list([term_texts[key, coeffs[key]] for key in sorted(coeffs)], 3)
-                if coeffs
-                else "[]"
-            )
-            entries.append(
-                templates[series.u_order, series.s_orders] % (j + 1, i + 1, terms)
-            )
+            cell = cells.get((i, j))
+            terms = "[]"
+            if cell is not None:
+                coeffs = cell.coeffs
+                terms = _json_list([term_texts[key, coeffs[key]] for key in sorted(coeffs)], 3)
+            entries.append(template % (j + 1, i + 1, terms))
     gaps = ["[\n   %d,\n   %d\n  ]" % (i + 1, j + 1) for i, j in sorted(op.gaps)]
     return (
         '{\n "basis": %s,\n "divisor": %s,\n "entries": %s,\n "gaps": %s,'

@@ -607,11 +607,10 @@ def reference_divisor_operator(
             tmat[a][j] = res
             if a != j:
                 tmat[j][a] = res
-    entries = []
+    cells = {}
     gaps: set[tuple[int, int]] = set()
     zero = TruncSeries.zero(u_order, s_orders)
     for i in range(size):
-        row = []
         for j in range(size):
             acc = zero
             for a in range(size):
@@ -621,8 +620,8 @@ def reference_divisor_operator(
                 acc = acc + tmat[a][j].series.scale(c)
                 if tmat[a][j].gap:
                     gaps.add((i, j))
-            row.append(acc)
-        entries.append(row)
+            if acc.coeffs:
+                cells[i, j] = acc
     return OperatorMatrix(
         n=n,
         r=r,
@@ -630,7 +629,7 @@ def reference_divisor_operator(
         basis=basis,
         u_order=u_order,
         s_orders=s_orders,
-        entries=entries,
+        cells=cells,
         gaps=gaps,
     )
 
@@ -863,7 +862,7 @@ def op_matrix_to_json(op: OperatorMatrix) -> dict:
         "u_order": op.u_order,
         "s_orders": list(op.s_orders),
         "entries": [
-            {"row": i + 1, "col": j + 1, **series_to_json(op.entries[i][j])}
+            {"row": i + 1, "col": j + 1, **series_to_json(op.entry(i, j))}
             for i in range(op.size())
             for j in range(op.size())
         ],
@@ -885,23 +884,19 @@ def series_from_json(payload: dict) -> TruncSeries:
 
 
 def op_matrix_from_json(payload: dict) -> OperatorMatrix:
-    basis = tuple(parse_wp(b) for b in payload["basis"])
-    size = len(basis)
-    u_order = payload["u_order"]
-    s_orders = tuple(payload["s_orders"])
-    entries = [
-        [TruncSeries.zero(u_order, s_orders) for _ in range(size)] for _ in range(size)
-    ]
+    cells = {}
     for item in payload["entries"]:
-        entries[item["row"] - 1][item["col"] - 1] = series_from_json(item)
+        series = series_from_json(item)
+        if series.coeffs:
+            cells[item["row"] - 1, item["col"] - 1] = series
     return OperatorMatrix(
         n=payload["n"],
         r=payload["r"],
         divisor=payload["divisor"],
-        basis=basis,
-        u_order=u_order,
-        s_orders=s_orders,
-        entries=entries,
+        basis=tuple(parse_wp(b) for b in payload["basis"]),
+        u_order=payload["u_order"],
+        s_orders=tuple(payload["s_orders"]),
+        cells=cells,
         gaps={(i - 1, j - 1) for i, j in payload["gaps"]},
     )
 

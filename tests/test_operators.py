@@ -39,7 +39,8 @@ from symprod.operators import (
     verify_a1n2,
     zero_degree_table_a1n2,
 )
-from symprod.errors import MalformedInputError, UnsupportedWeightError
+from symprod.chenruan import gram_inverse
+from symprod.errors import DegenerateBasisError, MalformedInputError, UnsupportedWeightError
 from symprod.invariants import ZeroDegreeTable
 from symprod.partitions import ONE, ecurve, fixedpt, underlying, weighted_partition
 from symprod.surface import e_chain, tangent_weights
@@ -242,7 +243,7 @@ def test_matrix_json_roundtrip():
     payload = op_matrix_to_json(op)
     back = op_matrix_from_json(payload)
     assert back.basis == op.basis
-    assert back.entries == op.entries
+    assert back.cells == op.cells
     assert back.gaps == op.gaps
     assert op_matrix_to_json(back) == payload
 
@@ -309,7 +310,7 @@ _ESCAPED_DIVISOR = 'D"\\\u00e9'  # a quote, a backslash and a non-ASCII characte
 @st.composite
 def _op_matrices(draw):
     """OperatorMatrix values built directly: any basis prefix, random rational
-    entries (some empty, some of another shape) and any gap set."""
+    entries of the matrix's shape (some cells absent) and any gap set."""
     n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     full = default_divisor_basis(n, r)
     basis = tuple(draw(st.permutations(full))[: draw(st.integers(1, min(6, len(full))))])
@@ -317,28 +318,23 @@ def _op_matrices(draw):
     s_orders = tuple(draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)))
     rng = random.Random(draw(st.integers(0, 2**16)))
     cells = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
-    entries = [[None] * len(basis) for _ in basis]
-    for i, j in cells:
-        kind = rng.choice(["empty", "series", "series", "series", "other shape"])
-        if kind == "empty":
-            entries[i][j] = TruncSeries.zero(u_order, s_orders)
-        elif kind == "series":
-            entries[i][j] = random_series(rng, u_order, s_orders, ratfunc=True)
-        else:
-            shape = (rng.randint(0, 2), tuple(rng.randint(0, 2) for _ in range(r)))
-            entries[i][j] = random_series(rng, *shape, ratfunc=True)
+    stored = {}
+    for cell in cells:
+        if rng.choice(["empty", "series", "series", "series"]) == "series":
+            series = random_series(rng, u_order, s_orders, ratfunc=True)
+            if series.coeffs:
+                stored[cell] = series
     share = draw(st.sampled_from([0.0, 0.3, 1.0]))  # no gaps, some or all
     gaps = {cell for cell in cells if rng.random() < share}
     divisor = draw(st.sampled_from(["(2)", "D1", _ESCAPED_DIVISOR]))
-    return OperatorMatrix(n, r, divisor, basis, u_order, s_orders, entries, gaps)
+    return OperatorMatrix(n, r, divisor, basis, u_order, s_orders, stored, gaps)
 
 
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(_op_matrices())
 @example(
     OperatorMatrix(
-        1, 1, _ESCAPED_DIVISOR, tuple(default_divisor_basis(1, 1)[:1]), 0, (0,),
-        [[TruncSeries.zero(0, (0,))]], {(0, 0)},
+        1, 1, _ESCAPED_DIVISOR, tuple(default_divisor_basis(1, 1)[:1]), 0, (0,), {}, {(0, 0)},
     )
 )
 def test_op_matrix_dumps_matches_reference(op):
@@ -425,8 +421,16 @@ def test_divisor_operator_matches_per_pair_reference(case):
     got = divisor_operator(n, r, divisor, basis, u_order, s_orders, table)
     want = reference_divisor_operator(n, r, divisor, basis, u_order, s_orders, table)
     assert got.basis == want.basis
-    assert got.entries == want.entries
+    assert got.cells == want.cells
     assert got.gaps == want.gaps
+    # only the entries with a term are stored, each of the matrix's shape
+    zero = TruncSeries.zero(u_order, s_orders)
+    for series in got.cells.values():
+        assert series.coeffs and series.shape() == zero.shape()
+    for i in range(len(basis)):
+        for j in range(len(basis)):
+            if (i, j) not in got.cells:
+                assert got.entry(i, j) == zero
 
 
 def test_two_point_product_is_shared_by_every_divisor(monkeypatch):
@@ -449,12 +453,29 @@ def test_two_point_product_is_shared_by_every_divisor(monkeypatch):
     symprod.clear_caches()
     basis = default_divisor_basis(2, 3)
     assert len(basis) == 14  # one column of P per basis element
+    # with no table every entry is a gap, so no G^{-1} is taken
     for divisor in ("(2)", "D1", "D2", "D3"):
         divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
-    assert counts == {"gram_inverse": 1, "two_point_column": 14}
+    assert counts == {"gram_inverse": 0, "two_point_column": 14}
     symprod.clear_caches()
     divisor_operator(2, 3, "D2", basis, 4, (3, 3, 3))
-    assert counts == {"gram_inverse": 2, "two_point_column": 28}
+    assert counts == {"gram_inverse": 0, "two_point_column": 28}
+    # with a table, G^{-1} contracts the beta = 0 layer: one per operator
+    symprod.clear_caches()
+    basis, table = default_divisor_basis(2, 1), zero_degree_table_a1n2()
+    for divisor in ("(2)", "D1"):
+        divisor_operator(2, 1, divisor, basis, 4, (3,), table)
+    assert counts == {"gram_inverse": 2, "two_point_column": 33}
+
+
+@pytest.mark.parametrize("table", [None, ZeroDegreeTable()], ids=["no-table", "table"])
+def test_divisor_operator_rejects_a_partial_block(table):
+    basis = default_divisor_basis(2, 1)
+    partial = basis[:2] + basis[3:]
+    with pytest.raises(DegenerateBasisError) as want:
+        gram_inverse(partial, tangent_weights(1))
+    with pytest.raises(DegenerateBasisError, match=f"^{re.escape(str(want.value))}$"):
+        divisor_operator(2, 1, "D1", partial, 2, (2,), table)
 
 
 @pytest.mark.parametrize("n, r, with_table", [(3, 2, False), (2, 1, True)])
@@ -465,7 +486,7 @@ def test_divisor_operator_makes_no_pairing_call(monkeypatch, n, r, with_table):
     table = zero_degree_table_a1n2() if with_table else None
     want = [
         reference_divisor_operator(n, r, f"D{ell}" if ell else "(2)", default_divisor_basis(n, r),
-                                   2, (2,) * r, table).entries
+                                   2, (2,) * r, table).cells
         for ell in range(r + 1)
     ]
 
@@ -477,7 +498,7 @@ def test_divisor_operator_makes_no_pairing_call(monkeypatch, n, r, with_table):
     for ell in range(r + 1):
         divisor = f"D{ell}" if ell else "(2)"
         op = divisor_operator(n, r, divisor, default_divisor_basis(n, r), 2, (2,) * r, table)
-        assert op.entries == want[ell]
+        assert op.cells == want[ell]
 
 
 @pytest.mark.parametrize("n, r", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
@@ -485,9 +506,9 @@ def test_two_point_product_values_are_theta_times_rationals(n, r):
     import symprod.operators as operators
 
     basis = tuple(default_divisor_basis(n, r))
-    _, product = operators._two_point_product(basis, r, 3, (1,) * r)
-    values = [c for row in product for entry in row for *_, c in entry]
-    assert values  # the box holds nonzero entries
+    product = dict(operators._two_point_product(basis, r, 3, (1,) * r))
+    assert product and all(product.values())  # only the nonzero cells are held
+    values = [c for entry in product.values() for *_, c in entry]
     for c in values:
         assert isinstance(c, Fraction) and c
     # every beta != 0 coefficient of M_D is (t1+t2) c m for its value c of P
@@ -496,10 +517,10 @@ def test_two_point_product_values_are_theta_times_rationals(n, r):
     for ell in range(r + 1):
         divisor = f"D{ell}" if ell else "(2)"
         op = divisor_operator(n, r, divisor, basis, u_order, s_orders)
-        for i, row in enumerate(product):
-            for j, entry in enumerate(row):
+        for i in range(len(basis)):
+            for j in range(len(basis)):
                 want = {}
-                for a, ci, cj, c in entry:
+                for a, ci, cj, c in product.get((i, j), ()):
                     for d in range(1, 3):
                         ds = e_chain(ci, cj, d, r)
                         if ell and a <= u_order and ci <= ell <= cj:
@@ -522,13 +543,16 @@ def test_two_point_product_matches_fraction_contraction(n, r, unit_box):
     import symprod.operators as operators
 
     basis = tuple(default_divisor_basis(n, r))
-    _, product = operators._two_point_product(basis, r, 3, unit_box)
+    product = dict(operators._two_point_product(basis, r, 3, unit_box))
     want = reference_two_point_product(basis, r, 3, unit_box)
     assert any(want_entry for want_row in want for want_entry in want_row)
-    for row, want_row in zip(product, want, strict=True):
-        for entry, want_entry in zip(row, want_row, strict=True):
+    assert len(want) == len(basis)
+    for i, want_row in enumerate(want):
+        for j, want_entry in enumerate(want_row):
+            entry = product.pop((i, j), ())
             got = {(a, ci, cj): RatFunc2(THETA.scale(c)) for a, ci, cj, c in entry}
             assert got == {(a, ci, cj): v for a, ci, cj, v in want_entry}
+    assert not product  # no cell outside the basis
 
 
 def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
@@ -552,7 +576,7 @@ def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
     for divisor in ("(2)", "D1", "D2", "D3"):
         built.clear()
         op = divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
-        series = [s for row in op.entries for s in row]
+        series = list(op.cells.values())
         # the entries skip TruncSeries' key checks, which would change nothing
         assert all(TruncSeries(s.u_order, s.s_orders, s.coeffs).coeffs == s.coeffs for s in series)
         coeffs = [s.coeffs for s in series]
@@ -575,7 +599,7 @@ def test_op_matrix_dumps_formats_lists_once_per_distinct_text(monkeypatch):
     monkeypatch.setattr(operators, "_json_list", counted)
     op = divisor_operator(4, 1, "D1", default_divisor_basis(4, 1), 4, (4,))
     text = op_matrix_dumps(op)
-    series = [s for row in op.entries for s in row]
+    series = [op.entry(i, j) for i in range(op.size()) for j in range(op.size())]
     nonempty = sum(1 for s in series if s.coeffs)
     s_exponents = {key[1] for s in series for key in s.coeffs}
     shapes = {(s.u_order, s.s_orders) for s in series}
