@@ -62,11 +62,11 @@ class GaussRational:
 
     @_coerced
     def __sub__(self, other: GaussRational) -> GaussRational:
-        return self + (-other)
+        return GaussRational(self.re - other.re, self.im - other.im)
 
     @_coerced
     def __rsub__(self, other: GaussRational) -> GaussRational:
-        return other + (-self)
+        return GaussRational(other.re - self.re, other.im - self.im)
 
     @_coerced
     def __mul__(self, other: GaussRational) -> GaussRational:

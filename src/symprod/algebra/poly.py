@@ -181,7 +181,17 @@ class Poly2:
         return p
 
     def __sub__(self, other: Poly2) -> Poly2:
-        return self + (-other)
+        out = dict(self.terms)
+        for mono, c in other.terms.items():
+            s = out.get(mono, _ZERO) - c
+            if s:
+                out[mono] = s
+            else:
+                out.pop(mono, None)
+        p = Poly2.__new__(Poly2)
+        p.terms = out
+        p._hash = None
+        return p
 
     def __mul__(self, other) -> Poly2:
         if isinstance(other, (int, Fraction)):

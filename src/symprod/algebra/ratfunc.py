@@ -16,9 +16,10 @@ bivariate gcd). A constant factor (int, Fraction or constant RatFunc2, on
 either side) scales the numerator and keeps the denominator: a nonzero
 rational keeps gcd(num, den) = 1 and leaves the primitive, positive-leading
 denominator as it is, so no gcd is run. Addends over one denominator add
-their numerators over it, then canonicalise: the sum may share a factor
-with that denominator, unless the denominator is 1 (the only canonical
-constant denominator), where the sum is canonical and no gcd is run.
+(or subtract) their numerators over it, then canonicalise: the sum may
+share a factor with that denominator, unless the denominator is 1 (the
+only canonical constant denominator), where the sum is canonical and no
+gcd is run.
 A constant factor of 1 returns the value itself. Negation negates the
 numerator's coefficients and keeps the denominator: the negative of a
 canonical value is canonical, and no Fraction product is run.
@@ -102,10 +103,7 @@ class RatFunc2:
     def __add__(self, other) -> RatFunc2:
         other = RatFunc2.lift(other)
         if self.den == other.den:
-            num = self.num + other.num
-            if self.den.is_const():  # den is 1: the sum is canonical as it stands
-                return _RF_ZERO if num.is_zero() else _canonical(num, self.den)
-            return RatFunc2(num, self.den)
+            return _over(self.num + other.num, self.den)
         return RatFunc2(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -114,10 +112,13 @@ class RatFunc2:
         return _canonical(-self.num, self.den)
 
     def __sub__(self, other) -> RatFunc2:
-        return self + (-RatFunc2.lift(other))
+        other = RatFunc2.lift(other)
+        if self.den == other.den:
+            return _over(self.num - other.num, self.den)
+        return RatFunc2(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other) -> RatFunc2:
-        return RatFunc2.lift(other) + (-self)
+        return RatFunc2.lift(other) - self
 
     def __mul__(self, other) -> RatFunc2:
         if isinstance(other, (int, Fraction)):
@@ -176,6 +177,14 @@ def _canonical(num: Poly2, den: Poly2) -> RatFunc2:
     out = object.__new__(RatFunc2)
     out.num, out.den, out._hash = num, den, None
     return out
+
+
+def _over(num: Poly2, den: Poly2) -> RatFunc2:
+    """num / den for a canonical denominator den: the sum or difference of two
+    numerators over it, which may share a factor with den unless den is 1."""
+    if den.is_const():  # den is 1: the value is canonical as it stands
+        return _RF_ZERO if num.is_zero() else _canonical(num, den)
+    return RatFunc2(num, den)
 
 
 _RF_ZERO = RatFunc2(Poly2.zero())

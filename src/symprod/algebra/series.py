@@ -225,10 +225,20 @@ class TruncSeries:
         return self._wrap({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other) -> TruncSeries:
-        return self + (-other)
+        other = self._lift(other)
+        self._check_shape(other)
+        out = dict(self.coeffs)
+        for key, c in other.coeffs.items():
+            s = out.get(key)
+            s = -c if s is None else s - c
+            if s.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return self._wrap(out)
 
     def __rsub__(self, other) -> TruncSeries:
-        return -self + other
+        return TruncSeries.__sub__(self._lift(other), self)
 
     def __mul__(self, other) -> TruncSeries:
         if isinstance(other, (int, Fraction)):

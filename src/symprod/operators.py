@@ -49,6 +49,7 @@ from .algebra import (
     is_squarefree,
     ratfunc_to_text,
 )
+from .algebra.ratfunc import _canonical
 from .chenruan import check_whole_blocks, gram_inverse, gram_matrix
 from .errors import RealnessViolationError
 from .invariants import (
@@ -73,7 +74,13 @@ from .partitions import (
 from .surface import check_label, e_chain, tangent_weights
 from .textforms import wp_to_text
 
-_THETA = RatFunc2(Poly2.linear(1, 1))  # t1 + t2
+
+def _theta_times(c: Fraction) -> RatFunc2:
+    """(t1+t2) c for a nonzero Fraction c, built as its canonical form: the
+    polynomial c t1 + c t2 over 1, with no product run."""
+    num = Poly2.__new__(Poly2)
+    num.terms, num._hash = {(1, 0): c, (0, 1): c}, None
+    return _canonical(num, Poly2.one())
 
 
 @dataclass
@@ -215,7 +222,7 @@ def divisor_operator(
     # (t1+t2) c m, built once per distinct rational c m; looked up by
     # (numerator of c times m, denominator of c), so no Fraction is made per
     # coefficient
-    theta_times = _Once(_THETA.__mul__)
+    theta_times = _Once(_theta_times)
     scaled = _Once(lambda nd: theta_times[Fraction(*nd)])
     for cell, terms in product:
         coeffs = cells.setdefault(cell, {})
@@ -321,20 +328,25 @@ def zero_degree_table_a1n2() -> ZeroDegreeTable:
     through the exact Gram matrix gives the beta = 0 three-point values
     T = G * M|_{s=0}, which is all the table has to hold.
     """
+    return _table_from_expansion(expand_q_closed_form(closed_form_matrix_a1n2, 2, (0,)))
+
+
+def _table_from_expansion(m) -> ZeroDegreeTable:
+    """The degree-zero table from the s^0 layer of an expansion m of
+    closed_form_matrix_a1n2 at any box with r = 1.
+
+    Raises RuntimeError when that layer has a u-dependent term.
+    """
     basis = default_divisor_basis(2, 1)
-    w = tangent_weights(1)
-    gram = gram_matrix(basis, w)
-    m0 = expand_q_closed_form(closed_form_matrix_a1n2, 2, (0,))
+    gram = gram_matrix(basis, tangent_weights(1))
     size = len(basis)
     consts: list[list[RatFunc2]] = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
-            series = m0[i][j]
-            for a, ds, _ in series.monomials():
-                if a != 0:
-                    raise RuntimeError("s=0 layer of the benchmark matrix "
-                                       "should be u-independent")
-            consts[i][j] = series.coefficient(0, (0,))
+            coeffs = m[i][j].coeffs
+            if any(a and not ds[0] for a, ds in coeffs):
+                raise RuntimeError("s=0 layer of the benchmark matrix should be u-independent")
+            consts[i][j] = coeffs.get((0, (0,)), RatFunc2.zero())
     table = ZeroDegreeTable()
     for a in range(size):
         for j in range(size):
@@ -389,17 +401,21 @@ def verify_a1n2(
     """Check the computed n=2, r=1 divisor operator against the closed forms.
 
     Every beta != 0 coefficient is computed independently of the table;
-    with the degree-zero table loaded the full matrices must agree.
+    with the degree-zero table loaded the full matrices must agree. With no
+    table, the built-in one is read off the s^0 layer of the one expansion
+    of the closed form that the comparison uses.
     """
     basis = default_divisor_basis(2, 1)
     expected = expand_q_closed_form(closed_form_matrix_a1n2, u_order, (s_order,))
     if table is None:
-        table = zero_degree_table_a1n2()
+        table = _table_from_expansion(expected)
     built = divisor_operator(2, 1, "D1", basis, u_order, (s_order,), table=table)
     mismatches = []
     for i in range(5):
         for j in range(5):
             got = built.entry(i, j)
+            if got == expected[i][j]:  # canonical coefficients: equality is structural
+                continue
             for a, ds, _ in (expected[i][j] - got).monomials():
                 mismatches.append(
                     (

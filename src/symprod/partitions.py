@@ -17,6 +17,8 @@ from collections import Counter
 from itertools import product
 from math import factorial
 
+from .memo import memo
+
 Partition = tuple[int, ...]
 Label = tuple
 WeightedPair = tuple[int, Label]
@@ -58,7 +60,8 @@ def partition(parts) -> Partition:
     return ps
 
 
-def partitions_of(n: int) -> list[Partition]:
+@memo
+def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in a fixed deterministic order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -74,7 +77,7 @@ def partitions_of(n: int) -> list[Partition]:
             acc.pop()
 
     rec(n, n, [])
-    return out
+    return tuple(out)  # shared by every caller of the memo
 
 
 def aut_order(lam: Partition) -> int:

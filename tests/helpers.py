@@ -10,7 +10,14 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, prod
 
-from symprod.algebra import GaussRational, Poly2, RatFunc2, TruncSeries, ratfunc_from_text
+from symprod.algebra import (
+    GaussRational,
+    Poly2,
+    RatFunc2,
+    TruncSeries,
+    expand_q_closed_form,
+    ratfunc_from_text,
+)
 from symprod.algebra.poly import _u_add, _u_divmod, _u_gcd, _u_mul
 from symprod.chenruan import CRClass, _integral, expand, gram_inverse, gram_matrix, pairing
 from symprod.errors import DegenerateBasisError, OutOfScopeError
@@ -22,7 +29,13 @@ from symprod.invariants import (
     _labellings,
     three_point_divisor_series,
 )
-from symprod.operators import OperatorMatrix, VerifyReport
+from symprod.operators import (
+    OperatorMatrix,
+    VerifyReport,
+    closed_form_matrix_a1n2,
+    default_divisor_basis,
+    divisor_operator,
+)
 from symprod.partitions import (
     ONE,
     WeightedPartition,
@@ -779,6 +792,11 @@ def reference_series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     return TruncSeries(a.u_order, a.s_orders, out)
 
 
+def reference_sub(a, b):
+    """a - b as a plus the negation of b, for any operands of the algebra types."""
+    return a + (-b)
+
+
 def reference_lincomb(pairs, u_order: int, s_orders) -> TruncSeries:
     """sum c * s over (c, s) pairs, one scaled series added at a time."""
     acc = TruncSeries.zero(u_order, s_orders)
@@ -847,6 +865,24 @@ def ratfunc_subs_t2_minus_t1(f: RatFunc2) -> tuple[list[Fraction], list[Fraction
 def nonzero_degree_ok(report: VerifyReport) -> bool:
     """No verify mismatch at a nonzero s-degree, the beta != 0 layers."""
     return not [m for m in report.mismatches if any(m[3])]
+
+
+def diff_every_entry_report(u_order: int, s_order: int, table) -> VerifyReport:
+    """verify_a1n2's report with every one of the 25 entries diffed monomial by
+    monomial, equal or not, against its own expansion of the closed form."""
+    basis = default_divisor_basis(2, 1)
+    expected = expand_q_closed_form(closed_form_matrix_a1n2, u_order, (s_order,))
+    built = divisor_operator(2, 1, "D1", basis, u_order, (s_order,), table=table)
+    mismatches = []
+    for i in range(5):
+        for j in range(5):
+            got = built.entry(i, j)
+            for a, ds, _ in (expected[i][j] - got).monomials():
+                mismatches.append((
+                    i + 1, j + 1, a, ds,
+                    str(got.coefficient(a, ds)), str(expected[i][j].coefficient(a, ds)),
+                ))
+    return VerifyReport(u_order, s_order, 25, mismatches, set(built.gaps))
 
 
 # ---------------------------------------------------------------------------

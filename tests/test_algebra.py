@@ -23,6 +23,7 @@ from helpers import (
     reference_poly2_to_text,
     reference_series_inverse,
     reference_series_mul,
+    reference_sub,
 )
 from symprod.algebra import (
     GaussRational,
@@ -671,6 +672,126 @@ def test_series_lincomb_checks_shapes():
     assert TruncSeries.lincomb([(RatFunc2.const(2), one)], *_SHAPE) == one.scale(2)
     with pytest.raises(ShapeError):
         TruncSeries.lincomb([(RatFunc2.one(), TruncSeries.one(2, (1,)))], *_SHAPE)
+
+
+# ---------------------------------------------------------------------------
+# subtraction merges both operands in one pass; the oracle adds the negation
+# ---------------------------------------------------------------------------
+
+def _same_poly(got, want):
+    assert isinstance(got, Poly2)
+    assert got.terms == want.terms
+    assert all(got.terms.values())  # no zero coefficient is stored
+
+
+@_DIFF_SETTINGS
+@given(_polys, _polys)
+def test_poly2_sub_matches_negated_sum(a, b):
+    _same_poly(a - b, reference_sub(a, b))
+    _same_poly(b - a, reference_sub(b, a))
+    _same_poly(a - a, Poly2.zero())
+    _same_poly((a + b) - b, a)
+
+
+def _negated_second(pair):
+    return pair[0], -pair[1]
+
+
+@_DIFF_SETTINGS
+@given(st.one_of(
+    st.tuples(_polys.map(RatFunc2), _polys.map(RatFunc2)),  # both over 1
+    _equal_den_pairs(),  # over one non-constant denominator
+    _equal_den_pairs().map(_negated_second),  # and a difference that cancels or vanishes
+    st.tuples(_ratfuncs, _ratfuncs),  # mostly over different denominators
+))
+def test_ratfunc_sub_matches_negated_sum(pair):
+    a, b = pair
+    _same_canonical(a - b, reference_sub(a, b))
+    _same_canonical(b - a, reference_sub(b, a))
+    _same_canonical(a - a, RatFunc2.zero())
+
+
+@_DIFF_SETTINGS
+@given(_ratfuncs, _constants)
+def test_ratfunc_sub_constant_matches_negated_sum(a, c):
+    _same_canonical(a - c, reference_sub(a, c))
+    _same_canonical(c - a, reference_sub(c, a))
+
+
+_series_scalars = st.one_of(st.integers(-3, 3), _series_fractions)
+
+
+@_SERIES_SETTINGS
+@given(st.one_of(_series_operands(), _shaped_series_operands()), _series_scalars)
+def test_series_sub_matches_negated_sum(operands, c):
+    a, b = operands
+    for x, y in ((a, b), (b, a), (a, c), (c, a), (b, Fraction(c)), (Fraction(c), b)):
+        _same_series(x - y, reference_sub(x, y))
+    # exact cancellation leaves no key
+    assert (a - a).coeffs == {}
+    _same_series((a + b) - b, a)
+    _same_series(c - (c - a), a)
+
+
+def test_series_sub_checks_shapes():
+    a, b = TruncSeries.one(2, (1,)), TruncSeries.one(2, (2,))
+    for x, y in ((a, b), (b, a), (1 - a, b), (a, Fraction(1, 2) - b)):
+        with pytest.raises(ShapeError):
+            x - y
+
+
+_gauss_parts = st.one_of(
+    _series_fractions, _coeff_dicts(_SHAPE).map(lambda d: TruncSeries(*_SHAPE, d))
+)
+_gaussians = st.builds(GaussRational, _gauss_parts, _gauss_parts)
+
+
+def _same_gaussian(got, want):
+    assert isinstance(got, GaussRational)
+    for g, w in ((got.re, want.re), (got.im, want.im)):
+        assert type(g) is type(w)
+        if isinstance(g, TruncSeries):
+            _same_series(g, w)
+        else:
+            assert g == w
+
+
+@_SERIES_SETTINGS
+@given(_gaussians, _gaussians, _series_fractions)
+def test_gaussian_sub_matches_negated_sum(z, w, c):
+    for x, y in ((z, w), (w, z), (1, z), (z, 1), (c, z), (z, c)):
+        _same_gaussian(x - y, reference_sub(x, y))
+    assert (z - z).is_zero()
+
+
+def test_subtraction_builds_no_negated_copy(monkeypatch):
+    p, q, d = T1P * T1P - T2P.scale(Fraction(1, 3)), T1P * T2P + T2P * T2P, T1P - T2P
+    rationals = [(p, q), (RatFunc2(p), RatFunc2(q)), (RatFunc2(p, d), RatFunc2(q, d)),
+                 (RatFunc2(p, d), RatFunc2(q, T1P)), (RatFunc2(p, d), 2), (2, RatFunc2(p, d))]
+    a = TruncSeries(2, (1,), {(0, (0,)): RatFunc2(p), (1, (1,)): RatFunc2(q, d)})
+    b = TruncSeries(2, (1,), {(1, (1,)): RatFunc2(p), (2, (0,)): RatFunc2(q), (0, (1,)): RatFunc2(d)})
+    z, w = GaussRational(a, b), GaussRational(b, 1)
+    series = [(a, b), (b, a), (1, a), (a, Fraction(1, 2)), (z, w), (1, z), (z, 3)]
+    want = [reference_sub(x, y) for x, y in rationals + series]
+
+    def forbidden(self):
+        raise AssertionError(f"negated copy of a {type(self).__name__} in a subtraction")
+
+    negated, rf_neg = [], RatFunc2.__neg__
+    for cls in (Poly2, RatFunc2, TruncSeries, GaussRational):
+        monkeypatch.setattr(cls, "__neg__", forbidden)
+    got = [x - y for x, y in rationals]
+    # a series key that only the subtrahend holds negates that one coefficient
+    monkeypatch.undo()
+    for cls in (TruncSeries, GaussRational):
+        monkeypatch.setattr(cls, "__neg__", forbidden)
+    monkeypatch.setattr(RatFunc2, "__neg__", lambda self: negated.append(self) or rf_neg(self))
+    got.append(a - b)
+    assert negated == [b.coeffs[k] for k in b.coeffs if k not in a.coeffs]
+    got += [x - y for x, y in series[1:]]
+    monkeypatch.undo()
+    for g, w in zip(got, want):
+        assert g == w
 
 
 @st.composite

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    diff_every_entry_report,
     nonzero_degree_ok,
     op_matrix_from_json,
     op_matrix_to_json,
@@ -121,6 +122,7 @@ def test_verify_detects_corrupted_table():
     bad_entries = {(m[0], m[1]) for m in report.mismatches}
     assert bad_entries == {(2, 2)}
     assert report.entries_matched == 24
+    _same_report(report, diff_every_entry_report(1, 2, table))
 
 
 def test_verify_offdiagonal_corruption_hits_symmetric_pair():
@@ -134,6 +136,67 @@ def test_verify_offdiagonal_corruption_hits_symmetric_pair():
     report = verify_a1n2(1, 2, table)
     bad_entries = {(m[0], m[1]) for m in report.mismatches}
     assert bad_entries == {(2, 4), (4, 2)}
+    _same_report(report, diff_every_entry_report(1, 2, table))
+
+
+def test_verify_report_with_many_mismatches_is_unchanged():
+    # u-dependent terms in every stored value: several monomials per entry,
+    # and more mismatches than the summary lists
+    table = zero_degree_table_a1n2()
+    for (left, divisor, right), pairs in list(table.entries.items()):
+        (a0, val), = pairs
+        table.set(left, divisor, right, [(a0, val), (1, val + 1), (3, RatFunc2.const(2))])
+    report = verify_a1n2(3, 2, table)
+    assert len({(m[0], m[1]) for m in report.mismatches}) > 1
+    assert len(report.mismatches) > 20 and "more mismatches" in report.summary()
+    _same_report(report, diff_every_entry_report(3, 2, table))
+
+
+def _same_report(report, want):
+    """The equality shortcut changes no byte of a report: the same mismatch
+    list, in the same order, and the same summary text."""
+    assert report.mismatches == want.mismatches
+    assert report.summary() == want.summary()
+    assert report.gaps == want.gaps
+
+
+def test_verify_expands_the_closed_form_once(monkeypatch):
+    import symprod.operators as operators
+
+    expand, calls = operators.expand_q_closed_form, []
+
+    def counted(form, u_order, s_orders):
+        calls.append((u_order, tuple(s_orders)))
+        return expand(form, u_order, s_orders)
+
+    table = zero_degree_table_a1n2()
+    monkeypatch.setattr(operators, "expand_q_closed_form", counted)
+    # with no table, the built-in one comes from the comparison's own expansion
+    assert verify_a1n2(3, 2).full_ok
+    assert calls == [(3, (2,))]
+    calls.clear()
+    assert verify_a1n2(3, 2, table).full_ok
+    assert calls == [(3, (2,))]
+
+
+@pytest.mark.parametrize("u_order, s_order", [(0, 0), (2, 0), (3, 2), (12, 12)])
+def test_table_from_expansion_matches_built_in_table(u_order, s_order):
+    from symprod.operators import _table_from_expansion
+
+    m = expand_q_closed_form(closed_form_matrix_a1n2, u_order, (s_order,))
+    assert _table_from_expansion(m).entries == zero_degree_table_a1n2().entries
+
+
+def test_table_from_expansion_rejects_a_u_dependent_s0_layer():
+    from symprod.operators import _table_from_expansion
+
+    m = expand_q_closed_form(closed_form_matrix_a1n2, 2, (1,))
+    # a u s term is beta != 0 data and leaves the table as it is
+    m[0][0] = m[0][0] + TruncSeries.monomial(1, (1,), 1, 2, (1,))
+    assert _table_from_expansion(m).entries == zero_degree_table_a1n2().entries
+    m[0][0] = m[0][0] + TruncSeries.monomial(1, (0,), 1, 2, (1,))
+    with pytest.raises(RuntimeError, match="should be u-independent"):
+        _table_from_expansion(m)
 
 
 def test_verify_missing_entry_reports_gap():
@@ -558,19 +621,19 @@ def test_two_point_product_matches_fraction_contraction(n, r, unit_box):
 def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
     import symprod.operators as operators
 
-    theta, to_text = operators._THETA, operators.ratfunc_to_text
+    theta_times, to_text = operators._theta_times, operators.ratfunc_to_text
     built, formatted = [], []
 
-    class CountedTheta:
-        def __mul__(self, x):
-            built.append(x)
-            return theta * x
+    def counted_theta_times(c):
+        value = theta_times(c)
+        built.append((c, value))
+        return value
 
     def counted_to_text(f):
         formatted.append(f)
         return to_text(f)
 
-    monkeypatch.setattr(operators, "_THETA", CountedTheta())
+    monkeypatch.setattr(operators, "_theta_times", counted_theta_times)
     monkeypatch.setattr(operators, "ratfunc_to_text", counted_to_text)
     basis = default_divisor_basis(2, 3)
     for divisor in ("(2)", "D1", "D2", "D3"):
@@ -582,6 +645,10 @@ def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
         coeffs = [s.coeffs for s in series]
         beta = {v for c in coeffs for key, v in c.items() if any(key[1])}
         assert len(built) == len(beta) > 1, divisor
+        # built directly, each value is the canonical (t1+t2) * c
+        for c, value in built:
+            want = RatFunc2(THETA) * c
+            assert (value.num.terms, value.den) == (want.num.terms, want.den), c
         formatted.clear()
         op_matrix_dumps(op)
         assert len(formatted) == len({v for c in coeffs for v in c.values()}), divisor

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from helpers import all_labels, centralizer_order, random_weighted_partition
+from symprod import clear_caches
 from symprod.partitions import (
     ONE,
     age,
@@ -66,6 +67,22 @@ def test_class_equation():
     # the conjugacy classes n!/z_lambda partition S_n
     for n in range(1, 11):
         assert sum(factorial(n) // centralizer_order(lam) for lam in partitions_of(n)) == factorial(n)
+
+
+def test_partitions_of_is_a_memoised_tuple():
+    clear_caches()
+    assert partitions_of.cache_info().currsize == 0
+    parts = partitions_of(5)
+    assert isinstance(parts, tuple)
+    assert parts == ((5,), (4, 1), (3, 2), (3, 1, 1), (2, 2, 1), (2, 1, 1, 1), (1,) * 5)
+    assert partitions_of(5) is parts
+    assert partitions_of(0) == ((),)
+    assert partitions_of.cache_info().currsize == 2
+    clear_caches()
+    assert partitions_of.cache_info().currsize == 0
+    assert partitions_of(5) == parts and partitions_of(5) is not parts
+    with pytest.raises(ValueError, match="nonnegative"):
+        partitions_of(-1)
 
 
 def test_aut_divides_centralizer():
