@@ -10,6 +10,13 @@ part of the other, all at t1 = x, t2 = 1 less their power of x, and the
 result is homogenised.
 Exact division works on the term dict directly: each step cancels the
 remainder's lex-leading term with a monomial multiple of the divisor.
+
+One private constructor, _poly, wraps a term dict that holds no zero
+coefficient; no other code fills a Poly2's slots. + and - are one merge,
+_merged, a single pass with add or sub, so a difference builds no negated
+copy. +, - and * return NotImplemented for an operand they do not take, so
+a RatFunc2 on either side is left to RatFunc2. Poly2 and Poly1 text share
+one term formatter and one sign joiner.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from math import gcd as _int_gcd
+from operator import add, sub
 
 Monomial = tuple[int, int]
 
@@ -32,16 +40,6 @@ def _u_trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _u_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    n = max(len(p), len(q))
-    out = [_ZERO] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += c
-    return _u_trim(out)
 
 
 def _u_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -161,41 +159,20 @@ class Poly2:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other: Poly2) -> Poly2:
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, _ZERO) + c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        p = Poly2.__new__(Poly2)
-        p.terms = out
-        p._hash = None
-        return p
+    def __add__(self, other) -> Poly2:
+        return _merged(self, other, add)
 
     def __neg__(self) -> Poly2:
-        p = Poly2.__new__(Poly2)
-        p.terms = {m: -c for m, c in self.terms.items()}
-        p._hash = None
-        return p
+        return _poly({m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other: Poly2) -> Poly2:
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, _ZERO) - c
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-        p = Poly2.__new__(Poly2)
-        p.terms = out
-        p._hash = None
-        return p
+    def __sub__(self, other) -> Poly2:
+        return _merged(self, other, sub)
 
     def __mul__(self, other) -> Poly2:
         if isinstance(other, (int, Fraction)):
             return self.scale(Fraction(other))
+        if not isinstance(other, Poly2):
+            return NotImplemented  # a RatFunc2 multiplies a polynomial itself
         out: dict[Monomial, Fraction] = {}
         for (a1, a2), c in self.terms.items():
             for (b1, b2), d in other.terms.items():
@@ -205,20 +182,14 @@ class Poly2:
                     out[mono] = s
                 else:
                     out.pop(mono, None)
-        p = Poly2.__new__(Poly2)
-        p.terms = out
-        p._hash = None
-        return p
+        return _poly(out)
 
     __rmul__ = __mul__
 
     def scale(self, c: Fraction) -> Poly2:
         if not c:
             return _P2_ZERO
-        p = Poly2.__new__(Poly2)
-        p.terms = {m: v * c for m, v in self.terms.items()}
-        p._hash = None
-        return p
+        return _poly({m: v * c for m, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly2):
@@ -269,6 +240,28 @@ class Poly2:
 
     def __repr__(self) -> str:
         return f"Poly2({poly2_to_text(self)})"
+
+
+def _poly(terms: dict[Monomial, Fraction]) -> Poly2:
+    """The Poly2 of a term dict that holds no zero coefficient, taken as is."""
+    p = Poly2.__new__(Poly2)
+    p.terms, p._hash = terms, None
+    return p
+
+
+def _merged(mine: Poly2, theirs, op) -> Poly2:
+    """mine + theirs or mine - theirs (op is add or sub), in one pass over
+    the terms of theirs; NotImplemented for an operand that is not a Poly2."""
+    if not isinstance(theirs, Poly2):
+        return NotImplemented  # a RatFunc2 adds or subtracts a polynomial itself
+    out = dict(mine.terms)
+    for mono, c in theirs.terms.items():
+        s = op(out.get(mono, _ZERO), c)
+        if s:
+            out[mono] = s
+        else:
+            out.pop(mono, None)
+    return _poly(out)
 
 
 _P2_ZERO = Poly2()
@@ -348,54 +341,44 @@ def poly2_divexact(a: Poly2, b: Poly2) -> Poly2:
                 rem[mono] = s
             else:
                 del rem[mono]
-    p = Poly2.__new__(Poly2)
-    p.terms = quo
-    p._hash = None
-    return p
+    return _poly(quo)
 
 
 # ---------------------------------------------------------------------------
 # text form
 # ---------------------------------------------------------------------------
 
-def _format_coefficient(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return f"{c.numerator}/{c.denominator}"
+def _power(var: str, e: int) -> str:
+    """var^e as text: "" for e = 0, var for e = 1."""
+    return "" if not e else var if e == 1 else f"{var}^{e}"
 
 
-def _format_term(mono: Monomial, c: Fraction) -> str:
-    e1, e2 = mono
-    parts = []
-    if e1:
-        parts.append("t1" if e1 == 1 else f"t1^{e1}")
-    if e2:
-        parts.append("t2" if e2 == 1 else f"t2^{e2}")
-    if not parts:
-        return _format_coefficient(c)
-    body = "*".join(parts)
-    if c.denominator == 1:  # integer tests: Fraction == int is a slow Python call
-        if c.numerator == 1:
-            return body
-        if c.numerator == -1:
-            return "-" + body
-    return _format_coefficient(c) + "*" + body
+def _format_term(body: str, c: Fraction) -> str:
+    """The term c*body of a monomial's text body ("" for the monomial 1)."""
+    # integer tests: Fraction == int is a slow Python call
+    if body and c.denominator == 1 and c.numerator in (1, -1):
+        return body if c.numerator == 1 else "-" + body
+    coefficient = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+    return coefficient + "*" + body if body else coefficient
+
+
+def _joined(terms: list[str]) -> str:
+    """Terms joined by their signs, "a + b - c"; "0" for no term."""
+    chunks = terms[:1]
+    for term in terms[1:]:
+        chunks.append("- " + term[1:] if term.startswith("-") else "+ " + term)
+    return " ".join(chunks) or "0"
+
+
+def _t_monomial(e1: int, e2: int) -> str:
+    t1, t2 = _power("t1", e1), _power("t2", e2)
+    return f"{t1}*{t2}" if t1 and t2 else t1 or t2
 
 
 def poly2_to_text(p: Poly2) -> str:
     """Canonical text form: monomials in descending lex order, t1-major."""
-    if p.is_zero():
-        return "0"
-    chunks = []
-    for mono in sorted(p.terms, reverse=True):
-        term = _format_term(mono, p.terms[mono])
-        if not chunks:
-            chunks.append(term)
-        elif term.startswith("-"):
-            chunks.append("- " + term[1:])
-        else:
-            chunks.append("+ " + term)
-    return " ".join(chunks)
+    terms = sorted(p.terms.items(), reverse=True)
+    return _joined([_format_term(_t_monomial(e1, e2), c) for (e1, e2), c in terms])
 
 
 _TERM_RE = re.compile(
@@ -450,10 +433,7 @@ class Poly1:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(_u_trim([Fraction(c) for c in coeffs]))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -467,9 +447,6 @@ class Poly1:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: Poly1) -> Poly1:
-        return Poly1(_u_add(list(self.coeffs), list(other.coeffs)))
-
     def __mul__(self, other: Poly1) -> Poly1:
         return Poly1(_u_mul(list(self.coeffs), list(other.coeffs)))
 
@@ -480,30 +457,10 @@ class Poly1:
         return Poly1(_u_gcd(list(self.coeffs), list(other.coeffs)))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        chunks = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if not c:
-                continue
-            if d == 0:
-                body = _format_coefficient(c)
-            else:
-                var = "x" if d == 1 else f"x^{d}"
-                if c == 1:
-                    body = var
-                elif c == -1:
-                    body = "-" + var
-                else:
-                    body = _format_coefficient(c) + "*" + var
-            if not chunks:
-                chunks.append(body)
-            elif body.startswith("-"):
-                chunks.append("- " + body[1:])
-            else:
-                chunks.append("+ " + body)
-        return " ".join(chunks)
+        return _joined([
+            _format_term(_power("x", d), c)
+            for d, c in reversed(list(enumerate(self.coeffs))) if c
+        ])
 
     def __repr__(self) -> str:
         return f"Poly1({self})"

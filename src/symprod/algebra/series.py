@@ -9,7 +9,9 @@ Exponents are nonnegative: a key with a negative exponent raises
 ShapeError. An int or Fraction on either side of +, -, * and ==, or
 divided by a series, is the constant series of that series' shape (as
 RatFunc2.lift lifts rationals), so a GaussRational can hold series parts
-next to rational ones; a series of another shape raises ShapeError.
+next to rational ones; a series of another shape raises ShapeError, and a
+Poly2 or RatFunc2 operand of +, - or * raises TypeError. + and - are one
+merge, one pass over the second operand's keys that builds no negated series.
 
 Products, linear combinations and the inverse share one integer
 accumulator. A per-shape table packs each in-box key (a, ds) into one
@@ -40,7 +42,7 @@ from math import lcm
 
 from ..errors import EmptyOrderError, ShapeError
 from ..memo import memo
-from .poly import Poly2
+from .poly import Poly2, _poly
 from .ratfunc import RatFunc2, _canonical
 
 Key = tuple[int, tuple[int, ...]]
@@ -117,8 +119,7 @@ def _collect(groups: dict, unpack: dict) -> dict:
             terms = {mono: Fraction(n, lcd) for mono, n in acc.items() if n}
         if not terms:
             continue
-        num = Poly2.__new__(Poly2)
-        num.terms, num._hash = terms, None
+        num = _poly(terms)
         f = _canonical(num, Poly2.one()) if den is None else RatFunc2(num, den)
         key = unpack[packed]
         prev = out.get(key)
@@ -206,18 +207,27 @@ class TruncSeries:
 
     # -- ring operations -------------------------------------------------------------
 
-    def __add__(self, other) -> TruncSeries:
+    def _merged(self, other, negate: bool) -> TruncSeries:
+        """self - other if negate else self + other, in one pass over other."""
         other = self._lift(other)
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         self._check_shape(other)
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
             s = out.get(key)
-            s = c if s is None else s + c
+            if negate:
+                s = -c if s is None else s - c
+            else:
+                s = c if s is None else s + c
             if s.is_zero():
                 out.pop(key, None)
             else:
                 out[key] = s
         return self._wrap(out)
+
+    def __add__(self, other) -> TruncSeries:
+        return self._merged(other, False)
 
     __radd__ = __add__
 
@@ -225,24 +235,17 @@ class TruncSeries:
         return self._wrap({k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other) -> TruncSeries:
-        other = self._lift(other)
-        self._check_shape(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key)
-            s = -c if s is None else s - c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return self._wrap(out)
+        return self._merged(other, True)
 
     def __rsub__(self, other) -> TruncSeries:
-        return TruncSeries.__sub__(self._lift(other), self)
+        other = self._lift(other)
+        return other._merged(self, True) if isinstance(other, TruncSeries) else NotImplemented
 
     def __mul__(self, other) -> TruncSeries:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, TruncSeries):
+            return NotImplemented
         self._check_shape(other)
         unpack, pack, _ = _box(self.u_order, self.s_orders)
         mine = [(pack[key], _int_form(c)) for key, c in self.coeffs.items()]

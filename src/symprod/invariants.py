@@ -473,8 +473,11 @@ def _embed_useries(pairs, u_order: int, s_orders) -> TruncSeries:
 @dataclass
 class ThreePointResult:
     series: TruncSeries
-    gap: bool = False
     missing_key: tuple | None = None
+
+    @property
+    def gap(self) -> bool:
+        return self.missing_key is not None
 
 
 def three_point_divisor_series(
@@ -489,24 +492,23 @@ def three_point_divisor_series(
     """Three-point function with one divisor insertion, via divisor equations.
 
     divisor is "(2)" or "D<l>". The beta != 0 part never consults the
-    table; the beta = 0 part is table data (d/du of the two-point entry
-    for "(2)", the s = 0 boundary entry for "D<l>") and its absence is
-    flagged as a gap.
+    table; the beta = 0 part is table data, read by one lookup in the slot
+    "1" for "(2)" (then d/du of that two-point entry) and in the slot D<l>
+    for "D<l>" (the s = 0 boundary entry). An absent entry is named by
+    missing_key, and the result is then a gap.
     """
     s_orders = tuple(s_orders)
     ell = divisor_index(divisor, w.r)
-    if not ell:
+    slot = divisor if ell else TWO_POINT_MARKER
+    pairs = table.get(alpha1_w, slot, alpha2_w) if table else None
+    if ell:
+        base = two_point_series(alpha1_w, alpha2_w, u_order, s_orders, w).s_scale_d(ell)
+    else:
         # compute one u-order higher so the derivative is exact at u_order
         base = two_point_series(alpha1_w, alpha2_w, u_order + 1, s_orders, w).d_du()
-        pairs = table.get(alpha1_w, TWO_POINT_MARKER, alpha2_w) if table else None
-        if pairs is None:
-            key = (wp_to_text(alpha1_w), TWO_POINT_MARKER, wp_to_text(alpha2_w))
-            return ThreePointResult(base, gap=True, missing_key=key)
-        derived = tuple((a - 1, v * a) for a, v in pairs if 1 <= a <= u_order + 1)
-        return ThreePointResult(base + _embed_useries(derived, u_order, s_orders))
-    base = two_point_series(alpha1_w, alpha2_w, u_order, s_orders, w).s_scale_d(ell)
-    pairs = table.get(alpha1_w, divisor, alpha2_w) if table else None
+        if pairs is not None:
+            pairs = tuple((a - 1, v * a) for a, v in pairs if 1 <= a <= u_order + 1)
     if pairs is None:
-        key = (wp_to_text(alpha1_w), divisor, wp_to_text(alpha2_w))
-        return ThreePointResult(base, gap=True, missing_key=key)
+        key = (wp_to_text(alpha1_w), slot, wp_to_text(alpha2_w))
+        return ThreePointResult(base, missing_key=key)
     return ThreePointResult(base + _embed_useries(pairs, u_order, s_orders))

@@ -49,6 +49,7 @@ from .algebra import (
     is_squarefree,
     ratfunc_to_text,
 )
+from .algebra.poly import _poly
 from .algebra.ratfunc import _canonical
 from .chenruan import check_whole_blocks, gram_inverse, gram_matrix
 from .errors import RealnessViolationError
@@ -78,9 +79,7 @@ from .textforms import wp_to_text
 def _theta_times(c: Fraction) -> RatFunc2:
     """(t1+t2) c for a nonzero Fraction c, built as its canonical form: the
     polynomial c t1 + c t2 over 1, with no product run."""
-    num = Poly2.__new__(Poly2)
-    num.terms, num._hash = {(1, 0): c, (0, 1): c}, None
-    return _canonical(num, Poly2.one())
+    return _canonical(_poly({(1, 0): c, (0, 1): c}), Poly2.one())
 
 
 @dataclass
@@ -261,25 +260,15 @@ def default_divisor_basis(n: int, r: int) -> list[WeightedPartition]:
     labels = [ONE] + [ecurve(i) for i in range(1, r + 1)]
     out = []
     for lam in partitions_of(n):
-        slots = sorted(set(lam), reverse=True)
-        per_part = []
-        for part in slots:
-            mult = lam.count(part)
-            per_part.append(
-                [list(combo) for combo in itertools.combinations_with_replacement(labels, mult)]
-            )
-
-        def assemble(level: int, acc: list):
-            if level == len(slots):
-                out.append(weighted_partition(acc))
-                return
-            part = slots[level]
-            for combo in per_part[level]:
-                assemble(level + 1, acc + [(part, lab) for lab in combo])
-
-        assemble(0, [])
-    out = sorted(set(out), key=lambda wp: (-grading(wp, n), -len(wp), wp_to_text(wp)))
-    return out
+        # one label multiset per part size; distinct choices give distinct elements
+        per_size = [
+            [[(part, lab) for lab in combo]
+             for combo in itertools.combinations_with_replacement(labels, lam.count(part))]
+            for part in set(lam)
+        ]
+        for choice in itertools.product(*per_size):
+            out.append(weighted_partition(pair for pairs in choice for pair in pairs))
+    return sorted(out, key=lambda wp: (-grading(wp, n), -len(wp), wp_to_text(wp)))
 
 
 def closed_form_matrix_a1n2(q, s1, t1, t2) -> list[list]:

@@ -18,7 +18,7 @@ from symprod.algebra import (
     expand_q_closed_form,
     ratfunc_from_text,
 )
-from symprod.algebra.poly import _u_add, _u_divmod, _u_gcd, _u_mul
+from symprod.algebra.poly import _u_divmod, _u_gcd, _u_mul, _u_trim
 from symprod.chenruan import CRClass, _integral, expand, gram_inverse, gram_matrix, pairing
 from symprod.errors import DegenerateBasisError, OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
@@ -684,6 +684,16 @@ def _rec_div_content(rec: dict, cont: list) -> dict:
         assert not r, "content division not exact"
         out[d] = q
     return out
+
+
+def _u_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """Sum of two dense univariate polynomials, lowest degree first."""
+    out = [Fraction(0)] * max(len(p), len(q))
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += c
+    return _u_trim(out)
 
 
 def _rec_prem(a: dict, b: dict) -> dict:

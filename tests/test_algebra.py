@@ -1,6 +1,7 @@
 """Exact-arithmetic foundation: polynomials, rational functions, series,
 closed-form expansion, characteristic polynomials."""
 
+import operator
 import random
 from fractions import Fraction
 from itertools import product
@@ -187,6 +188,21 @@ _text_coefficients = st.one_of(
 )
 def test_poly2_to_text_matches_reference(p):
     assert poly2_to_text(p) == reference_poly2_to_text(p)
+
+
+@pytest.mark.parametrize("coeffs, text", [
+    ([], "0"),
+    ([5], "5"),
+    ([0, 1], "x"),
+    ([-2, 0, 1], "x^2 - 2"),
+    ([0, 0, -1], "-x^2"),
+    ([Fraction(1, 2), -1, 0, 3], "3*x^3 - x + 1/2"),
+    ([Fraction(-3, 4), Fraction(2, 3)], "2/3*x - 3/4"),
+    ([-1, Fraction(-5, 2), 1, -1], "-x^3 + x^2 - 5/2*x - 1"),
+])
+def test_poly1_text(coeffs, text):
+    # the same term and sign rules as Poly2 text, highest degree first
+    assert str(Poly1(coeffs)) == text
 
 
 # differential check of RatFunc2 * and + against the general constructors
@@ -792,6 +808,38 @@ def test_subtraction_builds_no_negated_copy(monkeypatch):
     monkeypatch.undo()
     for g, w in zip(got, want):
         assert g == w
+
+
+# ---------------------------------------------------------------------------
+# mixed operands: a Poly2 leaves a RatFunc2 operand to RatFunc2, and every
+# other pair that no type takes raises TypeError
+# ---------------------------------------------------------------------------
+
+@_DIFF_SETTINGS
+@given(_polys, _ratfuncs)
+@example(Poly2.linear(1, 1), RatFunc2(Poly2.one(), T1P))
+def test_poly2_with_ratfunc_operand_equals_lifted_poly2(p, f):
+    lifted = RatFunc2(p)
+    for got, want in ((p + f, lifted + f), (p - f, lifted - f), (p * f, lifted * f),
+                      (f + p, f + lifted), (f - p, f - lifted), (f * p, f * lifted)):
+        _same_canonical(got, want)
+
+
+_P, _F, _S = Poly2.linear(1, 1), RatFunc2(Poly2.one(), T1P), TruncSeries.one(2, (1,))
+_UNSUPPORTED = [
+    *((a, op, b) for op in "+-"
+      for a, b in ((_P, 1), (1, _P), (_P, Fraction(1, 2)), (Fraction(1, 2), _P))),
+    *((a, op, b) for op in "+-*" for a, b in ((_S, _F), (_F, _S), (_S, _P), (_P, _S))),
+]
+
+
+@pytest.mark.parametrize(
+    "a, op, b", _UNSUPPORTED,
+    ids=[f"{type(a).__name__}{op}{type(b).__name__}" for a, op, b in _UNSUPPORTED],
+)
+def test_unsupported_operand_pairs_raise_type_error(a, op, b):
+    with pytest.raises(TypeError):
+        {"+": operator.add, "-": operator.sub, "*": operator.mul}[op](a, b)
 
 
 @st.composite

@@ -23,9 +23,10 @@ from helpers import (
 )
 import symprod.invariants as invariants
 from symprod import clear_caches
-from symprod.algebra import Poly2, RatFunc2
+from symprod.algebra import Poly2, RatFunc2, TruncSeries
 from symprod.errors import MalformedInputError, OutOfScopeError, UnsupportedWeightError
 from symprod.invariants import (
+    ThreePointResult,
     ZeroDegreeTable,
     connected_two_point,
     disconnected_two_point,
@@ -536,6 +537,36 @@ def test_three_point_gap_reports_key():
     res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 0, (1,), W1, ZeroDegreeTable())
     assert res.gap
     assert res.missing_key == (wp_to_text(TWO_E1), "D1", wp_to_text(TWO_E1))
+
+
+def test_three_point_reads_one_table_slot_per_divisor(monkeypatch):
+    # "(2)" reads the "1" slot and differentiates its series; D1 reads its own slot
+    table = ZeroDegreeTable()
+    marker = [(0, RatFunc2.const(5)), (2, RatFunc2.const(3)), (3, RatFunc2.const(7))]
+    table.set(wp_to_text(TWO_E1), "1", wp_to_text(TWO_E1), marker)
+    slots, get = [], ZeroDegreeTable.get
+    monkeypatch.setattr(
+        ZeroDegreeTable, "get", lambda self, a, d, b: slots.append(d) or get(self, a, d, b)
+    )
+    res = three_point_divisor_series(TWO_E1, "(2)", TWO_E1, 1, (1,), W1, table)
+    bare = three_point_divisor_series(TWO_E1, "(2)", TWO_E1, 1, (1,), W1, None)
+    assert not res.gap and bare.gap and slots == ["1"]
+    # d/du of 5 + 3 u^2 + 7 u^3 cut at u^1: 6 u
+    assert res.series - bare.series == TruncSeries.monomial(1, (0,), 6, 1, (1,))
+    res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 1, (1,), W1, table)
+    assert slots == ["1", "D1"]
+    assert res.missing_key == (wp_to_text(TWO_E1), "D1", wp_to_text(TWO_E1))
+    two_one = wp((2, ONE))
+    res = three_point_divisor_series(TWO_E1, "(2)", two_one, 1, (1,), W1, table)
+    assert res.missing_key == (wp_to_text(TWO_E1), "1", wp_to_text(two_one))
+
+
+def test_three_point_gap_is_whether_a_key_is_missing():
+    series = TruncSeries.zero(0, (1,))
+    assert not ThreePointResult(series).gap
+    assert ThreePointResult(series, missing_key=("2(E1)", "D1", "2(E1)")).gap
+    with pytest.raises(TypeError):
+        ThreePointResult(series, gap=True)
 
 
 def test_table_json_roundtrip(tmp_path):

@@ -5,7 +5,10 @@ verify-a1n2 expects, so a slip in that matrix would move both sides of
 every comparison test. These hashes pin the matrix, the table file and
 the eigenvalue certificate to fixed bytes instead. The two-point rows pin
 the stdout of the two-point subcommand, with 1, E and w labels, across
-blocks and at r = 1, 2 and 3.
+blocks and at r = 1, 2 and 3. The op-matrix rows pin the LaTeX and CSV
+writers, which print every coefficient through the polynomial text form:
+one case reads the n = 2, r = 1 table, and one has no table, so every
+entry carries a gap mark.
 """
 
 import hashlib
@@ -97,3 +100,23 @@ def test_two_point_stdout_pinned(capsys, args, digest):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert _sha256(captured.out.encode()) == digest
+
+
+_TABLE_CASE = ["--n", "2", "--r", "1", "--divisor", "D1", "--u-order", "3", "--s-orders", "3",
+               "--table", "a1n2"]
+_GAP_CASE = ["--n", "2", "--r", "2", "--divisor", "(2)", "--u-order", "2", "--s-orders", "2"]
+
+
+@pytest.mark.parametrize(
+    "args, fmt, digest",
+    [
+        (_TABLE_CASE, "latex", "58c64d52c6481c6163cd74fdfb46883418c268cbdbc80345f99724e792538695"),
+        (_TABLE_CASE, "csv", "e093bdb7d891928d8b482c519a0c569ec6a7638dcae631a7ef9eb6d81c1dc4b9"),
+        (_GAP_CASE, "latex", "cd84dc75978693b22b8b1febfba63bb1bed13dc6a37f8a1b6e691ed253c9cfe7"),
+        (_GAP_CASE, "csv", "e33e3c91a8214b8d1cea9654bb4d44cabc20d76af29f2330407b58704bcf1118"),
+    ],
+    ids=["table-latex", "table-csv", "gaps-latex", "gaps-csv"],
+)
+def test_op_matrix_text_formats_pinned(capsys, args, fmt, digest):
+    assert main(["op-matrix", *args, "--format", fmt]) == 0
+    assert _sha256(capsys.readouterr().out.encode()) == digest
