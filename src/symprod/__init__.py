@@ -48,7 +48,6 @@ from .operators import (
 from .partitions import (
     ONE,
     aut_order,
-    aut_order_weighted,
     age,
     ecurve,
     enumerate_sub_splittings,
@@ -59,7 +58,6 @@ from .partitions import (
     weighted_partition,
 )
 from .surface import (
-    SurfaceClass,
     TangentWeights,
     class_of,
     e_chain,

@@ -389,7 +389,8 @@ _TERM_RE = re.compile(
 
 
 def poly2_from_text(text: str) -> Poly2:
-    """Parse the canonical text form produced by poly2_to_text."""
+    """Parse the canonical text form of poly2_to_text; spaces aside, any other
+    spelling raises ValueError."""
     s = text.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial text")
@@ -420,7 +421,10 @@ def poly2_from_text(text: str) -> Poly2:
         e2 = int(m.group("e2")) if m.group("e2") else (1 if m.group("v2") else 0)
         mono = (e1, e2)
         terms[mono] = terms.get(mono, _ZERO) + sign * coef
-    return Poly2(terms)
+    p = Poly2(terms)
+    if poly2_to_text(p).replace(" ", "") != s:
+        raise ValueError(f"polynomial text {text!r} is not in canonical form")
+    return p
 
 
 # ---------------------------------------------------------------------------

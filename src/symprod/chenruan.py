@@ -26,7 +26,7 @@ from .partitions import (
     Label,
     MultiPartition,
     WeightedPartition,
-    aut_order_weighted,
+    aut_order,
     mp_aut_order,
     mp_size,
     multipartition,
@@ -34,7 +34,14 @@ from .partitions import (
     weighted_partition,
     wp_size,
 )
-from .surface import TangentWeights, check_label, class_of, integrate, tangent_weights
+from .surface import (
+    TangentWeights,
+    check_label,
+    class_of,
+    integrate,
+    omega_coefficients,
+    tangent_weights,
+)
 
 
 class CRClass:
@@ -82,7 +89,7 @@ def _expand(wp: WeightedPartition, r: int) -> CRClass:
     rows = []
     for _, label in slots:
         sc = class_of(label, w)
-        rows.append([sc.coords[k - 1] / w.LR(k) for k in w.points()])
+        rows.append([sc[k - 1] / w.LR(k) for k in w.points()])
     acc: dict[MultiPartition, RatFunc2] = {}
     assignment = [0] * len(slots)
 
@@ -103,7 +110,7 @@ def _expand(wp: WeightedPartition, r: int) -> CRClass:
             rec(m + 1, coeff * c)
 
     rec(0, RatFunc2.one())
-    aut_wp = aut_order_weighted(wp)
+    aut_wp = aut_order(wp)
     terms = {
         mp: v * Fraction(mp_aut_order(mp), aut_wp)
         for mp, v in acc.items()
@@ -149,7 +156,7 @@ def _matching_sum(wp1: WeightedPartition, wp2: WeightedPartition, r: int) -> Rat
         if block == 0:
             return RatFunc2.zero()
         total = total * block
-    norm = Fraction(1, prod(p for p, _ in wp1) * aut_order_weighted(wp1) * aut_order_weighted(wp2))
+    norm = Fraction(1, prod(p for p, _ in wp1) * aut_order(wp1) * aut_order(wp2))
     return total * norm
 
 
@@ -258,9 +265,8 @@ def check_whole_blocks(basis, r: int) -> None:
 def _dual_entry(l1: Label, l2: Label, r: int) -> Fraction:
     """g^{-1} between two of 1, E_1..E_r, with the t1 t2 of the 1-1 entry taken
     out: r + 1 between two 1s, 0 between 1 and E_i, and -C^{-1} (the inverse
-    intersection matrix) between curves: -min(k, m) (r + 1 - max(k, m)) / (r + 1)
-    between E_k and E_m, one entry of surface.omega_coefficients(r)."""
+    intersection matrix) between curves, the entry (k, m) of
+    surface.omega_coefficients(r) between E_k and E_m."""
     if l1 == ONE or l2 == ONE:
         return Fraction(r + 1 if l1 == l2 else 0)
-    k, m = l1[1], l2[1]
-    return Fraction(-min(k, m) * (r + 1 - max(k, m)), r + 1)
+    return omega_coefficients(r)[l1[1] - 1][l2[1] - 1]

@@ -53,7 +53,6 @@ from .partitions import (
     Partition,
     WeightedPartition,
     aut_order,
-    aut_order_weighted,
     ecurve,
     enumerate_sub_splittings,
     partitions_of,
@@ -61,7 +60,7 @@ from .partitions import (
     weighted_partition,
     wp_size,
 )
-from .surface import TangentWeights, beta_as_chain, check_label, e_chain, e_dot
+from .surface import TangentWeights, beta_as_chain, chain_degrees, check_label, e_dot
 from .textforms import (
     label_to_text,
     parse_wp,
@@ -128,7 +127,7 @@ def _hurwitz_term(sigma: Partition, b: int) -> Fraction:
 def _chain_factors(nu: WeightedPartition, chains: tuple) -> tuple:
     """X of one side nu of a connected piece, per chain (i, j) in chains:
     |Aut underlying(nu)| / |Aut nu| times prod(E_ij . gamma) over nu's labels."""
-    weight = Fraction(aut_order(underlying(nu)), aut_order_weighted(nu))
+    weight = Fraction(aut_order(underlying(nu)), aut_order(nu))
     return tuple(weight * prod(e_dot(label, i, j) for _, label in nu) for i, j in chains)
 
 
@@ -217,7 +216,7 @@ def _column_terms(theta: WeightedPartition, mu: Partition, i: int, j: int) -> tu
     out = []
     for labelled, count in _labellings(mu, i, j):
         b = weighted_partition(theta + labelled)
-        out.append((b, count * aut_order_weighted(b)))
+        out.append((b, count * aut_order(b)))
     return tuple(out)
 
 
@@ -249,7 +248,7 @@ def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
         xs = _chain_factors(nu, chains)
         if not any(xs):
             continue
-        lam, theta_aut = underlying(nu), aut_order_weighted(theta)
+        lam, theta_aut = underlying(nu), aut_order(theta)
         for mu in partitions_of(sum(lam)):
             degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
             if not any(degs):
@@ -355,20 +354,14 @@ def two_point_series(
     s-truncation box. The beta = 0 column is intentionally absent.
     """
     s_orders = tuple(s_orders)
-    r = w.r
-    if len(s_orders) != r:
-        raise ValueError(f"need {r} s-orders, got {len(s_orders)}")
-    d_tops = {
-        (i, j): min(s_orders[i - 1 : j])
-        for i in range(1, r + 1)
-        for j in range(i, r + 1)
-        if min(s_orders[i - 1 : j])
-    }
-    scalars = two_point_scalars(mu1_w, mu2_w, range(u_order + 1), tuple(d_tops), w)
+    if len(s_orders) != w.r:
+        raise ValueError(f"need {w.r} s-orders, got {len(s_orders)}")
+    chains = chain_degrees(s_orders)
+    scalars = two_point_scalars(mu1_w, mu2_w, range(u_order + 1), tuple(chains), w)
     coeffs = {
-        (a, e_chain(i, j, d, r)): _scalar_invariant(c, a, d, mu1_w)
+        (a, ds): _scalar_invariant(c, a, d, mu1_w)
         for (a, i, j), c in scalars.items()
-        for d in range(1, d_tops[i, j] + 1)
+        for d, ds in chains[i, j]
     }
     return TruncSeries(u_order, s_orders, coeffs)
 

@@ -63,16 +63,18 @@ from .invariants import (
 )
 from .memo import memo
 from .partitions import (
+    LABEL_KINDS,
     ONE,
     WeightedPartition,
     age,
     ecurve,
+    label_key,
     partitions_of,
     underlying,
     weighted_partition,
     wp_size,
 )
-from .surface import check_label, e_chain, tangent_weights
+from .surface import chain_degrees, check_label, tangent_weights
 from .textforms import wp_to_text
 
 
@@ -107,22 +109,20 @@ class OperatorMatrix:
 
 
 @memo
-def _two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> tuple:
+def _two_point_product(basis, r: int, u_top: int, chains: tuple) -> tuple:
     """P = G^{-1} T_2 of a basis, shared by every divisor, as its nonzero cells.
 
     Column j of P is the coordinate vector of two_point_column(b_j): the
-    two-point scalars up to u^u_top for the chains of unit_box, where each
-    s-order is cut to at most 1, so a chain E_i + ... + E_j appears at d = 1
-    only and its coefficient at (a, d E_ij) is the d = 1 value times
-    d^(a-1). The result holds ((i, j), terms) for each nonzero cell of P,
-    where terms lists (a, i', j', c) for the chains i'..j' of the cell, whose
-    value is (t1+t2) c for a nonzero Fraction c. Neither G^{-1} nor the
-    pairing enters P; only the block check that makes G invertible runs.
+    two-point scalars up to u^u_top for the chains (i, j) of a box, the keys
+    of surface.chain_degrees. A scalar never depends on d, so every box with
+    the same chains shares P, and the coefficient at (a, d E_ij) is the
+    d = 1 value times d^(a-1). The result holds ((i, j), terms) for each
+    nonzero cell of P, where terms lists (a, i', j', c) for the chains i'..j'
+    of the cell, whose value is (t1+t2) c for a nonzero Fraction c. Neither
+    G^{-1} nor the pairing enters P; only the block check that makes G
+    invertible runs.
     """
     check_whole_blocks(basis, r)
-    chains = tuple(
-        (i, j) for i in range(1, r + 1) for j in range(i, r + 1) if min(unit_box[i - 1 : j])
-    )
     index = {b: pos for pos, b in enumerate(basis)}
     cells = []
     for j, b in enumerate(basis):
@@ -212,12 +212,8 @@ def divisor_operator(
                 cells[i, j] = TruncSeries.lincomb(
                     ((c, tzero[a][j].series) for a, c in ginv_row), u_order, zeros
                 ).coeffs
-    product = _two_point_product(basis, r, u_order + 1, tuple(min(1, s) for s in s_orders))
-    spans = {  # chain -> (d, s-exponents of d E_ij) inside the box
-        (ci, cj): [(d, e_chain(ci, cj, d, r)) for d in range(1, min(s_orders[ci - 1 : cj]) + 1)]
-        for ci in range(1, r + 1)
-        for cj in range(ci, r + 1)
-    }
+    chains = chain_degrees(s_orders)
+    product = _two_point_product(basis, r, u_order + 1, tuple(chains))
     # (t1+t2) c m, built once per distinct rational c m; looked up by
     # (numerator of c times m, denominator of c), so no Fraction is made per
     # coefficient
@@ -229,10 +225,10 @@ def divisor_operator(
             num, den = c.numerator, c.denominator
             if ell:
                 if a <= u_order and ci <= ell <= cj:
-                    for d, ds in spans[ci, cj]:
+                    for d, ds in chains[ci, cj]:
                         coeffs[(a, ds)] = scaled[num * d**a, den]
             elif a:
-                for d, ds in spans[ci, cj]:
+                for d, ds in chains[ci, cj]:
                     coeffs[(a - 1, ds)] = scaled[num * (a * d ** (a - 1)), den]
     # every key above lies in the box and every value is nonzero, so each
     # entry takes this shape without TruncSeries re-checking its keys
@@ -429,18 +425,11 @@ def verify_a1n2(
 # orbifold grading
 # ---------------------------------------------------------------------------
 
-_LABEL_DEGREE = {"1": 0, "E": 1, "w": 1, "x": 2}
-
-
 def grading(wp: WeightedPartition, n: int) -> int:
     """Orbifold degree: age plus the sum of the weight degrees."""
-    total = age(underlying(wp), n)
     for _, label in wp:
-        kind = label[0]
-        if kind not in _LABEL_DEGREE:
-            raise ValueError(f"no grading for label {label!r}")
-        total += _LABEL_DEGREE[kind]
-    return total
+        label_key(label)  # a ValueError for an unknown label kind
+    return age(underlying(wp), n) + sum(LABEL_KINDS[label[0]][1] for _, label in wp)
 
 
 # ---------------------------------------------------------------------------

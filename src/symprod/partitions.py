@@ -40,17 +40,15 @@ def fixedpt(k: int) -> Label:
     return ("x", int(k))
 
 
-_KIND_RANK = {"1": 0, "E": 1, "w": 2, "x": 3}
+# label kind -> (sort rank, orbifold degree of its class)
+LABEL_KINDS = {"1": (0, 0), "E": (1, 1), "w": (2, 1), "x": (3, 2)}
 
 
 def label_key(label: Label):
     kind = label[0]
-    rank = _KIND_RANK.get(kind)
-    if rank is None:
+    if kind not in LABEL_KINDS:
         raise ValueError(f"unknown label kind {kind!r} in label {label!r}; expected 1, E, w or x")
-    if kind == "1":
-        return (rank, 0)
-    return (rank, label[1])
+    return (LABEL_KINDS[kind][0], 0 if kind == "1" else label[1])
 
 
 def partition(parts) -> Partition:
@@ -80,10 +78,11 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(out)  # shared by every caller of the memo
 
 
-def aut_order(lam: Partition) -> int:
-    """Order of Aut(lambda): the product of multiplicity factorials."""
+def aut_order(items: tuple) -> int:
+    """Order of the automorphism group of a multiset tuple, such as a partition
+    or a weighted partition: the product of multiplicity factorials."""
     out = 1
-    for m in Counter(lam).values():
+    for m in Counter(items).values():
         out *= factorial(m)
     return out
 
@@ -116,14 +115,6 @@ def wp_size(wp: WeightedPartition) -> int:
 
 def underlying(wp: WeightedPartition) -> Partition:
     return partition(p for p, _ in wp)
-
-
-def aut_order_weighted(wp: WeightedPartition) -> int:
-    """Order of the stabilizer of the multiset of (part, weight) pairs."""
-    out = 1
-    for m in Counter(wp).values():
-        out *= factorial(m)
-    return out
 
 
 def enumerate_sub_splittings(

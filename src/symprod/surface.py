@@ -16,6 +16,7 @@ from .partitions import Label
 from .algebra import Poly2, RatFunc2
 
 CurveClass = tuple[int, ...]
+SurfaceClass = tuple[RatFunc2, ...]  # a class as its restrictions to x_1..x_{r+1}
 
 
 class TangentWeights:
@@ -60,31 +61,6 @@ def tangent_weights(r: int) -> TangentWeights:
     return TangentWeights(r)
 
 
-class SurfaceClass:
-    """Equivariant class on A_r in the localized fixed-point basis."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        self.coords = tuple(RatFunc2.lift(c) for c in coords)
-
-    def __add__(self, other: SurfaceClass) -> SurfaceClass:
-        return SurfaceClass(a + b for a, b in zip(self.coords, other.coords))
-
-    def scale(self, c) -> SurfaceClass:
-        c = RatFunc2.lift(c)
-        return SurfaceClass(a * c for a in self.coords)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SurfaceClass) and self.coords == other.coords
-
-    def __hash__(self) -> int:
-        return hash(self.coords)
-
-    def __repr__(self) -> str:
-        return f"SurfaceClass({', '.join(str(c) for c in self.coords)})"
-
-
 def intersection_number(i: int, j: int) -> int:
     """E_i . E_j: -2 on the diagonal, 1 for neighbours, 0 otherwise."""
     if i == j:
@@ -98,7 +74,7 @@ def omega_coefficients(r: int) -> tuple[tuple[Fraction, ...], ...]:
     """Rows of the inverse intersection matrix: omega_k = sum_m c_m E_m.
 
     The A_r intersection matrix (the negated Cartan matrix) has the closed
-    inverse c(k, m) = -min(k, m) (r + 1 - max(k, m)) / (r + 1).
+    inverse c(k, m) = -min(k, m)(r+1-max(k, m))/(r+1).
     """
     return tuple(
         tuple(
@@ -135,26 +111,22 @@ def _class_of_cached(label: Label, r: int) -> SurfaceClass:
     zero = RatFunc2.zero()
     kind = label[0]
     if kind == "1":
-        return SurfaceClass([RatFunc2.one()] * (r + 1))
+        return (RatFunc2.one(),) * (r + 1)
+    coords = [zero] * (r + 1)
     if kind == "x":
         k = label[1]
-        coords = [zero] * (r + 1)
         coords[k - 1] = w.LR(k)
-        return SurfaceClass(coords)
-    if kind == "E":
+    elif kind == "E":
         i = label[1]
-        coords = [zero] * (r + 1)
         coords[i - 1] = RatFunc2(w.L(i))
         coords[i] = RatFunc2(w.R(i + 1))
-        return SurfaceClass(coords)
-    if kind == "w":
+    elif kind == "w":  # sum_m c_m E_m, one fixed point at a time
         coeffs = omega_coefficients(r)[label[1] - 1]
-        out = SurfaceClass([zero] * (r + 1))
-        for m, c in enumerate(coeffs, start=1):
-            if c:
-                out = out + _class_of_cached(("E", m), r).scale(c)
-        return out
-    raise UnsupportedWeightError(f"no localized class for label {label!r}")
+        curves = [_class_of_cached(("E", m), r) for m in range(1, r + 1)]
+        coords = [sum((c * e[k] for c, e in zip(coeffs, curves) if c), zero) for k in range(r + 1)]
+    else:
+        raise UnsupportedWeightError(f"no localized class for label {label!r}")
+    return tuple(coords)
 
 
 def class_of(label: Label, w: TangentWeights) -> SurfaceClass:
@@ -162,18 +134,13 @@ def class_of(label: Label, w: TangentWeights) -> SurfaceClass:
     return _class_of_cached(label, w.r)
 
 
-def integrate(alpha: SurfaceClass, beta: SurfaceClass | None, w: TangentWeights) -> RatFunc2:
+def integrate(alpha: SurfaceClass, beta: SurfaceClass, w: TangentWeights) -> RatFunc2:
     """Localization sum over fixed points of alpha*beta / (L_k R_k)."""
     total = RatFunc2.zero()
     for k in w.points():
-        a = alpha.coords[k - 1]
-        if a.is_zero():
-            continue
-        if beta is not None:
-            a = a * beta.coords[k - 1]
-            if a.is_zero():
-                continue
-        total = total + a / w.LR(k)
+        a, b = alpha[k - 1], beta[k - 1]
+        if not (a.is_zero() or b.is_zero()):
+            total = total + a * b / w.LR(k)
     return total
 
 
@@ -186,6 +153,22 @@ def e_chain(i: int, j: int, d: int, r: int) -> CurveClass:
     if not (1 <= i <= j <= r):
         raise ValueError(f"chain indices ({i}, {j}) out of range for r = {r}")
     return tuple(d if i <= k <= j else 0 for k in range(1, r + 1))
+
+
+@memo
+def chain_degrees(s_orders: tuple[int, ...]) -> dict:
+    """The chains that fit the s-truncation box s_orders, with their degrees:
+    {(i, j): ((d, e_chain(i, j, d, r)), ...)} for d = 1..min(s_orders[i-1:j]),
+    in lex order of (i, j), and only the chains with at least one degree.
+    The classes d(E_i + ... + E_j) are the ones that carry invariants."""
+    r = len(s_orders)
+    out = {}
+    for i in range(1, r + 1):
+        for j in range(i, r + 1):
+            top = min(s_orders[i - 1 : j])
+            if top >= 1:
+                out[i, j] = tuple((d, e_chain(i, j, d, r)) for d in range(1, top + 1))
+    return out  # shared by every caller of the memo, so read only
 
 
 def beta_as_chain(beta: CurveClass) -> tuple[int, int, int] | None:

@@ -12,13 +12,11 @@ import re
 
 from .algebra import RatFunc2, TruncSeries, ratfunc_from_text, ratfunc_to_text
 from .partitions import (
+    LABEL_KINDS,
     Label,
     ONE,
     Partition,
     WeightedPartition,
-    ecurve,
-    fixedpt,
-    omega,
     partition,
     weighted_partition,
 )
@@ -36,11 +34,9 @@ def parse_partition(text: str) -> Partition:
 
 def label_to_text(label: Label) -> str:
     kind = label[0]
-    if kind == "1":
-        return "1"
-    if kind in ("E", "w", "x"):
-        return f"{kind}{label[1]}"
-    raise ValueError(f"label {label!r} has no text form")
+    if kind not in LABEL_KINDS:
+        raise ValueError(f"label {label!r} has no text form")
+    return "1" if kind == "1" else f"{kind}{label[1]}"
 
 
 _LABEL_RE = re.compile(r"^(1|[Ewx]0*[1-9]\d*)$")  # indices start at 1
@@ -50,14 +46,7 @@ def parse_label(text: str) -> Label:
     s = text.strip()
     if not _LABEL_RE.match(s):
         raise ValueError(f"cannot parse weight label {text!r}")
-    if s == "1":
-        return ONE
-    kind, idx = s[0], int(s[1:])
-    if kind == "E":
-        return ecurve(idx)
-    if kind == "w":
-        return omega(idx)
-    return fixedpt(idx)
+    return ONE if s == "1" else (s[0], int(s[1:]))
 
 
 def wp_to_text(wp: WeightedPartition) -> str:

@@ -40,7 +40,6 @@ from symprod.partitions import (
     ONE,
     WeightedPartition,
     aut_order,
-    aut_order_weighted,
     ecurve,
     enumerate_sub_splittings,
     fixedpt,
@@ -245,7 +244,7 @@ def permutation_pairing(wp1, wp2, w) -> RatFunc2:
     for p, _ in wp1:
         parts_product *= p
     norm = Fraction(
-        1, parts_product * aut_order_weighted(wp1) * aut_order_weighted(wp2)
+        1, parts_product * aut_order(wp1) * aut_order(wp2)
     )
     return total * norm
 
@@ -372,7 +371,7 @@ def reference_connected_two_point(mu_w, nu_w, a: int, beta, w) -> Poly2:
         * Fraction(-1) ** g
         * Fraction(d) ** (a - 1)
         / Fraction(k) ** (a - 2)
-        / (aut_order_weighted(mu_w) * aut_order_weighted(nu_w))
+        / (aut_order(mu_w) * aut_order(nu_w))
         * hsum
     )
     return _THETA.scale(scalar)
@@ -388,7 +387,7 @@ def _piece(nu1: WeightedPartition, nu2: WeightedPartition) -> tuple:
     """
     mu, nu = underlying(nu1), underlying(nu2)
     weight = Fraction(
-        aut_order(mu) * aut_order(nu), aut_order_weighted(nu1) * aut_order_weighted(nu2)
+        aut_order(mu) * aut_order(nu), aut_order(nu1) * aut_order(nu2)
     )
     return mu, nu, wp_size(nu1), weight, tuple(label for _, label in nu1 + nu2)
 
@@ -530,7 +529,7 @@ def fraction_two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
         xs = _chain_factors(nu, chains)
         if not any(xs):
             continue
-        lam, theta_aut = underlying(nu), aut_order_weighted(theta)
+        lam, theta_aut = underlying(nu), aut_order(theta)
         for mu in partitions_of(sum(lam)):
             degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
             if not any(degs):
@@ -542,7 +541,7 @@ def fraction_two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
                 x *= scale
                 for labelled, count in _labellings(mu, i, j):
                     b = weighted_partition(theta + labelled)
-                    c = x * (count * aut_order_weighted(b))
+                    c = x * (count * aut_order(b))
                     values = out.setdefault(b, {})
                     for a, y in zip(a_values, degs):
                         if y:

@@ -168,6 +168,15 @@ def test_ratfunc_text_roundtrip():
         f = random_ratfunc(rng)
         assert ratfunc_from_text(ratfunc_to_text(f)) == f
     assert poly2_from_text(poly2_to_text(Poly2.zero())) == Poly2.zero()
+    assert poly2_from_text("t1+t2") == T1P + T2P  # spaces are not part of the spelling
+
+
+# each loads as a polynomial, but poly2_to_text spells it otherwise
+@pytest.mark.parametrize("text", ["2t1t2", "t1^0", "--t1", "1/02*t1", "t1^007", "t2 + t1"])
+def test_poly2_from_text_rejects_noncanonical_spelling(text):
+    with pytest.raises(ValueError, match="not in canonical form") as err:
+        poly2_from_text(text)
+    assert repr(text) in str(err.value)
 
 
 # coefficients with a special text form: units (no "1*"), unit fractions, large

@@ -251,6 +251,21 @@ def test_table_nonhomogeneous_denominator_is_usage_error(tmp_path, capsys):
     assert "t1 + 1" in err and "homogeneous" in err and "Traceback" not in err
 
 
+def test_table_noncanonical_coefficient_is_usage_error(tmp_path, capsys):
+    entry = {"left": "1(1)+1(E1)", "divisor": "D1", "right": "1(1)+1(E1)",
+             "series": [[0, "2t1t2"]]}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"entries": [entry]}))
+    code, out, err = run(
+        capsys, "op-matrix", "--n", "2", "--r", "1", "--divisor", "D1",
+        "--u-order", "0", "--s-orders", "1", "--table", str(path),
+    )
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "2t1t2" in err and "canonical" in err and "Traceback" not in err
+
+
 def test_make_table_output_loads_unchanged(tmp_path, capsys):
     code, _, _ = run(capsys, "make-table", "--case", "a1n2", "--out", str(tmp_path / "t.json"))
     assert code == 0

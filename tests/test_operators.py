@@ -43,8 +43,8 @@ from symprod.operators import (
 from symprod.chenruan import gram_inverse
 from symprod.errors import DegenerateBasisError, MalformedInputError, UnsupportedWeightError
 from symprod.invariants import ZeroDegreeTable
-from symprod.partitions import ONE, ecurve, fixedpt, underlying, weighted_partition
-from symprod.surface import e_chain, tangent_weights
+from symprod.partitions import ONE, ecurve, fixedpt, omega, underlying, weighted_partition
+from symprod.surface import chain_degrees, e_chain, tangent_weights
 from symprod.textforms import wp_to_text
 
 THETA = Poly2.linear(1, 1)
@@ -233,16 +233,18 @@ def test_default_basis_matches_benchmark_order():
 
 def test_grading_preserved_and_signs():
     rng = random.Random(91)
-    labels = [ONE, ecurve(1), fixedpt(1), fixedpt(2)]
+    labels = [ONE, ecurve(1), omega(1), fixedpt(1), fixedpt(2)]
     for _ in range(20):
         n = rng.randint(1, 4)
         wp = random_weighted_partition(rng, n, labels)
         age = n - len(wp)
         got = grading(wp, n)
         want = age + sum(
-            {"1": 0, "E": 1, "x": 2}[label[0]] for _, label in wp
+            {"1": 0, "E": 1, "w": 1, "x": 2}[label[0]] for _, label in wp
         )
         assert got == want
+    with pytest.raises(ValueError, match="unknown label kind 'y'"):
+        grading(((2, ("y", 1)),), 2)
 
 
 def test_eigen_certify_reference_point():
@@ -351,6 +353,9 @@ PINNED_OP_MATRICES = [
      "ca6df90a0ced904d6f0e56de03f7faf8e3ff7e12371574d12bcdc6898f81d33a"),
     ((3, 3, "D2", 2, (2, 1, 2), False),
      "b6ce9758815f3d616479085fd71f0e1d33d04b29131e7871a40aa4d593438d1d"),
+    # a box with a hole (s2 = 0) and d = 2: 74 cells hold a term
+    ((3, 3, "D3", 2, (2, 0, 1), False),
+     "238eb30c0317c2f6730e7b74aeb9839d5ad34b23c1b62271abd29566d9e77f21"),
     # a table without the "1" marker rows: every "(2)" cell is a gap, not a zero
     ((2, 1, "(2)", 3, (3,), True),
      "f0497e10bd5e0963232b2ed4ae2922dec437ba1789cf6544d44c77f76746872c"),
@@ -569,7 +574,7 @@ def test_two_point_product_values_are_theta_times_rationals(n, r):
     import symprod.operators as operators
 
     basis = tuple(default_divisor_basis(n, r))
-    product = dict(operators._two_point_product(basis, r, 3, (1,) * r))
+    product = dict(operators._two_point_product(basis, r, 3, tuple(chain_degrees((1,) * r))))
     assert product and all(product.values())  # only the nonzero cells are held
     values = [c for entry in product.values() for *_, c in entry]
     for c in values:
@@ -606,7 +611,7 @@ def test_two_point_product_matches_fraction_contraction(n, r, unit_box):
     import symprod.operators as operators
 
     basis = tuple(default_divisor_basis(n, r))
-    product = dict(operators._two_point_product(basis, r, 3, unit_box))
+    product = dict(operators._two_point_product(basis, r, 3, tuple(chain_degrees(unit_box))))
     want = reference_two_point_product(basis, r, 3, unit_box)
     assert any(want_entry for want_row in want for want_entry in want_row)
     assert len(want) == len(basis)

@@ -12,7 +12,6 @@ from symprod.partitions import (
     ONE,
     age,
     aut_order,
-    aut_order_weighted,
     ecurve,
     enumerate_sub_splittings,
     partition,
@@ -41,11 +40,11 @@ def test_aut_order_examples():
     assert aut_order(partition([2, 2, 2])) == 6
 
 
-def test_aut_order_weighted_examples():
-    assert aut_order_weighted(weighted_partition([(1, ONE), (1, ecurve(1))])) == 1
-    assert aut_order_weighted(weighted_partition([(1, ONE), (1, ONE)])) == 2
+def test_aut_order_of_weighted_partitions():
+    assert aut_order(weighted_partition([(1, ONE), (1, ecurve(1))])) == 1
+    assert aut_order(weighted_partition([(1, ONE), (1, ONE)])) == 2
     wp = weighted_partition([(2, ecurve(1)), (2, ecurve(1)), (1, ecurve(1))])
-    assert aut_order_weighted(wp) == 2
+    assert aut_order(wp) == 2
 
 
 def test_centralizer_examples():

@@ -93,6 +93,11 @@ def test_eigencheck_stdout_pinned(capsys, point, digest):
              "--u-order", "6", "--s-orders", "3"],
             "7efc832bc025c975b95e7426d6f8e18df60a47ae959bf55bbf03f9c7346e8295",
         ),
+        (  # a box with a hole and d = 2; w3 at r = 3 has three nonzero coefficients
+            ["--n", "3", "--r", "3", "--left", "1(w3)+2(E1)", "--right", "1(E3)+2(E1)",
+             "--u-order", "3", "--s-orders", "2,0,1"],
+            "f632760e427d52177ea0e90824b1178a56fc0058d9233d1e80798a53ef701567",
+        ),
     ],
 )
 def test_two_point_stdout_pinned(capsys, args, digest):

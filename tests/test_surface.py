@@ -10,6 +10,7 @@ from symprod.errors import MalformedInputError, UnsupportedWeightError
 from symprod.partitions import ONE, ecurve, fixedpt, omega
 from symprod.surface import (
     beta_as_chain,
+    chain_degrees,
     check_label,
     class_of,
     e_chain,
@@ -97,6 +98,22 @@ def test_curve_exponents():
     assert e_chain(2, 2, 1, 3) == (0, 1, 0)
     with pytest.raises(ValueError):
         e_chain(2, 1, 1, 3)
+
+
+def test_chain_degrees():
+    # every chain that fits the box, with d from 1 to the smallest s-order it spans
+    assert chain_degrees((2, 0, 1)) == {
+        (1, 1): ((1, (1, 0, 0)), (2, (2, 0, 0))),
+        (3, 3): ((1, (0, 0, 1)),),
+    }
+    assert chain_degrees((1, 1)) == {
+        (1, 1): ((1, (1, 0)),),
+        (1, 2): ((1, (1, 1)),),
+        (2, 2): ((1, (0, 1)),),
+    }
+    assert chain_degrees((3,)) == {(1, 1): ((1, (1,)), (2, (2,)), (3, (3,)))}
+    assert chain_degrees((0,)) == {}
+    assert list(chain_degrees((1, 1, 1))) == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
 
 
 def test_beta_as_chain():
