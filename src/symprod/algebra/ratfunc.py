@@ -199,8 +199,13 @@ def ratfunc_to_text(f: RatFunc2) -> str:
 
 
 def ratfunc_from_text(text: str) -> RatFunc2:
+    """Parse ratfunc_to_text's form; spaces aside, any other spelling raises ValueError."""
     s = text.strip()
     if s.startswith("(") and ")/(" in s and s.endswith(")"):
         left, right = s.split(")/(", 1)
-        return RatFunc2(poly2_from_text(left[1:]), poly2_from_text(right[:-1]))
-    return RatFunc2(poly2_from_text(s))
+        f = RatFunc2(poly2_from_text(left[1:]), poly2_from_text(right[:-1]))
+    else:
+        f = RatFunc2(poly2_from_text(s))
+    if ratfunc_to_text(f).replace(" ", "") != s.replace(" ", ""):
+        raise ValueError(f"rational function text {text!r} is not in canonical form")
+    return f

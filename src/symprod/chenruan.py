@@ -35,8 +35,8 @@ from .partitions import (
     wp_size,
 )
 from .surface import (
-    TangentWeights,
     check_label,
+    check_r,
     class_of,
     integrate,
     omega_coefficients,
@@ -70,7 +70,8 @@ class CRClass:
         return f"CRClass(n={self.n}, {len(self.terms)} fixed-point terms)"
 
 
-def expand(wp: WeightedPartition, w: TangentWeights) -> CRClass:
+@memo
+def expand(wp: WeightedPartition, r: int) -> CRClass:
     """Fixed-point expansion of a cohomology-weighted partition.
 
     Every cycle i(eta) is distributed over the fixed points through
@@ -78,17 +79,12 @@ def expand(wp: WeightedPartition, w: TangentWeights) -> CRClass:
     are merged, with the automorphism-ratio normalization that makes the
     coefficients exactly the components in the fixed-point basis.
     """
-    return _expand(wp, w.r)
-
-
-@memo
-def _expand(wp: WeightedPartition, r: int) -> CRClass:
     w = tangent_weights(r)
     n = wp_size(wp)
     slots = list(wp)
     rows = []
     for _, label in slots:
-        sc = class_of(label, w)
+        sc = class_of(label, r)
         rows.append([sc[k - 1] / w.LR(k) for k in w.points()])
     acc: dict[MultiPartition, RatFunc2] = {}
     assignment = [0] * len(slots)
@@ -126,11 +122,10 @@ def _integral(l1: Label, l2: Label, r: int) -> RatFunc2:
 
 @memo
 def _ordered_integral(l1: Label, l2: Label, r: int) -> RatFunc2:
-    w = tangent_weights(r)
-    return integrate(class_of(l1, w), class_of(l2, w), w)
+    return integrate(class_of(l1, r), class_of(l2, r))
 
 
-def pairing(wp1: WeightedPartition, wp2: WeightedPartition, w: TangentWeights) -> RatFunc2:
+def pairing(wp1: WeightedPartition, wp2: WeightedPartition, r: int) -> RatFunc2:
     """Orbifold Poincare pairing, a symmetric power of the surface pairing.
 
     Vanishes unless the cycle-type multiplicities agree; otherwise the
@@ -141,7 +136,7 @@ def pairing(wp1: WeightedPartition, wp2: WeightedPartition, w: TangentWeights) -
     if wp_size(wp1) != wp_size(wp2):
         raise ValueError("weighted partitions of different sizes")
     # the pairing is symmetric, so one entry serves both orders
-    return _matching_sum(wp1, wp2, w.r) if wp1 <= wp2 else _matching_sum(wp2, wp1, w.r)
+    return _matching_sum(wp1, wp2, r) if wp1 <= wp2 else _matching_sum(wp2, wp1, r)
 
 
 @memo
@@ -199,7 +194,7 @@ def _blocks(basis: list[WeightedPartition]) -> list[list[int]]:
     return list(groups.values())
 
 
-def gram_matrix(basis, w: TangentWeights) -> list[list[RatFunc2]]:
+def gram_matrix(basis, r: int) -> list[list[RatFunc2]]:
     """Pairing Gram matrix; block-diagonal across underlying partitions."""
     basis = list(basis)
     size = len(basis)
@@ -208,13 +203,13 @@ def gram_matrix(basis, w: TangentWeights) -> list[list[RatFunc2]]:
     for block in _blocks(basis):
         for pos, i in enumerate(block):
             for j in block[pos:]:
-                val = pairing(basis[i], basis[j], w)
+                val = pairing(basis[i], basis[j], r)
                 gram[i][j] = val
                 gram[j][i] = val
     return gram
 
 
-def gram_inverse(basis, w: TangentWeights) -> list[list[RatFunc2]]:
+def gram_inverse(basis, r: int) -> list[list[RatFunc2]]:
     """Inverse of the Gram matrix in closed form, from the dual surface pairing.
 
     The pairing is the symmetric power of g = diag(1/((r+1) t1 t2), -C) on
@@ -225,7 +220,7 @@ def gram_inverse(basis, w: TangentWeights) -> list[list[RatFunc2]]:
     unless b' has as many of each size. The basis must pass check_whole_blocks.
     """
     basis = list(basis)
-    check_whole_blocks(basis, w.r)
+    check_whole_blocks(basis, r)
     out = [[RatFunc2.zero()] * len(basis) for _ in basis]
     for block in _blocks(basis):
         labels = {i: _labels_by_size(basis[i]) for i in block}
@@ -234,7 +229,7 @@ def gram_inverse(basis, w: TangentWeights) -> list[list[RatFunc2]]:
             k = sum(label == ONE for _, label in basis[i])
             for j in block[pos:]:
                 c = parts_product * prod(
-                    _permanent(rows, cols, w.r, _dual_entry)
+                    _permanent(rows, cols, r, _dual_entry)
                     for (_, rows), (_, cols) in zip(labels[i], labels[j])
                 )
                 if c:
@@ -245,6 +240,7 @@ def gram_inverse(basis, w: TangentWeights) -> list[list[RatFunc2]]:
 def check_whole_blocks(basis, r: int) -> None:
     """Raise DegenerateBasisError unless each block (the elements of one underlying
     partition) holds every labelling of it by 1, E_1..E_r exactly once."""
+    check_r(r)
     basis = list(basis)
     for block in _blocks(basis):
         elements = [basis[i] for i in block]

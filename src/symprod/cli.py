@@ -68,7 +68,7 @@ def _cmd_one_part_hurwitz(args) -> int:
 
 
 def _cmd_two_point(args) -> int:
-    w = tangent_weights(args.r)
+    tangent_weights(args.r)  # rejects r < 1 before the s-orders are read
     check_n(args.n)
     left = parse_wp(args.left)
     right = parse_wp(args.right)
@@ -78,7 +78,7 @@ def _cmd_two_point(args) -> int:
             f"(got sizes {wp_size(left)} and {wp_size(right)})"
         )
     s_orders = _parse_s_orders(args.s_orders, args.r)
-    series = two_point_series(left, right, args.u_order, s_orders, w)
+    series = two_point_series(left, right, args.u_order, s_orders)
     payload = {
         "n": args.n,
         "r": args.r,

@@ -60,7 +60,7 @@ from .partitions import (
     weighted_partition,
     wp_size,
 )
-from .surface import TangentWeights, beta_as_chain, chain_degrees, check_label, e_dot
+from .surface import beta_as_chain, chain_degrees, check_label, check_r, e_dot
 from .textforms import (
     label_to_text,
     parse_wp,
@@ -78,9 +78,9 @@ _TABLE_DIVISOR_RE = re.compile("1|" + _DIVISOR_RE.pattern)  # the marker or an u
 
 
 def _check_pair(mu_w: WeightedPartition, nu_w: WeightedPartition, r: int) -> None:
+    check_r(r)
     for _, label in mu_w + nu_w:
         check_label(label, r)
-    for _, label in mu_w + nu_w:
         if label[0] not in ("1", "E", "w"):
             raise UnsupportedWeightError(
                 f"weight {label_to_text(label)} unsupported: connected "
@@ -106,14 +106,6 @@ def divisor_index(divisor: str, r: int) -> int:
             f'divisor {divisor!r} out of range: the divisors are "(2)" and D1..D{r}'
         )
     return ell
-
-
-def _check_beta(beta, r: int) -> tuple:
-    """beta as a tuple; a curve class on A_r has one entry per E_1..E_r."""
-    beta = tuple(beta)
-    if len(beta) != r:
-        raise ValueError(f"curve class {beta} has {len(beta)} entries, not r = {r}")
-    return beta
 
 
 @memo
@@ -162,9 +154,8 @@ def connected_two_point(
     nu_w: WeightedPartition,
     a: int,
     beta,
-    w: TangentWeights,
 ) -> Poly2:
-    """Connected extended two-point invariant of twisted degree (a, beta).
+    """Connected extended two-point invariant of twisted degree (a, beta) on A_r, r = len(beta).
 
     Nonzero only for beta = d(E_i + ... + E_j) with d > 0 and weights that
     all pair nontrivially with the chain; then it equals
@@ -176,8 +167,8 @@ def connected_two_point(
     never depends on d; two_point_scalars sums these scalars in Fractions
     before building any rational function.
     """
-    _check_pair(mu_w, nu_w, w.r)
-    beta = _check_beta(beta, w.r)
+    beta = tuple(beta)
+    _check_pair(mu_w, nu_w, len(beta))
     if a < 0:
         return Poly2.zero()
     chain = beta_as_chain(beta)
@@ -285,7 +276,7 @@ def two_point_scalars(
     mu2_w: WeightedPartition,
     a_values,
     chains,
-    w: TangentWeights,
+    r: int,
 ) -> dict:
     """The scalars C of the module docstring's scalar form, keyed (a, i, j)
     for every a in a_values and every chain (i, j) in chains; zeros omitted.
@@ -295,7 +286,7 @@ def two_point_scalars(
     pairing is block-diagonal, so only the B with mu1_w's underlying
     partition are paired.
     """
-    _check_pair(mu1_w, mu2_w, w.r)
+    _check_pair(mu1_w, mu2_w, r)
     if not chains:  # no chain fits the box, so no splitting contributes
         return {}
     block = underlying(mu1_w)
@@ -303,7 +294,7 @@ def two_point_scalars(
     for b, values in two_point_column(mu2_w, a_values, chains).items():
         if underlying(b) != block:
             continue
-        pair = pairing(mu1_w, b, w).num.const_value()
+        pair = pairing(mu1_w, b, r).num.const_value()
         if pair:
             for key, c in values.items():
                 acc[key] = acc.get(key, 0) + pair * c
@@ -322,19 +313,19 @@ def disconnected_two_point(
     mu2_w: WeightedPartition,
     a: int,
     beta,
-    w: TangentWeights,
 ) -> RatFunc2:
-    """Disconnected two-point invariant of twisted degree (a, beta).
+    """Disconnected two-point invariant of twisted degree (a, beta) on A_r, r = len(beta).
 
     It is the pairing of mu1_w with the two-point column of mu2_w, in the
     scalar form of the module docstring, and 0 unless beta is a chain
     d*E_{ij}.
     """
-    beta = _check_beta(beta, w.r)
+    beta = tuple(beta)
+    check_r(len(beta))
     if not any(beta):
         raise OutOfScopeError("degree-zero extended invariants are external table data")
     chain = beta_as_chain(beta)  # a beta that is not a chain still has its inputs checked
-    scalars = two_point_scalars(mu1_w, mu2_w, (a,), [] if chain is None else [chain[:2]], w)
+    scalars = two_point_scalars(mu1_w, mu2_w, (a,), [chain[:2]] if chain else [], len(beta))
     if not scalars:
         return RatFunc2.zero()
     return _scalar_invariant(scalars[(a, *chain[:2])], a, chain[2], mu1_w)
@@ -345,19 +336,16 @@ def two_point_series(
     mu2_w: WeightedPartition,
     u_order: int,
     s_orders,
-    w: TangentWeights,
 ) -> TruncSeries:
-    """Truncated two-point function over nonzero degrees only.
+    """Truncated two-point function over nonzero degrees only, on A_r with r = len(s_orders).
 
     Sums disconnected invariants times u^a s^(curve exponents) over all
     a <= u_order and all chains d*E_{ij} whose exponent vector fits the
     s-truncation box. The beta = 0 column is intentionally absent.
     """
     s_orders = tuple(s_orders)
-    if len(s_orders) != w.r:
-        raise ValueError(f"need {w.r} s-orders, got {len(s_orders)}")
     chains = chain_degrees(s_orders)
-    scalars = two_point_scalars(mu1_w, mu2_w, range(u_order + 1), tuple(chains), w)
+    scalars = two_point_scalars(mu1_w, mu2_w, range(u_order + 1), tuple(chains), len(s_orders))
     coeffs = {
         (a, ds): _scalar_invariant(c, a, d, mu1_w)
         for (a, i, j), c in scalars.items()
@@ -479,10 +467,9 @@ def three_point_divisor_series(
     alpha2_w: WeightedPartition,
     u_order: int,
     s_orders,
-    w: TangentWeights,
     table: ZeroDegreeTable | None = None,
 ) -> ThreePointResult:
-    """Three-point function with one divisor insertion, via divisor equations.
+    """Three-point function with one divisor insertion, via divisor equations; r = len(s_orders).
 
     divisor is "(2)" or "D<l>". The beta != 0 part never consults the
     table; the beta = 0 part is table data, read by one lookup in the slot
@@ -491,14 +478,15 @@ def three_point_divisor_series(
     missing_key, and the result is then a gap.
     """
     s_orders = tuple(s_orders)
-    ell = divisor_index(divisor, w.r)
+    check_r(len(s_orders))
+    ell = divisor_index(divisor, len(s_orders))
     slot = divisor if ell else TWO_POINT_MARKER
     pairs = table.get(alpha1_w, slot, alpha2_w) if table else None
     if ell:
-        base = two_point_series(alpha1_w, alpha2_w, u_order, s_orders, w).s_scale_d(ell)
+        base = two_point_series(alpha1_w, alpha2_w, u_order, s_orders).s_scale_d(ell)
     else:
         # compute one u-order higher so the derivative is exact at u_order
-        base = two_point_series(alpha1_w, alpha2_w, u_order + 1, s_orders, w).d_du()
+        base = two_point_series(alpha1_w, alpha2_w, u_order + 1, s_orders).d_du()
         if pairs is not None:
             pairs = tuple((a - 1, v * a) for a, v in pairs if 1 <= a <= u_order + 1)
     if pairs is None:

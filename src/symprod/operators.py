@@ -74,7 +74,7 @@ from .partitions import (
     weighted_partition,
     wp_size,
 )
-from .surface import chain_degrees, check_label, tangent_weights
+from .surface import chain_degrees, check_label
 from .textforms import wp_to_text
 
 
@@ -195,13 +195,13 @@ def divisor_operator(
     if table is None:  # every beta = 0 value is unknown
         gaps = set(itertools.product(range(size), repeat=2))
     else:
-        w, zeros = tangent_weights(r), (0,) * r
-        ginv = gram_inverse(basis, w)
+        zeros = (0,) * r
+        ginv = gram_inverse(basis, r)
         tzero: list[list[ThreePointResult]] = [[None] * size for _ in range(size)]
         for j in range(size):
             for a in range(j, size):
                 tzero[a][j] = tzero[j][a] = three_point_divisor_series(
-                    basis[j], divisor, basis[a], u_order, zeros, w, table
+                    basis[j], divisor, basis[a], u_order, zeros, table
                 )
         gaps = set()
         for i in range(size):
@@ -323,7 +323,7 @@ def _table_from_expansion(m) -> ZeroDegreeTable:
     Raises RuntimeError when that layer has a u-dependent term.
     """
     basis = default_divisor_basis(2, 1)
-    gram = gram_matrix(basis, tangent_weights(1))
+    gram = gram_matrix(basis, 1)
     size = len(basis)
     consts: list[list[RatFunc2]] = [[None] * size for _ in range(size)]
     for i in range(size):

@@ -19,6 +19,12 @@ CurveClass = tuple[int, ...]
 SurfaceClass = tuple[RatFunc2, ...]  # a class as its restrictions to x_1..x_{r+1}
 
 
+def check_r(r: int) -> None:
+    """A_r has at least one exceptional curve, so r starts at 1."""
+    if r < 1:
+        raise ValueError("r must be at least 1")
+
+
 class TangentWeights:
     """Tangent weights L_i, R_i at the fixed points x_1..x_{r+1}.
 
@@ -29,8 +35,7 @@ class TangentWeights:
     __slots__ = ("r", "_L", "_R", "_LR")
 
     def __init__(self, r: int):
-        if r < 1:
-            raise ValueError("r must be at least 1")
+        check_r(r)
         self.r = r
         self._L = tuple(
             Poly2.linear(r - i + 2, 1 - i) for i in range(1, r + 2)
@@ -105,7 +110,8 @@ def check_label(label: Label, r: int) -> None:
 
 
 @memo
-def _class_of_cached(label: Label, r: int) -> SurfaceClass:
+def class_of(label: Label, r: int) -> SurfaceClass:
+    """Localized class of a weight label (identity, E_i, omega_k, [x_k])."""
     check_label(label, r)
     w = tangent_weights(r)
     zero = RatFunc2.zero()
@@ -122,20 +128,16 @@ def _class_of_cached(label: Label, r: int) -> SurfaceClass:
         coords[i] = RatFunc2(w.R(i + 1))
     elif kind == "w":  # sum_m c_m E_m, one fixed point at a time
         coeffs = omega_coefficients(r)[label[1] - 1]
-        curves = [_class_of_cached(("E", m), r) for m in range(1, r + 1)]
+        curves = [class_of(("E", m), r) for m in range(1, r + 1)]
         coords = [sum((c * e[k] for c, e in zip(coeffs, curves) if c), zero) for k in range(r + 1)]
     else:
         raise UnsupportedWeightError(f"no localized class for label {label!r}")
     return tuple(coords)
 
 
-def class_of(label: Label, w: TangentWeights) -> SurfaceClass:
-    """Localized class of a weight label (identity, E_i, omega_k, [x_k])."""
-    return _class_of_cached(label, w.r)
-
-
-def integrate(alpha: SurfaceClass, beta: SurfaceClass, w: TangentWeights) -> RatFunc2:
-    """Localization sum over fixed points of alpha*beta / (L_k R_k)."""
+def integrate(alpha: SurfaceClass, beta: SurfaceClass) -> RatFunc2:
+    """Localization sum over the r + 1 = len(alpha) fixed points of alpha*beta / (L_k R_k)."""
+    w = tangent_weights(len(alpha) - 1)
     total = RatFunc2.zero()
     for k in w.points():
         a, b = alpha[k - 1], beta[k - 1]

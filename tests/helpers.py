@@ -213,11 +213,10 @@ def pairing_fixed(mp1, mp2, w) -> RatFunc2:
     return t_weight(mp1, w) * h
 
 
-def permutation_pairing(wp1, wp2, w) -> RatFunc2:
+def permutation_pairing(wp1, wp2, r: int) -> RatFunc2:
     """Reference pairing: per part size, the sum over all m! matchings of the
     cycles of that length of the product of their surface integrals,
     normalized by the part product and both automorphism orders."""
-    r = w.r
     by_size1: dict = defaultdict(list)
     by_size2: dict = defaultdict(list)
     for p, label in wp1:
@@ -249,14 +248,14 @@ def permutation_pairing(wp1, wp2, w) -> RatFunc2:
     return total * norm
 
 
-def gauss_jordan_gram_inverse(basis, w) -> list:
+def gauss_jordan_gram_inverse(basis, r: int) -> list:
     """Reference Gram inverse: Gauss-Jordan elimination over RatFunc2 on each
     underlying-partition block of the pairing Gram matrix. Takes any basis
     with invertible blocks, including w and x labels."""
     basis = list(basis)
     size = len(basis)
     zero, one = RatFunc2.zero(), RatFunc2.one()
-    gram = gram_matrix(basis, w)
+    gram = gram_matrix(basis, r)
     out = [[zero] * size for _ in range(size)]
     blocks: dict = {}
     for idx, wp in enumerate(basis):
@@ -284,14 +283,14 @@ def gauss_jordan_gram_inverse(basis, w) -> list:
     return out
 
 
-def dual_basis(basis, w) -> list:
+def dual_basis(basis, r: int) -> list:
     """Classes dual to the basis under the orbifold pairing."""
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
     n = wp_size(basis[0])
-    inv = gauss_jordan_gram_inverse(basis, w)
-    expansions = [expand(wp, w) for wp in basis]
+    inv = gauss_jordan_gram_inverse(basis, r)
+    expansions = [expand(wp, r) for wp in basis]
     duals = []
     for j in range(len(basis)):
         terms: dict = {}
@@ -303,12 +302,12 @@ def dual_basis(basis, w) -> list:
     return duals
 
 
-def fixed_basis_pairing(wp1, wp2, w) -> RatFunc2:
+def fixed_basis_pairing(wp1, wp2, r: int) -> RatFunc2:
     """Reference pairing: expand both classes in the fixed-point basis,
     where the pairing is diagonal with entries pairing_fixed."""
     if wp_size(wp1) != wp_size(wp2):
         raise ValueError("weighted partitions of different sizes")
-    a, b = expand(wp1, w), expand(wp2, w)
+    a, b, w = expand(wp1, r), expand(wp2, r), tangent_weights(r)
     total = RatFunc2.zero()
     for mp, ca in a.terms.items():
         cb = b.terms.get(mp)
@@ -317,7 +316,7 @@ def fixed_basis_pairing(wp1, wp2, w) -> RatFunc2:
     return total
 
 
-def reference_connected_two_point(mu_w, nu_w, a: int, beta, w) -> Poly2:
+def reference_connected_two_point(mu_w, nu_w, a: int, beta) -> Poly2:
     """Reference connected two-point invariant: the closed product evaluated
     term by term for one degree (a, beta), with its own Hurwitz convolution.
 
@@ -325,7 +324,7 @@ def reference_connected_two_point(mu_w, nu_w, a: int, beta, w) -> Poly2:
         * (t1+t2) (-1)^g d^(a-1) / (k^(a-2) |Aut(mu_w)| |Aut(nu_w)|)
         * sum_{a1+a2=a} H(mu,(2)^a1,(k)) H(nu,(2)^a2,(k)) / (a1! a2!)
     """
-    _check_pair(mu_w, nu_w, w.r)
+    _check_pair(mu_w, nu_w, len(tuple(beta)))
     k = wp_size(mu_w)
     if a < 0:
         return Poly2.zero()
@@ -451,7 +450,7 @@ def _bitmask_splittings(wp) -> set:
     return seen
 
 
-def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
+def bitmask_disconnected(mu1, mu2, a: int, beta) -> RatFunc2:
     """Reference disconnected two-point invariant: the splitting sum over
     slot bitmasks, pairing(theta1, theta2) times the reference connected
     invariant of the leftovers."""
@@ -462,10 +461,10 @@ def bitmask_disconnected(mu1, mu2, a: int, beta, w) -> RatFunc2:
                 continue
             if not nu1 or not nu2:
                 continue
-            conn = reference_connected_two_point(nu1, nu2, a, beta, w)
+            conn = reference_connected_two_point(nu1, nu2, a, beta)
             if conn.is_zero():
                 continue
-            total = total + pairing(theta1, theta2, w) * RatFunc2(conn)
+            total = total + pairing(theta1, theta2, len(beta)) * RatFunc2(conn)
     return total
 
 
@@ -480,12 +479,12 @@ def _splittings_by_theta(wp: WeightedPartition) -> dict:
     return out
 
 
-def matched_pair_two_point_scalars(mu1_w, mu2_w, a_values, chains, w) -> dict:
+def matched_pair_two_point_scalars(mu1_w, mu2_w, a_values, chains, r: int) -> dict:
     """Reference invariants.two_point_scalars: the splitting sum over matched
     pairs. Each pair of splittings (theta1, nu1), (theta2, nu2) with a common
     underlying theta adds the numerator of its theta pairing times X(nu1)
     X(nu2) D(underlying nu1, underlying nu2, a), skipping zero factors."""
-    _check_pair(mu1_w, mu2_w, w.r)
+    _check_pair(mu1_w, mu2_w, r)
     if not chains:
         return {}
     chains, a_values = tuple(chains), tuple(a_values)
@@ -505,7 +504,7 @@ def matched_pair_two_point_scalars(mu1_w, mu2_w, a_values, chains, w) -> dict:
                 degs = _degree_factors(underlying(nu1), lam2, a_values)
                 if not any(degs):
                     continue
-                pair = pairing(theta1, theta2, w).num.const_value()
+                pair = pairing(theta1, theta2, r).num.const_value()
                 if not pair:
                     continue
                 for (i, j), x1, x2 in zip(chains, xs1, xs2):
@@ -559,13 +558,12 @@ def reference_two_point_product(basis, r: int, u_top: int, unit_box: tuple) -> l
     contracted with the c of each G^{-1} entry c (t1 t2)^k one Fraction
     multiply-add at a time. P[i][j] lists (a, i', j', (t1+t2) value) for
     the chains i'..j' inside unit_box, zeros omitted."""
-    w = tangent_weights(r)
-    ginv = gram_inverse(basis, w)
+    ginv = gram_inverse(basis, r)
     chains = [(i, j) for i in range(1, r + 1) for j in range(i, r + 1) if min(unit_box[i - 1 : j])]
     size = len(basis)
     t2 = [
         [
-            matched_pair_two_point_scalars(basis[j], basis[a], range(u_top + 1), chains, w)
+            matched_pair_two_point_scalars(basis[j], basis[a], range(u_top + 1), chains, r)
             for j in range(size)
         ]
         for a in range(size)
@@ -598,7 +596,6 @@ def reference_divisor_operator(
     """Reference divisor-operator matrix M = G^{-1} T, with T the full
     three-point series <<b_j, D, b_a>> of every basis pair (j <= a, used
     for both orders) contracted entry by entry with the Gram inverse."""
-    w = tangent_weights(r)
     basis = tuple(weighted_partition(wp) for wp in basis)
     if not basis:
         raise ValueError("empty basis")
@@ -606,15 +603,15 @@ def reference_divisor_operator(
         raise ValueError(f"basis elements must have size {n}")
     for b in basis:
         for _, label in b:
-            check_label(label, w.r)
+            check_label(label, r)
     s_orders = tuple(s_orders)
     size = len(basis)
-    ginv = gauss_jordan_gram_inverse(basis, w)
+    ginv = gauss_jordan_gram_inverse(basis, r)
     tmat = [[None] * size for _ in range(size)]
     for j in range(size):
         for a in range(j, size):
             res = three_point_divisor_series(
-                basis[j], divisor, basis[a], u_order, s_orders, w, table
+                basis[j], divisor, basis[a], u_order, s_orders, table
             )
             tmat[a][j] = res
             if a != j:

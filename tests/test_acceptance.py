@@ -113,11 +113,11 @@ def test_criterion_4_localization_gram_and_weights():
         for i in range(1, r + 1):
             if w.R(i) != -w.L(i + 1):
                 ok = False
-        curves = [class_of(ecurve(i), w) for i in range(1, r + 1)]
+        curves = [class_of(ecurve(i), r) for i in range(1, r + 1)]
         for i in range(r):
             for j in range(r):
                 want = RatFunc2.const(intersection_number(i + 1, j + 1))
-                if integrate(curves[i], curves[j], w) != want:
+                if integrate(curves[i], curves[j]) != want:
                     ok = False
     _report(
         4,
@@ -133,7 +133,7 @@ def test_criterion_5_pairing_consistency():
         w = tangent_weights(r)
         for n in (1, 2, 3):
             wps = all_weighted_partitions(n, all_labels(r))
-            expansions = {wp: expand(wp, w) for wp in wps}
+            expansions = {wp: expand(wp, r) for wp in wps}
 
             def fixed_path(a, b):
                 ea, eb = expansions[a], expansions[b]
@@ -147,7 +147,7 @@ def test_criterion_5_pairing_consistency():
 
             for idx, a in enumerate(wps):
                 for b in wps[idx:]:
-                    if fixed_path(a, b) != pairing(a, b, w):
+                    if fixed_path(a, b) != pairing(a, b, r):
                         ok = False
             # diagonal values on fixed-point classes are H(sigma~) t(sigma~)
             for mp_wp in wps:
@@ -157,7 +157,7 @@ def test_criterion_5_pairing_consistency():
                 for part, label in mp_wp:
                     comps[label[1] - 1].append(part)
                 mp = multipartition(comps)
-                if pairing(mp_wp, mp_wp, w) != pairing_fixed(mp, mp, w):
+                if pairing(mp_wp, mp_wp, r) != pairing_fixed(mp, mp, w):
                     ok = False
     _report(
         5,
@@ -191,7 +191,6 @@ def test_criterion_6_splitting_identity():
     checked = 0
     while checked < 200:
         r = rng.randint(1, 2)
-        w = tangent_weights(r)
         n = rng.randint(2, 4)
         lam = random_weighted_partition(rng, n, all_labels(r))
         delta = rng.choice(_multipartitions_of(n, r + 1))
@@ -201,12 +200,12 @@ def test_criterion_6_splitting_identity():
             continue
         sigma = rng.choice(subs)
         rest = mp_diff(delta, sigma)
-        lhs = expand(lam, w).coefficient(delta)
+        lhs = expand(lam, r).coefficient(delta)
         rhs = RatFunc2.zero()
         for theta, nu in enumerate_sub_splittings(lam):
             if wp_size(theta) != m:
                 continue
-            rhs = rhs + expand(theta, w).coefficient(sigma) * expand(nu, w).coefficient(rest)
+            rhs = rhs + expand(theta, r).coefficient(sigma) * expand(nu, r).coefficient(rest)
         if lhs != rhs:
             ok = False
         checked += 1
@@ -224,7 +223,6 @@ def test_criterion_7_structural_vanishing():
     # off-chain and ineffective degrees vanish
     for _ in range(60):
         r = rng.randint(2, 3)
-        w = tangent_weights(r)
         n = rng.randint(1, 4)
         labels = divisor_labels(r)
         mu1 = random_weighted_partition(rng, n, labels)
@@ -238,12 +236,11 @@ def test_criterion_7_structural_vanishing():
         else:
             bad[0] = 1
             bad[1] = 2
-        if not disconnected_two_point(mu1, mu2, a, tuple(bad), w).is_zero():
+        if not disconnected_two_point(mu1, mu2, a, tuple(bad)).is_zero():
             ok = False
     # parity vanishing and theta-divisible polynomial values
     for _ in range(60):
         r = rng.randint(1, 2)
-        w = tangent_weights(r)
         n = rng.randint(1, 4)
         labels = divisor_labels(r)
         mu1 = random_weighted_partition(rng, n, labels)
@@ -256,13 +253,13 @@ def test_criterion_7_structural_vanishing():
         )
         d = max(beta)
         beta = tuple(d if b else 0 for b in beta)
-        conn = connected_two_point(mu1, mu2, a, beta, w)
+        conn = connected_two_point(mu1, mu2, a, beta)
         if poly2_subs_t2_minus_t1(conn) != []:
             ok = False  # not divisible by t1 + t2
         if (a - len(mu1) - len(mu2)) % 2 and not conn.is_zero():
             ok = False  # parity must kill it
         if (a - len(mu1) - len(mu2)) % 2:
-            if not disconnected_two_point(mu1, mu2, a, beta, w).is_zero():
+            if not disconnected_two_point(mu1, mu2, a, beta).is_zero():
                 ok = False
     _report(
         7,

@@ -169,6 +169,9 @@ def test_ratfunc_text_roundtrip():
         assert ratfunc_from_text(ratfunc_to_text(f)) == f
     assert poly2_from_text(poly2_to_text(Poly2.zero())) == Poly2.zero()
     assert poly2_from_text("t1+t2") == T1P + T2P  # spaces are not part of the spelling
+    quotient = RatFunc2(T1P + T2P, T1P * T2P)
+    assert ratfunc_from_text("(t1 + t2)/(t1*t2)") == ratfunc_from_text("(t1+t2)/(t1*t2)") == quotient
+    assert ratfunc_to_text(ratfunc_from_text("(1/2*t1)/(t2)")) == "(1/2*t1)/(t2)"
 
 
 # each loads as a polynomial, but poly2_to_text spells it otherwise
@@ -176,6 +179,16 @@ def test_ratfunc_text_roundtrip():
 def test_poly2_from_text_rejects_noncanonical_spelling(text):
     with pytest.raises(ValueError, match="not in canonical form") as err:
         poly2_from_text(text)
+    assert repr(text) in str(err.value)
+
+
+# each side is canonical, but ratfunc_to_text spells the quotient otherwise
+@pytest.mark.parametrize(
+    "text", ["(2*t1)/(2)", "(t1)/(1)", "(t1*t2)/(t1)", "(t1)/(-t2)", "(t1)/(2*t2)"]
+)
+def test_ratfunc_from_text_rejects_noncanonical_quotient(text):
+    with pytest.raises(ValueError, match="not in canonical form") as err:
+        ratfunc_from_text(text)
     assert repr(text) in str(err.value)
 
 

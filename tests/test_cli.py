@@ -251,9 +251,10 @@ def test_table_nonhomogeneous_denominator_is_usage_error(tmp_path, capsys):
     assert "t1 + 1" in err and "homogeneous" in err and "Traceback" not in err
 
 
-def test_table_noncanonical_coefficient_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("coeff", ["2t1t2", "(t1*t2)/(t1)"])
+def test_table_noncanonical_coefficient_is_usage_error(tmp_path, capsys, coeff):
     entry = {"left": "1(1)+1(E1)", "divisor": "D1", "right": "1(1)+1(E1)",
-             "series": [[0, "2t1t2"]]}
+             "series": [[0, coeff]]}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"entries": [entry]}))
     code, out, err = run(
@@ -263,7 +264,7 @@ def test_table_noncanonical_coefficient_is_usage_error(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
-    assert "2t1t2" in err and "canonical" in err and "Traceback" not in err
+    assert coeff in err and "canonical" in err and "Traceback" not in err
 
 
 def test_make_table_output_loads_unchanged(tmp_path, capsys):

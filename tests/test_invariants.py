@@ -43,7 +43,7 @@ from symprod.partitions import (
     underlying,
     weighted_partition,
 )
-from symprod.surface import e_chain, tangent_weights
+from symprod.surface import e_chain
 from symprod.textforms import wp_to_text
 
 THETA = Poly2.linear(1, 1)
@@ -53,47 +53,45 @@ def wp(*pairs):
     return weighted_partition(pairs)
 
 
-W1 = tangent_weights(1)
 TWO_E1 = wp((2, ecurve(1)))
 ONE_TWO_E1 = wp((1, ecurve(1)), (2, ecurve(1)))
 
 
 def test_connected_basic_value():
     for d in (1, 2, 3):
-        got = connected_two_point(TWO_E1, TWO_E1, 0, (d,), W1)
+        got = connected_two_point(TWO_E1, TWO_E1, 0, (d,))
         assert got == THETA.scale(Fraction(4, d))
 
 
 def test_connected_identity_weight_kills():
-    got = connected_two_point(wp((2, ONE)), TWO_E1, 0, (1,), W1)
+    got = connected_two_point(wp((2, ONE)), TWO_E1, 0, (1,))
     assert got.is_zero()
 
 
 def test_connected_parity_vanishing():
-    assert connected_two_point(TWO_E1, TWO_E1, 1, (1,), W1).is_zero()
+    assert connected_two_point(TWO_E1, TWO_E1, 1, (1,)).is_zero()
 
 
 def test_connected_negative_a_is_zero():
-    assert connected_two_point(TWO_E1, TWO_E1, -1, (1,), W1).is_zero()
+    assert connected_two_point(TWO_E1, TWO_E1, -1, (1,)).is_zero()
 
 
 def test_connected_rejects_fixed_point_weights():
     with pytest.raises(UnsupportedWeightError):
-        connected_two_point(wp((2, fixedpt(1))), TWO_E1, 0, (1,), W1)
+        connected_two_point(wp((2, fixedpt(1))), TWO_E1, 0, (1,))
 
 
 def test_connected_degree_zero_out_of_scope():
     with pytest.raises(OutOfScopeError):
-        connected_two_point(TWO_E1, TWO_E1, 0, (0,), W1)
+        connected_two_point(TWO_E1, TWO_E1, 0, (0,))
     with pytest.raises(OutOfScopeError):
-        disconnected_two_point(TWO_E1, TWO_E1, 2, (0,), W1)
+        disconnected_two_point(TWO_E1, TWO_E1, 2, (0,))
 
 
 def test_connected_symmetry_random():
     rng = random.Random(71)
     for _ in range(30):
         r = rng.randint(1, 2)
-        w = tangent_weights(r)
         k = rng.randint(1, 4)
         labels = divisor_labels(r)
         mu = random_weighted_partition(rng, k, labels)
@@ -102,9 +100,7 @@ def test_connected_symmetry_random():
         i = rng.randint(1, r)
         j = rng.randint(i, r)
         beta = e_chain(i, j, rng.randint(1, 3), r)
-        assert connected_two_point(mu, nu, a, beta, w) == connected_two_point(
-            nu, mu, a, beta, w
-        )
+        assert connected_two_point(mu, nu, a, beta) == connected_two_point(nu, mu, a, beta)
 
 
 def _divisor_label(r):
@@ -141,10 +137,9 @@ def _outcome(fn, *args):
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(_connected_case())
 def test_connected_matches_reference_property(case):
-    r, mu, nu, a, beta = case
-    w = tangent_weights(r)
-    assert _outcome(connected_two_point, mu, nu, a, beta, w) == _outcome(
-        reference_connected_two_point, mu, nu, a, beta, w
+    _, mu, nu, a, beta = case
+    assert _outcome(connected_two_point, mu, nu, a, beta) == _outcome(
+        reference_connected_two_point, mu, nu, a, beta
     )
 
 
@@ -262,14 +257,13 @@ def test_connected_theta_divisible_polynomial():
     rng = random.Random(73)
     for _ in range(40):
         r = rng.randint(1, 2)
-        w = tangent_weights(r)
         k = rng.randint(1, 4)
         labels = divisor_labels(r)
         mu = random_weighted_partition(rng, k, labels)
         nu = random_weighted_partition(rng, k, labels)
         a = rng.randint(0, 4)
         beta = e_chain(1, 1, rng.randint(1, 2), r)
-        val = connected_two_point(mu, nu, a, beta, w)
+        val = connected_two_point(mu, nu, a, beta)
         # polynomial output, and substituting t2 = -t1 kills it
         assert poly2_subs_t2_minus_t1(val) == []
 
@@ -278,41 +272,38 @@ def test_disconnected_single_parts_equal_connected():
     rng = random.Random(79)
     for _ in range(15):
         r = rng.randint(1, 2)
-        w = tangent_weights(r)
         labels = divisor_labels(r)
         k = rng.randint(1, 3)
         mu = wp((k, rng.choice(labels)))
         nu = wp((k, rng.choice(labels)))
         a = rng.randint(0, 3)
         beta = e_chain(1, r, rng.randint(1, 2), r)
-        assert disconnected_two_point(mu, nu, a, beta, w) == RatFunc2(
-            connected_two_point(mu, nu, a, beta, w)
+        assert disconnected_two_point(mu, nu, a, beta) == RatFunc2(
+            connected_two_point(mu, nu, a, beta)
         )
 
 
 def test_disconnected_three_point_example():
     for d in (1, 2):
-        got = disconnected_two_point(ONE_TWO_E1, ONE_TWO_E1, 0, (d,), W1)
+        got = disconnected_two_point(ONE_TWO_E1, ONE_TWO_E1, 0, (d,))
         assert got == RatFunc2(THETA.scale(Fraction(-12, d)))
 
 
 def test_disconnected_no_common_splitting():
-    w2 = tangent_weights(2)
     left = wp((1, ecurve(1)), (1, ecurve(1)), (1, ecurve(1)))
     right = wp((3, ecurve(1)))
     # only the empty theta matches, and the full connected term vanishes
     # (a 3-cycle cannot multiply with an identity profile to 1 transposition-free)
-    got = disconnected_two_point(left, right, 0, (1, 0), w2)
+    got = disconnected_two_point(left, right, 0, (1, 0))
     assert got.is_zero()
 
 
 def test_disconnected_vanishes_off_chains():
-    w3 = tangent_weights(3)
     left = wp((2, ecurve(1)))
     for beta in [(1, 0, 1), (1, 2, 0), (0, 0, 0, 0)[:3]]:
         if not any(beta):
             continue
-        assert disconnected_two_point(left, left, 0, beta, w3).is_zero()
+        assert disconnected_two_point(left, left, 0, beta).is_zero()
 
 
 def test_disconnected_bitmask_oracle():
@@ -320,20 +311,19 @@ def test_disconnected_bitmask_oracle():
     rng = random.Random(83)
     for _ in range(20):
         r = rng.randint(1, 2)
-        w = tangent_weights(r)
         labels = divisor_labels(r)
         n = rng.randint(1, 3)
         mu1 = random_weighted_partition(rng, n, labels)
         mu2 = random_weighted_partition(rng, n, labels)
         a = rng.randint(0, 2)
         beta = e_chain(1, 1, rng.randint(1, 2), r)
-        assert bitmask_disconnected(mu1, mu2, a, beta, w) == disconnected_two_point(
-            mu1, mu2, a, beta, w
+        assert bitmask_disconnected(mu1, mu2, a, beta) == disconnected_two_point(
+            mu1, mu2, a, beta
         )
 
 
 def test_two_point_series_layers():
-    series = two_point_series(TWO_E1, TWO_E1, 2, (3,), W1)
+    series = two_point_series(TWO_E1, TWO_E1, 2, (3,))
     for d in (1, 2, 3):
         assert series.coefficient(0, (d,)) == RatFunc2(THETA.scale(Fraction(4, d)))
         assert series.coefficient(1, (d,)).is_zero()  # parity
@@ -342,14 +332,14 @@ def test_two_point_series_layers():
     assert series.coefficient(0, (0,)).is_zero()  # no degree-zero column
 
 
-def _bitmask_series(mu1, mu2, u_order, s_orders, w):
+def _bitmask_series(mu1, mu2, u_order, s_orders):
     """The coefficients of two_point_series from the bitmask oracle."""
     expected = {}
     for exps in product(*(range(d + 1) for d in s_orders)):
         if not any(exps):
             continue
         for a in range(u_order + 1):
-            val = bitmask_disconnected(mu1, mu2, a, exps, w)
+            val = bitmask_disconnected(mu1, mu2, a, exps)
             if not val.is_zero():
                 expected[(a, exps)] = val
     return expected
@@ -372,11 +362,10 @@ def _series_case(draw):
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(_series_case())
 def test_two_point_series_matches_bitmask_oracle_property(case):
-    r, mu1, mu2, u_order, s_orders = case
-    w = tangent_weights(r)
-    series = two_point_series(mu1, mu2, u_order, s_orders, w)
+    _, mu1, mu2, u_order, s_orders = case
+    series = two_point_series(mu1, mu2, u_order, s_orders)
     # the whole box: off-chain degrees must come out zero, beta = 0 absent
-    assert series.coeffs == _bitmask_series(mu1, mu2, u_order, s_orders, w)
+    assert series.coeffs == _bitmask_series(mu1, mu2, u_order, s_orders)
 
 
 @st.composite
@@ -411,8 +400,8 @@ def _scalar_form_case(draw):
 def test_two_point_series_scalar_form_property(case):
     """Every coefficient is (t1+t2) c / (t1 t2)^k with k the number of
     1-labels, and the series is 0 when the two insertions' counts differ."""
-    r, mu1, mu2, u_order, s_orders = case
-    series = two_point_series(mu1, mu2, u_order, s_orders, tangent_weights(r))
+    _, mu1, mu2, u_order, s_orders = case
+    series = two_point_series(mu1, mu2, u_order, s_orders)
     k1, k2 = (sum(label == ONE for _, label in mu) for mu in (mu1, mu2))
     if k1 != k2:
         assert series.is_zero()
@@ -446,10 +435,9 @@ def test_two_point_scalars_match_matched_pair_oracle_property(case):
     scalars of the splitting sum over theta-matched pairs; insertions with
     different numbers of 1-labels give none."""
     r, mu1, mu2 = case
-    w = tangent_weights(r)
     chains = [(i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
-    got = invariants.two_point_scalars(mu1, mu2, range(4), chains, w)
-    assert got == matched_pair_two_point_scalars(mu1, mu2, range(4), chains, w)
+    got = invariants.two_point_scalars(mu1, mu2, range(4), chains, r)
+    assert got == matched_pair_two_point_scalars(mu1, mu2, range(4), chains, r)
     if sum(label == ONE for _, label in mu1) != sum(label == ONE for _, label in mu2):
         assert got == {}
 
@@ -457,15 +445,14 @@ def test_two_point_scalars_match_matched_pair_oracle_property(case):
 def test_splitting_memos_key_on_chains_and_u_range():
     # warm calls that differ only in the chains or the u-range must not
     # share a connected piece's factors
-    w2 = tangent_weights(2)
     mu1 = wp((1, ecurve(1)), (1, ecurve(2)), (2, ecurve(1)))
     mu2 = wp((1, ecurve(2)), (1, ecurve(1)), (2, ecurve(2)))
     calls = [
-        (two_point_series, (mu1, mu2, u_order, s_orders, w2))
+        (two_point_series, (mu1, mu2, u_order, s_orders))
         for u_order in (1, 3)
         for s_orders in ((1, 0), (1, 1), (0, 1))
     ]
-    calls.append((disconnected_two_point, (mu1, mu2, 2, (1, 1), w2)))
+    calls.append((disconnected_two_point, (mu1, mu2, 2, (1, 1))))
     clear_caches()
     warm = [fn(*args) for fn, args in calls]
     for (fn, args), got in zip(calls, warm):
@@ -496,9 +483,8 @@ def test_splittings_enumerated_once_per_weighted_partition(monkeypatch):
 
 
 def test_two_point_series_r2_support():
-    w2 = tangent_weights(2)
     left = wp((2, ecurve(1)))
-    series = two_point_series(left, left, 0, (2, 2), w2)
+    series = two_point_series(left, left, 0, (2, 2))
     # E_11 chain: (E_11.E_1)^2 = 4; adjacent and mixed chains meet E_1 once
     assert series.coefficient(0, (1, 0)) == RatFunc2(THETA.scale(4))
     assert series.coefficient(0, (0, 1)) == RatFunc2(THETA)
@@ -507,14 +493,14 @@ def test_two_point_series_r2_support():
 
 
 def test_three_point_s_scale():
-    res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 0, (3,), W1, None)
+    res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 0, (3,), None)
     assert res.gap  # no table supplied
     for d in (1, 2, 3):
         assert res.series.coefficient(0, (d,)) == RatFunc2(THETA.scale(4))
 
 
 def test_three_point_derivative_parity():
-    res = three_point_divisor_series(TWO_E1, "(2)", TWO_E1, 3, (2,), W1, None)
+    res = three_point_divisor_series(TWO_E1, "(2)", TWO_E1, 3, (2,), None)
     # u-even two-point function differentiates to a u-odd series
     for a, ds, _ in res.series.monomials():
         assert a % 2 == 1
@@ -523,18 +509,18 @@ def test_three_point_derivative_parity():
 def test_three_point_table_only_touches_degree_zero():
     table = ZeroDegreeTable()
     table.set(wp_to_text(TWO_E1), "D1", wp_to_text(TWO_E1), [(0, RatFunc2.const(7))])
-    res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 1, (2,), W1, table)
+    res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 1, (2,), table)
     assert not res.gap
     assert res.series.coefficient(0, (0,)) == RatFunc2.const(7)
     # nonzero-degree layers agree with the tableless run
-    bare = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 1, (2,), W1, None)
+    bare = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 1, (2,), None)
     for d in (1, 2):
         for a in (0, 1):
             assert res.series.coefficient(a, (d,)) == bare.series.coefficient(a, (d,))
 
 
 def test_three_point_gap_reports_key():
-    res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 0, (1,), W1, ZeroDegreeTable())
+    res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 0, (1,), ZeroDegreeTable())
     assert res.gap
     assert res.missing_key == (wp_to_text(TWO_E1), "D1", wp_to_text(TWO_E1))
 
@@ -548,16 +534,16 @@ def test_three_point_reads_one_table_slot_per_divisor(monkeypatch):
     monkeypatch.setattr(
         ZeroDegreeTable, "get", lambda self, a, d, b: slots.append(d) or get(self, a, d, b)
     )
-    res = three_point_divisor_series(TWO_E1, "(2)", TWO_E1, 1, (1,), W1, table)
-    bare = three_point_divisor_series(TWO_E1, "(2)", TWO_E1, 1, (1,), W1, None)
+    res = three_point_divisor_series(TWO_E1, "(2)", TWO_E1, 1, (1,), table)
+    bare = three_point_divisor_series(TWO_E1, "(2)", TWO_E1, 1, (1,), None)
     assert not res.gap and bare.gap and slots == ["1"]
     # d/du of 5 + 3 u^2 + 7 u^3 cut at u^1: 6 u
     assert res.series - bare.series == TruncSeries.monomial(1, (0,), 6, 1, (1,))
-    res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 1, (1,), W1, table)
+    res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 1, (1,), table)
     assert slots == ["1", "D1"]
     assert res.missing_key == (wp_to_text(TWO_E1), "D1", wp_to_text(TWO_E1))
     two_one = wp((2, ONE))
-    res = three_point_divisor_series(TWO_E1, "(2)", two_one, 1, (1,), W1, table)
+    res = three_point_divisor_series(TWO_E1, "(2)", two_one, 1, (1,), table)
     assert res.missing_key == (wp_to_text(TWO_E1), "1", wp_to_text(two_one))
 
 
@@ -697,51 +683,44 @@ def test_table_from_json_canonicalises_keys():
 
 def test_mismatched_sizes_rejected():
     with pytest.raises(ValueError):
-        connected_two_point(TWO_E1, wp((3, ecurve(1))), 0, (1,), W1)
+        connected_two_point(TWO_E1, wp((3, ecurve(1))), 0, (1,))
     with pytest.raises(ValueError):
-        disconnected_two_point(TWO_E1, wp((1, ONE)), 0, (1,), W1)
+        disconnected_two_point(TWO_E1, wp((1, ONE)), 0, (1,))
 
 
 def test_two_point_series_checks_inputs_without_chains():
     # an s-box with no chain still rejects what no box could accept
     with pytest.raises(UnsupportedWeightError):
-        two_point_series(wp((2, fixedpt(1))), wp((2, fixedpt(1))), 1, (0,), W1)
+        two_point_series(wp((2, fixedpt(1))), wp((2, fixedpt(1))), 1, (0,))
     with pytest.raises(ValueError, match="equal size"):
-        two_point_series(TWO_E1, wp((1, ONE)), 1, (0,), W1)
+        two_point_series(TWO_E1, wp((1, ONE)), 1, (0,))
 
 
 def test_disconnected_rejects_label_out_of_range():
     with pytest.raises(MalformedInputError):
-        disconnected_two_point(wp((2, ecurve(5))), TWO_E1, 0, (1,), W1)
+        disconnected_two_point(wp((2, ecurve(5))), TWO_E1, 0, (1,))
 
 
 def test_connected_rejects_label_out_of_range():
     # A_1 has no E2, E5 or w3
     for label in (ecurve(2), ecurve(5), omega(3)):
         with pytest.raises(MalformedInputError, match="for r = 1"):
-            connected_two_point(wp((2, label)), wp((2, label)), 0, (1,), W1)
+            connected_two_point(wp((2, label)), wp((2, label)), 0, (1,))
         with pytest.raises(MalformedInputError, match="for r = 1"):
-            connected_two_point(TWO_E1, wp((2, label)), 0, (1,), W1)
-
-
-@pytest.mark.parametrize("r, beta", [(1, (0, 1)), (1, (1, 0)), (2, (1,)), (1, ())])
-@pytest.mark.parametrize("invariant", [connected_two_point, disconnected_two_point])
-def test_two_point_rejects_curve_class_of_another_length(invariant, r, beta):
-    with pytest.raises(ValueError, match=f"not r = {r}"):
-        invariant(TWO_E1, TWO_E1, 0, beta, tangent_weights(r))
+            connected_two_point(TWO_E1, wp((2, label)), 0, (1,))
 
 
 def test_two_point_series_rejects_label_out_of_range():
     with pytest.raises(MalformedInputError):
-        two_point_series(wp((2, ecurve(5))), TWO_E1, 0, (3,), W1)
+        two_point_series(wp((2, ecurve(5))), TWO_E1, 0, (3,))
     with pytest.raises(MalformedInputError):
-        two_point_series(TWO_E1, wp((1, ONE), (1, ecurve(2))), 0, (3,), W1)
+        two_point_series(TWO_E1, wp((1, ONE), (1, ecurve(2))), 0, (3,))
 
 
 def test_three_point_rejects_divisor_out_of_range():
     for divisor in ("D0", "D2", "D3"):
         with pytest.raises(ValueError, match="out of range"):
-            three_point_divisor_series(TWO_E1, divisor, TWO_E1, 1, (1,), W1, None)
+            three_point_divisor_series(TWO_E1, divisor, TWO_E1, 1, (1,), None)
 
 
 @pytest.mark.parametrize("divisor", ["D01", "D 1", "D+1"])
@@ -749,4 +728,4 @@ def test_three_point_rejects_noncanonical_divisor(divisor):
     # int() would read each as D1, and the table lookup would then miss
     table = zero_degree_table_a1n2()
     with pytest.raises(ValueError, match=r'the divisors are "\(2\)" and D1\.\.D1'):
-        three_point_divisor_series(TWO_E1, divisor, TWO_E1, 1, (1,), W1, table)
+        three_point_divisor_series(TWO_E1, divisor, TWO_E1, 1, (1,), table)

@@ -8,7 +8,6 @@ from symprod.invariants import two_point_series
 from symprod.memo import _registry
 from symprod.operators import default_divisor_basis, divisor_operator, op_matrix_dumps
 from symprod.partitions import ONE, ecurve, weighted_partition
-from symprod.surface import tangent_weights
 
 
 def _compute():
@@ -16,9 +15,9 @@ def _compute():
     profiles = [[2, 1], [2, 1], [3]]
     count = hurwitz(profiles, 3)
     wp = weighted_partition([(1, ecurve(1)), (1, ONE)])
-    cls = expand(wp, tangent_weights(2))
+    cls = expand(wp, 2)
     # the operator pairs nothing; a two-point series at a nonzero box does
-    series = two_point_series(wp, wp, 1, (1, 1), tangent_weights(2))
+    series = two_point_series(wp, wp, 1, (1, 1))
     # products and inverses of series share the per-shape packed-key table
     inverse = (TruncSeries.one(2, (1,)) + TruncSeries.monomial(1, (1,), 3, 2, (1,))).inverse()
     return op_matrix_dumps(op), count, cls, series, inverse

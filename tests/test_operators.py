@@ -44,7 +44,7 @@ from symprod.chenruan import gram_inverse
 from symprod.errors import DegenerateBasisError, MalformedInputError, UnsupportedWeightError
 from symprod.invariants import ZeroDegreeTable
 from symprod.partitions import ONE, ecurve, fixedpt, omega, underlying, weighted_partition
-from symprod.surface import chain_degrees, e_chain, tangent_weights
+from symprod.surface import chain_degrees, e_chain
 from symprod.textforms import wp_to_text
 
 THETA = Poly2.linear(1, 1)
@@ -283,12 +283,11 @@ def test_contraction_closes_against_three_point_values():
     from symprod.invariants import three_point_divisor_series
     from symprod.algebra import TruncSeries
 
-    w = tangent_weights(1)
     basis = default_divisor_basis(2, 1)
     table = zero_degree_table_a1n2()
     u_order, s_orders = 2, (2,)
     op = divisor_operator(2, 1, "D1", basis, u_order, s_orders, table)
-    gram = gram_matrix(basis, w)
+    gram = gram_matrix(basis, 1)
     for i in range(5):
         for j in range(5):
             acc = TruncSeries.zero(u_order, s_orders)
@@ -296,7 +295,7 @@ def test_contraction_closes_against_three_point_values():
                 if not gram[i][c].is_zero():
                     acc = acc + op.entry(c, j).scale(gram[i][c])
             want = three_point_divisor_series(
-                basis[j], "D1", basis[i], u_order, s_orders, w, table
+                basis[j], "D1", basis[i], u_order, s_orders, table
             ).series
             assert acc == want, (i, j)
 
@@ -508,9 +507,9 @@ def test_two_point_product_is_shared_by_every_divisor(monkeypatch):
     counts = {"gram_inverse": 0, "two_point_column": 0}
     gram_inverse, two_point_column = operators.gram_inverse, operators.two_point_column
 
-    def counted_gram_inverse(basis, w):
+    def counted_gram_inverse(basis, r):
         counts["gram_inverse"] += 1
-        return gram_inverse(basis, w)
+        return gram_inverse(basis, r)
 
     def counted_two_point_column(wp, a_values, chains):
         counts["two_point_column"] += 1
@@ -541,7 +540,7 @@ def test_divisor_operator_rejects_a_partial_block(table):
     basis = default_divisor_basis(2, 1)
     partial = basis[:2] + basis[3:]
     with pytest.raises(DegenerateBasisError) as want:
-        gram_inverse(partial, tangent_weights(1))
+        gram_inverse(partial, 1)
     with pytest.raises(DegenerateBasisError, match=f"^{re.escape(str(want.value))}$"):
         divisor_operator(2, 1, "D1", partial, 2, (2,), table)
 

@@ -98,6 +98,16 @@ def test_eigencheck_stdout_pinned(capsys, point, digest):
              "--u-order", "3", "--s-orders", "2,0,1"],
             "f632760e427d52177ea0e90824b1178a56fc0058d9233d1e80798a53ef701567",
         ),
+        (  # n = 5 at r = 3, 24 terms
+            ["--n", "5", "--r", "3", "--left", "2(E2)+2(E1)+1(E3)", "--right", "2(E3)+2(E2)+1(E1)",
+             "--u-order", "5", "--s-orders", "2,2,2"],
+            "7b65102a877ff6431ff19393b76f0b5c1a31dc6243ae98c9e83305883a42934a",
+        ),
+        (  # n = 6, 1 and w labels on both sides, up to d = 3; 18 terms
+            ["--n", "6", "--r", "2", "--left", "2(w2)+2(E1)+1(1)+1(E2)",
+             "--right", "2(E2)+2(E1)+1(1)+1(w1)", "--u-order", "5", "--s-orders", "3,3"],
+            "bc998ee11877ee4760388d776dcedf3998ebe300c68d447deb2c63dc5ecd39e7",
+        ),
     ],
 )
 def test_two_point_stdout_pinned(capsys, args, digest):

@@ -6,7 +6,16 @@ import pytest
 
 from helpers import ratfunc_subs_t2_minus_t1
 from symprod.algebra import Poly2, RatFunc2
+from symprod.chenruan import expand, gram_inverse, gram_matrix, pairing
 from symprod.errors import MalformedInputError, UnsupportedWeightError
+from symprod.invariants import (
+    connected_two_point,
+    disconnected_two_point,
+    three_point_divisor_series,
+    two_point_scalars,
+    two_point_series,
+)
+from symprod.operators import divisor_operator
 from symprod.partitions import ONE, ecurve, fixedpt, omega
 from symprod.surface import (
     beta_as_chain,
@@ -50,35 +59,32 @@ def test_tangent_weight_identities():
 
 def test_localized_gram_is_intersection_matrix():
     for r in range(1, 7):
-        w = tangent_weights(r)
-        curves = [class_of(ecurve(i), w) for i in range(1, r + 1)]
+        curves = [class_of(ecurve(i), r) for i in range(1, r + 1)]
         for i in range(r):
             for j in range(r):
-                assert integrate(curves[i], curves[j], w) == RatFunc2.const(
+                assert integrate(curves[i], curves[j]) == RatFunc2.const(
                     intersection_number(i + 1, j + 1)
                 ), (r, i, j)
 
 
 def test_omega_duality():
     for r in range(1, 9):
-        w = tangent_weights(r)
         for k in range(1, r + 1):
-            om = class_of(omega(k), w)
+            om = class_of(omega(k), r)
             for j in range(1, r + 1):
                 want = RatFunc2.const(int(j == k))
-                assert integrate(om, class_of(ecurve(j), w), w) == want
+                assert integrate(om, class_of(ecurve(j), r)) == want
 
 
 def test_integrate_examples():
-    w = tangent_weights(1)
-    x1 = class_of(fixedpt(1), w)
-    assert integrate(x1, x1, w) == w.LR(1)
-    one = class_of(ONE, w)
-    assert integrate(one, one, w) == RatFunc2.one() / RatFunc2(
+    x1 = class_of(fixedpt(1), 1)
+    assert integrate(x1, x1) == tangent_weights(1).LR(1)
+    one = class_of(ONE, 1)
+    assert integrate(one, one) == RatFunc2.one() / RatFunc2(
         Poly2.monomial(1, 1, 2)
     )
-    assert integrate(x1, one, w) == RatFunc2.one()
-    assert integrate(class_of(ecurve(1), w), one, w).is_zero()
+    assert integrate(x1, one) == RatFunc2.one()
+    assert integrate(class_of(ecurve(1), 1), one).is_zero()
 
 
 def test_tangent_product_mod_theta():
@@ -140,11 +146,39 @@ def test_e_dot_rejects_nondivisors():
 
 
 def test_label_index_checked_against_r():
-    w = tangent_weights(1)
     for label in (ecurve(0), ecurve(2), omega(2), fixedpt(0), fixedpt(3)):
         with pytest.raises(MalformedInputError):
             check_label(label, 1)
         with pytest.raises(MalformedInputError):
-            class_of(label, w)
+            class_of(label, 1)
     for label in (ONE, ecurve(1), omega(1), fixedpt(1), fixedpt(2)):
         check_label(label, 1)
+
+
+_ONE_1 = ((1, ONE),)  # 1(1): its 1-label passes every label check at any r
+_POINT_CLASS = (RatFunc2.one(),)  # a class on one fixed point, so r = 0
+
+
+_RANK_ZERO_CALLS = [
+    (class_of, (ONE, 0)),
+    (integrate, (_POINT_CLASS, _POINT_CLASS)),
+    (expand, (_ONE_1, 0)),
+    (pairing, (_ONE_1, _ONE_1, 0)),
+    (gram_matrix, ([_ONE_1], 0)),
+    (gram_inverse, ([_ONE_1], 0)),
+    (two_point_scalars, (_ONE_1, _ONE_1, (0,), (), 0)),
+    (two_point_series, (_ONE_1, _ONE_1, 1, ())),
+    (three_point_divisor_series, (_ONE_1, "D1", _ONE_1, 1, ())),
+    (connected_two_point, (_ONE_1, _ONE_1, 0, ())),
+    (disconnected_two_point, (_ONE_1, _ONE_1, 0, ())),
+    (divisor_operator, (1, 0, "(2)", [_ONE_1], 1, ())),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args", [pytest.param(fn, args, id=fn.__name__) for fn, args in _RANK_ZERO_CALLS]
+)
+def test_rank_below_one_is_rejected(fn, args):
+    # the rank is an int r, or read off the s-orders, beta or the class tuple
+    with pytest.raises(ValueError, match="^r must be at least 1$"):
+        fn(*args)
