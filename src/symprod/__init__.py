@@ -18,7 +18,6 @@ from .algebra import (
     expand_q_closed_form,
 )
 from .chenruan import (
-    CRClass,
     expand,
     gram_matrix,
     pairing,
@@ -58,7 +57,6 @@ from .partitions import (
     weighted_partition,
 )
 from .surface import (
-    TangentWeights,
     class_of,
     e_chain,
     e_dot,

@@ -15,8 +15,11 @@ expansion as the pairing's reference oracle and for the dual classes.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
+from collections.abc import Mapping
 from fractions import Fraction
+from itertools import product
 from math import comb, prod
+from types import MappingProxyType
 
 from .algebra import Poly2, RatFunc2
 from .errors import DegenerateBasisError
@@ -28,7 +31,6 @@ from .partitions import (
     WeightedPartition,
     aut_order,
     mp_aut_order,
-    mp_size,
     multipartition,
     underlying,
     weighted_partition,
@@ -44,75 +46,36 @@ from .surface import (
 )
 
 
-class CRClass:
-    """Linear combination of fixed-point classes of [Sym^n(A_r)]."""
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: dict[MultiPartition, RatFunc2] | None = None):
-        self.n = n
-        clean: dict[MultiPartition, RatFunc2] = {}
-        if terms:
-            for mp, c in terms.items():
-                if mp_size(mp) != n:
-                    raise ValueError(f"multipartition {mp} has size != {n}")
-                if not c.is_zero():
-                    clean[mp] = c
-        self.terms = clean
-
-    def coefficient(self, mp: MultiPartition) -> RatFunc2:
-        return self.terms.get(mp, RatFunc2.zero())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CRClass) and self.n == other.n and self.terms == other.terms
-
-    def __repr__(self) -> str:
-        return f"CRClass(n={self.n}, {len(self.terms)} fixed-point terms)"
-
-
 @memo
-def expand(wp: WeightedPartition, r: int) -> CRClass:
-    """Fixed-point expansion of a cohomology-weighted partition.
+def expand(wp: WeightedPartition, r: int) -> Mapping[MultiPartition, RatFunc2]:
+    """Fixed-point expansion of a cohomology-weighted partition, as a read-only
+    mapping from each multipartition to its nonzero coefficient.
 
     Every cycle i(eta) is distributed over the fixed points through
     eta = sum_k (eta|_{x_k} / L_k R_k) [x_k]; identical multipartitions
     are merged, with the automorphism-ratio normalization that makes the
     coefficients exactly the components in the fixed-point basis.
     """
-    w = tangent_weights(r)
-    n = wp_size(wp)
-    slots = list(wp)
-    rows = []
-    for _, label in slots:
-        sc = class_of(label, r)
-        rows.append([sc[k - 1] / w.LR(k) for k in w.points()])
+    weights = tangent_weights(r)
+    choices = [
+        [(k, part, c / lr) for k, (c, (_, _, lr)) in enumerate(zip(class_of(label, r), weights))
+         if not c.is_zero()]
+        for part, label in wp
+    ]
     acc: dict[MultiPartition, RatFunc2] = {}
-    assignment = [0] * len(slots)
-
-    def rec(m: int, coeff: RatFunc2):
-        if m == len(slots):
-            groups: list[list[int]] = [[] for _ in range(r + 1)]
-            for slot, k in enumerate(assignment):
-                groups[k].append(slots[slot][0])
-            mp = multipartition(groups)
-            prev = acc.get(mp)
-            acc[mp] = coeff if prev is None else prev + coeff
-            return
-        for k in range(r + 1):
-            c = rows[m][k]
-            if c.is_zero():
-                continue
-            assignment[m] = k
-            rec(m + 1, coeff * c)
-
-    rec(0, RatFunc2.one())
+    for picks in product(*choices):
+        groups: list[list[int]] = [[] for _ in range(r + 1)]
+        for k, part, _ in picks:
+            groups[k].append(part)
+        mp = multipartition(groups)
+        coeff = prod((c for _, _, c in picks), start=RatFunc2.one())
+        acc[mp] = acc[mp] + coeff if mp in acc else coeff
     aut_wp = aut_order(wp)
-    terms = {
+    return MappingProxyType({
         mp: v * Fraction(mp_aut_order(mp), aut_wp)
         for mp, v in acc.items()
         if not v.is_zero()
-    }
-    return CRClass(n, terms)
+    })
 
 
 def _integral(l1: Label, l2: Label, r: int) -> RatFunc2:

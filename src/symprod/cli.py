@@ -52,8 +52,6 @@ def _load_table(source: str | None) -> ZeroDegreeTable | None:
 
 
 def _cmd_hurwitz(args) -> int:
-    if args.profiles is None:
-        raise ValueError("--profiles is required")
     profiles = [parse_partition(p) for p in args.profiles.split(";") if p.strip()]
     print(hurwitz(profiles, args.n))
     return 0
@@ -170,7 +168,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("hurwitz", help="Hurwitz numbers by class-algebra convolution")
     p.add_argument("--n", type=int, default=None, help="cover degree")
-    p.add_argument("--profiles", help='ramification profiles, e.g. "2;2" or "2+1;3"')
+    p.add_argument("--profiles", required=True,
+                   help='ramification profiles, e.g. "2;2" or "2+1;3"')
     p.set_defaults(func=_cmd_hurwitz)
     subparsers["hurwitz"] = p
 
@@ -238,32 +237,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "config", None):
+    sp = subparsers.get(argv[0]) if argv else None
+    # the config is read before the full parse, so it can give required flags;
+    # a bare --config is left for the full parse to report
+    config_flag = argparse.ArgumentParser(add_help=False)
+    config_flag.add_argument("--config", nargs="?")
+    source = config_flag.parse_known_args(argv)[0].config if sp else None
+    if source:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(source, encoding="utf-8") as fh:
                 config = json.load(fh)
             if not isinstance(config, dict):
                 raise ValueError(f"expected a JSON object, got {type(config).__name__}")
         except (OSError, ValueError) as exc:  # ValueError includes JSONDecodeError
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 2
-        sp = subparsers[args.command]
-        flags = set(vars(args)) - {"command", "func"}
-        unknown = [k for k in config if k.replace("-", "_") not in flags]
+        actions = {a.dest: a for a in sp._actions if a.dest != "help"}
+        unknown = [k for k in config if k.replace("-", "_") not in actions]
         if unknown:
             parser.error(f"unknown config keys: {unknown}")
         config = {k.replace("-", "_"): v for k, v in config.items() if v is not None}
         # null leaves a flag unset; a switch takes only true/false, a valued flag no boolean
-        switches = {a.dest for a in sp._actions if a.nargs == 0}
         for key, value in config.items():
-            if isinstance(value, bool) != (key in switches):
-                rule = ("a switch takes true or false" if key in switches
+            switch = actions[key].nargs == 0
+            if isinstance(value, bool) != switch:
+                rule = ("a switch takes true or false" if switch
                         else "a valued flag takes no boolean")
                 parser.error(f"config key {key!r} has the value {value!r}: {rule}")
+            actions[key].required = False
         # string defaults pass each flag's type check
         sp.set_defaults(**{k: v if isinstance(v, bool) else str(v) for k, v in config.items()})
-        args = parser.parse_args(argv)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ResourceBudgetError as exc:

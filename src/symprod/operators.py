@@ -74,7 +74,7 @@ from .partitions import (
     weighted_partition,
     wp_size,
 )
-from .surface import chain_degrees, check_label
+from .surface import chain_degrees, check_label, check_r
 from .textforms import wp_to_text
 
 
@@ -253,6 +253,7 @@ def default_divisor_basis(n: int, r: int) -> list[WeightedPartition]:
     """All weighted partitions of n with weights in {1, E_1..E_r}, ordered by
     descending orbifold degree (longer partitions first within a degree)."""
     check_n(n)
+    check_r(r)
     labels = [ONE] + [ecurve(i) for i in range(1, r + 1)]
     out = []
     for lam in partitions_of(n):

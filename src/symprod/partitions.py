@@ -146,10 +146,6 @@ def multipartition(components) -> MultiPartition:
     return tuple(partition(c) for c in components)
 
 
-def mp_size(mp: MultiPartition) -> int:
-    return sum(sum(c) for c in mp)
-
-
 def mp_aut_order(mp: MultiPartition) -> int:
     out = 1
     for c in mp:

@@ -8,7 +8,9 @@ integration is the localization sum over fixed points.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import MalformedInputError, UnsupportedWeightError
 from .memo import memo
@@ -25,45 +27,19 @@ def check_r(r: int) -> None:
         raise ValueError("r must be at least 1")
 
 
-class TangentWeights:
-    """Tangent weights L_i, R_i at the fixed points x_1..x_{r+1}.
-
-    L_i = (r-i+2) t1 + (1-i) t2 and R_i = (-r+i-1) t1 + i t2, so that
-    L_i + R_i = t1 + t2, R_i = -L_{i+1}, L_1 = (r+1) t1, R_{r+1} = (r+1) t2.
-    """
-
-    __slots__ = ("r", "_L", "_R", "_LR")
-
-    def __init__(self, r: int):
-        check_r(r)
-        self.r = r
-        self._L = tuple(
-            Poly2.linear(r - i + 2, 1 - i) for i in range(1, r + 2)
-        )
-        self._R = tuple(
-            Poly2.linear(-r + i - 1, i) for i in range(1, r + 2)
-        )
-        self._LR = tuple(
-            RatFunc2(l * rr) for l, rr in zip(self._L, self._R)
-        )
-
-    def L(self, i: int) -> Poly2:
-        return self._L[i - 1]
-
-    def R(self, i: int) -> Poly2:
-        return self._R[i - 1]
-
-    def LR(self, i: int) -> RatFunc2:
-        """The full tangent weight product L_i R_i at x_i."""
-        return self._LR[i - 1]
-
-    def points(self) -> range:
-        return range(1, self.r + 2)
-
-
 @memo
-def tangent_weights(r: int) -> TangentWeights:
-    return TangentWeights(r)
+def tangent_weights(r: int) -> tuple[tuple[Poly2, Poly2, RatFunc2], ...]:
+    """The triples (L_k, R_k, L_k R_k) of tangent weights at x_1..x_{r+1}.
+
+    L_k = (r-k+2) t1 + (1-k) t2 and R_k = (-r+k-1) t1 + k t2, so that
+    L_k + R_k = t1 + t2, R_k = -L_{k+1}, L_1 = (r+1) t1, R_{r+1} = (r+1) t2.
+    """
+    check_r(r)
+    out = []
+    for k in range(1, r + 2):
+        left, right = Poly2.linear(r - k + 2, 1 - k), Poly2.linear(-r + k - 1, k)
+        out.append((left, right, RatFunc2(left * right)))
+    return tuple(out)
 
 
 def intersection_number(i: int, j: int) -> int:
@@ -121,11 +97,11 @@ def class_of(label: Label, r: int) -> SurfaceClass:
     coords = [zero] * (r + 1)
     if kind == "x":
         k = label[1]
-        coords[k - 1] = w.LR(k)
+        coords[k - 1] = w[k - 1][2]
     elif kind == "E":
         i = label[1]
-        coords[i - 1] = RatFunc2(w.L(i))
-        coords[i] = RatFunc2(w.R(i + 1))
+        coords[i - 1] = RatFunc2(w[i - 1][0])
+        coords[i] = RatFunc2(w[i][1])
     elif kind == "w":  # sum_m c_m E_m, one fixed point at a time
         coeffs = omega_coefficients(r)[label[1] - 1]
         curves = [class_of(("E", m), r) for m in range(1, r + 1)]
@@ -137,12 +113,10 @@ def class_of(label: Label, r: int) -> SurfaceClass:
 
 def integrate(alpha: SurfaceClass, beta: SurfaceClass) -> RatFunc2:
     """Localization sum over the r + 1 = len(alpha) fixed points of alpha*beta / (L_k R_k)."""
-    w = tangent_weights(len(alpha) - 1)
     total = RatFunc2.zero()
-    for k in w.points():
-        a, b = alpha[k - 1], beta[k - 1]
+    for a, b, (_, _, lr) in zip(alpha, beta, tangent_weights(len(alpha) - 1), strict=True):
         if not (a.is_zero() or b.is_zero()):
-            total = total + a * b / w.LR(k)
+            total = total + a * b / lr
     return total
 
 
@@ -158,7 +132,7 @@ def e_chain(i: int, j: int, d: int, r: int) -> CurveClass:
 
 
 @memo
-def chain_degrees(s_orders: tuple[int, ...]) -> dict:
+def chain_degrees(s_orders: tuple[int, ...]) -> Mapping[tuple[int, int], tuple]:
     """The chains that fit the s-truncation box s_orders, with their degrees:
     {(i, j): ((d, e_chain(i, j, d, r)), ...)} for d = 1..min(s_orders[i-1:j]),
     in lex order of (i, j), and only the chains with at least one degree.
@@ -170,7 +144,7 @@ def chain_degrees(s_orders: tuple[int, ...]) -> dict:
             top = min(s_orders[i - 1 : j])
             if top >= 1:
                 out[i, j] = tuple((d, e_chain(i, j, d, r)) for d in range(1, top + 1))
-    return out  # shared by every caller of the memo, so read only
+    return MappingProxyType(out)  # shared by every caller of the memo, so read only
 
 
 def beta_as_chain(beta: CurveClass) -> tuple[int, int, int] | None:

@@ -19,7 +19,7 @@ from symprod.algebra import (
     ratfunc_from_text,
 )
 from symprod.algebra.poly import _u_divmod, _u_gcd, _u_mul, _u_trim
-from symprod.chenruan import CRClass, _integral, expand, gram_inverse, gram_matrix, pairing
+from symprod.chenruan import _integral, expand, gram_inverse, gram_matrix, pairing
 from symprod.errors import DegenerateBasisError, OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
 from symprod.invariants import (
@@ -43,7 +43,6 @@ from symprod.partitions import (
     ecurve,
     enumerate_sub_splittings,
     fixedpt,
-    mp_size,
     partition,
     partitions_of,
     underlying,
@@ -196,13 +195,13 @@ def t_weight(mp, w) -> RatFunc2:
     for k, comp in enumerate(mp, start=1):
         if comp:
             for _ in comp:
-                out = out * w.LR(k)
+                out = out * w[k - 1][2]
     return out
 
 
 def pairing_fixed(mp1, mp2, w) -> RatFunc2:
     """Orbifold pairing of fixed-point classes: diagonal, H(sigma)t(sigma)."""
-    if mp_size(mp1) != mp_size(mp2):
+    if sum(map(sum, mp1)) != sum(map(sum, mp2)):
         raise ValueError("fixed-point classes of different total size")
     if mp1 != mp2:
         return RatFunc2.zero()
@@ -284,11 +283,11 @@ def gauss_jordan_gram_inverse(basis, r: int) -> list:
 
 
 def dual_basis(basis, r: int) -> list:
-    """Classes dual to the basis under the orbifold pairing."""
+    """Classes dual to the basis under the orbifold pairing, each a dict from
+    multipartition to its nonzero fixed-point coefficient."""
     basis = list(basis)
     if not basis:
         raise ValueError("empty basis")
-    n = wp_size(basis[0])
     inv = gauss_jordan_gram_inverse(basis, r)
     expansions = [expand(wp, r) for wp in basis]
     duals = []
@@ -296,9 +295,9 @@ def dual_basis(basis, r: int) -> list:
         terms: dict = {}
         for c in range(len(basis)):
             if not inv[c][j].is_zero():
-                for mp, v in expansions[c].terms.items():
+                for mp, v in expansions[c].items():
                     terms[mp] = terms.get(mp, RatFunc2.zero()) + v * inv[c][j]
-        duals.append(CRClass(n, terms))
+        duals.append({mp: v for mp, v in terms.items() if not v.is_zero()})
     return duals
 
 
@@ -309,8 +308,8 @@ def fixed_basis_pairing(wp1, wp2, r: int) -> RatFunc2:
         raise ValueError("weighted partitions of different sizes")
     a, b, w = expand(wp1, r), expand(wp2, r), tangent_weights(r)
     total = RatFunc2.zero()
-    for mp, ca in a.terms.items():
-        cb = b.terms.get(mp)
+    for mp, ca in a.items():
+        cb = b.get(mp)
         if cb is not None:
             total = total + ca * cb * pairing_fixed(mp, mp, w)
     return total

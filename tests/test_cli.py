@@ -383,8 +383,10 @@ def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as err:
         main(["hurwitz", "--does-not-exist"])
     assert err.value.code == 2
-    code, _, err_text = run(capsys, "hurwitz", "--n", "2")
-    assert code == 2 and "required" in err_text
+    with pytest.raises(SystemExit) as err:
+        main(["hurwitz", "--n", "2"])
+    assert err.value.code == 2
+    assert "required" in capsys.readouterr().err
 
 
 def test_budget_exit_code(monkeypatch, capsys):
@@ -473,6 +475,25 @@ def test_config_switch_takes_json_booleans(tmp_path, capsys):
     path.write_text(json.dumps({"identity-self-test": False, "s": "1/3"}))
     code, out, _ = run(capsys, "eigencheck", "--config", str(path))
     assert code == 0 and "distinct eigenvalues certified" in out
+
+
+# subcommand -> flags holding every required one
+_REQUIRED_FLAGS = {
+    "two-point": {"n": 2, "r": 1, "left": "2(E1)", "right": "2(E1)"},
+    "op-matrix": {"n": 2, "r": 1, "u-order": 1, "s-orders": "1"},
+    "one-part-hurwitz": {"sigma": "2+1", "k": 3, "b": 2},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_REQUIRED_FLAGS))
+def test_config_gives_required_flags(tmp_path, capsys, command):
+    flags = _REQUIRED_FLAGS[command]
+    path = tmp_path / "job.json"
+    path.write_text(json.dumps(flags))
+    argv = [item for key, value in flags.items() for item in (f"--{key}", str(value))]
+    want = run(capsys, command, *argv)
+    assert want[0] == 0
+    assert run(capsys, command, "--config", str(path)) == want
 
 
 def test_config_not_an_object(tmp_path, capsys):

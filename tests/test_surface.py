@@ -15,7 +15,7 @@ from symprod.invariants import (
     two_point_scalars,
     two_point_series,
 )
-from symprod.operators import divisor_operator
+from symprod.operators import default_divisor_basis, divisor_operator
 from symprod.partitions import ONE, ecurve, fixedpt, omega
 from symprod.surface import (
     beta_as_chain,
@@ -34,27 +34,27 @@ THETA = Poly2.linear(1, 1)
 
 def test_tangent_weights_r1():
     w = tangent_weights(1)
-    assert w.L(1) == Poly2.linear(2, 0)
-    assert w.R(1) == Poly2.linear(-1, 1)
-    assert w.L(2) == Poly2.linear(1, -1)
-    assert w.R(2) == Poly2.linear(0, 2)
+    assert w[0][0] == Poly2.linear(2, 0)
+    assert w[0][1] == Poly2.linear(-1, 1)
+    assert w[1][0] == Poly2.linear(1, -1)
+    assert w[1][1] == Poly2.linear(0, 2)
 
 
 def test_tangent_weights_r2_corner():
     w = tangent_weights(2)
-    assert w.L(1) == Poly2.linear(3, 0)
-    assert w.R(3) == Poly2.linear(0, 3)
+    assert w[0][0] == Poly2.linear(3, 0)
+    assert w[2][1] == Poly2.linear(0, 3)
 
 
 def test_tangent_weight_identities():
     for r in range(1, 7):
         w = tangent_weights(r)
-        assert w.L(1) == Poly2.linear(r + 1, 0)
-        assert w.R(r + 1) == Poly2.linear(0, r + 1)
-        for i in w.points():
-            assert w.L(i) + w.R(i) == THETA
+        assert w[0][0] == Poly2.linear(r + 1, 0)
+        assert w[r][1] == Poly2.linear(0, r + 1)
+        for left, right, _ in w:
+            assert left + right == THETA
         for i in range(1, r + 1):
-            assert w.R(i) == -w.L(i + 1)
+            assert w[i - 1][1] == -w[i][0]
 
 
 def test_localized_gram_is_intersection_matrix():
@@ -78,7 +78,7 @@ def test_omega_duality():
 
 def test_integrate_examples():
     x1 = class_of(fixedpt(1), 1)
-    assert integrate(x1, x1) == tangent_weights(1).LR(1)
+    assert integrate(x1, x1) == tangent_weights(1)[0][2]
     one = class_of(ONE, 1)
     assert integrate(one, one) == RatFunc2.one() / RatFunc2(
         Poly2.monomial(1, 1, 2)
@@ -90,9 +90,8 @@ def test_integrate_examples():
 def test_tangent_product_mod_theta():
     # L_k R_k = -(r+1)^2 t1^2 modulo t1 + t2
     for r in range(1, 7):
-        w = tangent_weights(r)
-        for k in w.points():
-            num, den = ratfunc_subs_t2_minus_t1(w.LR(k))
+        for k, (_, _, lr) in enumerate(tangent_weights(r), start=1):
+            num, den = ratfunc_subs_t2_minus_t1(lr)
             assert den == [Fraction(1)]
             tau = [Fraction(0), Fraction(0), Fraction(-((r + 1) ** 2))]
             assert num == tau, (r, k)
@@ -172,6 +171,8 @@ _RANK_ZERO_CALLS = [
     (connected_two_point, (_ONE_1, _ONE_1, 0, ())),
     (disconnected_two_point, (_ONE_1, _ONE_1, 0, ())),
     (divisor_operator, (1, 0, "(2)", [_ONE_1], 1, ())),
+    (default_divisor_basis, (2, 0)),
+    (tangent_weights, (0,)),
 ]
 
 
@@ -182,3 +183,20 @@ def test_rank_below_one_is_rejected(fn, args):
     # the rank is an int r, or read off the s-orders, beta or the class tuple
     with pytest.raises(ValueError, match="^r must be at least 1$"):
         fn(*args)
+
+
+@pytest.mark.parametrize(
+    "read, key",
+    [
+        pytest.param(lambda: expand(((2, ecurve(1)),), 1), ((2,), ()), id="expand"),
+        pytest.param(lambda: chain_degrees((1,)), (1, 1), id="chain_degrees"),
+        pytest.param(lambda: tangent_weights(1), 0, id="tangent_weights"),
+    ],
+)
+def test_memoised_surface_data_is_read_only(read, key):
+    # every caller shares a memo's value, so no caller may change it for the others
+    value = read()
+    before = value[key]
+    with pytest.raises(TypeError):
+        value[key] = RatFunc2.const(7)
+    assert read()[key] == before
