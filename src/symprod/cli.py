@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: hurwitz, one-part-hurwitz, two-point, op-matrix,
-verify-a1n2, eigencheck, make-table. Output is machine-readable (JSON by
-default; LaTeX and CSV emitters for matrices). Exit codes: 0 success,
-1 verification mismatch, 2 usage error, 3 enumeration budget exceeded.
+verify-a1n2, eigencheck, make-table, each with its handler, help and flags
+in the one table COMMANDS; a call builds only the subparser it names.
+Output is machine-readable (JSON by default; LaTeX and CSV emitters for
+matrices). Exit codes: 0 success, 1 verification mismatch, 2 usage error,
+3 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def _cmd_op_matrix(args) -> int:
 
 
 def _cmd_verify_a1n2(args) -> int:
-    table = _load_table(args.table) if args.table else None
+    table = _load_table(args.table)
     report = verify_a1n2(args.u_order, args.s_order, table)
     print(report.summary())
     return 0 if report.full_ok else 1
@@ -157,87 +159,85 @@ def _cmd_make_table(args) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+# subcommand -> (handler, help, flags as (name, add_argument keywords)); every
+# subcommand also takes _CONFIG
+COMMANDS = {
+    "hurwitz": (_cmd_hurwitz, "Hurwitz numbers by class-algebra convolution", (
+        ("--n", dict(type=int, default=None, help="cover degree")),
+        ("--profiles", dict(required=True, help='ramification profiles, e.g. "2;2" or "2+1;3"')),
+    )),
+    "one-part-hurwitz": (_cmd_one_part_hurwitz, "one-part double Hurwitz number "
+                         "H(sigma, (2)^b, (k)) from the sinh closed form", (
+        ("--sigma", dict(required=True, help='a partition of k, e.g. "1+1"')),
+        ("--k", dict(type=int, required=True, help="size of sigma")),
+        ("--b", dict(type=int, required=True, help="number of simple branch points")),
+    )),
+    "two-point": (_cmd_two_point, "two-point extended series (nonzero degrees)", (
+        ("--n", dict(type=int, required=True)),
+        ("--r", dict(type=int, required=True)),
+        ("--left", dict(required=True, help='weighted partition, e.g. "2(E1)"')),
+        ("--right", dict(required=True)),
+        ("--u-order", dict(type=int, default=0)),
+        ("--s-orders", dict(default="3", help='e.g. "3" or "3,2" (one per E-curve)')),
+    )),
+    "op-matrix": (_cmd_op_matrix, "divisor-operator matrix", (
+        ("--n", dict(type=int, required=True)),
+        ("--r", dict(type=int, required=True)),
+        ("--divisor", dict(default="D1", help='"(2)" or "D1".."Dr"')),
+        ("--u-order", dict(type=int, default=2)),
+        ("--s-orders", dict(default="3")),
+        ("--table", dict(help='degree-zero table: a path or "a1n2"')),
+        ("--format", dict(choices=("json", "latex", "csv"), default="json")),
+        ("--out", dict(help="write to file instead of stdout")),
+    )),
+    "verify-a1n2": (_cmd_verify_a1n2, "check the computed n=2, r=1 "
+                    "operator against the closed forms", (
+        ("--u-order", dict(type=int, default=6)),
+        ("--s-order", dict(type=int, default=6)),
+        ("--table", dict(help="degree-zero table path (default: built in)")),
+    )),
+    "eigencheck": (_cmd_eigencheck, "squarefree characteristic-polynomial "
+                   "certificate at an exact rational point", (
+        ("--t1", dict(default="1")),
+        ("--t2", dict(default="2")),
+        ("--s", dict(default="1/3")),
+        ("--q", dict(default="1/5")),
+        ("--identity-self-test", dict(action="store_true",
+                                      help="negative control on the identity matrix")),
+    )),
+    "make-table": (_cmd_make_table, "write a degree-zero table JSON file", (
+        ("--case", dict(default="a1n2")),
+        ("--out", dict(required=True)),
+    )),
+}
+_CONFIG = ("--config", dict(help="JSON file with defaults for the flags"))
+
+
+def build_parser(command=None) -> tuple[argparse.ArgumentParser, argparse.ArgumentParser | None]:
+    """The top-level parser and `command`'s subparser, the only one built; when
+    `command` names no subcommand, all are built and the second value is None."""
     parser = argparse.ArgumentParser(
         prog="symprod",
         description="Divisor operators of the orbifold quantum cohomology "
         "of symmetric products of A_r resolutions (exact arithmetic).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    subparsers = {}
-
-    p = sub.add_parser("hurwitz", help="Hurwitz numbers by class-algebra convolution")
-    p.add_argument("--n", type=int, default=None, help="cover degree")
-    p.add_argument("--profiles", required=True,
-                   help='ramification profiles, e.g. "2;2" or "2+1;3"')
-    p.set_defaults(func=_cmd_hurwitz)
-    subparsers["hurwitz"] = p
-
-    p = sub.add_parser("one-part-hurwitz", help="one-part double Hurwitz number "
-                       "H(sigma, (2)^b, (k)) from the sinh closed form")
-    p.add_argument("--sigma", required=True, help='a partition of k, e.g. "1+1"')
-    p.add_argument("--k", type=int, required=True, help="size of sigma")
-    p.add_argument("--b", type=int, required=True, help="number of simple branch points")
-    p.set_defaults(func=_cmd_one_part_hurwitz)
-    subparsers["one-part-hurwitz"] = p
-
-    p = sub.add_parser("two-point", help="two-point extended series (nonzero degrees)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--left", required=True, help='weighted partition, e.g. "2(E1)"')
-    p.add_argument("--right", required=True)
-    p.add_argument("--u-order", type=int, default=0)
-    p.add_argument("--s-orders", default="3", help='e.g. "3" or "3,2" (one per E-curve)')
-    p.set_defaults(func=_cmd_two_point)
-    subparsers["two-point"] = p
-
-    p = sub.add_parser("op-matrix", help="divisor-operator matrix")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--divisor", default="D1", help='"(2)" or "D1".."Dr"')
-    p.add_argument("--u-order", type=int, default=2)
-    p.add_argument("--s-orders", default="3")
-    p.add_argument("--table", help='degree-zero table: a path or "a1n2"')
-    p.add_argument("--format", choices=["json", "latex", "csv"], default="json")
-    p.add_argument("--out", help="write to file instead of stdout")
-    p.set_defaults(func=_cmd_op_matrix)
-    subparsers["op-matrix"] = p
-
-    p = sub.add_parser("verify-a1n2", help="check the computed n=2, r=1 "
-                       "operator against the closed forms")
-    p.add_argument("--u-order", type=int, default=6)
-    p.add_argument("--s-order", type=int, default=6)
-    p.add_argument("--table", help="degree-zero table path (default: built in)")
-    p.set_defaults(func=_cmd_verify_a1n2)
-    subparsers["verify-a1n2"] = p
-
-    p = sub.add_parser("eigencheck", help="squarefree characteristic-polynomial "
-                       "certificate at an exact rational point")
-    p.add_argument("--t1", default="1")
-    p.add_argument("--t2", default="2")
-    p.add_argument("--s", default="1/3")
-    p.add_argument("--q", default="1/5")
-    p.add_argument("--identity-self-test", action="store_true",
-                   help="negative control on the identity matrix")
-    p.set_defaults(func=_cmd_eigencheck)
-    subparsers["eigencheck"] = p
-
-    p = sub.add_parser("make-table", help="write a degree-zero table JSON file")
-    p.add_argument("--case", default="a1n2")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_make_table)
-    subparsers["make-table"] = p
-
-    for p in subparsers.values():
-        p.add_argument("--config", help="JSON file with defaults for the flags")
-
-    return parser, subparsers
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # the usage line lists every subcommand either way; with all built, argparse's
+    # own list keeps the name `command` in its invalid-choice error
+    listed = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=listed)
+    for name in names:
+        func, help_text, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags + (_CONFIG,):
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
+    return parser, p if len(names) == 1 else None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser, subparsers = build_parser()
-    sp = subparsers.get(argv[0]) if argv else None
+    parser, sp = build_parser(argv[0] if argv else None)
     # the config is read before the full parse, so it can give required flags;
     # a bare --config is left for the full parse to report
     config_flag = argparse.ArgumentParser(add_help=False)

@@ -23,9 +23,12 @@ through the SYMPROD_HURWITZ_BUDGET environment variable.
 from __future__ import annotations
 
 import os
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import permutations
 from math import factorial
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import MalformedInputError, ResourceBudgetError
 from .memo import memo
@@ -68,18 +71,15 @@ def _cycle_type(p: Perm) -> Partition:
     return tuple(parts)
 
 
-class _GroupData:
-    """Per-n symmetric group tables: class members, sizes and indices."""
+class _GroupData(NamedTuple):
+    """Per-n symmetric group tables: class members, sizes and indices, read-only
+    because the memo hands the same tables to every caller."""
 
-    def __init__(self, n: int):
-        self.n = n
-        self.members: dict[Partition, list[Perm]] = {}
-        for p in permutations(range(n)):
-            self.members.setdefault(_cycle_type(p), []).append(p)
-        self.classes: list[Partition] = sorted(self.members, reverse=True)
-        self.index = {c: i for i, c in enumerate(self.classes)}
-        self.sizes = {c: len(self.members[c]) for c in self.classes}
-        self.identity_class = (1,) * n
+    n: int
+    members: Mapping[Partition, tuple[Perm, ...]]
+    classes: tuple[Partition, ...]
+    index: Mapping[Partition, int]
+    sizes: Mapping[Partition, int]
 
 
 def _group(n: int) -> _GroupData:
@@ -96,7 +96,17 @@ def _group(n: int) -> _GroupData:
 
 @memo
 def _group_data(n: int) -> _GroupData:
-    return _GroupData(n)
+    members: dict[Partition, list[Perm]] = {}
+    for p in permutations(range(n)):
+        members.setdefault(_cycle_type(p), []).append(p)
+    classes = tuple(sorted(members, reverse=True))
+    return _GroupData(
+        n,
+        MappingProxyType({c: tuple(ps) for c, ps in members.items()}),
+        classes,
+        MappingProxyType({c: i for i, c in enumerate(classes)}),
+        MappingProxyType({c: len(members[c]) for c in classes}),
+    )
 
 
 @memo
@@ -158,7 +168,7 @@ def _count(n: int, ps: tuple[Partition, ...]) -> Fraction:
     # only the smaller classes are convolved
     ordered = sorted(ps, key=gd.sizes.__getitem__, reverse=True)
     if len(ordered) == 1:
-        ordered.append(gd.identity_class)  # H(eta) = H(eta, 1^n)
+        ordered.append((1,) * n)  # H(eta) = H(eta, 1^n)
     second = ordered[1]
     vec = _distribution(gd, ordered[0], ordered[2:])
     return Fraction(vec[gd.index[second]] * gd.sizes[second], factorial(n))

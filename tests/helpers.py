@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import random
 from collections import Counter, defaultdict
@@ -20,6 +21,7 @@ from symprod.algebra import (
 )
 from symprod.algebra.poly import _u_divmod, _u_gcd, _u_mul, _u_trim
 from symprod.chenruan import _integral, expand, gram_inverse, gram_matrix, pairing
+from symprod.cli import _CONFIG, COMMANDS
 from symprod.errors import DegenerateBasisError, OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
 from symprod.invariants import (
@@ -1027,3 +1029,26 @@ def all_weighted_partitions(n: int, labels) -> list:
 
         rec(0, [])
     return sorted(out)
+
+
+# ---------------------------------------------------------------------------
+# the CLI oracle: the parser with every subparser built, whatever the call
+# ---------------------------------------------------------------------------
+
+def reference_build_parser(command=None):
+    """The oracle of ``cli.build_parser``: the parser with a subparser for
+    every subcommand of ``COMMANDS``, in order, whatever ``command`` is, and
+    ``command``'s subparser (or None)."""
+    parser = argparse.ArgumentParser(
+        prog="symprod",
+        description="Divisor operators of the orbifold quantum cohomology "
+        "of symmetric products of A_r resolutions (exact arithmetic).",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    subparsers = {}
+    for name, (func, help_text, flags) in COMMANDS.items():
+        p = subparsers[name] = sub.add_parser(name, help=help_text)
+        for flag, keywords in flags + (_CONFIG,):
+            p.add_argument(flag, **keywords)
+        p.set_defaults(func=func)
+    return parser, subparsers.get(command)

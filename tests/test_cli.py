@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, formats, exit codes, config files."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,8 +10,14 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from helpers import op_matrix_from_json, oracle_hurwitz, series_from_json
-from symprod.cli import main
+from helpers import (
+    op_matrix_from_json,
+    oracle_hurwitz,
+    reference_build_parser,
+    series_from_json,
+)
+from symprod import cli
+from symprod.cli import COMMANDS, main
 from symprod.invariants import ZeroDegreeTable
 from symprod.operators import zero_degree_table_a1n2
 
@@ -191,6 +198,17 @@ def test_table_schema_error_is_usage_error(tmp_path, capsys, drop):
         assert code == 2
         assert out == ""
         assert len(err.splitlines()) == 1 and drop in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-a1n2", "--u-order", "1", "--s-order", "1"],
+    ["op-matrix", "--n", "2", "--r", "1", "--u-order", "0", "--s-orders", "1"],
+], ids=["verify-a1n2", "op-matrix"])
+def test_table_empty_path_is_usage_error(capsys, argv):
+    # an empty --table is a path like any other, not "use the built-in table"
+    code, out, err = run(capsys, *argv, "--table", "")
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: [Errno 2] No such file or directory: ''"]
 
 
 def test_table_noncanonical_key_matches(tmp_path, capsys):
@@ -534,7 +552,7 @@ _FLAGS = {
     "hurwitz": {
         "--n": (_values(["2", "3"], ["0"] + _INVALID_INT), False),
         "--profiles": (_values(["2;2", "2+1;3", "2;2;2", "1+1;2", "3;3;3", "2+1;2+1;3"],
-                               ["", ";", "x", "0;0", "2;3"]), False),
+                               ["", ";", "x", "0;0", "2;3"]), True),
     },
     "one-part-hurwitz": {
         "--sigma": (_values(["1+1", "2", "2+1"], ["x", "", "0"]), True),
@@ -655,3 +673,92 @@ def test_r_below_one_is_named_before_the_s_orders(capsys, command):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.strip() == "error: r must be at least 1"
+
+
+# ---------------------------------------------------------------------------
+# one subparser per call: the same output as the parser with all of them
+# ---------------------------------------------------------------------------
+
+_CONFIGS = {
+    "unknown.json": {"bogus": 1},
+    "func.json": {"func": "x"},
+    "command.json": {"command": "x"},
+    "kind.json": {"u_order": True},
+    "switch.json": {"identity-self-test": "false"},
+    "float.json": {"u_order": 7.5},
+    "list.json": [1, 2],
+    "two-point.json": {"n": 2, "r": 1, "left": "2(E1)", "right": "2(E1)"},
+}
+
+# TMP stands for the directory holding _CONFIGS
+_PARITY_ARGVS = [
+    [], ["-h"], ["bogus"], ["-h", "op-matrix"], ["--config", "TMP/two-point.json", "two-point"],
+    *([name, "-h"] for name in COMMANDS),
+    ["hurwitz", "--n", "2"], ["make-table"], ["two-point", "--n", "2", "--left", "2(E1)"],
+    ["hurwitz", "--bogus"], ["op-matrix", "--n", "2", "--r", "1", "extra"],
+    ["hurwitz", "--profiles", "2;2", "--sigma", "1+1"], ["verify-a1n2", "--profiles", "2;2"],
+    ["op-matrix", "--n", "2", "--r", "1", "--format", "pdf"],
+    ["op-matrix", "--n", "x", "--r", "1"],
+    ["hurwitz", "--config", "TMP/unknown.json"], ["hurwitz", "--config", "TMP/func.json"],
+    ["hurwitz", "--config", "TMP/command.json"], ["verify-a1n2", "--config", "TMP/kind.json"],
+    ["eigencheck", "--config", "TMP/switch.json"], ["verify-a1n2", "--conf", "TMP/float.json"],
+    ["verify-a1n2", "--config", "TMP/list.json"], ["verify-a1n2", "--config"],
+    ["verify-a1n2", "--config", "TMP/missing.json"],
+    ["two-point", "--config", "TMP/two-point.json"],
+    ["two-point", "--conf", "TMP/two-point.json", "--u-order", "1"],
+    ["hurwitz", "--n", "2", "--profiles", "2;2"],
+    ["op-matrix", "--n", "2", "--r", "1", "--u-order", "0", "--s-orders", "1", "--format", "csv"],
+    ["verify-a1n2", "--u-order", "1", "--s-order", "1"],
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _PARITY_ARGVS, ids=lambda argv: " ".join(argv) or "no-args")
+def test_cli_output_matches_parser_with_every_subcommand(tmp_path, capsys, monkeypatch, argv):
+    for name, config in _CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps(config))
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+    got = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "build_parser", reference_build_parser)
+    assert got == _outcome(capsys, argv)
+
+
+def _count_add_parser(monkeypatch) -> list:
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_known_subcommand_builds_one_subparser(capsys, monkeypatch, name):
+    calls = _count_add_parser(monkeypatch)
+    code, out, _ = _outcome(capsys, [name, "-h"])
+    assert code == 0 and out.startswith(f"usage: symprod {name} ")
+    assert calls == [name]
+    code, _, err = _outcome(capsys, [name, "--bogus"])
+    assert code == 2 and err.startswith("usage: symprod ")
+    assert calls == [name, name]
+
+
+def test_top_level_help_lists_every_subcommand(capsys, monkeypatch):
+    calls = _count_add_parser(monkeypatch)
+    code, out, _ = _outcome(capsys, ["-h"])
+    assert code == 0 and calls == list(COMMANDS)
+    text = " ".join(out.split())
+    assert "{" + ",".join(COMMANDS) + "}" in text
+    for name, (_, help_text, _) in COMMANDS.items():
+        assert f"{name} {' '.join(help_text.split())}" in text

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import brute_one_part, centralizer_order, hurwitz_refined, oracle_hurwitz
 from symprod.errors import MalformedInputError, ResourceBudgetError
-from symprod.hurwitz import hurwitz, one_part_double_hurwitz
+from symprod.hurwitz import _group_data, hurwitz, one_part_double_hurwitz
 from symprod.partitions import partition, partitions_of
 
 
@@ -154,6 +154,24 @@ def test_cache_hits_equal_recomputation():
     fresh = hurwitz(profiles, 3)
     assert first == again == fresh
     assert oracle_hurwitz(profiles, 3) == fresh
+
+
+@pytest.mark.parametrize("field, key", [
+    ("members", (3,)), ("classes", 0), ("index", (3,)), ("sizes", (3,)),
+])
+def test_group_tables_are_read_only(field, key):
+    # every caller shares the memo's tables, so no caller may change them for the others
+    profiles = [[2, 1], [2, 1], [3]]
+    before = hurwitz(profiles, 3)
+    table = getattr(_group_data(3), field)
+    value = table[key]
+    with pytest.raises(TypeError):
+        table[key] = 0
+    with pytest.raises(AttributeError):
+        setattr(_group_data(3), field, None)
+    assert getattr(_group_data(3), field)[key] == value
+    assert hurwitz(profiles, 3) == before == oracle_hurwitz(profiles, 3)
+    assert all(isinstance(ps, tuple) for ps in _group_data(3).members.values())
 
 
 def test_vacuous_sigma_size_guard():
