@@ -41,7 +41,8 @@ def _parse_s_orders(text: str, r: int) -> tuple[int, ...]:
     if len(chunks) == 1:
         return (int(chunks[0]),) * r
     if len(chunks) != r:
-        raise ValueError(f"need 1 or {r} s-orders, got {len(chunks)}")
+        need = "1 s-order" if r == 1 else f"1 or {r} s-orders"
+        raise ValueError(f"need {need}, got {len(chunks)}")
     return tuple(int(c) for c in chunks)
 
 

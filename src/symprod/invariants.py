@@ -13,7 +13,8 @@ weighted partitions (two_point_column), which is its column of
 G^{-1} T_2, and the disconnected invariant of two insertions b1, b2 is
 the pairing <b1, V_b2>. V is summed in integers, numerators over
 denominators, from terms that _column_terms lists once per (theta, mu,
-chain); each of its values becomes one Fraction at the end.
+chain); each of its values ends as a reduced integer pair, which the
+operators read as it is and two_point_column turns into one Fraction.
 
 Scalar form: a piece with a 1-label has chain factor 0, so every term B
 of V_b carries all k 1-labels of b in its theta part. The pairing of b1
@@ -37,11 +38,10 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import factorial, lcm, prod
+from itertools import combinations_with_replacement, groupby, product
+from math import factorial, gcd, lcm, prod
 
 from .algebra import Poly2, RatFunc2, TruncSeries
 from .chenruan import pairing
@@ -55,9 +55,9 @@ from .partitions import (
     aut_order,
     ecurve,
     enumerate_sub_splittings,
+    pair_key,
     partitions_of,
     underlying,
-    weighted_partition,
     wp_size,
 )
 from .surface import beta_as_chain, chain_degrees, check_label, check_r, e_dot
@@ -191,47 +191,43 @@ def connected_two_point(
 @memo
 def _labellings(mu: Partition, i: int, j: int) -> tuple:
     """The distinct labellings mu_f of the parts of mu by E_i..E_j, each with
-    the number of maps f from the parts to i..j that give it."""
-    labelled = Counter(
-        weighted_partition(zip(mu, map(ecurve, f)))
-        for f in product(range(i, j + 1), repeat=len(mu))
+    the number of maps f from the parts to i..j that give it.
+
+    A labelling takes one multiset of labels per block of equal parts, so it
+    is listed once per choice of one combinations_with_replacement per block,
+    in canonical order: blocks by descending part, labels ascending within
+    one. Its count is the product of the blocks' multinomials m! / |Aut|.
+    """
+    labels = [ecurve(e) for e in range(i, j + 1)]
+    blocks = []
+    for part, run in groupby(mu):
+        m = len(tuple(run))
+        blocks.append([
+            (tuple((part, label) for label in combo), factorial(m) // aut_order(combo))
+            for combo in combinations_with_replacement(labels, m)
+        ])
+    return tuple(
+        (tuple(pair for pairs, _ in choice for pair in pairs), prod(count for _, count in choice))
+        for choice in product(*blocks)
     )
-    return tuple(labelled.items())
 
 
 @memo
 def _column_terms(theta: WeightedPartition, mu: Partition, i: int, j: int) -> tuple:
     """The pairs (B, count |Aut B|) for B = theta + mu_f over the distinct
     labellings mu_f of _labellings(mu, i, j), with count the number of maps f
-    that give mu_f."""
+    that give mu_f. Both halves are canonical, so B is their merge under
+    pair_key, with no part re-checked."""
     out = []
     for labelled, count in _labellings(mu, i, j):
-        b = weighted_partition(theta + labelled)
+        b = tuple(sorted(theta + labelled, key=pair_key))
         out.append((b, count * aut_order(b)))
     return tuple(out)
 
 
-def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
-    """The two-point function of wp as a vector V over weighted partitions,
-    {B: {(a, i, j): c}} for every a in a_values and chain (i, j) in chains,
-    zeros omitted. With mu_f the parts of mu labelled by f: parts -> i..j,
-
-        V = sum_{(theta, nu) splitting of wp, mu |- |nu|, f}
-            X_ij(nu) D(mu, underlying nu, a) prod(mu) |Aut B| / |Aut theta| [B]
-
-    for B = theta + mu_f. On the curves the surface pairing is the
-    intersection form, so the dual labels of a piece's other side collapse
-    to E_i + ... + E_j, and pairing b with V gives the scalars C of
-    two_point_scalars(b, wp): in a basis of whole blocks, V is wp's column
-    of G^{-1} T_2.
-
-    The sum runs in integers: X, D and prod(mu) / |Aut theta| enter as
-    numerator and denominator, _column_terms gives each B with its integer
-    weight once per (theta, mu, chain), and each value is a numerator over
-    a denominator, two addends over different denominators meeting over
-    their lcm. Each nonzero value becomes one Fraction at the end.
-    """
-    chains, a_values = tuple(chains), tuple(a_values)
+def _column_pairs(wp: WeightedPartition, a_values: tuple, chains: tuple) -> dict:
+    """two_point_column's vector with each value a reduced pair (num, den),
+    den > 0: {B: {(a, i, j): (num, den)}}, zeros omitted."""
     acc: dict = {}
     for theta, nu in enumerate_sub_splittings(wp):
         if not nu:  # an empty connected piece contributes nothing
@@ -239,7 +235,8 @@ def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
         xs = _chain_factors(nu, chains)
         if not any(xs):
             continue
-        lam, theta_aut = underlying(nu), aut_order(theta)
+        lam = tuple(p for p, _ in nu)  # nu is canonical, so its parts descend
+        theta_aut = aut_order(theta)
         for mu in partitions_of(sum(lam)):
             degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
             if not any(degs):
@@ -264,11 +261,43 @@ def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
                             old_num, num = old_num * (common // old_den), num * (common // den)
                             den = common
                         values[key] = old_num + num, den
-    out = {
-        b: {key: Fraction(num, den) for key, (num, den) in values.items() if num}
-        for b, values in acc.items()
+    out = {}
+    for b, values in acc.items():
+        reduced = {}
+        for key, (num, den) in values.items():
+            if num:
+                g = gcd(num, den)
+                reduced[key] = num // g, den // g
+        if reduced:
+            out[b] = reduced
+    return out
+
+
+def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
+    """The two-point function of wp as a vector V over weighted partitions,
+    {B: {(a, i, j): c}} for every a in a_values and chain (i, j) in chains,
+    zeros omitted. With mu_f the parts of mu labelled by f: parts -> i..j,
+
+        V = sum_{(theta, nu) splitting of wp, mu |- |nu|, f}
+            X_ij(nu) D(mu, underlying nu, a) prod(mu) |Aut B| / |Aut theta| [B]
+
+    for B = theta + mu_f. On the curves the surface pairing is the
+    intersection form, so the dual labels of a piece's other side collapse
+    to E_i + ... + E_j, and pairing b with V gives the scalars C of
+    two_point_scalars(b, wp): in a basis of whole blocks, V is wp's column
+    of G^{-1} T_2.
+
+    The sum runs in integers, in _column_pairs: X, D and prod(mu) / |Aut
+    theta| enter as numerator and denominator, _column_terms gives each B
+    with its integer weight once per (theta, mu, chain), and each value is a
+    numerator over a denominator, two addends over different denominators
+    meeting over their lcm. This wrapper makes one Fraction per value of
+    the reduced pairs; _two_point_product reads the pairs themselves.
+    """
+    return {
+        b: {key: Fraction(num, den) for key, (num, den) in values.items()}
+        for b, values in _column_pairs(wp, tuple(a_values), tuple(chains)).items()
     }
-    return {b: values for b, values in out.items() if values}
 
 
 def two_point_scalars(

@@ -16,8 +16,8 @@ neither G^{-1} nor the pairing: column j of P is the coordinate vector of
 the two-point function of b_j written as a vector V_j over weighted
 partitions (invariants.two_point_column), from a factor X of one side of
 each connected piece and a factor D of two underlying partitions. Every
-value of P is (t1+t2) times a rational, and P holds that rational for
-its nonzero cells only. The beta = 0 layers T_D|_{s=0} come from a
+value of P is (t1+t2) times a rational, and P holds that rational, as
+a reduced integer pair, for its nonzero cells only. The beta = 0 layers T_D|_{s=0} come from a
 ZeroDegreeTable, through the three-point series at the s^0 box, and
 propagate as gaps when absent. With no table no such series is built and
 no G^{-1} is taken: every beta = 0 value is unknown, so every entry is a
@@ -57,9 +57,9 @@ from .invariants import (
     ThreePointResult,
     ZeroDegreeTable,
     _check_pair,
+    _column_pairs,
     divisor_index,
     three_point_divisor_series,
-    two_point_column,
 )
 from .memo import memo
 from .partitions import (
@@ -78,9 +78,12 @@ from .surface import chain_degrees, check_label, check_r
 from .textforms import wp_to_text
 
 
-def _theta_times(c: Fraction) -> RatFunc2:
-    """(t1+t2) c for a nonzero Fraction c, built as its canonical form: the
-    polynomial c t1 + c t2 over 1, with no product run."""
+@memo
+def _theta_times(num: int, den: int) -> RatFunc2:
+    """(t1+t2) num/den for a reduced nonzero pair with den > 0, built as its
+    canonical form: the polynomial c t1 + c t2 over 1, with no product run.
+    Memoised, so the divisors of one basis share each value and its hash."""
+    c = Fraction(num, den)
     return _canonical(_poly({(1, 0): c, (0, 1): c}), Poly2.one())
 
 
@@ -117,22 +120,24 @@ def _two_point_product(basis, r: int, u_top: int, chains: tuple) -> tuple:
     of surface.chain_degrees. A scalar never depends on d, so every box with
     the same chains shares P, and the coefficient at (a, d E_ij) is the
     d = 1 value times d^(a-1). The result holds ((i, j), terms) for each
-    nonzero cell of P, where terms lists (a, i', j', c) for the chains i'..j'
-    of the cell, whose value is (t1+t2) c for a nonzero Fraction c. Neither
+    nonzero cell of P, where terms lists (a, i', j', num, den) for the chains
+    i'..j' of the cell, whose value is (t1+t2) num/den for a reduced nonzero
+    pair with den > 0, read from invariants._column_pairs. Neither
     G^{-1} nor the pairing enters P; only the block check that makes G
     invertible runs.
     """
     check_whole_blocks(basis, r)
     index = {b: pos for pos, b in enumerate(basis)}
     cells = []
+    a_values = tuple(range(u_top + 1))
     for j, b in enumerate(basis):
-        for term, values in two_point_column(b, range(u_top + 1), chains).items():
+        for term, values in _column_pairs(b, a_values, chains).items():
             # the basis is whole blocks, so a term outside it lies in a block the
             # basis leaves out, which the block-diagonal pairing keeps out of
             # G^{-1} T_2
             i = index.get(term)
             if i is not None:
-                cells.append(((i, j), tuple((*key, c) for key, c in values.items())))
+                cells.append(((i, j), tuple((*key, *c) for key, c in values.items())))
     # every caller shares the memoised result, so hand out tuples only
     return tuple(cells)
 
@@ -214,15 +219,13 @@ def divisor_operator(
                 ).coeffs
     chains = chain_degrees(s_orders)
     product = _two_point_product(basis, r, u_order + 1, tuple(chains))
-    # (t1+t2) c m, built once per distinct rational c m; looked up by
-    # (numerator of c times m, denominator of c), so no Fraction is made per
-    # coefficient
-    theta_times = _Once(_theta_times)
-    scaled = _Once(lambda nd: theta_times[Fraction(*nd)])
+    # (t1+t2) c m for c = num/den, looked up by (num m, den), so one Fraction
+    # is made per distinct pair in this call to reduce it, and each value is
+    # built once per process
+    scaled = _Once(lambda nd: _theta_times(*Fraction(*nd).as_integer_ratio()))
     for cell, terms in product:
         coeffs = cells.setdefault(cell, {})
-        for a, ci, cj, c in terms:
-            num, den = c.numerator, c.denominator
+        for a, ci, cj, num, den in terms:
             if ell:
                 if a <= u_order and ci <= ell <= cj:
                     for d, ds in chains[ci, cj]:
@@ -526,15 +529,16 @@ def op_matrix_dumps(op: OperatorMatrix) -> str:
     space of indent per depth, strings escaped by the json module's ASCII
     escaper and integers by %d. Every entry takes the matrix's truncation
     orders, through one entry template, and an absent cell has no terms.
-    Each distinct coefficient value, s-exponent tuple and term is formatted
-    once; an entry's own text is one % format, and so is a gap's.
+    A term's text is the head of its coefficient value, formatted once per
+    distinct value, then the tail of its (u, s-exponents) key, formatted once
+    per distinct key from one list text per distinct s-exponent tuple; an
+    entry's own text is one % format, and so is a gap's.
     """
-    texts = _Once(lambda f: encode_basestring_ascii(ratfunc_to_text(f)))
-    s_texts = _Once(lambda ds: _json_list(["%d" % d for d in ds], 5))
-    term_texts = _Once(  # keyed on ((u, s-exponents), coefficient)
-        lambda term: '{\n     "coeff": %s,\n     "s": %s,\n     "u": %d\n    }'
-        % (texts[term[1]], s_texts[term[0][1]], term[0][0])
+    heads = _Once(
+        lambda f: '{\n     "coeff": %s,\n     "s": ' % encode_basestring_ascii(ratfunc_to_text(f))
     )
+    s_texts = _Once(lambda ds: _json_list(["%d" % d for d in ds], 5))
+    tails = _Once(lambda key: '%s,\n     "u": %d\n    }' % (s_texts[key[1]], key[0]))
     template = (
         '{\n   "col": %%d,\n   "row": %%d,\n   "s_orders": %s,\n   "terms": %%s,'
         '\n   "u_order": %d\n  }' % (_json_list(["%d" % d for d in op.s_orders], 3), op.u_order)
@@ -546,8 +550,9 @@ def op_matrix_dumps(op: OperatorMatrix) -> str:
             cell = cells.get((i, j))
             terms = "[]"
             if cell is not None:
-                coeffs = cell.coeffs
-                terms = _json_list([term_texts[key, coeffs[key]] for key in sorted(coeffs)], 3)
+                terms = _json_list(
+                    [heads[value] + tails[key] for key, value in sorted(cell.coeffs.items())], 3
+                )
             entries.append(template % (j + 1, i + 1, terms))
     gaps = ["[\n   %d,\n   %d\n  ]" % (i + 1, j + 1) for i, j in sorted(op.gaps)]
     return (

@@ -97,13 +97,14 @@ def age(lam: Partition, n: int) -> int:
 # weighted partitions
 # ---------------------------------------------------------------------------
 
+def pair_key(pair: WeightedPair):
+    """The canonical sort key of a (part, label) pair: larger parts first,
+    then labels by label_key."""
+    return -pair[0], label_key(pair[1])
+
+
 def weighted_partition(pairs) -> WeightedPartition:
-    wp = tuple(
-        sorted(
-            ((int(p), label) for p, label in pairs),
-            key=lambda pl: (-pl[0], label_key(pl[1])),
-        )
-    )
+    wp = tuple(sorted(((int(p), label) for p, label in pairs), key=pair_key))
     if any(p <= 0 for p, _ in wp):
         raise ValueError("weighted-partition parts must be positive")
     return wp
@@ -123,9 +124,11 @@ def enumerate_sub_splittings(
     """All ordered pairs (theta, nu) of complementary sub-multisets of wp.
 
     Each distinct multiset pair is listed exactly once; the count is the
-    product of (multiplicity + 1) over distinct weighted pairs.
+    product of (multiplicity + 1) over distinct weighted pairs. theta and nu
+    are built in canonical order, from the distinct pairs taken in that
+    order, so neither is sorted again.
     """
-    distinct = sorted(Counter(wp).items(), key=lambda kv: (-kv[0][0], label_key(kv[0][1])))
+    distinct = sorted(Counter(wp).items(), key=lambda kv: pair_key(kv[0]))
     out = []
     ranges = [range(m + 1) for _, m in distinct]
     for picks in product(*ranges):
@@ -134,7 +137,7 @@ def enumerate_sub_splittings(
         for (pair, m), take in zip(distinct, picks):
             theta.extend([pair] * take)
             nu.extend([pair] * (m - take))
-        out.append((weighted_partition(theta), weighted_partition(nu)))
+        out.append((tuple(theta), tuple(nu)))
     return out
 
 

@@ -8,7 +8,7 @@ import random
 from collections import Counter, defaultdict
 from functools import lru_cache
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import factorial, prod
 
 from symprod.algebra import (
@@ -28,7 +28,6 @@ from symprod.invariants import (
     _chain_factors,
     _check_pair,
     _degree_factors,
-    _labellings,
     three_point_divisor_series,
 )
 from symprod.operators import (
@@ -45,6 +44,7 @@ from symprod.partitions import (
     ecurve,
     enumerate_sub_splittings,
     fixedpt,
+    label_key,
     partition,
     partitions_of,
     underlying,
@@ -518,12 +518,38 @@ def matched_pair_two_point_scalars(mu1_w, mu2_w, a_values, chains, r: int) -> di
     return {key: c for key, c in acc.items() if c}
 
 
+def sorting_sub_splittings(wp: WeightedPartition) -> list:
+    """Reference partitions.enumerate_sub_splittings: the same walk over the
+    distinct pairs, with theta and nu each sorted by weighted_partition."""
+    distinct = sorted(Counter(wp).items(), key=lambda kv: (-kv[0][0], label_key(kv[0][1])))
+    out = []
+    for picks in product(*[range(m + 1) for _, m in distinct]):
+        theta, nu = [], []
+        for (pair, m), take in zip(distinct, picks):
+            theta.extend([pair] * take)
+            nu.extend([pair] * (m - take))
+        out.append((weighted_partition(theta), weighted_partition(nu)))
+    return out
+
+
+@lru_cache(maxsize=None)
+def map_labellings(mu, i: int, j: int) -> tuple:
+    """Reference invariants._labellings: every map f from the parts of mu to
+    i..j, its labelling sorted by weighted_partition and counted by a
+    Counter, as (labelling, count) in first-seen order."""
+    labelled = Counter(
+        weighted_partition(zip(mu, map(ecurve, f)))
+        for f in product(range(i, j + 1), repeat=len(mu))
+    )
+    return tuple(labelled.items())
+
+
 def fraction_two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
     """Reference invariants.two_point_column: the same sum with every addend a
     Fraction, {B: {(a, i, j): c}} with zeros omitted."""
     chains, a_values = tuple(chains), tuple(a_values)
     out: dict = {}
-    for theta, nu in enumerate_sub_splittings(wp):
+    for theta, nu in sorting_sub_splittings(wp):
         if not nu:
             continue
         xs = _chain_factors(nu, chains)
@@ -539,7 +565,7 @@ def fraction_two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
                 if not x:
                     continue
                 x *= scale
-                for labelled, count in _labellings(mu, i, j):
+                for labelled, count in map_labellings(mu, i, j):
                     b = weighted_partition(theta + labelled)
                     c = x * (count * aut_order(b))
                     values = out.setdefault(b, {})

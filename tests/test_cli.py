@@ -211,6 +211,21 @@ def test_table_empty_path_is_usage_error(capsys, argv):
     assert err.splitlines() == ["error: [Errno 2] No such file or directory: ''"]
 
 
+@pytest.mark.parametrize("command", ["op-matrix", "two-point"])
+@pytest.mark.parametrize("r, s_orders, message", [
+    ("1", "1,1", "error: need 1 s-order, got 2"),
+    ("1", "1 1 1", "error: need 1 s-order, got 3"),
+    ("2", "1,1,1", "error: need 1 or 2 s-orders, got 3"),
+    ("3", "1 1", "error: need 1 or 3 s-orders, got 2"),
+], ids=["r1-2", "r1-3", "r2-3", "r3-2"])
+def test_wrong_number_of_s_orders_is_usage_error(capsys, command, r, s_orders, message):
+    args = {"op-matrix": ["--divisor", "D1"], "two-point": ["--left", "2(1)", "--right", "2(1)"]}
+    code, out, err = run(capsys, command, "--n", "2", "--r", r, "--u-order", "1",
+                         "--s-orders", s_orders, *args[command])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [message]
+
+
 def test_table_noncanonical_key_matches(tmp_path, capsys):
     argv = ["op-matrix", "--n", "2", "--r", "1", "--divisor", "D1",
             "--u-order", "0", "--s-orders", "1"]

@@ -1,8 +1,10 @@
 """Connected/disconnected two-point invariants and divisor series."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,6 +18,7 @@ from helpers import (
     bitmask_disconnected,
     divisor_labels,
     fraction_two_point_column,
+    map_labellings,
     matched_pair_two_point_scalars,
     poly2_subs_t2_minus_t1,
     random_weighted_partition,
@@ -36,6 +39,7 @@ from symprod.invariants import (
 from symprod.operators import default_divisor_basis, divisor_operator, zero_degree_table_a1n2
 from symprod.partitions import (
     ONE,
+    aut_order,
     ecurve,
     fixedpt,
     omega,
@@ -251,6 +255,45 @@ def test_two_point_column_matches_fraction_oracle_property(case):
     got = invariants.two_point_column(wp_, a_values, chains)
     assert got == fraction_two_point_column(wp_, a_values, chains)
     assert all(type(c) is Fraction and c for values in got.values() for c in values.values())
+    # the wrapper's Fractions are the integer pairs, which are reduced with
+    # a positive denominator
+    pairs = invariants._column_pairs(wp_, a_values, chains)
+    assert {b: {key: Fraction(*nd) for key, nd in vs.items()} for b, vs in pairs.items()} == got
+    for values in pairs.values():
+        for num, den in values.values():
+            assert type(num) is int and type(den) is int
+            assert num and den > 0 and gcd(num, den) == 1
+
+
+@st.composite
+def _labelling_case(draw):
+    mu = draw(st.sampled_from(partitions_of(draw(st.integers(1, 6)))))
+    i = draw(st.integers(1, 4))
+    return mu, i, draw(st.integers(i, 4))
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(_labelling_case())
+@example(((2, 2, 1, 1, 1, 1), 1, 4))
+@example(((1, 1, 1, 1, 1, 1), 2, 4))
+@example(((3,), 3, 3))
+def test_labellings_match_map_enumeration(case):
+    """Each distinct labelling of mu by E_i..E_j comes once, with the number
+    of maps that give it, as counting every map shows; each is canonical,
+    and so is every term B of the column terms built on it."""
+    mu, i, j = case
+    got = invariants._labellings(mu, i, j)
+    assert Counter(got) == Counter(map_labellings(mu, i, j))
+    assert len(got) == len({labelled for labelled, _ in got})
+    assert sum(count for _, count in got) == (j - i + 1) ** len(mu)
+    theta = wp((2, ONE), (1, ecurve(i)), (1, omega(j)))
+    for labelled, _ in got:
+        assert weighted_partition(labelled) == labelled
+    terms = invariants._column_terms(theta, mu, i, j)
+    assert len(terms) == len(got)
+    for (b, weight), (labelled, count) in zip(terms, got):
+        assert weighted_partition(b) == b == weighted_partition(theta + labelled)
+        assert weight == count * aut_order(b)
 
 
 def test_connected_theta_divisible_polynomial():

@@ -5,6 +5,8 @@ import json.encoder
 import random
 import re
 from fractions import Fraction
+from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -504,35 +506,35 @@ def test_two_point_product_is_shared_by_every_divisor(monkeypatch):
     import symprod
     import symprod.operators as operators
 
-    counts = {"gram_inverse": 0, "two_point_column": 0}
-    gram_inverse, two_point_column = operators.gram_inverse, operators.two_point_column
+    counts = {"gram_inverse": 0, "columns": 0}
+    gram_inverse, column_pairs = operators.gram_inverse, operators._column_pairs
 
     def counted_gram_inverse(basis, r):
         counts["gram_inverse"] += 1
         return gram_inverse(basis, r)
 
-    def counted_two_point_column(wp, a_values, chains):
-        counts["two_point_column"] += 1
-        return two_point_column(wp, a_values, chains)
+    def counted_column_pairs(wp, a_values, chains):
+        counts["columns"] += 1
+        return column_pairs(wp, a_values, chains)
 
     monkeypatch.setattr(operators, "gram_inverse", counted_gram_inverse)
-    monkeypatch.setattr(operators, "two_point_column", counted_two_point_column)
+    monkeypatch.setattr(operators, "_column_pairs", counted_column_pairs)
     symprod.clear_caches()
     basis = default_divisor_basis(2, 3)
     assert len(basis) == 14  # one column of P per basis element
     # with no table every entry is a gap, so no G^{-1} is taken
     for divisor in ("(2)", "D1", "D2", "D3"):
         divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
-    assert counts == {"gram_inverse": 0, "two_point_column": 14}
+    assert counts == {"gram_inverse": 0, "columns": 14}
     symprod.clear_caches()
     divisor_operator(2, 3, "D2", basis, 4, (3, 3, 3))
-    assert counts == {"gram_inverse": 0, "two_point_column": 28}
+    assert counts == {"gram_inverse": 0, "columns": 28}
     # with a table, G^{-1} contracts the beta = 0 layer: one per operator
     symprod.clear_caches()
     basis, table = default_divisor_basis(2, 1), zero_degree_table_a1n2()
     for divisor in ("(2)", "D1"):
         divisor_operator(2, 1, divisor, basis, 4, (3,), table)
-    assert counts == {"gram_inverse": 2, "two_point_column": 33}
+    assert counts == {"gram_inverse": 2, "columns": 33}
 
 
 @pytest.mark.parametrize("table", [None, ZeroDegreeTable()], ids=["no-table", "table"])
@@ -568,6 +570,15 @@ def test_divisor_operator_makes_no_pairing_call(monkeypatch, n, r, with_table):
         assert op.cells == want[ell]
 
 
+def _assert_reduced_pairs(product: dict) -> None:
+    """Every value of P is a pair (num, den) of ints, reduced, with num != 0
+    and den > 0."""
+    for terms in product.values():
+        for *_, num, den in terms:
+            assert type(num) is int and type(den) is int
+            assert num and den > 0 and gcd(num, den) == 1
+
+
 @pytest.mark.parametrize("n, r", [(2, 1), (3, 1), (4, 1), (2, 2), (3, 2), (2, 3)])
 def test_two_point_product_values_are_theta_times_rationals(n, r):
     import symprod.operators as operators
@@ -575,9 +586,7 @@ def test_two_point_product_values_are_theta_times_rationals(n, r):
     basis = tuple(default_divisor_basis(n, r))
     product = dict(operators._two_point_product(basis, r, 3, tuple(chain_degrees((1,) * r))))
     assert product and all(product.values())  # only the nonzero cells are held
-    values = [c for entry in product.values() for *_, c in entry]
-    for c in values:
-        assert isinstance(c, Fraction) and c
+    _assert_reduced_pairs(product)
     # every beta != 0 coefficient of M_D is (t1+t2) c m for its value c of P
     # and its multiplier m: d^a for "D<l>", a d^(a-1) for "(2)"
     u_order, s_orders = 2, (2,) * r
@@ -587,7 +596,8 @@ def test_two_point_product_values_are_theta_times_rationals(n, r):
         for i in range(len(basis)):
             for j in range(len(basis)):
                 want = {}
-                for a, ci, cj, c in product.get((i, j), ()):
+                for a, ci, cj, num, den in product.get((i, j), ()):
+                    c = Fraction(num, den)
                     for d in range(1, 3):
                         ds = e_chain(ci, cj, d, r)
                         if ell and a <= u_order and ci <= ell <= cj:
@@ -611,51 +621,87 @@ def test_two_point_product_matches_fraction_contraction(n, r, unit_box):
 
     basis = tuple(default_divisor_basis(n, r))
     product = dict(operators._two_point_product(basis, r, 3, tuple(chain_degrees(unit_box))))
+    _assert_reduced_pairs(product)
     want = reference_two_point_product(basis, r, 3, unit_box)
     assert any(want_entry for want_row in want for want_entry in want_row)
     assert len(want) == len(basis)
     for i, want_row in enumerate(want):
         for j, want_entry in enumerate(want_row):
             entry = product.pop((i, j), ())
-            got = {(a, ci, cj): RatFunc2(THETA.scale(c)) for a, ci, cj, c in entry}
+            got = {
+                (a, ci, cj): RatFunc2(THETA.scale(Fraction(num, den)))
+                for a, ci, cj, num, den in entry
+            }
             assert got == {(a, ci, cj): v for a, ci, cj, v in want_entry}
     assert not product  # no cell outside the basis
 
 
 def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
+    import symprod
     import symprod.operators as operators
 
-    theta_times, to_text = operators._theta_times, operators.ratfunc_to_text
+    canonical, to_text = operators._canonical, operators.ratfunc_to_text
     built, formatted = [], []
 
-    def counted_theta_times(c):
-        value = theta_times(c)
-        built.append((c, value))
+    def counted_canonical(num, den):
+        value = canonical(num, den)
+        built.append(value)
         return value
 
     def counted_to_text(f):
         formatted.append(f)
         return to_text(f)
 
-    monkeypatch.setattr(operators, "_theta_times", counted_theta_times)
+    monkeypatch.setattr(operators, "_canonical", counted_canonical)
     monkeypatch.setattr(operators, "ratfunc_to_text", counted_to_text)
+    symprod.clear_caches()
     basis = default_divisor_basis(2, 3)
+    beta = set()
     for divisor in ("(2)", "D1", "D2", "D3"):
-        built.clear()
         op = divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
         series = list(op.cells.values())
         # the entries skip TruncSeries' key checks, which would change nothing
         assert all(TruncSeries(s.u_order, s.s_orders, s.coeffs).coeffs == s.coeffs for s in series)
         coeffs = [s.coeffs for s in series]
-        beta = {v for c in coeffs for key, v in c.items() if any(key[1])}
-        assert len(built) == len(beta) > 1, divisor
-        # built directly, each value is the canonical (t1+t2) * c
-        for c, value in built:
-            want = RatFunc2(THETA) * c
-            assert (value.num.terms, value.den) == (want.num.terms, want.den), c
+        values = {v for c in coeffs for key, v in c.items() if any(key[1])}
+        assert len(values) > 1, divisor
+        beta |= values
+        # each distinct (t1+t2) c is built once across the four divisors: a
+        # value an earlier divisor built is read from the memo, not rebuilt
+        assert len(built) == len(set(built)) == len(beta), divisor
         formatted.clear()
         op_matrix_dumps(op)
         assert len(formatted) == len({v for c in coeffs for v in c.values()}), divisor
+    assert set(built) == beta
+    assert operators._theta_times.cache_info().currsize == len(beta)
+    # built directly, each value is the canonical (t1+t2) * c
+    for value in built:
+        c = value.num.terms[1, 0]
+        want = RatFunc2(THETA) * c
+        assert (value.num.terms, value.den) == (want.num.terms, want.den), c
+    # the same four divisors again build nothing
+    for divisor in ("(2)", "D1", "D2", "D3"):
+        divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
+    assert len(built) == len(beta)
+
+
+@pytest.mark.parametrize("n, r, u_order, s_orders", [(2, 3, 4, (3, 3, 3)), (3, 2, 3, (2, 1))])
+def test_divisors_in_one_session_match_each_built_alone(n, r, u_order, s_orders):
+    """The divisors share P and the (t1+t2) c values in one process; in any
+    order, each gives the bytes it gives when built alone with cold memos."""
+    import symprod
+
+    basis = default_divisor_basis(n, r)
+    divisors = ["(2)"] + [f"D{ell}" for ell in range(1, r + 1)]
+    alone = {}
+    for divisor in divisors:
+        symprod.clear_caches()
+        alone[divisor] = op_matrix_dumps(divisor_operator(n, r, divisor, basis, u_order, s_orders))
+    for order in permutations(divisors):
+        symprod.clear_caches()
+        for divisor in order:
+            op = divisor_operator(n, r, divisor, basis, u_order, s_orders)
+            assert op_matrix_dumps(op) == alone[divisor], order
 
 
 def test_op_matrix_dumps_formats_lists_once_per_distinct_text(monkeypatch):

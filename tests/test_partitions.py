@@ -5,8 +5,9 @@ from collections import Counter
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import all_labels, centralizer_order, random_weighted_partition
+from helpers import all_labels, centralizer_order, random_weighted_partition, sorting_sub_splittings
 from symprod import clear_caches
 from symprod.partitions import (
     ONE,
@@ -14,6 +15,8 @@ from symprod.partitions import (
     aut_order,
     ecurve,
     enumerate_sub_splittings,
+    fixedpt,
+    omega,
     partition,
     partitions_of,
     weighted_partition,
@@ -123,3 +126,31 @@ def test_splittings_count_and_complement():
         for theta, nu in splits:
             assert wp_size(theta) + wp_size(nu) == wp_size(wp)
             assert weighted_partition(theta + nu) == wp
+
+
+@st.composite
+def _any_weighted_partition(draw):
+    r = draw(st.integers(1, 3))
+    label = st.one_of(
+        st.just(ONE),
+        st.integers(1, r).map(ecurve),
+        st.integers(1, r).map(omega),
+        st.integers(1, r + 1).map(fixedpt),
+    )
+    lam = draw(st.sampled_from(partitions_of(draw(st.integers(0, 7)))))
+    return weighted_partition((p, draw(label)) for p in lam)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_any_weighted_partition())
+@example(weighted_partition([(2, ONE), (2, ecurve(1)), (2, ecurve(1)), (1, fixedpt(2)),
+                             (1, omega(1)), (1, omega(1))]))
+def test_splittings_are_built_in_canonical_order(wp):
+    """The splittings come out as the re-sorting oracle lists them, in the
+    same order, and every theta and nu is a fixed point of weighted_partition."""
+    splits = enumerate_sub_splittings(wp)
+    assert splits == sorting_sub_splittings(wp)
+    for theta, nu in splits:
+        assert type(theta) is tuple and type(nu) is tuple
+        assert weighted_partition(theta) == theta
+        assert weighted_partition(nu) == nu
