@@ -198,8 +198,15 @@ class Poly2:
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # a constant hashes as its value, like the equal constant RatFunc2
-            key = self.const_value() if self.is_const() else tuple(sorted(self.terms.items()))
+            # a constant hashes as its value, like the equal constant RatFunc2;
+            # CPython hashes -1 as -2, so a coefficient p/q enters as the odd
+            # 2p + 1 and q, and c*p, c = -1, -2, ... hash apart
+            if self.is_const():
+                key = self.const_value()
+            else:
+                key = tuple(sorted(
+                    (m, 2 * c.numerator + 1, c.denominator) for m, c in self.terms.items()
+                ))
             self._hash = hash(key)
         return self._hash
 

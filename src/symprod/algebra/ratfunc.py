@@ -24,11 +24,11 @@ A constant factor of 1 returns the value itself. Negation negates the
 numerator's coefficients and keeps the denominator: the negative of a
 canonical value is canonical, and no Fraction product is run.
 
-Sums of many products (series products, linear combinations of series,
-the steps of a series inverse) do not run through these operators: the
-series kernel (algebra.series) sums their numerators in integers and
-builds each canonical value once, through _canonical over the
-denominator 1 and through the constructor otherwise.
+Series arithmetic over denominator 1 does not run through these
+operators: the series kernel (algebra.series) holds each coefficient as
+integers and builds its canonical value, through _canonical, only when
+it is read. Over any other denominator it canonicalises through the
+constructor and these operators once per operation.
 """
 
 from __future__ import annotations

@@ -6,39 +6,54 @@ with ring operations, so products of truncations agree with truncations
 of full products.
 
 Exponents are nonnegative: a key with a negative exponent raises
-ShapeError. An int or Fraction on either side of +, -, * and ==, or
-divided by a series, is the constant series of that series' shape (as
-RatFunc2.lift lifts rationals), so a GaussRational can hold series parts
-next to rational ones; a series of another shape raises ShapeError, and a
-Poly2 or RatFunc2 operand of +, - or * raises TypeError. + and - are one
-merge, one pass over the second operand's keys that builds no negated series.
+ShapeError, and a coefficient that RatFunc2.lift does not take raises
+TypeError. An int or Fraction on either side of +, -, * and ==, or
+divided by a series, is the constant series of that series' shape, so a
+GaussRational can hold series parts next to rational ones; a series of
+another shape raises ShapeError, and a Poly2 or RatFunc2 operand of +, -
+or * raises TypeError.
 
-Products, linear combinations and the inverse share one integer
-accumulator. A per-shape table packs each in-box key (a, ds) into one
-int, u most significant and each s_k field of radix 2*s_k + 1: the sum of
-two in-box keys then carries out of no field, and a difference with a
-negative field has no in-box packing, so one dict from packed int to key
-is both the box test and the unpacking. Each operand coefficient is
-written once per call as (packed key, denominator, lcd, integer
-numerator terms over lcd); products are summed in ints per (packed key,
+The working state is an integer form per coefficient. A per-shape table
+packs each in-box key (a, ds) into one int, u most significant and each
+s_k field of radix 2*s_k + 1: the sum of two in-box keys then carries out
+of no field, and a difference with a negative field has no in-box
+packing, so one dict from packed int to key is both the box test and the
+unpacking. Under its packed key a coefficient is (den, lcd, {monomial:
+n}), the value sum n * monomial / (lcd * den), with den a canonical
+denominator or None for 1, and lcd > 0 coprime to the gcd of the n. The
+form of a value is unique, so ==, hash, is_zero and a comparison with a
+scalar can read the forms. coeffs, the read-only mapping from key to
+canonical RatFunc2, is built from the forms when it is first read and
+then kept; a series built from RatFunc2 values (the constructor, _wrap)
+holds only that mapping and derives its forms on its first ring
+operation.
+
+Every ring operation reads and writes forms. Over denominator 1 a sum is
+an integer merge over the lcm of the two lcds, negation and a rational
+scale act on the integers, and each result is reduced by the gcd of its
+integers and lcd. Products, linear combinations and the inverse share one
+integer accumulator: products are summed in ints per (packed key,
 denominator product), a group rescaled by an lcm when it meets a new lcd.
-Each group makes one Fraction per output t-term and one RatFunc2, and the
-groups that share a key are then added. A product of two series over
-denominator 1 thus runs no Fraction arithmetic.
+A coefficient over any other denominator is canonicalised through
+RatFunc2 (a polynomial gcd) once, when the operation ends. Ring
+operations over denominator 1 thus run no Fraction arithmetic and build
+no RatFunc2.
 
 The inverse is one triangular recursion over the box, not a sum of powers:
 with c0 the constant term, b_0 = 1/c0, and each other key k, taken in
 increasing total degree, is b_k = sum over j != 0, j <= k of (-a_j/c0) *
 b_(k-j). The steps -a_j/c0 are written in integers once, and each b_k is
-canonicalised once and keeps its integer form for the keys after it. The
-box is a monomial quotient, so the inverse is unique.
+reduced once and keeps its form for the keys after it. The inverse of a
+constant series is 1/c0, with no pass over the box. The box is a monomial
+quotient, so the inverse is unique.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
+from types import MappingProxyType
 
 from ..errors import EmptyOrderError, ShapeError
 from ..memo import memo
@@ -66,15 +81,74 @@ def _box(u_order: int, s_orders: tuple[int, ...]) -> tuple:
 
 
 def _int_form(f: RatFunc2) -> tuple:
-    """(den, lcd, [(mono, n)]) with f = sum n * mono / (lcd * den), lcd the
-    lcm of the numerator's coefficient denominators; den is None for 1."""
+    """The form (den, lcd, {mono: n}) of a canonical f: f = sum n * mono /
+    (lcd * den), lcd the lcm of the numerator's coefficient denominators;
+    den is None for 1."""
     den = None if f.den.is_const() else f.den
     terms = f.num.terms
     if len(terms) == 1:
         ((mono, c),) = terms.items()
-        return den, c.denominator, [(mono, c.numerator)]
+        return den, c.denominator, {mono: c.numerator}
     lcd = lcm(*(c.denominator for c in terms.values()))
-    return den, lcd, [(mono, c.numerator * (lcd // c.denominator)) for mono, c in terms.items()]
+    return den, lcd, {mono: c.numerator * (lcd // c.denominator) for mono, c in terms.items()}
+
+
+def _ratfunc(form: tuple) -> RatFunc2:
+    """The canonical RatFunc2 of a reduced form."""
+    den, lcd, terms = form
+    if lcd == 1:
+        num = _poly({mono: Fraction(n) for mono, n in terms.items()})
+    else:
+        num = _poly({mono: Fraction(n, lcd) for mono, n in terms.items()})
+    return _canonical(num, Poly2.one() if den is None else den)
+
+
+def _reduced(den, lcd: int, acc: dict) -> tuple | None:
+    """The form (den, lcd, acc) with its zero terms dropped and lcd coprime
+    to the gcd of the rest; None when no term is left."""
+    terms = {mono: n for mono, n in acc.items() if n}
+    if not terms:
+        return None
+    if lcd != 1:
+        g = gcd(lcd, *terms.values())
+        if g != 1:
+            lcd //= g
+            terms = {mono: n // g for mono, n in terms.items()}
+    return den, lcd, terms
+
+
+def _scaled(form: tuple, num: int, den: int = 1) -> tuple:
+    """form * num / den for nonzero ints: a canonical value times a nonzero
+    rational keeps its denominator, so the integers carry the factor."""
+    d, lcd, terms = form
+    return _reduced(d, lcd * den, {mono: n * num for mono, n in terms.items()})
+
+
+def _sum(f: tuple, g: tuple, negate: bool) -> tuple | None:
+    """The form of f - g if negate else f + g; None for zero."""
+    (df, lf, tf), (dg, lg, tg) = f, g
+    if df is not None or dg is not None:
+        x, y = _ratfunc(f), _ratfunc(g)
+        s = x - y if negate else x + y
+        return None if s.is_zero() else _int_form(s)
+    lcd = lf if lf == lg else lcm(lf, lg)
+    uf, ug = lcd // lf, lcd // lg
+    if negate:
+        ug = -ug
+    acc = dict(tf) if uf == 1 else {mono: n * uf for mono, n in tf.items()}
+    for mono, n in tg.items():
+        acc[mono] = acc.get(mono, 0) + n * ug
+    return _reduced(None, lcd, acc)
+
+
+def _inverse(form: tuple) -> tuple:
+    """The form of 1/f for a nonzero f: a rational constant in ints, any
+    other value through RatFunc2."""
+    den, lcd, terms = form
+    if den is None and terms.keys() == {(0, 0)}:
+        n = terms[(0, 0)]
+        return None, abs(n), {(0, 0): lcd if n > 0 else -lcd}
+    return _int_form(_ratfunc(form).inverse())
 
 
 def _accumulate(groups: dict, dens: dict, pairs) -> None:
@@ -102,38 +176,59 @@ def _accumulate(groups: dict, dens: dict, pairs) -> None:
             group[0] = new
         acc = group[1]
         up = group[0] // pair_lcd
-        for (a1, a2), x in tf:
+        tg = tg.items()
+        for (a1, a2), x in tf.items():
             x *= up
             for (b1, b2), y in tg:
                 mono = (a1 + b1, a2 + b2)
                 acc[mono] = acc.get(mono, 0) + x * y
 
 
-def _collect(groups: dict, unpack: dict) -> dict:
-    """key -> the sum of the values of its groups; zero sums are left out."""
+def _collect(groups: dict) -> dict:
+    """packed key -> the form of the sum of its groups; zero sums are left
+    out. A group over denominator 1 is reduced in ints; a key with a group
+    over any other denominator is canonicalised through RatFunc2."""
     out: dict = {}
+    other: dict = {}  # packed key -> sum of its groups over other denominators
     for (packed, den), (lcd, acc) in groups.items():
-        if lcd == 1:
-            terms = {mono: Fraction(n) for mono, n in acc.items() if n}
-        else:
-            terms = {mono: Fraction(n, lcd) for mono, n in acc.items() if n}
-        if not terms:
+        if den is None:
+            form = _reduced(None, lcd, acc)
+            if form is not None:
+                out[packed] = form
             continue
-        num = _poly(terms)
-        f = _canonical(num, Poly2.one()) if den is None else RatFunc2(num, den)
-        key = unpack[packed]
-        prev = out.get(key)
-        if prev is not None:
-            f = prev + f
-            if f.is_zero():
-                del out[key]
-                continue
-        out[key] = f
+        terms = {mono: Fraction(n, lcd) for mono, n in acc.items() if n}
+        if terms:
+            f = RatFunc2(_poly(terms), den)
+            prev = other.get(packed)
+            other[packed] = f if prev is None else prev + f
+    for packed, f in other.items():
+        form = out.get(packed)
+        if form is not None:
+            f = f + _ratfunc(form)
+        if f.is_zero():
+            out.pop(packed, None)
+        else:
+            out[packed] = _int_form(f)
     return out
 
 
+def _series(u_order: int, s_orders: tuple, forms: dict | None, coeffs=None) -> TruncSeries:
+    """A series of a checked shape from its forms or its read-only coeffs."""
+    out = object.__new__(TruncSeries)
+    out.u_order, out.s_orders, out._forms, out._coeffs = u_order, s_orders, forms, coeffs
+    return out
+
+
+def _forms_of(s: TruncSeries) -> dict:
+    """The forms of s: its own, or a new dict derived from its coeffs."""
+    if s._forms is not None:
+        return s._forms
+    pack = _box(s.u_order, s.s_orders)[1]
+    return {pack[key]: _int_form(c) for key, c in s._coeffs.items()}
+
+
 class TruncSeries:
-    __slots__ = ("u_order", "s_orders", "coeffs")
+    __slots__ = ("u_order", "s_orders", "_forms", "_coeffs")
 
     def __init__(self, u_order: int, s_orders, coeffs: dict[Key, RatFunc2] | None = None):
         if u_order < 0 or any(d < 0 for d in s_orders):
@@ -150,9 +245,17 @@ class TruncSeries:
                     raise ShapeError(f"negative exponent in key {(a, ds)}")
                 if a > self.u_order or any(d > dmax for d, dmax in zip(ds, self.s_orders)):
                     continue
+                try:
+                    c = RatFunc2.lift(c)
+                except TypeError:
+                    raise TypeError(
+                        f"coefficient at key {(a, ds)} is a {type(c).__name__},"
+                        " not a rational function"
+                    ) from None
                 if not c.is_zero():
                     clean[(a, ds)] = c
-        self.coeffs = clean
+        self._forms = None
+        self._coeffs = MappingProxyType(clean)
 
     # -- constructors ----------------------------------------------------------
 
@@ -176,27 +279,53 @@ class TruncSeries:
 
     # -- queries ------------------------------------------------------------------
 
+    @property
+    def coeffs(self) -> MappingProxyType:
+        """Read-only key -> canonical RatFunc2 of the nonzero coefficients."""
+        if self._coeffs is None:
+            unpack = _box(self.u_order, self.s_orders)[0]
+            self._coeffs = MappingProxyType(
+                {unpack[packed]: _ratfunc(form) for packed, form in self._forms.items()}
+            )
+        return self._coeffs
+
+    def _int_forms(self) -> dict:
+        """packed key -> form of the nonzero coefficients; never changed."""
+        if self._forms is None:
+            self._forms = _forms_of(self)
+        return self._forms
+
     def shape(self) -> tuple[int, tuple[int, ...]]:
         return (self.u_order, self.s_orders)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self._coeffs if self._forms is None else self._forms)
 
     def coefficient(self, a: int, ds) -> RatFunc2:
-        return self.coeffs.get((a, tuple(ds)), RatFunc2.zero())
+        """The coefficient at one key; built alone while coeffs is unread."""
+        key = (a, tuple(ds))
+        if self._coeffs is not None:
+            return self._coeffs.get(key, RatFunc2.zero())
+        form = self._forms.get(_box(self.u_order, self.s_orders)[1].get(key))
+        return RatFunc2.zero() if form is None else _ratfunc(form)
 
     def constant_term(self) -> RatFunc2:
         return self.coefficient(0, (0,) * len(self.s_orders))
 
     def monomials(self):
         """Sorted (a, ds, coefficient) triples."""
-        for key in sorted(self.coeffs):
-            yield key[0], key[1], self.coeffs[key]
+        coeffs = self.coeffs
+        for key in sorted(coeffs):
+            yield key[0], key[1], coeffs[key]
+
+    def _with_forms(self, forms: dict) -> TruncSeries:
+        return _series(self.u_order, self.s_orders, forms)
 
     def _lift(self, other):
         """An int or Fraction as a constant series of this shape; anything else as is."""
         if isinstance(other, (int, Fraction)):
-            return TruncSeries.const(other, self.u_order, self.s_orders)
+            num, den = other.as_integer_ratio()
+            return self._with_forms({0: (None, den, {(0, 0): num})} if num else {})
         return other
 
     def _check_shape(self, other: TruncSeries) -> None:
@@ -213,18 +342,18 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_shape(other)
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key)
-            if negate:
-                s = -c if s is None else s - c
+        out = dict(self._int_forms())
+        for packed, g in other._int_forms().items():
+            f = out.get(packed)
+            if f is None:
+                out[packed] = _scaled(g, -1) if negate else g
+                continue
+            s = _sum(f, g, negate)
+            if s is None:
+                del out[packed]
             else:
-                s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return self._wrap(out)
+                out[packed] = s
+        return self._with_forms(out)
 
     def __add__(self, other) -> TruncSeries:
         return self._merged(other, False)
@@ -232,7 +361,7 @@ class TruncSeries:
     __radd__ = __add__
 
     def __neg__(self) -> TruncSeries:
-        return self._wrap({k: -c for k, c in self.coeffs.items()})
+        return self._with_forms({k: _scaled(f, -1) for k, f in self._int_forms().items()})
 
     def __sub__(self, other) -> TruncSeries:
         return self._merged(other, True)
@@ -247,14 +376,14 @@ class TruncSeries:
         if not isinstance(other, TruncSeries):
             return NotImplemented
         self._check_shape(other)
-        unpack, pack, _ = _box(self.u_order, self.s_orders)
-        mine = [(pack[key], _int_form(c)) for key, c in self.coeffs.items()]
-        theirs = [(pack[key], _int_form(c)) for key, c in other.coeffs.items()]
+        unpack = _box(self.u_order, self.s_orders)[0]
+        mine = list(self._int_forms().items())
+        theirs = list(other._int_forms().items())
         groups: dict = {}
         _accumulate(groups, {}, (
             (p + q, f, g) for p, f in mine for q, g in theirs if p + q in unpack
         ))
-        return self._wrap(_collect(groups, unpack))
+        return self._with_forms(_collect(groups))
 
     __rmul__ = __mul__
 
@@ -265,7 +394,6 @@ class TruncSeries:
     def lincomb(cls, pairs, u_order: int, s_orders) -> TruncSeries:
         """The sum of c * s over (c, s) pairs: RatFunc2 c, series s of the given shape."""
         out = cls.zero(u_order, s_orders)
-        unpack, pack, _ = _box(out.u_order, out.s_orders)
         groups: dict = {}
         dens: dict = {}
         for c, s in pairs:
@@ -273,17 +401,19 @@ class TruncSeries:
             if c.is_zero():
                 continue
             form = _int_form(c)
-            _accumulate(groups, dens, (
-                (pack[key], form, _int_form(v)) for key, v in s.coeffs.items()
-            ))
-        out.coeffs = _collect(groups, unpack)
-        return out
+            _accumulate(groups, dens, ((p, form, g) for p, g in s._int_forms().items()))
+        return out._with_forms(_collect(groups))
 
     def scale(self, value) -> TruncSeries:
-        c = RatFunc2.lift(value)
-        if c.is_zero():
-            return TruncSeries(self.u_order, self.s_orders)
-        return self._wrap({k: v * c for k, v in self.coeffs.items()})
+        if not isinstance(value, (int, Fraction)):
+            c = RatFunc2.lift(value)
+            if not c.is_const():
+                return self * TruncSeries.const(c, self.u_order, self.s_orders)
+            value = c.num.const_value()
+        if not value:
+            return self._with_forms({})
+        num, den = value.as_integer_ratio()
+        return self._with_forms({k: _scaled(f, num, den) for k, f in self._int_forms().items()})
 
     def inverse(self) -> TruncSeries:
         """Multiplicative inverse; requires an invertible constant term.
@@ -291,44 +421,43 @@ class TruncSeries:
         One triangular recursion over the box: with c0 the constant term
         and a_j the other coefficients, b_0 = 1/c0 and, in increasing total
         degree u + sum(d), b_k = sum over j != 0, j <= k of (-a_j/c0) *
-        b_(k-j). Each key's sum is accumulated in ints and canonicalised once.
+        b_(k-j). Each key's sum is accumulated in ints and reduced once. A
+        constant series makes no pass over the box.
         """
-        c0 = self.constant_term()
-        if c0.is_zero():
+        forms = self._int_forms()
+        c0 = forms.get(0)
+        if c0 is None:
             raise ZeroDivisionError("series has no invertible constant term")
-        unpack, pack, order = _box(self.u_order, self.s_orders)
-        inv_c0 = c0.inverse()
-        minus_inv_c0 = -inv_c0
-        steps = [
-            (pack[key], _int_form(c * minus_inv_c0)) for key, c in self.coeffs.items() if pack[key]
-        ]
-        out = {unpack[0]: inv_c0}
-        forms = {0: _int_form(inv_c0)}  # packed k -> integer form of b_k
+        out = {0: _inverse(c0)}  # packed k -> form of b_k
+        if len(forms) == 1:
+            return self._with_forms(out)
+        groups: dict = {}
+        minus_inv_c0 = _scaled(out[0], -1)
+        _accumulate(groups, {}, ((j, f, minus_inv_c0) for j, f in forms.items() if j))
+        steps = list(_collect(groups).items())
         dens: dict = {}
-        for k in order:
-            groups: dict = {}
-            # k - j has a negative field, and so no integer form, unless j <= k
-            _accumulate(groups, dens, (
-                (k, f, forms[k - j]) for j, f in steps if k - j in forms
-            ))
-            for key, b in _collect(groups, unpack).items():  # key is unpack[k]
-                out[key] = b
-                forms[k] = _int_form(b)
-        return self._wrap(out)
+        for k in _box(self.u_order, self.s_orders)[2]:
+            groups = {}
+            # k - j has a negative field, and so no form, unless j <= k
+            _accumulate(groups, dens, ((k, f, out[k - j]) for j, f in steps if k - j in out))
+            out.update(_collect(groups))
+        return self._with_forms(out)
 
     def __eq__(self, other) -> bool:
         other = self._lift(other)
-        return (
-            isinstance(other, TruncSeries)
-            and self.shape() == other.shape()
-            and self.coeffs == other.coeffs
-        )
+        if not isinstance(other, TruncSeries) or self.shape() != other.shape():
+            return False
+        return _forms_of(self) == _forms_of(other)  # a comparison keeps no forms
 
     def __hash__(self) -> int:
-        if self.coeffs.keys() <= {(0, (0,) * len(self.s_orders))}:
+        forms = _forms_of(self)
+        if forms.keys() <= {0}:
             # a constant series equals its int or Fraction, so it hashes as that
-            return hash(self.constant_term())
-        return hash((self.shape(), tuple(sorted(self.coeffs.items()))))
+            return hash(_ratfunc(forms[0])) if forms else 0
+        return hash((self.shape(), frozenset(
+            (packed, den, lcd, frozenset(terms.items()))
+            for packed, (den, lcd, terms) in forms.items()
+        )))
 
     # -- calculus ----------------------------------------------------------------------
 
@@ -336,32 +465,34 @@ class TruncSeries:
         """d/du; the result carries u_order - 1 (the top coefficient is lost)."""
         if self.u_order == 0:
             raise EmptyOrderError("cannot differentiate a series truncated at u^0")
-        out: dict[Key, RatFunc2] = {}
-        for (a, ds), c in self.coeffs.items():
-            if a >= 1:
-                out[(a - 1, ds)] = c * a
-        return TruncSeries(self.u_order - 1, self.s_orders, out)
+        unpack = _box(self.u_order, self.s_orders)[0]
+        pack = _box(self.u_order - 1, self.s_orders)[1]
+        out = {}
+        for packed, f in self._int_forms().items():
+            a, ds = unpack[packed]
+            if a:
+                out[pack[(a - 1, ds)]] = _scaled(f, a)
+        return _series(self.u_order - 1, self.s_orders, out)
 
     def s_scale_d(self, ell: int) -> TruncSeries:
         """The degree-preserving operator s_ell * d/d(s_ell); ell is 1-based."""
         if not 1 <= ell <= len(self.s_orders):
             raise IndexError(f"s-index {ell} out of range 1..{len(self.s_orders)}")
-        out: dict[Key, RatFunc2] = {}
-        for (a, ds), c in self.coeffs.items():
-            d = ds[ell - 1]
+        unpack = _box(self.u_order, self.s_orders)[0]
+        out = {}
+        for packed, f in self._int_forms().items():
+            d = unpack[packed][1][ell - 1]
             if d:
-                out[(a, ds)] = c * d
-        return self._wrap(out)
+                out[packed] = _scaled(f, d)
+        return self._with_forms(out)
 
     def _wrap(self, coeffs: dict[Key, RatFunc2]) -> TruncSeries:
-        out = TruncSeries.__new__(TruncSeries)
-        out.u_order = self.u_order
-        out.s_orders = self.s_orders
-        out.coeffs = coeffs
-        return out
+        """A series of this shape holding coeffs, nonzero RatFunc2 values at
+        in-box keys, as they are; the caller gives coeffs up."""
+        return _series(self.u_order, self.s_orders, None, MappingProxyType(coeffs))
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if self.is_zero():
             return "0"
         chunks = []
         for a, ds, c in self.monomials():
@@ -377,4 +508,3 @@ class TruncSeries:
 
     def __repr__(self) -> str:
         return f"TruncSeries(u_order={self.u_order}, s_orders={self.s_orders}, {self})"
-

@@ -214,9 +214,9 @@ def divisor_operator(
             for j in range(size):
                 if any(tzero[a][j].gap for a, _ in ginv_row):
                     gaps.add((i, j))
-                cells[i, j] = TruncSeries.lincomb(
+                cells[i, j] = dict(TruncSeries.lincomb(
                     ((c, tzero[a][j].series) for a, c in ginv_row), u_order, zeros
-                ).coeffs
+                ).coeffs)
     chains = chain_degrees(s_orders)
     product = _two_point_product(basis, r, u_order + 1, tuple(chains))
     # (t1+t2) c m for c = num/den, looked up by (num m, den), so one Fraction
@@ -332,10 +332,10 @@ def _table_from_expansion(m) -> ZeroDegreeTable:
     consts: list[list[RatFunc2]] = [[None] * size for _ in range(size)]
     for i in range(size):
         for j in range(size):
-            coeffs = m[i][j].coeffs
-            if any(a and not ds[0] for a, ds in coeffs):
+            entry = m[i][j]  # read at its s^0 keys only
+            if any(not entry.coefficient(a, (0,)).is_zero() for a in range(1, entry.u_order + 1)):
                 raise RuntimeError("s=0 layer of the benchmark matrix should be u-independent")
-            consts[i][j] = coeffs.get((0, (0,)), RatFunc2.zero())
+            consts[i][j] = entry.constant_term()
     table = ZeroDegreeTable()
     for a in range(size):
         for j in range(size):

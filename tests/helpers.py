@@ -825,8 +825,36 @@ def reference_series_mul(a: TruncSeries, b: TruncSeries) -> TruncSeries:
     return TruncSeries(a.u_order, a.s_orders, out)
 
 
+def reference_series_add(a: TruncSeries, b: TruncSeries) -> TruncSeries:
+    """a + b by one RatFunc2 sum per key that both hold, over the coeffs dicts."""
+    if a.shape() != b.shape():
+        raise ValueError("truncation orders differ")
+    out = dict(a.coeffs)
+    for key, c in b.coeffs.items():
+        out[key] = out[key] + c if key in out else c
+    return TruncSeries(a.u_order, a.s_orders, out)  # drops the zero sums
+
+
+def reference_series_scale(s: TruncSeries, c) -> TruncSeries:
+    """c * s by one RatFunc2 product per key, for any value RatFunc2.lift takes."""
+    c = RatFunc2.lift(c)
+    return TruncSeries(s.u_order, s.s_orders, {key: v * c for key, v in s.coeffs.items()})
+
+
 def reference_sub(a, b):
-    """a - b as a plus the negation of b, for any operands of the algebra types."""
+    """a - b as a plus the negation of b, for any operands of the algebra types.
+
+    Series, and the series parts of Gaussian rationals, are negated and
+    added one RatFunc2 coefficient at a time (a scalar next to a series is
+    its constant series), so the oracle runs no series ring operation.
+    """
+    if isinstance(a, GaussRational) or isinstance(b, GaussRational):
+        a, b = GaussRational.lift(a), GaussRational.lift(b)
+        return GaussRational(reference_sub(a.re, b.re), reference_sub(a.im, b.im))
+    if isinstance(a, TruncSeries) or isinstance(b, TruncSeries):
+        shape = (a if isinstance(a, TruncSeries) else b).shape()
+        a, b = (x if isinstance(x, TruncSeries) else TruncSeries.const(x, *shape) for x in (a, b))
+        return reference_series_add(a, reference_series_scale(b, -1))
     return a + (-b)
 
 
@@ -834,7 +862,7 @@ def reference_lincomb(pairs, u_order: int, s_orders) -> TruncSeries:
     """sum c * s over (c, s) pairs, one scaled series added at a time."""
     acc = TruncSeries.zero(u_order, s_orders)
     for c, s in pairs:
-        acc = acc + s.scale(c)
+        acc = reference_series_add(acc, reference_series_scale(s, c))
     return acc
 
 
@@ -844,18 +872,18 @@ def reference_series_inverse(s: TruncSeries) -> TruncSeries:
     if c0.is_zero():
         raise ZeroDivisionError("series has no invertible constant term")
     # 1/(c0(1+N)) = (1/c0) * sum (-N)^k, N nilpotent in the truncated ring
-    n = s.scale(c0.inverse()) - TruncSeries.one(s.u_order, s.s_orders)
+    one = TruncSeries.one(s.u_order, s.s_orders)
+    n = reference_sub(reference_series_scale(s, c0.inverse()), one)
     bound = s.u_order + sum(s.s_orders)
-    out = TruncSeries.one(s.u_order, s.s_orders)
-    power = TruncSeries.one(s.u_order, s.s_orders)
+    out = power = one
     sign = 1
     for _ in range(bound):
-        power = power * n
+        power = reference_series_mul(power, n)
         if power.is_zero():
             break
         sign = -sign
-        out = out + (power if sign > 0 else -power)
-    return out.scale(c0.inverse())
+        out = reference_series_add(out, reference_series_scale(power, sign))
+    return reference_series_scale(out, c0.inverse())
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ closed-form expansion, characteristic polynomials."""
 
 import operator
 import random
+import re
 from fractions import Fraction
 from itertools import product
 from math import factorial
@@ -22,8 +23,10 @@ from helpers import (
     reference_lincomb,
     reference_poly2_gcd,
     reference_poly2_to_text,
+    reference_series_add,
     reference_series_inverse,
     reference_series_mul,
+    reference_series_scale,
     reference_sub,
 )
 from symprod.algebra import (
@@ -42,6 +45,7 @@ from symprod.algebra import (
     ratfunc_from_text,
     ratfunc_to_text,
 )
+from symprod.algebra import ratfunc as ratfunc_module, series as series_module
 from symprod.algebra.qexpr import _minus_exp_iu
 from symprod.errors import (
     EmptyOrderError,
@@ -778,6 +782,158 @@ def test_series_sub_checks_shapes():
             x - y
 
 
+# ---------------------------------------------------------------------------
+# sums, negation, scaling and the derivatives of the integer forms against
+# one RatFunc2 operation per coefficient
+# ---------------------------------------------------------------------------
+
+# over denominator 1 only: the forms' integer merge, with lcds from k!
+_den_one_series = _shapes.flatmap(lambda shape: st.tuples(
+    *(st.dictionaries(_box_keys(shape), _series_polys.map(RatFunc2), max_size=6)
+      .map(lambda d, shape=shape: TruncSeries(*shape, d)) for _ in range(2))
+))
+
+
+@st.composite
+def _cancelling_operands(draw):
+    """(a, b) of one shape over denominator 1, other denominators or both,
+    with b holding -a's coefficient at some of a's keys, so that a + b
+    cancels there."""
+    a, b = draw(st.one_of(_series_operands(), _shaped_series_operands(), _den_one_series))
+    terms = dict(b.coeffs)
+    if a.coeffs:
+        for key in draw(st.sets(st.sampled_from(sorted(a.coeffs)))):
+            terms[key] = -a.coeffs[key]
+    return a, TruncSeries(*a.shape(), terms)
+
+
+@_SERIES_SETTINGS
+@given(_cancelling_operands())
+def test_series_add_matches_reference(operands):
+    a, b = operands
+    _same_series(a + b, reference_series_add(a, b))
+    _same_series(b + a, reference_series_add(b, a))
+    _same_series(a + reference_series_scale(a, -1), TruncSeries.zero(*a.shape()))
+
+
+_scale_factors = st.one_of(
+    st.integers(-3, 3), _series_fractions, _series_polys, _series_coeffs,
+    _series_fractions.map(RatFunc2.const),
+)
+
+
+@_SERIES_SETTINGS
+@given(_cancelling_operands(), _scale_factors)
+def test_series_neg_and_scale_match_reference(operands, c):
+    for s in operands:
+        _same_series(-s, reference_series_scale(s, -1))
+        _same_series(s.scale(c), reference_series_scale(s, c))
+        _same_series(-(-s), s)
+    a, b = operands
+    # a result's forms feed the next operation
+    _same_series((a + b).scale(c), reference_series_scale(reference_series_add(a, b), c))
+
+
+@_SERIES_SETTINGS
+@given(_cancelling_operands(), st.integers(1, 3))
+def test_series_derivatives_match_reference(operands, ell):
+    for s in (*operands, operands[0] + operands[1]):
+        if s.u_order:
+            want = {(a - 1, ds): c * a for (a, ds), c in s.coeffs.items() if a}
+            _same_series(s.d_du(), TruncSeries(s.u_order - 1, s.s_orders, want))
+        if ell <= len(s.s_orders):
+            want = {(a, ds): c * ds[ell - 1] for (a, ds), c in s.coeffs.items()}
+            _same_series(s.s_scale_d(ell), TruncSeries(*s.shape(), want))
+
+
+def test_series_lifts_poly2_coefficients():
+    p = Poly2.linear(1, 1)
+    a = TruncSeries(2, (1,), {(0, (0,)): Poly2.one(), (1, (0,)): p, (2, (1,)): Poly2.zero()})
+    want = TruncSeries(2, (1,), {(0, (0,)): RatFunc2.one(), (1, (0,)): RatFunc2(p)})
+    _same_series(a, want)
+    _same_series(a * a, reference_series_mul(want, want))
+    _same_series(a.inverse(), reference_series_inverse(want))
+
+
+def test_series_lifts_rational_coefficients():
+    a = TruncSeries(2, (1,), {(0, (0,)): 2, (1, (1,)): Fraction(-1, 3), (2, (0,)): 0})
+    want = TruncSeries(2, (1,), {
+        (0, (0,)): RatFunc2.const(2), (1, (1,)): RatFunc2.const(Fraction(-1, 3)),
+    })
+    _same_series(a, want)
+    _same_series(a * a, reference_series_mul(want, want))
+    _same_series(a.inverse(), reference_series_inverse(want))
+
+
+@pytest.mark.parametrize("value", ["t1", 1.5])
+def test_series_rejects_a_coefficient_it_cannot_lift(value):
+    with pytest.raises(TypeError, match=re.escape("key (1, (0,))")):
+        TruncSeries(2, (1,), {(0, (0,)): RatFunc2.one(), (1, (0,)): value})
+
+
+def test_series_ring_operations_build_no_ratfunc_until_read(monkeypatch):
+    u_order, s_orders = 6, (4,)
+    q = _minus_exp_iu(u_order, s_orders)
+    theta = TruncSeries.const(Poly2.linear(1, 1), u_order, s_orders)
+    s1 = TruncSeries.monomial(0, (1,), 1, u_order, s_orders)
+    two = RatFunc2.const(2)
+    built = []
+    init, canonical = RatFunc2.__init__, ratfunc_module._canonical
+
+    def counted_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counted_canonical(*args):
+        built.append(args)
+        return canonical(*args)
+
+    monkeypatch.setattr(RatFunc2, "__init__", counted_init)
+    for module in (ratfunc_module, series_module):
+        monkeypatch.setattr(module, "_canonical", counted_canonical)
+    x = 1 + s1 * q.re - s1 * s1 * q.im
+    y = theta * x.inverse() - (-x).scale(Fraction(2, 3)) + 3 * theta
+    z = TruncSeries.lincomb([(two, y), (two, x.s_scale_d(1))], u_order, s_orders)
+    w = (z - 1 / (1 - s1)).d_du()
+    assert not w.is_zero() and w != 0 and z != y and not built
+    coeffs = w.coeffs  # the first read builds every coefficient once
+    assert len(built) == len(coeffs) and w.coeffs is coeffs
+    monkeypatch.undo()
+    x_ref = reference_sub(
+        reference_series_add(TruncSeries.one(u_order, s_orders), reference_series_mul(s1, q.re)),
+        reference_series_mul(reference_series_mul(s1, s1), q.im),
+    )
+    assert x == x_ref and 1 / (1 - s1) == reference_series_inverse(1 - s1)
+
+
+def test_series_coeffs_are_read_only():
+    terms = {(0, (0,)): RatFunc2.one(), (1, (1,)): RatFunc2(Poly2.t1())}
+    a = TruncSeries(2, (1,), terms)
+    terms[(2, (0,))] = RatFunc2.one()  # the constructor copied the dict
+    for s in (a, a * a, a + 1, -a):  # built from RatFunc2 values, or from forms
+        want = dict(s.coeffs)
+        with pytest.raises(TypeError):
+            s.coeffs[(1, (0,))] = RatFunc2.one()
+        with pytest.raises(TypeError):
+            del s.coeffs[(0, (0,))]
+        assert s.coeffs == want and (2, (0,)) not in a.coeffs
+
+
+def test_constant_series_inverse_makes_no_pass_over_the_box(monkeypatch):
+    norm = _minus_exp_iu(12, (12,)).norm()  # |e^{iu}|^2 = 1 in every box
+    passes = []
+    accumulate = series_module._accumulate
+    monkeypatch.setattr(
+        series_module, "_accumulate", lambda *args: passes.append(1) or accumulate(*args)
+    )
+    assert norm == 1 and norm.inverse() == 1 and not passes
+    c = TruncSeries.const(Fraction(-2, 3), 12, (12,))
+    assert c.inverse() == Fraction(-3, 2) and not passes
+    # one pass writes the steps, and one more per key of the box but the constant
+    (c + TruncSeries.monomial(1, (0,), 1, 12, (12,))).inverse()
+    assert len(passes) == 1 + 13 * 13 - 1
+
+
 _gauss_parts = st.one_of(
     _series_fractions, _coeff_dicts(_SHAPE).map(lambda d: TruncSeries(*_SHAPE, d))
 )
@@ -815,18 +971,11 @@ def test_subtraction_builds_no_negated_copy(monkeypatch):
     def forbidden(self):
         raise AssertionError(f"negated copy of a {type(self).__name__} in a subtraction")
 
-    negated, rf_neg = [], RatFunc2.__neg__
     for cls in (Poly2, RatFunc2, TruncSeries, GaussRational):
         monkeypatch.setattr(cls, "__neg__", forbidden)
-    got = [x - y for x, y in rationals]
-    # a series key that only the subtrahend holds negates that one coefficient
-    monkeypatch.undo()
-    for cls in (TruncSeries, GaussRational):
-        monkeypatch.setattr(cls, "__neg__", forbidden)
-    monkeypatch.setattr(RatFunc2, "__neg__", lambda self: negated.append(self) or rf_neg(self))
-    got.append(a - b)
-    assert negated == [b.coeffs[k] for k in b.coeffs if k not in a.coeffs]
-    got += [x - y for x, y in series[1:]]
+    # a series key that only the subtrahend holds negates its integer form,
+    # so no RatFunc2 is negated either
+    got = [x - y for x, y in rationals + series]
     monkeypatch.undo()
     for g, w in zip(got, want):
         assert g == w
@@ -1303,3 +1452,13 @@ def test_equal_values_hash_equal():
         for y in values:
             if x == y:
                 assert hash(x) == hash(y), (x, y)
+
+
+def test_small_multiples_of_a_polynomial_hash_apart():
+    # CPython hashes the int -1 as -2; (t1+t2)*c must not meet (t1+t2)*c' there
+    theta = Poly2.linear(1, 1)
+    multiples = [theta.scale(Fraction(c)) for c in (1, -1, 2, -2, 3, -3, 4, -4)]
+    assert len({hash(p) for p in multiples}) == len(multiples)
+    assert len({hash(RatFunc2(p)) for p in multiples}) == len(multiples)
+    assert len({hash(RatFunc2(p, T1P * T2P)) for p in multiples}) == len(multiples)
+    assert hash(Poly2.monomial(0, 0, -1)) == hash(-1)  # a constant hashes as its value
