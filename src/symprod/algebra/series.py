@@ -392,12 +392,19 @@ class TruncSeries:
 
     @classmethod
     def lincomb(cls, pairs, u_order: int, s_orders) -> TruncSeries:
-        """The sum of c * s over (c, s) pairs: RatFunc2 c, series s of the given shape."""
+        """The sum of c * s over (c, s) pairs: a factor c that RatFunc2.lift
+        takes (a RatFunc2, Poly2, int or Fraction), series s of the given shape."""
         out = cls.zero(u_order, s_orders)
         groups: dict = {}
         dens: dict = {}
         for c, s in pairs:
             out._check_shape(s)
+            try:
+                c = RatFunc2.lift(c)
+            except TypeError:
+                raise TypeError(
+                    f"lincomb factor {c!r} is a {type(c).__name__}, not a rational function"
+                ) from None
             if c.is_zero():
                 continue
             form = _int_form(c)

@@ -10,7 +10,9 @@ per quantity:
   * one_part_double_hurwitz -- the sinh closed form for H(sigma, (2)^b, (k)),
                 whose t-coefficient is built one part of sigma at a time
                 (_sinh_coefficient), so partitions that share their larger
-                parts share the memoised entries of their common prefix.
+                parts share the memoised entries of their common prefix;
+                _one_part_closed_form de-normalizes that coefficient in
+                integers and makes one Fraction per (sigma, b).
 
 The test suite checks both routes against a dynamic program over the
 permutations themselves, which also gives the refined counts
@@ -184,8 +186,11 @@ def one_part_double_hurwitz(sigma, b: int) -> Fraction:
     The t^(b - l(sigma) + 1) coefficient of
         (t/2)/sinh(t/2) * prod_i sinh(sigma_i t/2)/(sigma_i t/2)
     is de-normalized by b!, k^(b-1) and 1/|Aut(sigma)|; the k-normalization
-    is pinned by matching the enumeration oracle.
+    is pinned by matching the enumeration oracle. b must be an int (not a
+    bool), checked before the memo is read.
     """
+    if isinstance(b, bool) or not isinstance(b, int):
+        raise TypeError(f"b must be an int, got {type(b).__name__} {b!r}")
     sigma = partition(sigma)
     k = sum(sigma)
     if k == 0:
@@ -197,12 +202,17 @@ def one_part_double_hurwitz(sigma, b: int) -> Fraction:
 
 @memo
 def _one_part_closed_form(sigma: Partition, b: int) -> Fraction:
+    """c(sigma, g) b! k^(b-1) / |Aut sigma| for top = 2g = b - l(sigma) + 1,
+    built as one Fraction from the integers of its numerator and denominator
+    (k^(b-1) goes to the denominator at b = 0)."""
     top = b - len(sigma) + 1
     if top < 0 or top % 2 == 1:
         # the generating series is even in t
         return Fraction(0)
     coeff = _sinh_coefficient(sigma, top // 2)
-    return coeff * factorial(b) * Fraction(sum(sigma)) ** (b - 1) / aut_order(sigma)
+    k = sum(sigma)
+    num, den = coeff.numerator * factorial(b), coeff.denominator * aut_order(sigma)
+    return Fraction(num * k ** (b - 1), den) if b else Fraction(num, den * k)
 
 
 @memo

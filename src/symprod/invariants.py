@@ -7,14 +7,21 @@ It factors as (t1+t2) d^(a-1) C, with a rational scalar C that depends on
 the underlying partitions, the chain i..j and a, but not on d.
 A connected piece <nu1, nu2> is X(nu1) X(nu2) D(underlying nu1,
 underlying nu2, a): X depends on one side and the chain, D on two
-partitions and a, and each is found once for all degrees. These factors
-write the two-point function of one insertion b as a vector V_b over
-weighted partitions (two_point_column), which is its column of
-G^{-1} T_2, and the disconnected invariant of two insertions b1, b2 is
-the pairing <b1, V_b2>. V is summed in integers, numerators over
-denominators, from terms that _column_terms lists once per (theta, mu,
-chain); each of its values ends as a reduced integer pair, which the
-operators read as it is and two_point_column turns into one Fraction.
+partitions and a, and each is found once for all degrees. Both are
+integers from end to end: X is an int per chain, and D a reduced integer
+pair per nonzero a, convolved from the integer numerators of two rows of
+one-part Hurwitz numbers. The rows still read each number through
+hurwitz.one_part_double_hurwitz, once per (sigma, b), because the
+benchmark traces that call as its Hurwitz layer (perfbench/tracing.py);
+a D built straight from the sinh coefficients would leave that layer
+unseen. These factors write the two-point function of one insertion b
+as a vector V_b over weighted partitions (two_point_column), which is
+its column of G^{-1} T_2, and the disconnected invariant of two
+insertions b1, b2 is the pairing <b1, V_b2>. V is summed in integers,
+numerators over denominators, from terms that _column_terms lists once
+per (theta, mu, chain); each of its values ends as a reduced integer
+pair, which the operators read as it is and two_point_column turns into
+one Fraction.
 
 Scalar form: a piece with a 1-label has chain factor 0, so every term B
 of V_b carries all k 1-labels of b in its theta part. The pairing of b1
@@ -109,17 +116,33 @@ def divisor_index(divisor: str, r: int) -> int:
 
 
 @memo
-def _hurwitz_term(sigma: Partition, b: int) -> Fraction:
-    """H(sigma, (2)^b, (k))/b!, one entry of sigma's row of one-part Hurwitz
-    numbers; the memo asks one_part_double_hurwitz once per (sigma, b)."""
-    return one_part_double_hurwitz(sigma, b) / factorial(b)
+def _hurwitz_term(sigma: Partition, b: int) -> tuple:
+    """H(sigma, (2)^b, (k))/b! as an integer pair (num, den), one entry of
+    sigma's row of one-part Hurwitz numbers; the memo asks the Hurwitz layer,
+    one_part_double_hurwitz, once per (sigma, b), and reads its one Fraction
+    here, so no Fraction reaches D or the column."""
+    h = one_part_double_hurwitz(sigma, b)
+    return h.numerator, h.denominator * factorial(b)
+
+
+@memo
+def _hurwitz_row(sigma: Partition, top: int) -> tuple:
+    """sigma's row H(sigma, (2)^b, (k))/b!, b <= top, over one common
+    denominator: (den, numerators), all ints."""
+    terms = [_hurwitz_term(sigma, b) for b in range(top + 1)]
+    den = lcm(*(d for _, d in terms))
+    return den, tuple(n * (den // d) for n, d in terms)
 
 
 @memo
 def _chain_factors(nu: WeightedPartition, chains: tuple) -> tuple:
     """X of one side nu of a connected piece, per chain (i, j) in chains:
-    |Aut underlying(nu)| / |Aut nu| times prod(E_ij . gamma) over nu's labels."""
-    weight = Fraction(aut_order(underlying(nu)), aut_order(nu))
+    |Aut underlying(nu)| / |Aut nu| times prod(E_ij . gamma) over nu's labels.
+
+    Each X is an int. The quotient of automorphism orders is a product of
+    multinomials, one per part size split by its labels, so it divides
+    exactly, and e_dot is an integer."""
+    weight = aut_order(underlying(nu)) // aut_order(nu)
     return tuple(weight * prod(e_dot(label, i, j) for _, label in nu) for i, j in chains)
 
 
@@ -128,24 +151,37 @@ def _degree_factors(mu: Partition, nu: Partition, a_values: tuple) -> tuple:
     """D of a connected piece between the underlying partitions mu and nu of
     k, per a in a_values: (-1)^g k^(2-a) times their Hurwitz convolution
     sum_{a1+a2=a} H(mu, (2)^a1, (k))/a1! H(nu, (2)^a2, (k))/a2!, with
-    g = (a - l(mu) - l(nu) + 2)/2, and 0 when a - l(mu) - l(nu) is odd. The
-    convolution reads the row of each partition, b <= max(a_values), from
-    the memo _hurwitz_term, so each one-part Hurwitz number is asked for
-    once for all pieces and all a."""
+    g = (a - l(mu) - l(nu) + 2)/2, and 0 when a - l(mu) - l(nu) is odd.
+
+    The result lists only the nonzero values, as (a, num, den) in the order
+    of a_values, each a reduced integer pair with den > 0. It is found in
+    ints: the convolution runs on the numerators of the two rows of
+    _hurwitz_row, each over its one common denominator; (-1)^g flips the
+    sign and k^(2-a) multiplies the numerator (a <= 2) or the denominator.
+    The rows read each one-part Hurwitz number from the memo _hurwitz_term,
+    so it is asked for once for all pieces and all a; they go through
+    one_part_double_hurwitz, not the sinh coefficients, so that the traced
+    Hurwitz layer sees every number the operators use."""
     k, length = sum(mu), len(mu) + len(nu)
     top = max(a_values, default=0)
-    row_mu = [_hurwitz_term(mu, b) for b in range(top + 1)]
-    row_nu = [_hurwitz_term(nu, b) for b in range(top + 1)]
+    den_mu, row_mu = _hurwitz_row(mu, top)
+    den_nu, row_nu = _hurwitz_row(nu, top)
     out = []
     for a in a_values:
-        hsum = Fraction(0)
-        if (a - length) % 2 == 0:
-            for a1 in range(a + 1):
-                if row_mu[a1] and row_nu[a - a1]:
-                    hsum += row_mu[a1] * row_nu[a - a1]
-        if hsum:  # then g >= 0, so (-1)^g is an int and not a float
-            hsum *= (-1) ** ((a - length + 2) // 2) * Fraction(k) ** (2 - a)
-        out.append(hsum)
+        if (a - length) % 2:
+            continue
+        num = sum(row_mu[a1] * row_nu[a - a1] for a1 in range(a + 1))
+        if not num:
+            continue
+        if (a - length + 2) // 2 % 2:  # (-1)^g
+            num = -num
+        den = den_mu * den_nu
+        if a <= 2:
+            num *= k ** (2 - a)
+        else:
+            den *= k ** (a - 2)
+        g = gcd(num, den)
+        out.append((a, num // g, den // g))
     return tuple(out)
 
 
@@ -182,10 +218,12 @@ def connected_two_point(
         # the empty connected invariant at nonzero degree
         return Poly2.zero()
     i, j, d = chain
-    scalar = _chain_factors(mu_w, ((i, j),))[0] * _chain_factors(nu_w, ((i, j),))[0]
-    if scalar:
-        scalar *= _degree_factors(underlying(mu_w), underlying(nu_w), (a,))[0]
-    return _THETA.scale(scalar * Fraction(d) ** (a - 1))
+    x = _chain_factors(mu_w, ((i, j),))[0] * _chain_factors(nu_w, ((i, j),))[0]
+    degs = _degree_factors(underlying(mu_w), underlying(nu_w), (a,)) if x else ()
+    if not degs:
+        return Poly2.zero()
+    _, num, den = degs[0]
+    return _THETA.scale(Fraction(x * num, den) * Fraction(d) ** (a - 1))
 
 
 @memo
@@ -239,18 +277,14 @@ def _column_pairs(wp: WeightedPartition, a_values: tuple, chains: tuple) -> dict
         theta_aut = aut_order(theta)
         for mu in partitions_of(sum(lam)):
             degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
-            if not any(degs):
+            if not degs:
                 continue
             part_product = prod(mu)
             for (i, j), x in zip(chains, xs):
                 if not x:
                     continue
-                xn, xd = x.numerator * part_product, x.denominator * theta_aut
-                addends = [
-                    ((a, i, j), xn * y.numerator, xd * y.denominator)
-                    for a, y in zip(a_values, degs)
-                    if y
-                ]
+                x *= part_product
+                addends = [((a, i, j), x * num, theta_aut * den) for a, num, den in degs]
                 for b, weight in _column_terms(theta, mu, i, j):
                     values = acc.setdefault(b, {})
                     for key, num, den in addends:

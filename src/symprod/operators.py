@@ -36,6 +36,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd
 
 from .algebra import (
     GaussRational,
@@ -219,10 +220,9 @@ def divisor_operator(
                 ).coeffs)
     chains = chain_degrees(s_orders)
     product = _two_point_product(basis, r, u_order + 1, tuple(chains))
-    # (t1+t2) c m for c = num/den, looked up by (num m, den), so one Fraction
-    # is made per distinct pair in this call to reduce it, and each value is
-    # built once per process
-    scaled = _Once(lambda nd: _theta_times(*Fraction(*nd).as_integer_ratio()))
+    # (t1+t2) c m for c = num/den, looked up by (num m, den), so each distinct
+    # pair in this call is reduced once, and each value is built once per process
+    scaled = _Once(lambda nd: _theta_times(nd[0] // (g := gcd(*nd)), nd[1] // g))
     for cell, terms in product:
         coeffs = cells.setdefault(cell, {})
         for a, ci, cj, num, den in terms:

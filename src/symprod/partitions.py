@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import product
-from math import factorial
 
 from .memo import memo
 
@@ -80,10 +79,13 @@ def partitions_of(n: int) -> tuple[Partition, ...]:
 
 def aut_order(items: tuple) -> int:
     """Order of the automorphism group of a multiset tuple, such as a partition
-    or a weighted partition: the product of multiplicity factorials."""
-    out = 1
-    for m in Counter(items).values():
-        out *= factorial(m)
+    or a weighted partition: the product of multiplicity factorials, in any
+    order of the items. The running count of each item multiplies in, so an
+    item of multiplicity m contributes 1 * 2 * ... * m = m!."""
+    out, seen = 1, {}
+    for item in items:
+        m = seen[item] = seen.get(item, 0) + 1
+        out *= m
     return out
 
 

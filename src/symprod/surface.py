@@ -161,8 +161,9 @@ def beta_as_chain(beta: CurveClass) -> tuple[int, int, int] | None:
     return i, j, d
 
 
-def e_dot(label: Label, i: int, j: int) -> Fraction:
-    """Intersection of the chain E_i + ... + E_j with a divisor weight.
+def e_dot(label: Label, i: int, j: int) -> int:
+    """Intersection of the chain E_i + ... + E_j with a divisor weight, an
+    integer: -2, -1, 0 or 1 for a curve E_m, 1 or 0 for a dual divisor.
 
     The identity weight pairs to zero; fixed-point weights are not
     divisors and are rejected.
@@ -171,12 +172,12 @@ def e_dot(label: Label, i: int, j: int) -> Fraction:
         raise ValueError("need i <= j")
     kind = label[0]
     if kind == "1":
-        return Fraction(0)
+        return 0
     if kind == "E":
         m = label[1]
-        return Fraction(sum(intersection_number(k, m) for k in range(i, j + 1)))
+        return sum(intersection_number(k, m) for k in range(i, j + 1))
     if kind == "w":
-        return Fraction(1) if i <= label[1] <= j else Fraction(0)
+        return 1 if i <= label[1] <= j else 0
     raise UnsupportedWeightError(
         f"label {label!r} is not 1 or a divisor on the surface"
     )

@@ -24,12 +24,7 @@ from symprod.chenruan import _integral, expand, gram_inverse, gram_matrix, pairi
 from symprod.cli import _CONFIG, COMMANDS
 from symprod.errors import DegenerateBasisError, OutOfScopeError
 from symprod.hurwitz import one_part_double_hurwitz
-from symprod.invariants import (
-    _chain_factors,
-    _check_pair,
-    _degree_factors,
-    three_point_divisor_series,
-)
+from symprod.invariants import _check_pair, three_point_divisor_series
 from symprod.operators import (
     OperatorMatrix,
     VerifyReport,
@@ -40,7 +35,6 @@ from symprod.operators import (
 from symprod.partitions import (
     ONE,
     WeightedPartition,
-    aut_order,
     ecurve,
     enumerate_sub_splittings,
     fixedpt,
@@ -55,6 +49,12 @@ from symprod.surface import beta_as_chain, check_label, e_dot, tangent_weights
 from symprod.textforms import parse_wp, series_to_json, wp_to_text
 
 _THETA = Poly2.linear(1, 1)  # t1 + t2
+
+
+def counter_aut_order(items) -> int:
+    """Reference partitions.aut_order: the product of the factorials of a
+    Counter's multiplicities."""
+    return prod(factorial(m) for m in Counter(items).values())
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +244,7 @@ def permutation_pairing(wp1, wp2, r: int) -> RatFunc2:
     for p, _ in wp1:
         parts_product *= p
     norm = Fraction(
-        1, parts_product * aut_order(wp1) * aut_order(wp2)
+        1, parts_product * counter_aut_order(wp1) * counter_aut_order(wp2)
     )
     return total * norm
 
@@ -366,12 +366,12 @@ def reference_connected_two_point(mu_w, nu_w, a: int, beta) -> Poly2:
         return Poly2.zero()
     g = (a - len(mu) - len(nu) + 2) // 2
     scalar = (
-        Fraction(aut_order(mu) * aut_order(nu))
+        Fraction(counter_aut_order(mu) * counter_aut_order(nu))
         * cross
         * Fraction(-1) ** g
         * Fraction(d) ** (a - 1)
         / Fraction(k) ** (a - 2)
-        / (aut_order(mu_w) * aut_order(nu_w))
+        / (counter_aut_order(mu_w) * counter_aut_order(nu_w))
         * hsum
     )
     return _THETA.scale(scalar)
@@ -387,7 +387,8 @@ def _piece(nu1: WeightedPartition, nu2: WeightedPartition) -> tuple:
     """
     mu, nu = underlying(nu1), underlying(nu2)
     weight = Fraction(
-        aut_order(mu) * aut_order(nu), aut_order(nu1) * aut_order(nu2)
+        counter_aut_order(mu) * counter_aut_order(nu),
+        counter_aut_order(nu1) * counter_aut_order(nu2),
     )
     return mu, nu, wp_size(nu1), weight, tuple(label for _, label in nu1 + nu2)
 
@@ -413,6 +414,31 @@ def _hurwitz_convolution(mu: tuple, nu: tuple, a: int) -> Fraction:
         if h2:
             hsum += h1 * h2 / (factorial(a1) * factorial(a - a1))
     return hsum
+
+
+@lru_cache(maxsize=None)
+def fraction_chain_factors(nu: WeightedPartition, chains: tuple) -> tuple:
+    """Reference invariants._chain_factors: X per chain (i, j) in chains as a
+    Fraction, |Aut underlying(nu)| / |Aut nu| times prod(E_ij . gamma)."""
+    weight = Fraction(counter_aut_order(underlying(nu)), counter_aut_order(nu))
+    return tuple(
+        weight * prod(Fraction(e_dot(label, i, j)) for _, label in nu) for i, j in chains
+    )
+
+
+@lru_cache(maxsize=None)
+def fraction_degree_factors(mu: tuple, nu: tuple, a_values: tuple) -> tuple:
+    """Reference invariants._degree_factors: D per a in a_values as a
+    Fraction, zeros included, (-1)^g k^(2-a) times the Hurwitz convolution
+    summed per a."""
+    k, length = sum(mu), len(mu) + len(nu)
+    out = []
+    for a in a_values:
+        hsum = Fraction(0) if (a - length) % 2 else _hurwitz_convolution(mu, nu, a)
+        if hsum:
+            hsum *= (-1) ** ((a - length + 2) // 2) * Fraction(k) ** (2 - a)
+        out.append(hsum)
+    return tuple(out)
 
 
 def _degree_factor(piece: tuple, a: int) -> Fraction:
@@ -494,15 +520,15 @@ def matched_pair_two_point_scalars(mu1_w, mu2_w, a_values, chains, r: int) -> di
     for key, pieces2 in _splittings_by_theta(mu2_w).items():
         pieces1 = by_theta1.get(key, ())
         for theta2, nu2 in pieces2:
-            xs2 = _chain_factors(nu2, chains)
+            xs2 = fraction_chain_factors(nu2, chains)
             if not any(xs2):
                 continue
             lam2 = underlying(nu2)
             for theta1, nu1 in pieces1:
-                xs1 = _chain_factors(nu1, chains)
+                xs1 = fraction_chain_factors(nu1, chains)
                 if not any(xs1):
                     continue
-                degs = _degree_factors(underlying(nu1), lam2, a_values)
+                degs = fraction_degree_factors(underlying(nu1), lam2, a_values)
                 if not any(degs):
                     continue
                 pair = pairing(theta1, theta2, r).num.const_value()
@@ -552,12 +578,12 @@ def fraction_two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
     for theta, nu in sorting_sub_splittings(wp):
         if not nu:
             continue
-        xs = _chain_factors(nu, chains)
+        xs = fraction_chain_factors(nu, chains)
         if not any(xs):
             continue
-        lam, theta_aut = underlying(nu), aut_order(theta)
+        lam, theta_aut = underlying(nu), counter_aut_order(theta)
         for mu in partitions_of(sum(lam)):
-            degs = _degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
+            degs = fraction_degree_factors(min(mu, lam), max(mu, lam), a_values)  # D is symmetric
             if not any(degs):
                 continue
             scale = Fraction(prod(mu), theta_aut)
@@ -567,7 +593,7 @@ def fraction_two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
                 x *= scale
                 for labelled, count in map_labellings(mu, i, j):
                     b = weighted_partition(theta + labelled)
-                    c = x * (count * aut_order(b))
+                    c = x * (count * counter_aut_order(b))
                     values = out.setdefault(b, {})
                     for a, y in zip(a_values, degs):
                         if y:

@@ -716,6 +716,30 @@ def test_series_lincomb_checks_shapes():
         TruncSeries.lincomb([(RatFunc2.one(), TruncSeries.one(2, (1,)))], *_SHAPE)
 
 
+_LINCOMB_SERIES = TruncSeries(
+    *_SHAPE,
+    {(0, (0, 0)): RatFunc2.const(Fraction(2, 3)), (1, (1, 0)): Poly2.linear(1, -2), (2, (0, 1)): 5},
+)
+
+
+@pytest.mark.parametrize(
+    "factor", [3, Fraction(-5, 7), Poly2.linear(2, 1)], ids=["int", "Fraction", "Poly2"]
+)
+def test_series_lincomb_lifts_its_factors(factor):
+    """A factor that RatFunc2.lift takes is lifted, as the constructor and
+    scale lift theirs."""
+    s = _LINCOMB_SERIES
+    got = TruncSeries.lincomb([(factor, s), (RatFunc2.one(), s)], *_SHAPE)
+    want = reference_lincomb([(RatFunc2.lift(factor), s), (RatFunc2.one(), s)], *_SHAPE)
+    _same_series(got, want)
+    _same_series(TruncSeries.lincomb([(factor, s)], *_SHAPE), s.scale(factor))
+
+
+def test_series_lincomb_rejects_a_factor_it_cannot_lift():
+    with pytest.raises(TypeError, match=r"lincomb factor '2' is a str, not a rational function"):
+        TruncSeries.lincomb([(RatFunc2.one(), _LINCOMB_SERIES), ("2", _LINCOMB_SERIES)], *_SHAPE)
+
+
 # ---------------------------------------------------------------------------
 # subtraction merges both operands in one pass; the oracle adds the negation
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Hurwitz counts: values, agreement with the enumeration oracle, closed-form gate."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import brute_one_part, centralizer_order, hurwitz_refined, oracle_hurwitz
+from symprod import clear_caches
 from symprod.errors import MalformedInputError, ResourceBudgetError
 from symprod.hurwitz import _group_data, hurwitz, one_part_double_hurwitz
 from symprod.partitions import partition, partitions_of
@@ -44,6 +46,18 @@ def test_gjv_negative_b_rejected(sigma, b):
     # no value, not a silent zero, for a count with a negative b
     with pytest.raises(ValueError, match="b must be at least 0"):
         one_part_double_hurwitz(sigma, b)
+
+
+@pytest.mark.parametrize("b", [2.0, 1.0, True, False, Fraction(2), "2"])
+def test_gjv_rejects_b_that_is_not_an_int(b):
+    # a b that is not an int never reaches the memo, so the answer does not
+    # depend on which int b was asked for before (2.0 and 2 share a key)
+    clear_caches()
+    message = re.escape(f"b must be an int, got {type(b).__name__} {b!r}")
+    for sigma, prior in (((2,), 2), ((1, 1), 1), ((2,), 0)):
+        one_part_double_hurwitz(sigma, prior)
+        with pytest.raises(TypeError, match=message):
+            one_part_double_hurwitz(sigma, b)
 
 
 def test_gjv_matches_oracle_small():

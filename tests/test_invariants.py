@@ -12,11 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     _chain_factor,
     _degree_factor,
-    _hurwitz_convolution,
     _piece,
     _piece_factors,
     bitmask_disconnected,
     divisor_labels,
+    fraction_chain_factors,
+    fraction_degree_factors,
     fraction_two_point_column,
     map_labellings,
     matched_pair_two_point_scalars,
@@ -164,27 +165,42 @@ def _piece_factor_case(draw):
     return nu1, nu2, chains, a_values
 
 
+def _exact_ints(*values) -> bool:
+    """Every value is an int: not a bool, a float or a Fraction."""
+    return all(type(v) is int for v in values)
+
+
+def _degree_values(degs: tuple, a_values: tuple) -> list:
+    """D's nonzero (a, num, den) triples read as one Fraction per a in
+    a_values, zeros included, after checking that each is a reduced pair of
+    ints with num != 0 < den."""
+    for a, num, den in degs:
+        assert _exact_ints(a, num, den)  # exact, never a float
+        assert num and den > 0 and gcd(num, den) == 1, (a, num, den)
+    values = {a: Fraction(num, den) for a, num, den in degs}
+    return [values.get(a, Fraction(0)) for a in a_values]
+
+
 def test_degree_factors_match_hurwitz_convolution_oracle():
     """D from the memoised Hurwitz rows equals (-1)^g k^(2-a) times the
     convolution oracle for every |mu| = |nu| <= 6 and a <= 12 (2,717 cases);
-    rows grown one a at a time and read all at once agree."""
+    rows grown one a at a time and read all at once agree, and only the
+    nonzero values are listed, in the order of a."""
     clear_caches()
     a_values = tuple(range(13))
     cases = nonzero = 0
     for k in range(1, 7):
         for mu in partitions_of(k):
             for nu in partitions_of(k):
-                length = len(mu) + len(nu)
-                want = []
-                for a in a_values:
-                    hsum = Fraction(0) if (a - length) % 2 else _hurwitz_convolution(mu, nu, a)
-                    if hsum:
-                        hsum *= (-1) ** ((a - length + 2) // 2) * Fraction(k) ** (2 - a)
-                    want.append(hsum)
-                got = [invariants._degree_factors(mu, nu, (a,))[0] for a in a_values]
+                want = list(fraction_degree_factors(mu, nu, a_values))
+                got = [
+                    _degree_values(invariants._degree_factors(mu, nu, (a,)), (a,))[0]
+                    for a in a_values
+                ]
                 assert got == want, (mu, nu)
-                assert list(invariants._degree_factors(mu, nu, a_values)) == want
-                assert all(type(v) is Fraction for v in got)
+                degs = invariants._degree_factors(mu, nu, a_values)
+                assert _degree_values(degs, a_values) == want
+                assert [a for a, _, _ in degs] == [a for a, v in zip(a_values, want) if v]
                 cases += len(a_values)
                 nonzero += sum(1 for v in want if v)
     assert (cases, nonzero) == (2717, 1005)
@@ -216,11 +232,13 @@ def test_piece_factors_separate_property(case):
     chain factor times the per-pair degree factor of the piece <nu1, nu2>."""
     nu1, nu2, chains, a_values = case
     xs1, xs2 = (invariants._chain_factors(nu, chains) for nu in (nu1, nu2))
-    degs = invariants._degree_factors(underlying(nu1), underlying(nu2), a_values)
-    assert all(type(v) is Fraction for v in xs1 + xs2 + degs)  # exact, never a float
+    assert _exact_ints(*xs1, *xs2)  # exact, never a float
+    degs = _degree_values(
+        invariants._degree_factors(underlying(nu1), underlying(nu2), a_values), a_values
+    )
     piece = _piece(nu1, nu2)
     assert [x1 * x2 for x1, x2 in zip(xs1, xs2)] == [_chain_factor(piece, i, j) for i, j in chains]
-    assert list(degs) == [_degree_factor(piece, a) for a in a_values]
+    assert degs == [_degree_factor(piece, a) for a in a_values]
     products = [x1 * x2 * y for x1, x2 in zip(xs1, xs2) for y in degs]
     want = _piece_factors(nu1, nu2, chains, a_values)
     if want is None:
@@ -228,6 +246,63 @@ def test_piece_factors_separate_property(case):
     else:
         crosses, want_degs = want
         assert products == [x * y for x in crosses for y in want_degs]
+
+
+@st.composite
+def _factor_case(draw):
+    r = draw(st.integers(1, 4))
+    labels = st.one_of(
+        st.just(ONE), st.integers(1, r).map(ecurve), st.integers(1, r).map(omega)
+    )
+    k = draw(st.integers(1, 6))
+    nu = weighted_partition((p, draw(labels)) for p in draw(st.sampled_from(partitions_of(k))))
+    mu = draw(st.sampled_from(partitions_of(k)))
+    every_chain = [(i, j) for i in range(1, r + 1) for j in range(i, r + 1)]
+    chains = tuple(draw(st.lists(st.sampled_from(every_chain), min_size=1, unique=True)))
+    a_values = tuple(draw(st.lists(st.integers(0, 12), min_size=1, max_size=13)))
+    return nu, mu, chains, a_values
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_factor_case())
+def test_integer_factors_match_fraction_oracles(case):
+    """X is one int per chain and D one reduced int pair per nonzero a, equal
+    as rationals to the Fraction formulas of the oracles, for r <= 4, the
+    labels 1, E and omega, and a <= 12 in any order, repeats included."""
+    nu, mu, chains, a_values = case
+    xs = invariants._chain_factors(nu, chains)
+    assert _exact_ints(*xs)
+    assert list(xs) == list(fraction_chain_factors(nu, chains))
+    lam = underlying(nu)
+    degs = invariants._degree_factors(mu, lam, a_values)
+    assert _degree_values(degs, a_values) == list(fraction_degree_factors(mu, lam, a_values))
+
+
+def test_factor_memos_hold_ints_only(monkeypatch):
+    """Every value that the X, D and Hurwitz-row memos hand out while an
+    operator is built is made of ints."""
+    seen: dict = {}
+
+    def recording(name):
+        cached = getattr(invariants, name)
+
+        def wrapper(*args):
+            value = cached(*args)
+            seen.setdefault(name, []).append(value)
+            return value
+
+        monkeypatch.setattr(invariants, name, wrapper)
+
+    for name in ("_chain_factors", "_degree_factors", "_hurwitz_term", "_hurwitz_row"):
+        recording(name)
+    clear_caches()
+    divisor_operator(3, 2, "(2)", default_divisor_basis(3, 2), 6, (2, 1))
+    assert sorted(seen) == ["_chain_factors", "_degree_factors", "_hurwitz_row", "_hurwitz_term"]
+    assert all(_exact_ints(*xs) for xs in seen["_chain_factors"])
+    assert all(_exact_ints(*t) for degs in seen["_degree_factors"] for t in degs)
+    assert any(seen["_degree_factors"])
+    assert all(_exact_ints(*pair) for pair in seen["_hurwitz_term"])
+    assert all(_exact_ints(den, *nums) and den > 0 for den, nums in seen["_hurwitz_row"])
 
 
 @st.composite

@@ -7,7 +7,13 @@ from math import factorial
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import all_labels, centralizer_order, random_weighted_partition, sorting_sub_splittings
+from helpers import (
+    all_labels,
+    centralizer_order,
+    counter_aut_order,
+    random_weighted_partition,
+    sorting_sub_splittings,
+)
 from symprod import clear_caches
 from symprod.partitions import (
     ONE,
@@ -48,6 +54,24 @@ def test_aut_order_of_weighted_partitions():
     assert aut_order(weighted_partition([(1, ONE), (1, ONE)])) == 2
     wp = weighted_partition([(2, ecurve(1)), (2, ecurve(1)), (1, ecurve(1))])
     assert aut_order(wp) == 2
+
+
+_AUT_ITEMS = st.one_of(
+    st.integers(1, 4),
+    st.tuples(
+        st.integers(1, 3), st.sampled_from([ONE, ecurve(1), ecurve(2), omega(1), fixedpt(2)])
+    ),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(_AUT_ITEMS, max_size=9).flatmap(lambda items: st.permutations(items)))
+def test_aut_order_matches_counter_formula_on_shuffled_tuples(items):
+    """aut_order takes a multiset tuple in any order: equal items need not be
+    adjacent, and partitions and weighted pairs may mix."""
+    items = tuple(items)
+    assert aut_order(items) == counter_aut_order(items)
+    assert aut_order(items[::-1]) == counter_aut_order(items)
 
 
 def test_centralizer_examples():

@@ -137,6 +137,8 @@ def test_e_dot_examples():
     assert e_dot(omega(2), 1, 3) == 1
     assert e_dot(omega(4), 1, 3) == 0
     assert e_dot(ecurve(3), 1, 1) == 0
+    # an intersection number is an int, so the chain factors stay in ints
+    assert all(type(e_dot(label, 1, 3)) is int for label in (ONE, ecurve(2), omega(2), omega(4)))
 
 
 def test_e_dot_rejects_nondivisors():
