@@ -11,8 +11,8 @@ per quantity:
                 whose t-coefficient is built one part of sigma at a time
                 (_sinh_coefficient), so partitions that share their larger
                 parts share the memoised entries of their common prefix;
-                _one_part_closed_form de-normalizes that coefficient in
-                integers and makes one Fraction per (sigma, b).
+                that memo is the route's one cache, and each call
+                de-normalizes its coefficient in integers into one Fraction.
 
 The test suite checks both routes against a dynamic program over the
 permutations themselves, which also gives the refined counts
@@ -185,9 +185,9 @@ def one_part_double_hurwitz(sigma, b: int) -> Fraction:
 
     The t^(b - l(sigma) + 1) coefficient of
         (t/2)/sinh(t/2) * prod_i sinh(sigma_i t/2)/(sigma_i t/2)
-    is de-normalized by b!, k^(b-1) and 1/|Aut(sigma)|; the k-normalization
-    is pinned by matching the enumeration oracle. b must be an int (not a
-    bool), checked before the memo is read.
+    is de-normalized in integers by b!, k^(b-1) and 1/|Aut(sigma)|; the
+    k-normalization is pinned by matching the enumeration oracle. b must be
+    an int (not a bool). Only the coefficient is memoised.
     """
     if isinstance(b, bool) or not isinstance(b, int):
         raise TypeError(f"b must be an int, got {type(b).__name__} {b!r}")
@@ -197,20 +197,10 @@ def one_part_double_hurwitz(sigma, b: int) -> Fraction:
         raise ValueError("sigma must be a nonempty partition")
     if b < 0:
         raise ValueError(f"b must be at least 0, got {b}")
-    return _one_part_closed_form(sigma, b)
-
-
-@memo
-def _one_part_closed_form(sigma: Partition, b: int) -> Fraction:
-    """c(sigma, g) b! k^(b-1) / |Aut sigma| for top = 2g = b - l(sigma) + 1,
-    built as one Fraction from the integers of its numerator and denominator
-    (k^(b-1) goes to the denominator at b = 0)."""
     top = b - len(sigma) + 1
-    if top < 0 or top % 2 == 1:
-        # the generating series is even in t
+    if top < 0 or top % 2:  # the generating series is even in t
         return Fraction(0)
     coeff = _sinh_coefficient(sigma, top // 2)
-    k = sum(sigma)
     num, den = coeff.numerator * factorial(b), coeff.denominator * aut_order(sigma)
     return Fraction(num * k ** (b - 1), den) if b else Fraction(num, den * k)
 

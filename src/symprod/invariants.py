@@ -10,7 +10,7 @@ underlying nu2, a): X depends on one side and the chain, D on two
 partitions and a, and each is found once for all degrees. Both are
 integers from end to end: X is an int per chain, and D a reduced integer
 pair per nonzero a, convolved from the integer numerators of two rows of
-one-part Hurwitz numbers. The rows still read each number through
+one-part Hurwitz numbers. A row is memoised and reads each number through
 hurwitz.one_part_double_hurwitz, once per (sigma, b), because the
 benchmark traces that call as its Hurwitz layer (perfbench/tracing.py);
 a D built straight from the sinh coefficients would leave that layer
@@ -19,9 +19,8 @@ as a vector V_b over weighted partitions (two_point_column), which is
 its column of G^{-1} T_2, and the disconnected invariant of two
 insertions b1, b2 is the pairing <b1, V_b2>. V is summed in integers,
 numerators over denominators, from terms that _column_terms lists once
-per (theta, mu, chain); each of its values ends as a reduced integer
-pair, which the operators read as it is and two_point_column turns into
-one Fraction.
+per (theta, mu, chain); its values are reduced integer pairs, which the
+operators and two_point_scalars read as built.
 
 Scalar form: a piece with a 1-label has chain factor 0, so every term B
 of V_b carries all k 1-labels of b in its theta part. The pairing of b1
@@ -30,7 +29,7 @@ the divisors only the 1-1 integral 1/((r+1) t1 t2) depends on t, and a
 1 pairs with a divisor to 0. So every disconnected invariant of degree
 (a, d*E_{ij}) is (t1+t2) d^(a-1) C / (t1 t2)^k with one rational C per
 (a, i, j), and it is 0 when the two insertions have different numbers
-of 1-labels. two_point_scalars takes these C from <b1, V_b2> in
+of 1-labels. two_point_scalars sums these C from <b1, V_b2> in
 Fractions; RatFunc2 values are built from them by one helper, for
 two_point_series and disconnected_two_point only.
 
@@ -116,22 +115,13 @@ def divisor_index(divisor: str, r: int) -> int:
 
 
 @memo
-def _hurwitz_term(sigma: Partition, b: int) -> tuple:
-    """H(sigma, (2)^b, (k))/b! as an integer pair (num, den), one entry of
-    sigma's row of one-part Hurwitz numbers; the memo asks the Hurwitz layer,
-    one_part_double_hurwitz, once per (sigma, b), and reads its one Fraction
-    here, so no Fraction reaches D or the column."""
-    h = one_part_double_hurwitz(sigma, b)
-    return h.numerator, h.denominator * factorial(b)
-
-
-@memo
 def _hurwitz_row(sigma: Partition, top: int) -> tuple:
     """sigma's row H(sigma, (2)^b, (k))/b!, b <= top, over one common
-    denominator: (den, numerators), all ints."""
-    terms = [_hurwitz_term(sigma, b) for b in range(top + 1)]
-    den = lcm(*(d for _, d in terms))
-    return den, tuple(n * (den // d) for n, d in terms)
+    denominator: (den, numerators), all ints, so no Fraction reaches D."""
+    hs = [one_part_double_hurwitz(sigma, b) for b in range(top + 1)]
+    dens = [h.denominator * factorial(b) for b, h in enumerate(hs)]
+    den = lcm(*dens)
+    return den, tuple(h.numerator * (den // d) for h, d in zip(hs, dens))
 
 
 @memo
@@ -158,10 +148,10 @@ def _degree_factors(mu: Partition, nu: Partition, a_values: tuple) -> tuple:
     ints: the convolution runs on the numerators of the two rows of
     _hurwitz_row, each over its one common denominator; (-1)^g flips the
     sign and k^(2-a) multiplies the numerator (a <= 2) or the denominator.
-    The rows read each one-part Hurwitz number from the memo _hurwitz_term,
-    so it is asked for once for all pieces and all a; they go through
-    one_part_double_hurwitz, not the sinh coefficients, so that the traced
-    Hurwitz layer sees every number the operators use."""
+    The memoised rows read each one-part Hurwitz number once for all pieces
+    and all a; they go through one_part_double_hurwitz, not the sinh
+    coefficients, so that the traced Hurwitz layer sees every number the
+    operators use."""
     k, length = sum(mu), len(mu) + len(nu)
     top = max(a_values, default=0)
     den_mu, row_mu = _hurwitz_row(mu, top)
@@ -263,9 +253,26 @@ def _column_terms(theta: WeightedPartition, mu: Partition, i: int, j: int) -> tu
     return tuple(out)
 
 
-def _column_pairs(wp: WeightedPartition, a_values: tuple, chains: tuple) -> dict:
-    """two_point_column's vector with each value a reduced pair (num, den),
-    den > 0: {B: {(a, i, j): (num, den)}}, zeros omitted."""
+def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
+    """The two-point function of wp as a vector V over weighted partitions,
+    {B: ((a, i, j, num, den), ...)} for a in a_values and (i, j) in
+    chains, zeros omitted, each value num/den reduced with den > 0. With
+    mu_f the parts of mu labelled by f: parts -> i..j,
+
+        V = sum_{(theta, nu) splitting of wp, mu |- |nu|, f}
+            X_ij(nu) D(mu, underlying nu, a) prod(mu) |Aut B| / |Aut theta| [B]
+
+    for B = theta + mu_f. On the curves the surface pairing is the
+    intersection form, so the dual labels of a piece's other side collapse
+    to E_i + ... + E_j, and pairing b with V gives the scalars C of
+    two_point_scalars(b, wp): in a basis of whole blocks, V is wp's column
+    of G^{-1} T_2.
+
+    The sum runs in integers, numerators over denominators: _column_terms
+    gives each B with its integer weight once per (theta, mu, chain), and
+    addends over different denominators meet over their lcm.
+    """
+    a_values, chains = tuple(a_values), tuple(chains)
     acc: dict = {}
     for theta, nu in enumerate_sub_splittings(wp):
         if not nu:  # an empty connected piece contributes nothing
@@ -297,41 +304,14 @@ def _column_pairs(wp: WeightedPartition, a_values: tuple, chains: tuple) -> dict
                         values[key] = old_num + num, den
     out = {}
     for b, values in acc.items():
-        reduced = {}
-        for key, (num, den) in values.items():
+        terms = []
+        for (a, i, j), (num, den) in values.items():
             if num:
                 g = gcd(num, den)
-                reduced[key] = num // g, den // g
-        if reduced:
-            out[b] = reduced
+                terms.append((a, i, j, num // g, den // g))
+        if terms:
+            out[b] = tuple(terms)
     return out
-
-
-def two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
-    """The two-point function of wp as a vector V over weighted partitions,
-    {B: {(a, i, j): c}} for every a in a_values and chain (i, j) in chains,
-    zeros omitted. With mu_f the parts of mu labelled by f: parts -> i..j,
-
-        V = sum_{(theta, nu) splitting of wp, mu |- |nu|, f}
-            X_ij(nu) D(mu, underlying nu, a) prod(mu) |Aut B| / |Aut theta| [B]
-
-    for B = theta + mu_f. On the curves the surface pairing is the
-    intersection form, so the dual labels of a piece's other side collapse
-    to E_i + ... + E_j, and pairing b with V gives the scalars C of
-    two_point_scalars(b, wp): in a basis of whole blocks, V is wp's column
-    of G^{-1} T_2.
-
-    The sum runs in integers, in _column_pairs: X, D and prod(mu) / |Aut
-    theta| enter as numerator and denominator, _column_terms gives each B
-    with its integer weight once per (theta, mu, chain), and each value is a
-    numerator over a denominator, two addends over different denominators
-    meeting over their lcm. This wrapper makes one Fraction per value of
-    the reduced pairs; _two_point_product reads the pairs themselves.
-    """
-    return {
-        b: {key: Fraction(num, den) for key, (num, den) in values.items()}
-        for b, values in _column_pairs(wp, tuple(a_values), tuple(chains)).items()
-    }
 
 
 def two_point_scalars(
@@ -345,22 +325,22 @@ def two_point_scalars(
     for every a in a_values and every chain (i, j) in chains; zeros omitted.
 
     C is the pairing of mu1_w with the vector V = two_point_column(mu2_w):
-    the sum over B of V[B] times the numerator of pairing(mu1_w, B). The
-    pairing is block-diagonal, so only the B with mu1_w's underlying
-    partition are paired.
+    the sum over B of V[B] times the numerator of pairing(mu1_w, B), read
+    from V's integer terms. The pairing is block-diagonal, so only the B
+    with mu1_w's underlying partition are paired.
     """
     _check_pair(mu1_w, mu2_w, r)
     if not chains:  # no chain fits the box, so no splitting contributes
         return {}
     block = underlying(mu1_w)
     acc: dict = {}
-    for b, values in two_point_column(mu2_w, a_values, chains).items():
+    for b, terms in two_point_column(mu2_w, a_values, chains).items():
         if underlying(b) != block:
             continue
         pair = pairing(mu1_w, b, r).num.const_value()
         if pair:
-            for key, c in values.items():
-                acc[key] = acc.get(key, 0) + pair * c
+            for a, i, j, num, den in terms:
+                acc[a, i, j] = acc.get((a, i, j), 0) + pair * num / den
     return {key: c for key, c in acc.items() if c}
 
 
@@ -433,12 +413,11 @@ class ZeroDegreeTable:
 
     def __init__(self, entries: dict | None = None):
         self.entries: dict[tuple[str, str, str], tuple] = {}
-        if entries:
-            for key, pairs in entries.items():
-                self.set(key[0], key[1], key[2], pairs)
+        for key, pairs in (entries or {}).items():
+            self.set(*key, pairs)
 
     def set(self, left: str, divisor: str, right: str, pairs) -> None:
-        """Store an entry under its canonical key.
+        """Store an entry under its canonical key, replacing any entry there.
 
         A bad key raises MalformedInputError, as does a u-exponent that is
         not an integer (booleans excluded), is negative or appears twice.
@@ -462,10 +441,7 @@ class ZeroDegreeTable:
     def get(self, left_wp: WeightedPartition, divisor: str, right_wp: WeightedPartition):
         """Coefficient list for a key, trying both outer orders; None if absent."""
         left, right = wp_to_text(left_wp), wp_to_text(right_wp)
-        hit = self.entries.get((left, divisor, right))
-        if hit is None:
-            hit = self.entries.get((right, divisor, left))
-        return hit
+        return self.entries.get((left, divisor, right), self.entries.get((right, divisor, left)))
 
     def to_json(self) -> dict:
         return {
@@ -482,16 +458,23 @@ class ZeroDegreeTable:
 
     @classmethod
     def from_json(cls, payload) -> ZeroDegreeTable:
-        """Table from its JSON form; a schema violation raises MalformedInputError."""
+        """Table from its JSON form; a schema violation, a repeated key or mirror
+        keys with different series (one would go unread) raise MalformedInputError."""
         table = cls()
         try:
             for item in payload["entries"]:
-                pairs = useries_from_json(item["series"])
-                table.set(item["left"], item["divisor"], item["right"], pairs)
+                key, size = (item["left"], item["divisor"], item["right"]), len(table.entries)
+                table.set(*key, useries_from_json(item["series"]))
+                if len(table.entries) == size:
+                    raise ValueError(f"the key {key} appears twice")
         except KeyError as exc:
             raise MalformedInputError(f"degree-zero table lacks the field {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"malformed degree-zero table: {exc}") from None
+        for key, series in table.entries.items():
+            if dict(table.entries.get(key[::-1], series)) != dict(series):
+                raise MalformedInputError(
+                    f"degree-zero table keys {key} and {key[::-1]} hold different series")
         return table
 
     def save(self, path) -> None:
@@ -505,13 +488,10 @@ class ZeroDegreeTable:
             return cls.from_json(json.load(fh))
 
 
-def _embed_useries(pairs, u_order: int, s_orders) -> TruncSeries:
-    zeros = (0,) * len(tuple(s_orders))
-    coeffs = {}
-    for a, v in pairs:
-        if a <= u_order and not v.is_zero():
-            coeffs[(a, zeros)] = v
-    return TruncSeries(u_order, tuple(s_orders), coeffs)
+def _embed_useries(pairs, u_order: int, s_orders: tuple) -> TruncSeries:
+    zeros = (0,) * len(s_orders)
+    coeffs = {(a, zeros): v for a, v in pairs if a <= u_order and not v.is_zero()}
+    return TruncSeries(u_order, s_orders, coeffs)
 
 
 @dataclass

@@ -16,8 +16,9 @@ neither G^{-1} nor the pairing: column j of P is the coordinate vector of
 the two-point function of b_j written as a vector V_j over weighted
 partitions (invariants.two_point_column), from a factor X of one side of
 each connected piece and a factor D of two underlying partitions. Every
-value of P is (t1+t2) times a rational, and P holds that rational, as
-a reduced integer pair, for its nonzero cells only. The beta = 0 layers T_D|_{s=0} come from a
+value of P is (t1+t2) times a rational; a nonzero cell of P holds the
+terms (a, i, j, num, den) of reduced integer pairs as the column builder
+made them. The beta = 0 layers T_D|_{s=0} come from a
 ZeroDegreeTable, through the three-point series at the s^0 box, and
 propagate as gaps when absent. With no table no such series is built and
 no G^{-1} is taken: every beta = 0 value is unknown, so every entry is a
@@ -58,9 +59,9 @@ from .invariants import (
     ThreePointResult,
     ZeroDegreeTable,
     _check_pair,
-    _column_pairs,
     divisor_index,
     three_point_divisor_series,
+    two_point_column,
 )
 from .memo import memo
 from .partitions import (
@@ -120,25 +121,23 @@ def _two_point_product(basis, r: int, u_top: int, chains: tuple) -> tuple:
     two-point scalars up to u^u_top for the chains (i, j) of a box, the keys
     of surface.chain_degrees. A scalar never depends on d, so every box with
     the same chains shares P, and the coefficient at (a, d E_ij) is the
-    d = 1 value times d^(a-1). The result holds ((i, j), terms) for each
-    nonzero cell of P, where terms lists (a, i', j', num, den) for the chains
-    i'..j' of the cell, whose value is (t1+t2) num/den for a reduced nonzero
-    pair with den > 0, read from invariants._column_pairs. Neither
-    G^{-1} nor the pairing enters P; only the block check that makes G
-    invertible runs.
+    d = 1 value times d^(a-1). P holds ((i, j), terms) for each nonzero
+    cell, with terms the column's terms (a, i', j', num, den) at b_i as
+    built: the value at the chain i'..j' is (t1+t2) num/den. Neither G^{-1}
+    nor the pairing enters P; only the block check that makes G invertible
+    runs.
     """
     check_whole_blocks(basis, r)
     index = {b: pos for pos, b in enumerate(basis)}
     cells = []
     a_values = tuple(range(u_top + 1))
     for j, b in enumerate(basis):
-        for term, values in _column_pairs(b, a_values, chains).items():
-            # the basis is whole blocks, so a term outside it lies in a block the
-            # basis leaves out, which the block-diagonal pairing keeps out of
-            # G^{-1} T_2
-            i = index.get(term)
+        for element, terms in two_point_column(b, a_values, chains).items():
+            # an element outside the whole-block basis lies in a block that it
+            # leaves out, which the block-diagonal pairing keeps out of G^{-1} T_2
+            i = index.get(element)
             if i is not None:
-                cells.append(((i, j), tuple((*key, *c) for key, c in values.items())))
+                cells.append(((i, j), terms))
     # every caller shares the memoised result, so hand out tuples only
     return tuple(cells)
 

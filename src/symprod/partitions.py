@@ -50,8 +50,14 @@ def label_key(label: Label):
     return (LABEL_KINDS[kind][0], 0 if kind == "1" else label[1])
 
 
+def _int_part(p) -> int:
+    if isinstance(p, bool) or not isinstance(p, int):  # never truncate a part with int()
+        raise TypeError(f"a part must be an int, got {type(p).__name__} {p!r}")
+    return p
+
+
 def partition(parts) -> Partition:
-    ps = tuple(sorted((int(p) for p in parts), reverse=True))
+    ps = tuple(sorted(map(_int_part, parts), reverse=True))
     if any(p <= 0 for p in ps):
         raise ValueError("partition parts must be positive")
     return ps
@@ -106,7 +112,7 @@ def pair_key(pair: WeightedPair):
 
 
 def weighted_partition(pairs) -> WeightedPartition:
-    wp = tuple(sorted(((int(p), label) for p, label in pairs), key=pair_key))
+    wp = tuple(sorted(((_int_part(p), label) for p, label in pairs), key=pair_key))
     if any(p <= 0 for p, _ in wp):
         raise ValueError("weighted-partition parts must be positive")
     return wp

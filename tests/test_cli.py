@@ -180,6 +180,35 @@ def test_verify_cli_corrupt_table(tmp_path, capsys):
     assert "entry" in out
 
 
+@pytest.mark.parametrize("case", ["repeat", "equal-repeat", "mirror"])
+def test_table_that_would_drop_an_entry_is_usage_error(tmp_path, capsys, case):
+    # a key stored twice, or mirror keys with different series, would leave
+    # one series unread; equal mirror copies, as make-table writes them, load
+    code, _, _ = run(capsys, "make-table", "--case", "a1n2", "--out", str(tmp_path / "t.json"))
+    assert code == 0
+    payload = json.loads((tmp_path / "t.json").read_text())
+    key = ("1(1)+1(1)", "D1", "1(1)+1(E1)")
+    entry = next(e for e in payload["entries"] if (e["left"], e["divisor"], e["right"]) == key)
+    if case == "mirror":
+        entry["series"] = [[0, "7"]]
+    else:
+        series = [[0, "7"]] if case == "repeat" else entry["series"]
+        payload["entries"].append(dict(entry, series=series))
+    (tmp_path / "bad.json").write_text(json.dumps(payload))
+    for argv in (
+        ["verify-a1n2", "--u-order", "1", "--s-order", "1"],
+        ["op-matrix", "--n", "2", "--r", "1", "--u-order", "0", "--s-orders", "1"],
+    ):
+        code, out, err = run(capsys, *argv, "--table", str(tmp_path / "bad.json"))
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "Traceback" not in err
+        assert str(key) in err
+        if case == "mirror":
+            assert str(key[::-1]) in err and "different series" in err
+        else:
+            assert "appears twice" in err
+
+
 @pytest.mark.parametrize("drop", ["series", "entries"])
 def test_table_schema_error_is_usage_error(tmp_path, capsys, drop):
     code, _, _ = run(capsys, "make-table", "--case", "a1n2", "--out", str(tmp_path / "t.json"))

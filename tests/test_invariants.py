@@ -293,15 +293,14 @@ def test_factor_memos_hold_ints_only(monkeypatch):
 
         monkeypatch.setattr(invariants, name, wrapper)
 
-    for name in ("_chain_factors", "_degree_factors", "_hurwitz_term", "_hurwitz_row"):
+    for name in ("_chain_factors", "_degree_factors", "_hurwitz_row"):
         recording(name)
     clear_caches()
     divisor_operator(3, 2, "(2)", default_divisor_basis(3, 2), 6, (2, 1))
-    assert sorted(seen) == ["_chain_factors", "_degree_factors", "_hurwitz_row", "_hurwitz_term"]
+    assert sorted(seen) == ["_chain_factors", "_degree_factors", "_hurwitz_row"]
     assert all(_exact_ints(*xs) for xs in seen["_chain_factors"])
     assert all(_exact_ints(*t) for degs in seen["_degree_factors"] for t in degs)
     assert any(seen["_degree_factors"])
-    assert all(_exact_ints(*pair) for pair in seen["_hurwitz_term"])
     assert all(_exact_ints(den, *nums) and den > 0 for den, nums in seen["_hurwitz_row"])
 
 
@@ -328,16 +327,16 @@ def test_two_point_column_matches_fraction_oracle_property(case):
     the same sum taken one Fraction addend at a time."""
     wp_, a_values, chains = case
     got = invariants.two_point_column(wp_, a_values, chains)
-    assert got == fraction_two_point_column(wp_, a_values, chains)
-    assert all(type(c) is Fraction and c for values in got.values() for c in values.values())
-    # the wrapper's Fractions are the integer pairs, which are reduced with
-    # a positive denominator
-    pairs = invariants._column_pairs(wp_, a_values, chains)
-    assert {b: {key: Fraction(*nd) for key, nd in vs.items()} for b, vs in pairs.items()} == got
-    for values in pairs.values():
-        for num, den in values.values():
+    # each term (a, i, j, num, den) is a reduced integer pair with a positive
+    # denominator, and its Fraction is the oracle's value
+    for terms in got.values():
+        assert type(terms) is tuple and terms
+        for *_, num, den in terms:
             assert type(num) is int and type(den) is int
             assert num and den > 0 and gcd(num, den) == 1
+    view = {b: {(a, i, j): Fraction(num, den) for a, i, j, num, den in terms}
+            for b, terms in got.items()}
+    assert view == fraction_two_point_column(wp_, a_values, chains)
 
 
 @st.composite

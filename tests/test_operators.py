@@ -42,7 +42,7 @@ from symprod.operators import (
     verify_a1n2,
     zero_degree_table_a1n2,
 )
-from symprod.chenruan import gram_inverse
+from symprod.chenruan import gram_inverse, gram_matrix
 from symprod.errors import DegenerateBasisError, MalformedInputError, UnsupportedWeightError
 from symprod.invariants import ZeroDegreeTable
 from symprod.partitions import ONE, ecurve, fixedpt, omega, underlying, weighted_partition
@@ -507,18 +507,18 @@ def test_two_point_product_is_shared_by_every_divisor(monkeypatch):
     import symprod.operators as operators
 
     counts = {"gram_inverse": 0, "columns": 0}
-    gram_inverse, column_pairs = operators.gram_inverse, operators._column_pairs
+    gram_inverse, two_point_column = operators.gram_inverse, operators.two_point_column
 
     def counted_gram_inverse(basis, r):
         counts["gram_inverse"] += 1
         return gram_inverse(basis, r)
 
-    def counted_column_pairs(wp, a_values, chains):
+    def counted_two_point_column(wp, a_values, chains):
         counts["columns"] += 1
-        return column_pairs(wp, a_values, chains)
+        return two_point_column(wp, a_values, chains)
 
     monkeypatch.setattr(operators, "gram_inverse", counted_gram_inverse)
-    monkeypatch.setattr(operators, "_column_pairs", counted_column_pairs)
+    monkeypatch.setattr(operators, "two_point_column", counted_two_point_column)
     symprod.clear_caches()
     basis = default_divisor_basis(2, 3)
     assert len(basis) == 14  # one column of P per basis element
@@ -634,6 +634,40 @@ def test_two_point_product_matches_fraction_contraction(n, r, unit_box):
             }
             assert got == {(a, ci, cj): v for a, ci, cj, v in want_entry}
     assert not product  # no cell outside the basis
+
+
+@st.composite
+def _symmetry_case(draw):
+    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    basis = tuple(draw(st.permutations(default_divisor_basis(n, r))))
+    return r, basis, draw(st.integers(0, 3))
+
+
+@settings(max_examples=30, derandomize=True, database=None, deadline=None)
+@given(_symmetry_case())
+@example((3, tuple(default_divisor_basis(4, 3)), 2))
+@example((2, tuple(default_divisor_basis(4, 2))[::-1], 3))
+def test_two_point_product_times_gram_is_symmetric(case):
+    """T_2 = G P is the matrix of two-point series, which is symmetric in its
+    two insertions: in each (a, i', j') layer, (G P)[i][j] = (G P)[j][i]."""
+    import symprod.operators as operators
+
+    r, basis, u_top = case
+    product = operators._two_point_product(basis, r, u_top, tuple(chain_degrees((1,) * r)))
+    gram = gram_matrix(basis, r)
+    t2: dict = {}
+    for (row, j), terms in product:
+        for i, g in enumerate(gram[row]):  # G is symmetric, so its column is its row
+            if g.is_zero():
+                continue
+            layers = t2.setdefault((i, j), {})
+            for a, ci, cj, num, den in terms:
+                value = layers.get((a, ci, cj), RatFunc2.zero()) + g * Fraction(num, den)
+                layers[a, ci, cj] = value
+    t2 = {cell: {k: v for k, v in layers.items() if not v.is_zero()} for cell, layers in t2.items()}
+    assert any(t2.values())
+    for (i, j), layers in t2.items():
+        assert layers == t2.get((j, i), {}), (basis[i], basis[j])
 
 
 def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):

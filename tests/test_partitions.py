@@ -36,6 +36,22 @@ def test_partition_canonical_storage():
         partition([0, 1])
 
 
+@pytest.mark.parametrize("part", [2.5, 1.9, 2.0, True, False, "2"])
+def test_parts_that_are_not_ints_are_rejected(part):
+    # a part is never truncated by int(): 2.5 is not a part 2, nor True a part 1
+    from symprod.hurwitz import one_part_double_hurwitz
+
+    message = f"a part must be an int, got {type(part).__name__} {part!r}"
+    for build in (
+        lambda: partition([part, 1]),
+        lambda: one_part_double_hurwitz([part, 1], 2),
+        lambda: weighted_partition([(part, ONE), (1, ecurve(1))]),
+    ):
+        with pytest.raises(TypeError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
 def test_weighted_partition_rejects_unknown_label_kind():
     with pytest.raises(ValueError, match="unknown label kind 'y'"):
         weighted_partition([(2, ("y", 1))])
