@@ -18,7 +18,6 @@ from .algebra import (
     expand_q_closed_form,
 )
 from .chenruan import (
-    expand,
     gram_matrix,
     pairing,
 )
@@ -28,8 +27,6 @@ from .hurwitz import (
 )
 from .invariants import (
     ZeroDegreeTable,
-    connected_two_point,
-    disconnected_two_point,
     three_point_divisor_series,
     two_point_series,
 )

@@ -2,20 +2,23 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from ..errors import RealnessViolationError
 from .gaussian import GaussRational
 from .poly import Poly1
 
 
-def _char_poly_generic(matrix, zero, one):
-    """Faddeev-LeVerrier over any exact field; coefficients ascending."""
+def char_poly(matrix) -> Poly1:
+    """Characteristic polynomial det(xI - M) of a square matrix of rationals or
+    Gaussian rationals, by Faddeev-LeVerrier over Q(i) on the lifted entries.
+
+    A nonreal coefficient raises RealnessViolationError.
+    """
     n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("characteristic polynomial needs a square matrix")
-    ident = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    aux = [row[:] for row in ident]
+    matrix = [[GaussRational.lift(x) for x in row] for row in matrix]
+    if any(len(row) != n for row in matrix):
+        raise ValueError("characteristic polynomial needs a square matrix")
+    zero, one = GaussRational(0), GaussRational(1)
+    aux = [[one if i == j else zero for j in range(n)] for i in range(n)]
     coeffs = [zero] * (n + 1)
     coeffs[n] = one  # coefficient of x^n
     for k in range(1, n + 1):
@@ -33,20 +36,9 @@ def _char_poly_generic(matrix, zero, one):
             [prod[i][j] + (ck if i == j else zero) for j in range(n)]
             for i in range(n)
         ]
-    return coeffs
-
-
-def char_poly(matrix: list[list[Fraction]]) -> Poly1:
-    """Characteristic polynomial det(xI - M) of a rational matrix."""
-    coeffs = _char_poly_generic(
-        [[Fraction(x) for x in row] for row in matrix], Fraction(0), Fraction(1)
-    )
-    return Poly1(coeffs)
-
-
-def char_poly_gaussian(matrix: list[list[GaussRational]]):
-    """Characteristic polynomial over Q(i); list of GaussRational, ascending."""
-    return _char_poly_generic(matrix, GaussRational(0), GaussRational(1))
+    if not all(c.is_real() for c in coeffs):
+        raise RealnessViolationError("characteristic polynomial has a nonreal coefficient")
+    return Poly1([c.re for c in coeffs])
 
 
 def is_squarefree(p: Poly1) -> bool:
@@ -55,7 +47,7 @@ def is_squarefree(p: Poly1) -> bool:
     return p.gcd(p.derivative()).degree() == 0
 
 
-def char_poly_squarefree(matrix: list[list[Fraction]]) -> tuple[Poly1, bool]:
+def char_poly_squarefree(matrix) -> tuple[Poly1, bool]:
     """Exact characteristic polynomial and whether gcd(p, p') is constant."""
     p = char_poly(matrix)
     return p, is_squarefree(p)

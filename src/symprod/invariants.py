@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from math import factorial, gcd, lcm, prod
+from types import MappingProxyType
 
 from .algebra import Poly2, RatFunc2, TruncSeries
 from .chenruan import pairing
@@ -411,37 +412,47 @@ class ZeroDegreeTable:
     lists. Absent keys mean "unknown" and surface as gaps, never zeros.
     """
 
-    def __init__(self, entries: dict | None = None):
-        self.entries: dict[tuple[str, str, str], tuple] = {}
-        for key, pairs in (entries or {}).items():
-            self.set(*key, pairs)
-
-    def set(self, left: str, divisor: str, right: str, pairs) -> None:
-        """Store an entry under its canonical key, replacing any entry there.
-
-        A bad key raises MalformedInputError, as does a u-exponent that is
-        not an integer (booleans excluded), is negative or appears twice.
+    def __init__(self, entries=()):
+        """A table from what dict() takes: a mapping or an iterable of
+        ((left, divisor, right), pairs). This is the one place a table is
+        checked: a bad key, a u-exponent that is not an int >= 0 (booleans
+        excluded) or appears twice, a key given twice in any spelling, and
+        mirror keys (l, D, r), (r, D, l) whose series differ (one would go
+        unread) raise MalformedInputError.
         """
-        if not (isinstance(divisor, str) and _TABLE_DIVISOR_RE.fullmatch(divisor)):
-            raise MalformedInputError(f'table divisor {divisor!r} is neither "1" nor D<l>')
-        try:
-            key = (wp_to_text(parse_wp(left)), divisor, wp_to_text(parse_wp(right)))
-        except (AttributeError, ValueError) as exc:  # AttributeError: not a string
-            raise MalformedInputError(f"table key: {exc}") from None
-        series, seen = [], set()
-        for a, v in pairs:
-            if isinstance(a, bool) or not isinstance(a, int) or a < 0:
-                raise MalformedInputError(f"series exponent {a!r} is not an integer >= 0")
-            if a in seen:
-                raise MalformedInputError(f"series exponent {a} appears twice")
-            seen.add(a)
-            series.append((a, RatFunc2.lift(v)))
-        self.entries[key] = tuple(series)
+        checked: dict[tuple[str, str, str], tuple] = {}
+        for key, pairs in entries.items() if hasattr(entries, "items") else entries:
+            left, divisor, right = key
+            if not (isinstance(divisor, str) and _TABLE_DIVISOR_RE.fullmatch(divisor)):
+                raise MalformedInputError(f'table divisor {divisor!r} is neither "1" nor D<l>')
+            try:
+                canonical = (wp_to_text(parse_wp(left)), divisor, wp_to_text(parse_wp(right)))
+            except (AttributeError, ValueError) as exc:  # AttributeError: not a string
+                raise MalformedInputError(f"table key: {exc}") from None
+            series = {}
+            for a, v in pairs:
+                if isinstance(a, bool) or not isinstance(a, int) or a < 0:
+                    raise MalformedInputError(f"series exponent {a!r} is not an integer >= 0")
+                if a in series:
+                    raise MalformedInputError(f"series exponent {a} appears twice")
+                series[a] = RatFunc2.lift(v)
+            if canonical in checked:
+                raise MalformedInputError(f"malformed degree-zero table: the key {key} appears twice")
+            checked[canonical] = tuple(series.items())
+        for key, series in checked.items():
+            if dict(checked.get(key[::-1], series)) != dict(series):
+                raise MalformedInputError(
+                    f"degree-zero table keys {key} and {key[::-1]} hold different series")
+        self._entries = MappingProxyType(checked)
+
+    @property
+    def entries(self) -> MappingProxyType:  # read-only, and never reassigned
+        return self._entries
 
     def get(self, left_wp: WeightedPartition, divisor: str, right_wp: WeightedPartition):
         """Coefficient list for a key, trying both outer orders; None if absent."""
         left, right = wp_to_text(left_wp), wp_to_text(right_wp)
-        return self.entries.get((left, divisor, right), self.entries.get((right, divisor, left)))
+        return self._entries.get((left, divisor, right), self._entries.get((right, divisor, left)))
 
     def to_json(self) -> dict:
         return {
@@ -458,24 +469,18 @@ class ZeroDegreeTable:
 
     @classmethod
     def from_json(cls, payload) -> ZeroDegreeTable:
-        """Table from its JSON form; a schema violation, a repeated key or mirror
-        keys with different series (one would go unread) raise MalformedInputError."""
-        table = cls()
+        """Table from its JSON form; a schema violation raises MalformedInputError,
+        and the constructor checks the items, a repeated key included."""
         try:
-            for item in payload["entries"]:
-                key, size = (item["left"], item["divisor"], item["right"]), len(table.entries)
-                table.set(*key, useries_from_json(item["series"]))
-                if len(table.entries) == size:
-                    raise ValueError(f"the key {key} appears twice")
+            items = [
+                ((item["left"], item["divisor"], item["right"]), useries_from_json(item["series"]))
+                for item in payload["entries"]
+            ]
         except KeyError as exc:
             raise MalformedInputError(f"degree-zero table lacks the field {exc}") from None
         except (AttributeError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"malformed degree-zero table: {exc}") from None
-        for key, series in table.entries.items():
-            if dict(table.entries.get(key[::-1], series)) != dict(series):
-                raise MalformedInputError(
-                    f"degree-zero table keys {key} and {key[::-1]} hold different series")
-        return table
+        return cls(items)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:

@@ -46,15 +46,12 @@ from .algebra import (
     Poly2,
     RatFunc2,
     TruncSeries,
-    char_poly_gaussian,
+    char_poly,
     expand_q_closed_form,
     is_squarefree,
     ratfunc_to_text,
 )
-from .algebra.poly import _poly
-from .algebra.ratfunc import _canonical
 from .chenruan import check_whole_blocks, gram_inverse, gram_matrix
-from .errors import RealnessViolationError
 from .invariants import (
     ThreePointResult,
     ZeroDegreeTable,
@@ -80,13 +77,15 @@ from .surface import chain_degrees, check_label, check_r
 from .textforms import wp_to_text
 
 
+_THETA = RatFunc2(Poly2.t1() + Poly2.t2())
+
+
 @memo
 def _theta_times(num: int, den: int) -> RatFunc2:
-    """(t1+t2) num/den for a reduced nonzero pair with den > 0, built as its
-    canonical form: the polynomial c t1 + c t2 over 1, with no product run.
-    Memoised, so the divisors of one basis share each value and its hash."""
-    c = Fraction(num, den)
-    return _canonical(_poly({(1, 0): c, (0, 1): c}), Poly2.one())
+    """(t1+t2) num/den for a reduced nonzero pair with den > 0, a scaling of
+    the canonical t1 + t2 with no gcd run. Memoised, so the divisors of one
+    basis share each value and its hash."""
+    return _THETA * Fraction(num, den)
 
 
 @dataclass
@@ -335,16 +334,14 @@ def _table_from_expansion(m) -> ZeroDegreeTable:
             if any(not entry.coefficient(a, (0,)).is_zero() for a in range(1, entry.u_order + 1)):
                 raise RuntimeError("s=0 layer of the benchmark matrix should be u-independent")
             consts[i][j] = entry.constant_term()
-    table = ZeroDegreeTable()
+    entries = {}
     for a in range(size):
         for j in range(size):
             val = RatFunc2.zero()
             for c in range(size):
                 val = val + gram[a][c] * consts[c][j]
-            table.set(
-                wp_to_text(basis[j]), "D1", wp_to_text(basis[a]), [(0, val)]
-            )
-    return table
+            entries[wp_to_text(basis[j]), "D1", wp_to_text(basis[a])] = [(0, val)]
+    return ZeroDegreeTable(entries)
 
 
 @dataclass
@@ -461,17 +458,10 @@ def eigen_certify(form, values: dict) -> EigenReport:
     form is a closed form returning a square matrix (see algebra.qexpr);
     it is called once with values lifted to GaussRational. values must
     name exactly the atoms of form (t1, t2, s1..sr, q): a missing or extra
-    name raises TypeError, and evaluation at a pole ZeroDivisionError.
+    name raises TypeError, evaluation at a pole ZeroDivisionError, and a
+    nonreal characteristic polynomial RealnessViolationError.
     """
-    matrix = form(**{k: GaussRational.lift(v) for k, v in values.items()})
-    evaluated = [[GaussRational.lift(e) for e in row] for row in matrix]
-    coeffs = char_poly_gaussian(evaluated)
-    for c in coeffs:
-        if not c.is_real():
-            raise RealnessViolationError(
-                "characteristic polynomial has a nonreal coefficient"
-            )
-    p = Poly1([c.re for c in coeffs])
+    p = char_poly(form(**{k: GaussRational.lift(v) for k, v in values.items()}))
     return EigenReport(char_poly=p, squarefree=is_squarefree(p), values=dict(values))
 
 

@@ -27,16 +27,22 @@ MultiPartition = tuple[Partition, ...]
 ONE: Label = ("1",)
 
 
+def _checked_int(value, what: str = "a part") -> int:
+    if isinstance(value, bool) or not isinstance(value, int):  # never truncate with int()
+        raise TypeError(f"{what} must be an int, got {type(value).__name__} {value!r}")
+    return value
+
+
 def ecurve(i: int) -> Label:
-    return ("E", int(i))
+    return ("E", _checked_int(i, "a label index"))
 
 
 def omega(k: int) -> Label:
-    return ("w", int(k))
+    return ("w", _checked_int(k, "a label index"))
 
 
 def fixedpt(k: int) -> Label:
-    return ("x", int(k))
+    return ("x", _checked_int(k, "a label index"))
 
 
 # label kind -> (sort rank, orbifold degree of its class)
@@ -50,14 +56,8 @@ def label_key(label: Label):
     return (LABEL_KINDS[kind][0], 0 if kind == "1" else label[1])
 
 
-def _int_part(p) -> int:
-    if isinstance(p, bool) or not isinstance(p, int):  # never truncate a part with int()
-        raise TypeError(f"a part must be an int, got {type(p).__name__} {p!r}")
-    return p
-
-
 def partition(parts) -> Partition:
-    ps = tuple(sorted(map(_int_part, parts), reverse=True))
+    ps = tuple(sorted(map(_checked_int, parts), reverse=True))
     if any(p <= 0 for p in ps):
         raise ValueError("partition parts must be positive")
     return ps
@@ -112,7 +112,7 @@ def pair_key(pair: WeightedPair):
 
 
 def weighted_partition(pairs) -> WeightedPartition:
-    wp = tuple(sorted(((_int_part(p), label) for p, label in pairs), key=pair_key))
+    wp = tuple(sorted(((_checked_int(p), label) for p, label in pairs), key=pair_key))
     if any(p <= 0 for p, _ in wp):
         raise ValueError("weighted-partition parts must be positive")
     return wp

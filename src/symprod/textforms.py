@@ -92,5 +92,5 @@ def useries_to_json(pairs) -> list:
 
 
 def useries_from_json(payload) -> tuple:
-    """A u-only coefficient list from JSON; ``ZeroDegreeTable.set`` checks the exponents."""
+    """A u-only coefficient list from JSON; the ``ZeroDegreeTable`` constructor checks the exponents."""
     return tuple((a, ratfunc_from_text(v)) for a, v in payload)

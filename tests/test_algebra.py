@@ -36,6 +36,7 @@ from symprod.algebra import (
     Poly2,
     RatFunc2,
     TruncSeries,
+    char_poly,
     char_poly_squarefree,
     expand_q_closed_form,
     poly2_divexact,
@@ -1396,6 +1397,25 @@ def test_char_poly_block_duplication():
 def test_char_poly_rejects_nonsquare():
     with pytest.raises(ValueError):
         char_poly_squarefree([[Fraction(1), Fraction(2)]])
+
+
+def test_char_poly_takes_gaussian_entries_and_checks_realness():
+    # one route over Q(i): [[0, i], [i, 0]] has the real polynomial x^2 + 1,
+    # a rational matrix gives the same Poly1 lifted or not, and [[i]] has x - i
+    p = char_poly([[0, I], [I, 0]])
+    assert p == Poly1([1, 0, 1])
+    companion = [[Fraction(0), Fraction(2)], [Fraction(1), Fraction(0)]]
+    lifted = [[GaussRational(x) for x in row] for row in companion]
+    assert char_poly(lifted) == char_poly(companion) == Poly1([-2, 0, 1])
+    with pytest.raises(RealnessViolationError, match="nonreal coefficient"):
+        char_poly([[I]])
+
+
+def test_char_poly_gaussian_is_not_exported():
+    import symprod.algebra as algebra
+
+    assert "char_poly_gaussian" not in algebra.__all__
+    assert not hasattr(algebra, "char_poly_gaussian")
 
 
 # ---------------------------------------------------------------------------

@@ -624,8 +624,7 @@ def test_three_point_derivative_parity():
 
 
 def test_three_point_table_only_touches_degree_zero():
-    table = ZeroDegreeTable()
-    table.set(wp_to_text(TWO_E1), "D1", wp_to_text(TWO_E1), [(0, RatFunc2.const(7))])
+    table = ZeroDegreeTable({(wp_to_text(TWO_E1), "D1", wp_to_text(TWO_E1)): [(0, RatFunc2.const(7))]})
     res = three_point_divisor_series(TWO_E1, "D1", TWO_E1, 1, (2,), table)
     assert not res.gap
     assert res.series.coefficient(0, (0,)) == RatFunc2.const(7)
@@ -644,9 +643,8 @@ def test_three_point_gap_reports_key():
 
 def test_three_point_reads_one_table_slot_per_divisor(monkeypatch):
     # "(2)" reads the "1" slot and differentiates its series; D1 reads its own slot
-    table = ZeroDegreeTable()
     marker = [(0, RatFunc2.const(5)), (2, RatFunc2.const(3)), (3, RatFunc2.const(7))]
-    table.set(wp_to_text(TWO_E1), "1", wp_to_text(TWO_E1), marker)
+    table = ZeroDegreeTable({(wp_to_text(TWO_E1), "1", wp_to_text(TWO_E1)): marker})
     slots, get = [], ZeroDegreeTable.get
     monkeypatch.setattr(
         ZeroDegreeTable, "get", lambda self, a, d, b: slots.append(d) or get(self, a, d, b)
@@ -673,9 +671,10 @@ def test_three_point_gap_is_whether_a_key_is_missing():
 
 
 def test_table_json_roundtrip(tmp_path):
-    table = ZeroDegreeTable()
-    table.set("2(E1)", "D1", "2(1)", [(0, RatFunc2.one()), (2, RatFunc2.const(Fraction(1, 3)))])
-    table.set("2(E1)", "1", "2(E1)", [(0, RatFunc2.const(-1))])
+    table = ZeroDegreeTable({
+        ("2(E1)", "D1", "2(1)"): [(0, RatFunc2.one()), (2, RatFunc2.const(Fraction(1, 3)))],
+        ("2(E1)", "1", "2(E1)"): [(0, RatFunc2.const(-1))],
+    })
     path = tmp_path / "table.json"
     table.save(path)
     loaded = ZeroDegreeTable.load(path)
@@ -688,10 +687,62 @@ def test_table_json_roundtrip(tmp_path):
 
 
 def test_table_keys_canonical():
-    table = ZeroDegreeTable()
-    table.set("1(E1)+1(1)", "D1", " 2(E1) ", [(0, RatFunc2.one())])
+    table = ZeroDegreeTable([(("1(E1)+1(1)", "D1", " 2(E1) "), [(0, RatFunc2.one())])])
     assert set(table.entries) == {("1(1)+1(E1)", "D1", "2(E1)")}
     assert table.get(wp((1, ONE), (1, ecurve(1))), "D1", TWO_E1) is not None
+
+
+def test_package_does_not_export_the_routes_that_only_tests_call():
+    import symprod
+
+    for name in ("expand", "connected_two_point", "disconnected_two_point"):
+        assert not hasattr(symprod, name), name
+
+
+def test_table_refuses_a_key_given_twice_in_any_spelling():
+    # the second spelling of one canonical key would have replaced the first
+    entries = {
+        ("1(E1)+1(1)", "D1", "2(E1)"): [(0, 1)],
+        ("1(1)+1(E1)", "D1", "2(E1)"): [(0, 7)],
+        ("2(E1)", "D1", "1(1)+1(E1)"): [(0, 5)],
+    }
+    with pytest.raises(MalformedInputError) as caught:
+        ZeroDegreeTable(entries)
+    assert str(caught.value) == (
+        "malformed degree-zero table: the key ('1(1)+1(E1)', 'D1', '2(E1)') appears twice"
+    )
+    with pytest.raises(MalformedInputError, match="appears twice"):
+        ZeroDegreeTable(list(entries.items())[:2])
+
+
+def test_table_refuses_mirror_keys_with_different_series():
+    # (l, D, r) is read before (r, D, l), so the 5 would never be read
+    entries = {("1(1)+1(E1)", "D1", "2(E1)"): [(0, 7)], ("2(E1)", "D1", "1(1)+1(E1)"): [(0, 5)]}
+    with pytest.raises(MalformedInputError) as caught:
+        ZeroDegreeTable(entries)
+    message = str(caught.value)
+    assert "different series" in message
+    assert "('1(1)+1(E1)', 'D1', '2(E1)')" in message and "('2(E1)', 'D1', '1(1)+1(E1)')" in message
+    # equal mirror copies, in any spelling and pair order, are one value read both ways
+    table = ZeroDegreeTable({
+        ("1(E1)+1(1)", "D1", "2(E1)"): [(0, 7), (2, 1)],
+        ("2(E1)", "D1", "1(1)+1(E1)"): [(2, 1), (0, 7)],
+    })
+    assert len(table.entries) == 2
+    assert table.get(TWO_E1, "D1", wp((1, ONE), (1, ecurve(1)))) == ((2, RatFunc2.one()), (0, RatFunc2.const(7)))
+
+
+def test_table_entries_are_read_only():
+    table = zero_degree_table_a1n2()
+    key = next(iter(table.entries))
+    with pytest.raises(TypeError):
+        table.entries[key] = ((0, RatFunc2.one()),)
+    with pytest.raises(TypeError):
+        del table.entries[key]
+    with pytest.raises(AttributeError):
+        table.entries = {}
+    assert not hasattr(ZeroDegreeTable, "set")
+    assert len(table.entries) == 25
 
 
 @pytest.mark.parametrize(
@@ -710,7 +761,7 @@ def test_table_keys_canonical():
 )
 def test_table_set_rejects_bad_keys(left, divisor, right):
     with pytest.raises(MalformedInputError):
-        ZeroDegreeTable().set(left, divisor, right, [(0, RatFunc2.one())])
+        ZeroDegreeTable({(left, divisor, right): [(0, RatFunc2.one())]})
 
 
 @pytest.mark.parametrize(
@@ -778,7 +829,7 @@ def test_table_from_json_keeps_integer_exponents():
 )
 def test_table_set_rejects_bad_exponents(pairs):
     with pytest.raises(MalformedInputError, match="exponent"):
-        ZeroDegreeTable().set("2(E1)", "D1", "2(E1)", pairs)
+        ZeroDegreeTable([(("2(E1)", "D1", "2(E1)"), pairs)])
     with pytest.raises(MalformedInputError, match="exponent"):
         ZeroDegreeTable({("2(E1)", "D1", "2(E1)"): pairs})
 

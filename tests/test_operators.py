@@ -116,8 +116,10 @@ def test_verify_detects_corrupted_table():
     table = zero_degree_table_a1n2()
     basis = default_divisor_basis(2, 1)
     key = wp_to_text(basis[1])  # the diagonal 2(E1) entry
-    (a0, val), = table.entries[(key, "D1", key)]
-    table.set(key, "D1", key, [(a0, val + RatFunc2.one())])
+    entries = dict(table.entries)
+    (a0, val), = entries[key, "D1", key]
+    entries[key, "D1", key] = [(a0, val + RatFunc2.one())]
+    table = ZeroDegreeTable(entries)
     report = verify_a1n2(1, 2, table)
     assert not report.full_ok
     assert nonzero_degree_ok(report)  # corruption only hits the beta = 0 layer
@@ -128,13 +130,16 @@ def test_verify_detects_corrupted_table():
 
 
 def test_verify_offdiagonal_corruption_hits_symmetric_pair():
-    # one stored constant backs both outer orders of the 3-point function
-    table = zero_degree_table_a1n2()
+    # the two mirror copies of one constant back both outer orders of the
+    # 3-point function, and a table takes them only when they agree
+    entries = dict(zero_degree_table_a1n2().entries)
     basis = default_divisor_basis(2, 1)
     key_left = wp_to_text(basis[1])   # 2(E1)
     key_right = wp_to_text(basis[3])  # 2(1)
-    (a0, val), = table.entries[(key_left, "D1", key_right)]
-    table.set(key_left, "D1", key_right, [(a0, val + RatFunc2.one())])
+    (a0, val), = entries[key_left, "D1", key_right]
+    for key in ((key_left, "D1", key_right), (key_right, "D1", key_left)):
+        entries[key] = [(a0, val + RatFunc2.one())]
+    table = ZeroDegreeTable(entries)
     report = verify_a1n2(1, 2, table)
     bad_entries = {(m[0], m[1]) for m in report.mismatches}
     assert bad_entries == {(2, 4), (4, 2)}
@@ -144,10 +149,10 @@ def test_verify_offdiagonal_corruption_hits_symmetric_pair():
 def test_verify_report_with_many_mismatches_is_unchanged():
     # u-dependent terms in every stored value: several monomials per entry,
     # and more mismatches than the summary lists
-    table = zero_degree_table_a1n2()
-    for (left, divisor, right), pairs in list(table.entries.items()):
-        (a0, val), = pairs
-        table.set(left, divisor, right, [(a0, val), (1, val + 1), (3, RatFunc2.const(2))])
+    table = ZeroDegreeTable(
+        (key, [(a0, val), (1, val + 1), (3, RatFunc2.const(2))])
+        for key, ((a0, val),) in zero_degree_table_a1n2().entries.items()
+    )
     report = verify_a1n2(3, 2, table)
     assert len({(m[0], m[1]) for m in report.mismatches}) > 1
     assert len(report.mismatches) > 20 and "more mismatches" in report.summary()
@@ -202,10 +207,11 @@ def test_table_from_expansion_rejects_a_u_dependent_s0_layer():
 
 
 def test_verify_missing_entry_reports_gap():
-    table = zero_degree_table_a1n2()
     basis = default_divisor_basis(2, 1)
     key = (wp_to_text(basis[0]), "D1", wp_to_text(basis[0]))
-    del table.entries[key]
+    table = ZeroDegreeTable(
+        (k, pairs) for k, pairs in zero_degree_table_a1n2().entries.items() if k != key
+    )
     report = verify_a1n2(1, 2, table)
     assert report.gaps
     assert not report.full_ok
@@ -425,10 +431,10 @@ def test_op_matrix_dumps_runs_no_pure_python_encoder(monkeypatch):
 # differential check against the per-pair reference assembly
 # ---------------------------------------------------------------------------
 
-def _synthetic_table(basis, r: int, rng: random.Random, holes: bool, asymmetric: bool):
+def _synthetic_table(basis, r: int, rng: random.Random, holes: bool, mirrored: bool):
     """Degree-zero data for every basis pair and table divisor, one outer
-    order per pair; holes drops about a quarter of the keys, asymmetric
-    stores both orders of one off-diagonal pair with different values."""
+    order per pair; holes drops about a quarter of the keys, mirrored
+    stores both orders of one off-diagonal pair with equal values."""
 
     def value():
         coeffs = {(1, 0): rng.randint(-2, 2), (0, 1): rng.randint(-2, 2),
@@ -436,19 +442,18 @@ def _synthetic_table(basis, r: int, rng: random.Random, holes: bool, asymmetric:
         return [(a, RatFunc2(Poly2(coeffs))) for a in sorted(rng.sample(range(4), 2))]
 
     texts = [wp_to_text(b) for b in basis]
-    table = ZeroDegreeTable()
+    entries = {}
     for key in ["1"] + [f"D{l}" for l in range(1, r + 1)]:
         for j in range(len(basis)):
             for a in range(j, len(basis)):
                 if holes and rng.random() < 0.25:
                     continue
                 left, right = (texts[j], texts[a]) if rng.random() < 0.5 else (texts[a], texts[j])
-                table.set(left, key, right, value())
-        if asymmetric and len(basis) > 1:
+                entries[left, key, right] = value()
+        if mirrored and len(basis) > 1:
             j, a = sorted(rng.sample(range(len(basis)), 2))
-            table.set(texts[j], key, texts[a], value())
-            table.set(texts[a], key, texts[j], value())
-    return table
+            entries[texts[j], key, texts[a]] = entries[texts[a], key, texts[j]] = value()
+    return ZeroDegreeTable(entries)
 
 
 @st.composite
@@ -468,14 +473,14 @@ def _operator_case(draw):
     divisor = f"D{ell}" if ell else "(2)"
     u_order = draw(st.integers(0, 2))
     s_orders = tuple(draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)))
-    kind = draw(st.sampled_from(["none", "a1n2", "full", "holes", "asymmetric"]))
+    kind = draw(st.sampled_from(["none", "a1n2", "full", "holes", "mirrored"]))
     if kind == "none":
         table = None
     elif kind == "a1n2":
         table = zero_degree_table_a1n2()
     else:
         rng = random.Random(draw(st.integers(0, 2**16)))
-        table = _synthetic_table(basis, r, rng, kind == "holes", kind == "asymmetric")
+        table = _synthetic_table(basis, r, rng, kind == "holes", kind == "mirrored")
     return n, r, divisor, basis, u_order, s_orders, table
 
 
@@ -670,23 +675,60 @@ def test_two_point_product_times_gram_is_symmetric(case):
         assert layers == t2.get((j, i), {}), (basis[i], basis[j])
 
 
+def _assert_gram_times_operator_is_symmetric(op):
+    """G M_D = d_D(T_2) + T_D|_{s=0} is the matrix of three-point series
+    <<b_j, D, b_i>>: symmetric when the table is, since both orders of a pair
+    read one stored series."""
+    gram = gram_matrix(op.basis, op.r)
+    cols = [[op.entry(c, j) for c in range(op.size())] for j in range(op.size())]
+    gm = [
+        [TruncSeries.lincomb(zip(gram[i], col), op.u_order, op.s_orders) for col in cols]
+        for i in range(op.size())
+    ]
+    assert any(not e.is_zero() for row in gm for e in row)
+    for i in range(op.size()):
+        for j in range(i):
+            assert gm[i][j] == gm[j][i], (op.divisor, op.basis[i], op.basis[j])
+
+
+@pytest.mark.parametrize("divisor", ["(2)", "D1"])
+@pytest.mark.parametrize("u_order, s_order", [(0, 1), (1, 2), (3, 1), (2, 3)])
+def test_gram_times_a1n2_operator_is_symmetric(divisor, u_order, s_order):
+    basis = default_divisor_basis(2, 1)
+    op = divisor_operator(2, 1, divisor, basis, u_order, (s_order,), zero_degree_table_a1n2())
+    _assert_gram_times_operator_is_symmetric(op)
+
+
+@pytest.mark.parametrize("n, r", [(1, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_gram_times_operator_with_a_full_table_is_symmetric(n, r, seed):
+    basis = default_divisor_basis(n, r)
+    rng = random.Random(seed)
+    table = _synthetic_table(basis, r, rng, holes=False, mirrored=bool(seed))
+    for ell in range(r + 1):
+        op = divisor_operator(n, r, f"D{ell}" if ell else "(2)", basis, 2, (1,) * r, table)
+        assert not op.gaps
+        _assert_gram_times_operator_is_symmetric(op)
+
+
 def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
     import symprod
     import symprod.operators as operators
 
-    canonical, to_text = operators._canonical, operators.ratfunc_to_text
+    theta, to_text = operators._THETA, operators.ratfunc_to_text
     built, formatted = [], []
 
-    def counted_canonical(num, den):
-        value = canonical(num, den)
-        built.append(value)
-        return value
+    class CountedTheta:
+        def __mul__(self, c):
+            value = theta * c
+            built.append(value)
+            return value
 
     def counted_to_text(f):
         formatted.append(f)
         return to_text(f)
 
-    monkeypatch.setattr(operators, "_canonical", counted_canonical)
+    monkeypatch.setattr(operators, "_THETA", CountedTheta())
     monkeypatch.setattr(operators, "ratfunc_to_text", counted_to_text)
     symprod.clear_caches()
     basis = default_divisor_basis(2, 3)

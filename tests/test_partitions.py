@@ -52,6 +52,17 @@ def test_parts_that_are_not_ints_are_rejected(part):
         assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("index", [1.9, 2.0, True, False, "2", None])
+@pytest.mark.parametrize("label", [ecurve, omega, fixedpt])
+def test_label_indices_that_are_not_ints_are_rejected(label, index):
+    # an index is never truncated by int(): 1.9 is not E_1, nor True w_1
+    with pytest.raises(TypeError) as caught:
+        label(index)
+    assert str(caught.value) == (
+        f"a label index must be an int, got {type(index).__name__} {index!r}"
+    )
+
+
 def test_weighted_partition_rejects_unknown_label_kind():
     with pytest.raises(ValueError, match="unknown label kind 'y'"):
         weighted_partition([(2, ("y", 1))])
