@@ -129,8 +129,13 @@ class Poly2:
 
     @classmethod
     def linear(cls, c1, c2) -> Poly2:
-        """c1*t1 + c2*t2."""
-        return cls({(1, 0): Fraction(c1), (0, 1): Fraction(c2)})
+        """c1*t1 + c2*t2; a Fraction coefficient is taken as it is."""
+        terms = {}
+        if c1:
+            terms[1, 0] = c1 if type(c1) is Fraction else Fraction(c1)
+        if c2:
+            terms[0, 1] = c2 if type(c2) is Fraction else Fraction(c2)
+        return _poly(terms)
 
     # -- queries -------------------------------------------------------------
 

@@ -11,15 +11,19 @@ Canonical form: gcd(num, den) = 1, den integer-primitive with positive
 lexicographically-leading coefficient (t1-major). Equality is then
 structural.
 
-Two shapes skip the general route (multiply the denominators, then a
-bivariate gcd). A constant factor (int, Fraction or constant RatFunc2, on
-either side) scales the numerator and keeps the denominator: a nonzero
-rational keeps gcd(num, den) = 1 and leaves the primitive, positive-leading
-denominator as it is, so no gcd is run. Addends over one denominator add
-(or subtract) their numerators over it, then canonicalise: the sum may
-share a factor with that denominator, unless the denominator is 1 (the
-only canonical constant denominator), where the sum is canonical and no
-gcd is run.
+A polynomial with the denominator omitted, RatFunc2(num), is stored as it
+stands over 1, with no gcd and no content pass: a polynomial over 1 is
+already canonical. RatFunc2(num, Poly2.one()) takes the general route.
+
+Two shapes of operation skip the general route too (multiply the
+denominators, then a bivariate gcd). A constant factor (int, Fraction or
+constant RatFunc2, on either side) scales the numerator and keeps the
+denominator: a nonzero rational keeps gcd(num, den) = 1 and leaves the
+primitive, positive-leading denominator as it is, so no gcd is run.
+Addends over one denominator add (or subtract) their numerators over it,
+then canonicalise: the sum may share a factor with that denominator,
+unless the denominator is 1 (the only canonical constant denominator),
+where the sum is canonical and no gcd is run.
 A constant factor of 1 returns the value itself. Negation negates the
 numerator's coefficients and keeps the denominator: the negative of a
 canonical value is canonical, and no Fraction product is run.
@@ -45,13 +49,15 @@ class RatFunc2:
     __slots__ = ("num", "den", "_hash")
 
     def __init__(self, num: Poly2, den: Poly2 | None = None):
-        if den is None:
+        if not isinstance(num, Poly2):
+            raise TypeError(f"numerator must be a Poly2, got {type(num).__name__}")
+        if den is None:  # a polynomial over 1 is canonical as it stands
             den = Poly2.one()
-        if den.is_zero():
+        elif den.is_zero():
             raise MalformedInputError("rational function with zero denominator")
-        if len({e1 + e2 for e1, e2 in den.terms}) > 1:
+        elif len({e1 + e2 for e1, e2 in den.terms}) > 1:
             raise MalformedInputError(f"denominator {poly2_to_text(den)} is not homogeneous")
-        if num.is_zero():
+        elif num.is_zero():
             num, den = Poly2.zero(), Poly2.one()
         else:
             g = poly2_gcd(num, den)

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import MalformedInputError, ResourceBudgetError
 from .memo import memo
-from .partitions import Partition, aut_order, partition
+from .partitions import Partition, aut_order, checked_int, partition
 
 DEFAULT_BUDGET = 8
 _BUDGET_ENV = "SYMPROD_HURWITZ_BUDGET"
@@ -189,8 +189,7 @@ def one_part_double_hurwitz(sigma, b: int) -> Fraction:
     k-normalization is pinned by matching the enumeration oracle. b must be
     an int (not a bool). Only the coefficient is memoised.
     """
-    if isinstance(b, bool) or not isinstance(b, int):
-        raise TypeError(f"b must be an int, got {type(b).__name__} {b!r}")
+    checked_int(b, "b")
     sigma = partition(sigma)
     k = sum(sigma)
     if k == 0:

@@ -18,11 +18,14 @@ partitions (invariants.two_point_column), from a factor X of one side of
 each connected piece and a factor D of two underlying partitions. Every
 value of P is (t1+t2) times a rational; a nonzero cell of P holds the
 terms (a, i, j, num, den) of reduced integer pairs as the column builder
-made them. The beta = 0 layers T_D|_{s=0} come from a
-ZeroDegreeTable, through the three-point series at the s^0 box, and
-propagate as gaps when absent. With no table no such series is built and
-no G^{-1} is taken: every beta = 0 value is unknown, so every entry is a
-gap. The matrix stores only the entries that hold a term.
+made them. Each scaled value (t1+t2) c is the polynomial c t1 + c t2 taken
+over 1 by RatFunc2(poly), which runs no gcd, once per distinct c. The
+beta = 0 layers T_D|_{s=0} come from a ZeroDegreeTable, through the
+three-point series at the s^0 box, and propagate as gaps when absent. With
+no table no such series is built and no G^{-1} is taken: every beta = 0
+value is unknown, so every entry is a gap, and OperatorMatrix.gaps is
+AllCells(N), a set of every cell held as a rule, not as N^2 tuples. The
+matrix stores only the entries that hold a term.
 
 op_matrix_dumps writes the op-matrix JSON text directly from the
 OperatorMatrix. Its bytes are those of json.dumps(indent=1,
@@ -34,6 +37,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from collections.abc import Set
 from dataclasses import dataclass, field
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -66,6 +70,7 @@ from .partitions import (
     ONE,
     WeightedPartition,
     age,
+    checked_int,
     ecurve,
     label_key,
     partitions_of,
@@ -77,15 +82,42 @@ from .surface import chain_degrees, check_label, check_r
 from .textforms import wp_to_text
 
 
-_THETA = RatFunc2(Poly2.t1() + Poly2.t2())
-
-
 @memo
 def _theta_times(num: int, den: int) -> RatFunc2:
-    """(t1+t2) num/den for a reduced nonzero pair with den > 0, a scaling of
-    the canonical t1 + t2 with no gcd run. Memoised, so the divisors of one
-    basis share each value and its hash."""
-    return _THETA * Fraction(num, den)
+    """(t1+t2) num/den for a reduced nonzero pair with den > 0: the polynomial
+    c t1 + c t2 over 1, canonical as built, so no gcd and no Fraction product
+    runs. Memoised, so the divisors of one basis share each value and its hash."""
+    c = Fraction(num, den)
+    return RatFunc2(Poly2.linear(c, c))
+
+
+class AllCells(Set):
+    """Every cell (i, j) with 0 <= i, j < size, as a read-only set held as a
+    rule: the gaps of an operator with no table, without size**2 tuples.
+
+    It equals the built set of those cells, from either side, iterates in
+    sorted order, and the set operators (&, |, -) return plain sets."""
+
+    __slots__ = ("_range",)
+
+    def __init__(self, size: int):
+        self._range = range(size)
+
+    def __contains__(self, cell) -> bool:
+        return (
+            isinstance(cell, tuple) and len(cell) == 2
+            and cell[0] in self._range and cell[1] in self._range
+        )
+
+    def __len__(self) -> int:
+        return len(self._range) ** 2
+
+    def __iter__(self):
+        return itertools.product(self._range, repeat=2)
+
+    @classmethod
+    def _from_iterable(cls, cells) -> set:
+        return set(cells)
 
 
 @dataclass
@@ -93,7 +125,9 @@ class OperatorMatrix:
     """Square matrix of truncated series for D * (-) in an ordered basis.
 
     cells holds the entries with a term, keyed (i, j), each of the matrix's
-    shape (u_order, s_orders); every other entry is zero."""
+    shape (u_order, s_orders); every other entry is zero. gaps holds the
+    cells whose beta = 0 value is unknown: AllCells with no table, else a
+    plain set."""
 
     n: int
     r: int
@@ -102,7 +136,7 @@ class OperatorMatrix:
     u_order: int
     s_orders: tuple[int, ...]
     cells: dict[tuple[int, int], TruncSeries]
-    gaps: set[tuple[int, int]] = field(default_factory=set)
+    gaps: Set[tuple[int, int]] = field(default_factory=set)
 
     def entry(self, i: int, j: int) -> TruncSeries:
         cell = self.cells.get((i, j))
@@ -156,7 +190,7 @@ class _Once(dict):
 
 def check_n(n: int) -> None:
     """Sym^0 is a point with no divisor classes, so n starts at 1."""
-    if n < 1:
+    if checked_int(n, "n") < 1:
         raise ValueError("n must be at least 1")
 
 
@@ -177,9 +211,13 @@ def divisor_operator(
     part contracts the three-point series at the s^0 box, which carry the
     table data and mark its gaps. With none, no such series is built and no
     G^{-1} is taken: every beta = 0 value is unknown, so every entry is a
-    gap. Only the entries with a term are stored.
+    gap, and gaps is the rule AllCells. Only the entries with a term are
+    stored. n, r, u_order and each s-order must be ints (not bools): any other
+    type raises TypeError naming the argument.
     """
     check_n(n)
+    check_r(r)
+    checked_int(u_order, "u_order")
     basis = tuple(weighted_partition(wp) for wp in basis)
     if not basis:
         raise ValueError("empty basis")
@@ -188,7 +226,7 @@ def divisor_operator(
     for b in basis:
         for _, label in b:
             check_label(label, r)
-    s_orders = tuple(s_orders)
+    s_orders = tuple(checked_int(s, "an s-order") for s in s_orders)
     if len(s_orders) != r:
         raise ValueError(f"need {r} s-orders, got {len(s_orders)}")
     ell = divisor_index(divisor, r)
@@ -197,7 +235,7 @@ def divisor_operator(
     size = len(basis)
     cells: dict[tuple[int, int], dict] = {}
     if table is None:  # every beta = 0 value is unknown
-        gaps = set(itertools.product(range(size), repeat=2))
+        gaps = AllCells(size)
     else:
         zeros = (0,) * r
         ginv = gram_inverse(basis, r)

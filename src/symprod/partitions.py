@@ -27,22 +27,23 @@ MultiPartition = tuple[Partition, ...]
 ONE: Label = ("1",)
 
 
-def _checked_int(value, what: str = "a part") -> int:
+def checked_int(value, what: str = "a part") -> int:
+    """value itself if it is an int and not a bool, else a TypeError naming what."""
     if isinstance(value, bool) or not isinstance(value, int):  # never truncate with int()
         raise TypeError(f"{what} must be an int, got {type(value).__name__} {value!r}")
     return value
 
 
 def ecurve(i: int) -> Label:
-    return ("E", _checked_int(i, "a label index"))
+    return ("E", checked_int(i, "a label index"))
 
 
 def omega(k: int) -> Label:
-    return ("w", _checked_int(k, "a label index"))
+    return ("w", checked_int(k, "a label index"))
 
 
 def fixedpt(k: int) -> Label:
-    return ("x", _checked_int(k, "a label index"))
+    return ("x", checked_int(k, "a label index"))
 
 
 # label kind -> (sort rank, orbifold degree of its class)
@@ -57,7 +58,7 @@ def label_key(label: Label):
 
 
 def partition(parts) -> Partition:
-    ps = tuple(sorted(map(_checked_int, parts), reverse=True))
+    ps = tuple(sorted(map(checked_int, parts), reverse=True))
     if any(p <= 0 for p in ps):
         raise ValueError("partition parts must be positive")
     return ps
@@ -112,7 +113,7 @@ def pair_key(pair: WeightedPair):
 
 
 def weighted_partition(pairs) -> WeightedPartition:
-    wp = tuple(sorted(((_checked_int(p), label) for p, label in pairs), key=pair_key))
+    wp = tuple(sorted(((checked_int(p), label) for p, label in pairs), key=pair_key))
     if any(p <= 0 for p, _ in wp):
         raise ValueError("weighted-partition parts must be positive")
     return wp

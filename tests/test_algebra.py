@@ -350,6 +350,47 @@ def test_constant_factor_makes_no_gcd(monkeypatch):
     assert f * f == RatFunc2(f.num * f.num, f.den * f.den) and calls
 
 
+_OVER_ONE = [
+    Poly2.zero(),
+    Poly2.one(),
+    Poly2.monomial(0, 0, Fraction(-7, 3)),
+    Poly2.linear(Fraction(2, 3), Fraction(4, 3)),  # content 2/3, kept over 1
+    T1P * T2P - T2P.scale(5),  # not homogeneous, which a numerator may be
+] + [random_poly2(random.Random(seed), terms=4, degree=4) for seed in range(40)]
+
+
+def test_polynomial_over_one_is_the_general_value_with_no_gcd(monkeypatch):
+    import symprod.algebra.ratfunc as ratfunc
+
+    calls = []
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return poly2_gcd(a, b)
+
+    monkeypatch.setattr(ratfunc, "poly2_gcd", counting_gcd)
+    want = [RatFunc2(p, Poly2.one()) for p in _OVER_ONE]
+    assert calls  # the counter sees the general route
+    calls.clear()
+    got = [RatFunc2(p) for p in _OVER_ONE]
+    assert calls == []
+    for p, g, w in zip(_OVER_ONE, got, want):
+        assert (g.num.terms, g.den) == (w.num.terms, w.den), p
+        _same_canonical(g, w)
+    with pytest.raises(TypeError, match="numerator must be a Poly2, got int"):
+        RatFunc2(3)
+
+
+def test_linear_takes_a_fraction_as_it_is():
+    c = Fraction(-5, 6)
+    p = Poly2.linear(c, c)
+    assert p.terms[1, 0] is c and p.terms[0, 1] is c
+    assert p == Poly2({(1, 0): c, (0, 1): c})
+    assert Poly2.linear(0, Fraction(0)).is_zero()
+    assert Poly2.linear(2, 0).terms == {(1, 0): Fraction(2)}
+    assert type(Poly2.linear(2, -1).terms[0, 1]) is Fraction
+
+
 def test_negation_runs_no_fraction_product(monkeypatch):
     values = [
         RatFunc2(T1P.scale(Fraction(2, 3)) + T2P.scale(Fraction(-5, 7)), T1P * T2P),

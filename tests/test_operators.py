@@ -30,6 +30,7 @@ from symprod.algebra import (
     expand_q_closed_form,
 )
 from symprod.operators import (
+    AllCells,
     OperatorMatrix,
     closed_form_matrix_a1n2,
     default_divisor_basis,
@@ -43,7 +44,12 @@ from symprod.operators import (
     zero_degree_table_a1n2,
 )
 from symprod.chenruan import gram_inverse, gram_matrix
-from symprod.errors import DegenerateBasisError, MalformedInputError, UnsupportedWeightError
+from symprod.errors import (
+    DegenerateBasisError,
+    MalformedInputError,
+    ShapeError,
+    UnsupportedWeightError,
+)
 from symprod.invariants import ZeroDegreeTable
 from symprod.partitions import ONE, ecurve, fixedpt, omega, underlying, weighted_partition
 from symprod.surface import chain_degrees, e_chain
@@ -225,6 +231,8 @@ def test_operator_rejects_size_below_one():
             default_divisor_basis(n, 1)
         with pytest.raises(ValueError, match="^n must be at least 1$"):
             divisor_operator(n, 1, "D1", [()], 1, (1,))
+    with pytest.raises(TypeError, match="^n must be an int, got bool True$"):
+        default_divisor_basis(True, 1)
 
 
 def test_default_basis_matches_benchmark_order():
@@ -715,20 +723,19 @@ def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
     import symprod
     import symprod.operators as operators
 
-    theta, to_text = operators._THETA, operators.ratfunc_to_text
+    ratfunc, to_text = operators.RatFunc2, operators.ratfunc_to_text
     built, formatted = [], []
 
-    class CountedTheta:
-        def __mul__(self, c):
-            value = theta * c
-            built.append(value)
-            return value
+    def counted_ratfunc(num):  # the one-argument route: a polynomial over 1
+        value = ratfunc(num)
+        built.append(value)
+        return value
 
     def counted_to_text(f):
         formatted.append(f)
         return to_text(f)
 
-    monkeypatch.setattr(operators, "_THETA", CountedTheta())
+    monkeypatch.setattr(operators, "RatFunc2", counted_ratfunc)
     monkeypatch.setattr(operators, "ratfunc_to_text", counted_to_text)
     symprod.clear_caches()
     basis = default_divisor_basis(2, 3)
@@ -808,6 +815,67 @@ def test_op_matrix_dumps_formats_lists_once_per_distinct_text(monkeypatch):
 def test_divisor_operator_rejects_wrong_number_of_s_orders(s_orders):
     with pytest.raises(ValueError, match=f"^need 2 s-orders, got {len(s_orders)}$"):
         divisor_operator(2, 2, "D1", default_divisor_basis(2, 2), 2, s_orders)
+
+
+@pytest.mark.parametrize("table", [None, ZeroDegreeTable()], ids=["no-table", "table"])
+@pytest.mark.parametrize(
+    "name, value, message",
+    [
+        ("n", 2.0, "n must be an int, got float 2.0"),
+        ("n", True, "n must be an int, got bool True"),
+        ("r", True, "r must be an int, got bool True"),
+        ("r", Fraction(1), "r must be an int, got Fraction Fraction(1, 1)"),
+        ("u_order", 2.0, "u_order must be an int, got float 2.0"),
+        ("u_order", True, "u_order must be an int, got bool True"),
+        ("s_orders", (1.5,), "an s-order must be an int, got float 1.5"),
+        ("s_orders", (True,), "an s-order must be an int, got bool True"),
+    ],
+)
+def test_divisor_operator_rejects_non_int_arguments(name, value, message, table):
+    args = {"n": 2, "r": 1, "u_order": 2, "s_orders": (1,), name: value}
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        divisor_operator(args["n"], args["r"], "D1", default_divisor_basis(2, 1),
+                         args["u_order"], args["s_orders"], table)
+
+
+@pytest.mark.parametrize("u_order, s_orders", [(-1, (1,)), (2, (-1,))])
+def test_divisor_operator_keeps_the_shape_error_for_negative_int_orders(u_order, s_orders):
+    with pytest.raises(ShapeError, match="^truncation orders must be nonnegative$"):
+        divisor_operator(2, 1, "D1", default_divisor_basis(2, 1), u_order, s_orders)
+
+
+_ODD_PROBES = [(0,), (0, 0, 0), (), 0, "ab", None, (0.0, 0), (1.0, 1), (0.5, 0), ("0", 0),
+               frozenset({0}), (-1, 0), (0, -1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 6),
+    st.lists(st.tuples(st.integers(-3, 9), st.integers(-3, 9)), max_size=12),
+)
+def test_all_cells_rule_is_the_built_set(size, probes):
+    rule = AllCells(size)
+    built = {(i, j) for i in range(size) for j in range(size)}
+    assert rule == built and built == rule
+    assert not rule != built and not built != rule
+    assert len(rule) == len(built)
+    assert list(rule) == sorted(built)
+    assert set(rule) == built
+    for cell in [*built, *probes, *_ODD_PROBES, (size, 0), (0, size), (size, size)]:
+        assert (cell in rule) == (cell in built), cell
+    if built:  # a set that misses one cell, or holds one more, is not equal
+        assert rule != built - {(0, 0)} and built - {(0, 0)} != rule
+    assert rule != built | {(size, 0)} and built | {(size, 0)} != rule
+    assert rule - {(0, 0)} == built - {(0, 0)} and type(rule - {(0, 0)}) is set
+
+
+def test_operator_gaps_are_the_rule_without_a_table_and_a_set_with_one():
+    basis = default_divisor_basis(2, 1)
+    op = divisor_operator(2, 1, "D1", basis, 2, (1,))
+    assert isinstance(op.gaps, AllCells) and len(op.gaps) == 25
+    assert op.gaps == set(op.gaps) == {(i, j) for i in range(5) for j in range(5)}
+    full = divisor_operator(2, 1, "D1", basis, 2, (1,), zero_degree_table_a1n2())
+    assert type(full.gaps) is set and not full.gaps
 
 
 _OUT_OF_RANGE = 'divisor {!r} out of range: the divisors are "(2)" and D1..D3'
