@@ -57,6 +57,7 @@ from types import MappingProxyType
 
 from ..errors import EmptyOrderError, ShapeError
 from ..memo import memo
+from ..partitions import checked_int
 from .poly import Poly2, _poly
 from .ratfunc import RatFunc2, _canonical
 
@@ -231,10 +232,10 @@ class TruncSeries:
     __slots__ = ("u_order", "s_orders", "_forms", "_coeffs")
 
     def __init__(self, u_order: int, s_orders, coeffs: dict[Key, RatFunc2] | None = None):
-        if u_order < 0 or any(d < 0 for d in s_orders):
+        self.u_order = checked_int(u_order, "u_order")
+        self.s_orders = tuple(checked_int(d, "an s-order") for d in s_orders)
+        if u_order < 0 or any(d < 0 for d in self.s_orders):
             raise ShapeError("truncation orders must be nonnegative")
-        self.u_order = int(u_order)
-        self.s_orders = tuple(int(d) for d in s_orders)
         clean: dict[Key, RatFunc2] = {}
         if coeffs:
             for (a, ds), c in coeffs.items():

@@ -4,7 +4,10 @@ Subcommands: hurwitz, one-part-hurwitz, two-point, op-matrix,
 verify-a1n2, eigencheck, make-table, each with its handler, help and flags
 in the one table COMMANDS; a call builds only the subparser it names.
 Output is machine-readable (JSON by default; LaTeX and CSV emitters for
-matrices). Exit codes: 0 success, 1 verification mismatch, 2 usage error,
+matrices). op-matrix prints one text to stdout or to the --out file, the
+same bytes either way, from a writer it looks up at each call: a wrapper
+that rebinds a writer in this module, as perfbench/tracing.py does, is the
+one called. Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 3 enumeration budget exceeded.
 """
 
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .errors import PoleAtOriginError, ResourceBudgetError
@@ -32,7 +36,7 @@ from .operators import (
     zero_degree_table_a1n2,
 )
 from .partitions import wp_size
-from .surface import tangent_weights
+from .surface import check_r, tangent_weights
 from .textforms import parse_partition, parse_wp, series_to_json
 
 
@@ -69,7 +73,7 @@ def _cmd_one_part_hurwitz(args) -> int:
 
 
 def _cmd_two_point(args) -> int:
-    tangent_weights(args.r)  # rejects r < 1 before the s-orders are read
+    check_r(args.r)  # rejects r < 1 before the s-orders are read
     check_n(args.n)
     left = parse_wp(args.left)
     right = parse_wp(args.right)
@@ -92,26 +96,19 @@ def _cmd_two_point(args) -> int:
 
 
 def _cmd_op_matrix(args) -> int:
-    tangent_weights(args.r)  # rejects r < 1 before the s-orders are read
+    # rejects r < 1 before the s-orders are read; perfbench/selftest.py counts its gcds
+    tangent_weights(args.r)
     s_orders = _parse_s_orders(args.s_orders, args.r)
     table = _load_table(args.table)
     basis = default_divisor_basis(args.n, args.r)
     op = divisor_operator(
         args.n, args.r, args.divisor, basis, args.u_order, s_orders, table=table
     )
-    if args.format == "latex":
-        text = op_matrix_to_latex(op)
-    elif args.format == "csv":
-        text = op_matrix_to_csv(op)
-    else:
-        text = op_matrix_dumps(op)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
-    else:
-        print(text)
+    # built per call, not at import, so that a rebound op_matrix_dumps is called
+    writers = {"json": op_matrix_dumps, "latex": op_matrix_to_latex, "csv": op_matrix_to_csv}
+    text = writers[args.format](op)
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+        print(text, file=out)
     if op.gaps:
         print(
             f"note: {len(op.gaps)} entries have degree-zero gaps",

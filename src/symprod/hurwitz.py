@@ -148,7 +148,7 @@ def _normalize_profiles(profiles, n: int | None) -> tuple[int, tuple[Partition, 
     if len(sizes) != 1:
         raise ValueError(f"profiles have mixed sizes {sorted(sizes)}")
     size = sizes.pop()
-    if n is not None and n != size:
+    if n is not None and checked_int(n, "n") != size:
         raise ValueError(f"profiles are partitions of {size}, not {n}")
     return size, ps
 

@@ -60,6 +60,7 @@ from .partitions import (
     Partition,
     WeightedPartition,
     aut_order,
+    checked_int,
     ecurve,
     enumerate_sub_splittings,
     pair_key,
@@ -75,8 +76,6 @@ from .textforms import (
     useries_to_json,
     wp_to_text,
 )
-
-_THETA = Poly2.linear(1, 1)  # t1 + t2
 
 DIVISOR_TWO = "(2)"
 TWO_POINT_MARKER = "1"  # table key marker for the beta=0 two-point series
@@ -214,7 +213,8 @@ def connected_two_point(
     if not degs:
         return Poly2.zero()
     _, num, den = degs[0]
-    return _THETA.scale(Fraction(x * num, den) * Fraction(d) ** (a - 1))
+    c = Fraction(x * num, den) * Fraction(d) ** (a - 1)
+    return Poly2.linear(c, c)
 
 
 @memo
@@ -349,7 +349,8 @@ def _scalar_invariant(c: Fraction, a: int, d: int, mu_w: WeightedPartition) -> R
     """(t1+t2) d^(a-1) c / (t1 t2)^k, the invariant at degree (a, d*E_{ij})
     of the scalar c of a pair of insertions with k 1-labels each."""
     k = sum(label == ONE for _, label in mu_w)
-    return RatFunc2(_THETA.scale(c * Fraction(d) ** (a - 1)), Poly2.monomial(k, k))
+    c = c * Fraction(d) ** (a - 1)
+    return RatFunc2(Poly2.linear(c, c), Poly2.monomial(k, k))
 
 
 def disconnected_two_point(
@@ -387,9 +388,10 @@ def two_point_series(
     a <= u_order and all chains d*E_{ij} whose exponent vector fits the
     s-truncation box. The beta = 0 column is intentionally absent.
     """
-    s_orders = tuple(s_orders)
+    s_orders = tuple(checked_int(s, "an s-order") for s in s_orders)
     chains = chain_degrees(s_orders)
-    scalars = two_point_scalars(mu1_w, mu2_w, range(u_order + 1), tuple(chains), len(s_orders))
+    a_values = range(checked_int(u_order, "u_order") + 1)
+    scalars = two_point_scalars(mu1_w, mu2_w, a_values, tuple(chains), len(s_orders))
     coeffs = {
         (a, ds): _scalar_invariant(c, a, d, mu1_w)
         for (a, i, j), c in scalars.items()
@@ -527,6 +529,7 @@ def three_point_divisor_series(
     """
     s_orders = tuple(s_orders)
     check_r(len(s_orders))
+    checked_int(u_order, "u_order")  # "(2)" passes on u_order + 1, an int even for True
     ell = divisor_index(divisor, len(s_orders))
     slot = divisor if ell else TWO_POINT_MARKER
     pairs = table.get(alpha1_w, slot, alpha2_w) if table else None

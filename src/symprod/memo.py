@@ -2,7 +2,9 @@
 
 Every cache in symprod is an unbounded ``functools.lru_cache`` made by
 ``memo``, keyed on hashable, canonical arguments, and registered here so
-that ``clear_caches`` reaches all of them.
+that ``clear_caches`` reaches all of them. The keys are typed: a memoised
+body checks its arguments only on a miss, so 1.0 and True must not find
+the entry of 1.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ _registry: list = []
 
 def memo(fn):
     """fn memoised without bound and registered for ``clear_caches``."""
-    cached = lru_cache(maxsize=None)(fn)
+    cached = lru_cache(maxsize=None, typed=True)(fn)
     _registry.append(cached)
     return cached
 

@@ -67,7 +67,7 @@ def partition(parts) -> Partition:
 @memo
 def partitions_of(n: int) -> tuple[Partition, ...]:
     """All partitions of n, in a fixed deterministic order."""
-    if n < 0:
+    if checked_int(n, "n") < 0:
         raise ValueError("n must be nonnegative")
     out: list[Partition] = []
 
@@ -97,7 +97,7 @@ def aut_order(items: tuple) -> int:
 
 
 def age(lam: Partition, n: int) -> int:
-    if sum(lam) != n:
+    if sum(lam) != checked_int(n, "n"):
         raise ValueError(f"partition {lam} is not a partition of {n}")
     return n - len(lam)
 

@@ -128,6 +128,8 @@ def integrate(alpha: SurfaceClass, beta: SurfaceClass) -> RatFunc2:
 
 def e_chain(i: int, j: int, d: int, r: int) -> CurveClass:
     """d(E_i + ... + E_j) as a coefficient vector on E_1..E_r."""
+    for value, what in ((i, "i"), (j, "j"), (d, "d"), (r, "r")):
+        checked_int(value, what)
     if not (1 <= i <= j <= r):
         raise ValueError(f"chain indices ({i}, {j}) out of range for r = {r}")
     return tuple(d if i <= k <= j else 0 for k in range(1, r + 1))

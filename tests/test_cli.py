@@ -377,6 +377,21 @@ def test_op_matrix_latex_and_csv(tmp_path, capsys):
     assert target.read_text().startswith("row,col,u,s1,coefficient")
 
 
+@pytest.mark.parametrize("fmt", ["json", "latex", "csv"])
+def test_op_matrix_out_file_holds_the_stdout_bytes(tmp_path, capsysbinary, fmt):
+    """--out writes exactly what stdout prints: the text and one newline, also
+    after the CSV's last \\r\\n."""
+    argv = ["op-matrix", "--n", "3", "--r", "2", "--divisor", "(2)", "--u-order", "2",
+            "--s-orders", "1 1", "--format", fmt]
+    assert main(argv) == 0
+    printed = capsysbinary.readouterr().out
+    target = tmp_path / f"matrix.{fmt}"
+    assert main(argv + ["--out", str(target)]) == 0
+    assert capsysbinary.readouterr().out == b""
+    assert target.read_bytes() == printed
+    assert printed.endswith(b"\r\n\n" if fmt == "csv" else b"\n")
+
+
 def test_op_matrix_divisor_out_of_range(capsys):
     code, out, err = run(
         capsys,

@@ -683,6 +683,41 @@ def test_two_point_product_times_gram_is_symmetric(case):
         assert layers == t2.get((j, i), {}), (basis[i], basis[j])
 
 
+@st.composite
+def _reversal_case(draw):
+    """(n, r, l, u_order, s_orders) with s_orders the same reversed."""
+    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    half = draw(st.lists(st.integers(0, 2), min_size=(r + 1) // 2, max_size=(r + 1) // 2))
+    return n, r, draw(st.integers(0, r)), draw(st.integers(0, 2)), tuple(half + half[: r // 2][::-1])
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(_reversal_case())
+@example((3, 2, 1, 2, (1, 1)))
+@example((2, 3, 1, 2, (2, 1, 2)))
+@example((3, 4, 0, 1, (1, 2, 2, 1)))
+def test_operator_commutes_with_the_a_r_reversal(case):
+    """The reversal E_i -> E_{r+1-i} of A_r maps D_l to D_{r+1-l} and (2) to
+    itself. With pi the basis permutation it induces, on a box whose s-orders
+    read the same reversed, M_{D_l}[i, j] is M_{D_{r+1-l}}[pi i, pi j] with
+    its s-exponents reversed, and the same cells hold terms on both sides."""
+    n, r, ell, u_order, s_orders = case
+    basis = default_divisor_basis(n, r)
+    index = {b: k for k, b in enumerate(basis)}
+    pi = [
+        index[weighted_partition(
+            (p, ecurve(r + 1 - label[1]) if label[0] == "E" else label) for p, label in b
+        )]
+        for b in basis
+    ]
+    op = divisor_operator(n, r, f"D{ell}" if ell else "(2)", basis, u_order, s_orders)
+    image = divisor_operator(n, r, f"D{r + 1 - ell}" if ell else "(2)", basis, u_order, s_orders)
+    assert set(image.cells) == {(pi[i], pi[j]) for i, j in op.cells}
+    for (i, j), entry in op.cells.items():
+        want = {(a, ds[::-1]): c for (a, ds), c in image.cells[pi[i], pi[j]].coeffs.items()}
+        assert entry.coeffs == want, (op.divisor, basis[i], basis[j])
+
+
 def _assert_gram_times_operator_is_symmetric(op):
     """G M_D = d_D(T_2) + T_D|_{s=0} is the matrix of three-point series
     <<b_j, D, b_i>>: symmetric when the table is, since both orders of a pair
