@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .poly import _rational
 from .series import TruncSeries
 
 
@@ -32,8 +33,8 @@ class GaussRational:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, TruncSeries) else Fraction(re)
-        self.im = im if isinstance(im, TruncSeries) else Fraction(im)
+        self.re = re if isinstance(re, TruncSeries) else _rational(re, "a part")
+        self.im = im if isinstance(im, TruncSeries) else _rational(im, "a part")
 
     @staticmethod
     def lift(x) -> GaussRational:

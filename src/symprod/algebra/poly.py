@@ -12,9 +12,10 @@ Exact division works on the term dict directly: each step cancels the
 remainder's lex-leading term with a monomial multiple of the divisor.
 
 One private constructor, _poly, wraps a term dict that holds no zero
-coefficient; no other code fills a Poly2's slots. + and - are one merge,
-_merged, a single pass with add or sub, so a difference builds no negated
-copy. +, - and * return NotImplemented for an operand they do not take, so
+coefficient; no other code fills a Poly2's slots. The public constructors
+take int (not bool) or Fraction coefficients and int exponents >= 0.
++ and - are one merge, _merged, a single pass with add or sub, so a
+difference builds no negated copy. +, - and * return NotImplemented for an operand they do not take, so
 a RatFunc2 on either side is left to RatFunc2. Poly2 and Poly1 text share
 one term formatter and one sign joiner.
 """
@@ -26,10 +27,29 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from operator import add, sub
 
+from ..partitions import checked_int
+
 Monomial = tuple[int, int]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+def _rational(value, what: str = "a coefficient") -> Fraction:
+    """value as a Fraction if it is an int (not a bool) or a Fraction, else a
+    TypeError naming it: no float or str is rounded into a rational."""
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} must be an int or a Fraction,"
+                        f" got {type(value).__name__} {value!r}")
+    return Fraction(value)
+
+
+def _exponent(e) -> int:
+    if checked_int(e, "an exponent") < 0:
+        raise ValueError(f"an exponent must be nonnegative, got {e}")
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -40,19 +60,6 @@ def _u_trim(p: list[Fraction]) -> list[Fraction]:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _u_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [_ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b:
-                out[i + j] += a * b
-    return _u_trim(out)
 
 
 def _u_divmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
@@ -98,10 +105,10 @@ class Poly2:
     def __init__(self, terms: dict[Monomial, Fraction] | None = None):
         clean: dict[Monomial, Fraction] = {}
         if terms:
-            for mono, c in terms.items():
-                c = Fraction(c)
+            for (e1, e2), c in terms.items():
+                c = _rational(c)
                 if c:
-                    clean[(int(mono[0]), int(mono[1]))] = c
+                    clean[_exponent(e1), _exponent(e2)] = c
         self.terms = clean
         self._hash: int | None = None
 
@@ -125,17 +132,14 @@ class Poly2:
 
     @classmethod
     def monomial(cls, e1: int, e2: int, c=1) -> Poly2:
-        return cls({(e1, e2): Fraction(c)})
+        return cls({(e1, e2): c})
 
     @classmethod
     def linear(cls, c1, c2) -> Poly2:
         """c1*t1 + c2*t2; a Fraction coefficient is taken as it is."""
-        terms = {}
-        if c1:
-            terms[1, 0] = c1 if type(c1) is Fraction else Fraction(c1)
-        if c2:
-            terms[0, 1] = c2 if type(c2) is Fraction else Fraction(c2)
-        return _poly(terms)
+        c1 = c1 if type(c1) is Fraction else _rational(c1)
+        c2 = c2 if type(c2) is Fraction else _rational(c2)
+        return _poly({mono: c for mono, c in (((1, 0), c1), ((0, 1), c2)) if c})
 
     # -- queries -------------------------------------------------------------
 
@@ -175,7 +179,7 @@ class Poly2:
 
     def __mul__(self, other) -> Poly2:
         if isinstance(other, (int, Fraction)):
-            return self.scale(Fraction(other))
+            return self.scale(_rational(other))
         if not isinstance(other, Poly2):
             return NotImplemented  # a RatFunc2 multiplies a polynomial itself
         out: dict[Monomial, Fraction] = {}
@@ -449,7 +453,7 @@ class Poly1:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(_u_trim([Fraction(c) for c in coeffs]))
+        self.coeffs = tuple(_u_trim([_rational(c) for c in coeffs]))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -462,9 +466,6 @@ class Poly1:
 
     def __hash__(self) -> int:
         return hash(self.coeffs)
-
-    def __mul__(self, other: Poly1) -> Poly1:
-        return Poly1(_u_mul(list(self.coeffs), list(other.coeffs)))
 
     def derivative(self) -> Poly1:
         return Poly1([i * c for i, c in enumerate(self.coeffs)][1:])

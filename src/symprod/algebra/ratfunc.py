@@ -40,7 +40,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..errors import MalformedInputError
-from .poly import Poly2, poly2_divexact, poly2_from_text, poly2_gcd, poly2_to_text
+from .poly import Poly2, _rational, poly2_divexact, poly2_from_text, poly2_gcd, poly2_to_text
 
 
 class RatFunc2:
@@ -84,7 +84,7 @@ class RatFunc2:
 
     @classmethod
     def const(cls, c) -> RatFunc2:
-        return _RF_ONE._scaled(Fraction(c))
+        return _RF_ONE._scaled(_rational(c))
 
     @staticmethod
     def lift(x) -> RatFunc2:

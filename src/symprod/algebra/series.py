@@ -5,13 +5,13 @@ a <= u_order and s_k-exponent d_k <= s_orders[k]. Box truncation commutes
 with ring operations, so products of truncations agree with truncations
 of full products.
 
-Exponents are nonnegative: a key with a negative exponent raises
-ShapeError, and a coefficient that RatFunc2.lift does not take raises
-TypeError. An int or Fraction on either side of +, -, * and ==, or
-divided by a series, is the constant series of that series' shape, so a
-GaussRational can hold series parts next to rational ones; a series of
-another shape raises ShapeError, and a Poly2 or RatFunc2 operand of +, -
-or * raises TypeError.
+Exponents are nonnegative ints: a key with a negative exponent raises
+ShapeError, and a non-int exponent or a coefficient that RatFunc2.lift
+does not take raises TypeError. An int or Fraction on either side of +,
+-, * and ==, or divided by a series, is the constant series of that
+series' shape, so a GaussRational can hold series parts next to rational
+ones; a series of another shape raises ShapeError, and a Poly2 or
+RatFunc2 operand of +, - or * raises TypeError.
 
 The working state is an integer form per coefficient. A per-shape table
 packs each in-box key (a, ds) into one int, u most significant and each
@@ -242,7 +242,7 @@ class TruncSeries:
                 ds = tuple(ds)
                 if len(ds) != len(self.s_orders):
                     raise ShapeError("s-exponent tuple has wrong length")
-                if a < 0 or any(d < 0 for d in ds):
+                if any(checked_int(e, "an exponent") < 0 for e in (a, *ds)):
                     raise ShapeError(f"negative exponent in key {(a, ds)}")
                 if a > self.u_order or any(d > dmax for d, dmax in zip(ds, self.s_orders)):
                     continue

@@ -14,11 +14,11 @@ expansion as the pairing's reference oracle and for the dual classes.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import prod
 from types import MappingProxyType
 
 from .algebra import Poly2, RatFunc2
@@ -30,6 +30,8 @@ from .partitions import (
     MultiPartition,
     WeightedPartition,
     aut_order,
+    divisor_labels,
+    labellings,
     mp_aut_order,
     multipartition,
     underlying,
@@ -208,16 +210,12 @@ def check_whole_blocks(basis, r: int) -> None:
     for block in _blocks(basis):
         elements = [basis[i] for i in block]
         lam = underlying(elements[0])
-        labellings = prod(comb(m + r, r) for m in Counter(lam).values())
-        valid = {
-            weighted_partition(wp)
-            for wp in elements
-            if all(label == ONE or (label[0] == "E" and 1 <= label[1] <= r) for _, label in wp)
-        }
-        if not len(elements) == len(valid) == labellings:
+        whole = set(labellings(lam, divisor_labels(r)))
+        valid = whole.intersection(map(weighted_partition, elements))
+        if not len(elements) == len(valid) == len(whole):
             raise DegenerateBasisError(
                 f"the block of partition {lam} has {len(elements)} elements, {len(valid)} of them "
-                f"distinct labellings by 1, E1..E{r}; the Gram inverse needs all {labellings} once"
+                f"distinct labellings by 1, E1..E{r}; the Gram inverse needs all {len(whole)} once"
             )
 
 

@@ -46,7 +46,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, product
 from math import factorial, gcd, lcm, prod
 from types import MappingProxyType
 
@@ -63,6 +62,7 @@ from .partitions import (
     checked_int,
     ecurve,
     enumerate_sub_splittings,
+    labellings,
     pair_key,
     partitions_of,
     underlying,
@@ -218,39 +218,16 @@ def connected_two_point(
 
 
 @memo
-def _labellings(mu: Partition, i: int, j: int) -> tuple:
-    """The distinct labellings mu_f of the parts of mu by E_i..E_j, each with
-    the number of maps f from the parts to i..j that give it.
-
-    A labelling takes one multiset of labels per block of equal parts, so it
-    is listed once per choice of one combinations_with_replacement per block,
-    in canonical order: blocks by descending part, labels ascending within
-    one. Its count is the product of the blocks' multinomials m! / |Aut|.
-    """
-    labels = [ecurve(e) for e in range(i, j + 1)]
-    blocks = []
-    for part, run in groupby(mu):
-        m = len(tuple(run))
-        blocks.append([
-            (tuple((part, label) for label in combo), factorial(m) // aut_order(combo))
-            for combo in combinations_with_replacement(labels, m)
-        ])
-    return tuple(
-        (tuple(pair for pairs, _ in choice for pair in pairs), prod(count for _, count in choice))
-        for choice in product(*blocks)
-    )
-
-
-@memo
 def _column_terms(theta: WeightedPartition, mu: Partition, i: int, j: int) -> tuple:
-    """The pairs (B, count |Aut B|) for B = theta + mu_f over the distinct
-    labellings mu_f of _labellings(mu, i, j), with count the number of maps f
-    that give mu_f. Both halves are canonical, so B is their merge under
-    pair_key, with no part re-checked."""
+    """The pairs (B, count |Aut B|) for B = theta + nu over the labellings nu
+    of mu by E_i..E_j, with count = |Aut mu| / |Aut nu| the number of maps f
+    from the parts to i..j that give nu. Both halves are canonical, so B is
+    their merge under pair_key, with no part re-checked."""
+    mu_aut = aut_order(mu)
     out = []
-    for labelled, count in _labellings(mu, i, j):
-        b = tuple(sorted(theta + labelled, key=pair_key))
-        out.append((b, count * aut_order(b)))
+    for nu in labellings(mu, tuple(ecurve(e) for e in range(i, j + 1))):
+        b = tuple(sorted(theta + nu, key=pair_key))
+        out.append((b, mu_aut // aut_order(nu) * aut_order(b)))
     return tuple(out)
 
 

@@ -69,12 +69,12 @@ from .invariants import (
 from .memo import memo
 from .partitions import (
     LABEL_KINDS,
-    ONE,
     WeightedPartition,
     age,
     checked_int,
-    ecurve,
+    divisor_labels,
     label_key,
+    labellings,
     partitions_of,
     underlying,
     weighted_partition,
@@ -291,22 +291,12 @@ def divisor_operator(
 # ---------------------------------------------------------------------------
 
 def default_divisor_basis(n: int, r: int) -> list[WeightedPartition]:
-    """All weighted partitions of n with weights in {1, E_1..E_r}, ordered by
-    descending orbifold degree (longer partitions first within a degree)."""
+    """Every labelling by 1, E_1..E_r of every partition of n (partitions.labellings),
+    ordered by descending orbifold degree (longer partitions first within a degree)."""
     check_n(n)
     check_r(r)
-    labels = [ONE] + [ecurve(i) for i in range(1, r + 1)]
-    out = []
-    for lam in partitions_of(n):
-        # one label multiset per part size; distinct choices give distinct elements
-        per_size = [
-            [[(part, lab) for lab in combo]
-             for combo in itertools.combinations_with_replacement(labels, lam.count(part))]
-            for part in set(lam)
-        ]
-        for choice in itertools.product(*per_size):
-            out.append(weighted_partition(pair for pairs in choice for pair in pairs))
-    return sorted(out, key=lambda wp: (-grading(wp, n), -len(wp), wp_to_text(wp)))
+    basis = [nu for lam in partitions_of(n) for nu in labellings(lam, divisor_labels(r))]
+    return sorted(basis, key=lambda wp: (-grading(wp, n), -len(wp), wp_to_text(wp)))
 
 
 def closed_form_matrix_a1n2(q, s1, t1, t2) -> list[list]:
@@ -468,7 +458,7 @@ def verify_a1n2(
 def grading(wp: WeightedPartition, n: int) -> int:
     """Orbifold degree: age plus the sum of the weight degrees."""
     for _, label in wp:
-        label_key(label)  # a ValueError for an unknown label kind
+        label_key(label)  # the label's shape: a ValueError or TypeError if it is wrong
     return age(underlying(wp), n) + sum(LABEL_KINDS[label[0]][1] for _, label in wp)
 
 

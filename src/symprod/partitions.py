@@ -14,7 +14,7 @@ Conventions:
 from __future__ import annotations
 
 from collections import Counter
-from itertools import product
+from itertools import combinations_with_replacement, groupby, product
 
 from .memo import memo
 
@@ -50,11 +50,22 @@ def fixedpt(k: int) -> Label:
 LABEL_KINDS = {"1": (0, 0), "E": (1, 1), "w": (2, 1), "x": (3, 2)}
 
 
+def divisor_labels(r: int) -> tuple[Label, ...]:
+    """The labels 1, E_1..E_r of the divisor basis of A_r, in label_key order."""
+    return (ONE, *(ecurve(i) for i in range(1, r + 1)))
+
+
 def label_key(label: Label):
-    kind = label[0]
+    """The sort key of a label: its kind's rank, then its index (0 for 1). Every
+    pair that weighted_partition sorts passes here, so the label's shape is
+    checked here: ("1",), or E, w or x with one int index. Its range depends on
+    r: surface.check_label checks that."""
+    kind = label[0] if label else None
     if kind not in LABEL_KINDS:
         raise ValueError(f"unknown label kind {kind!r} in label {label!r}; expected 1, E, w or x")
-    return (LABEL_KINDS[kind][0], 0 if kind == "1" else label[1])
+    if len(label) != (1 if kind == "1" else 2):
+        raise ValueError(f"label {label!r} is not ('1',) or a kind E, w or x with one index")
+    return LABEL_KINDS[kind][0], 0 if kind == "1" else checked_int(label[1], "a label index")
 
 
 def partition(parts) -> Partition:
@@ -125,6 +136,23 @@ def wp_size(wp: WeightedPartition) -> int:
 
 def underlying(wp: WeightedPartition) -> Partition:
     return partition(p for p, _ in wp)
+
+
+@memo
+def labellings(lam: Partition, labels: tuple[Label, ...]) -> tuple[WeightedPartition, ...]:
+    """Every labelling of the parts of the partition lam by distinct labels, once each.
+
+    It is one combinations_with_replacement of the labels, sorted by label_key,
+    per block of equal parts, so it is canonical as built. The number of maps
+    from the parts to labels that give the labelling nu is aut_order(lam) //
+    aut_order(nu)."""
+    labels = sorted(labels, key=label_key)
+    blocks = [
+        [tuple((part, label) for label in combo)
+         for combo in combinations_with_replacement(labels, len(tuple(run)))]
+        for part, run in groupby(lam)
+    ]
+    return tuple(tuple(pair for block in choice for pair in block) for choice in product(*blocks))
 
 
 def enumerate_sub_splittings(

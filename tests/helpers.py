@@ -9,17 +9,18 @@ from collections import Counter, defaultdict
 from functools import lru_cache
 from fractions import Fraction
 from itertools import permutations, product
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from symprod.algebra import (
     GaussRational,
+    Poly1,
     Poly2,
     RatFunc2,
     TruncSeries,
     expand_q_closed_form,
     ratfunc_from_text,
 )
-from symprod.algebra.poly import _u_divmod, _u_gcd, _u_mul, _u_trim
+from symprod.algebra.poly import _u_divmod, _u_gcd, _u_trim
 from symprod.chenruan import _integral, expand, gram_inverse, gram_matrix, pairing
 from symprod.cli import _CONFIG, COMMANDS
 from symprod.errors import DegenerateBasisError, OutOfScopeError
@@ -45,7 +46,7 @@ from symprod.partitions import (
     weighted_partition,
     wp_size,
 )
-from symprod.surface import beta_as_chain, check_label, e_dot, tangent_weights
+from symprod.surface import beta_as_chain, check_label, check_r, e_dot, tangent_weights
 from symprod.textforms import parse_wp, series_to_json, wp_to_text
 
 _THETA = Poly2.linear(1, 1)  # t1 + t2
@@ -558,16 +559,18 @@ def sorting_sub_splittings(wp: WeightedPartition) -> list:
     return out
 
 
+def labelling_maps(lam, labels) -> Counter:
+    """Reference partitions.labellings: every map f from the parts of lam to
+    labels, its labelling sorted by weighted_partition, counted by a Counter."""
+    return Counter(weighted_partition(zip(lam, f)) for f in product(labels, repeat=len(lam)))
+
+
 @lru_cache(maxsize=None)
 def map_labellings(mu, i: int, j: int) -> tuple:
-    """Reference invariants._labellings: every map f from the parts of mu to
-    i..j, its labelling sorted by weighted_partition and counted by a
-    Counter, as (labelling, count) in first-seen order."""
-    labelled = Counter(
-        weighted_partition(zip(mu, map(ecurve, f)))
-        for f in product(range(i, j + 1), repeat=len(mu))
-    )
-    return tuple(labelled.items())
+    """Reference partitions.labellings by E_i..E_j, with each labelling's
+    count aut_order(mu) // aut_order(nu): every map f from the parts of mu to
+    i..j, as (labelling, count) in first-seen order."""
+    return tuple(labelling_maps(mu, [ecurve(e) for e in range(i, j + 1)]).items())
 
 
 def fraction_two_point_column(wp: WeightedPartition, a_values, chains) -> dict:
@@ -733,6 +736,25 @@ def _rec_div_content(rec: dict, cont: list) -> dict:
         assert not r, "content division not exact"
         out[d] = q
     return out
+
+
+def _u_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """Product of two dense univariate polynomials, lowest degree first."""
+    if not p or not q:
+        return []
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            if b:
+                out[i + j] += a * b
+    return _u_trim(out)
+
+
+def poly1_product(p: Poly1, q: Poly1) -> Poly1:
+    """p * q; the library needs no product of characteristic polynomials."""
+    return Poly1(_u_mul(list(p.coeffs), list(q.coeffs)))
 
 
 def _u_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
@@ -1078,6 +1100,29 @@ def divisor_labels(r: int) -> list:
 
 def all_labels(r: int) -> list:
     return divisor_labels(r) + [fixedpt(k) for k in range(1, r + 2)]
+
+
+def reference_check_whole_blocks(basis, r: int) -> None:
+    """Reference chenruan.check_whole_blocks: a block holds all prod C(m + r, r)
+    labellings of its partition by 1, E_1..E_r, over the multiplicities m of
+    its parts, once each, with the labels checked by hand."""
+    check_r(r)
+    basis = list(basis)
+    blocks: dict = defaultdict(list)
+    for wp in basis:
+        blocks[underlying(wp)].append(wp)
+    for lam, elements in blocks.items():
+        want = prod(comb(m + r, r) for m in Counter(lam).values())
+        valid = {
+            weighted_partition(wp)
+            for wp in elements
+            if all(label == ONE or (label[0] == "E" and 1 <= label[1] <= r) for _, label in wp)
+        }
+        if not len(elements) == len(valid) == want:
+            raise DegenerateBasisError(
+                f"the block of partition {lam} has {len(elements)} elements, {len(valid)} of them "
+                f"distinct labellings by 1, E1..E{r}; the Gram inverse needs all {want} once"
+            )
 
 
 def random_weighted_partition(rng: random.Random, n: int, labels) -> tuple:

@@ -14,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import (
     conjugate,
     evaluate_ratfunc,
+    poly1_product,
     random_fraction,
     random_homogeneous_poly2,
     random_nonzero_poly2,
@@ -750,6 +751,72 @@ def test_series_rejects_negative_exponent():
             TruncSeries(2, (1,), {key: RatFunc2.one()})
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [
+        ((0, (0.5,)), "an exponent must be an int, got float 0.5"),
+        ((1.0, (0,)), "an exponent must be an int, got float 1.0"),
+        ((True, (0,)), "an exponent must be an int, got bool True"),
+    ],
+)
+def test_series_rejects_an_exponent_that_is_not_an_int(key, message):
+    # (0, (0.5,)) once built s1^0.5, and + or * on it raised a bare KeyError
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        TruncSeries(1, (1,), {key: 1})
+
+
+# each public route from a number into the exact algebra
+_EXACT_BUILDERS = {
+    "Poly2": lambda v: Poly2({(1, 0): v}),
+    "Poly2.monomial": lambda v: Poly2.monomial(1, 0, v),
+    "Poly2.linear-t1": lambda v: Poly2.linear(v, 1),
+    "Poly2.linear-t2": lambda v: Poly2.linear(1, v),
+    "Poly2.__mul__": lambda v: Poly2.t1() * v,
+    "RatFunc2.const": lambda v: RatFunc2.const(v),
+    "Poly1": lambda v: Poly1([1, v]),
+    "GaussRational-re": lambda v: GaussRational(v),
+    "GaussRational-im": lambda v: GaussRational(1, v),
+}
+
+
+@pytest.mark.parametrize("build", sorted(_EXACT_BUILDERS))
+@pytest.mark.parametrize("value", [1.5, 0.1, 0.0, "1/2", True, False, None])
+def test_algebra_constructors_take_exact_numbers_only(build, value):
+    """An int (not a bool) or a Fraction, else a TypeError that names the
+    value: RatFunc2.const(0.1) was 3602879701896397/36028797018963968."""
+    if build == "Poly2.__mul__" and not isinstance(value, bool):
+        with pytest.raises(TypeError):  # no operand route for a float, str or None
+            _EXACT_BUILDERS[build](value)
+        return
+    what = "a part" if build.startswith("GaussRational") else "a coefficient"
+    message = f"{what} must be an int or a Fraction, got {type(value).__name__} {value!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        _EXACT_BUILDERS[build](value)
+
+
+@pytest.mark.parametrize("build", sorted(_EXACT_BUILDERS))
+@pytest.mark.parametrize("value", [2, -3, 0, Fraction(-2, 3)])
+def test_algebra_constructors_keep_ints_and_fractions(build, value):
+    assert _EXACT_BUILDERS[build](value) == _EXACT_BUILDERS[build](Fraction(value))
+
+
+@pytest.mark.parametrize(
+    "terms, error, message",
+    [
+        ({(1.5, 0): 1}, TypeError, "an exponent must be an int, got float 1.5"),
+        ({(0, True): 1}, TypeError, "an exponent must be an int, got bool True"),
+        ({(-1, 0): 1}, ValueError, "an exponent must be nonnegative, got -1"),
+        ({(2, -3): 1}, ValueError, "an exponent must be nonnegative, got -3"),
+    ],
+)
+def test_poly2_rejects_an_exponent_that_is_not_a_nonnegative_int(terms, error, message):
+    # (1.5, 0) was t1, and (-1, 0) t1^-1, which the parser rejects
+    (e1, e2), = terms
+    for build in (lambda: Poly2(terms), lambda: Poly2.monomial(e1, e2)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()
+
+
 def test_series_lincomb_checks_shapes():
     one = TruncSeries.one(*_SHAPE)
     assert TruncSeries.lincomb([], *_SHAPE) == TruncSeries.zero(*_SHAPE)
@@ -1402,7 +1469,7 @@ def test_char_poly_identity_not_squarefree():
     want = Poly1([-1, 1])
     prod = Poly1([1])
     for _ in range(5):
-        prod = prod * want
+        prod = poly1_product(prod, want)
     assert p == prod
 
 
@@ -1412,7 +1479,7 @@ def test_char_poly_distinct_diagonal():
     assert squarefree
     prod = Poly1([1])
     for k in range(1, 6):
-        prod = prod * Poly1([-k, 1])
+        prod = poly1_product(prod, Poly1([-k, 1]))
     assert p == prod
 
 

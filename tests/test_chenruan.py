@@ -18,6 +18,7 @@ from helpers import (
     permutation_pairing,
     random_weighted_partition,
     ratfunc_subs_t2_minus_t1,
+    reference_check_whole_blocks,
     t_weight,
 )
 from symprod.algebra import RatFunc2
@@ -25,6 +26,7 @@ from symprod import clear_caches
 from symprod.chenruan import (
     _dual_entry,
     _matching_sum,
+    check_whole_blocks,
     expand,
     gram_inverse,
     gram_matrix,
@@ -323,6 +325,46 @@ _ONE_ONE = [
 def test_gram_inverse_rejects_a_basis_that_is_not_whole_blocks(basis, message):
     with pytest.raises(DegenerateBasisError, match=message):
         gram_inverse(basis, 1)
+
+
+@st.composite
+def _perturbed_basis(draw):
+    """A default basis of n <= 4, r <= 3, with elements dropped, repeated and
+    foreign ones added (fixed-point, dual-divisor and out-of-range curve
+    labels), each element with its pairs in any order, and the whole in any
+    order."""
+    n, r = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    rng = draw(st.randoms(use_true_random=False))
+    whole = default_divisor_basis(n, r)
+    basis = rng.sample(whole, len(whole) - draw(st.integers(0, 2)))
+    basis += rng.choices(whole, k=draw(st.integers(0, 2)))
+    foreign = all_labels(r) + [omega(1), ecurve(r + 1)]
+    basis += [random_weighted_partition(rng, n, foreign) for _ in range(draw(st.integers(0, 2)))]
+    rng.shuffle(basis)
+    return [tuple(rng.sample(b, len(b))) for b in basis], r
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_perturbed_basis())
+@example((default_divisor_basis(3, 2), 2))
+@example((default_divisor_basis(3, 2)[1:], 2))
+@example((default_divisor_basis(2, 1) + [wp((2, ecurve(2)))], 1))
+@example((default_divisor_basis(2, 2), 1))
+@example(([], 1))
+def test_whole_block_check_is_the_labelling_count_rule(case):
+    """check_whole_blocks compares each block with the set of its partition's
+    labellings by 1, E_1..E_r; it accepts and rejects what the count rule
+    prod C(m + r, r) with labels checked by hand does, with the same message."""
+    basis, r = case
+
+    def outcome(check):
+        try:
+            check(basis, r)
+        except DegenerateBasisError as exc:
+            return str(exc)
+        return None
+
+    assert outcome(check_whole_blocks) == outcome(reference_check_whole_blocks)
 
 
 def test_pairing_matrix_type():

@@ -43,6 +43,7 @@ from symprod.partitions import (
     aut_order,
     ecurve,
     fixedpt,
+    labellings,
     omega,
     partitions_of,
     underlying,
@@ -356,7 +357,8 @@ def test_labellings_match_map_enumeration(case):
     of maps that give it, as counting every map shows; each is canonical,
     and so is every term B of the column terms built on it."""
     mu, i, j = case
-    got = invariants._labellings(mu, i, j)
+    labels = tuple(map(ecurve, range(i, j + 1)))
+    got = tuple((nu, aut_order(mu) // aut_order(nu)) for nu in labellings(mu, labels))
     assert Counter(got) == Counter(map_labellings(mu, i, j))
     assert len(got) == len({labelled for labelled, _ in got})
     assert sum(count for _, count in got) == (j - i + 1) ** len(mu)

@@ -6,10 +6,10 @@ import pytest
 
 from symprod import clear_caches
 from symprod.algebra import TruncSeries
-from symprod.chenruan import expand, gram_matrix, pairing
+from symprod.chenruan import expand, gram_inverse, gram_matrix, pairing
 from symprod.errors import ShapeError
 from symprod.hurwitz import hurwitz
-from symprod.invariants import three_point_divisor_series, two_point_series
+from symprod.invariants import three_point_divisor_series, two_point_column, two_point_series
 from symprod.memo import _registry
 from symprod.operators import default_divisor_basis, divisor_operator, op_matrix_dumps
 from symprod.partitions import ONE, age, ecurve, partitions_of, weighted_partition
@@ -101,3 +101,41 @@ _OUT_OF_RANGE_CALLS = [
 def test_out_of_range_ints_keep_their_errors(fn, args, error, message):
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         fn(*args)
+
+
+def _basis_with(label):
+    """The default basis of n=2, r=1 with every E1 written as label."""
+    return [
+        tuple((p, label if old == ecurve(1) else old) for p, old in b)
+        for b in default_divisor_basis(2, 1)
+    ]
+
+
+# (label, error, message): shapes that label_key rejects, where each once passed
+_BAD_LABELS = [
+    (("E", True), TypeError, "a label index must be an int, got bool True"),
+    (("E", 1.5), TypeError, "a label index must be an int, got float 1.5"),
+    (("E",), ValueError, "label ('E',) is not ('1',) or a kind E, w or x with one index"),
+    (("1", 5), ValueError, "label ('1', 5) is not ('1',) or a kind E, w or x with one index"),
+]
+
+_LABEL_CALLS = {
+    "divisor_operator": lambda basis: divisor_operator(2, 1, "D1", basis, 1, (1,)),
+    "gram_inverse": lambda basis: gram_inverse(basis, 1),
+    "two_point_column": lambda basis: two_point_column(basis[0], (1, 2), ((1, 1),)),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("call", sorted(_LABEL_CALLS))
+@pytest.mark.parametrize(
+    "label, error, message", _BAD_LABELS, ids=[repr(case[0]) for case in _BAD_LABELS]
+)
+def test_label_shape_checks_hold_whatever_a_cache_holds(call, label, error, message, warm):
+    """("E", True) equals ("E", 1) and hashes as it does, so a memo keyed on a
+    weighted partition finds the E1 entry; the shape check runs before any."""
+    clear_caches()
+    if warm:
+        _LABEL_CALLS[call](default_divisor_basis(2, 1))
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _LABEL_CALLS[call](_basis_with(label))

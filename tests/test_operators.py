@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import (
+    all_weighted_partitions,
     diff_every_entry_report,
+    divisor_labels,
     nonzero_degree_ok,
     op_matrix_from_json,
     op_matrix_to_json,
@@ -43,7 +45,7 @@ from symprod.operators import (
     verify_a1n2,
     zero_degree_table_a1n2,
 )
-from symprod.chenruan import gram_inverse, gram_matrix
+from symprod.chenruan import check_whole_blocks, gram_inverse, gram_matrix
 from symprod.errors import (
     DegenerateBasisError,
     MalformedInputError,
@@ -245,6 +247,40 @@ def test_default_basis_matches_benchmark_order():
         weighted_partition([(2, ONE)]),
         weighted_partition([(1, ONE), (1, ONE)]),
     ]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_default_basis_is_every_weighted_partition_by_the_divisor_labels(n, r):
+    assert sorted(default_divisor_basis(n, r)) == all_weighted_partitions(n, divisor_labels(r))
+
+
+@pytest.mark.parametrize(
+    "n, r, size", [(12, 1, 1165), (7, 3, 1240), (6, 4, 1265), (13, 1, 1770), (8, 3, 2580)]
+)
+def test_default_basis_sizes_of_the_large_rows(n, r, size):
+    basis = default_divisor_basis(n, r)
+    assert len(basis) == len(set(basis)) == size
+
+
+@pytest.mark.parametrize("index", [1.5, True])
+def test_a_basis_with_a_non_int_label_index_is_rejected(index):
+    """With every E1 of the n=2 r=2 basis written ("E", 1.5), the whole-block
+    check once passed (1.5 lies in 1..2) and the operator held 6 cells where
+    the real basis gives 27, with no error; ("E", True) printed as ETrue."""
+    basis = [
+        tuple((p, ("E", index) if label == ecurve(1) else label) for p, label in b)
+        for b in default_divisor_basis(2, 2)
+    ]
+    message = f"^a label index must be an int, got {type(index).__name__} {index!r}$"
+    for build in (
+        lambda: divisor_operator(2, 2, "D1", basis, 1, (1, 1)),
+        lambda: check_whole_blocks(basis, 2),
+        lambda: gram_inverse(basis, 2),
+    ):
+        with pytest.raises(TypeError, match=message):
+            build()
+    assert len(divisor_operator(2, 2, "D1", default_divisor_basis(2, 2), 1, (1, 1)).cells) == 27
 
 
 def test_grading_preserved_and_signs():

@@ -11,6 +11,7 @@ from helpers import (
     all_labels,
     centralizer_order,
     counter_aut_order,
+    labelling_maps,
     random_weighted_partition,
     sorting_sub_splittings,
 )
@@ -22,9 +23,12 @@ from symprod.partitions import (
     ecurve,
     enumerate_sub_splittings,
     fixedpt,
+    label_key,
+    labellings,
     omega,
     partition,
     partitions_of,
+    underlying,
     weighted_partition,
     wp_size,
 )
@@ -68,6 +72,33 @@ def test_weighted_partition_rejects_unknown_label_kind():
         weighted_partition([(2, ("y", 1))])
     with pytest.raises(ValueError, match="unknown label kind 'y'"):
         weighted_partition([(1, ONE), (1, ("y", 1))])
+
+
+@pytest.mark.parametrize(
+    "label, error, message",
+    [
+        (("E", True), TypeError, "a label index must be an int, got bool True"),
+        (("E", 1.5), TypeError, "a label index must be an int, got float 1.5"),
+        (("w", "2"), TypeError, "a label index must be an int, got str '2'"),
+        (("E",), ValueError, "label ('E',) is not ('1',) or a kind E, w or x with one index"),
+        (("1", 5), ValueError, "label ('1', 5) is not ('1',) or a kind E, w or x with one index"),
+        (("x", 1, 2), ValueError,
+         "label ('x', 1, 2) is not ('1',) or a kind E, w or x with one index"),
+        ((), ValueError, "unknown label kind None in label (); expected 1, E, w or x"),
+    ],
+)
+def test_label_key_checks_the_shape_of_a_label(label, error, message):
+    """A label reaches every weighted partition through label_key, so its shape
+    is checked there: ("E", True) had printed as ETrue, ("1", 5) as 1, and
+    ("E",) raised a bare IndexError."""
+    for build in (
+        lambda: label_key(label),
+        lambda: weighted_partition([(2, label)]),
+        lambda: weighted_partition([(1, ONE), (1, label)]),
+    ):
+        with pytest.raises(error) as caught:
+            build()
+        assert str(caught.value) == message
 
 
 def test_aut_order_examples():
@@ -205,3 +236,38 @@ def test_splittings_are_built_in_canonical_order(wp):
         assert type(theta) is tuple and type(nu) is tuple
         assert weighted_partition(theta) == theta
         assert weighted_partition(nu) == nu
+
+
+@st.composite
+def _labelling_case(draw):
+    """A partition of n <= 7 and distinct labels of all_labels(r), r <= 3, in any
+    order, with at most 4,096 maps from the parts to the labels."""
+    lam = draw(st.sampled_from(partitions_of(draw(st.integers(0, 7)))))
+    pool = all_labels(draw(st.integers(1, 3)))
+    most = max(k for k in range(len(pool) + 1) if k ** len(lam) <= 4096)
+    labels = draw(st.permutations(pool))[: draw(st.integers(0, most))]
+    return lam, tuple(labels)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(_labelling_case())
+@example(((1,) * 7, (fixedpt(3), ONE, ecurve(2))))
+@example(((2, 2, 1, 1, 1, 1), tuple(all_labels(1))))
+@example(((3, 2, 2), tuple(reversed(all_labels(3)))))
+@example(((), ()))
+@example(((2, 1), ()))
+def test_labellings_are_every_map_labelling_once(case):
+    """labellings lists each labelling that some map from the parts to the
+    labels gives, once, canonical as built and over lam itself; the maps that
+    give nu number aut_order(lam) // aut_order(nu), so they sum to
+    len(labels) ** len(lam)."""
+    lam, labels = case
+    got = labellings(lam, labels)
+    assert len(set(got)) == len(got)
+    for nu in got:
+        assert weighted_partition(nu) == nu
+        assert underlying(nu) == lam
+    maps = labelling_maps(lam, labels)
+    assert set(got) == set(maps)
+    assert {nu: aut_order(lam) // aut_order(nu) for nu in got} == maps
+    assert sum(aut_order(lam) // aut_order(nu) for nu in got) == len(labels) ** len(lam)
