@@ -127,9 +127,9 @@ class RatFunc2:
         return RatFunc2.lift(other) - self
 
     def __mul__(self, other) -> RatFunc2:
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             return self._scaled(other)
-        other = RatFunc2.lift(other)
+        other = RatFunc2.lift(other)  # a bool raises TypeError, as a coefficient
         if other.is_const():
             return self._scaled(other.num.const_value())
         if self.is_const():

@@ -9,9 +9,10 @@ Exponents are nonnegative ints: a key with a negative exponent raises
 ShapeError, and a non-int exponent or a coefficient that RatFunc2.lift
 does not take raises TypeError. An int or Fraction on either side of +,
 -, * and ==, or divided by a series, is the constant series of that
-series' shape, so a GaussRational can hold series parts next to rational
-ones; a series of another shape raises ShapeError, and a Poly2 or
-RatFunc2 operand of +, - or * raises TypeError.
+series' shape (a bool raises TypeError, as it does as a coefficient), so
+a GaussRational can hold series parts next to rational ones; a series of
+another shape raises ShapeError, and a Poly2 or RatFunc2 operand of +, -
+or * raises TypeError.
 
 The working state is an integer form per coefficient. A per-shape table
 packs each in-box key (a, ds) into one int, u most significant and each
@@ -58,7 +59,7 @@ from types import MappingProxyType
 from ..errors import EmptyOrderError, ShapeError
 from ..memo import memo
 from ..partitions import checked_int
-from .poly import Poly2, _poly
+from .poly import Poly2, _poly, _rational
 from .ratfunc import RatFunc2, _canonical
 
 Key = tuple[int, tuple[int, ...]]
@@ -323,9 +324,10 @@ class TruncSeries:
         return _series(self.u_order, self.s_orders, forms)
 
     def _lift(self, other):
-        """An int or Fraction as a constant series of this shape; anything else as is."""
+        """An int or Fraction as a constant series of this shape (a bool raises
+        TypeError in poly._rational); anything else as is."""
         if isinstance(other, (int, Fraction)):
-            num, den = other.as_integer_ratio()
+            num, den = _rational(other).as_integer_ratio()
             return self._with_forms({0: (None, den, {(0, 0): num})} if num else {})
         return other
 
@@ -413,8 +415,8 @@ class TruncSeries:
         return out._with_forms(_collect(groups))
 
     def scale(self, value) -> TruncSeries:
-        if not isinstance(value, (int, Fraction)):
-            c = RatFunc2.lift(value)
+        if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+            c = RatFunc2.lift(value)  # a bool raises TypeError, as a coefficient
             if not c.is_const():
                 return self * TruncSeries.const(c, self.u_order, self.s_orders)
             value = c.num.const_value()

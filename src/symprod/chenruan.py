@@ -100,14 +100,14 @@ def pairing(wp1: WeightedPartition, wp2: WeightedPartition, r: int) -> RatFunc2:
     """
     if wp_size(wp1) != wp_size(wp2):
         raise ValueError("weighted partitions of different sizes")
+    for _, label in wp1 + wp2:  # before the memo, which finds ("E", True) under ("E", 1)
+        check_label(label, r)
     # the pairing is symmetric, so one entry serves both orders
     return _matching_sum(wp1, wp2, r) if wp1 <= wp2 else _matching_sum(wp2, wp1, r)
 
 
 @memo
 def _matching_sum(wp1: WeightedPartition, wp2: WeightedPartition, r: int) -> RatFunc2:
-    for _, label in wp1 + wp2:
-        check_label(label, r)
     if underlying(wp1) != underlying(wp2):
         return RatFunc2.zero()
     total = RatFunc2.one()

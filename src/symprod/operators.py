@@ -30,10 +30,15 @@ matrix stores only the entries that hold a term.
 op_matrix_dumps writes the op-matrix JSON text directly from the
 OperatorMatrix. Its bytes are those of json.dumps(indent=1,
 sort_keys=True) over the nested-dict oracle in tests/helpers.py, without
-running the json module's pure-Python indent encoder. The writers read only
-the stored cells. The CLI looks its writer up at each call, not in a table
-built at import, so a wrapper that rebinds op_matrix_dumps in symprod.cli
-(the bench's traced layer) is the one that runs."""
+running the json module's pure-Python indent encoder, and its Python work is
+per row and per term, never per cell: a run of entries with no term in a row
+is one str.join of per-column texts, a row's gaps are one str.join (AllCells
+gives them by its rule, never as N^2 tuples), and a term's text comes from
+two memos, so the divisors of one session format each coefficient and each
+key once. The writers read only the stored cells. The CLI looks its writer
+up at each call, not in a table built at import, so a wrapper that rebinds
+op_matrix_dumps in symprod.cli (the bench's traced layer) is the one that
+runs."""
 
 from __future__ import annotations
 
@@ -215,7 +220,9 @@ def divisor_operator(
     G^{-1} is taken: every beta = 0 value is unknown, so every entry is a
     gap, and gaps is the rule AllCells. Only the entries with a term are
     stored. n, r, u_order and each s-order must be ints (not bools): any other
-    type raises TypeError naming the argument.
+    type raises TypeError naming the argument. "(2)" is the class of the
+    twisted sector, which n = 1 lacks, so it raises ValueError there; D<l>
+    at n = 1 gives the operators of A_r itself.
     """
     check_n(n)
     check_r(r)
@@ -232,6 +239,8 @@ def divisor_operator(
     if len(s_orders) != r:
         raise ValueError(f"need {r} s-orders, got {len(s_orders)}")
     ell = divisor_index(divisor, r)
+    if not ell and n == 1:
+        raise ValueError('divisor "(2)" needs n >= 2, got n = 1: Sym^1(A_r) has no twisted sector')
     for b in basis:  # the weight rule of every pair, checked once per element
         _check_pair(b, b, r)
     size = len(basis)
@@ -541,6 +550,45 @@ def _json_list(texts, depth: int) -> str:
     return "[" + inner + ("," + inner).join(texts) + "\n" + " " * depth + "]"
 
 
+@memo
+def _term_head(value: RatFunc2) -> str:
+    """A term's text up to its s-list, from its coefficient: once per distinct
+    value per process, so the divisors of one basis share it."""
+    return '{\n     "coeff": %s,\n     "s": ' % encode_basestring_ascii(ratfunc_to_text(value))
+
+
+@memo
+def _term_tail(key: tuple) -> str:
+    """A term's text from its s-list on, once per distinct (u, s-exponents) key."""
+    a, ds = key
+    return '%s,\n     "u": %d\n    }' % (_json_list(["%d" % d for d in ds], 5), a)
+
+
+_SEP = ",\n  "  # between two items of the entries or the gaps list
+
+
+def _gap_columns(gaps) -> list:
+    """Each row that holds a gap, as (i, the 1-based texts of its gap columns in
+    order). AllCells gives every row the one list of all its columns, by its
+    rule, and never yields its N^2 cells."""
+    if isinstance(gaps, AllCells):
+        every = ["%d" % (j + 1) for j in gaps._range]
+        return [(i, every) for i in gaps._range]
+    rows: dict[int, list[str]] = {}
+    for i, j in sorted(gaps):
+        rows.setdefault(i, []).append("%d" % (j + 1))
+    return list(rows.items())
+
+
+def _closed(chunks: list) -> list:
+    """chunks, each item of a top-level list followed by _SEP, as the chunks of
+    that list's text: the last item takes no separator."""
+    if not chunks:
+        return ["[]"]
+    chunks[-1] = chunks[-1][: -len(_SEP)]
+    return ["[\n  ", *chunks, "\n ]"]
+
+
 def op_matrix_dumps(op: OperatorMatrix) -> str:
     """The op-matrix JSON text, written directly.
 
@@ -548,41 +596,54 @@ def op_matrix_dumps(op: OperatorMatrix) -> str:
     nested dict that the tests' oracle builds: keys in sorted order, one
     space of indent per depth, strings escaped by the json module's ASCII
     escaper and integers by %d. Every entry takes the matrix's truncation
-    orders, through one entry template, and an absent cell has no terms.
-    A term's text is the head of its coefficient value, formatted once per
-    distinct value, then the tail of its (u, s-exponents) key, formatted once
-    per distinct key from one list text per distinct s-exponent tuple; an
-    entry's own text is one % format, and so is a gap's. Each row's entries
-    are joined before the document join, so no list of all N^2 entry texts
-    is held at once.
+    orders, and an absent cell has no terms.
+
+    The Python work is per row and per term, never per cell. An entry is its
+    column's text, then its row's, so a run of entries with no term in a row
+    is one str.join of the column texts, glued by the row's empty-entry text
+    and the separator. A row's gaps are one str.join of its gap columns,
+    which AllCells gives by its rule. A stored cell sorts its keys only, and
+    a term's text is _term_head of its value plus _term_tail of its key. The
+    document is one join of all these chunks, so no list's text is built
+    and then copied again.
     """
-    heads = _Once(
-        lambda f: '{\n     "coeff": %s,\n     "s": ' % encode_basestring_ascii(ratfunc_to_text(f))
-    )
-    s_texts = _Once(lambda ds: _json_list(["%d" % d for d in ds], 5))
-    tails = _Once(lambda key: '%s,\n     "u": %d\n    }' % (s_texts[key[1]], key[0]))
-    template = (
-        '{\n   "col": %%d,\n   "row": %%d,\n   "s_orders": %s,\n   "terms": %%s,'
-        '\n   "u_order": %d\n  }' % (_json_list(["%d" % d for d in op.s_orders], 3), op.u_order)
-    )
     size, cells = op.size(), op.cells
-    rows = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            cell = cells.get((i, j))
-            terms = "[]"
-            if cell is not None:
-                terms = _json_list(
-                    [heads[value] + tails[key] for key, value in sorted(cell.coeffs.items())], 3
-                )
-            row.append(template % (j + 1, i + 1, terms))
-        rows.append(",\n  ".join(row))
-    gaps = ["[\n   %d,\n   %d\n  ]" % (i + 1, j + 1) for i, j in sorted(op.gaps)]
-    return (
-        '{\n "basis": %s,\n "divisor": %s,\n "entries": %s,\n "gaps": %s,'
-        '\n "n": %d,\n "r": %d,\n "s_orders": %s,\n "u_order": %d\n}'
-        % (_json_list([encode_basestring_ascii(wp_to_text(b)) for b in op.basis], 1),
-           encode_basestring_ascii(op.divisor), _json_list(rows, 1), _json_list(gaps, 1),
-           op.n, op.r, _json_list(["%d" % d for d in op.s_orders], 1), op.u_order)
+    numbers = ["%d" % k for k in range(1, size + 1)]
+    cols = ['{\n   "col": %s,\n   "row": ' % k for k in numbers]
+    middle = ',\n   "s_orders": %s,\n   "terms": ' % _json_list(
+        ["%d" % d for d in op.s_orders], 3
     )
+    end = ',\n   "u_order": %d\n  }' % op.u_order
+    stored: dict[int, list[int]] = {}
+    for i, j in sorted(cell for cell, series in cells.items() if series.coeffs):
+        stored.setdefault(i, []).append(j)
+    entries = []  # every entry followed by _SEP
+    for i in range(size):
+        row = numbers[i] + middle
+        glue = row + "[]" + end + _SEP  # an entry with no term, after its column's text
+        start = 0
+        for j in stored.get(i, ()):
+            if start < j:
+                entries += (glue.join(cols[start:j]), glue)
+            coeffs = cells[i, j].coeffs
+            terms = [_term_head(coeffs[key]) + _term_tail(key) for key in sorted(coeffs)]
+            entries += (cols[j], row, "[\n    ", ",\n    ".join(terms), "\n   ]", end, _SEP)
+            start = j + 1
+        if start < size:
+            entries += (glue.join(cols[start:]), glue)
+    gaps = []  # every gap followed by _SEP
+    for i, columns in _gap_columns(op.gaps):
+        pre = "[\n   %d,\n   " % (i + 1)
+        gaps += (pre, ("\n  ]" + _SEP + pre).join(columns), "\n  ]" + _SEP)
+    return "".join([
+        '{\n "basis": %s,\n "divisor": %s,\n "entries": ' % (
+            _json_list([encode_basestring_ascii(wp_to_text(b)) for b in op.basis], 1),
+            encode_basestring_ascii(op.divisor),
+        ),
+        *_closed(entries),
+        ',\n "gaps": ',
+        *_closed(gaps),
+        ',\n "n": %d,\n "r": %d,\n "s_orders": %s,\n "u_order": %d\n}' % (
+            op.n, op.r, _json_list(["%d" % d for d in op.s_orders], 1), op.u_order
+        ),
+    ])

@@ -14,7 +14,7 @@ from types import MappingProxyType
 
 from .errors import MalformedInputError, UnsupportedWeightError
 from .memo import memo
-from .partitions import Label, checked_int
+from .partitions import Label, checked_int, label_key
 from .algebra import Poly2, RatFunc2
 
 CurveClass = tuple[int, ...]
@@ -76,7 +76,14 @@ _LABEL_INDEX = {
 
 
 def check_label(label: Label, r: int) -> None:
-    """Reject a fixed-point, curve or dual-divisor index out of range for A_r."""
+    """Reject a label of the wrong shape (partitions.label_key; the error names
+    the label), or with a fixed-point, curve or dual-divisor index out of range
+    for A_r. ("E", True) equals ("E", 1) and hashes as it does, so a memo keyed
+    on a label finds the E1 entry: call this before any memo, not in one."""
+    try:
+        label_key(label)
+    except TypeError as exc:
+        raise TypeError(f"label {label!r}: {exc}") from None
     spec = _LABEL_INDEX.get(label[0])
     if spec is None:
         return
@@ -87,9 +94,11 @@ def check_label(label: Label, r: int) -> None:
         )
 
 
-@memo
 def class_of(label: Label, r: int) -> SurfaceClass:
-    """Localized class of a weight label (identity, E_i, omega_k, [x_k])."""
+    """Localized class of a weight label (identity, E_i, omega_k, [x_k]).
+
+    Not memoised, so the label check runs on every call; its callers, the
+    surface integral and the fixed-point expansion, are memoised."""
     check_label(label, r)
     w = tangent_weights(r)
     zero = RatFunc2.zero()
@@ -104,12 +113,10 @@ def class_of(label: Label, r: int) -> SurfaceClass:
         i = label[1]
         coords[i - 1] = RatFunc2(w[i - 1][0])
         coords[i] = RatFunc2(w[i][1])
-    elif kind == "w":  # sum_m c_m E_m, one fixed point at a time
+    else:  # "w", the last kind check_label takes: sum_m c_m E_m, one fixed point at a time
         coeffs = omega_coefficients(r)[label[1] - 1]
         curves = [class_of(("E", m), r) for m in range(1, r + 1)]
         coords = [sum((c * e[k] for c, e in zip(coeffs, curves) if c), zero) for k in range(r + 1)]
-    else:
-        raise UnsupportedWeightError(f"no localized class for label {label!r}")
     return tuple(coords)
 
 

@@ -794,6 +794,31 @@ def test_algebra_constructors_take_exact_numbers_only(build, value):
         _EXACT_BUILDERS[build](value)
 
 
+_BOOL_OPERANDS = {
+    "series + b": lambda s, b: s + b,
+    "b + series": lambda s, b: b + s,
+    "series - b": lambda s, b: s - b,
+    "b - series": lambda s, b: b - s,
+    "series * b": lambda s, b: s * b,
+    "b * series": lambda s, b: b * s,
+    "series.scale(b)": lambda s, b: s.scale(b),
+    "series == b": lambda s, b: s == b,
+    "b / series": lambda s, b: b / s,
+    "ratfunc * b": lambda s, b: RatFunc2.one() * b,
+    "b * ratfunc": lambda s, b: b * RatFunc2.one(),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("op", sorted(_BOOL_OPERANDS))
+def test_a_bool_operand_is_not_a_number(op, value):
+    """TruncSeries.one(1, (1,)) + True had constant term 2, and a series or a
+    RatFunc2 times True was itself: a bool is no coefficient, so no operand."""
+    message = f"a coefficient must be an int or a Fraction, got bool {value!r}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        _BOOL_OPERANDS[op](TruncSeries.one(1, (1,)), value)
+
+
 @pytest.mark.parametrize("build", sorted(_EXACT_BUILDERS))
 @pytest.mark.parametrize("value", [2, -3, 0, Fraction(-2, 3)])
 def test_algebra_constructors_keep_ints_and_fractions(build, value):

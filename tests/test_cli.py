@@ -94,6 +94,22 @@ def test_hurwitz_subcommands_reject_stray_flags(capsys, argv):
     assert captured.out == "" and "Traceback" not in captured.err
 
 
+_TWO_AT_N1 = 'error: divisor "(2)" needs n >= 2, got n = 1: Sym^1(A_r) has no twisted sector'
+
+
+@pytest.mark.parametrize("table", [[], ["--table", "a1n2"]], ids=["no-table", "table"])
+def test_op_matrix_rejects_the_twisted_divisor_at_n_1(capsys, table):
+    """[Sym^1(A_r)] is A_r, with no twisted sector: "(2)" once exited 0 with every
+    cell a gap. The D_l at n = 1 are the operators of A_r and still print."""
+    argv = ["op-matrix", "--n", "1", "--r", "2", "--u-order", "1", "--s-orders", "1"]
+    code, out, err = run(capsys, *argv, "--divisor", "(2)", *table)
+    assert code == 2 and out == ""
+    assert err.splitlines() == [_TWO_AT_N1]
+    for divisor in ("D1", "D2"):
+        code, out, _ = run(capsys, *argv, "--divisor", divisor, *table)
+        assert code == 0 and json.loads(out)["divisor"] == divisor
+
+
 def test_one_part_hurwitz_negative_b_error_line(capsys):
     code, out, err = run(capsys, "one-part-hurwitz", "--sigma", "1+1", "--k", "2", "--b", "-1")
     assert code == 2 and out == ""

@@ -139,3 +139,28 @@ def test_label_shape_checks_hold_whatever_a_cache_holds(call, label, error, mess
         _LABEL_CALLS[call](default_divisor_basis(2, 1))
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         _LABEL_CALLS[call](_basis_with(label))
+
+
+_SHAPE_CALLS = {
+    "pairing": lambda label: pairing(((2, label),), ((2, label),), 2),
+    "class_of": lambda label: class_of(label, 2),
+}
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("call", sorted(_SHAPE_CALLS))
+@pytest.mark.parametrize(
+    "label, error, message", _BAD_LABELS, ids=[repr(case[0]) for case in _BAD_LABELS]
+)
+def test_pairing_and_class_of_check_label_shapes_whatever_a_cache_holds(call, label, error,
+                                                                        message, warm):
+    """pairing(2(E True), 2(E True), 1) returned -1, the value of 2(E1), and
+    class_of(("E", 1.5), 2) raised a bare tuple-index TypeError: both index
+    ranges pass, so the shape is checked before the memos, and the error
+    names the label."""
+    clear_caches()
+    if warm:
+        _SHAPE_CALLS[call](ecurve(1))
+    with pytest.raises(error) as caught:
+        _SHAPE_CALLS[call](label)
+    assert repr(label) in str(caught.value) and message in str(caught.value)

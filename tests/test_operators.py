@@ -426,25 +426,42 @@ def test_op_matrix_json_pinned():
 _ESCAPED_DIVISOR = 'D"\\\u00e9'  # a quote, a backslash and a non-ASCII character
 
 
+def _row_columns(pattern: str, size: int, rng: random.Random) -> list:
+    """The columns of a row that hold a term, by the row's pattern."""
+    if pattern == "random":
+        return [j for j in range(size) if rng.random() < 0.75]
+    return {
+        "none": [], "full": list(range(size)),
+        "first": [0], "last": [size - 1], "ends": sorted({0, size - 1}),
+    }[pattern]
+
+
 @st.composite
 def _op_matrices(draw):
     """OperatorMatrix values built directly: any basis prefix, random rational
-    entries of the matrix's shape (some cells absent) and any gap set."""
+    entries of the matrix's shape, and any gap set, the rule AllCells among
+    them. Each row holds its terms at random columns, at none, at every
+    column, or only at its first or last column or both, so that the runs of
+    entries with no term start and end at the row's edges."""
     n, r = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     full = default_divisor_basis(n, r)
     basis = tuple(draw(st.permutations(full))[: draw(st.integers(1, min(6, len(full))))])
+    size = len(basis)
     u_order = draw(st.integers(0, 2))
     s_orders = tuple(draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)))
     rng = random.Random(draw(st.integers(0, 2**16)))
-    cells = [(i, j) for i in range(len(basis)) for j in range(len(basis))]
+    patterns = ["random", "none", "full", "first", "last", "ends"]
+    rows = draw(st.lists(st.sampled_from(patterns), min_size=size, max_size=size))
     stored = {}
-    for cell in cells:
-        if rng.choice(["empty", "series", "series", "series"]) == "series":
+    for i, pattern in enumerate(rows):
+        for j in _row_columns(pattern, size, rng):
             series = random_series(rng, u_order, s_orders, ratfunc=True)
-            if series.coeffs:
-                stored[cell] = series
-    share = draw(st.sampled_from([0.0, 0.3, 1.0]))  # no gaps, some or all
-    gaps = {cell for cell in cells if rng.random() < share}
+            while not series.coeffs:
+                series = random_series(rng, u_order, s_orders, ratfunc=True)
+            stored[i, j] = series
+    cells = [(i, j) for i in range(size) for j in range(size)]
+    share = draw(st.sampled_from([0.0, 0.3, 1.0, "rule"]))  # no gaps, some, all, or the rule
+    gaps = AllCells(size) if share == "rule" else {cell for cell in cells if rng.random() < share}
     divisor = draw(st.sampled_from(["(2)", "D1", _ESCAPED_DIVISOR]))
     return OperatorMatrix(n, r, divisor, basis, u_order, s_orders, stored, gaps)
 
@@ -458,6 +475,20 @@ def _op_matrices(draw):
 )
 def test_op_matrix_dumps_matches_reference(op):
     assert op_matrix_dumps(op) == reference_op_matrix_dumps(op)
+
+
+def test_op_matrix_dumps_never_iterates_the_gap_rule(monkeypatch):
+    """The rule AllCells gives every column of every row by itself; the writer
+    never asks it for its N^2 cells."""
+    op = divisor_operator(3, 2, "D1", default_divisor_basis(3, 2), 2, (1, 1))
+    assert isinstance(op.gaps, AllCells) and op.cells
+    want = reference_op_matrix_dumps(op)  # the oracle sorts the cells themselves
+
+    def refuse(self):
+        raise AssertionError("the writer iterated AllCells")
+
+    monkeypatch.setattr(AllCells, "__iter__", refuse)
+    assert op_matrix_dumps(op) == want
 
 
 def test_op_matrix_dumps_runs_no_pure_python_encoder(monkeypatch):
@@ -513,7 +544,7 @@ def _operator_case(draw):
         )
     )
     basis = draw(st.permutations([b for k in chosen for b in blocks[k]]))
-    ell = draw(st.integers(0, r))
+    ell = draw(st.integers(0 if n > 1 else 1, r))  # "(2)" needs n >= 2
     divisor = f"D{ell}" if ell else "(2)"
     u_order = draw(st.integers(0, 2))
     s_orders = tuple(draw(st.lists(st.integers(0, 2), min_size=r, max_size=r)))
@@ -724,7 +755,8 @@ def _reversal_case(draw):
     """(n, r, l, u_order, s_orders) with s_orders the same reversed."""
     n, r = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     half = draw(st.lists(st.integers(0, 2), min_size=(r + 1) // 2, max_size=(r + 1) // 2))
-    return n, r, draw(st.integers(0, r)), draw(st.integers(0, 2)), tuple(half + half[: r // 2][::-1])
+    ell = draw(st.integers(0 if n > 1 else 1, r))  # "(2)" needs n >= 2
+    return n, r, ell, draw(st.integers(0, 2)), tuple(half + half[: r // 2][::-1])
 
 
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
@@ -784,7 +816,7 @@ def test_gram_times_operator_with_a_full_table_is_symmetric(n, r, seed):
     basis = default_divisor_basis(n, r)
     rng = random.Random(seed)
     table = _synthetic_table(basis, r, rng, holes=False, mirrored=bool(seed))
-    for ell in range(r + 1):
+    for ell in range(0 if n > 1 else 1, r + 1):  # "(2)" needs n >= 2
         op = divisor_operator(n, r, f"D{ell}" if ell else "(2)", basis, 2, (1,) * r, table)
         assert not op.gaps
         _assert_gram_times_operator_is_symmetric(op)
@@ -810,7 +842,7 @@ def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
     monkeypatch.setattr(operators, "ratfunc_to_text", counted_to_text)
     symprod.clear_caches()
     basis = default_divisor_basis(2, 3)
-    beta = set()
+    beta, values_written = set(), set()
     for divisor in ("(2)", "D1", "D2", "D3"):
         op = divisor_operator(2, 3, divisor, basis, 4, (3, 3, 3))
         series = list(op.cells.values())
@@ -823,9 +855,12 @@ def test_equal_coefficients_are_built_and_formatted_once(monkeypatch):
         # each distinct (t1+t2) c is built once across the four divisors: a
         # value an earlier divisor built is read from the memo, not rebuilt
         assert len(built) == len(set(built)) == len(beta), divisor
-        formatted.clear()
         op_matrix_dumps(op)
-        assert len(formatted) == len({v for c in coeffs for v in c.values()}), divisor
+        values_written |= {v for c in coeffs for v in c.values()}
+        # each distinct value is formatted once across the four divisors: a
+        # value an earlier divisor wrote is read from the memo, not formatted again
+        assert len(formatted) == len(set(formatted)) == len(values_written), divisor
+    assert set(formatted) == values_written
     assert set(built) == beta
     assert operators._theta_times.cache_info().currsize == len(beta)
     # built directly, each value is the canonical (t1+t2) * c
@@ -947,6 +982,21 @@ def test_operator_gaps_are_the_rule_without_a_table_and_a_set_with_one():
     assert op.gaps == set(op.gaps) == {(i, j) for i in range(5) for j in range(5)}
     full = divisor_operator(2, 1, "D1", basis, 2, (1,), zero_degree_table_a1n2())
     assert type(full.gaps) is set and not full.gaps
+
+
+@pytest.mark.parametrize("table", [None, ZeroDegreeTable()], ids=["no-table", "table"])
+@pytest.mark.parametrize("r", [1, 3])
+def test_the_twisted_divisor_needs_two_points(r, table):
+    """Sym^1(A_r) has no twisted sector, so "(2)" has no class at n = 1; it had
+    given an operator with no term and every cell a gap. Each D_l at n = 1
+    is the operator of A_r itself and is built."""
+    basis = default_divisor_basis(1, r)
+    message = 'divisor "(2)" needs n >= 2, got n = 1: Sym^1(A_r) has no twisted sector'
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        divisor_operator(1, r, "(2)", basis, 2, (1,) * r, table)
+    for ell in range(1, r + 1):
+        op = divisor_operator(1, r, f"D{ell}", basis, 2, (1,) * r, table)
+        assert op.size() == r + 1
 
 
 _OUT_OF_RANGE = 'divisor {!r} out of range: the divisors are "(2)" and D1..D3'
